@@ -221,24 +221,36 @@ def _normalize(unnormalized: np.ndarray, what: str) -> np.ndarray:
     return u / z
 
 
+def _run_length_recursion(
+    probs: np.ndarray, xi: float, params: BOCDParams
+) -> tuple[np.ndarray, float]:
+    """Growth/truncation recursion on each column of ``probs`` (h_max, n_columns).
+
+    Growth moves likelihood-weighted mass one bin up at rate (1 - hazard);
+    the top bin absorbs what would overflow the truncation; bin 0 is left
+    zero for the caller. Also returns the pooled change-point mass
+    hazard * sum(probs * lik).
+    """
+    lik = likelihood_vector(xi, params)
+    growth = probs * lik[:, None] * (1.0 - params.hazard)
+    u = np.zeros(probs.shape)
+    u[1:] = growth[:-1]
+    u[-1] += growth[-1]
+    return u, params.hazard * sum(np.dot(lik, probs).tolist())
+
+
 def bocd_step(belief: RunLengthBelief, xi: float, params: BOCDParams) -> RunLengthBelief:
     """One posterior update for surprise ``xi``.
 
-    Growth moves weighted mass one bin up at rate (1 - hazard); the
-    change-point message collects hazard-weighted evidence into bin 0; the
-    top bin absorbs mass that would overflow the truncation. Raises
+    The growth/truncation recursion on the single run-length column, with
+    the change-point message collected into bin 0. Raises
     :class:`DegenerateBeliefError` if every message underflows.
     """
     if belief.h_max != params.h_max:
         raise ValueError(f"belief has h_max={belief.h_max} but params expect {params.h_max}")
-    lik = likelihood_vector(xi, params)
-    weighted = belief.probs * lik
-    growth = weighted * (1.0 - params.hazard)
-    u = np.empty(params.h_max)
-    u[0] = params.hazard * float(np.dot(belief.probs, lik))
-    u[1:] = growth[:-1]
-    u[-1] += growth[-1]
-    return RunLengthBelief(_normalize(u, "run-length update"))
+    u, cp = _run_length_recursion(belief.probs[:, None], xi, params)
+    u[0] = cp
+    return RunLengthBelief(_normalize(u[:, 0], "run-length update"))
 
 
 def expected_run_length(belief: RunLengthBelief) -> float:
@@ -337,18 +349,8 @@ def joint_step(
         raise ValueError(f"cluster index {z_now} outside 0..{joint.n_clusters - 1}")
     if not 0.0 < stickiness <= 1.0:
         raise ValueError(f"stickiness must lie in (0, 1], got {stickiness}")
-    lik = likelihood_vector(xi, params)
+    u, cp_total = _run_length_recursion(joint.probs, xi, params)
     n_z = joint.n_clusters
-    u = np.empty((params.h_max, n_z))
-    cp_total = 0.0
-    for z in range(n_z):
-        col = joint.probs[:, z]
-        weighted = col * lik
-        growth = weighted * (1.0 - params.hazard)
-        cp_total += params.hazard * float(np.dot(col, lik))
-        u[0, z] = 0.0
-        u[1:, z] = growth[:-1]
-        u[-1, z] += growth[-1]
     if n_z == 1:
         u[0, 0] = cp_total
     else:

@@ -24,8 +24,12 @@ __all__ = [
     "consistency_loss",
     "diversity_loss",
     "context_loss",
+    "encode",
     "fit_linear_context",
 ]
+
+# Central finite-difference step of the linear encoder's gradient.
+FD_STEP = 1e-5
 
 
 def normalize_embedding(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -171,7 +175,8 @@ def context_loss(batch: EmbeddingBatch, config: ContextLossConfig) -> ContextLos
     return ContextLoss(total, l_cons, l_div)
 
 
-def _encode(weights: np.ndarray, states: np.ndarray, eps: float) -> np.ndarray:
+def encode(weights: np.ndarray, states: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """Linear embeddings of ``states``, each soft-normalized as raw / (||raw|| + eps)."""
     raw = states @ weights.T
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     return raw / (norms + eps)
@@ -183,12 +188,11 @@ def fit_linear_context(
     steps: int = 200,
     lr: float = 0.1,
     seed: int = 0,
-    fd_step: float = 1e-5,
 ) -> np.ndarray:
     """Fit a linear state->embedding map by minimizing the context loss.
 
     Plain gradient descent with central finite-difference gradients
-    (step ``fd_step``) on the weight matrix (d_e, state_dim). Returns the
+    (step ``FD_STEP``) on the weight matrix (d_e, state_dim). Returns the
     weights with the lowest loss observed anywhere along the descent, so
     the result is never worse than the initialization. Deterministic given
     ``seed``. Raises if the loss goes non-finite.
@@ -207,10 +211,8 @@ def fit_linear_context(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
 
-    norm_eps = 1e-8
-
     def loss_of(w: np.ndarray) -> float:
-        batch = EmbeddingBatch(_encode(w, states, norm_eps), mode_ids)
+        batch = EmbeddingBatch(encode(w, states), mode_ids)
         value = context_loss(batch, config).total
         if not np.isfinite(value):
             raise FloatingPointError(
@@ -228,9 +230,9 @@ def fit_linear_context(
             for j in range(weights.shape[1]):
                 w_plus = weights.copy()
                 w_minus = weights.copy()
-                w_plus[i, j] += fd_step
-                w_minus[i, j] -= fd_step
-                grad[i, j] = (loss_of(w_plus) - loss_of(w_minus)) / (2.0 * fd_step)
+                w_plus[i, j] += FD_STEP
+                w_minus[i, j] -= FD_STEP
+                grad[i, j] = (loss_of(w_plus) - loss_of(w_minus)) / (2.0 * FD_STEP)
         weights = weights - lr * grad
         value = loss_of(weights)
         if value < best_loss:

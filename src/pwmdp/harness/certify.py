@@ -43,6 +43,7 @@ from ..context import (
     EmbeddingBatch,
     consistency_loss,
     diversity_loss,
+    encode,
     fit_linear_context,
 )
 from ..mdp import ModeModel, OperatorParams, QFunction, make_random_mode, sup_dist
@@ -54,6 +55,7 @@ from ..operators import (
     apply_mixture_operator,
     apply_mixture_via_shared,
     apply_mode_operator,
+    apply_noisy_operator,
     coupled_operator_factor,
     error_floor,
     estimate_lipschitz,
@@ -382,9 +384,10 @@ def suite_error_budget(
         q = QFunction(rng.uniform(-8.0, 8.0, (n_states, n_actions)))
         e0 = sup_dist(q, q_star)
         for n in range(1, n_steps + 1):
-            q = project(apply_mode_operator(model, params, q), partition)
-            noise_rng = np.random.default_rng((seed, 1070, i, n))
-            q = QFunction(q.values + noise_rng.uniform(-sigma, sigma, q.shape))
+            q = apply_noisy_operator(
+                lambda x: project(apply_mode_operator(model, params, x), partition),
+                sigma, (seed, 1070, i, n), q,
+            )
             err = sup_dist(q, q_star)
             max_violation = max(max_violation, err - (gamma**n * e0 + floor))
         max_violation = max(max_violation, sup_dist(q, q_star) - 1.05 * floor)
@@ -555,9 +558,7 @@ def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
     # the linear fitter separates a separable dataset on the unit sphere
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=150, lr=0.1, seed=seed)
-    embedded = states @ weights.T
-    embedded = embedded / (np.linalg.norm(embedded, axis=1, keepdims=True) + 1e-8)
-    fitted = EmbeddingBatch(embedded, mode_ids)
+    fitted = EmbeddingBatch(encode(weights, states), mode_ids)
     means = fitted.mode_means()
     distance = float(np.linalg.norm(means[0] - means[1]))
     separated = distance >= 0.5

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..context import ContextLossConfig, EmbeddingBatch, context_loss, fit_linear_context
+from ..context import ContextLossConfig, EmbeddingBatch, context_loss, encode, fit_linear_context
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
 from .config import ConfigError, load_config
 from .experiment import run_piecewise
-from .io import emit_trace
+from .io import csv_text, emit_trace, write_text
 from .sweeps import run_delay_table, run_threshold_sweep
 
 __all__ = ["main", "build_parser"]
@@ -109,11 +109,8 @@ def _cmd_threshold_sweep(args) -> int:
         n_iter=args.n_iter,
     )
     out = _out_dir(args)
-    path = out / "phase_map.json"
-    try:
-        path.write_text(json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write phase map to {path}: {exc}") from exc
+    text = json.dumps(result.to_json_dict(), indent=2) + "\n"
+    path = write_text(out / "phase_map.json", text, "phase map")
     print(f"phase map {args.n_gamma}x{args.n_coupling} -> {path}")
     print(f"boundary matches analytic line: {result.matches_analytic()}")
     return EXIT_OK
@@ -128,14 +125,8 @@ def _cmd_delay_table(args) -> int:
     else:
         path = out / "delay_table.csv"
         header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header))
-        text = "\n".join(lines) + "\n"
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write delay table to {path}: {exc}") from exc
+        text = csv_text(header, ([row[k] for k in header] for row in rows))
+    write_text(path, text, "delay table")
     for row in rows:
         print(
             f"{row['scenario']}: L={row['likelihood_ratio']} r0={row['prior_ratio']} "
@@ -157,11 +148,7 @@ def _cmd_certify(args) -> int:
         )
     if args.out is not None:
         out = _out_dir(args)
-        path = out / "certification.json"
-        try:
-            path.write_text(report_to_json(report), encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
+        path = write_text(out / "certification.json", report_to_json(report), "report")
         print(f"wrote {path}")
     if not report.passed:
         failed = [s.name for s in report.suites if not s.passed]
@@ -176,14 +163,11 @@ def _cmd_demo(args) -> int:
     config = ContextLossConfig()
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=args.steps, lr=args.lr, seed=seed)
-    embedded = states @ weights.T
-    embedded = embedded / (np.linalg.norm(embedded, axis=1, keepdims=True) + 1e-8)
-    batch = EmbeddingBatch(embedded, mode_ids)
+    batch = EmbeddingBatch(encode(weights, states), mode_ids)
     loss = context_loss(batch, config)
     means = batch.mode_means()
     distance = float(np.linalg.norm(means[0] - means[1]))
     out = _out_dir(args)
-    path = out / "context_map.json"
     payload = {
         "weights": [[float(w) for w in row] for row in weights],
         "loss_total": loss.total,
@@ -191,10 +175,7 @@ def _cmd_demo(args) -> int:
         "loss_diversity": loss.diversity,
         "mode_mean_distance": distance,
     }
-    try:
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write context map to {path}: {exc}") from exc
+    path = write_text(out / "context_map.json", json.dumps(payload, indent=2) + "\n", "context map")
     print(f"fitted linear context encoder: mode-mean distance {distance:.3f}")
     print(f"loss total={loss.total:.4f} consistency={loss.consistency:.4f} diversity={loss.diversity:.4f}")
     print(f"wrote {path}")

@@ -9,9 +9,11 @@ chain runs alongside:
      reward z-score, noisy-ensemble Q-std ratio, penalty-trace drift);
   3. the run-length posterior absorbs the surprise;
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
-  5. one frozen-belief backup is applied (optionally aggregated and/or
-     noisy), using the belief and penalty snapshots taken before the
-     application;
+  5. one frozen-belief backup is applied, using the belief and penalty
+     snapshots taken before the application. One backup closure over the
+     iteration's regime estimate serves the noisy ensemble, the TD scale
+     and this step, which composes it with the aggregation (if any) and
+     adds bounded noise through the same noisy-operator path;
   6. the sup-norm error to the *true* active regime's fixed point is
      recorded.
 
@@ -53,6 +55,7 @@ from ..mdp import QFunction, sup_dist
 from ..operators import (
     ModeBelief,
     apply_mixture_operator,
+    apply_noisy_operator,
     error_floor,
     mode_fixed_point,
     project,
@@ -197,6 +200,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         true_mode = schedule.mode_at(t)
         est_mode = _estimated_mode(schedule, t, n_delta)
         est_belief = ModeBelief.point_mass(est_mode, len(models))
+        backup = lambda x: apply_mixture_operator(models, est_belief, params, x)
 
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
@@ -211,13 +215,10 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         reward_mean = ema_update(reward_mean, batch_mean, config.stat_ema_rate)
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
-        new_ensemble = []
-        for k, member in enumerate(ensemble):
-            backed = apply_mixture_operator(models, est_belief, params, member)
-            noise_rng = np.random.default_rng((seed, _ENSEMBLE_STREAM, t, k))
-            noise = noise_rng.uniform(-config.ensemble_sigma, config.ensemble_sigma, backed.shape)
-            new_ensemble.append(QFunction(backed.values + noise))
-        ensemble = new_ensemble
+        ensemble = [
+            apply_noisy_operator(backup, config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k), member)
+            for k, member in enumerate(ensemble)
+        ]
         stack = np.stack([m.values for m in ensemble])
         sigma_q = float(stack.std(axis=0).mean())
         if t == 0:
@@ -229,7 +230,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             q_std_ratio = sigma_q_smooth / (sigma_q_baseline + _TINY)
         sigma_q_baseline = ema_update(sigma_q_baseline, sigma_q_smooth, config.stat_ema_rate)
 
-        td_scale = sup_dist(apply_mixture_operator(models, est_belief, params, q), q)
+        td_scale = sup_dist(backup(q), q)
         kappa_t = params.kappa + td_scale
         if t == 0:
             kappa_ema = kappa_t
@@ -263,14 +264,10 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         # --- one frozen-belief backup ---
         in_detection = any(st <= t < st + n_delta for st in switch_times)
         if not (config.detection_policy == "hold" and in_detection):
-            q_new = apply_mixture_operator(models, est_belief, params, q)
+            step = backup
             if config.partition is not None:
-                q_new = project(q_new, config.partition)
-            if config.noise_sigma > 0.0:
-                noise_rng = np.random.default_rng((seed, _NOISE_STREAM, t))
-                noise = noise_rng.uniform(-config.noise_sigma, config.noise_sigma, q_new.shape)
-                q_new = QFunction(q_new.values + noise)
-            q = q_new
+                step = lambda x: project(backup(x), config.partition)
+            q = apply_noisy_operator(step, config.noise_sigma, (seed, _NOISE_STREAM, t), q)
 
         err = sup_dist(q, q_stars[true_mode])
         steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)

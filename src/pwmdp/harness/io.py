@@ -14,6 +14,8 @@ from pathlib import Path
 from .experiment import TRACE_FIELDS, ExperimentTrace, TraceRow
 
 __all__ = [
+    "csv_text",
+    "write_text",
     "emit_trace",
     "read_trace",
     "trace_to_csv_text",
@@ -22,22 +24,26 @@ __all__ = [
     "parse_trace_json_text",
 ]
 
-_FLOAT_FIELDS = ("xi", "h_bar", "entropy", "lambda_w", "beta_eff", "err")
+def csv_text(header, rows) -> str:
+    """CSV text: a header line, then one line per row; floats written with ``repr``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
-def _row_to_strings(row: TraceRow) -> list[str]:
-    out = []
-    for name in TRACE_FIELDS:
-        value = getattr(row, name)
-        out.append(repr(value) if isinstance(value, float) else str(value))
-    return out
+def write_text(path, text: str, what: str) -> Path:
+    """Write ``text`` to ``path``; I/O failures raise OSError naming ``what`` and the path."""
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    return path
 
 
 def trace_to_csv_text(trace: ExperimentTrace) -> str:
-    lines = [",".join(TRACE_FIELDS)]
-    for row in trace.rows:
-        lines.append(",".join(_row_to_strings(row)))
-    return "\n".join(lines) + "\n"
+    return csv_text(TRACE_FIELDS, ([getattr(row, n) for n in TRACE_FIELDS] for row in trace.rows))
 
 
 def trace_to_json_text(trace: ExperimentTrace) -> str:
@@ -88,12 +94,7 @@ def emit_trace(trace: ExperimentTrace, fmt: str, path) -> Path:
         text = trace_to_json_text(trace)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    path = Path(path)
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
-    return path
+    return write_text(path, text, "trace")
 
 
 def read_trace(path) -> ExperimentTrace:

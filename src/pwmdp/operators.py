@@ -48,6 +48,12 @@ __all__ = [
 
 BELIEF_SUM_TOL = 1e-12
 
+# solve_fixed_point reports divergence once the residual passes this cap.
+DIVERGENCE_CAP = 1e12
+
+# estimate_lipschitz samples table entries uniformly from this range.
+LIPSCHITZ_VALUE_RANGE = (-10.0, 10.0)
+
 QOperator = Callable[[QFunction], QFunction]
 
 
@@ -241,13 +247,12 @@ def solve_fixed_point(
     q0: QFunction,
     tol: float = 1e-10,
     max_iter: int = 10**6,
-    divergence_cap: float = 1e12,
 ) -> FixedPointResult:
     """Iterate Q <- T(Q) until the sup-norm update drops below ``tol``.
 
     For a certified gamma-contraction the a-posteriori bound gives
     dist(Q, Q*) <= tol * gamma / (1 - gamma) on return. Non-convergence
-    within ``max_iter`` (or residual blow-up past ``divergence_cap``,
+    within ``max_iter`` (or residual blow-up past ``DIVERGENCE_CAP``,
     expected for expansive maps) is flagged rather than raised.
     """
     if tol <= 0.0:
@@ -260,7 +265,7 @@ def solve_fixed_point(
         q = q_next
         if residual < tol:
             return FixedPointResult(q, it, residual, True)
-        if not np.isfinite(residual) or residual > divergence_cap:
+        if not np.isfinite(residual) or residual > DIVERGENCE_CAP:
             return FixedPointResult(q, it, residual, False)
     return FixedPointResult(q, max_iter, residual, False)
 
@@ -278,22 +283,20 @@ def estimate_lipschitz(
     dims: tuple[int, int],
     n_pairs: int,
     seed: int,
-    value_range: tuple[float, float] = (-10.0, 10.0),
-    include_structured: bool = True,
 ) -> float:
     """Empirical sup-norm Lipschitz factor over sampled table pairs.
 
     Takes the max of dist(T Q1, T Q2) / dist(Q1, Q2) over ``n_pairs``
-    random pairs (entries uniform in ``value_range``; per-pair RNG streams
-    derived from ``(seed, pair_index)``), skipping zero-distance pairs.
-    ``include_structured`` adds a uniform-shift pair and single-entry bump
-    pairs, which are tight for affine operators where random pairs alone
-    understate the factor.
+    random pairs (entries uniform in ``LIPSCHITZ_VALUE_RANGE``; per-pair RNG
+    streams derived from ``(seed, pair_index)``), skipping zero-distance
+    pairs, plus a uniform-shift pair and single-entry bump pairs, which are
+    tight for affine operators where random pairs alone understate the
+    factor.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     s, a = dims
-    lo, hi = value_range
+    lo, hi = LIPSCHITZ_VALUE_RANGE
 
     def ratio(q1: QFunction, q2: QFunction) -> float:
         d = sup_dist(q1, q2)
@@ -307,14 +310,13 @@ def estimate_lipschitz(
         q1 = QFunction(rng.uniform(lo, hi, size=(s, a)))
         q2 = QFunction(rng.uniform(lo, hi, size=(s, a)))
         best = max(best, ratio(q1, q2))
-    if include_structured:
-        rng = np.random.default_rng((seed, n_pairs))
-        base = rng.uniform(lo, hi, size=(s, a))
-        best = max(best, ratio(QFunction(base), QFunction(base + 1.0)))
-        for j in range(min(3, s * a)):
-            bumped = base.copy()
-            bumped[j // a, j % a] += 1.0
-            best = max(best, ratio(QFunction(base), QFunction(bumped)))
+    rng = np.random.default_rng((seed, n_pairs))
+    base = rng.uniform(lo, hi, size=(s, a))
+    best = max(best, ratio(QFunction(base), QFunction(base + 1.0)))
+    for j in range(min(3, s * a)):
+        bumped = base.copy()
+        bumped[j // a, j % a] += 1.0
+        best = max(best, ratio(QFunction(base), QFunction(bumped)))
     return best
 
 

@@ -251,6 +251,33 @@ class TestJointStep:
             joint = joint_step(joint, float(xi), 0, PARAMS, stickiness=0.6)
             assert (joint.run_length_marginal() == belief.probs).all()
 
+    @pytest.mark.parametrize("n_z", [2, 3, 4])
+    def test_multi_cluster_matches_per_column_reference(self, n_z):
+        def reference(probs, xi, z_now, stickiness):
+            lik = likelihood_vector(xi, PARAMS)
+            u = np.empty_like(probs)
+            cp_total = 0.0
+            for z in range(n_z):
+                col = probs[:, z]
+                growth = col * lik * (1.0 - PARAMS.hazard)
+                cp_total += PARAMS.hazard * float(np.dot(col, lik))
+                u[0, z] = 0.0
+                u[1:, z] = growth[:-1]
+                u[-1, z] += growth[-1]
+            u[0, :] = cp_total * (1.0 - stickiness) / (n_z - 1)
+            u[0, z_now] = cp_total * stickiness
+            return u / u.sum()
+
+        rng = np.random.default_rng(20 + n_z)
+        joint = JointBelief(rng.dirichlet(np.ones(20 * n_z)).reshape(20, n_z))
+        for _ in range(50):
+            xi = float(rng.uniform(-3, 3))
+            z_now = int(rng.integers(0, n_z))
+            stickiness = float(rng.uniform(0.1, 1.0))
+            expected = reference(joint.probs, xi, z_now, stickiness)
+            joint = joint_step(joint, xi, z_now, PARAMS, stickiness=stickiness)
+            np.testing.assert_allclose(joint.probs, expected, rtol=1e-13, atol=0.0)
+
     def test_marginals_sum_to_one_fuzz(self):
         rng = np.random.default_rng(11)
         for _ in range(10_000):
