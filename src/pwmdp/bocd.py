@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mdp import _frozen_array, check_simplex
+
 __all__ = [
     "BOCDParams",
     "RunLengthBelief",
@@ -44,8 +46,6 @@ __all__ = [
     "joint_step",
     "belief_to_json",
 ]
-
-SIMPLEX_TOL = 1e-12
 
 # Unnormalized posterior entries below this are flushed to exact zero; if the
 # whole vector lands at/below it the update is degenerate and raises instead
@@ -83,15 +83,6 @@ class BOCDParams:
             raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
 
 
-def _check_simplex(probs: np.ndarray, what: str):
-    if not np.isfinite(probs).all():
-        raise ValueError(f"{what} contains non-finite entries")
-    if (probs < 0.0).any():
-        raise ValueError(f"{what} contains negative entries")
-    if abs(float(probs.sum()) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"{what} sums to {probs.sum()!r}, expected 1")
-
-
 @dataclass(frozen=True)
 class RunLengthBelief:
     """Posterior over run-lengths 0..h_max-1 (an exact simplex vector)."""
@@ -99,12 +90,11 @@ class RunLengthBelief:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        p.flags.writeable = False
+        p = _frozen_array(self.probs)
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size < 2:
             raise ValueError(f"run-length belief must be a vector of length >= 2, got {p.shape}")
-        _check_simplex(p, "run-length belief")
+        check_simplex(p, "run-length belief")
 
     @property
     def h_max(self) -> int:
@@ -128,12 +118,11 @@ class JointBelief:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        p.flags.writeable = False
+        p = _frozen_array(self.probs)
         object.__setattr__(self, "probs", p)
         if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] < 1:
             raise ValueError(f"joint belief must be (h_max >= 2, n_clusters >= 1), got {p.shape}")
-        _check_simplex(p, "joint belief")
+        check_simplex(p, "joint belief")
 
     @property
     def h_max(self) -> int:
@@ -164,10 +153,8 @@ class ClusterState:
     counts: np.ndarray     # (n_clusters,) int
 
     def __post_init__(self):
-        c = np.array(self.centroids, dtype=float)
-        n = np.array(self.counts, dtype=int)
-        c.flags.writeable = False
-        n.flags.writeable = False
+        c = _frozen_array(self.centroids)
+        n = _frozen_array(self.counts, dtype=int)
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "counts", n)
         if c.ndim != 2:

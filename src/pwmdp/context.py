@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .mdp import _frozen_array
+
 __all__ = [
     "EmbeddingBatch",
     "ContextLossConfig",
@@ -91,10 +93,8 @@ class EmbeddingBatch:
     mode_ids: np.ndarray  # (n_samples,) int
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=float)
-        m = np.array(self.mode_ids, dtype=int)
-        v.flags.writeable = False
-        m.flags.writeable = False
+        v = _frozen_array(self.vectors)
+        m = _frozen_array(self.mode_ids, dtype=int)
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "mode_ids", m)
         if v.ndim != 2 or v.shape[0] < 1:

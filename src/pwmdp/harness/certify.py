@@ -15,15 +15,16 @@ at the stated sizes.
       value estimate, collapsing to the value-coupled scalar operator
       whose Lipschitz factor exceeds the discount -> the contraction
       certificate must fail.
-  unclipped_surprise: the surprise fusion skips clipping -> the
-      boundedness check in the safety suite must fail.
+  unclipped_surprise: the real surprise fusion runs with its clip
+      ceiling lifted to infinity -> the boundedness check in the safety
+      suite must fail.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,10 +125,9 @@ def _random_partition(rng, n_states) -> StatePartition:
 
 # --- suite 1: frozen-belief mixture is a gamma-contraction (empirical) ---
 
-def suite_contraction_certificate(
-    seed: int, mutation: str | None = None, n_sets: int = 50, n_beliefs: int = 50
-) -> SuiteResult:
+def suite_contraction_certificate(seed: int, mutation: str | None = None) -> SuiteResult:
     gammas = (0.5, 0.9, 0.99)
+    n_sets, n_beliefs = 50, 50
     tol = 1e-10
     rng = np.random.default_rng((seed, 101))
     max_violation = -math.inf
@@ -163,10 +163,9 @@ def suite_contraction_certificate(
 
 # --- suite 2: Blackwell identities plus the unnormalized-weights negative test ---
 
-def suite_blackwell_identities(
-    seed: int, mutation: str | None = None, n_instances: int = 1000
-) -> SuiteResult:
+def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteResult:
     tol = 1e-12
+    n_instances = 1000
     rng = np.random.default_rng((seed, 102))
     scale = 0.9 if mutation == "unnormalized_belief" else 1.0
     max_violation = 0.0
@@ -209,8 +208,9 @@ def suite_blackwell_identities(
 
 # --- suite 3: sharp contraction threshold of the value-coupled operator ---
 
-def suite_sharp_threshold(seed: int, mutation: str | None = None, n_pairs: int = 500) -> SuiteResult:
+def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult:
     tol = 1e-12
+    n_pairs = 500
     rng = np.random.default_rng((seed, 103))
     max_violation = 0.0
     for _ in range(n_pairs):
@@ -277,10 +277,9 @@ def _simplex_violation(probs: np.ndarray) -> float:
     return max(abs(float(probs.sum()) - 1.0), max(0.0, -float(probs.min())))
 
 
-def suite_simplex_preservation(
-    seed: int, mutation: str | None = None, n_total: int = 100_000
-) -> SuiteResult:
+def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteResult:
     tol = 1e-12
+    n_total = 100_000
     rng = np.random.default_rng((seed, 105))
     params = BOCDParams()
     h = params.h_max
@@ -334,25 +333,17 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
             prev = b
             tested += 1
     weights = SurpriseWeights()
-
-    def fused(inputs: SurpriseInputs) -> float:
-        if mutation == "unclipped_surprise":
-            return (
-                weights.w_r * abs(inputs.reward_z)
-                + weights.w_q * inputs.q_std_ratio
-                + weights.w_kappa * inputs.kappa_div
-            )
-        return surprise(inputs, weights)
-
+    # the mutation lifts the clip ceiling; the bound is still checked against weights.clip_max
+    fused_weights = replace(weights, clip_max=math.inf) if mutation == "unclipped_surprise" else weights
     rng = np.random.default_rng((seed, 106))
     for _ in range(500):
         z = float(rng.uniform(-100.0, 100.0))
         q = float(rng.uniform(0.0, 100.0))
         k = float(rng.uniform(0.0, 100.0))
-        value = fused(SurpriseInputs(z, q, k))
+        value = surprise(SurpriseInputs(z, q, k), fused_weights)
         max_violation = max(max_violation, value - weights.clip_max, -value)
         # monotone in each channel magnitude
-        bigger = fused(SurpriseInputs(z * 2.0, q * 2.0, k * 2.0))
+        bigger = surprise(SurpriseInputs(z * 2.0, q * 2.0, k * 2.0), fused_weights)
         max_violation = max(max_violation, value - bigger)
         tested += 2
     return SuiteResult(
@@ -362,10 +353,9 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
 
 # --- suite 7: projected/noisy iteration obeys the combined error budget ---
 
-def suite_error_budget(
-    seed: int, mutation: str | None = None, n_configs: int = 20, n_steps: int = 500
-) -> SuiteResult:
+def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
     tol = 1e-9
+    n_configs, n_steps = 20, 500
     rng = np.random.default_rng((seed, 107))
     max_violation = 0.0
     for i in range(n_configs):
@@ -398,10 +388,9 @@ def suite_error_budget(
 
 # --- suite 8: regime-switch perturbation bound and its tight witness ---
 
-def suite_regime_perturbation(
-    seed: int, mutation: str | None = None, n_pairs: int = 100
-) -> SuiteResult:
+def suite_regime_perturbation(seed: int, mutation: str | None = None) -> SuiteResult:
     tol = 1e-8
+    n_pairs = 100
     rng = np.random.default_rng((seed, 108))
     params = OperatorParams(gamma=0.95, lambda_epi=0.01, kappa=0.1)
     max_violation = 0.0
@@ -570,10 +559,9 @@ def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
 
 # --- suite 11: shared-table and per-mode mixture paths agree ---
 
-def suite_shared_critic_equivalence(
-    seed: int, mutation: str | None = None, n_instances: int = 100
-) -> SuiteResult:
+def suite_shared_critic_equivalence(seed: int, mutation: str | None = None) -> SuiteResult:
     tol = 1e-12
+    n_instances = 100
     rng = np.random.default_rng((seed, 111))
     max_violation = 0.0
     for _ in range(n_instances):

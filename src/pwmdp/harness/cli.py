@@ -7,8 +7,10 @@ Subcommands:
   certify          run every certification suite, write the report
   rmdm-demo        fit the linear context encoder on a synthetic labeled set
 
-Exit codes: 0 success, 1 configuration error, 2 certification failure,
-3 I/O error.
+Exit codes: 0 success, 1 configuration or argument error, 2 certification
+failure, 3 I/O error, 4 numerical failure at run time (a fixed point that
+does not converge, a degenerate detector belief). Every error prints one
+line to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ..context import ContextLossConfig, EmbeddingBatch, context_loss, encode, fit_linear_context
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
-from .config import ConfigError, load_config
+from .config import load_config
 from .experiment import run_piecewise
 from .io import csv_text, emit_trace, write_text
 from .sweeps import run_delay_table, run_threshold_sweep
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CERTIFICATION = 2
 EXIT_IO = 3
+EXIT_RUNTIME = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,30 +45,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="csv"):
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=None, help="master seed override")
+
+    def add_out(p):
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=default_format, help="output format"
-        )
+
+    def add_format(p, default):
+        p.add_argument("--format", choices=("csv", "json"), default=default, help="output format")
 
     p_piece = sub.add_parser("piecewise", help="run a scripted regime-switching experiment")
     p_piece.add_argument("--config", type=str, default=None, help="JSON config path")
-    add_common(p_piece)
+    add_seed(p_piece)
+    add_out(p_piece)
+    add_format(p_piece, None)  # None: the config's format applies
 
     p_sweep = sub.add_parser(
         "threshold-sweep", help="phase map of the value-coupled operator"
     )
-    add_common(p_sweep, default_format="json")
+    add_out(p_sweep)
     p_sweep.add_argument("--n-gamma", type=int, default=50)
     p_sweep.add_argument("--n-coupling", type=int, default=50)
     p_sweep.add_argument("--n-iter", type=int, default=200)
 
     p_delay = sub.add_parser("delay-table", help="detection-delay table")
-    add_common(p_delay)
+    add_out(p_delay)
+    add_format(p_delay, "csv")
 
     p_cert = sub.add_parser("certify", help="run the certification suites")
-    add_common(p_cert, default_format="json")
+    add_seed(p_cert)
+    add_out(p_cert)
     p_cert.add_argument(
         "--inject-mutation",
         choices=MUTATIONS,
@@ -77,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         "rmdm-demo",
         help="context-embedding demo: fit the linear encoder on synthetic labeled data",
     )
-    add_common(p_demo, default_format="json")
+    add_seed(p_demo)
+    add_out(p_demo)
     p_demo.add_argument("--steps", type=int, default=150)
     p_demo.add_argument("--lr", type=float, default=0.1)
 
@@ -196,12 +206,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RuntimeError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -176,38 +176,48 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict against the schema and resolve all objects."""
+    """Validate a raw config dict against the schema and resolve all objects.
+
+    Every invalid field, including a value of the wrong type, raises
+    :class:`ConfigError`.
+    """
     merged = _merge_with_defaults(raw, DEFAULT_CONFIG, "")
     try:
-        n_states = int(merged["n_states"])
-        n_actions = int(merged["n_actions"])
-        operator_params = OperatorParams(**{k: float(v) for k, v in merged["operator"].items()})
-        bocd_raw = dict(merged["bocd"])
-        bocd_params = BOCDParams(
-            h_max=int(bocd_raw["h_max"]),
-            hazard=float(bocd_raw["hazard"]),
-            sigma0_sq=float(bocd_raw["sigma0_sq"]),
-            sigma_g=float(bocd_raw["sigma_g"]),
-        )
-        surprise_weights = SurpriseWeights(
-            w_r=float(merged["surprise"]["w_r"]),
-            w_q=float(merged["surprise"]["w_q"]),
-            w_kappa=float(merged["surprise"]["w_kappa"]),
-            clip_max=float(merged["surprise"]["clip_max"]),
-        )
-        adaptive_raw = merged["adaptive"]
-        adaptive_template = AdaptiveState(
-            beta_base=float(adaptive_raw["beta_base"]),
-            c_penalty=float(adaptive_raw["c_penalty"]),
-            ema_rate=float(adaptive_raw["baseline_ema_rate"]),
-            surprise_ema_rate=float(adaptive_raw["surprise_ema_rate"]),
-        )
-        smooth_surprise = bool(adaptive_raw["smooth_surprise"])
-        schedule = PiecewiseSchedule(tuple((m, d) for m, d in merged["schedule"]))
+        config = _resolve(merged)
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+    _check_metastability(config)
+    return config
+
+
+def _resolve(merged: dict) -> ExperimentConfig:
+    n_states = int(merged["n_states"])
+    n_actions = int(merged["n_actions"])
+    operator_params = OperatorParams(**{k: float(v) for k, v in merged["operator"].items()})
+    bocd_raw = dict(merged["bocd"])
+    bocd_params = BOCDParams(
+        h_max=int(bocd_raw["h_max"]),
+        hazard=float(bocd_raw["hazard"]),
+        sigma0_sq=float(bocd_raw["sigma0_sq"]),
+        sigma_g=float(bocd_raw["sigma_g"]),
+    )
+    surprise_weights = SurpriseWeights(
+        w_r=float(merged["surprise"]["w_r"]),
+        w_q=float(merged["surprise"]["w_q"]),
+        w_kappa=float(merged["surprise"]["w_kappa"]),
+        clip_max=float(merged["surprise"]["clip_max"]),
+    )
+    adaptive_raw = merged["adaptive"]
+    adaptive_template = AdaptiveState(
+        beta_base=float(adaptive_raw["beta_base"]),
+        c_penalty=float(adaptive_raw["c_penalty"]),
+        ema_rate=float(adaptive_raw["baseline_ema_rate"]),
+        surprise_ema_rate=float(adaptive_raw["surprise_ema_rate"]),
+    )
+    smooth_surprise = bool(adaptive_raw["smooth_surprise"])
+    schedule = PiecewiseSchedule(tuple((m, d) for m, d in merged["schedule"]))
 
     if not isinstance(merged["modes"], list) or not merged["modes"]:
         raise ConfigError("modes must be a non-empty list")
@@ -276,7 +286,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         seed=seed,
         models=models,
         schedule=schedule,
@@ -298,8 +308,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_dir=str(merged["out_dir"]),
         format=fmt,
     )
-    _check_metastability(config)
-    return config
 
 
 def _check_metastability(config: ExperimentConfig):

@@ -7,12 +7,16 @@ chain runs alongside:
   1. the true regime follows the schedule;
   2. a fused surprise is computed from three tabular channels (rollout
      reward z-score, noisy-ensemble Q-std ratio, penalty-trace drift);
-  3. the run-length posterior absorbs the surprise;
+  3. the joint (run-length x regime-cluster) filter absorbs the surprise,
+     with the surprise channels assigned to a cluster first; with
+     ``joint`` null it has one cluster, and its run-length marginal is the
+     plain run-length posterior;
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
   5. one frozen-belief backup is applied, using the belief and penalty
      snapshots taken before the application. One backup closure over the
-     iteration's regime estimate serves the noisy ensemble, the TD scale
-     and this step, which composes it with the aggregation (if any) and
+     iteration's regime estimate serves the noisy ensemble; the iterate's
+     own backup is evaluated once per iteration and serves both the TD
+     scale and this step, which aggregates it (if a partition is set) and
      adds bounded noise through the same noisy-operator path;
   6. the sup-norm error to the *true* active regime's fixed point is
      recorded.
@@ -29,7 +33,7 @@ stream is derived from (seed, stream id, iteration [, member]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +50,6 @@ from ..bocd import (
     JointBelief,
     RunLengthBelief,
     belief_entropy,
-    bocd_step,
     cluster_assign,
     expected_run_length,
     joint_step,
@@ -61,21 +64,9 @@ from ..operators import (
     project,
     projection_error,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, JointSettings
 
 __all__ = ["TraceRow", "ExperimentTrace", "run_piecewise", "TRACE_FIELDS"]
-
-TRACE_FIELDS = (
-    "iter",
-    "true_mode",
-    "xi",
-    "h_bar",
-    "entropy",
-    "lambda_w",
-    "beta_eff",
-    "err",
-    "phase",
-)
 
 PHASES = ("detection", "contraction", "steady")
 
@@ -110,6 +101,10 @@ class TraceRow:
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
+
+
+# Trace columns, in order: the fields of TraceRow, declared once above.
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass(frozen=True)
@@ -179,11 +174,10 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     switch_times = schedule.switch_times()
 
     h_max = config.bocd_params.h_max
-    if config.joint is not None:
-        joint = JointBelief.uniform(h_max, config.joint.n_clusters)
-        clusters = ClusterState.empty(config.joint.n_clusters, 3)
-    else:
-        belief = RunLengthBelief.uniform(h_max)
+    # Without a joint config the filter has one cluster, where stickiness has no effect.
+    joint_settings = config.joint or JointSettings(n_clusters=1, stickiness=1.0)
+    joint = JointBelief.uniform(h_max, joint_settings.n_clusters)
+    clusters = ClusterState.empty(joint_settings.n_clusters, 3)
     adaptive_state = config.adaptive_template
 
     q = QFunction.zeros(config.n_states, config.n_actions)
@@ -230,7 +224,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             q_std_ratio = sigma_q_smooth / (sigma_q_baseline + _TINY)
         sigma_q_baseline = ema_update(sigma_q_baseline, sigma_q_smooth, config.stat_ema_rate)
 
-        td_scale = sup_dist(backup(q), q)
+        backed_up = backup(q)
+        td_scale = sup_dist(backed_up, q)
         kappa_t = params.kappa + td_scale
         if t == 0:
             kappa_ema = kappa_t
@@ -247,27 +242,20 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             xi, adaptive_state = update_surprise_ema(adaptive_state, xi)
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
-        if config.joint is not None:
-            signal = np.array([reward_z, q_std_ratio, kappa_div])
-            z_now, clusters = cluster_assign(signal, clusters)
-            joint = joint_step(joint, xi, z_now, config.bocd_params, config.joint.stickiness)
-            marginal = RunLengthBelief(joint.run_length_marginal())
-            h_bar = expected_run_length(marginal)
-            entropy = belief_entropy(marginal)
-        else:
-            belief = bocd_step(belief, xi, config.bocd_params)
-            h_bar = expected_run_length(belief)
-            entropy = belief_entropy(belief)
+        signal = np.array([reward_z, q_std_ratio, kappa_div])
+        z_now, clusters = cluster_assign(signal, clusters)
+        joint = joint_step(joint, xi, z_now, config.bocd_params, joint_settings.stickiness)
+        marginal = RunLengthBelief(joint.run_length_marginal())
+        h_bar = expected_run_length(marginal)
+        entropy = belief_entropy(marginal)
         lam, adaptive_state = lambda_w(h_bar, h_max, adaptive_state)
         beta = beta_eff(adaptive_state, lam)
 
         # --- one frozen-belief backup ---
         in_detection = any(st <= t < st + n_delta for st in switch_times)
         if not (config.detection_policy == "hold" and in_detection):
-            step = backup
-            if config.partition is not None:
-                step = lambda x: project(backup(x), config.partition)
-            q = apply_noisy_operator(step, config.noise_sigma, (seed, _NOISE_STREAM, t), q)
+            step = backed_up if config.partition is None else project(backed_up, config.partition)
+            q = apply_noisy_operator(lambda _: step, config.noise_sigma, (seed, _NOISE_STREAM, t), q)
 
         err = sup_dist(q, q_stars[true_mode])
         steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import get_type_hints
 
 from .experiment import TRACE_FIELDS, ExperimentTrace, TraceRow
 
@@ -23,6 +24,7 @@ __all__ = [
     "parse_trace_csv_text",
     "parse_trace_json_text",
 ]
+
 
 def csv_text(header, rows) -> str:
     """CSV text: a header line, then one line per row; floats written with ``repr``."""
@@ -53,18 +55,12 @@ def trace_to_json_text(trace: ExperimentTrace) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# Trace column -> its type (int, float or str), which also parses it.
+_COLUMN_TYPES = get_type_hints(TraceRow)
+
+
 def _row_from_mapping(mapping: dict) -> TraceRow:
-    return TraceRow(
-        iter=int(mapping["iter"]),
-        true_mode=int(mapping["true_mode"]),
-        xi=float(mapping["xi"]),
-        h_bar=float(mapping["h_bar"]),
-        entropy=float(mapping["entropy"]),
-        lambda_w=float(mapping["lambda_w"]),
-        beta_eff=float(mapping["beta_eff"]),
-        err=float(mapping["err"]),
-        phase=str(mapping["phase"]),
-    )
+    return TraceRow(**{name: kind(mapping[name]) for name, kind in _COLUMN_TYPES.items()})
 
 
 def parse_trace_csv_text(text: str) -> ExperimentTrace:

@@ -19,6 +19,7 @@ __all__ = [
     "OperatorParams",
     "PiecewiseSchedule",
     "KERNEL_ROW_TOL",
+    "check_simplex",
     "greedy_value",
     "sup_dist",
     "validate_mode",
@@ -29,11 +30,26 @@ __all__ = [
 # contraction certificates rely on it holding at machine precision.
 KERNEL_ROW_TOL = 1e-12
 
+# Probability vectors (regime beliefs, run-length and joint posteriors) must
+# sum to 1 to this absolute tolerance.
+SIMPLEX_TOL = 1e-12
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """Read-only copy of ``values``: the storage of every immutable value type."""
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def check_simplex(probs: np.ndarray, what: str):
+    """Raise ValueError unless ``probs`` is finite, non-negative and sums to 1."""
+    if not np.isfinite(probs).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    if (probs < 0.0).any():
+        raise ValueError(f"{what} must be non-negative")
+    if abs(float(probs.sum()) - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"{what} sums to {probs.sum()!r}, expected 1")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .mdp import ModeModel, OperatorParams, QFunction, greedy_value, sup_dist
+from .mdp import _frozen_array, check_simplex
 
 __all__ = [
     "ModeBelief",
@@ -46,8 +47,6 @@ __all__ = [
     "switch_error_bound",
 ]
 
-BELIEF_SUM_TOL = 1e-12
-
 # solve_fixed_point reports divergence once the residual passes this cap.
 DIVERGENCE_CAP = 1e12
 
@@ -64,17 +63,11 @@ class ModeBelief:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        w.flags.writeable = False
+        w = _frozen_array(self.weights)
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size < 1:
             raise ValueError(f"belief must be a non-empty vector, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("belief contains non-finite weights")
-        if (w < 0.0).any():
-            raise ValueError("belief weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > BELIEF_SUM_TOL:
-            raise ValueError(f"belief weights sum to {w.sum()!r}, expected 1")
+        check_simplex(w, "belief")
 
     @classmethod
     def point_mass(cls, index: int, n_modes: int) -> "ModeBelief":
@@ -175,6 +168,11 @@ def apply_mode_operator(model: ModeModel, params: OperatorParams, q: QFunction) 
     return QFunction(model.reward + params.gamma * backup)
 
 
+def _belief_weights(belief: ModeBelief | np.ndarray) -> np.ndarray:
+    """Weights of a belief given as a ModeBelief or as a raw vector (validated)."""
+    return (belief if isinstance(belief, ModeBelief) else ModeBelief(belief)).weights
+
+
 def mixture_backup(
     models: Sequence[ModeModel],
     weights: np.ndarray,
@@ -213,11 +211,7 @@ def apply_mixture_operator(
     gamma-contractions contracts at the same rate, which is what the
     certification suite verifies empirically.
     """
-    if not isinstance(belief, ModeBelief):
-        belief = ModeBelief(np.asarray(belief, dtype=float))
-    if len(models) != belief.weights.size:
-        raise ValueError(f"{len(models)} models but {belief.weights.size} belief weights")
-    return mixture_backup(models, belief.weights, params, q)
+    return mixture_backup(models, _belief_weights(belief), params, q)
 
 
 def apply_coupled_operator(p: CoupledOperatorParams, q: float) -> float:
@@ -412,14 +406,13 @@ def apply_mixture_via_shared(
     stored in a shared table first and contracted with the belief weights
     afterwards. The two paths agree to floating-point round-off.
     """
-    if not isinstance(belief, ModeBelief):
-        belief = ModeBelief(np.asarray(belief, dtype=float))
-    if len(models) != belief.weights.size:
-        raise ValueError(f"{len(models)} models but {belief.weights.size} belief weights")
+    weights = _belief_weights(belief)
+    if len(models) != weights.size:
+        raise ValueError(f"{len(models)} models but {weights.size} belief weights")
     shared = shared_critic_from_modes(
         [apply_mode_operator(m, params, q) for m in models]
     )
-    mixed = np.tensordot(belief.weights, shared, axes=1)
+    mixed = np.tensordot(weights, shared, axes=1)
     return QFunction(mixed)
 
 

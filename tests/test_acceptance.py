@@ -27,7 +27,7 @@ from pwmdp.harness.certify import (
 SEED = 0
 
 
-def report(number: int, name: str, suite, elapsed: float | None = None):
+def report(number: int, name: str, suite, elapsed: float | None = None, instances: int | None = None):
     status = "PASS" if suite.passed else "FAIL"
     timing = f" ({elapsed:.1f}s)" if elapsed is not None else ""
     print(
@@ -35,24 +35,26 @@ def report(number: int, name: str, suite, elapsed: float | None = None):
         f"max_violation={suite.max_violation:.3e} tol={suite.tolerance:.1e}{timing}"
     )
     assert suite.passed, f"criterion {number} ({name}) failed: {suite}"
+    if instances is not None:
+        assert suite.tested_instances == instances, f"criterion {number} ran at the wrong size"
 
 
 def test_criterion_01_contraction_certificate():
     start = time.perf_counter()
-    suite = suite_contraction_certificate(SEED, n_sets=50, n_beliefs=50)
+    suite = suite_contraction_certificate(SEED)
     elapsed = time.perf_counter() - start
-    report(1, "contraction certificate", suite, elapsed)
+    report(1, "contraction certificate", suite, elapsed, instances=7500)
     assert elapsed < 30.0, f"contraction certificate took {elapsed:.1f}s (budget 30s)"
 
 
 def test_criterion_02_blackwell_suite():
-    suite = suite_blackwell_identities(SEED, n_instances=1000)
-    report(2, "Blackwell identities + unnormalized negative test", suite)
+    suite = suite_blackwell_identities(SEED)
+    report(2, "Blackwell identities + unnormalized negative test", suite, instances=1001)
 
 
 def test_criterion_03_sharp_threshold():
-    suite = suite_sharp_threshold(SEED, n_pairs=500)
-    report(3, "sharp threshold and phase map", suite)
+    suite = suite_sharp_threshold(SEED)
+    report(3, "sharp threshold and phase map", suite, instances=3001)
 
 
 def test_criterion_04_detection_delay_table():
@@ -61,8 +63,8 @@ def test_criterion_04_detection_delay_table():
 
 
 def test_criterion_05_simplex_preservation():
-    suite = suite_simplex_preservation(SEED, n_total=100_000)
-    report(5, "simplex preservation (1e5 fuzz)", suite)
+    suite = suite_simplex_preservation(SEED)
+    report(5, "simplex preservation (1e5 fuzz)", suite, instances=100_000)
 
 
 def test_criterion_06_safety_monotonicity():
@@ -71,13 +73,13 @@ def test_criterion_06_safety_monotonicity():
 
 
 def test_criterion_07_error_budget():
-    suite = suite_error_budget(SEED, n_configs=20, n_steps=500)
-    report(7, "combined error budget", suite)
+    suite = suite_error_budget(SEED)
+    report(7, "combined error budget", suite, instances=10_000)
 
 
 def test_criterion_08_regime_perturbation():
-    suite = suite_regime_perturbation(SEED, n_pairs=100)
-    report(8, "regime perturbation bound + tight witness", suite)
+    suite = suite_regime_perturbation(SEED)
+    report(8, "regime perturbation bound + tight witness", suite, instances=103)
 
 
 def test_criterion_09_piecewise_three_phase():
@@ -94,8 +96,8 @@ def test_criterion_10_context_losses():
 
 
 def test_criterion_11_shared_critic_equivalence():
-    suite = suite_shared_critic_equivalence(SEED, n_instances=100)
-    report(11, "shared-critic dual-path equivalence", suite)
+    suite = suite_shared_critic_equivalence(SEED)
+    report(11, "shared-critic dual-path equivalence", suite, instances=100)
 
 
 class TestCriterion12Reproducibility:

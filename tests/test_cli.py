@@ -1,12 +1,16 @@
 """CLI surface tests: subcommands, outputs, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from argparse import _SubParsersAction
+from pathlib import Path
 
 import pytest
 
 from pwmdp.harness import read_trace
+from pwmdp.harness.cli import build_parser
 
 CLI = [sys.executable, "-m", "pwmdp"]
 
@@ -77,6 +81,54 @@ class TestPiecewiseCommand:
         result = run_cli("piecewise", "--config", str(bad))
         assert result.returncode == 1
 
+    def test_config_format_applies_unless_flag_given(self, quick_config, tmp_path):
+        cfg = tmp_path / "json_config.json"
+        cfg.write_text(json.dumps({**json.loads(quick_config.read_text()), "format": "json"}))
+        result = run_cli("piecewise", "--config", str(cfg), "--out", str(tmp_path / "j"))
+        assert result.returncode == 0, result.stderr
+        assert [p.name for p in (tmp_path / "j").iterdir()] == ["trace.json"]
+        result = run_cli(
+            "piecewise", "--config", str(cfg), "--out", str(tmp_path / "c"), "--format", "csv"
+        )
+        assert result.returncode == 0, result.stderr
+        assert [p.name for p in (tmp_path / "c").iterdir()] == ["trace.csv"]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"n_ensemble": None},
+            {"noise_sigma": "abc"},
+            {"joint": {"n_clusters": "x"}},
+            {"modes": [{"seed": "x"}]},
+            {"rollout_len": float("inf")},  # JSON Infinity: int() overflows
+        ],
+        ids=["null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int"],
+    )
+    def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        result = run_cli("piecewise", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert result.returncode == 1
+        assert "config error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_degenerate_detector_exits_4_without_traceback(self, tmp_path):
+        # a surprise far beyond the likelihood's support underflows every run-length message
+        crash = tmp_path / "crash.json"
+        crash.write_text(
+            json.dumps(
+                {
+                    "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 500.0}],
+                    "surprise": {"clip_max": 1000.0, "w_r": 1.0},
+                    "adaptive": {"smooth_surprise": False},
+                }
+            )
+        )
+        result = run_cli("piecewise", "--config", str(crash), "--out", str(tmp_path / "x"))
+        assert result.returncode == 4
+        assert "runtime error" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unwritable_output_exits_3(self, quick_config, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
@@ -95,6 +147,12 @@ class TestThresholdSweepCommand:
         payload = json.loads((out / "phase_map.json").read_text())
         assert payload["matches_analytic_boundary"] is True
         assert "matches analytic line: True" in result.stdout
+
+
+    def test_bad_grid_size_exits_1(self, tmp_path):
+        result = run_cli("threshold-sweep", "--out", str(tmp_path / "s"), "--n-gamma", "0")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
 
 
 class TestDelayTableCommand:
@@ -127,3 +185,23 @@ class TestDemoCommand:
         payload = json.loads((out / "context_map.json").read_text())
         assert payload["mode_mean_distance"] >= 0.5
         assert len(payload["weights"]) == 2
+
+    def test_negative_steps_exit_1(self, tmp_path):
+        result = run_cli("rmdm-demo", "--out", str(tmp_path / "d"), "--steps", "-1")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+
+
+def test_readme_synopsis_lists_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("pwmdp "):
+            documented[line.split()[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, _SubParsersAction))
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == defined

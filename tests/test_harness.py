@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pwmdp import apply_mode_operator, mode_fixed_point, sup_dist
+from pwmdp.bocd import BOCDParams, RunLengthBelief, belief_entropy, bocd_step, expected_run_length
 from pwmdp.harness import (
     ConfigError,
     ExperimentTrace,
@@ -232,6 +233,20 @@ class TestRunPiecewise:
         trace = run_piecewise(config)
         assert len(trace) == 80
         assert all(np.isfinite(r.h_bar) and np.isfinite(r.entropy) for r in trace.rows)
+
+    def test_null_joint_is_the_one_cluster_filter(self):
+        # joint: null runs the one-cluster joint filter, where stickiness has no effect
+        plain = run_piecewise(config_from_dict(small_config_dict()))
+        one_cluster = run_piecewise(
+            config_from_dict(small_config_dict(joint={"n_clusters": 1, "stickiness": 0.6}))
+        )
+        assert trace_to_csv_text(plain) == trace_to_csv_text(one_cluster)
+        # ... and its run-length marginal is the plain run-length posterior, bit for bit
+        belief = RunLengthBelief.uniform(BOCDParams().h_max)
+        for row in plain.rows:
+            belief = bocd_step(belief, row.xi, BOCDParams())
+            assert expected_run_length(belief) == row.h_bar
+            assert belief_entropy(belief) == row.entropy
 
     def test_ensemble_and_noise_streams_independent_of_row_count(self):
         # non-zero backup noise changes err but not determinism
