@@ -147,9 +147,7 @@ def suite_contraction_certificate(seed: int, mutation: str | None = None) -> Sui
                     coupled = CoupledOperatorParams(
                         gamma=gamma, sensitivity=0.001, r_high=51.0, r_low=1.0
                     )
-                    op = lambda q: QFunction(
-                        [[apply_coupled_operator(coupled, float(q.values[0, 0]))]]
-                    )
+                    op = lambda qs: apply_coupled_operator(coupled, qs)
                     est = estimate_lipschitz(op, (1, 1), n_pairs=4, seed=pair_seed)
                 else:
                     op = lambda q: apply_mixture_operator(models, belief, params, q)

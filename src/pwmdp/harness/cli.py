@@ -38,8 +38,20 @@ EXIT_IO = 3
 EXIT_RUNTIME = 4
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with EXIT_CONFIG.
+
+    argparse's own code for them is 2, which this CLI reserves for a
+    certification failure. Subcommand parsers inherit the class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pwmdp",
         description="Piecewise-stationary MDP experiments and certification",
     )

@@ -216,7 +216,11 @@ def _resolve(merged: dict) -> ExperimentConfig:
         ema_rate=float(adaptive_raw["baseline_ema_rate"]),
         surprise_ema_rate=float(adaptive_raw["surprise_ema_rate"]),
     )
-    smooth_surprise = bool(adaptive_raw["smooth_surprise"])
+    smooth_surprise = adaptive_raw["smooth_surprise"]
+    if not isinstance(smooth_surprise, bool):
+        raise ConfigError(
+            f"adaptive.smooth_surprise must be true or false, got {smooth_surprise!r}"
+        )
     schedule = PiecewiseSchedule(tuple((m, d) for m, d in merged["schedule"]))
 
     if not isinstance(merged["modes"], list) or not merged["modes"]:

@@ -13,11 +13,13 @@ chain runs alongside:
      plain run-length posterior;
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
   5. one frozen-belief backup is applied, using the belief and penalty
-     snapshots taken before the application. One backup closure over the
-     iteration's regime estimate serves the noisy ensemble; the iterate's
-     own backup is evaluated once per iteration and serves both the TD
-     scale and this step, which aggregates it (if a partition is set) and
-     adds bounded noise through the same noisy-operator path;
+     snapshots taken before the application. It is one batched backup call
+     per iteration over the iteration's regime estimate, on the stack of
+     the noisy-ensemble members and the iterate: the members' images (plus
+     bounded noise) feed the ensemble spread of the next iteration, and the
+     iterate's image serves both the TD scale and this step, which
+     aggregates it (if a partition is set) and adds bounded noise drawn
+     like the ensemble's;
   6. the sup-norm error to the *true* active regime's fixed point is
      recorded.
 
@@ -57,6 +59,7 @@ from ..bocd import (
 from ..mdp import QFunction, sup_dist
 from ..operators import (
     ModeBelief,
+    _bounded_noise,
     apply_mixture_operator,
     apply_noisy_operator,
     error_floor,
@@ -134,13 +137,15 @@ def _greedy_rollout(model, q: QFunction, length: int, rng) -> np.ndarray:
     reflects the regime (and kernel sampling), not start-state dispersion.
     """
     rewards = np.empty(length)
-    n_states = model.n_states
     state = 0
     greedy = np.argmax(q.values, axis=1)
     for i in range(length):
         action = int(greedy[state])
         rewards[i] = model.reward[state, action]
-        state = int(rng.choice(n_states, p=model.kernel[state, action]))
+        # inverse-CDF draw, the arithmetic of rng.choice(n_states, p=row)
+        cdf = model.kernel[state, action].cumsum()
+        cdf /= cdf[-1]
+        state = int(cdf.searchsorted(rng.random(), side="right"))
     return rewards
 
 
@@ -180,8 +185,9 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     clusters = ClusterState.empty(joint_settings.n_clusters, 3)
     adaptive_state = config.adaptive_template
 
-    q = QFunction.zeros(config.n_states, config.n_actions)
-    ensemble = [QFunction.zeros(config.n_states, config.n_actions) for _ in range(config.n_ensemble)]
+    table_shape = (config.n_states, config.n_actions)
+    q = QFunction.zeros(*table_shape)
+    ensemble = np.zeros((config.n_ensemble, *table_shape))
 
     reward_mean = 0.0
     reward_var = 0.0
@@ -194,7 +200,6 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         true_mode = schedule.mode_at(t)
         est_mode = _estimated_mode(schedule, t, n_delta)
         est_belief = ModeBelief.point_mass(est_mode, len(models))
-        backup = lambda x: apply_mixture_operator(models, est_belief, params, x)
 
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
@@ -209,12 +214,17 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         reward_mean = ema_update(reward_mean, batch_mean, config.stat_ema_rate)
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
-        ensemble = [
-            apply_noisy_operator(backup, config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k), member)
-            for k, member in enumerate(ensemble)
-        ]
-        stack = np.stack([m.values for m in ensemble])
-        sigma_q = float(stack.std(axis=0).mean())
+        # one backup of the ensemble members and the iterate, stacked
+        images = apply_mixture_operator(
+            models, est_belief, params, np.concatenate([ensemble, q.values[None]])
+        )
+        ensemble = images[:-1]
+        if config.ensemble_sigma > 0.0:
+            ensemble = ensemble + np.stack([
+                _bounded_noise(config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k), table_shape)
+                for k in range(config.n_ensemble)
+            ])
+        sigma_q = float(ensemble.std(axis=0).mean())
         if t == 0:
             sigma_q_smooth = sigma_q
             sigma_q_baseline = sigma_q
@@ -224,7 +234,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             q_std_ratio = sigma_q_smooth / (sigma_q_baseline + _TINY)
         sigma_q_baseline = ema_update(sigma_q_baseline, sigma_q_smooth, config.stat_ema_rate)
 
-        backed_up = backup(q)
+        backed_up = QFunction(images[-1])
         td_scale = sup_dist(backed_up, q)
         kappa_t = params.kappa + td_scale
         if t == 0:

@@ -13,6 +13,7 @@ only randomness is owned by explicit seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,6 +55,8 @@ DIVERGENCE_CAP = 1e12
 LIPSCHITZ_VALUE_RANGE = (-10.0, 10.0)
 
 QOperator = Callable[[QFunction], QFunction]
+# Maps a (B, S, A) array of tables to the (B, S, A) array of their images.
+BatchOperator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,16 @@ class StatePartition:
     def singletons(cls, n_states: int) -> "StatePartition":
         return cls(n_states, tuple((s,) for s in range(n_states)))
 
+    @cached_property
+    def _block_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """States in block order, each block's first position and size, each state's block."""
+        sizes = np.array([len(b) for b in self.blocks])
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        block_of = np.empty(self.n_states, dtype=np.intp)
+        order = np.concatenate(self.blocks)
+        block_of[order] = np.repeat(np.arange(sizes.size), sizes)
+        return order, starts, sizes, block_of
+
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -154,18 +167,67 @@ class RegimePerturbation(NamedTuple):
     actual_gap: float   # sup-norm distance between the two fixed points
 
 
-def apply_mode_operator(model: ModeModel, params: OperatorParams, q: QFunction) -> QFunction:
+def _tables(q: QFunction | np.ndarray) -> np.ndarray:
+    """Values of a QFunction, or of a (..., S, A) array batch of tables checked finite."""
+    if isinstance(q, QFunction):
+        return q.values
+    values = np.asarray(q, dtype=float)
+    if values.ndim < 2:
+        raise ValueError(f"Q tables must be (..., S, A), got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("Q tables contain non-finite entries")
+    return values
+
+
+def _like(q: QFunction | np.ndarray, values: np.ndarray) -> QFunction | np.ndarray:
+    """``values`` in the form ``q`` came in: a QFunction for a QFunction, else the array."""
+    return QFunction(values) if isinstance(q, QFunction) else values
+
+
+def _backup(
+    models: Sequence[ModeModel],
+    weights: Sequence[float],
+    params: OperatorParams,
+    q: np.ndarray,
+) -> np.ndarray:
+    """Weighted sum of per-regime backups of a (..., S, A) array of tables.
+
+    Accumulates w_m * (R_m + gamma * (P_m V - lambda_epi * G_m - kappa)) with
+    the weights taken as given, so the kappa term scales by sum(w). V is
+    computed once; each regime with nonzero weight costs one
+    (..., S) @ (S, S*A) product on a view of its kernel, and a regime at
+    weight zero costs nothing.
+    """
+    n_states = q.shape[-2]
+    if q.shape[-2:] != models[0].reward.shape:
+        raise ValueError(f"dimension mismatch: model {models[0].reward.shape} vs Q {q.shape}")
+    v = q.max(axis=-1)
+    out = None
+    for w, model in zip(weights, models):
+        if w == 0.0:
+            continue
+        term = np.dot(v, model.kernel.reshape(-1, n_states).T).reshape(q.shape)
+        term -= params.lambda_epi * model.gamma_epi
+        term -= params.kappa
+        term *= params.gamma
+        term += model.reward
+        if w != 1.0:  # a single regime or a point mass needs no scaling
+            term *= w
+        out = term if out is None else out + term
+    return np.zeros(q.shape) if out is None else out
+
+
+def apply_mode_operator(
+    model: ModeModel, params: OperatorParams, q: QFunction | np.ndarray
+) -> QFunction | np.ndarray:
     """Penalized Bellman backup under one regime.
 
     out(s,a) = R(s,a) + gamma * (sum_s' P(s'|s,a) V(s') - lambda_epi * G(s,a) - kappa)
     with V(s') = max_a' Q(s',a'). Penalties are frozen tables, so they cancel
-    in differences and the map contracts at rate gamma.
+    in differences and the map contracts at rate gamma. ``q`` is a QFunction
+    (the result is one too) or a (..., S, A) array of tables, each backed up.
     """
-    if model.reward.shape != q.shape:
-        raise ValueError(f"dimension mismatch: model {model.reward.shape} vs Q {q.shape}")
-    v = greedy_value(q)
-    backup = model.kernel @ v - params.lambda_epi * model.gamma_epi - params.kappa
-    return QFunction(model.reward + params.gamma * backup)
+    return _like(q, _backup((model,), (1.0,), params, _tables(q)))
 
 
 def _belief_weights(belief: ModeBelief | np.ndarray) -> np.ndarray:
@@ -177,45 +239,44 @@ def mixture_backup(
     models: Sequence[ModeModel],
     weights: np.ndarray,
     params: OperatorParams,
-    q: QFunction,
-) -> QFunction:
+    q: QFunction | np.ndarray,
+) -> QFunction | np.ndarray:
     """Weighted sum of per-regime backups with the weights taken as-is.
 
     No simplex validation: callers that need the contraction guarantee must
     pass a proper belief (see :func:`apply_mixture_operator`). Exposed so
     that the discounting identity's failure under unnormalized weights can
-    be demonstrated directly.
+    be demonstrated directly. ``q`` is a QFunction or a (..., S, A) array of
+    tables, as for :func:`apply_mode_operator`.
     """
     weights = np.asarray(weights, dtype=float)
     if len(models) != weights.size:
         raise ValueError(f"{len(models)} models but {weights.size} weights")
     if not models:
         raise ValueError("need at least one model")
-    out = np.zeros(q.shape)
-    for w, model in zip(weights, models):
-        out += w * apply_mode_operator(model, params, q).values
-    return QFunction(out)
+    return _like(q, _backup(models, weights, params, _tables(q)))
 
 
 def apply_mixture_operator(
     models: Sequence[ModeModel],
     belief: ModeBelief | np.ndarray,
     params: OperatorParams,
-    q: QFunction,
-) -> QFunction:
+    q: QFunction | np.ndarray,
+) -> QFunction | np.ndarray:
     """Belief-weighted mixture of per-regime backups (frozen belief).
 
     With a point-mass belief this reduces exactly to
     :func:`apply_mode_operator` on the selected regime; a single-regime
     mixture is the plain penalized backup. A convex combination of
     gamma-contractions contracts at the same rate, which is what the
-    certification suite verifies empirically.
+    certification suite verifies empirically. ``q`` is a QFunction or a
+    (..., S, A) array of tables, as for :func:`apply_mode_operator`.
     """
     return mixture_backup(models, _belief_weights(belief), params, q)
 
 
-def apply_coupled_operator(p: CoupledOperatorParams, q: float) -> float:
-    """One step of the value-coupled scalar operator."""
+def apply_coupled_operator(p: CoupledOperatorParams, q: float | np.ndarray) -> float | np.ndarray:
+    """One step of the value-coupled scalar operator (entrywise on an array)."""
     return (p.gamma + p.sensitivity * p.reward_gap) * q + p.r_low
 
 
@@ -273,7 +334,7 @@ def mode_fixed_point(
 
 
 def estimate_lipschitz(
-    operator: QOperator,
+    operator: BatchOperator,
     dims: tuple[int, int],
     n_pairs: int,
     seed: int,
@@ -285,33 +346,35 @@ def estimate_lipschitz(
     streams derived from ``(seed, pair_index)``), skipping zero-distance
     pairs, plus a uniform-shift pair and single-entry bump pairs, which are
     tight for affine operators where random pairs alone understate the
-    factor.
+    factor. Every probe table goes through ``operator`` in one call, as a
+    (B, S, A) array whose images it returns as a (B, S, A) array.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     s, a = dims
     lo, hi = LIPSCHITZ_VALUE_RANGE
-
-    def ratio(q1: QFunction, q2: QFunction) -> float:
-        d = sup_dist(q1, q2)
-        if d == 0.0:
-            return 0.0
-        return sup_dist(operator(q1), operator(q2)) / d
-
-    best = 0.0
+    tables = []
     for i in range(n_pairs):
         rng = np.random.default_rng((seed, i))
-        q1 = QFunction(rng.uniform(lo, hi, size=(s, a)))
-        q2 = QFunction(rng.uniform(lo, hi, size=(s, a)))
-        best = max(best, ratio(q1, q2))
-    rng = np.random.default_rng((seed, n_pairs))
-    base = rng.uniform(lo, hi, size=(s, a))
-    best = max(best, ratio(QFunction(base), QFunction(base + 1.0)))
-    for j in range(min(3, s * a)):
-        bumped = base.copy()
-        bumped[j // a, j % a] += 1.0
-        best = max(best, ratio(QFunction(base), QFunction(bumped)))
-    return best
+        tables.append(rng.uniform(lo, hi, size=(s, a)))
+        tables.append(rng.uniform(lo, hi, size=(s, a)))
+    base = np.random.default_rng((seed, n_pairs)).uniform(lo, hi, size=(s, a))
+    n_bumps = min(3, s * a)
+    shifts = np.zeros((1 + n_bumps, s * a))
+    shifts[0] = 1.0
+    shifts[np.arange(1, 1 + n_bumps), np.arange(n_bumps)] = 1.0
+    stack = np.concatenate([np.stack(tables), base[None], base + shifts.reshape(-1, s, a)])
+    # pair k compares table left[k] with table right[k]
+    anchor = 2 * n_pairs
+    left = np.concatenate([np.arange(0, anchor, 2), np.full(1 + n_bumps, anchor)])
+    right = np.concatenate([np.arange(1, anchor, 2), anchor + 1 + np.arange(1 + n_bumps)])
+    dist = np.abs(stack[left] - stack[right]).max(axis=(1, 2))
+    images = np.asarray(operator(stack), dtype=float)
+    if images.shape != stack.shape or not np.isfinite(images).all():
+        raise ValueError(f"operator must map {stack.shape} tables to finite tables of that shape")
+    image_dist = np.abs(images[left] - images[right]).max(axis=(1, 2))
+    ratios = np.divide(image_dist, dist, out=np.zeros_like(dist), where=dist > 0.0)
+    return max(0.0, float(ratios.max()))
 
 
 def regime_perturbation(
@@ -340,22 +403,30 @@ def regime_perturbation(
     return RegimePerturbation(delta_r, bound, actual_gap)
 
 
-def project(q: QFunction, partition: StatePartition) -> QFunction:
-    """Block-averaging state aggregation; idempotent, sup-norm non-expansive."""
-    if partition.n_states != q.n_states:
+def project(q: QFunction | np.ndarray, partition: StatePartition) -> QFunction | np.ndarray:
+    """Block-averaging state aggregation; idempotent, sup-norm non-expansive.
+
+    ``q`` is a QFunction (the result is one too) or a (..., S, A) array of
+    tables, each projected.
+    """
+    values = _tables(q)
+    if partition.n_states != values.shape[-2]:
         raise ValueError(
-            f"partition over {partition.n_states} states but Q has {q.n_states}"
+            f"partition over {partition.n_states} states but Q has {values.shape[-2]}"
         )
-    out = np.empty_like(q.values)
-    for block in partition.blocks:
-        idx = list(block)
-        out[idx, :] = q.values[idx, :].mean(axis=0)
-    return QFunction(out)
+    order, starts, sizes, block_of = partition._block_index
+    means = np.add.reduceat(values[..., order, :], starts, axis=-2) / sizes[:, None]
+    return _like(q, means[..., block_of, :])
 
 
 def projection_error(q_star: QFunction, partition: StatePartition) -> float:
     """Aggregation error at a fixed point: sup_dist(project(Q*), Q*)."""
     return sup_dist(project(q_star, partition), q_star)
+
+
+def _bounded_noise(sigma: float, rng_seed, shape) -> np.ndarray:
+    """Entrywise uniform noise in [-sigma, sigma), deterministic per seed."""
+    return np.random.default_rng(rng_seed).uniform(-sigma, sigma, size=shape)
 
 
 def apply_noisy_operator(
@@ -371,9 +442,7 @@ def apply_noisy_operator(
     out = operator(q)
     if sigma == 0.0:
         return out
-    rng = np.random.default_rng(rng_seed)
-    noise = rng.uniform(-sigma, sigma, size=out.shape)
-    return QFunction(out.values + noise)
+    return QFunction(out.values + _bounded_noise(sigma, rng_seed, out.shape))
 
 
 def shared_critic_from_modes(per_mode: Sequence[QFunction]) -> np.ndarray:
@@ -402,16 +471,20 @@ def apply_mixture_via_shared(
 ) -> QFunction:
     """Mixture backup routed through a shared (mode, state, action) table.
 
-    Dual path to :func:`apply_mixture_operator`: per-regime backups are
-    stored in a shared table first and contracted with the belief weights
+    Independent reference for :func:`apply_mixture_operator`: each regime's
+    backup is computed on its own with a per-(s, a) kernel contraction,
+    stored in a shared table, and contracted with the belief weights
     afterwards. The two paths agree to floating-point round-off.
     """
     weights = _belief_weights(belief)
     if len(models) != weights.size:
         raise ValueError(f"{len(models)} models but {weights.size} belief weights")
-    shared = shared_critic_from_modes(
-        [apply_mode_operator(m, params, q) for m in models]
-    )
+    v = greedy_value(q)
+    per_mode = [
+        m.reward + params.gamma * (m.kernel @ v - params.lambda_epi * m.gamma_epi - params.kappa)
+        for m in models
+    ]
+    shared = shared_critic_from_modes([QFunction(t) for t in per_mode])
     mixed = np.tensordot(weights, shared, axes=1)
     return QFunction(mixed)
 

@@ -101,8 +101,14 @@ class TestPiecewiseCommand:
             {"joint": {"n_clusters": "x"}},
             {"modes": [{"seed": "x"}]},
             {"rollout_len": float("inf")},  # JSON Infinity: int() overflows
+            {"adaptive": {"smooth_surprise": "false"}},  # bool("false") is True
+            {"adaptive": {"smooth_surprise": 0}},
+            {"adaptive": {"smooth_surprise": None}},
         ],
-        ids=["null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int"],
+        ids=[
+            "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
+            "text_bool", "int_bool", "null_bool",
+        ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
         bad = tmp_path / "bad.json"
@@ -190,6 +196,15 @@ class TestDemoCommand:
         result = run_cli("rmdm-demo", "--out", str(tmp_path / "d"), "--steps", "-1")
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
+
+
+def test_usage_error_exits_1_and_help_exits_0():
+    # exit 2 is reserved for a certification failure
+    result = run_cli("certify", "--format", "json")
+    assert result.returncode == 1
+    assert "unrecognized arguments: --format json" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert run_cli("certify", "--help").returncode == 0
 
 
 def test_readme_synopsis_lists_every_flag():
