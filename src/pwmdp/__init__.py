@@ -38,6 +38,7 @@ from .bocd import (
     joint_step,
     likelihood,
     likelihood_vector,
+    log_likelihood_vector,
     posterior_ratio,
 )
 from .context import (

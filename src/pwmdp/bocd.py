@@ -10,19 +10,28 @@ message (mass re-injected at run-length zero at the hazard rate), then
 renormalizes. Truncation folds overflow mass into the last bin so the
 posterior remains an exact simplex.
 
+The messages are formed in the log domain and shifted by each case's
+largest one before a single exponentiation, so the change-point mass is
+at least ``hazard`` times the largest message: no surprise can underflow
+the normalizer (one whose square overflows a double is rejected with a
+ValueError). The updates take one belief object or a batch
+of beliefs as an array with a leading case axis; a single belief is the
+one-case batch.
+
 Also provides the joint (run-length x regime-cluster) belief with its
 marginals, a streaming k-means cluster state for regime discovery, and the
 posterior-ratio detection-delay calculus.
 
-Belief updates are pure: they return new belief objects. A detector's
-state must be owned by a single logical thread; independent detectors may
-run in parallel.
+Belief updates are pure: they return new belief objects (or arrays for
+array input). A detector's state must be owned by a single logical
+thread; independent detectors may run in parallel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +44,7 @@ __all__ = [
     "ClusterState",
     "DegenerateBeliefError",
     "likelihood",
+    "log_likelihood_vector",
     "likelihood_vector",
     "bocd_step",
     "expected_run_length",
@@ -47,14 +57,8 @@ __all__ = [
     "belief_to_json",
 ]
 
-# Unnormalized posterior entries below this are flushed to exact zero; if the
-# whole vector lands at/below it the update is degenerate and raises instead
-# of silently renormalizing round-off.
-NORMALIZER_FLOOR = 1e-300
-
-
 class DegenerateBeliefError(RuntimeError):
-    """All posterior mass vanished: the surprise is beyond numerical support."""
+    """A Bayes update whose evidence is zero on the whole support of the belief."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,12 @@ class BOCDParams:
             raise ValueError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
         if self.sigma_g < 0.0:
             raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
+
+    @cached_property
+    def _likelihood_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-bin 2 * variance and log-normalizer log(2 pi variance) / 2."""
+        var = self.sigma0_sq + self.sigma_g * np.arange(self.h_max)
+        return _frozen_array(2.0 * var), _frozen_array(0.5 * np.log(2.0 * np.pi * var))
 
 
 @dataclass(frozen=True)
@@ -179,65 +189,112 @@ class ClusterState:
         return cls(np.zeros((n_clusters, signal_dim)), np.zeros(n_clusters, dtype=int))
 
 
-def likelihood(xi: float, h: int, params: BOCDParams) -> float:
-    """Gaussian density of surprise ``xi`` at run-length ``h``.
+def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
+    """Log Gaussian density of surprise ``xi`` at every run-length bin.
 
     Variance sigma0_sq + sigma_g * h: long run-lengths tolerate larger
-    fluctuations.
+    fluctuations. ``xi`` is a scalar or an array of surprises; the result
+    has shape ``xi.shape + (h_max,)``.
     """
+    xi = np.asarray(xi, dtype=float)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_sq = xi * xi
+    if not np.isfinite(xi_sq).all():
+        raise ValueError("surprise must be finite, with a finite square")
+    two_var, log_norm = params._likelihood_terms
+    return -xi_sq / two_var - log_norm
+
+
+def likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
+    """Gaussian density of ``xi`` at every run-length bin: exp of the log vector."""
+    return np.exp(log_likelihood_vector(xi, params))
+
+
+def likelihood(xi: float, h: int, params: BOCDParams) -> float:
+    """Gaussian density of surprise ``xi`` at run-length ``h``."""
     if not 0 <= h < params.h_max:
         raise ValueError(f"run-length {h} outside 0..{params.h_max - 1}")
-    var = params.sigma0_sq + params.sigma_g * h
-    return float(math.exp(-(xi * xi) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var))
+    return math.exp(float(log_likelihood_vector(xi, params)[h]))
 
 
-def likelihood_vector(xi: float, params: BOCDParams) -> np.ndarray:
-    """Vector of likelihood(xi, h) over all run-length bins."""
-    var = params.sigma0_sq + params.sigma_g * np.arange(params.h_max)
-    return np.exp(-(xi * xi) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+def _batch(belief, belief_type: type, params: BOCDParams | None) -> np.ndarray:
+    """(B, h_max, ...) probabilities of a belief object (B = 1) or of an array batch.
 
-
-def _normalize(unnormalized: np.ndarray, what: str) -> np.ndarray:
-    u = np.where(unnormalized < NORMALIZER_FLOOR, 0.0, unnormalized)
-    z = float(u.sum())
-    if z <= 0.0:
-        raise DegenerateBeliefError(
-            f"{what}: normalizer vanished (all messages below {NORMALIZER_FLOOR:g}); "
-            "surprise is numerically unsupportable at every run-length"
-        )
-    return u / z
-
-
-def _run_length_recursion(
-    probs: np.ndarray, xi: float, params: BOCDParams
-) -> tuple[np.ndarray, float]:
-    """Growth/truncation recursion on each column of ``probs`` (h_max, n_columns).
-
-    Growth moves likelihood-weighted mass one bin up at rate (1 - hazard);
-    the top bin absorbs what would overflow the truncation; bin 0 is left
-    zero for the caller. Also returns the pooled change-point mass
-    hazard * sum(probs * lik).
+    A belief object was validated at construction; an array is checked once,
+    every case on the simplex over its trailing axes.
     """
-    lik = likelihood_vector(xi, params)
-    growth = probs * lik[:, None] * (1.0 - params.hazard)
-    u = np.zeros(probs.shape)
-    u[1:] = growth[:-1]
-    u[-1] += growth[-1]
-    return u, params.hazard * sum(np.dot(lik, probs).tolist())
+    what = "run-length belief" if belief_type is RunLengthBelief else "joint belief"
+    if isinstance(belief, belief_type):
+        probs = belief.probs[None]
+    else:
+        probs = np.asarray(belief, dtype=float)
+        event_ndim = 1 if belief_type is RunLengthBelief else 2
+        if probs.ndim != event_ndim + 1 or len(probs) < 1:
+            raise ValueError(f"{what} batch must be (B >= 1, h_max, ...), got {probs.shape}")
+        check_simplex(probs, what, batched=True)
+    if params is not None and probs.shape[1] != params.h_max:
+        raise ValueError(f"{what} has h_max={probs.shape[1]} but params expect {params.h_max}")
+    return probs
 
 
-def bocd_step(belief: RunLengthBelief, xi: float, params: BOCDParams) -> RunLengthBelief:
+def _per_case(values, n_cases: int, what: str) -> np.ndarray:
+    """A scalar or a (B,) array of per-case values, as a (1,) or (B,) array."""
+    arr = np.asarray(values)
+    if arr.ndim > 1 or (arr.ndim == 1 and arr.size != n_cases):
+        raise ValueError(f"{what} must be a scalar or have shape ({n_cases},), got {arr.shape}")
+    return arr.reshape(-1)
+
+
+def _filter_step(
+    probs: np.ndarray,
+    xi: np.ndarray,
+    z_now: int | np.ndarray,
+    stickiness: float | np.ndarray,
+    params: BOCDParams,
+) -> np.ndarray:
+    """One run-length update of a (B, h_max, n_clusters) batch of joint beliefs.
+
+    The messages log(b) + log L(xi) are shifted by each case's largest and
+    exponentiated once. Growth moves them one bin up at rate (1 - hazard)
+    and the top bin absorbs what would overflow the truncation; the pooled
+    change-point mass hazard * sum(messages) is re-injected at run-length 0,
+    ``stickiness`` of it on cluster ``z_now`` and the rest spread evenly
+    over the other clusters (all of it, for a single cluster). Each case is
+    then divided by its own sum, which is at least ``hazard``. ``xi`` has
+    shape (1,) or (B,); ``z_now`` and ``stickiness`` are scalars or (B,).
+    """
+    with np.errstate(divide="ignore"):
+        log_msg = np.log(probs)
+    log_msg += log_likelihood_vector(xi, params)[:, :, None]
+    msg = np.exp(log_msg - log_msg.max(axis=(1, 2), keepdims=True))
+    growth = msg * (1.0 - params.hazard)
+    u = np.empty_like(msg)
+    u[:, 1:] = growth[:, :-1]
+    u[:, -1] += growth[:, -1]
+    cp_total = params.hazard * msg.sum(axis=(1, 2))
+    n_z = probs.shape[2]
+    if n_z == 1:
+        u[:, 0, 0] = cp_total
+    else:
+        u[:, 0, :] = (cp_total * (1.0 - stickiness) / (n_z - 1))[:, None]
+        u[np.arange(len(u)), 0, z_now] = cp_total * stickiness
+    return u / u.sum(axis=(1, 2), keepdims=True)
+
+
+def bocd_step(
+    belief: RunLengthBelief | np.ndarray, xi: float | np.ndarray, params: BOCDParams
+) -> RunLengthBelief | np.ndarray:
     """One posterior update for surprise ``xi``.
 
-    The growth/truncation recursion on the single run-length column, with
-    the change-point message collected into bin 0. Raises
-    :class:`DegenerateBeliefError` if every message underflows.
+    The filter recursion on the single run-length column, with the
+    change-point message collected into bin 0. Takes a belief, or a (B, h_max)
+    array of beliefs with ``xi`` a scalar or (B,) array, and returns the
+    updated belief in the same form.
     """
-    if belief.h_max != params.h_max:
-        raise ValueError(f"belief has h_max={belief.h_max} but params expect {params.h_max}")
-    u, cp = _run_length_recursion(belief.probs[:, None], xi, params)
-    u[0] = cp
-    return RunLengthBelief(_normalize(u[:, 0], "run-length update"))
+    probs = _batch(belief, RunLengthBelief, params)
+    xi = _per_case(xi, len(probs), "xi")
+    out = _filter_step(probs[:, :, None], xi, 0, 1.0, params)[:, :, 0]
+    return RunLengthBelief(out[0]) if isinstance(belief, RunLengthBelief) else out
 
 
 def expected_run_length(belief: RunLengthBelief) -> float:
@@ -252,14 +309,32 @@ def belief_entropy(belief: RunLengthBelief) -> float:
     return float(-terms.sum())
 
 
-def bayes_update(belief: RunLengthBelief, lik: np.ndarray) -> RunLengthBelief:
-    """Plain Bayes rule rho'(h) = rho(h) L(h) / Z for a given likelihood vector."""
+def bayes_update(
+    belief: RunLengthBelief | np.ndarray, lik: np.ndarray
+) -> RunLengthBelief | np.ndarray:
+    """Plain Bayes rule rho'(h) = rho(h) L(h) / Z for a given likelihood vector.
+
+    Takes a belief with an (h,) likelihood, or a (B, h) array of beliefs with
+    a (B, h) array of likelihoods, and returns the posterior in the same
+    form. Raises :class:`DegenerateBeliefError` for a case whose evidence is
+    zero on the whole support of its belief: its posterior is undefined.
+    """
+    probs = _batch(belief, RunLengthBelief, None)
     lik = np.asarray(lik, dtype=float)
-    if lik.shape != belief.probs.shape:
-        raise ValueError(f"likelihood shape {lik.shape} does not match belief {belief.probs.shape}")
+    expected = belief.probs.shape if isinstance(belief, RunLengthBelief) else probs.shape
+    if lik.shape != expected:
+        raise ValueError(f"likelihood shape {lik.shape} does not match belief {expected}")
     if (lik < 0.0).any() or not np.isfinite(lik).all():
         raise ValueError("likelihood vector must be finite and non-negative")
-    return RunLengthBelief(_normalize(belief.probs * lik, "Bayes update"))
+    with np.errstate(divide="ignore"):
+        log_post = np.log(probs) + np.log(lik.reshape(probs.shape))
+    top = log_post.max(axis=1, keepdims=True)
+    if np.isneginf(top).any():
+        row = int(np.isneginf(top).argmax())
+        raise DegenerateBeliefError(f"Bayes update: zero evidence on the support of belief {row}")
+    post = np.exp(log_post - top)
+    post /= post.sum(axis=1, keepdims=True)
+    return RunLengthBelief(post[0]) if isinstance(belief, RunLengthBelief) else post
 
 
 def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> float:
@@ -315,12 +390,12 @@ def cluster_assign(signal: np.ndarray, clusters: ClusterState) -> tuple[int, Clu
 
 
 def joint_step(
-    joint: JointBelief,
-    xi: float,
-    z_now: int,
+    joint: JointBelief | np.ndarray,
+    xi: float | np.ndarray,
+    z_now: int | np.ndarray,
     params: BOCDParams,
-    stickiness: float = 0.6,
-) -> JointBelief:
+    stickiness: float | np.ndarray = 0.6,
+) -> JointBelief | np.ndarray:
     """One joint (run-length, cluster) posterior update.
 
     Each cluster column undergoes the same growth/truncation recursion as
@@ -328,22 +403,25 @@ def joint_step(
     run-length 0 with weight ``stickiness`` on the currently observed
     cluster ``z_now`` and the remainder spread uniformly over the other
     clusters. The marginal recursion (and, for a single cluster, the exact
-    arithmetic) matches :func:`bocd_step`.
+    arithmetic) matches :func:`bocd_step`. Takes a belief, or a
+    (B, h_max, n_clusters) array of beliefs with ``xi``, ``z_now`` and
+    ``stickiness`` each a scalar or a (B,) array, and returns the updated
+    belief in the same form.
     """
-    if joint.h_max != params.h_max:
-        raise ValueError(f"joint belief has h_max={joint.h_max} but params expect {params.h_max}")
-    if not 0 <= z_now < joint.n_clusters:
-        raise ValueError(f"cluster index {z_now} outside 0..{joint.n_clusters - 1}")
-    if not 0.0 < stickiness <= 1.0:
-        raise ValueError(f"stickiness must lie in (0, 1], got {stickiness}")
-    u, cp_total = _run_length_recursion(joint.probs, xi, params)
-    n_z = joint.n_clusters
-    if n_z == 1:
-        u[0, 0] = cp_total
-    else:
-        u[0, :] = cp_total * (1.0 - stickiness) / (n_z - 1)
-        u[0, z_now] = cp_total * stickiness
-    return JointBelief(_normalize(u, "joint update"))
+    probs = _batch(joint, JointBelief, params)
+    n, n_z = len(probs), probs.shape[2]
+    z_now = _per_case(z_now, n, "z_now")
+    stickiness = _per_case(stickiness, n, "stickiness")
+    if z_now.dtype.kind not in "iu":
+        raise ValueError(f"cluster index must be an integer, got {z_now.dtype}")
+    bad = (z_now < 0) | (z_now >= n_z)
+    if bad.any():
+        raise ValueError(f"cluster index {z_now[bad.argmax()]} outside 0..{n_z - 1}")
+    bad = ~((0.0 < stickiness) & (stickiness <= 1.0))
+    if bad.any():
+        raise ValueError(f"stickiness must lie in (0, 1], got {stickiness[bad.argmax()]}")
+    out = _filter_step(probs, _per_case(xi, n, "xi"), z_now, stickiness, params)
+    return JointBelief(out[0]) if isinstance(joint, JointBelief) else out
 
 
 def belief_to_json(belief: RunLengthBelief, step_index: int) -> dict:

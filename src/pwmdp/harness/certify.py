@@ -31,8 +31,6 @@ import numpy as np
 from ..adaptive import AdaptiveState, SurpriseInputs, SurpriseWeights, beta_eff, surprise
 from ..bocd import (
     BOCDParams,
-    JointBelief,
-    RunLengthBelief,
     bayes_update,
     bocd_step,
     detection_delay,
@@ -271,8 +269,21 @@ def suite_detection_delay_table(seed: int, mutation: str | None = None) -> Suite
 
 # --- suite 5: belief updates preserve the simplex ---
 
+# Cases are drawn and updated in blocks of at most this many, so the batch
+# arrays stay small next to the rest of the process.
+_SIMPLEX_BLOCK = 256
+
+
+def _blocks(n_cases: int):
+    """Sizes of consecutive blocks of at most _SIMPLEX_BLOCK covering n_cases."""
+    for start in range(0, n_cases, _SIMPLEX_BLOCK):
+        yield min(_SIMPLEX_BLOCK, n_cases - start)
+
+
 def _simplex_violation(probs: np.ndarray) -> float:
-    return max(abs(float(probs.sum()) - 1.0), max(0.0, -float(probs.min())))
+    """Worst departure from the simplex over a batch whose axis 0 indexes cases."""
+    cases = probs.reshape(len(probs), -1)
+    return max(float(np.abs(cases.sum(axis=1) - 1.0).max()), max(0.0, -float(cases.min())))
 
 
 def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteResult:
@@ -285,28 +296,33 @@ def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteR
     n_joint = int(n_total * 0.3)
     n_bayes = n_total - n_bocd - n_joint
     max_violation = 0.0
-    for _ in range(n_bocd):
-        belief = RunLengthBelief(rng.dirichlet(np.ones(h)))
-        out = bocd_step(belief, float(rng.uniform(-8.0, 8.0)), params)
-        max_violation = max(max_violation, _simplex_violation(out.probs))
-    for _ in range(n_joint):
-        n_z = int(rng.integers(1, 5))
-        joint = JointBelief(rng.dirichlet(np.ones(h * n_z)).reshape(h, n_z))
-        out = joint_step(
-            joint,
-            float(rng.uniform(-8.0, 8.0)),
-            int(rng.integers(0, n_z)),
-            params,
-            stickiness=float(rng.uniform(0.1, 1.0)),
-        )
-        max_violation = max(max_violation, _simplex_violation(out.probs))
-        max_violation = max(max_violation, abs(float(out.run_length_marginal().sum()) - 1.0))
-        max_violation = max(max_violation, abs(float(out.cluster_marginal().sum()) - 1.0))
-    for _ in range(n_bayes):
-        belief = RunLengthBelief(rng.dirichlet(np.ones(h)))
-        lik = rng.uniform(0.0, 1.0, h)
-        out = bayes_update(belief, lik)
-        max_violation = max(max_violation, _simplex_violation(out.probs))
+    for n in _blocks(n_bocd):
+        probs = rng.dirichlet(np.ones(h), n)
+        out = bocd_step(probs, rng.uniform(-8.0, 8.0, n), params)
+        max_violation = max(max_violation, _simplex_violation(out))
+    for n in _blocks(n_joint):
+        n_z = rng.integers(1, 5, n)
+        for k in range(1, 5):
+            m = int((n_z == k).sum())
+            if m == 0:
+                continue
+            out = joint_step(
+                rng.dirichlet(np.ones(h * k), m).reshape(m, h, k),
+                rng.uniform(-8.0, 8.0, m),
+                rng.integers(0, k, m),
+                params,
+                stickiness=rng.uniform(0.1, 1.0, m),
+            )
+            max_violation = max(
+                max_violation,
+                _simplex_violation(out),
+                _simplex_violation(out.sum(axis=2)),
+                _simplex_violation(out.sum(axis=1)),
+            )
+    for n in _blocks(n_bayes):
+        probs = rng.dirichlet(np.ones(h), n)
+        out = bayes_update(probs, rng.uniform(0.0, 1.0, (n, h)))
+        max_violation = max(max_violation, _simplex_violation(out))
     return SuiteResult(
         "simplex_preservation", n_total, max_violation, tol, max_violation <= tol
     )

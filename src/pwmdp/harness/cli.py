@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration or argument error, 2 certification
 failure, 3 I/O error, 4 numerical failure at run time (a fixed point that
-does not converge, a degenerate detector belief). Every error prints one
-line to stderr.
+does not converge; the log-domain change detector has no such failure).
+Every error prints one line to stderr.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -141,6 +142,15 @@ def _merge_with_defaults(raw: dict, defaults: dict, path: str) -> dict:
     return merged
 
 
+def _int(value, name: str) -> int:
+    """An integer field: a whole number, never a bool, a fraction or text."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -> ModeModel:
     if not isinstance(spec, dict):
         raise ConfigError(f"modes[{index}] must be an object")
@@ -148,7 +158,8 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
         unknown = set(spec) - {"seed", "reward_shift"}
         if unknown:
             raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
-        model = make_random_mode(int(spec["seed"]), n_states, n_actions, tuple(reward_range))
+        seed = _int(spec["seed"], f"modes[{index}].seed")
+        model = make_random_mode(seed, n_states, n_actions, tuple(reward_range))
         shift = float(spec.get("reward_shift", 0.0))
         if shift != 0.0:
             model = ModeModel(model.reward + shift, model.kernel, model.gamma_epi)
@@ -193,12 +204,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _resolve(merged: dict) -> ExperimentConfig:
-    n_states = int(merged["n_states"])
-    n_actions = int(merged["n_actions"])
+    n_states = _int(merged["n_states"], "n_states")
+    n_actions = _int(merged["n_actions"], "n_actions")
     operator_params = OperatorParams(**{k: float(v) for k, v in merged["operator"].items()})
     bocd_raw = dict(merged["bocd"])
     bocd_params = BOCDParams(
-        h_max=int(bocd_raw["h_max"]),
+        h_max=_int(bocd_raw["h_max"], "bocd.h_max"),
         hazard=float(bocd_raw["hazard"]),
         sigma0_sq=float(bocd_raw["sigma0_sq"]),
         sigma_g=float(bocd_raw["sigma_g"]),
@@ -221,7 +232,9 @@ def _resolve(merged: dict) -> ExperimentConfig:
         raise ConfigError(
             f"adaptive.smooth_surprise must be true or false, got {smooth_surprise!r}"
         )
-    schedule = PiecewiseSchedule(tuple((m, d) for m, d in merged["schedule"]))
+    schedule = PiecewiseSchedule(
+        tuple((_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in merged["schedule"])
+    )
 
     if not isinstance(merged["modes"], list) or not merged["modes"]:
         raise ConfigError("modes must be a non-empty list")
@@ -238,9 +251,10 @@ def _resolve(merged: dict) -> ExperimentConfig:
     partition = None
     if merged["partition"] is not None:
         try:
-            partition = StatePartition(
-                n_states, tuple(tuple(b) for b in merged["partition"])
+            blocks = tuple(
+                tuple(_int(s, "partition state") for s in b) for b in merged["partition"]
             )
+            partition = StatePartition(n_states, blocks)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"partition: {exc}") from exc
 
@@ -253,7 +267,9 @@ def _resolve(merged: dict) -> ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown field(s) {sorted(unknown)} under 'joint'")
         filled = {**_JOINT_DEFAULTS, **joint_raw}
-        joint = JointSettings(int(filled["n_clusters"]), float(filled["stickiness"]))
+        joint = JointSettings(
+            _int(filled["n_clusters"], "joint.n_clusters"), float(filled["stickiness"])
+        )
         if joint.n_clusters < 1:
             raise ConfigError(f"joint.n_clusters must be >= 1, got {joint.n_clusters}")
         if not 0.0 < joint.stickiness <= 1.0:
@@ -262,13 +278,13 @@ def _resolve(merged: dict) -> ExperimentConfig:
     noise_sigma = float(merged["noise_sigma"])
     if noise_sigma < 0.0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    n_ensemble = int(merged["n_ensemble"])
+    n_ensemble = _int(merged["n_ensemble"], "n_ensemble")
     if n_ensemble < 2:
         raise ConfigError(f"n_ensemble must be >= 2, got {n_ensemble}")
     ensemble_sigma = float(merged["ensemble_sigma"])
     if ensemble_sigma < 0.0:
         raise ConfigError(f"ensemble_sigma must be >= 0, got {ensemble_sigma}")
-    rollout_len = int(merged["rollout_len"])
+    rollout_len = _int(merged["rollout_len"], "rollout_len")
     if rollout_len < 1:
         raise ConfigError(f"rollout_len must be >= 1, got {rollout_len}")
     stat_ema_rate = float(merged["stat_ema_rate"])
@@ -283,7 +299,7 @@ def _resolve(merged: dict) -> ExperimentConfig:
     detection_policy = str(merged["detection_policy"])
     if detection_policy not in ("stale", "hold"):
         raise ConfigError(f"detection_policy must be 'stale' or 'hold', got {detection_policy!r}")
-    seed = int(merged["seed"])
+    seed = _int(merged["seed"], "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")  # RNG streams need non-negative entropy
     fmt = str(merged["format"])

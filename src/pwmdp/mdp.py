@@ -42,14 +42,23 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def check_simplex(probs: np.ndarray, what: str):
-    """Raise ValueError unless ``probs`` is finite, non-negative and sums to 1."""
-    if not np.isfinite(probs).all():
-        raise ValueError(f"{what} contains non-finite entries")
-    if (probs < 0.0).any():
-        raise ValueError(f"{what} must be non-negative")
-    if abs(float(probs.sum()) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"{what} sums to {probs.sum()!r}, expected 1")
+def check_simplex(probs: np.ndarray, what: str, batched: bool = False):
+    """Raise ValueError unless ``probs`` is finite, non-negative and sums to 1.
+
+    With ``batched``, axis 0 indexes independent cases, each of which must
+    sum to 1 over its remaining axes; the message names the first bad case.
+    """
+    cases = probs.reshape(len(probs) if batched else 1, -1)
+    sums = cases.sum(axis=1)
+    if np.abs(sums - 1.0).max() <= SIMPLEX_TOL and cases.min() >= 0.0:
+        return
+    row = int((~(np.abs(sums - 1.0) <= SIMPLEX_TOL) | (cases < 0.0).any(axis=1)).argmax())
+    name = f"{what} row {row}" if batched else what
+    if not np.isfinite(cases[row]).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    if (cases[row] < 0.0).any():
+        raise ValueError(f"{name} must be non-negative")
+    raise ValueError(f"{name} sums to {sums[row]!r}, expected 1")
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,22 @@ class TestBocdStep:
         assert out.probs[19] == pytest.approx(1 - PARAMS.hazard, rel=1e-12)
         assert out.probs[0] == pytest.approx(PARAMS.hazard, rel=1e-12)
 
-    def test_degenerate_surprise_raises(self):
-        belief = RunLengthBelief.uniform(20)
-        with pytest.raises(DegenerateBeliefError):
-            bocd_step(belief, 1e8, PARAMS)
+    @pytest.mark.parametrize("n_z", [None, 1, 3], ids=["bocd", "joint1", "joint3"])
+    def test_extreme_surprise_reaches_exact_limit(self, n_z):
+        # every message but the widest bin's underflows; the filter keeps the limit
+        if n_z is None:
+            rho = bocd_step(RunLengthBelief.uniform(20), 1e8, PARAMS).probs
+        else:
+            joint = joint_step(JointBelief.uniform(20, n_z), 1e8, 0, PARAMS, stickiness=0.6)
+            rho = joint.run_length_marginal()
+        assert rho[0] == pytest.approx(PARAMS.hazard, rel=1e-15)
+        assert rho[19] == pytest.approx(1.0 - PARAMS.hazard, rel=1e-15)
+        assert (rho[1:19] == 0.0).all()
+
+    @pytest.mark.parametrize("xi", [math.inf, math.nan, 1e200])
+    def test_surprise_without_finite_square_rejected(self, xi):
+        with pytest.raises(ValueError, match="surprise must be finite"):
+            bocd_step(RunLengthBelief.uniform(20), xi, PARAMS)
 
     def test_mismatched_h_max(self):
         with pytest.raises(ValueError, match="h_max"):
@@ -320,6 +332,84 @@ class TestJointStep:
             joint_step(joint, 0.0, 0, PARAMS, stickiness=0.0)
         with pytest.raises(ValueError, match="stickiness"):
             joint_step(joint, 0.0, 0, PARAMS, stickiness=1.2)
+
+
+class TestBatchedFilter:
+    """An array batch gives, case by case, what one call per belief gives."""
+
+    def test_bocd_batch_matches_scalar_calls(self):
+        rng = np.random.default_rng(30)
+        probs = rng.dirichlet(np.ones(20), 64)
+        xi = rng.uniform(-8.0, 8.0, 64)
+        out = bocd_step(probs, xi, PARAMS)
+        assert out.shape == (64, 20)
+        for i in range(64):
+            expected = bocd_step(RunLengthBelief(probs[i]), float(xi[i]), PARAMS).probs
+            np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n_z", [1, 2, 3, 4])
+    def test_joint_batch_matches_scalar_calls(self, n_z):
+        rng = np.random.default_rng(30 + n_z)
+        probs = rng.dirichlet(np.ones(20 * n_z), 64).reshape(64, 20, n_z)
+        xi = rng.uniform(-8.0, 8.0, 64)
+        z_now = rng.integers(0, n_z, 64)
+        stickiness = rng.uniform(0.1, 1.0, 64)
+        out = joint_step(probs, xi, z_now, PARAMS, stickiness=stickiness)
+        assert out.shape == (64, 20, n_z)
+        for i in range(64):
+            expected = joint_step(
+                JointBelief(probs[i]), float(xi[i]), int(z_now[i]), PARAMS,
+                stickiness=float(stickiness[i]),
+            ).probs
+            np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
+
+    def test_bayes_batch_matches_scalar_calls(self):
+        rng = np.random.default_rng(35)
+        probs = rng.dirichlet(np.ones(20), 64)
+        lik = rng.uniform(0.0, 1.0, (64, 20))
+        out = bayes_update(probs, lik)
+        for i in range(64):
+            expected = bayes_update(RunLengthBelief(probs[i]), lik[i]).probs
+            np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
+
+    def test_scalar_arguments_apply_to_every_case(self):
+        rng = np.random.default_rng(36)
+        probs = rng.dirichlet(np.ones(60), 8).reshape(8, 20, 3)
+        out = joint_step(probs, 0.7, 2, PARAMS, stickiness=0.8)
+        each = joint_step(probs, np.full(8, 0.7), np.full(8, 2), PARAMS, stickiness=np.full(8, 0.8))
+        assert (out == each).all()
+
+    @pytest.mark.parametrize("update", ["bocd", "joint", "bayes"])
+    def test_non_simplex_row_is_named(self, update):
+        rng = np.random.default_rng(37)
+        probs = rng.dirichlet(np.ones(20), 6)
+        probs[3, 5] += 1e-6
+        with pytest.raises(ValueError, match="row 3 sums to"):
+            if update == "bocd":
+                bocd_step(probs, 0.0, PARAMS)
+            elif update == "joint":
+                joint_step(probs[:, :, None], 0.0, 0, PARAMS)
+            else:
+                bayes_update(probs, np.ones((6, 20)))
+
+    def test_per_case_arguments_must_match_the_batch(self):
+        probs = np.full((4, 20, 2), 1.0 / 40)
+        with pytest.raises(ValueError, match="xi"):
+            joint_step(probs, np.zeros(3), 0, PARAMS)
+        with pytest.raises(ValueError, match="cluster index 2"):
+            joint_step(probs, 0.0, np.array([0, 1, 2, 0]), PARAMS)
+        with pytest.raises(ValueError, match="stickiness"):
+            joint_step(probs, 0.0, 0, PARAMS, stickiness=np.array([0.5, 0.0, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="h_max"):
+            bocd_step(np.full((4, 10), 0.1), 0.0, PARAMS)
+
+    def test_zero_evidence_row_raises(self):
+        probs = np.zeros((3, 20))
+        probs[:, 0] = 1.0
+        lik = np.ones((3, 20))
+        lik[1, 0] = 0.0  # case 1: no evidence where its belief has mass
+        with pytest.raises(DegenerateBeliefError, match="belief 1"):
+            bayes_update(probs, lik)
 
 
 class TestSerialization:

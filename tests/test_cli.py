@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, outputs, exit codes."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -104,10 +105,16 @@ class TestPiecewiseCommand:
             {"adaptive": {"smooth_surprise": "false"}},  # bool("false") is True
             {"adaptive": {"smooth_surprise": 0}},
             {"adaptive": {"smooth_surprise": None}},
+            {"n_states": 6.9},  # int() would truncate to 6
+            {"seed": True},  # int(True) would be seed 1
+            {"bocd": {"h_max": 20.7}},
+            {"schedule": [[0, 200.5], [1, 200]]},
+            {"joint": {"n_clusters": 2.5}},
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
-            "text_bool", "int_bool", "null_bool",
+            "text_bool", "int_bool", "null_bool", "fractional_int", "bool_int",
+            "fractional_bocd_int", "fractional_dwell", "fractional_joint_int",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
@@ -118,8 +125,9 @@ class TestPiecewiseCommand:
         assert "config error" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_degenerate_detector_exits_4_without_traceback(self, tmp_path):
-        # a surprise far beyond the likelihood's support underflows every run-length message
+    def test_extreme_surprise_config_runs_with_finite_trace(self, tmp_path):
+        # surprises far beyond the likelihood's support: every linear-domain
+        # run-length message would underflow, the log-domain filter keeps the limit
         crash = tmp_path / "crash.json"
         crash.write_text(
             json.dumps(
@@ -131,9 +139,12 @@ class TestPiecewiseCommand:
             )
         )
         result = run_cli("piecewise", "--config", str(crash), "--out", str(tmp_path / "x"))
-        assert result.returncode == 4
-        assert "runtime error" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.returncode == 0, result.stderr
+        trace = read_trace(tmp_path / "x" / "trace.csv")
+        assert len(trace) == 400
+        for row in trace.rows:
+            values = (row.xi, row.h_bar, row.entropy, row.lambda_w, row.beta_eff, row.err)
+            assert all(math.isfinite(v) for v in values)
 
     def test_unwritable_output_exits_3(self, quick_config, tmp_path):
         blocker = tmp_path / "blocked"

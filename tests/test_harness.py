@@ -119,6 +119,13 @@ class TestConfig:
         assert config.joint.n_clusters == 3
         assert config.joint.stickiness == 0.6
 
+    def test_integer_fields_take_whole_floats_and_reject_the_rest(self):
+        config = config_from_dict(small_config_dict(seed=3.0, rollout_len=8.0))
+        assert (config.seed, config.rollout_len) == (3, 8)
+        for bad in ({"seed": 3.5}, {"seed": False}, {"rollout_len": "8"}, {"partition": [[0, 1.5]]}):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                config_from_dict(small_config_dict(**bad))
+
 
 class TestRunPiecewise:
     def test_trace_shape_and_contiguity(self):

@@ -14,6 +14,7 @@ from pwmdp import (
     sup_dist,
     validate_mode,
 )
+from pwmdp.mdp import check_simplex
 
 
 class TestQFunction:
@@ -205,3 +206,25 @@ class TestPiecewiseSchedule:
         sched = PiecewiseSchedule(((0, 2),))
         with pytest.raises(ValueError):
             sched.mode_at(2)
+
+
+class TestCheckSimplex:
+    def test_batch_passes_when_every_case_sums_to_one(self):
+        check_simplex(np.full((5, 4, 2), 1.0 / 8), "batch", batched=True)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(np.nan, "row 2 contains non-finite"), (-0.25, "row 2 must be non-negative"),
+         (0.5, "row 2 sums to")],
+    )
+    def test_batch_names_the_first_bad_case(self, entry, message):
+        probs = np.full((5, 4), 0.25)
+        probs[2, 1] = entry
+        probs[4, 0] = np.inf  # a later bad case is not the one reported
+        with pytest.raises(ValueError, match=message):
+            check_simplex(probs, "batch", batched=True)
+
+    def test_unbatched_array_is_one_case(self):
+        check_simplex(np.full((4, 2), 1.0 / 8), "table")
+        with pytest.raises(ValueError, match="^table sums to"):
+            check_simplex(np.full((4, 2), 0.25), "table")
