@@ -8,8 +8,9 @@ Subcommands:
   rmdm-demo        fit the linear context encoder on a synthetic labeled set
 
 Exit codes: 0 success, 1 configuration or argument error, 2 certification
-failure, 3 I/O error, 4 numerical failure at run time (a fixed point that
-does not converge; the log-domain change detector has no such failure).
+failure, 3 I/O error, 4 numerical failure at run time (a fixed point whose
+residual is not below its tolerance; the log-domain change detector has no
+such failure).
 Every error prints one line to stderr.
 """
 

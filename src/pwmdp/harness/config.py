@@ -151,6 +151,13 @@ def _int(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _float(value, name: str) -> float:
+    """A real-valued field: a finite number (ints included), never a bool or text."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -> ModeModel:
     if not isinstance(spec, dict):
         raise ConfigError(f"modes[{index}] must be an object")
@@ -159,8 +166,8 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
         if unknown:
             raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
         seed = _int(spec["seed"], f"modes[{index}].seed")
-        model = make_random_mode(seed, n_states, n_actions, tuple(reward_range))
-        shift = float(spec.get("reward_shift", 0.0))
+        model = make_random_mode(seed, n_states, n_actions, reward_range)
+        shift = _float(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
         if shift != 0.0:
             model = ModeModel(model.reward + shift, model.kernel, model.gamma_epi)
         return model
@@ -206,26 +213,30 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _resolve(merged: dict) -> ExperimentConfig:
     n_states = _int(merged["n_states"], "n_states")
     n_actions = _int(merged["n_actions"], "n_actions")
-    operator_params = OperatorParams(**{k: float(v) for k, v in merged["operator"].items()})
+    operator_params = OperatorParams(
+        **{k: _float(v, f"operator.{k}") for k, v in merged["operator"].items()}
+    )
     bocd_raw = dict(merged["bocd"])
     bocd_params = BOCDParams(
         h_max=_int(bocd_raw["h_max"], "bocd.h_max"),
-        hazard=float(bocd_raw["hazard"]),
-        sigma0_sq=float(bocd_raw["sigma0_sq"]),
-        sigma_g=float(bocd_raw["sigma_g"]),
+        hazard=_float(bocd_raw["hazard"], "bocd.hazard"),
+        sigma0_sq=_float(bocd_raw["sigma0_sq"], "bocd.sigma0_sq"),
+        sigma_g=_float(bocd_raw["sigma_g"], "bocd.sigma_g"),
     )
     surprise_weights = SurpriseWeights(
-        w_r=float(merged["surprise"]["w_r"]),
-        w_q=float(merged["surprise"]["w_q"]),
-        w_kappa=float(merged["surprise"]["w_kappa"]),
-        clip_max=float(merged["surprise"]["clip_max"]),
+        **{k: _float(v, f"surprise.{k}") for k, v in merged["surprise"].items()}
     )
+    # the fused surprise reaches the change detector, which squares it
+    if not math.isfinite(surprise_weights.clip_max * surprise_weights.clip_max):
+        raise ConfigError(
+            f"surprise.clip_max must have a finite square, got {surprise_weights.clip_max!r}"
+        )
     adaptive_raw = merged["adaptive"]
     adaptive_template = AdaptiveState(
-        beta_base=float(adaptive_raw["beta_base"]),
-        c_penalty=float(adaptive_raw["c_penalty"]),
-        ema_rate=float(adaptive_raw["baseline_ema_rate"]),
-        surprise_ema_rate=float(adaptive_raw["surprise_ema_rate"]),
+        beta_base=_float(adaptive_raw["beta_base"], "adaptive.beta_base"),
+        c_penalty=_float(adaptive_raw["c_penalty"], "adaptive.c_penalty"),
+        ema_rate=_float(adaptive_raw["baseline_ema_rate"], "adaptive.baseline_ema_rate"),
+        surprise_ema_rate=_float(adaptive_raw["surprise_ema_rate"], "adaptive.surprise_ema_rate"),
     )
     smooth_surprise = adaptive_raw["smooth_surprise"]
     if not isinstance(smooth_surprise, bool):
@@ -238,8 +249,9 @@ def _resolve(merged: dict) -> ExperimentConfig:
 
     if not isinstance(merged["modes"], list) or not merged["modes"]:
         raise ConfigError("modes must be a non-empty list")
+    reward_range = tuple(_float(v, "reward_range") for v in merged["reward_range"])
     models = tuple(
-        _build_mode(spec, i, n_states, n_actions, merged["reward_range"])
+        _build_mode(spec, i, n_states, n_actions, reward_range)
         for i, spec in enumerate(merged["modes"])
     )
     if schedule.max_mode_index >= len(models):
@@ -268,32 +280,33 @@ def _resolve(merged: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown field(s) {sorted(unknown)} under 'joint'")
         filled = {**_JOINT_DEFAULTS, **joint_raw}
         joint = JointSettings(
-            _int(filled["n_clusters"], "joint.n_clusters"), float(filled["stickiness"])
+            _int(filled["n_clusters"], "joint.n_clusters"),
+            _float(filled["stickiness"], "joint.stickiness"),
         )
         if joint.n_clusters < 1:
             raise ConfigError(f"joint.n_clusters must be >= 1, got {joint.n_clusters}")
         if not 0.0 < joint.stickiness <= 1.0:
             raise ConfigError(f"joint.stickiness must lie in (0, 1], got {joint.stickiness}")
 
-    noise_sigma = float(merged["noise_sigma"])
+    noise_sigma = _float(merged["noise_sigma"], "noise_sigma")
     if noise_sigma < 0.0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
     n_ensemble = _int(merged["n_ensemble"], "n_ensemble")
     if n_ensemble < 2:
         raise ConfigError(f"n_ensemble must be >= 2, got {n_ensemble}")
-    ensemble_sigma = float(merged["ensemble_sigma"])
+    ensemble_sigma = _float(merged["ensemble_sigma"], "ensemble_sigma")
     if ensemble_sigma < 0.0:
         raise ConfigError(f"ensemble_sigma must be >= 0, got {ensemble_sigma}")
     rollout_len = _int(merged["rollout_len"], "rollout_len")
     if rollout_len < 1:
         raise ConfigError(f"rollout_len must be >= 1, got {rollout_len}")
-    stat_ema_rate = float(merged["stat_ema_rate"])
+    stat_ema_rate = _float(merged["stat_ema_rate"], "stat_ema_rate")
     if not 0.0 < stat_ema_rate < 1.0:
         raise ConfigError(f"stat_ema_rate must lie in (0, 1), got {stat_ema_rate}")
-    separability = float(merged["separability"])
+    separability = _float(merged["separability"], "separability")
     if separability <= 1.0:
         raise ConfigError(f"separability must be > 1, got {separability}")
-    delta = float(merged["delta"])
+    delta = _float(merged["delta"], "delta")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     detection_policy = str(merged["detection_policy"])

@@ -168,7 +168,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     fixed_points = [mode_fixed_point(m, params, tol=1e-10) for m in models]
     for i, fp in enumerate(fixed_points):
         if not fp.converged:
-            raise RuntimeError(f"fixed-point iteration for mode {i} did not converge")
+            raise RuntimeError(f"fixed point for mode {i} has residual {fp.final_residual:.3g}")
     q_stars = [fp.q_star for fp in fixed_points]
     if config.partition is not None:
         eps_proj = [projection_error(q, config.partition) for q in q_stars]

@@ -3,8 +3,9 @@
 Contains the per-regime penalized Bellman backup, its belief-weighted
 mixture, the scalar value-coupled counterexample operator with its sharp
 contraction threshold, block-averaging state aggregation, bounded-noise
-wrappers, fixed-point iteration with a-posteriori certificates, empirical
-Lipschitz estimation, and the regime-switch perturbation bound.
+wrappers, exact regime fixed points by policy iteration, fixed-point
+iteration with a-posteriori certificates, empirical Lipschitz estimation,
+and the regime-switch perturbation bound.
 
 Everything operates on immutable inputs and returns fresh objects; the
 only randomness is owned by explicit seeds.
@@ -50,6 +51,12 @@ __all__ = [
 
 # solve_fixed_point reports divergence once the residual passes this cap.
 DIVERGENCE_CAP = 1e12
+
+# mode_fixed_point stops after this many improvement steps (exact policy
+# iteration on these tables settles in a handful) and switches an action only
+# where another beats it by more than this multiple of the largest |Q|.
+_MAX_IMPROVEMENTS = 100
+_SWITCH_MARGIN = 64 * np.finfo(float).eps
 
 # estimate_lipschitz samples table entries uniformly from this range.
 LIPSCHITZ_VALUE_RANGE = (-10.0, 10.0)
@@ -326,11 +333,47 @@ def solve_fixed_point(
 
 
 def mode_fixed_point(
-    model: ModeModel, params: OperatorParams, tol: float = 1e-10, max_iter: int = 10**6
+    model: ModeModel, params: OperatorParams, tol: float = 1e-10
 ) -> FixedPointResult:
-    """Fixed point of one regime's backup, iterated from the zero table."""
-    q0 = QFunction.zeros(model.n_states, model.n_actions)
-    return solve_fixed_point(lambda q: apply_mode_operator(model, params, q), q0, tol, max_iter)
+    """Exact fixed point of one regime's backup by Howard policy iteration.
+
+    With the effective reward r = R - gamma * (lambda_epi * G + kappa), each
+    step evaluates the current policy pi by one linear solve
+    (I - gamma P_pi) v = r_pi and improves it greedily, switching an action
+    only where another beats it by more than a round-off margin (ties keep
+    the action already chosen). The first policy is greedy on r. Once the
+    policy is stable, Q = r + gamma P v is the fixed point up to round-off;
+    ``final_residual`` is ||T Q - Q|| from one backup, ``converged`` means it
+    is below ``tol``, and ``iterations`` counts the improvement steps. Only
+    if round-off at a large |Q| leaves that residual at or above ``tol`` does
+    value iteration take over, from a lower bound of the fixed point.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    gamma = params.gamma
+    reward = model.reward - gamma * (params.lambda_epi * model.gamma_epi + params.kappa)
+    states = np.arange(model.n_states)
+    eye = np.eye(model.n_states)
+    policy = reward.argmax(axis=1)
+    for it in range(1, _MAX_IMPROVEMENTS + 1):
+        v = np.linalg.solve(eye - gamma * model.kernel[states, policy], reward[states, policy])
+        q = reward + gamma * (model.kernel @ v)
+        best = q.argmax(axis=1)
+        margin = _SWITCH_MARGIN * np.abs(q).max()
+        switch = q[states, best] > q[states, policy] + margin
+        if not switch.any():
+            break
+        policy = np.where(switch, best, policy)
+    q_star = QFunction(q)
+    residual = sup_dist(apply_mode_operator(model, params, q_star), q_star)
+    if residual >= tol:
+        # Round-off at a large |Q| can leave the residual above tol. The
+        # backup is monotone, so value iteration from a lower bound of the
+        # fixed point rises to a floating-point fixed point.
+        lower = QFunction(q - 2.0 * residual / (1.0 - gamma))
+        polished = solve_fixed_point(lambda x: apply_mode_operator(model, params, x), lower, tol)
+        q_star, residual = polished.q_star, polished.final_residual
+    return FixedPointResult(q_star, it, residual, residual < tol)
 
 
 def estimate_lipschitz(
@@ -394,7 +437,7 @@ def regime_perturbation(
     fp_k = mode_fixed_point(model_k, params, tol)
     fp_k1 = mode_fixed_point(model_k1, params, tol)
     if not (fp_k.converged and fp_k1.converged):
-        raise RuntimeError("fixed-point iteration did not converge for a regime model")
+        raise RuntimeError("fixed point of a regime model has residual above tol")
     t_k1_at_old = apply_mode_operator(model_k1, params, fp_k.q_star)
     t_k_at_old = apply_mode_operator(model_k, params, fp_k.q_star)
     delta_r = sup_dist(t_k1_at_old, t_k_at_old)
@@ -500,15 +543,27 @@ def belief_gap(
 
     Reported as a diagnostic only: how far a stale belief's fixed point sits
     from the one the current belief would produce. No a-priori bound is
-    asserted on this quantity.
+    asserted on this quantity. A frozen belief's mixture backup is the
+    backup of the averaged regime (sum w R, sum w P, sum w G), so each fixed
+    point is that regime's exact one.
     """
-    s, a = models[0].reward.shape
-    q0 = QFunction.zeros(s, a)
-    fp_a = solve_fixed_point(lambda q: apply_mixture_operator(models, belief_a, params, q), q0, tol)
-    fp_b = solve_fixed_point(lambda q: apply_mixture_operator(models, belief_b, params, q), q0, tol)
+    fp_a = mode_fixed_point(_averaged_mode(models, belief_a), params, tol)
+    fp_b = mode_fixed_point(_averaged_mode(models, belief_b), params, tol)
     if not (fp_a.converged and fp_b.converged):
-        raise RuntimeError("mixture fixed-point iteration did not converge")
+        raise RuntimeError("mixture fixed point has residual above tol")
     return sup_dist(fp_a.q_star, fp_b.q_star)
+
+
+def _averaged_mode(models: Sequence[ModeModel], belief: ModeBelief) -> ModeModel:
+    """The regime whose backup is the frozen-belief mixture of ``models``' backups."""
+    weights = _belief_weights(belief)
+    if len(models) != weights.size:
+        raise ValueError(f"{len(models)} models but {weights.size} belief weights")
+
+    def average(table: str) -> np.ndarray:
+        return np.tensordot(weights, [getattr(m, table) for m in models], axes=1)
+
+    return ModeModel(average("reward"), average("kernel"), average("gamma_epi"))
 
 
 def error_floor(eps_proj: float, sigma: float, gamma: float) -> float:

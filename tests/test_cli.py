@@ -110,11 +110,15 @@ class TestPiecewiseCommand:
             {"bocd": {"h_max": 20.7}},
             {"schedule": [[0, 200.5], [1, 200]]},
             {"joint": {"n_clusters": 2.5}},
+            {"noise_sigma": True},  # float(True) would be 1.0
+            {"bocd": {"hazard": "0.1"}},  # float("0.1") would parse the text
+            {"operator": {"gamma": "0.5"}},
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
             "text_bool", "int_bool", "null_bool", "fractional_int", "bool_int",
             "fractional_bocd_int", "fractional_dwell", "fractional_joint_int",
+            "bool_float", "text_bocd_float", "text_operator_float",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
@@ -124,6 +128,26 @@ class TestPiecewiseCommand:
         assert result.returncode == 1
         assert "config error" in result.stderr
         assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_clip_max_with_overflowing_square_exits_1_before_any_trace(self, tmp_path):
+        # the fused surprise can reach clip_max, whose square the detector needs finite
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 500.0}],
+                    "surprise": {"clip_max": 1e308, "w_r": 1e300},
+                    "adaptive": {"smooth_surprise": False},
+                }
+            )
+        )
+        result = run_cli("piecewise", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            "config error: surprise.clip_max must have a finite square, got 1e+308"
+        ]
+        assert not (tmp_path / "x").exists()
 
     def test_extreme_surprise_config_runs_with_finite_trace(self, tmp_path):
         # surprises far beyond the likelihood's support: every linear-domain

@@ -126,6 +126,28 @@ class TestConfig:
             with pytest.raises(ConfigError, match="must be an integer"):
                 config_from_dict(small_config_dict(**bad))
 
+    def test_float_fields_take_finite_numbers_and_reject_the_rest(self):
+        config = config_from_dict(small_config_dict(noise_sigma=0, operator={"gamma": 0}))
+        assert (config.noise_sigma, config.operator_params.gamma) == (0.0, 0.0)
+        assert isinstance(config.operator_params.gamma, float)
+        for bad, name in (
+            ({"noise_sigma": True}, "noise_sigma"),
+            ({"delta": "0.1"}, "delta"),
+            ({"separability": float("inf")}, "separability"),
+            ({"bocd": {"hazard": float("nan")}}, "bocd.hazard"),
+            ({"surprise": {"w_q": None}}, "surprise.w_q"),
+            ({"reward_range": [-1.0, "1"]}, "reward_range"),
+            ({"modes": [{"seed": 1, "reward_shift": False}]}, "modes\\[0\\].reward_shift"),
+            ({"joint": {"stickiness": "0.5"}}, "joint.stickiness"),
+        ):
+            with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                config_from_dict(small_config_dict(**bad))
+
+    def test_clip_max_needs_a_finite_square(self):
+        config_from_dict(small_config_dict(surprise={"clip_max": 1e150}))
+        with pytest.raises(ConfigError, match="clip_max must have a finite square"):
+            config_from_dict(small_config_dict(surprise={"clip_max": 1e155}))
+
 
 class TestRunPiecewise:
     def test_trace_shape_and_contiguity(self):

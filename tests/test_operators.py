@@ -225,13 +225,81 @@ class TestSolveFixedPoint:
         model = make_random_mode(14, 5, 2)
         params = OperatorParams(gamma=0.9)
         tol = 1e-10
-        result = mode_fixed_point(model, params, tol=tol)
-        tight = mode_fixed_point(model, params, tol=1e-14)
+        op = lambda q: apply_mode_operator(model, params, q)
+        result = solve_fixed_point(op, QFunction.zeros(5, 2), tol=tol)
+        tight = solve_fixed_point(op, QFunction.zeros(5, 2), tol=1e-14)
+        assert result.iterations > 100  # a real iteration, not a start at the answer
         assert sup_dist(result.q_star, tight.q_star) <= tol * params.gamma / (1 - params.gamma)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError, match="tol"):
             solve_fixed_point(lambda q: q, QFunction.zeros(1, 1), tol=0.0)
+
+
+class TestModeFixedPoint:
+    @staticmethod
+    def _random_cases():
+        rng = np.random.default_rng(2024)
+        for i in range(60):
+            gamma = (0.5, 0.9, 0.99)[i % 3]
+            n_states, n_actions = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            model = make_random_mode(int(rng.integers(0, 2**31)), n_states, n_actions)
+            yield model, OperatorParams(gamma=gamma, lambda_epi=0.01, kappa=0.1)
+        yield make_random_mode(200, 200, 8), OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
+
+    def test_exact_solution_and_value_iteration_within_its_bound(self):
+        tol = 1e-10
+        for model, params in self._random_cases():
+            exact = mode_fixed_point(model, params, tol=1e-12)
+            assert exact.converged and exact.final_residual <= 1e-12
+            assert 1 <= exact.iterations <= 10
+            iterated = solve_fixed_point(
+                lambda q: apply_mode_operator(model, params, q),
+                QFunction.zeros(model.n_states, model.n_actions),
+                tol=tol,
+            )
+            assert iterated.converged
+            # the a-posteriori bound, plus round-off of the two solutions
+            bound = tol * params.gamma / (1.0 - params.gamma)
+            assert sup_dist(iterated.q_star, exact.q_star) <= bound + 1e-13
+
+    def test_identical_actions_terminate_without_switching(self):
+        base = make_random_mode(8, 5, 2)
+        twin = ModeModel(
+            np.repeat(base.reward[:, :1], 3, axis=1),
+            np.repeat(base.kernel[:, :1], 3, axis=1),
+            np.repeat(base.gamma_epi[:, :1], 3, axis=1),
+        )
+        result = mode_fixed_point(twin, OperatorParams(gamma=0.95, kappa=0.1), tol=1e-12)
+        assert result.converged
+        assert result.iterations == 1  # the first policy (action 0 everywhere) is kept
+        values = result.q_star.values
+        assert (values == values[:, :1]).all()
+
+    def test_iterations_count_improvement_steps(self):
+        # action 0 pays now, action 1 moves to a state that pays more forever
+        reward = [[1.0, 0.0], [2.0, 2.0]]
+        kernel = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]]
+        model = ModeModel(reward, kernel, np.zeros((2, 2)))
+        result = mode_fixed_point(model, OperatorParams(gamma=0.9), tol=1e-12)
+        assert result.iterations == 2
+        assert result.q_star.values[0] == pytest.approx([17.2, 18.0], abs=1e-12)
+
+    def test_large_values_still_reach_tol(self):
+        # at |Q| ~ 1e6 the linear solve's round-off alone leaves a residual above 1e-10
+        base = make_random_mode(1, 6, 3)
+        model = ModeModel(base.reward + 1e4, base.kernel, base.gamma_epi)
+        params = OperatorParams(gamma=0.99, lambda_epi=0.01)
+        result = mode_fixed_point(model, params, tol=1e-10)
+        assert result.converged and result.final_residual < 1e-10
+        iterated = solve_fixed_point(
+            lambda q: apply_mode_operator(model, params, q), QFunction.zeros(6, 3), tol=1e-10
+        )
+        np.testing.assert_allclose(result.q_star.values, iterated.q_star.values, rtol=1e-13)
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            mode_fixed_point(single_state_model(), OperatorParams(gamma=0.5), tol=0.0)
 
 
 class TestEstimateLipschitz:
