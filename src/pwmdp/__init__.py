@@ -19,7 +19,6 @@ from .adaptive import (
     lambda_w,
     lcb_score,
     surprise,
-    trace_snapshot,
     update_surprise_ema,
 )
 from .bocd import (
@@ -30,13 +29,11 @@ from .bocd import (
     RunLengthBelief,
     bayes_update,
     belief_entropy,
-    belief_to_json,
     bocd_step,
     cluster_assign,
     detection_delay,
     expected_run_length,
     joint_step,
-    likelihood,
     likelihood_vector,
     log_likelihood_vector,
     posterior_ratio,
@@ -48,7 +45,6 @@ from .context import (
     context_loss,
     diversity_loss,
     fit_linear_context,
-    normalize_embedding,
 )
 from .mdp import (
     KERNEL_ROW_TOL,
@@ -72,18 +68,15 @@ from .operators import (
     apply_mixture_via_shared,
     apply_mode_operator,
     apply_noisy_operator,
-    belief_gap,
     classify_factor,
     coupled_operator_factor,
     error_floor,
     estimate_lipschitz,
-    extract_mode,
     mixture_backup,
     mode_fixed_point,
     project,
     projection_error,
     regime_perturbation,
-    shared_critic_from_modes,
     solve_fixed_point,
     switch_error_bound,
 )

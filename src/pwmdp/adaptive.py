@@ -34,7 +34,6 @@ __all__ = [
     "beta_eff",
     "lcb_score",
     "update_surprise_ema",
-    "trace_snapshot",
 ]
 
 
@@ -167,21 +166,3 @@ def update_surprise_ema(state: AdaptiveState, xi: float) -> tuple[float, Adaptiv
     prev = xi if state.surprise_ema is None else state.surprise_ema
     smoothed = ema_update(prev, xi, state.surprise_ema_rate)
     return smoothed, replace(state, surprise_ema=smoothed)
-
-
-def trace_snapshot(
-    xi: float, h_bar: float, h_max: int, lam: float, state: AdaptiveState
-) -> dict:
-    """Loggable per-step view of the chain: xi, h_bar, raw, baseline, lambda_w, beta_eff.
-
-    ``state`` is the post-update state for the step (its baseline already
-    absorbed the step's raw value).
-    """
-    return {
-        "xi": float(xi),
-        "h_bar": float(h_bar),
-        "raw": h_bar / (h_max - 1),
-        "baseline": state.ema_baseline,
-        "lambda_w": float(lam),
-        "beta_eff": beta_eff(state, lam),
-    }

@@ -43,7 +43,6 @@ __all__ = [
     "JointBelief",
     "ClusterState",
     "DegenerateBeliefError",
-    "likelihood",
     "log_likelihood_vector",
     "likelihood_vector",
     "bocd_step",
@@ -54,7 +53,6 @@ __all__ = [
     "detection_delay",
     "cluster_assign",
     "joint_step",
-    "belief_to_json",
 ]
 
 class DegenerateBeliefError(RuntimeError):
@@ -85,6 +83,12 @@ class BOCDParams:
             raise ValueError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
         if self.sigma_g < 0.0:
             raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
+        widest = self.sigma0_sq + self.sigma_g * (self.h_max - 1)
+        if not math.isfinite(2.0 * math.pi * widest):
+            raise ValueError(
+                f"2 pi times the largest variance sigma0_sq + sigma_g * (h_max - 1) must be "
+                f"finite, got {widest}"
+            )
 
     @cached_property
     def _likelihood_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +206,13 @@ def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndar
     if not np.isfinite(xi_sq).all():
         raise ValueError("surprise must be finite, with a finite square")
     two_var, log_norm = params._likelihood_terms
-    return -xi_sq / two_var - log_norm
+    with np.errstate(over="ignore"):  # a variance too small for xi: log density -inf
+        return -xi_sq / two_var - log_norm
 
 
 def likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
     """Gaussian density of ``xi`` at every run-length bin: exp of the log vector."""
     return np.exp(log_likelihood_vector(xi, params))
-
-
-def likelihood(xi: float, h: int, params: BOCDParams) -> float:
-    """Gaussian density of surprise ``xi`` at run-length ``h``."""
-    if not 0 <= h < params.h_max:
-        raise ValueError(f"run-length {h} outside 0..{params.h_max - 1}")
-    return math.exp(float(log_likelihood_vector(xi, params)[h]))
 
 
 def _batch(belief, belief_type: type, params: BOCDParams | None) -> np.ndarray:
@@ -262,11 +260,22 @@ def _filter_step(
     over the other clusters (all of it, for a single cluster). Each case is
     then divided by its own sum, which is at least ``hazard``. ``xi`` has
     shape (1,) or (B,); ``z_now`` and ``stickiness`` are scalars or (B,).
+
+    Where ``xi`` is so far beyond every bin's support that all of a case's
+    messages are -inf, the case takes their limit: the widest bins that
+    hold mass keep it in proportion, and every other bin gets none.
     """
     with np.errstate(divide="ignore"):
-        log_msg = np.log(probs)
-    log_msg += log_likelihood_vector(xi, params)[:, :, None]
-    msg = np.exp(log_msg - log_msg.max(axis=(1, 2), keepdims=True))
+        log_prior = np.log(probs)
+    log_msg = log_prior + log_likelihood_vector(xi, params)[:, :, None]
+    top = log_msg.max(axis=(1, 2), keepdims=True)
+    if top.min() == -np.inf:
+        lost = np.isneginf(top[:, 0, 0])
+        two_var = params._likelihood_terms[0]
+        widest = np.where(probs[lost].any(axis=2), two_var, -np.inf).max(axis=1)[:, None, None]
+        log_msg[lost] = np.where(two_var[:, None] == widest, log_prior[lost], -np.inf)
+        top[lost] = log_msg[lost].max(axis=(1, 2), keepdims=True)
+    msg = np.exp(log_msg - top)
     growth = msg * (1.0 - params.hazard)
     u = np.empty_like(msg)
     u[:, 1:] = growth[:, :-1]
@@ -422,12 +431,3 @@ def joint_step(
         raise ValueError(f"stickiness must lie in (0, 1], got {stickiness[bad.argmax()]}")
     out = _filter_step(probs, _per_case(xi, n, "xi"), z_now, stickiness, params)
     return JointBelief(out[0]) if isinstance(joint, JointBelief) else out
-
-
-def belief_to_json(belief: RunLengthBelief, step_index: int) -> dict:
-    """Snapshot a run-length belief for trace logging."""
-    return {
-        "probs": [float(p) for p in belief.probs],
-        "h_max": belief.h_max,
-        "step_index": int(step_index),
-    }

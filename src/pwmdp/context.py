@@ -22,7 +22,6 @@ __all__ = [
     "EmbeddingBatch",
     "ContextLossConfig",
     "ContextLoss",
-    "normalize_embedding",
     "consistency_loss",
     "diversity_loss",
     "context_loss",
@@ -32,22 +31,6 @@ __all__ = [
 
 # Central finite-difference step of the linear encoder's gradient.
 FD_STEP = 1e-5
-
-
-def normalize_embedding(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Soft L2 normalization v / (||v|| + eps).
-
-    The output norm is ||v|| / (||v|| + eps): essentially unit for
-    ||v|| >> eps, and the zero vector maps to the zero vector (accepted
-    degenerate output).
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise ValueError("embedding contains non-finite entries")
-    norm = float(np.linalg.norm(v))
-    return v / (norm + eps)
 
 
 @dataclass(frozen=True)
@@ -84,9 +67,9 @@ class ContextLossConfig:
 class EmbeddingBatch:
     """Embedding vectors with their regime labels.
 
-    Vectors are expected to come out of :func:`normalize_embedding`; only
-    shape and finiteness are enforced here so partially trained encoders
-    (whose outputs sit inside the unit ball) can still be scored.
+    Vectors are expected to come out of :func:`encode`, which soft-normalizes
+    them; only shape and finiteness are enforced here so partially trained
+    encoders (whose outputs sit inside the unit ball) can still be scored.
     """
 
     vectors: np.ndarray   # (n_samples, d_e)

@@ -1,10 +1,13 @@
-"""Experiment configuration: JSON schema, defaults, and validation.
+"""Experiment configuration: one field table, and the reader it drives.
 
-A config is a single JSON document. Every field has a default; unknown
-fields are rejected (fail-fast) so typos cannot silently fall back to
-defaults. Regimes are given either as generator seeds (``{"seed": 7}``,
-optionally with a uniform ``reward_shift``) or as explicit tables
-(``{"reward": ..., "kernel": ..., "gamma_epi": ...}``).
+A config is a single JSON document. :data:`FIELDS` has one row per field:
+dotted path, kind, default and, unless the receiving object checks it,
+allowed range. Unknown fields and values of the wrong kind or out of
+range raise :class:`ConfigError` (fail-fast); :data:`DEFAULT_CONFIG` and
+README's defaults table derive from the rows. Regimes are given either as
+generator seeds (``{"seed": 7}``, optionally with a uniform
+``reward_shift``) or as explicit tables (``{"reward": ..., "kernel": ...,
+"gamma_epi": ...}``).
 
 Loading a config performs the metastability check: every scheduled dwell
 should be at least ceil(1/(1-gamma)) + ceil(detection delay) iterations,
@@ -19,7 +22,8 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "MetastabilityWarning",
     "JointSettings",
     "ExperimentConfig",
+    "FIELDS",
     "DEFAULT_CONFIG",
     "load_config",
     "config_from_dict",
@@ -47,49 +52,88 @@ class MetastabilityWarning(UserWarning):
     """A scheduled dwell is too short for detection plus contraction."""
 
 
-DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "n_states": 6,
-    "n_actions": 3,
-    "reward_range": [-1.0, 1.0],
-    "modes": [{"seed": 1}, {"seed": 2}],
-    "schedule": [[0, 200], [1, 200]],
-    "operator": {"gamma": 0.99, "lambda_epi": 0.01, "kappa": 0.0},
-    "bocd": {"h_max": 20, "hazard": 0.05, "sigma0_sq": 0.1, "sigma_g": 0.05},
-    "surprise": {"w_r": 0.5, "w_q": 0.3, "w_kappa": 0.2, "clip_max": 10.0},
-    "adaptive": {
-        "beta_base": -2.0,
-        "c_penalty": 0.5,
-        "baseline_ema_rate": 0.95,
-        "surprise_ema_rate": 0.3,
-        "smooth_surprise": True,
-    },
-    "partition": None,
-    "noise_sigma": 0.0,
-    "n_ensemble": 10,
-    "ensemble_sigma": 0.05,
-    "rollout_len": 32,
-    "stat_ema_rate": 0.95,
-    "separability": 2.0,
-    "delta": 0.05,
-    "detection_policy": "stale",
-    "joint": None,
-    "out_dir": "out",
-    "format": "csv",
+class Field(NamedTuple):
+    kind: type  # int, float, bool or str; list or dict: a structured field that _resolve reads
+    default: object
+    ok: Callable[[object], bool] | None = None  # the range, unless the receiving object checks it
+    range: str = ""  # the range in words, for error messages and README
+
+
+# Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
+_NOISE_WIDTH = (lambda v: v >= 0 and math.isfinite(2.0 * v), "must be >= 0 with 2 * sigma finite")
+# The fused surprise reaches the change detector, which squares it.
+_FINITE_SQUARE = (lambda v: math.isfinite(v * v), "must have a finite square")
+
+FIELDS: dict[str, Field] = {
+    # RNG streams need non-negative entropy
+    "seed": Field(int, 0, lambda v: v >= 0, "must be >= 0"),
+    "n_states": Field(int, 6),
+    "n_actions": Field(int, 3),
+    "reward_range": Field(list, [-1.0, 1.0]),
+    "modes": Field(list, [{"seed": 1}, {"seed": 2}]),
+    "schedule": Field(list, [[0, 200], [1, 200]]),
+    "operator.gamma": Field(float, 0.99),
+    "operator.lambda_epi": Field(float, 0.01),
+    "operator.kappa": Field(float, 0.0),
+    "bocd.h_max": Field(int, 20),
+    "bocd.hazard": Field(float, 0.05),
+    "bocd.sigma0_sq": Field(float, 0.1),
+    "bocd.sigma_g": Field(float, 0.05),
+    "surprise.w_r": Field(float, 0.5),
+    "surprise.w_q": Field(float, 0.3),
+    "surprise.w_kappa": Field(float, 0.2),
+    "surprise.clip_max": Field(float, 10.0, *_FINITE_SQUARE),
+    "adaptive.beta_base": Field(float, -2.0),
+    "adaptive.c_penalty": Field(float, 0.5),
+    "adaptive.baseline_ema_rate": Field(float, 0.95),
+    "adaptive.surprise_ema_rate": Field(float, 0.3),
+    "adaptive.smooth_surprise": Field(bool, True),
+    "partition": Field(list, None),
+    "noise_sigma": Field(float, 0.0, *_NOISE_WIDTH),
+    "n_ensemble": Field(int, 10, lambda v: v >= 2, "must be >= 2"),
+    "ensemble_sigma": Field(float, 0.05, *_NOISE_WIDTH),
+    "rollout_len": Field(int, 32, lambda v: v >= 1, "must be >= 1"),
+    "stat_ema_rate": Field(float, 0.95, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "separability": Field(float, 2.0, lambda v: v > 1, "must be > 1"),
+    "delta": Field(float, 0.05, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "detection_policy": Field(
+        str, "stale", lambda v: v in ("stale", "hold"), "must be 'stale' or 'hold'"
+    ),
+    # null, or an object whose fields are the joint.* rows
+    "joint": Field(dict, None),
+    "joint.n_clusters": Field(int, 4, lambda v: v >= 1, "must be >= 1"),
+    "joint.stickiness": Field(float, 0.6, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "out_dir": Field(str, "out"),
+    "format": Field(str, "csv", lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
 }
 
-_JOINT_DEFAULTS = {"n_clusters": 4, "stickiness": 0.6}
+# The objects that group fields: the first part of every dotted path.
+_SECTIONS = {path.split(".")[0] for path in FIELDS if "." in path}
+
+
+def _defaults() -> dict:
+    """The table's defaults, nested; a section with a row of its own (joint) takes that row's."""
+    config: dict = {}
+    for path, field in FIELDS.items():
+        section, _, key = path.rpartition(".")
+        if section in FIELDS:
+            continue
+        (config.setdefault(section, {}) if section else config)[key] = copy.deepcopy(field.default)
+    return config
+
+
+DEFAULT_CONFIG: dict = _defaults()
 
 
 @dataclass(frozen=True)
 class JointSettings:
-    n_clusters: int = 4
-    stickiness: float = 0.6
+    n_clusters: int
+    stickiness: float
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment inputs (see DEFAULT_CONFIG for the schema)."""
+    """Fully resolved experiment inputs (see FIELDS for the schema)."""
 
     seed: int
     models: tuple
@@ -126,22 +170,6 @@ class ExperimentConfig:
         return math.ceil(detection_delay(self.separability, 1.0, self.delta))
 
 
-def _merge_with_defaults(raw: dict, defaults: dict, path: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path or 'config'} must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} under '{path or 'config'}'")
-    merged = copy.deepcopy(defaults)
-    for key, value in raw.items():
-        default = defaults[key]
-        if isinstance(default, dict) and key not in ("joint",):
-            merged[key] = _merge_with_defaults(value, default, f"{path}.{key}" if path else key)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
 def _int(value, name: str) -> int:
     """An integer field: a whole number, never a bool, a fraction or text."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -158,22 +186,72 @@ def _float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def _exactly(kind: type, what: str):
+    def read(value, name: str):
+        if isinstance(value, kind):
+            return value
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+    return read
+
+
+_READERS = {int: _int, float: _float, bool: _exactly(bool, "true or false")}
+_READERS[str] = _exactly(str, "a string")
+# Top-level scalar fields that ExperimentConfig holds under the same name.
+_SCALAR_ATTRIBUTES = [
+    f.name for f in fields(ExperimentConfig) if f.name in FIELDS and FIELDS[f.name].kind in _READERS
+]
+
+
+def _object(raw, name: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be an object, got {type(raw).__name__}")
+    return raw
+
+
+def _leaves(raw, section: str = "") -> dict:
+    """``raw``'s fields as {dotted path: value}, each scalar read and range-checked."""
+    where = section or "config"
+    out = {}
+    unknown = []
+    for key, value in _object(raw, where).items():
+        path = f"{section}.{key}" if section else key
+        field = FIELDS.get(path)
+        if path in _SECTIONS and not (value is None and field is not None):
+            out.update(_leaves(value, path))
+        if field is None:
+            if path not in _SECTIONS:
+                unknown.append(key)
+            continue
+        if field.kind in _READERS:
+            value = _READERS[field.kind](value, path)
+            if field.ok is not None and not field.ok(value):
+                raise ConfigError(f"{path} {field.range}, got {value!r}")
+        out[path] = value
+    if unknown:
+        raise ConfigError(f"unknown field(s) {sorted(unknown)} under '{where}'")
+    return out
+
+
+def _section(values: dict, section: str) -> dict:
+    """The fields under ``section``, keyed by their names within it."""
+    prefix = section + "."
+    return {path[len(prefix):]: v for path, v in values.items() if path.startswith(prefix)}
+
+
 def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -> ModeModel:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"modes[{index}] must be an object")
-    if "seed" in spec:
-        unknown = set(spec) - {"seed", "reward_shift"}
-        if unknown:
-            raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
+    by_seed = "seed" in _object(spec, f"modes[{index}]")
+    known = {"seed", "reward_shift"} if by_seed else {"reward", "kernel", "gamma_epi"}
+    unknown = set(spec) - known
+    if unknown:
+        raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
+    if by_seed:
         seed = _int(spec["seed"], f"modes[{index}].seed")
         model = make_random_mode(seed, n_states, n_actions, reward_range)
         shift = _float(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
         if shift != 0.0:
             model = ModeModel(model.reward + shift, model.kernel, model.gamma_epi)
         return model
-    unknown = set(spec) - {"reward", "kernel", "gamma_epi"}
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
     try:
         model = ModeModel(
             np.asarray(spec["reward"], dtype=float),
@@ -194,14 +272,15 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict against the schema and resolve all objects.
+    """Validate a raw config dict against :data:`FIELDS` and resolve all objects.
 
     Every invalid field, including a value of the wrong type, raises
     :class:`ConfigError`.
     """
-    merged = _merge_with_defaults(raw, DEFAULT_CONFIG, "")
+    values = {path: field.default for path, field in FIELDS.items()}
+    values.update(_leaves(raw))
     try:
-        config = _resolve(merged)
+        config = _resolve(values)
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
@@ -210,49 +289,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return config
 
 
-def _resolve(merged: dict) -> ExperimentConfig:
-    n_states = _int(merged["n_states"], "n_states")
-    n_actions = _int(merged["n_actions"], "n_actions")
-    operator_params = OperatorParams(
-        **{k: _float(v, f"operator.{k}") for k, v in merged["operator"].items()}
-    )
-    bocd_raw = dict(merged["bocd"])
-    bocd_params = BOCDParams(
-        h_max=_int(bocd_raw["h_max"], "bocd.h_max"),
-        hazard=_float(bocd_raw["hazard"], "bocd.hazard"),
-        sigma0_sq=_float(bocd_raw["sigma0_sq"], "bocd.sigma0_sq"),
-        sigma_g=_float(bocd_raw["sigma_g"], "bocd.sigma_g"),
-    )
-    surprise_weights = SurpriseWeights(
-        **{k: _float(v, f"surprise.{k}") for k, v in merged["surprise"].items()}
-    )
-    # the fused surprise reaches the change detector, which squares it
-    if not math.isfinite(surprise_weights.clip_max * surprise_weights.clip_max):
-        raise ConfigError(
-            f"surprise.clip_max must have a finite square, got {surprise_weights.clip_max!r}"
-        )
-    adaptive_raw = merged["adaptive"]
-    adaptive_template = AdaptiveState(
-        beta_base=_float(adaptive_raw["beta_base"], "adaptive.beta_base"),
-        c_penalty=_float(adaptive_raw["c_penalty"], "adaptive.c_penalty"),
-        ema_rate=_float(adaptive_raw["baseline_ema_rate"], "adaptive.baseline_ema_rate"),
-        surprise_ema_rate=_float(adaptive_raw["surprise_ema_rate"], "adaptive.surprise_ema_rate"),
-    )
-    smooth_surprise = adaptive_raw["smooth_surprise"]
-    if not isinstance(smooth_surprise, bool):
-        raise ConfigError(
-            f"adaptive.smooth_surprise must be true or false, got {smooth_surprise!r}"
-        )
+def _resolve(values: dict) -> ExperimentConfig:
+    n_states, n_actions = values["n_states"], values["n_actions"]
     schedule = PiecewiseSchedule(
-        tuple((_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in merged["schedule"])
+        tuple((_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"])
     )
-
-    if not isinstance(merged["modes"], list) or not merged["modes"]:
+    if not isinstance(values["modes"], list) or not values["modes"]:
         raise ConfigError("modes must be a non-empty list")
-    reward_range = tuple(_float(v, "reward_range") for v in merged["reward_range"])
+    reward_range = tuple(_float(v, "reward_range") for v in values["reward_range"])
     models = tuple(
         _build_mode(spec, i, n_states, n_actions, reward_range)
-        for i, spec in enumerate(merged["modes"])
+        for i, spec in enumerate(values["modes"])
     )
     if schedule.max_mode_index >= len(models):
         raise ConfigError(
@@ -261,85 +308,32 @@ def _resolve(merged: dict) -> ExperimentConfig:
         )
 
     partition = None
-    if merged["partition"] is not None:
+    if values["partition"] is not None:
         try:
             blocks = tuple(
-                tuple(_int(s, "partition state") for s in b) for b in merged["partition"]
+                tuple(_int(s, "partition state") for s in b) for b in values["partition"]
             )
             partition = StatePartition(n_states, blocks)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"partition: {exc}") from exc
 
-    joint = None
-    if merged["joint"] is not None:
-        joint_raw = merged["joint"]
-        if not isinstance(joint_raw, dict):
-            raise ConfigError("joint must be an object or null")
-        unknown = set(joint_raw) - set(_JOINT_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown field(s) {sorted(unknown)} under 'joint'")
-        filled = {**_JOINT_DEFAULTS, **joint_raw}
-        joint = JointSettings(
-            _int(filled["n_clusters"], "joint.n_clusters"),
-            _float(filled["stickiness"], "joint.stickiness"),
-        )
-        if joint.n_clusters < 1:
-            raise ConfigError(f"joint.n_clusters must be >= 1, got {joint.n_clusters}")
-        if not 0.0 < joint.stickiness <= 1.0:
-            raise ConfigError(f"joint.stickiness must lie in (0, 1], got {joint.stickiness}")
-
-    noise_sigma = _float(merged["noise_sigma"], "noise_sigma")
-    if noise_sigma < 0.0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    n_ensemble = _int(merged["n_ensemble"], "n_ensemble")
-    if n_ensemble < 2:
-        raise ConfigError(f"n_ensemble must be >= 2, got {n_ensemble}")
-    ensemble_sigma = _float(merged["ensemble_sigma"], "ensemble_sigma")
-    if ensemble_sigma < 0.0:
-        raise ConfigError(f"ensemble_sigma must be >= 0, got {ensemble_sigma}")
-    rollout_len = _int(merged["rollout_len"], "rollout_len")
-    if rollout_len < 1:
-        raise ConfigError(f"rollout_len must be >= 1, got {rollout_len}")
-    stat_ema_rate = _float(merged["stat_ema_rate"], "stat_ema_rate")
-    if not 0.0 < stat_ema_rate < 1.0:
-        raise ConfigError(f"stat_ema_rate must lie in (0, 1), got {stat_ema_rate}")
-    separability = _float(merged["separability"], "separability")
-    if separability <= 1.0:
-        raise ConfigError(f"separability must be > 1, got {separability}")
-    delta = _float(merged["delta"], "delta")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    detection_policy = str(merged["detection_policy"])
-    if detection_policy not in ("stale", "hold"):
-        raise ConfigError(f"detection_policy must be 'stale' or 'hold', got {detection_policy!r}")
-    seed = _int(merged["seed"], "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")  # RNG streams need non-negative entropy
-    fmt = str(merged["format"])
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-
+    adaptive = _section(values, "adaptive")
     return ExperimentConfig(
-        seed=seed,
         models=models,
         schedule=schedule,
-        operator_params=operator_params,
-        bocd_params=bocd_params,
-        surprise_weights=surprise_weights,
-        adaptive_template=adaptive_template,
-        smooth_surprise=smooth_surprise,
+        operator_params=OperatorParams(**_section(values, "operator")),
+        bocd_params=BOCDParams(**_section(values, "bocd")),
+        surprise_weights=SurpriseWeights(**_section(values, "surprise")),
+        adaptive_template=AdaptiveState(
+            adaptive["beta_base"],
+            adaptive["c_penalty"],
+            ema_rate=adaptive["baseline_ema_rate"],
+            surprise_ema_rate=adaptive["surprise_ema_rate"],
+        ),
+        smooth_surprise=adaptive["smooth_surprise"],
         partition=partition,
-        noise_sigma=noise_sigma,
-        n_ensemble=n_ensemble,
-        ensemble_sigma=ensemble_sigma,
-        rollout_len=rollout_len,
-        stat_ema_rate=stat_ema_rate,
-        separability=separability,
-        delta=delta,
-        detection_policy=detection_policy,
-        joint=joint,
-        out_dir=str(merged["out_dir"]),
-        format=fmt,
+        joint=None if values["joint"] is None else JointSettings(**_section(values, "joint")),
+        **{name: values[name] for name in _SCALAR_ATTRIBUTES},
     )
 
 
@@ -358,7 +352,7 @@ def _check_metastability(config: ExperimentConfig):
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a JSON config file (or the defaults) and apply CLI overrides."""
+    """Load a JSON config file (or the defaults), valid as written, and apply CLI overrides."""
     raw: dict = {}
     if path is not None:
         try:
@@ -368,6 +362,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     if overrides:
-        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+        _leaves(raw)  # the file as written, before an override replaces any field
+        raw = {**raw, **overrides}
     return config_from_dict(raw)

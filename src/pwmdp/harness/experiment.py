@@ -126,9 +126,6 @@ class ExperimentTrace:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> list:
-        return [getattr(row, name) for row in self.rows]
-
 
 def _greedy_rollout(model, q: QFunction, length: int, rng) -> np.ndarray:
     """One-step rewards along a greedy trajectory through the true regime.

@@ -13,6 +13,7 @@ only randomness is owned by explicit seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -41,10 +42,7 @@ __all__ = [
     "project",
     "projection_error",
     "apply_noisy_operator",
-    "shared_critic_from_modes",
-    "extract_mode",
     "apply_mixture_via_shared",
-    "belief_gap",
     "error_floor",
     "switch_error_bound",
 ]
@@ -480,30 +478,12 @@ def apply_noisy_operator(
     Bounded (not Gaussian) noise matches the per-step hypothesis of the
     stochastic tracking bound. Deterministic per seed.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (sigma >= 0.0 and math.isfinite(2.0 * sigma)):
+        raise ValueError(f"sigma must be >= 0 with 2 * sigma finite, got {sigma}")
     out = operator(q)
     if sigma == 0.0:
         return out
     return QFunction(out.values + _bounded_noise(sigma, rng_seed, out.shape))
-
-
-def shared_critic_from_modes(per_mode: Sequence[QFunction]) -> np.ndarray:
-    """Stack per-regime tables into one (mode, state, action) table, exactly."""
-    if not per_mode:
-        raise ValueError("need at least one per-mode table")
-    shape = per_mode[0].shape
-    for q in per_mode:
-        if q.shape != shape:
-            raise ValueError(f"dimension mismatch: {q.shape} vs {shape}")
-    return np.stack([q.values for q in per_mode], axis=0)
-
-
-def extract_mode(shared: np.ndarray, mode: int) -> QFunction:
-    """Slice one regime's table back out of a shared (M, S, A) table."""
-    if shared.ndim != 3:
-        raise ValueError(f"shared table must be 3-d (M, S, A), got {shared.shape}")
-    return QFunction(shared[mode])
 
 
 def apply_mixture_via_shared(
@@ -527,43 +507,8 @@ def apply_mixture_via_shared(
         m.reward + params.gamma * (m.kernel @ v - params.lambda_epi * m.gamma_epi - params.kappa)
         for m in models
     ]
-    shared = shared_critic_from_modes([QFunction(t) for t in per_mode])
-    mixed = np.tensordot(weights, shared, axes=1)
+    mixed = np.tensordot(weights, np.stack(per_mode), axes=1)
     return QFunction(mixed)
-
-
-def belief_gap(
-    models: Sequence[ModeModel],
-    belief_a: ModeBelief,
-    belief_b: ModeBelief,
-    params: OperatorParams,
-    tol: float = 1e-10,
-) -> float:
-    """Sup-norm distance between mixture fixed points under two beliefs.
-
-    Reported as a diagnostic only: how far a stale belief's fixed point sits
-    from the one the current belief would produce. No a-priori bound is
-    asserted on this quantity. A frozen belief's mixture backup is the
-    backup of the averaged regime (sum w R, sum w P, sum w G), so each fixed
-    point is that regime's exact one.
-    """
-    fp_a = mode_fixed_point(_averaged_mode(models, belief_a), params, tol)
-    fp_b = mode_fixed_point(_averaged_mode(models, belief_b), params, tol)
-    if not (fp_a.converged and fp_b.converged):
-        raise RuntimeError("mixture fixed point has residual above tol")
-    return sup_dist(fp_a.q_star, fp_b.q_star)
-
-
-def _averaged_mode(models: Sequence[ModeModel], belief: ModeBelief) -> ModeModel:
-    """The regime whose backup is the frozen-belief mixture of ``models``' backups."""
-    weights = _belief_weights(belief)
-    if len(models) != weights.size:
-        raise ValueError(f"{len(models)} models but {weights.size} belief weights")
-
-    def average(table: str) -> np.ndarray:
-        return np.tensordot(weights, [getattr(m, table) for m in models], axes=1)
-
-    return ModeModel(average("reward"), average("kernel"), average("gamma_epi"))
 
 
 def error_floor(eps_proj: float, sigma: float, gamma: float) -> float:

@@ -16,7 +16,6 @@ from pwmdp import (
     lambda_w,
     lcb_score,
     surprise,
-    trace_snapshot,
     update_surprise_ema,
 )
 
@@ -197,18 +196,6 @@ class TestSurpriseEma:
         state = AdaptiveState(surprise_ema=1.0, surprise_ema_rate=0.3)
         smoothed, _ = update_surprise_ema(state, 2.0)
         assert smoothed == pytest.approx(0.3 * 1.0 + 0.7 * 2.0)
-
-
-class TestTraceSnapshot:
-    def test_fields_and_values(self):
-        state = AdaptiveState(ema_baseline=0.2)
-        lam, updated = lambda_w(0.5 * 19, 20, state)
-        snap = trace_snapshot(1.3, 0.5 * 19, 20, lam, updated)
-        assert set(snap) == {"xi", "h_bar", "raw", "baseline", "lambda_w", "beta_eff"}
-        assert snap["raw"] == pytest.approx(0.5)
-        assert snap["baseline"] == updated.ema_baseline
-        assert snap["lambda_w"] == pytest.approx(0.3)
-        assert snap["beta_eff"] == pytest.approx(-2.0 - 0.3 * 0.5)
 
 
 class TestClosedLoop:

@@ -13,13 +13,11 @@ from pwmdp import (
     RunLengthBelief,
     bayes_update,
     belief_entropy,
-    belief_to_json,
     bocd_step,
     cluster_assign,
     detection_delay,
     expected_run_length,
     joint_step,
-    likelihood,
     likelihood_vector,
     posterior_ratio,
 )
@@ -27,15 +25,21 @@ from pwmdp import (
 PARAMS = BOCDParams()  # h_max=20, hazard=0.05, sigma0_sq=0.1, sigma_g=0.05
 
 
+def gaussian_density(xi: float, h: int, params: BOCDParams) -> float:
+    """The closed-form density at run-length h, one scalar at a time."""
+    var = params.sigma0_sq + params.sigma_g * h
+    return math.exp(-xi * xi / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
 class TestLikelihood:
     def test_zero_surprise_base_variance(self):
         # direct density formula as the independent path
         expected = 1.0 / math.sqrt(2.0 * math.pi * 0.1)
-        assert likelihood(0.0, 0, PARAMS) == pytest.approx(expected, abs=1e-15)
-        assert likelihood(0.0, 0, PARAMS) == pytest.approx(1.2616, abs=1e-4)
+        assert likelihood_vector(0.0, PARAMS)[0] == pytest.approx(expected, abs=1e-15)
+        assert likelihood_vector(0.0, PARAMS)[0] == pytest.approx(1.2616, abs=1e-4)
 
     def test_decreasing_in_surprise_magnitude(self):
-        values = [likelihood(x, 3, PARAMS) for x in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        values = [likelihood_vector(x, PARAMS)[3] for x in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_large_surprise_favors_long_run_lengths(self):
@@ -45,19 +49,13 @@ class TestLikelihood:
     def test_vector_matches_scalar(self):
         lik = likelihood_vector(1.3, PARAMS)
         for h in range(PARAMS.h_max):
-            assert lik[h] == pytest.approx(likelihood(1.3, h, PARAMS), rel=1e-15)
-
-    def test_out_of_range_h(self):
-        with pytest.raises(ValueError):
-            likelihood(0.0, 20, PARAMS)
-        with pytest.raises(ValueError):
-            likelihood(0.0, -1, PARAMS)
+            assert lik[h] == pytest.approx(gaussian_density(1.3, h, PARAMS), rel=1e-14)
 
 
 def dense_message_passing_oracle(probs: np.ndarray, xi: float, params: BOCDParams) -> np.ndarray:
     """Independent oracle: one update as an explicit dense transition matrix."""
     h = params.h_max
-    lik = np.array([likelihood(xi, i, params) for i in range(h)])
+    lik = np.array([gaussian_density(xi, i, params) for i in range(h)])
     matrix = np.zeros((h, h))
     matrix[0, :] = params.hazard * lik
     for i in range(1, h):
@@ -83,7 +81,7 @@ class TestBocdStep:
         belief = RunLengthBelief.point_mass(0, 20)
         xi = 0.1
         out = bocd_step(belief, xi, PARAMS)
-        lik0 = likelihood(xi, 0, PARAMS)
+        lik0 = gaussian_density(xi, 0, PARAMS)
         z = PARAMS.hazard * lik0 + (1 - PARAMS.hazard) * lik0
         assert out.probs[1] == pytest.approx((1 - PARAMS.hazard) * lik0 / z, rel=1e-12)
         assert out.probs[0] == pytest.approx(PARAMS.hazard * lik0 / z, rel=1e-12)
@@ -412,17 +410,6 @@ class TestBatchedFilter:
             bayes_update(probs, lik)
 
 
-class TestSerialization:
-    def test_belief_snapshot_round_trip(self):
-        rng = np.random.default_rng(14)
-        belief = RunLengthBelief(rng.dirichlet(np.ones(20)))
-        snap = belief_to_json(belief, step_index=17)
-        assert snap["h_max"] == 20
-        assert snap["step_index"] == 17
-        rebuilt = RunLengthBelief(np.array(snap["probs"]))
-        assert (rebuilt.probs == belief.probs).all()
-
-
 class TestParamValidation:
     def test_bocd_params_domains(self):
         with pytest.raises(ValueError):
@@ -445,3 +432,41 @@ class TestParamValidation:
         assert PARAMS.hazard == 0.05
         assert PARAMS.sigma0_sq == 0.1
         assert PARAMS.sigma_g == 0.05
+
+
+class TestDegenerateVariance:
+    """Variances at the ends of the double range: rejected, or a proper posterior."""
+
+    def test_overflowing_variance_rejected(self):
+        for sigma0_sq, sigma_g in ((1e308, 1e308), (1e308, 0.0), (1.0, 1e307)):
+            with pytest.raises(ValueError, match="variance"):
+                BOCDParams(h_max=5, sigma0_sq=sigma0_sq, sigma_g=sigma_g)
+
+    def test_equal_underflowing_variances_keep_the_prior(self):
+        # every message is -inf; with one variance for all bins the likelihood
+        # carries no information, so the update is the xi = 0 one
+        probs = np.array([[0.1, 0.2, 0.3, 0.25, 0.15]])
+        tiny = BOCDParams(h_max=5, sigma0_sq=1e-320, sigma_g=0.0)
+        out = bocd_step(probs, 1.0, tiny)
+        expected = bocd_step(probs, 0.0, BOCDParams(h_max=5, sigma0_sq=1.0, sigma_g=0.0))
+        np.testing.assert_allclose(out, expected, rtol=1e-15)
+
+    def test_growing_underflowing_variances_send_the_mass_to_the_widest_bin(self):
+        probs = np.array([[0.1, 0.2, 0.3, 0.4, 0.0], [0.5, 0.5, 0.0, 0.0, 0.0]])
+        tiny = BOCDParams(h_max=5, sigma0_sq=1e-320, sigma_g=1e-320)
+        out = bocd_step(probs, 1.0, tiny)
+        np.testing.assert_array_equal(out, [[0.05, 0, 0, 0, 0.95], [0.05, 0, 0.95, 0, 0]])
+        # the limit of the finite case, where the widest bin already takes all
+        near = bocd_step(probs, 1.0, BOCDParams(h_max=5, sigma0_sq=1e-300, sigma_g=1e-300))
+        np.testing.assert_array_equal(out, near)
+
+    def test_joint_belief_takes_the_same_limit(self):
+        probs = np.zeros((1, 5, 3))
+        probs[0, 1] = [0.2, 0.3, 0.0]
+        probs[0, 3] = [0.0, 0.1, 0.4]
+        tiny = BOCDParams(h_max=5, sigma0_sq=1e-320, sigma_g=1e-320)
+        out = joint_step(probs, 1.0, 2, tiny, stickiness=0.6)
+        expected = np.zeros((1, 5, 3))
+        expected[0, 4] = [0.0, 0.2 * 0.95, 0.8 * 0.95]
+        expected[0, 0] = [0.05 * 0.2, 0.05 * 0.2, 0.05 * 0.6]
+        np.testing.assert_allclose(out, expected, rtol=1e-15, atol=0.0)

@@ -113,12 +113,19 @@ class TestPiecewiseCommand:
             {"noise_sigma": True},  # float(True) would be 1.0
             {"bocd": {"hazard": "0.1"}},  # float("0.1") would parse the text
             {"operator": {"gamma": "0.5"}},
+            [1, 2],  # not an object: overrides cannot be merged into it
+            {"noise_sigma": 1e308},  # uniform(-sigma, sigma) overflows mid-run
+            {"ensemble_sigma": 1e308},
+            {"out_dir": None},  # str(None) would write into ./None
+            {"format": ["csv"]},
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
             "text_bool", "int_bool", "null_bool", "fractional_int", "bool_int",
             "fractional_bocd_int", "fractional_dwell", "fractional_joint_int",
             "bool_float", "text_bocd_float", "text_operator_float",
+            "list_config", "overflowing_noise_sigma", "overflowing_ensemble_sigma",
+            "null_str", "list_str",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
@@ -169,6 +176,16 @@ class TestPiecewiseCommand:
         for row in trace.rows:
             values = (row.xi, row.h_bar, row.entropy, row.lambda_w, row.beta_eff, row.err)
             assert all(math.isfinite(v) for v in values)
+
+    def test_underflowing_detector_variance_runs_with_finite_trace(self, tmp_path):
+        # every run-length message is -inf; the filter takes their limit
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"bocd": {"sigma0_sq": 1e-320, "sigma_g": 0}}))
+        result = run_cli("piecewise", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        trace = read_trace(tmp_path / "x" / "trace.csv")
+        assert all(math.isfinite(row.h_bar) and math.isfinite(row.entropy) for row in trace.rows)
 
     def test_unwritable_output_exits_3(self, quick_config, tmp_path):
         blocker = tmp_path / "blocked"

@@ -12,11 +12,16 @@ from pwmdp import (
     context_loss,
     diversity_loss,
     fit_linear_context,
-    normalize_embedding,
 )
+from pwmdp.context import encode
 from pwmdp.harness.certify import separable_context_dataset
 
 CONFIG = ContextLossConfig()
+
+
+def normalize_embedding(v: np.ndarray, eps: float) -> np.ndarray:
+    """The encoder's soft normalization of one vector (identity weights)."""
+    return encode(np.eye(v.size), v[None], eps)[0]
 
 
 class TestNormalizeEmbedding:

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pwmdp.harness import (
     run_piecewise,
     run_threshold_sweep,
 )
+from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
 from pwmdp.harness.io import (
     parse_trace_csv_text,
     parse_trace_json_text,
@@ -147,6 +149,39 @@ class TestConfig:
         config_from_dict(small_config_dict(surprise={"clip_max": 1e150}))
         with pytest.raises(ConfigError, match="clip_max must have a finite square"):
             config_from_dict(small_config_dict(surprise={"clip_max": 1e155}))
+
+    def test_every_default_passes_its_own_field_checks(self):
+        for path, field in FIELDS.items():
+            # defaults are not read, so each scalar's must already have its kind
+            assert field.kind in (list, dict) or type(field.default) is field.kind, path
+            section, _, key = path.rpartition(".")
+            raw = {section: {key: field.default}} if section else {key: field.default}
+            config_from_dict(raw)
+
+    def test_default_config_is_the_field_table_nested(self):
+        for path, field in FIELDS.items():
+            section, _, key = path.rpartition(".")
+            if section != "joint":  # null by default; its fields apply once it is an object
+                nested = DEFAULT_CONFIG[section] if section else DEFAULT_CONFIG
+                assert nested[key] == field.default
+        assert DEFAULT_CONFIG["joint"] is None
+        config_from_dict(DEFAULT_CONFIG)  # no field outside the table
+
+
+def readme_defaults_table() -> str:
+    """README's defaults table, rendered from the field table."""
+    rows = ["| field | kind | default | range checked at load |", "|---|---|---|---|"]
+    for path, field in FIELDS.items():
+        kind = "object" if field.kind is dict else field.kind.__name__
+        rows.append(f"| `{path}` | {kind} | `{json.dumps(field.default)}` | {field.range} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_defaults_table_matches_the_field_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    expected = readme_defaults_table()
+    assert expected in section, f"README's Configuration section should hold:\n{expected}"
 
 
 class TestRunPiecewise:

@@ -15,19 +15,16 @@ from pwmdp import (
     apply_mixture_via_shared,
     apply_mode_operator,
     apply_noisy_operator,
-    belief_gap,
     classify_factor,
     coupled_operator_factor,
     error_floor,
     estimate_lipschitz,
-    extract_mode,
     make_random_mode,
     mixture_backup,
     mode_fixed_point,
     project,
     projection_error,
     regime_perturbation,
-    shared_critic_from_modes,
     solve_fixed_point,
     sup_dist,
 )
@@ -552,6 +549,15 @@ class TestNoisyOperator:
             out = apply_noisy_operator(op, 0.25, seed, q)
             assert sup_dist(out, op(q)) <= 0.25
 
+    def test_rejects_a_width_whose_span_overflows(self):
+        # uniform(-sigma, sigma) needs a finite 2 * sigma
+        op = lambda q: q
+        q = QFunction.zeros(3, 2)
+        assert sup_dist(apply_noisy_operator(op, 8e307, 0, q), q) <= 8e307
+        for sigma in (1e308, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="sigma must be >= 0"):
+                apply_noisy_operator(op, sigma, 0, q)
+
     def test_stochastic_tracking_bound(self):
         # e(n) <= gamma^n e(0) + sigma / (1 - gamma) along noisy iteration
         gamma, sigma = 0.9, 0.2
@@ -570,18 +576,6 @@ class TestNoisyOperator:
 
 
 class TestSharedCritic:
-    def test_single_mode_round_trip(self):
-        q = QFunction(np.random.default_rng(0).uniform(-3, 3, (4, 2)))
-        shared = shared_critic_from_modes([q])
-        assert (extract_mode(shared, 0).values == q.values).all()
-
-    def test_three_mode_round_trip_bit_exact(self):
-        rng = np.random.default_rng(1)
-        tables = [QFunction(rng.uniform(-3, 3, (3, 3))) for _ in range(3)]
-        shared = shared_critic_from_modes(tables)
-        for m, q in enumerate(tables):
-            assert (extract_mode(shared, m).values == q.values).all()
-
     def test_dual_path_mixture_equality(self):
         models = [make_random_mode(s, 4, 3) for s in (1, 2, 3)]
         params = OperatorParams(gamma=0.9, kappa=0.1)
@@ -591,22 +585,7 @@ class TestSharedCritic:
         via = apply_mixture_via_shared(models, belief, params, q)
         assert sup_dist(direct, via) <= 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            shared_critic_from_modes([QFunction.zeros(2, 2), QFunction.zeros(3, 2)])
-
 
 class TestBounds:
     def test_error_floor(self):
         assert error_floor(0.1, 0.2, 0.9) == pytest.approx(3.0)
-
-    def test_belief_gap_reports_distance(self):
-        models = [make_random_mode(s, 3, 2) for s in (40, 41)]
-        params = OperatorParams(gamma=0.9)
-        gap = belief_gap(models, ModeBelief.point_mass(0, 2), ModeBelief.point_mass(1, 2), params)
-        direct = sup_dist(
-            mode_fixed_point(models[0], params, tol=1e-10).q_star,
-            mode_fixed_point(models[1], params, tol=1e-10).q_star,
-        )
-        assert gap == pytest.approx(direct, abs=1e-8)
-        assert belief_gap(models, ModeBelief.uniform(2), ModeBelief.uniform(2), params) <= 1e-9
