@@ -63,11 +63,11 @@ from .operators import (
     ModeBelief,
     RegimePerturbation,
     StatePartition,
+    add_bounded_noise,
     apply_coupled_operator,
     apply_mixture_operator,
     apply_mixture_via_shared,
     apply_mode_operator,
-    apply_noisy_operator,
     classify_factor,
     coupled_operator_factor,
     error_floor,

@@ -82,14 +82,14 @@ class AdaptiveState:
     """Baselines and coefficients for the penalty chain.
 
     ema_baseline is None until the first observation: it is seeded with the
-    first raw value so startup produces no spurious penalty. The baseline
-    updates *after* the penalty is extracted, so a fresh spike is measured
-    against the pre-spike baseline.
+    first raw value (see :func:`ema_update`) so startup produces no spurious
+    penalty. The baseline updates *after* the penalty is extracted, so a
+    fresh spike is measured against the pre-spike baseline.
     """
 
     beta_base: float = -2.0
     c_penalty: float = 0.5
-    ema_rate: float = 0.95
+    baseline_ema_rate: float = 0.95
     surprise_ema_rate: float = 0.3
     ema_baseline: float | None = None
     surprise_ema: float | None = None
@@ -97,7 +97,7 @@ class AdaptiveState:
     def __post_init__(self):
         if self.c_penalty < 0.0:
             raise ValueError(f"c_penalty must be >= 0, got {self.c_penalty}")
-        for name in ("ema_rate", "surprise_ema_rate"):
+        for name in ("baseline_ema_rate", "surprise_ema_rate"):
             r = getattr(self, name)
             if not 0.0 < r < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {r}")
@@ -115,10 +115,16 @@ def surprise(inputs: SurpriseInputs, weights: SurpriseWeights) -> float:
     return float(min(max(raw, 0.0), weights.clip_max))
 
 
-def ema_update(prev: float, x: float, rate: float) -> float:
-    """rate * prev + (1 - rate) * x; rate is retention of the previous value."""
+def ema_update(prev: float | None, x: float, rate: float) -> float:
+    """rate * prev + (1 - rate) * x; rate is retention of the previous value.
+
+    ``prev`` None means no observation yet: the first one seeds the average
+    with itself, as ``ema_update(x, x, rate)``.
+    """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must lie in (0, 1), got {rate}")
+    if prev is None:
+        prev = x
     return rate * prev + (1.0 - rate) * x
 
 
@@ -126,7 +132,8 @@ def lambda_w(h_bar: float, h_max: int, state: AdaptiveState) -> tuple[float, Ada
     """Penalty from the expected run-length, baselined against its EMA.
 
     raw = h_bar / (h_max - 1); the penalty is the positive part of
-    raw - baseline, and the baseline then absorbs raw at ``ema_rate``.
+    raw - baseline (zero before the first observation), and the baseline then
+    absorbs raw at ``baseline_ema_rate``.
     Returns (penalty, updated state).
     """
     if h_max < 2:
@@ -134,10 +141,9 @@ def lambda_w(h_bar: float, h_max: int, state: AdaptiveState) -> tuple[float, Ada
     if not 0.0 <= h_bar <= h_max - 1:
         raise ValueError(f"h_bar {h_bar} outside [0, {h_max - 1}]")
     raw = h_bar / (h_max - 1)
-    baseline = raw if state.ema_baseline is None else state.ema_baseline
-    lam = max(0.0, raw - baseline)
-    new_baseline = ema_update(baseline, raw, state.ema_rate)
-    return lam, replace(state, ema_baseline=new_baseline)
+    lam = 0.0 if state.ema_baseline is None else max(0.0, raw - state.ema_baseline)
+    baseline = ema_update(state.ema_baseline, raw, state.baseline_ema_rate)
+    return lam, replace(state, ema_baseline=baseline)
 
 
 def beta_eff(state: AdaptiveState, lam: float) -> float:
@@ -159,10 +165,6 @@ def lcb_score(q_mean: float, q_std: float, beta: float) -> float:
 
 
 def update_surprise_ema(state: AdaptiveState, xi: float) -> tuple[float, AdaptiveState]:
-    """Post-fusion surprise smoothing; returns (smoothed value, updated state).
-
-    The first observation seeds the EMA with itself.
-    """
-    prev = xi if state.surprise_ema is None else state.surprise_ema
-    smoothed = ema_update(prev, xi, state.surprise_ema_rate)
+    """Post-fusion surprise smoothing; returns (smoothed value, updated state)."""
+    smoothed = ema_update(state.surprise_ema, xi, state.surprise_ema_rate)
     return smoothed, replace(state, surprise_ema=smoothed)

@@ -351,7 +351,7 @@ def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> floa
 
     PR(n) = likelihood_ratio**(2n) / prior_ratio: each consistent step gains
     a factor L for the correct run-length hypothesis and costs the stale one
-    a factor L.
+    a factor L. Odds beyond the largest double are inf.
     """
     if likelihood_ratio <= 1.0:
         raise ValueError(f"likelihood ratio must be > 1, got {likelihood_ratio}")
@@ -359,7 +359,10 @@ def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> floa
         raise ValueError(f"prior ratio must be > 0, got {prior_ratio}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return likelihood_ratio ** (2 * n) / prior_ratio
+    try:
+        return likelihood_ratio ** (2 * n) / prior_ratio
+    except OverflowError:
+        return math.inf
 
 
 def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -> float:

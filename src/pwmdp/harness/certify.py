@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from ..operators import (
     apply_coupled_operator,
     apply_mixture_operator,
     apply_mixture_via_shared,
+    add_bounded_noise,
     apply_mode_operator,
-    apply_noisy_operator,
     coupled_operator_factor,
     error_floor,
     estimate_lipschitz,
@@ -84,11 +84,16 @@ MUTATIONS = ("unnormalized_belief", "unfrozen_belief", "unclipped_surprise")
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """One suite's worst violation against its tolerance; the verdict derives from them."""
+
     name: str
     tested_instances: int
     max_violation: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,15 @@ class CertificationReport:
     seed: int
     mutation: str | None
     suites: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.suites)
+
+
+def _gated(max_violation: float, *checks: bool) -> float:
+    """``max_violation`` if every pass/fail check holds, else inf (the suite fails)."""
+    return max_violation if all(checks) else math.inf
 
 
 def _random_models(rng, n_modes, n_states, n_actions):
@@ -152,9 +165,7 @@ def suite_contraction_certificate(seed: int, mutation: str | None = None) -> Sui
                     est = estimate_lipschitz(op, (n_states, n_actions), n_pairs=4, seed=pair_seed)
                 max_violation = max(max_violation, est - gamma)
                 tested += 1
-    return SuiteResult(
-        "contraction_certificate", tested, max_violation, tol, max_violation <= tol
-    )
+    return SuiteResult("contraction_certificate", tested, max_violation, tol)
 
 
 # --- suite 2: Blackwell identities plus the unnormalized-weights negative test ---
@@ -195,11 +206,8 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
     base = mixture_backup(models, weights, params, q)
     shifted = mixture_backup(models, weights, params, QFunction(q.values + 1.0))
     neg_deviation = float(np.max(np.abs(shifted.values - (base.values + 0.9))))
-    negative_tripped = neg_deviation > 1e-6
-    passed = max_violation <= tol and negative_tripped
-    if not negative_tripped:
-        max_violation = math.inf
-    return SuiteResult("blackwell_identities", n_instances + 1, max_violation, tol, passed)
+    max_violation = _gated(max_violation, neg_deviation > 1e-6)
+    return SuiteResult("blackwell_identities", n_instances + 1, max_violation, tol)
 
 
 # --- suite 3: sharp contraction threshold of the value-coupled operator ---
@@ -227,11 +235,8 @@ def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult
     factor_ok = abs(coupled_operator_factor(instance) - 1.04) <= 1e-12
     diverges = classify_trajectory(instance)[0] == "diverged"
     sweep = run_threshold_sweep(np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50))
-    boundary_ok = sweep.matches_analytic()
-    passed = max_violation <= tol and factor_ok and diverges and boundary_ok
-    if not (factor_ok and diverges and boundary_ok):
-        max_violation = math.inf
-    return SuiteResult("sharp_threshold", n_pairs + 2501, max_violation, tol, passed)
+    max_violation = _gated(max_violation, factor_ok, diverges, sweep.matches_analytic())
+    return SuiteResult("sharp_threshold", n_pairs + 2501, max_violation, tol)
 
 
 # --- suite 4: detection-delay table and minimality of the ceiling ---
@@ -245,12 +250,8 @@ def suite_detection_delay_table(seed: int, mutation: str | None = None) -> Suite
         "adversarial_prior": 3.8,
     }
     rows = run_delay_table()
-    max_violation = 0.0
-    empirical_ok = True
-    for row in rows:
-        max_violation = max(max_violation, abs(row["n_delta"] - expected[row["scenario"]]))
-        if abs(row["empirical_delay"] - row["n_ceil"]) > 1:
-            empirical_ok = False
+    max_violation = max(abs(row["n_delta"] - expected[row["scenario"]]) for row in rows)
+    empirical_ok = all(abs(row["empirical_delay"] - row["n_ceil"]) <= 1 for row in rows)
     minimal_ok = True
     tested = len(rows)
     for lr in (1.2, 2.0, 5.0):
@@ -261,10 +262,8 @@ def suite_detection_delay_table(seed: int, mutation: str | None = None) -> Suite
                 if scan != math.ceil(detection_delay(lr, r0, delta)):
                     minimal_ok = False
                 tested += 1
-    passed = max_violation <= tol and empirical_ok and minimal_ok
-    if not (empirical_ok and minimal_ok):
-        max_violation = math.inf
-    return SuiteResult("detection_delay_table", tested, max_violation, tol, passed)
+    max_violation = _gated(max_violation, empirical_ok, minimal_ok)
+    return SuiteResult("detection_delay_table", tested, max_violation, tol)
 
 
 # --- suite 5: belief updates preserve the simplex ---
@@ -323,9 +322,7 @@ def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteR
         probs = rng.dirichlet(np.ones(h), n)
         out = bayes_update(probs, rng.uniform(0.0, 1.0, (n, h)))
         max_violation = max(max_violation, _simplex_violation(out))
-    return SuiteResult(
-        "simplex_preservation", n_total, max_violation, tol, max_violation <= tol
-    )
+    return SuiteResult("simplex_preservation", n_total, max_violation, tol)
 
 
 # --- suite 6: adaptive chain is safe by construction ---
@@ -360,9 +357,7 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
         bigger = surprise(SurpriseInputs(z * 2.0, q * 2.0, k * 2.0), fused_weights)
         max_violation = max(max_violation, value - bigger)
         tested += 2
-    return SuiteResult(
-        "safety_monotonicity", tested, max_violation, tol, max_violation <= tol
-    )
+    return SuiteResult("safety_monotonicity", tested, max_violation, tol)
 
 
 # --- suite 7: projected/noisy iteration obeys the combined error budget ---
@@ -388,16 +383,12 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
         q = QFunction(rng.uniform(-8.0, 8.0, (n_states, n_actions)))
         e0 = sup_dist(q, q_star)
         for n in range(1, n_steps + 1):
-            q = apply_noisy_operator(
-                lambda x: project(apply_mode_operator(model, params, x), partition),
-                sigma, (seed, 1070, i, n), q,
-            )
+            step = project(apply_mode_operator(model, params, q), partition)
+            q = add_bounded_noise(step, sigma, (seed, 1070, i, n))
             err = sup_dist(q, q_star)
             max_violation = max(max_violation, err - (gamma**n * e0 + floor))
         max_violation = max(max_violation, sup_dist(q, q_star) - 1.05 * floor)
-    return SuiteResult(
-        "error_budget", n_configs * n_steps, max_violation, tol, max_violation <= tol
-    )
+    return SuiteResult("error_budget", n_configs * n_steps, max_violation, tol)
 
 
 # --- suite 8: regime-switch perturbation bound and its tight witness ---
@@ -425,9 +416,7 @@ def suite_regime_perturbation(seed: int, mutation: str | None = None) -> SuiteRe
             abs(result.actual_gap - exact),
             abs(result.bound - exact),
         )
-    return SuiteResult(
-        "regime_perturbation", n_pairs + 3, max_violation, tol, max_violation <= tol
-    )
+    return SuiteResult("regime_perturbation", n_pairs + 3, max_violation, tol)
 
 
 # --- suite 9: scripted three-phase run obeys switch and contraction envelopes ---
@@ -519,10 +508,8 @@ def suite_piecewise_three_phase(seed: int, mutation: str | None = None) -> Suite
         if rows[seg_end - 1].lambda_w >= 0.01:
             lambda_ok = False
 
-    passed = max_violation <= tol and lambda_ok and deterministic
-    if not (lambda_ok and deterministic):
-        max_violation = math.inf
-    return SuiteResult("piecewise_three_phase", len(rows), max_violation, tol, passed)
+    max_violation = _gated(max_violation, lambda_ok, deterministic)
+    return SuiteResult("piecewise_three_phase", len(rows), max_violation, tol)
 
 
 # --- suite 10: embedding losses behave and the linear fitter separates modes ---
@@ -564,11 +551,8 @@ def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
     fitted = EmbeddingBatch(encode(weights, states), mode_ids)
     means = fitted.mode_means()
     distance = float(np.linalg.norm(means[0] - means[1]))
-    separated = distance >= 0.5
-    passed = strictly_decreasing and separated and max_violation <= tol
-    if not (strictly_decreasing and separated):
-        max_violation = math.inf
-    return SuiteResult("context_losses", len(seps) + 2, max_violation, tol, passed)
+    max_violation = _gated(max_violation, strictly_decreasing, distance >= 0.5)
+    return SuiteResult("context_losses", len(seps) + 2, max_violation, tol)
 
 
 # --- suite 11: shared-table and per-mode mixture paths agree ---
@@ -593,9 +577,7 @@ def suite_shared_critic_equivalence(seed: int, mutation: str | None = None) -> S
         direct = apply_mixture_operator(models, belief, params, q)
         via_shared = apply_mixture_via_shared(models, belief, params, q)
         max_violation = max(max_violation, sup_dist(direct, via_shared))
-    return SuiteResult(
-        "shared_critic_equivalence", n_instances, max_violation, tol, max_violation <= tol
-    )
+    return SuiteResult("shared_critic_equivalence", n_instances, max_violation, tol)
 
 
 # --- suite 12: certification inputs are reproducible bit-for-bit ---
@@ -615,8 +597,8 @@ def suite_reproducibility(seed: int, mutation: str | None = None) -> SuiteResult
     est_equal = estimate_lipschitz(op, (4, 2), 8, rng_seed) == estimate_lipschitz(
         op, (4, 2), 8, rng_seed
     )
-    ok = (first == second) and tables_equal and est_equal
-    return SuiteResult("reproducibility", 3, 0.0 if ok else math.inf, tol, ok)
+    max_violation = _gated(0.0, first == second, tables_equal, est_equal)
+    return SuiteResult("reproducibility", 3, max_violation, tol)
 
 
 SUITES = (
@@ -639,13 +621,7 @@ def run_certification(seed: int = 0, mutation: str | None = None) -> Certificati
     """Run every suite with fixed seeds; deterministic given (seed, mutation)."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
-    results = tuple(suite(seed, mutation) for suite in SUITES)
-    return CertificationReport(
-        seed=seed,
-        mutation=mutation,
-        suites=results,
-        passed=all(r.passed for r in results),
-    )
+    return CertificationReport(seed, mutation, tuple(suite(seed, mutation) for suite in SUITES))
 
 
 def report_to_json(report: CertificationReport) -> str:
@@ -653,15 +629,6 @@ def report_to_json(report: CertificationReport) -> str:
         "seed": report.seed,
         "mutation": report.mutation,
         "passed": report.passed,
-        "suites": [
-            {
-                "name": r.name,
-                "tested_instances": r.tested_instances,
-                "max_violation": r.max_violation,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in report.suites
-        ],
+        "suites": [{**asdict(r), "passed": r.passed} for r in report.suites],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -239,6 +240,27 @@ def _section(values: dict, section: str) -> dict:
     return {path[len(prefix):]: v for path, v in values.items() if path.startswith(prefix)}
 
 
+@contextmanager
+def _naming(prefix: str):
+    """Re-raise an error from building a config object as a ConfigError led by ``prefix``.
+
+    A section's receiving object names the offending field first in its
+    message, so the prefix ``"<section>."`` makes that the dotted config path.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _build(section: str, make: Callable, kwargs: dict):
+    """The section's object ``make(**kwargs)``; a range error it raises names its dotted path."""
+    with _naming(f"{section}."):
+        return make(**kwargs)
+
+
 def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -> ModeModel:
     by_seed = "seed" in _object(spec, f"modes[{index}]")
     known = {"seed", "reward_shift"} if by_seed else {"reward", "kernel", "gamma_epi"}
@@ -252,14 +274,11 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
         if shift != 0.0:
             model = ModeModel(model.reward + shift, model.kernel, model.gamma_epi)
         return model
-    try:
-        model = ModeModel(
-            np.asarray(spec["reward"], dtype=float),
-            np.asarray(spec["kernel"], dtype=float),
-            np.asarray(spec.get("gamma_epi", np.zeros((n_states, n_actions))), dtype=float),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"modes[{index}]: {exc}") from exc
+    model = ModeModel(
+        np.asarray(spec["reward"], dtype=float),
+        np.asarray(spec["kernel"], dtype=float),
+        np.asarray(spec.get("gamma_epi", np.zeros((n_states, n_actions))), dtype=float),
+    )
     report = validate_mode(model)
     if report:
         raise ConfigError(f"modes[{index}] invalid: " + "; ".join(report))
@@ -279,28 +298,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """
     values = {path: field.default for path, field in FIELDS.items()}
     values.update(_leaves(raw))
-    try:
-        config = _resolve(values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = _resolve(values)
     _check_metastability(config)
     return config
 
 
 def _resolve(values: dict) -> ExperimentConfig:
     n_states, n_actions = values["n_states"], values["n_actions"]
-    schedule = PiecewiseSchedule(
-        tuple((_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"])
-    )
+    with _naming("schedule: "):
+        schedule = PiecewiseSchedule(tuple(
+            (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]
+        ))
     if not isinstance(values["modes"], list) or not values["modes"]:
         raise ConfigError("modes must be a non-empty list")
-    reward_range = tuple(_float(v, "reward_range") for v in values["reward_range"])
-    models = tuple(
-        _build_mode(spec, i, n_states, n_actions, reward_range)
-        for i, spec in enumerate(values["modes"])
-    )
+    with _naming("reward_range: "):
+        low, high = values["reward_range"]
+    reward_range = (_float(low, "reward_range"), _float(high, "reward_range"))
+    models = []
+    for i, spec in enumerate(values["modes"]):
+        with _naming(f"modes[{i}]: "):
+            models.append(_build_mode(spec, i, n_states, n_actions, reward_range))
     if schedule.max_mode_index >= len(models):
         raise ConfigError(
             f"schedule references mode {schedule.max_mode_index} but only "
@@ -309,28 +326,22 @@ def _resolve(values: dict) -> ExperimentConfig:
 
     partition = None
     if values["partition"] is not None:
-        try:
+        with _naming("partition: "):
             blocks = tuple(
                 tuple(_int(s, "partition state") for s in b) for b in values["partition"]
             )
             partition = StatePartition(n_states, blocks)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"partition: {exc}") from exc
 
     adaptive = _section(values, "adaptive")
+    smooth_surprise = adaptive.pop("smooth_surprise")
     return ExperimentConfig(
-        models=models,
+        models=tuple(models),
         schedule=schedule,
-        operator_params=OperatorParams(**_section(values, "operator")),
-        bocd_params=BOCDParams(**_section(values, "bocd")),
-        surprise_weights=SurpriseWeights(**_section(values, "surprise")),
-        adaptive_template=AdaptiveState(
-            adaptive["beta_base"],
-            adaptive["c_penalty"],
-            ema_rate=adaptive["baseline_ema_rate"],
-            surprise_ema_rate=adaptive["surprise_ema_rate"],
-        ),
-        smooth_surprise=adaptive["smooth_surprise"],
+        operator_params=_build("operator", OperatorParams, _section(values, "operator")),
+        bocd_params=_build("bocd", BOCDParams, _section(values, "bocd")),
+        surprise_weights=_build("surprise", SurpriseWeights, _section(values, "surprise")),
+        adaptive_template=_build("adaptive", AdaptiveState, adaptive),
+        smooth_surprise=smooth_surprise,
         partition=partition,
         joint=None if values["joint"] is None else JointSettings(**_section(values, "joint")),
         **{name: values[name] for name in _SCALAR_ATTRIBUTES},

@@ -59,9 +59,8 @@ from ..bocd import (
 from ..mdp import QFunction, sup_dist
 from ..operators import (
     ModeBelief,
-    _bounded_noise,
+    add_bounded_noise,
     apply_mixture_operator,
-    apply_noisy_operator,
     error_floor,
     mode_fixed_point,
     project,
@@ -146,14 +145,6 @@ def _greedy_rollout(model, q: QFunction, length: int, rng) -> np.ndarray:
     return rewards
 
 
-def _estimated_mode(schedule, t: int, detection_steps: int) -> int:
-    """Active mode as seen by the detector: lags each switch by detection_steps."""
-    lagged = t - detection_steps
-    if lagged < 0:
-        return schedule.mode_at(0)
-    return schedule.mode_at(lagged)
-
-
 def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     """Run the scripted experiment and return its trace."""
     models = config.models
@@ -167,10 +158,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         if not fp.converged:
             raise RuntimeError(f"fixed point for mode {i} has residual {fp.final_residual:.3g}")
     q_stars = [fp.q_star for fp in fixed_points]
-    if config.partition is not None:
-        eps_proj = [projection_error(q, config.partition) for q in q_stars]
-    else:
-        eps_proj = [0.0 for _ in q_stars]
+    partition = config.partition
+    eps_proj = [0.0 if partition is None else projection_error(q, partition) for q in q_stars]
     floors = [error_floor(e, config.noise_sigma, params.gamma) for e in eps_proj]
 
     switch_times = schedule.switch_times()
@@ -186,25 +175,24 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     q = QFunction.zeros(*table_shape)
     ensemble = np.zeros((config.n_ensemble, *table_shape))
 
-    reward_mean = 0.0
-    reward_var = 0.0
-    sigma_q_smooth = 0.0
-    sigma_q_baseline = 0.0
-    kappa_ema = 0.0
+    # Channel statistics: None until their first observation seeds them
+    # (ema_update), and each channel reads its neutral value off that None.
+    reward_mean = reward_var = None
+    sigma_q_smooth = sigma_q_baseline = None
+    kappa_ema = None
 
     rows = []
     for t in range(schedule.total_iterations):
         true_mode = schedule.mode_at(t)
-        est_mode = _estimated_mode(schedule, t, n_delta)
-        est_belief = ModeBelief.point_mass(est_mode, len(models))
+        # the detector's view of the schedule lags each switch by n_delta
+        est_belief = ModeBelief.point_mass(schedule.mode_at(max(t - n_delta, 0)), len(models))
 
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
         rewards = _greedy_rollout(models[true_mode], q, config.rollout_len, roll_rng)
         batch_mean = float(rewards.mean())
         batch_var = float(rewards.var())
-        if t == 0:
-            reward_mean, reward_var = batch_mean, batch_var
+        if reward_mean is None:
             reward_z = 0.0
         else:
             reward_z = (batch_mean - reward_mean) / (np.sqrt(reward_var) + _TINY)
@@ -215,30 +203,24 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         images = apply_mixture_operator(
             models, est_belief, params, np.concatenate([ensemble, q.values[None]])
         )
-        ensemble = images[:-1]
-        if config.ensemble_sigma > 0.0:
-            ensemble = ensemble + np.stack([
-                _bounded_noise(config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k), table_shape)
-                for k in range(config.n_ensemble)
-            ])
+        # one noise stream per member: certify's canonical three-phase run, whose
+        # lambda_w gate reads single rows, is pinned to exactly these draws
+        ensemble = np.stack([
+            add_bounded_noise(images[k], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k))
+            for k in range(config.n_ensemble)
+        ])
         sigma_q = float(ensemble.std(axis=0).mean())
-        if t == 0:
-            sigma_q_smooth = sigma_q
-            sigma_q_baseline = sigma_q
+        sigma_q_smooth = ema_update(sigma_q_smooth, sigma_q, _SIGMA_Q_SMOOTH)
+        if sigma_q_baseline is None:
             q_std_ratio = 1.0
         else:
-            sigma_q_smooth = ema_update(sigma_q_smooth, sigma_q, _SIGMA_Q_SMOOTH)
             q_std_ratio = sigma_q_smooth / (sigma_q_baseline + _TINY)
         sigma_q_baseline = ema_update(sigma_q_baseline, sigma_q_smooth, config.stat_ema_rate)
 
         backed_up = QFunction(images[-1])
         td_scale = sup_dist(backed_up, q)
         kappa_t = params.kappa + td_scale
-        if t == 0:
-            kappa_ema = kappa_t
-            kappa_div = 0.0
-        else:
-            kappa_div = abs(kappa_t - kappa_ema)
+        kappa_div = 0.0 if kappa_ema is None else abs(kappa_t - kappa_ema)
         kappa_ema = ema_update(kappa_ema, kappa_t, config.stat_ema_rate)
 
         xi = surprise(
@@ -261,8 +243,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         # --- one frozen-belief backup ---
         in_detection = any(st <= t < st + n_delta for st in switch_times)
         if not (config.detection_policy == "hold" and in_detection):
-            step = backed_up if config.partition is None else project(backed_up, config.partition)
-            q = apply_noisy_operator(lambda _: step, config.noise_sigma, (seed, _NOISE_STREAM, t), q)
+            step = backed_up if partition is None else project(backed_up, partition)
+            q = add_bounded_noise(step, config.noise_sigma, (seed, _NOISE_STREAM, t))
 
         err = sup_dist(q, q_stars[true_mode])
         steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)

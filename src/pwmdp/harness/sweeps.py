@@ -33,6 +33,9 @@ __all__ = [
 # Measured factors within this band of 1 classify as nonexpansive ("stalled").
 FACTOR_BAND = 1e-9
 
+# The threshold sweep's low reward (the high one sits a unit gap above it).
+SWEEP_R_LOW = 1.0
+
 _CLASS_NAMES = {"contraction": "converged", "nonexpansive": "stalled", "expansion": "diverged"}
 
 
@@ -98,9 +101,7 @@ class ThresholdSweepResult:
         }
 
 
-def run_threshold_sweep(
-    gamma_grid, coupling_grid, n_iter: int = 200, r_low: float = 1.0
-) -> ThresholdSweepResult:
+def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> ThresholdSweepResult:
     """Classify the scalar operator across a (discount, coupling) grid."""
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     coupling_grid = np.asarray(coupling_grid, dtype=float)
@@ -115,7 +116,7 @@ def run_threshold_sweep(
         for j, c in enumerate(coupling_grid):
             # unit reward gap, so the cell's coupling is the sensitivity itself
             params = CoupledOperatorParams(
-                gamma=float(g), sensitivity=float(c), r_high=r_low + 1.0, r_low=r_low
+                gamma=float(g), sensitivity=float(c), r_high=SWEEP_R_LOW + 1.0, r_low=SWEEP_R_LOW
             )
             cls, factor = classify_trajectory(params, n_iter)
             classes[i, j] = cls

@@ -34,6 +34,9 @@ KERNEL_ROW_TOL = 1e-12
 # sum to 1 to this absolute tolerance.
 SIMPLEX_TOL = 1e-12
 
+# make_random_mode draws each epistemic penalty uniformly from [0, PENALTY_MAX).
+PENALTY_MAX = 0.5
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     """Read-only copy of ``values``: the storage of every immutable value type."""
@@ -254,7 +257,6 @@ def make_random_mode(
     n_states: int,
     n_actions: int,
     reward_range: tuple[float, float] = (-1.0, 1.0),
-    penalty_max: float = 0.5,
 ) -> ModeModel:
     """Draw a valid random regime, deterministic in ``seed``.
 
@@ -270,5 +272,5 @@ def make_random_mode(
     reward = rng.uniform(lo, hi, size=(n_states, n_actions))
     kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     kernel = kernel / kernel.sum(axis=2, keepdims=True)
-    gamma_epi = rng.uniform(0.0, penalty_max, size=(n_states, n_actions))
+    gamma_epi = rng.uniform(0.0, PENALTY_MAX, size=(n_states, n_actions))
     return ModeModel(reward=reward, kernel=kernel, gamma_epi=gamma_epi)

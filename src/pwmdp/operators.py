@@ -2,8 +2,8 @@
 
 Contains the per-regime penalized Bellman backup, its belief-weighted
 mixture, the scalar value-coupled counterexample operator with its sharp
-contraction threshold, block-averaging state aggregation, bounded-noise
-wrappers, exact regime fixed points by policy iteration, fixed-point
+contraction threshold, block-averaging state aggregation, bounded noise
+added to Q tables, exact regime fixed points by policy iteration, fixed-point
 iteration with a-posteriori certificates, empirical Lipschitz estimation,
 and the regime-switch perturbation bound.
 
@@ -41,7 +41,7 @@ __all__ = [
     "regime_perturbation",
     "project",
     "projection_error",
-    "apply_noisy_operator",
+    "add_bounded_noise",
     "apply_mixture_via_shared",
     "error_floor",
     "switch_error_bound",
@@ -465,25 +465,19 @@ def projection_error(q_star: QFunction, partition: StatePartition) -> float:
     return sup_dist(project(q_star, partition), q_star)
 
 
-def _bounded_noise(sigma: float, rng_seed, shape) -> np.ndarray:
-    """Entrywise uniform noise in [-sigma, sigma), deterministic per seed."""
-    return np.random.default_rng(rng_seed).uniform(-sigma, sigma, size=shape)
-
-
-def apply_noisy_operator(
-    operator: QOperator, sigma: float, rng_seed, q: QFunction
-) -> QFunction:
-    """T(Q) plus entrywise uniform noise hard-bounded by sigma.
+def add_bounded_noise(q: QFunction | np.ndarray, sigma: float, rng_seed) -> QFunction | np.ndarray:
+    """``q`` plus entrywise uniform noise in [-sigma, sigma), deterministic per seed.
 
     Bounded (not Gaussian) noise matches the per-step hypothesis of the
-    stochastic tracking bound. Deterministic per seed.
+    stochastic tracking bound. ``q`` is a QFunction (the result is one too)
+    or a (..., S, A) array of tables; at sigma 0 it is returned itself.
     """
     if not (sigma >= 0.0 and math.isfinite(2.0 * sigma)):
         raise ValueError(f"sigma must be >= 0 with 2 * sigma finite, got {sigma}")
-    out = operator(q)
     if sigma == 0.0:
-        return out
-    return QFunction(out.values + _bounded_noise(sigma, rng_seed, out.shape))
+        return q
+    values = _tables(q)
+    return _like(q, values + np.random.default_rng(rng_seed).uniform(-sigma, sigma, values.shape))
 
 
 def apply_mixture_via_shared(

@@ -80,6 +80,17 @@ class TestEmaUpdate:
         with pytest.raises(ValueError):
             ema_update(0.0, 1.0, 1.0)
 
+    def test_none_seeds_with_the_first_observation(self):
+        rng = np.random.default_rng(3)
+        for x, rate in zip(rng.uniform(-1e3, 1e3, 200), rng.uniform(0.01, 0.99, 200)):
+            seeded = ema_update(None, float(x), float(rate))
+            assert seeded.hex() == ema_update(float(x), float(x), float(rate)).hex()
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.5, float("nan")])
+    def test_rate_checked_before_the_first_observation(self, rate):
+        with pytest.raises(ValueError, match="rate must lie in"):
+            ema_update(None, 1.0, rate)
+
 
 class TestLambdaW:
     def test_stable_period_zero_penalty(self):
@@ -100,7 +111,7 @@ class TestLambdaW:
 
     def test_baseline_updates_after_extraction(self):
         # a fresh spike is measured against the pre-spike baseline
-        state = AdaptiveState(ema_baseline=0.2, ema_rate=0.95)
+        state = AdaptiveState(ema_baseline=0.2, baseline_ema_rate=0.95)
         lam, updated = lambda_w(0.8 * 19, 20, state)
         assert lam == pytest.approx(0.6, abs=1e-12)
         assert updated.ema_baseline == pytest.approx(0.95 * 0.2 + 0.05 * 0.8)

@@ -193,6 +193,15 @@ class TestDetectionDelay:
             values = [posterior_ratio(n, lr, 1.0) for n in range(51)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_posterior_ratio_beyond_the_largest_double_is_inf(self):
+        # 2**2200 overflows a double; odds past every finite target are inf
+        assert posterior_ratio(1100, 2.0, 1.0) == math.inf
+        assert posterior_ratio(10**6, 1.2, 10.0) == math.inf
+        assert posterior_ratio(512, 2.0, 1.0) == math.inf
+        # results up to the largest double keep their exact value
+        assert posterior_ratio(511, 2.0, 1.0) == 2.0**1022
+        assert posterior_ratio(511, 2.0, 0.5) == 2.0**1023
+
     def test_delay_values_match_reference_table(self):
         assert detection_delay(2.0, 1.0, 0.05) == pytest.approx(2.2, abs=0.1)
         assert detection_delay(5.0, 1.0, 0.05) == pytest.approx(0.9, abs=0.1)

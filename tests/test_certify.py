@@ -10,6 +10,7 @@ from pwmdp.harness.certify import (
     SUITES,
     CertificationReport,
     SuiteResult,
+    _gated,
     report_to_json,
     run_certification,
 )
@@ -44,10 +45,9 @@ def test_report_json_round_trips_losslessly():
         seed=7,
         mutation=None,
         suites=(
-            SuiteResult("alpha", 100, 1.25e-13, 1e-12, True),
-            SuiteResult("beta", 3, math.inf, 0.0, False),
+            SuiteResult("alpha", 100, 1.25e-13, 1e-12),
+            SuiteResult("beta", 3, math.inf, 0.0),
         ),
-        passed=False,
     )
     payload = json.loads(report_to_json(report))
     assert payload["seed"] == 7
@@ -63,3 +63,26 @@ def test_report_json_round_trips_losslessly():
     assert payload["suites"][1]["max_violation"] == math.inf
     # serialization is deterministic
     assert report_to_json(report) == report_to_json(report)
+
+
+TOL = 1e-9
+
+
+@pytest.mark.parametrize(
+    "violation",
+    [-math.inf, 0.0, TOL, math.nextafter(TOL, math.inf), math.inf],
+    ids=["-inf", "zero", "tol", "just_above_tol", "inf"],
+)
+def test_suite_verdict_is_derived_from_its_numbers(violation):
+    suite = SuiteResult("alpha", 1, violation, TOL)
+    assert suite.passed == (violation <= TOL)
+    report = CertificationReport(0, None, (SuiteResult("beta", 1, 0.0, 0.0), suite))
+    assert report.passed == suite.passed
+
+
+def test_a_failed_check_makes_the_violation_inf():
+    assert _gated(0.5 * TOL, True, True) == 0.5 * TOL
+    assert _gated(0.5 * TOL) == 0.5 * TOL
+    failed = _gated(0.5 * TOL, True, False)
+    assert failed == math.inf
+    assert not SuiteResult("alpha", 1, failed, TOL).passed

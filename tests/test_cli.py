@@ -118,6 +118,15 @@ class TestPiecewiseCommand:
             {"ensemble_sigma": 1e308},
             {"out_dir": None},  # str(None) would write into ./None
             {"format": ["csv"]},
+            # range errors raised by a receiving object or a structured reader
+            {"adaptive": {"baseline_ema_rate": 2}},
+            {"operator": {"gamma": 1.2}},
+            {"bocd": {"hazard": 1.5}},
+            {"surprise": {"w_r": -1.0}},
+            {"schedule": 5},
+            {"schedule": [[0]]},
+            {"reward_range": [1]},
+            {"modes": [{"seed": -1}]},
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
@@ -126,6 +135,8 @@ class TestPiecewiseCommand:
             "bool_float", "text_bocd_float", "text_operator_float",
             "list_config", "overflowing_noise_sigma", "overflowing_ensemble_sigma",
             "null_str", "list_str",
+            "adaptive_range", "operator_range", "bocd_range", "surprise_range",
+            "scalar_schedule", "short_segment", "short_reward_range", "negative_mode_seed",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):

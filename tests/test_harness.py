@@ -167,6 +167,27 @@ class TestConfig:
         assert DEFAULT_CONFIG["joint"] is None
         config_from_dict(DEFAULT_CONFIG)  # no field outside the table
 
+    @pytest.mark.parametrize(
+        "raw, lead",
+        [
+            ({"adaptive": {"baseline_ema_rate": 2}}, "adaptive.baseline_ema_rate must lie in (0, 1)"),
+            ({"operator": {"gamma": 1.2}}, "operator.gamma must satisfy"),
+            ({"bocd": {"hazard": 1.5}}, "bocd.hazard must lie in (0, 1)"),
+            ({"surprise": {"w_r": -1.0}}, "surprise.w_r must be >= 0"),
+            ({"schedule": 5}, "schedule: "),
+            ({"schedule": [[0]]}, "schedule: "),
+            ({"reward_range": [1]}, "reward_range: "),
+            ({"modes": [{"seed": 1}, {"seed": -1}]}, "modes[1]: "),
+            ({"partition": [[0, 9]]}, "partition: "),
+        ],
+        ids=["adaptive", "operator", "bocd", "surprise", "scalar_schedule", "short_segment",
+             "short_reward_range", "negative_mode_seed", "partition"],
+    )
+    def test_range_error_names_its_config_field(self, raw, lead):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert str(info.value).startswith(lead)
+
 
 def readme_defaults_table() -> str:
     """README's defaults table, rendered from the field table."""

@@ -10,11 +10,11 @@ from pwmdp import (
     OperatorParams,
     QFunction,
     StatePartition,
+    add_bounded_noise,
     apply_coupled_operator,
     apply_mixture_operator,
     apply_mixture_via_shared,
     apply_mode_operator,
-    apply_noisy_operator,
     classify_factor,
     coupled_operator_factor,
     error_floor,
@@ -532,31 +532,31 @@ class TestProject:
 
 
 class TestNoisyOperator:
+    """add_bounded_noise: a backed-up table plus entrywise noise bounded by sigma."""
+
     def test_zero_sigma_exact(self):
         model = make_random_mode(4, 3, 2)
         params = OperatorParams(gamma=0.9)
-        op = lambda q: apply_mode_operator(model, params, q)
         q = QFunction(np.random.default_rng(5).uniform(-2, 2, (3, 2)))
-        out = apply_noisy_operator(op, 0.0, 99, q)
-        assert (out.values == op(q).values).all()
+        step = apply_mode_operator(model, params, q)
+        out = add_bounded_noise(step, 0.0, 99)
+        assert (out.values == apply_mode_operator(model, params, q).values).all()
 
     def test_noise_bounded_by_sigma(self):
         model = make_random_mode(4, 3, 2)
         params = OperatorParams(gamma=0.9)
-        op = lambda q: apply_mode_operator(model, params, q)
-        q = QFunction.zeros(3, 2)
+        step = apply_mode_operator(model, params, QFunction.zeros(3, 2))
         for seed in range(50):
-            out = apply_noisy_operator(op, 0.25, seed, q)
-            assert sup_dist(out, op(q)) <= 0.25
+            out = add_bounded_noise(step, 0.25, seed)
+            assert sup_dist(out, step) <= 0.25
 
     def test_rejects_a_width_whose_span_overflows(self):
         # uniform(-sigma, sigma) needs a finite 2 * sigma
-        op = lambda q: q
         q = QFunction.zeros(3, 2)
-        assert sup_dist(apply_noisy_operator(op, 8e307, 0, q), q) <= 8e307
+        assert sup_dist(add_bounded_noise(q, 8e307, 0), q) <= 8e307
         for sigma in (1e308, -0.1, float("nan")):
             with pytest.raises(ValueError, match="sigma must be >= 0"):
-                apply_noisy_operator(op, sigma, 0, q)
+                add_bounded_noise(q, sigma, 0)
 
     def test_stochastic_tracking_bound(self):
         # e(n) <= gamma^n e(0) + sigma / (1 - gamma) along noisy iteration
@@ -564,15 +564,26 @@ class TestNoisyOperator:
         model = make_random_mode(30, 5, 2)
         params = OperatorParams(gamma=gamma)
         fp = mode_fixed_point(model, params, tol=1e-12)
-        op = lambda q: apply_mode_operator(model, params, q)
         for seed in range(50):
             rng = np.random.default_rng(seed)
             q = QFunction(rng.uniform(-8, 8, (5, 2)))
             e0 = sup_dist(q, fp.q_star)
             for n in range(1, 201):
-                q = apply_noisy_operator(op, sigma, (seed, n), q)
+                q = add_bounded_noise(apply_mode_operator(model, params, q), sigma, (seed, n))
                 bound = gamma**n * e0 + sigma / (1 - gamma)
                 assert sup_dist(q, fp.q_star) <= bound + 1e-9
+
+    def test_array_in_array_out_and_zero_sigma_returns_input(self):
+        tables = np.random.default_rng(6).uniform(-2, 2, (4, 3, 2))
+        out = add_bounded_noise(tables, 0.1, (7, 1))
+        assert type(out) is np.ndarray and out.shape == tables.shape
+        assert 0.0 < np.abs(out - tables).max() <= 0.1
+        # the same stream on a QFunction gives the same entries
+        assert (add_bounded_noise(QFunction(tables[0]), 0.1, 3).values
+                == add_bounded_noise(tables[0], 0.1, 3)).all()
+        assert add_bounded_noise(tables, 0.0, 0) is tables
+        q = QFunction(tables[0])
+        assert add_bounded_noise(q, 0.0, 0) is q
 
 
 class TestSharedCritic:
