@@ -252,11 +252,13 @@ def _filter_step(
 ) -> np.ndarray:
     """One run-length update of a (B, h_max, n_clusters) batch of joint beliefs.
 
-    The messages log(b) + log L(xi) are shifted by each case's largest and
-    exponentiated once. Growth moves them one bin up at rate (1 - hazard)
-    and the top bin absorbs what would overflow the truncation; the pooled
-    change-point mass hazard * sum(messages) is re-injected at run-length 0,
-    ``stickiness`` of it on cluster ``z_now`` and the rest spread evenly
+    The log-likelihood is shifted by each case's largest first, so a huge
+    but finite one cannot absorb log(b); the messages log(b) + log L(xi)
+    are then shifted by each case's largest and exponentiated once. Growth
+    moves them one bin up at rate (1 - hazard) and the top bin absorbs what
+    would overflow the truncation; the pooled change-point mass
+    hazard * sum(messages) is re-injected at run-length 0, ``stickiness``
+    of it on cluster ``z_now`` and the rest spread evenly
     over the other clusters (all of it, for a single cluster). Each case is
     then divided by its own sum, which is at least ``hazard``. ``xi`` has
     shape (1,) or (B,); ``z_now`` and ``stickiness`` are scalars or (B,).
@@ -267,7 +269,10 @@ def _filter_step(
     """
     with np.errstate(divide="ignore"):
         log_prior = np.log(probs)
-    log_msg = log_prior + log_likelihood_vector(xi, params)[:, :, None]
+    log_lik = log_likelihood_vector(xi, params)
+    lik_top = log_lik.max(axis=1, keepdims=True)
+    log_lik -= np.where(np.isneginf(lik_top), 0.0, lik_top)
+    log_msg = log_prior + log_lik[:, :, None]
     top = log_msg.max(axis=(1, 2), keepdims=True)
     if top.min() == -np.inf:
         lost = np.isneginf(top[:, 0, 0])

@@ -272,8 +272,17 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
         model = make_random_mode(seed, n_states, n_actions, reward_range)
         shift = _float(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
         if shift != 0.0:
-            model = ModeModel(model.reward + shift, model.kernel, model.gamma_epi)
+            with np.errstate(over="ignore"):
+                reward = model.reward + shift
+            if not np.isfinite(reward).all():
+                raise ConfigError(
+                    f"modes[{index}].reward_shift must keep the shifted rewards finite, got {shift!r}"
+                )
+            model = ModeModel(reward, model.kernel, model.gamma_epi)
         return model
+    missing = [key for key in ("reward", "kernel") if key not in spec]
+    if missing:
+        raise ConfigError(f"modes[{index}].{missing[0]}: missing")
     model = ModeModel(
         np.asarray(spec["reward"], dtype=float),
         np.asarray(spec["kernel"], dtype=float),

@@ -60,7 +60,8 @@ _SWITCH_MARGIN = 64 * np.finfo(float).eps
 LIPSCHITZ_VALUE_RANGE = (-10.0, 10.0)
 
 QOperator = Callable[[QFunction], QFunction]
-# Maps a (B, S, A) array of tables to the (B, S, A) array of their images.
+# Maps a (B, S, A) array of tables to the (B, S, A) array of their images, or
+# to a (..., B, S, A) array of their images under several maps.
 BatchOperator = Callable[[np.ndarray], np.ndarray]
 
 
@@ -273,8 +274,10 @@ def apply_mixture_operator(
     With a point-mass belief this reduces exactly to
     :func:`apply_mode_operator` on the selected regime; a single-regime
     mixture is the plain penalized backup. A convex combination of
-    gamma-contractions contracts at the same rate, which is what the
-    certification suite verifies empirically. ``q`` is a QFunction or a
+    gamma-contractions contracts at the same rate: the certification suite
+    checks the exact factor gamma * max_{s,a} sum_t |sum_m w_m P_m(t|s,a)|
+    against gamma, and sampled pairs through the kernel against that
+    factor. ``q`` is a QFunction or a
     (..., S, A) array of tables, as for :func:`apply_mode_operator`.
     """
     return mixture_backup(models, _belief_weights(belief), params, q)
@@ -379,7 +382,7 @@ def estimate_lipschitz(
     dims: tuple[int, int],
     n_pairs: int,
     seed: int,
-) -> float:
+) -> float | np.ndarray:
     """Empirical sup-norm Lipschitz factor over sampled table pairs.
 
     Takes the max of dist(T Q1, T Q2) / dist(Q1, Q2) over ``n_pairs``
@@ -388,7 +391,10 @@ def estimate_lipschitz(
     pairs, plus a uniform-shift pair and single-entry bump pairs, which are
     tight for affine operators where random pairs alone understate the
     factor. Every probe table goes through ``operator`` in one call, as a
-    (B, S, A) array whose images it returns as a (B, S, A) array.
+    (B, S, A) array whose images it returns as a (B, S, A) array; the
+    factor is a float. An operator that stands for several maps at once
+    may return their images as a (..., B, S, A) array, and the result is
+    then the array (...) of one factor per map.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -411,11 +417,15 @@ def estimate_lipschitz(
     right = np.concatenate([np.arange(1, anchor, 2), anchor + 1 + np.arange(1 + n_bumps)])
     dist = np.abs(stack[left] - stack[right]).max(axis=(1, 2))
     images = np.asarray(operator(stack), dtype=float)
-    if images.shape != stack.shape or not np.isfinite(images).all():
-        raise ValueError(f"operator must map {stack.shape} tables to finite tables of that shape")
-    image_dist = np.abs(images[left] - images[right]).max(axis=(1, 2))
-    ratios = np.divide(image_dist, dist, out=np.zeros_like(dist), where=dist > 0.0)
-    return max(0.0, float(ratios.max()))
+    if images.shape[-3:] != stack.shape or not np.isfinite(images).all():
+        raise ValueError(
+            f"operator must map {stack.shape} tables to finite tables of that shape "
+            "(with optional leading axes)"
+        )
+    image_dist = np.abs(images[..., left, :, :] - images[..., right, :, :]).max(axis=(-2, -1))
+    ratios = np.divide(image_dist, dist, out=np.zeros_like(image_dist), where=dist > 0.0)
+    factors = np.maximum(ratios.max(axis=-1), 0.0)
+    return float(factors) if factors.ndim == 0 else factors
 
 
 def regime_perturbation(

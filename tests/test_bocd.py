@@ -479,3 +479,10 @@ class TestDegenerateVariance:
         expected[0, 4] = [0.0, 0.2 * 0.95, 0.8 * 0.95]
         expected[0, 0] = [0.05 * 0.2, 0.05 * 0.2, 0.05 * 0.6]
         np.testing.assert_allclose(out, expected, rtol=1e-15, atol=0.0)
+
+    def test_huge_finite_log_likelihood_keeps_the_prior(self):
+        # one variance in every bin: a log density of about -5e299 is the same
+        # in each bin and must not absorb log(b) before the shift
+        probs = np.array([[0.1, 0.2, 0.3, 0.25, 0.15]])
+        out = bocd_step(probs, [1.0], BOCDParams(h_max=5, sigma0_sq=1e-300, sigma_g=0.0))
+        np.testing.assert_allclose(out, [[0.05, 0.095, 0.19, 0.285, 0.38]], rtol=1e-15)

@@ -3,16 +3,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from pwmdp import OperatorParams, make_random_mode, operators
 from pwmdp.harness.certify import (
     MUTATIONS,
     SUITES,
     CertificationReport,
     SuiteResult,
+    _contraction_factors,
     _gated,
     report_to_json,
     run_certification,
+    suite_contraction_certificate,
 )
 
 
@@ -86,3 +90,34 @@ def test_a_failed_check_makes_the_violation_inf():
     failed = _gated(0.5 * TOL, True, False)
     assert failed == math.inf
     assert not SuiteResult("alpha", 1, failed, TOL).passed
+
+
+def test_contraction_suite_fails_when_the_backup_kernel_expands(monkeypatch):
+    # the exact factor reads only the kernels, so only the sampled cross-check
+    # can see a backup that scales its P.V term by 1.001
+    real_backup = operators._backup
+
+    def expanding_backup(models, weights, params, q):
+        v = q.max(axis=-1)
+        extra = sum(w * np.einsum("...t,sat->...sa", v, m.kernel) for w, m in zip(weights, models))
+        return real_backup(models, weights, params, q) + 0.001 * params.gamma * extra
+
+    assert suite_contraction_certificate(0).passed
+    monkeypatch.setattr(operators, "_backup", expanding_backup)
+    suite = suite_contraction_certificate(0)
+    assert suite.tested_instances == 7500
+    assert suite.max_violation > suite.tolerance
+
+
+def test_unfrozen_belief_exceeds_the_discount_in_both_factors():
+    rng = np.random.default_rng(3)
+    models = [make_random_mode(seed, 4, 2) for seed in (1, 2, 3)]
+    beliefs = rng.dirichlet(np.ones(3), 5)
+    params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
+    exact, sampled = _contraction_factors(models, beliefs, params, 17)
+    assert np.all(np.abs(exact - 0.9) <= 1e-15) and np.all(sampled <= exact + 1e-14)
+    exact, sampled = _contraction_factors(models, beliefs, params, 17, "unfrozen_belief")
+    assert exact.shape == sampled.shape == (5,)
+    assert np.all(exact > 0.9 + 0.04) and np.all(sampled > 0.9 + 0.04)
+    np.testing.assert_allclose(exact, 0.95, rtol=1e-15)
+    np.testing.assert_allclose(sampled, 0.95, rtol=1e-12)

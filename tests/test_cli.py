@@ -127,6 +127,7 @@ class TestPiecewiseCommand:
             {"schedule": [[0]]},
             {"reward_range": [1]},
             {"modes": [{"seed": -1}]},
+            {"modes": [{"reward": [[1.0]]}]},  # explicit-table mode without its kernel
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
@@ -137,6 +138,7 @@ class TestPiecewiseCommand:
             "null_str", "list_str",
             "adaptive_range", "operator_range", "bocd_range", "surprise_range",
             "scalar_schedule", "short_segment", "short_reward_range", "negative_mode_seed",
+            "missing_mode_kernel",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
@@ -147,6 +149,28 @@ class TestPiecewiseCommand:
         assert "config error" in result.stderr
         assert "Traceback" not in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                {"modes": [{"seed": 1, "reward_shift": 1.7e308}], "reward_range": [1e308, 1e308],
+                 "schedule": [[0, 400]]},
+                "config error: modes[0].reward_shift must keep the shifted rewards finite, got 1.7e+308",
+            ),
+            (
+                {"modes": [{"reward": [[1.0]]}]},
+                "config error: modes[0].kernel: missing",
+            ),
+        ],
+        ids=["overflowing_reward_shift", "missing_mode_kernel"],
+    )
+    def test_mode_error_is_one_line_naming_the_field(self, raw, message, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        result = run_cli("piecewise", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [message]
 
     def test_clip_max_with_overflowing_square_exits_1_before_any_trace(self, tmp_path):
         # the fused surprise can reach clip_max, whose square the detector needs finite

@@ -434,6 +434,22 @@ class TestBatchedBackup:
             op = lambda q: mixture_backup(models, weights, params, q)
             assert estimate_lipschitz(op, (5, 3), 50, seed) <= exact + 1e-12
 
+    def test_leading_axes_give_one_factor_per_map_matching_single_calls(self):
+        models, rng = random_mixture(7, 3, 4, 3)
+        params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
+        beliefs = rng.dirichlet(np.ones(3), 6)
+        matrix = rng.uniform(-1.0, 1.0, (12, 12))
+        single_ops = [lambda q, w=w: mixture_backup(models, w, params, q) for w in beliefs]
+        single_ops.append(lambda q: (q.reshape(len(q), -1) @ matrix.T).reshape(q.shape))
+        stacked = lambda q: np.stack([op(q) for op in single_ops])
+        factors = estimate_lipschitz(stacked, (4, 3), 4, seed=11)
+        assert factors.shape == (len(single_ops),)
+        expected = [estimate_lipschitz(op, (4, 3), 4, seed=11) for op in single_ops]
+        np.testing.assert_array_equal(factors, expected)
+        # two leading axes keep their shape
+        grid = estimate_lipschitz(lambda q: stacked(q).reshape(7, 1, *q.shape), (4, 3), 4, seed=11)
+        np.testing.assert_array_equal(grid, np.reshape(expected, (7, 1)))
+
     def test_operator_must_keep_the_batch_shape(self):
         with pytest.raises(ValueError, match="shape"):
             estimate_lipschitz(lambda qs: qs[0], (2, 2), 3, seed=0)
