@@ -55,6 +55,10 @@ __all__ = [
     "joint_step",
 ]
 
+# The most negative double, a floor on the per-case log-likelihood shift.
+_LOWEST = np.finfo(float).min
+
+
 class DegenerateBeliefError(RuntimeError):
     """A Bayes update whose evidence is zero on the whole support of the belief."""
 
@@ -270,8 +274,8 @@ def _filter_step(
     with np.errstate(divide="ignore"):
         log_prior = np.log(probs)
     log_lik = log_likelihood_vector(xi, params)
-    lik_top = log_lik.max(axis=1, keepdims=True)
-    log_lik -= np.where(np.isneginf(lik_top), 0.0, lik_top)
+    # a case whose log-likelihood is -inf everywhere stays -inf, not nan
+    log_lik -= np.maximum(log_lik.max(axis=1, keepdims=True), _LOWEST)
     log_msg = log_prior + log_lik[:, :, None]
     top = log_msg.max(axis=(1, 2), keepdims=True)
     if top.min() == -np.inf:

@@ -163,7 +163,7 @@ def _contraction_factors(
         return np.full(n_beliefs, coupled_operator_factor(coupled)), np.full(n_beliefs, sampled)
     kernels = np.stack([m.kernel for m in models])
     mixed = np.einsum("bm,msat->bsat", beliefs, kernels)
-    exact = params.gamma * np.abs(mixed).sum(axis=-1).max(axis=(-2, -1))
+    exact = params.gamma * np.abs(mixed, out=mixed).sum(axis=-1).max(axis=(-2, -1))
 
     def per_belief(probes: np.ndarray) -> np.ndarray:
         per_regime = np.stack([apply_mode_operator(m, params, probes) for m in models])

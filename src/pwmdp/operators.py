@@ -418,10 +418,7 @@ def estimate_lipschitz(
     dist = np.abs(stack[left] - stack[right]).max(axis=(1, 2))
     images = np.asarray(operator(stack), dtype=float)
     if images.shape[-3:] != stack.shape or not np.isfinite(images).all():
-        raise ValueError(
-            f"operator must map {stack.shape} tables to finite tables of that shape "
-            "(with optional leading axes)"
-        )
+        raise ValueError(f"operator must map {stack.shape} tables to finite tables of that shape")
     image_dist = np.abs(images[..., left, :, :] - images[..., right, :, :]).max(axis=(-2, -1))
     ratios = np.divide(image_dist, dist, out=np.zeros_like(image_dist), where=dist > 0.0)
     factors = np.maximum(ratios.max(axis=-1), 0.0)
