@@ -409,17 +409,18 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
         sigma = float(rng.uniform(0.01, 0.3))
         fp = mode_fixed_point(model, params, tol=1e-12)
         assert fp.converged
-        q_star = fp.q_star
-        eps_proj = projection_error(q_star, partition)
-        floor = error_floor(eps_proj, sigma, gamma)
-        q = QFunction(rng.uniform(-8.0, 8.0, (n_states, n_actions)))
-        e0 = sup_dist(q, q_star)
-        for n in range(1, n_steps + 1):
-            step = project(apply_mode_operator(model, params, q), partition)
-            q = add_bounded_noise(step, sigma, (seed, 1070, i, n))
-            err = sup_dist(q, q_star)
-            max_violation = max(max_violation, err - (gamma**n * e0 + floor))
-        max_violation = max(max_violation, sup_dist(q, q_star) - 1.05 * floor)
+        floor = error_floor(projection_error(fp.q_star, partition), sigma, gamma)
+        q_star = fp.q_star.values
+        q = rng.uniform(-8.0, 8.0, (n_states, n_actions))
+        e0 = np.abs(q - q_star).max()
+        # one stream per config: every step's bounded noise, drawn as one block
+        noise = add_bounded_noise(np.zeros((n_steps, n_states, n_actions)), sigma, (seed, 1070, i))
+        errs = np.empty(n_steps)
+        for n in range(n_steps):
+            q = project(apply_mode_operator(model, params, q), partition) + noise[n]
+            errs[n] = np.abs(q - q_star).max()
+        envelope = gamma ** np.arange(1, n_steps + 1) * e0 + floor
+        max_violation = max(max_violation, float((errs - envelope).max()), float(errs[-1] - 1.05 * floor))
     return SuiteResult("error_budget", n_configs * n_steps, max_violation, tol)
 
 

@@ -323,10 +323,20 @@ def _resolve(values: dict) -> ExperimentConfig:
     with _naming("reward_range: "):
         low, high = values["reward_range"]
     reward_range = (_float(low, "reward_range"), _float(high, "reward_range"))
+    operator_params = _build("operator", OperatorParams, _section(values, "operator"))
+    gamma = operator_params.gamma
     models = []
     for i, spec in enumerate(values["modes"]):
         with _naming(f"modes[{i}]: "):
-            models.append(_build_mode(spec, i, n_states, n_actions, reward_range))
+            model = _build_mode(spec, i, n_states, n_actions, reward_range)
+        # |Q*| <= this bound, in Python floats, where an overflow reads inf
+        penalty = operator_params.lambda_epi * float(model.gamma_epi.max()) + operator_params.kappa
+        if not math.isfinite((float(np.abs(model.reward).max()) + gamma * penalty) / (1.0 - gamma)):
+            raise ConfigError(
+                f"modes[{i}] must have a finite fixed point: its bound "
+                "(max|R| + gamma * (lambda_epi * max G + kappa)) / (1 - gamma) overflows"
+            )
+        models.append(model)
     if schedule.max_mode_index >= len(models):
         raise ConfigError(
             f"schedule references mode {schedule.max_mode_index} but only "
@@ -346,7 +356,7 @@ def _resolve(values: dict) -> ExperimentConfig:
     return ExperimentConfig(
         models=tuple(models),
         schedule=schedule,
-        operator_params=_build("operator", OperatorParams, _section(values, "operator")),
+        operator_params=operator_params,
         bocd_params=_build("bocd", BOCDParams, _section(values, "bocd")),
         surprise_weights=_build("surprise", SurpriseWeights, _section(values, "surprise")),
         adaptive_template=_build("adaptive", AdaptiveState, adaptive),

@@ -16,10 +16,10 @@ chain runs alongside:
      snapshots taken before the application. It is one batched backup call
      per iteration over the iteration's regime estimate, on the stack of
      the noisy-ensemble members and the iterate: the members' images (plus
-     bounded noise) feed the ensemble spread of the next iteration, and the
-     iterate's image serves both the TD scale and this step, which
-     aggregates it (if a partition is set) and adds bounded noise drawn
-     like the ensemble's;
+     bounded noise, added in place on the stacked block) feed the ensemble
+     spread of the next iteration, and the iterate's image serves both the
+     TD scale and this step, which aggregates it (if a partition is set)
+     and adds bounded noise drawn like the ensemble's;
   6. the sup-norm error to the *true* active regime's fixed point is
      recorded.
 
@@ -30,7 +30,10 @@ Error rows are phase-labeled detection / contraction / steady; the labels
 are reporting conveniences, the certified quantities are the envelopes.
 
 Identical config and seed produce bit-identical traces: every random
-stream is derived from (seed, stream id, iteration [, member]).
+stream is derived from (seed, stream id, iteration [, member]). Ensemble
+members keep one stream each: one stream for the whole block fails
+certify's three-phase lambda_w gate, which reads single rows of this run
+(CHANGES.md, the FOUND entry on per-member noise Generators).
 """
 
 from __future__ import annotations
@@ -56,12 +59,10 @@ from ..bocd import (
     expected_run_length,
     joint_step,
 )
-from ..mdp import QFunction, sup_dist
 from ..operators import (
-    ModeBelief,
     add_bounded_noise,
-    apply_mixture_operator,
     error_floor,
+    mixture_backup,
     mode_fixed_point,
     project,
     projection_error,
@@ -126,23 +127,22 @@ class ExperimentTrace:
         return len(self.rows)
 
 
-def _greedy_rollout(model, q: QFunction, length: int, rng) -> np.ndarray:
+def _greedy_rollout(model, q: np.ndarray, length: int, rng) -> np.ndarray:
     """One-step rewards along a greedy trajectory through the true regime.
 
     Starts from state 0 every iteration so batch-to-batch reward variation
     reflects the regime (and kernel sampling), not start-state dispersion.
+    Steps are inverse-CDF draws (the arithmetic of ``rng.choice``) on the
+    normalized CDFs of every state's greedy row, one (S, S) cumsum per call,
+    with one uniform per transition from a single ``rng.random`` call.
     """
-    rewards = np.empty(length)
-    state = 0
-    greedy = np.argmax(q.values, axis=1)
-    for i in range(length):
-        action = int(greedy[state])
-        rewards[i] = model.reward[state, action]
-        # inverse-CDF draw, the arithmetic of rng.choice(n_states, p=row)
-        cdf = model.kernel[state, action].cumsum()
-        cdf /= cdf[-1]
-        state = int(cdf.searchsorted(rng.random(), side="right"))
-    return rewards
+    greedy = q.argmax(axis=1)
+    cdf = model.kernel[np.arange(len(greedy)), greedy].cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    path = np.zeros(length, dtype=np.intp)
+    for i, u in enumerate(rng.random(length - 1)):
+        path[i + 1] = cdf[path[i]].searchsorted(u, side="right")
+    return model.reward[path, greedy[path]]
 
 
 def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
@@ -171,9 +171,10 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     clusters = ClusterState.empty(joint_settings.n_clusters, 3)
     adaptive_state = config.adaptive_template
 
-    table_shape = (config.n_states, config.n_actions)
-    q = QFunction.zeros(*table_shape)
-    ensemble = np.zeros((config.n_ensemble, *table_shape))
+    point_masses = np.eye(len(models))  # row m: the weights of regime estimate m
+    # the ensemble members, then the iterate q, backed up together each iteration
+    stack = np.zeros((config.n_ensemble + 1, config.n_states, config.n_actions))
+    q = stack[-1]
 
     # Channel statistics: None until their first observation seeds them
     # (ema_update), and each channel reads its neutral value off that None.
@@ -185,7 +186,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     for t in range(schedule.total_iterations):
         true_mode = schedule.mode_at(t)
         # the detector's view of the schedule lags each switch by n_delta
-        est_belief = ModeBelief.point_mass(schedule.mode_at(max(t - n_delta, 0)), len(models))
+        est_weights = point_masses[schedule.mode_at(max(t - n_delta, 0))]
 
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
@@ -199,17 +200,11 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         reward_mean = ema_update(reward_mean, batch_mean, config.stat_ema_rate)
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
-        # one backup of the ensemble members and the iterate, stacked
-        images = apply_mixture_operator(
-            models, est_belief, params, np.concatenate([ensemble, q.values[None]])
-        )
-        # one noise stream per member: certify's canonical three-phase run, whose
-        # lambda_w gate reads single rows, is pinned to exactly these draws
-        ensemble = np.stack([
-            add_bounded_noise(images[k], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k))
-            for k in range(config.n_ensemble)
-        ])
-        sigma_q = float(ensemble.std(axis=0).mean())
+        stack = mixture_backup(models, est_weights, params, stack)
+        # one stream per member: certify's three-phase lambda_w gate is pinned to these draws
+        for k in range(config.n_ensemble):
+            stack[k] = add_bounded_noise(stack[k], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k))
+        sigma_q = float(stack[:-1].std(axis=0).mean())
         sigma_q_smooth = ema_update(sigma_q_smooth, sigma_q, _SIGMA_Q_SMOOTH)
         if sigma_q_baseline is None:
             q_std_ratio = 1.0
@@ -217,8 +212,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             q_std_ratio = sigma_q_smooth / (sigma_q_baseline + _TINY)
         sigma_q_baseline = ema_update(sigma_q_baseline, sigma_q_smooth, config.stat_ema_rate)
 
-        backed_up = QFunction(images[-1])
-        td_scale = sup_dist(backed_up, q)
+        backed_up = stack[-1]
+        td_scale = float(np.abs(backed_up - q).max())
         kappa_t = params.kappa + td_scale
         kappa_div = 0.0 if kappa_ema is None else abs(kappa_t - kappa_ema)
         kappa_ema = ema_update(kappa_ema, kappa_t, config.stat_ema_rate)
@@ -246,7 +241,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             step = backed_up if partition is None else project(backed_up, partition)
             q = add_bounded_noise(step, config.noise_sigma, (seed, _NOISE_STREAM, t))
 
-        err = sup_dist(q, q_stars[true_mode])
+        err = float(np.abs(q - q_stars[true_mode].values).max())
+        stack[-1] = q  # the next iteration backs up this ensemble and iterate
         steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)
         if in_detection:
             phase = "detection"

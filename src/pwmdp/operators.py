@@ -200,14 +200,16 @@ def _backup(
 
     Accumulates w_m * (R_m + gamma * (P_m V - lambda_epi * G_m - kappa)) with
     the weights taken as given, so the kappa term scales by sum(w). V is
-    computed once; each regime with nonzero weight costs one
-    (..., S) @ (S, S*A) product on a view of its kernel, and a regime at
-    weight zero costs nothing.
+    computed once, by exact maxima over the A action columns; each regime
+    with nonzero weight costs one (..., S) @ (S, S*A) product on a view of
+    its kernel, and a regime at weight zero costs nothing.
     """
     n_states = q.shape[-2]
     if q.shape[-2:] != models[0].reward.shape:
         raise ValueError(f"dimension mismatch: model {models[0].reward.shape} vs Q {q.shape}")
-    v = q.max(axis=-1)
+    v = q[..., 0].copy()
+    for a in range(1, q.shape[-1]):
+        np.maximum(v, q[..., a], out=v)
     out = None
     for w, model in zip(weights, models):
         if w == 0.0:
@@ -477,14 +479,19 @@ def add_bounded_noise(q: QFunction | np.ndarray, sigma: float, rng_seed) -> QFun
 
     Bounded (not Gaussian) noise matches the per-step hypothesis of the
     stochastic tracking bound. ``q`` is a QFunction (the result is one too)
-    or a (..., S, A) array of tables; at sigma 0 it is returned itself.
+    or a (..., S, A) array of tables; at sigma 0 it is returned itself. The
+    noise is uniform(-sigma, sigma)'s arithmetic, -sigma + 2 sigma u, in place.
     """
     if not (sigma >= 0.0 and math.isfinite(2.0 * sigma)):
         raise ValueError(f"sigma must be >= 0 with 2 * sigma finite, got {sigma}")
     if sigma == 0.0:
         return q
     values = _tables(q)
-    return _like(q, values + np.random.default_rng(rng_seed).uniform(-sigma, sigma, values.shape))
+    noise = np.random.default_rng(rng_seed).random(values.shape)
+    noise *= 2.0 * sigma
+    noise -= sigma
+    noise += values
+    return _like(q, noise)
 
 
 def apply_mixture_via_shared(

@@ -1,5 +1,6 @@
 """Tests for the certification runner's report plumbing."""
 
+import hashlib
 import json
 import math
 
@@ -17,7 +18,14 @@ from pwmdp.harness.certify import (
     report_to_json,
     run_certification,
     suite_contraction_certificate,
+    three_phase_config_dict,
 )
+from pwmdp.harness.config import config_from_dict
+from pwmdp.harness.experiment import run_piecewise
+from pwmdp.harness.io import trace_to_csv_text
+
+# sha256 of the canonical three-phase trace (CSV), whose lambda_w gate reads single rows
+CANONICAL_THREE_PHASE_SHA256 = "5f16b3f8b7f336f2490a8d567c6f28814253ceffdaf57eb824fe15745c221fb7"
 
 
 def test_suite_roster_covers_all_criteria():
@@ -121,3 +129,10 @@ def test_unfrozen_belief_exceeds_the_discount_in_both_factors():
     assert np.all(exact > 0.9 + 0.04) and np.all(sampled > 0.9 + 0.04)
     np.testing.assert_allclose(exact, 0.95, rtol=1e-15)
     np.testing.assert_allclose(sampled, 0.95, rtol=1e-12)
+
+
+def test_canonical_three_phase_trace_is_pinned():
+    # suite 9 certifies this run's rows, so any change to its random streams must show here
+    trace = run_piecewise(config_from_dict(three_phase_config_dict(0)))
+    digest = hashlib.sha256(trace_to_csv_text(trace).encode()).hexdigest()
+    assert digest == CANONICAL_THREE_PHASE_SHA256

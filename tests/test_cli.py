@@ -162,8 +162,13 @@ class TestPiecewiseCommand:
                 {"modes": [{"reward": [[1.0]]}]},
                 "config error: modes[0].kernel: missing",
             ),
+            (
+                {"modes": [{"seed": 1, "reward_shift": 1e307}], "schedule": [[0, 400]]},
+                "config error: modes[0] must have a finite fixed point: its bound "
+                "(max|R| + gamma * (lambda_epi * max G + kappa)) / (1 - gamma) overflows",
+            ),
         ],
-        ids=["overflowing_reward_shift", "missing_mode_kernel"],
+        ids=["overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point"],
     )
     def test_mode_error_is_one_line_naming_the_field(self, raw, message, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwmdp import apply_mode_operator, mode_fixed_point, sup_dist
+from pwmdp import apply_mode_operator, make_random_mode, mode_fixed_point, sup_dist
 from pwmdp.bocd import BOCDParams, RunLengthBelief, belief_entropy, bocd_step, expected_run_length
 from pwmdp.harness import (
     ConfigError,
@@ -23,6 +23,7 @@ from pwmdp.harness import (
     run_threshold_sweep,
 )
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
+from pwmdp.harness.experiment import _greedy_rollout
 from pwmdp.harness.io import (
     parse_trace_csv_text,
     parse_trace_json_text,
@@ -340,6 +341,30 @@ class TestRunPiecewise:
         a = trace_to_csv_text(run_piecewise(config))
         b = trace_to_csv_text(run_piecewise(config))
         assert a == b
+
+
+class TestGreedyRollout:
+    @staticmethod
+    def reference_rollout(model, q, length, rng):
+        """One row cumsum and divide, and one scalar draw, per step."""
+        rewards = np.empty(length)
+        state = 0
+        for i in range(length):
+            action = int(np.argmax(q[state]))
+            rewards[i] = model.reward[state, action]
+            cdf = model.kernel[state, action].cumsum()
+            cdf /= cdf[-1]
+            state = int(cdf.searchsorted(rng.random(), side="right"))
+        return rewards
+
+    @pytest.mark.parametrize("n_states, n_actions", [(6, 3), (50, 4)])
+    def test_matches_the_per_step_reference_loop(self, n_states, n_actions):
+        model = make_random_mode(9, n_states, n_actions)
+        for seed in range(5):
+            q = np.random.default_rng(seed).uniform(-1, 1, (n_states, n_actions))
+            got = _greedy_rollout(model, q, 64, np.random.default_rng((seed, 0, 3)))
+            expected = self.reference_rollout(model, q, 64, np.random.default_rng((seed, 0, 3)))
+            assert np.array_equal(got, expected)
 
 
 class TestTraceIO:

@@ -392,6 +392,22 @@ class TestBatchedBackup:
             for table, image in zip(stack, batch):
                 np.testing.assert_allclose(image, op(QFunction(table)).values, rtol=0.0, atol=1e-13)
 
+    def test_single_action_tables_back_up_like_the_state_value(self):
+        # with A = 1, V is the only column: no column pass runs
+        models, rng = random_mixture(52, 2, 5, 1)
+        params = OperatorParams(gamma=0.9, lambda_epi=0.05, kappa=0.2)
+        stack = rng.uniform(-5, 5, (3, 5, 1))
+        out = mixture_backup(models, np.array([0.4, 0.6]), params, stack)
+        for table, image in zip(stack, out):
+            expected = sum(
+                w * (m.reward + params.gamma * (m.kernel @ table[:, 0]
+                     - params.lambda_epi * m.gamma_epi - params.kappa))
+                for w, m in zip((0.4, 0.6), models)
+            )
+            np.testing.assert_allclose(image, expected, rtol=0.0, atol=1e-13)
+        single = apply_mode_operator(models[0], params, QFunction(stack[0]))
+        assert np.array_equal(single.values, apply_mode_operator(models[0], params, stack[:1])[0])
+
     def test_batch_input_validated(self):
         model = make_random_mode(0, 3, 2)
         params = OperatorParams(gamma=0.9)
@@ -600,6 +616,23 @@ class TestNoisyOperator:
         assert add_bounded_noise(tables, 0.0, 0) is tables
         q = QFunction(tables[0])
         assert add_bounded_noise(q, 0.0, 0) is q
+
+    @pytest.mark.parametrize(
+        "shape, sigma",
+        [((6, 3), 0.05), ((200, 8), 0.01), ((5, 6, 3), 0.3), ((6, 3), 8e307)],
+        ids=["table", "large_table", "batch", "widest_sigma"],
+    )
+    def test_bit_identical_to_uniform_draws(self, shape, sigma):
+        # the in-place scaling of rng.random is uniform(-sigma, sigma)'s own arithmetic
+        x = np.random.default_rng(8).uniform(-5, 5, shape)
+        for seed in (0, (3, 1, 4), (0, 1, 599, 9)):
+            expected = x + np.random.default_rng(seed).uniform(-sigma, sigma, shape)
+            assert np.array_equal(add_bounded_noise(x, sigma, seed), expected)
+        if len(shape) == 2:
+            assert np.array_equal(
+                add_bounded_noise(QFunction(x), sigma, 1).values,
+                x + np.random.default_rng(1).uniform(-sigma, sigma, shape),
+            )
 
 
 class TestSharedCritic:
