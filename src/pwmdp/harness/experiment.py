@@ -60,9 +60,10 @@ from ..bocd import (
     joint_step,
 )
 from ..operators import (
+    ModeBelief,
     add_bounded_noise,
+    apply_mixture_operator,
     error_floor,
-    mixture_backup,
     mode_fixed_point,
     project,
     projection_error,
@@ -132,16 +133,21 @@ def _greedy_rollout(model, q: np.ndarray, length: int, rng) -> np.ndarray:
 
     Starts from state 0 every iteration so batch-to-batch reward variation
     reflects the regime (and kernel sampling), not start-state dispersion.
-    Steps are inverse-CDF draws (the arithmetic of ``rng.choice``) on the
-    normalized CDFs of every state's greedy row, one (S, S) cumsum per call,
-    with one uniform per transition from a single ``rng.random`` call.
+    Each transition is an inverse-CDF draw (``rng.choice``'s arithmetic) on
+    one uniform of a single ``rng.random`` call; a state's normalized greedy
+    row CDF is built on its first visit, for every draw in one searchsorted.
     """
     greedy = q.argmax(axis=1)
-    cdf = model.kernel[np.arange(len(greedy)), greedy].cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    path = np.zeros(length, dtype=np.intp)
-    for i, u in enumerate(rng.random(length - 1)):
-        path[i + 1] = cdf[path[i]].searchsorted(u, side="right")
+    draws = rng.random(length - 1)
+    successors = {}  # state -> its successor under each draw
+    path = [0]
+    for i in range(length - 1):
+        state = path[-1]
+        if state not in successors:
+            cdf = model.kernel[state, greedy[state]].cumsum()
+            cdf /= cdf[-1]
+            successors[state] = cdf.searchsorted(draws, side="right").tolist()
+        path.append(successors[state][i])
     return model.reward[path, greedy[path]]
 
 
@@ -171,7 +177,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     clusters = ClusterState.empty(joint_settings.n_clusters, 3)
     adaptive_state = config.adaptive_template
 
-    point_masses = np.eye(len(models))  # row m: the weights of regime estimate m
+    point_masses = [ModeBelief.point_mass(m, len(models)) for m in range(len(models))]
     # the ensemble members, then the iterate q, backed up together each iteration
     stack = np.zeros((config.n_ensemble + 1, config.n_states, config.n_actions))
     q = stack[-1]
@@ -186,7 +192,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     for t in range(schedule.total_iterations):
         true_mode = schedule.mode_at(t)
         # the detector's view of the schedule lags each switch by n_delta
-        est_weights = point_masses[schedule.mode_at(max(t - n_delta, 0))]
+        est_belief = point_masses[schedule.mode_at(max(t - n_delta, 0))]
 
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
@@ -200,7 +206,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         reward_mean = ema_update(reward_mean, batch_mean, config.stat_ema_rate)
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
-        stack = mixture_backup(models, est_weights, params, stack)
+        stack = apply_mixture_operator(models, est_belief, params, stack)
         # one stream per member: certify's three-phase lambda_w gate is pinned to these draws
         for k in range(config.n_ensemble):
             stack[k] = add_bounded_noise(stack[k], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k))
