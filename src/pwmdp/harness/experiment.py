@@ -33,7 +33,7 @@ Identical config and seed produce bit-identical traces: every random
 stream is derived from (seed, stream id, iteration [, member]). Ensemble
 members keep one stream each: one stream for the whole block fails
 certify's three-phase lambda_w gate, which reads single rows of this run
-(CHANGES.md, the FOUND entry on per-member noise Generators).
+(CHANGES.md, the FOUND entry on ``suite_piecewise_three_phase``).
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
         stack = apply_mixture_operator(models, est_belief, params, stack)
-        # one stream per member: certify's three-phase lambda_w gate is pinned to these draws
+        # one stream per member: one for the block fails certify's three-phase
+        # lambda_w gate (CHANGES.md, the FOUND entry on suite_piecewise_three_phase)
         for k in range(config.n_ensemble):
             stack[k] = add_bounded_noise(stack[k], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k))
         sigma_q = float(stack[:-1].std(axis=0).mean())
