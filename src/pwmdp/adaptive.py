@@ -4,7 +4,11 @@ A scalar surprise fuses three normalized anomaly channels (reward z-score,
 ensemble Q-std ratio, penalty-trace divergence) and is clipped for
 stability. The detector's expected run-length, normalized and baselined
 against its own EMA, yields a non-negative penalty ``lambda_w`` that is
-zero during stable operation and spikes after detected changes. The
+zero during stable operation and spikes after detected changes. Only a
+rise above a K-sigma control limit counts, ``raw > baseline + K s`` with
+``s`` the EMA deviation of raw from its baseline (:data:`K`; Page's
+control limits, Biometrika 1954, applied to the Adams-MacKay run-length
+posterior), so the ordinary jitter of a steady segment reads zero. The
 penalty lowers the LCB coefficient ``beta_eff = beta_base - lambda_w *
 c_penalty``, so surprise can only make action scoring more conservative,
 never less.
@@ -20,6 +24,7 @@ here are freely shareable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +40,10 @@ __all__ = [
     "lcb_score",
     "update_surprise_ema",
 ]
+
+# Control-limit width: lambda_w counts only the part of a rise of the
+# normalized run-length above K EMA deviations of its baseline.
+K = 2.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,10 @@ class AdaptiveState:
 
     ema_baseline is None until the first observation: it is seeded with the
     first raw value (see :func:`ema_update`) so startup produces no spurious
-    penalty. The baseline updates *after* the penalty is extracted, so a
-    fresh spike is measured against the pre-spike baseline.
+    penalty. ema_sq_deviation, the EMA of (raw - baseline)**2, is None until
+    the first observation that has a baseline, which seeds it. Both update
+    *after* the penalty is extracted, so a fresh spike is measured against
+    the pre-spike baseline and spread.
     """
 
     beta_base: float = -2.0
@@ -93,6 +104,7 @@ class AdaptiveState:
     surprise_ema_rate: float = 0.3
     ema_baseline: float | None = None
     surprise_ema: float | None = None
+    ema_sq_deviation: float | None = None
 
     def __post_init__(self):
         if self.c_penalty < 0.0:
@@ -103,6 +115,8 @@ class AdaptiveState:
                 raise ValueError(f"{name} must lie in (0, 1), got {r}")
         if self.ema_baseline is not None and not 0.0 <= self.ema_baseline <= 1.0:
             raise ValueError(f"ema_baseline must lie in [0, 1], got {self.ema_baseline}")
+        if self.ema_sq_deviation is not None and not 0.0 <= self.ema_sq_deviation <= 1.0:
+            raise ValueError(f"ema_sq_deviation must lie in [0, 1], got {self.ema_sq_deviation}")
 
 
 def surprise(inputs: SurpriseInputs, weights: SurpriseWeights) -> float:
@@ -129,11 +143,14 @@ def ema_update(prev: float | None, x: float, rate: float) -> float:
 
 
 def lambda_w(h_bar: float, h_max: int, state: AdaptiveState) -> tuple[float, AdaptiveState]:
-    """Penalty from the expected run-length, baselined against its EMA.
+    """Penalty from the expected run-length, above a K-sigma control limit.
 
-    raw = h_bar / (h_max - 1); the penalty is the positive part of
-    raw - baseline (zero before the first observation), and the baseline then
-    absorbs raw at ``baseline_ema_rate``.
+    raw = h_bar / (h_max - 1) and d = raw - baseline; the penalty is
+    max(0, d - K s), where s is the square root of the EMA of d**2 (zero
+    before that EMA is seeded), and zero before the first observation. The
+    baseline then absorbs raw, and the EMA d**2, both at
+    ``baseline_ema_rate``: steady jitter of size s reads zero, a rise well
+    above K s reads at once.
     Returns (penalty, updated state).
     """
     if h_max < 2:
@@ -141,9 +158,15 @@ def lambda_w(h_bar: float, h_max: int, state: AdaptiveState) -> tuple[float, Ada
     if not 0.0 <= h_bar <= h_max - 1:
         raise ValueError(f"h_bar {h_bar} outside [0, {h_max - 1}]")
     raw = h_bar / (h_max - 1)
-    lam = 0.0 if state.ema_baseline is None else max(0.0, raw - state.ema_baseline)
-    baseline = ema_update(state.ema_baseline, raw, state.baseline_ema_rate)
-    return lam, replace(state, ema_baseline=baseline)
+    rate = state.baseline_ema_rate
+    baseline = ema_update(state.ema_baseline, raw, rate)
+    if state.ema_baseline is None:
+        return 0.0, replace(state, ema_baseline=baseline)
+    deviation = raw - state.ema_baseline
+    spread = 0.0 if state.ema_sq_deviation is None else math.sqrt(state.ema_sq_deviation)
+    lam = max(0.0, deviation - K * spread)
+    sq_deviation = ema_update(state.ema_sq_deviation, deviation * deviation, rate)
+    return lam, replace(state, ema_baseline=baseline, ema_sq_deviation=sq_deviation)
 
 
 def beta_eff(state: AdaptiveState, lam: float) -> float:

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 configuration or argument error, 2 certification
 failure, 3 I/O error, 4 numerical failure at run time (a fixed point whose
 residual is not below its tolerance; the log-domain change detector has no
 such failure).
-Every error prints one line to stderr.
+Every error prints one line to stderr, and so does every warning (such as
+a config's MetastabilityWarning), as ``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,20 +216,27 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one stderr line, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except ValueError as exc:  # ConfigError included
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except RuntimeError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with warnings.catch_warnings():  # restores showwarning on exit
+        warnings.showwarning = _print_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except ValueError as exc:  # ConfigError included
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except RuntimeError as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

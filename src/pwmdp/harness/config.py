@@ -96,7 +96,9 @@ FIELDS: dict[str, Field] = {
     "rollout_len": Field(int, 32, lambda v: v >= 1, "must be >= 1"),
     "stat_ema_rate": Field(float, 0.95, lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "separability": Field(float, 2.0, lambda v: v > 1, "must be > 1"),
-    "delta": Field(float, 0.05, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    # the detection delay reads log(1 / delta)
+    "delta": Field(float, 0.05, lambda v: 0 < v < 1 and math.isfinite(1.0 / v),
+                   "must lie in (0, 1) with 1 / delta finite"),
     "detection_policy": Field(
         str, "stale", lambda v: v in ("stale", "hold"), "must be 'stale' or 'hold'"
     ),

@@ -30,10 +30,11 @@ Error rows are phase-labeled detection / contraction / steady; the labels
 are reporting conveniences, the certified quantities are the envelopes.
 
 Identical config and seed produce bit-identical traces: every random
-stream is derived from (seed, stream id, iteration [, member]). Ensemble
-members keep one stream each: one stream for the whole block fails
-certify's three-phase lambda_w gate, which reads single rows of this run
-(CHANGES.md, the FOUND entry on ``suite_piecewise_three_phase``).
+stream is derived from (seed, stream id, iteration). There are three per
+iteration: the rollout, the ensemble noise (one Generator draws the whole
+(n_ensemble, S, A) block) and the iterate's noise. The ensemble feeds only
+the surprise chain, never the iterate, so the ``err`` and ``phase``
+columns do not depend on how its noise is drawn.
 """
 
 from __future__ import annotations
@@ -207,10 +208,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
         stack = apply_mixture_operator(models, est_belief, params, stack)
-        # one stream per member: one for the block fails certify's three-phase
-        # lambda_w gate (CHANGES.md, the FOUND entry on suite_piecewise_three_phase)
-        for k in range(config.n_ensemble):
-            stack[k] = add_bounded_noise(stack[k], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t, k))
+        # one stream draws the members' whole (n_ensemble, S, A) noise block
+        stack[:-1] = add_bounded_noise(stack[:-1], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t))
         sigma_q = float(stack[:-1].std(axis=0).mean())
         sigma_q_smooth = ema_update(sigma_q_smooth, sigma_q, _SIGMA_Q_SMOOTH)
         if sigma_q_baseline is None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pwmdp import adaptive
 from pwmdp import (
     AdaptiveState,
     BOCDParams,
@@ -133,7 +134,39 @@ class TestLambdaW:
             lam, state = lambda_w(float(rng.uniform(0, 19)), 20, state)
             assert lam >= 0.0
 
+    def test_first_observation_gives_zero_and_leaves_the_spread_unseeded(self):
+        lam, updated = lambda_w(0.0, 20, AdaptiveState())
+        assert lam == 0.0
+        assert updated.ema_sq_deviation is None
+        lam, updated = lambda_w(0.5 * 19, 20, updated)
+        assert lam == pytest.approx(0.5, abs=1e-12)  # s is 0 until seeded
+        assert updated.ema_sq_deviation == pytest.approx(0.25, abs=1e-12)
+
+    def test_steady_jitter_reads_zero_once_the_spread_is_seeded(self):
+        # raw alternates 0.02 above and below the baseline; the first rise
+        # meets an unseeded spread, every later one stays inside K s
+        state = AdaptiveState(ema_baseline=0.5)
+        lams = []
+        for t in range(500):
+            lam, state = lambda_w((0.52 if t % 2 == 0 else 0.48) * 19, 20, state)
+            lams.append(lam)
+        assert lams[0] == pytest.approx(0.02, abs=1e-12)
+        assert all(lam == 0.0 for lam in lams[1:])
+
+    def test_step_rise_above_the_control_limit_reads_at_once(self):
+        state = AdaptiveState(ema_baseline=0.5, ema_sq_deviation=0.01**2)
+        lam, updated = lambda_w(0.8 * 19, 20, state)
+        assert lam == pytest.approx(0.3 - adaptive.K * 0.01, abs=1e-12)
+        assert updated.ema_sq_deviation == pytest.approx(0.95 * 0.01**2 + 0.05 * 0.3**2)
+
+    def test_rise_within_the_control_limit_reads_zero(self):
+        state = AdaptiveState(ema_baseline=0.5, ema_sq_deviation=0.05**2)
+        lam, _ = lambda_w((0.5 + adaptive.K * 0.05) * 19, 20, state)
+        assert lam == 0.0
+
     def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            AdaptiveState(ema_sq_deviation=-1.0)
         with pytest.raises(ValueError):
             lambda_w(25.0, 20, AdaptiveState())
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from pwmdp.harness.certify import (
     SuiteResult,
     _contraction_factors,
     _gated,
+    lambda_w_gates_hold,
     report_to_json,
     run_certification,
     suite_contraction_certificate,
@@ -25,7 +26,10 @@ from pwmdp.harness.experiment import run_piecewise
 from pwmdp.harness.io import trace_to_csv_text
 
 # sha256 of the canonical three-phase trace (CSV), whose lambda_w gate reads single rows
-CANONICAL_THREE_PHASE_SHA256 = "5f16b3f8b7f336f2490a8d567c6f28814253ceffdaf57eb824fe15745c221fb7"
+CANONICAL_THREE_PHASE_SHA256 = "dbfa622aba9918900754ce38caf9aa350f90267086e5a41b429e9b83ac1b3d7b"
+# sha256 of its err and phase columns alone ("{err!r},{phase}" per row): the
+# ensemble noise never reaches the iterate, so how it is drawn cannot move them
+CANONICAL_ERR_PHASE_SHA256 = "b91591bd6b650ce07c1d1f4b847dcde6e4f0f708abdc78411784624fc69603f5"
 
 
 def test_suite_roster_covers_all_criteria():
@@ -136,3 +140,16 @@ def test_canonical_three_phase_trace_is_pinned():
     trace = run_piecewise(config_from_dict(three_phase_config_dict(0)))
     digest = hashlib.sha256(trace_to_csv_text(trace).encode()).hexdigest()
     assert digest == CANONICAL_THREE_PHASE_SHA256
+
+
+def test_canonical_err_and_phase_columns_are_pinned():
+    trace = run_piecewise(config_from_dict(three_phase_config_dict(0)))
+    columns = "".join(f"{row.err!r},{row.phase}\n" for row in trace.rows)
+    assert hashlib.sha256(columns.encode()).hexdigest() == CANONICAL_ERR_PHASE_SHA256
+
+
+@pytest.mark.parametrize("stream_seed", range(20))
+def test_lambda_w_gates_hold_on_every_stream_seed(stream_seed):
+    # suite 9 gates one pinned stream; the relaxation must not depend on the draw
+    config = config_from_dict(three_phase_config_dict(stream_seed))
+    assert lambda_w_gates_hold(config, run_piecewise(config).rows)

@@ -128,6 +128,7 @@ class TestPiecewiseCommand:
             {"reward_range": [1]},
             {"modes": [{"seed": -1}]},
             {"modes": [{"reward": [[1.0]]}]},  # explicit-table mode without its kernel
+            {"delta": 1e-320},  # 1 / delta overflows, so would the detection delay
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
@@ -138,7 +139,7 @@ class TestPiecewiseCommand:
             "null_str", "list_str",
             "adaptive_range", "operator_range", "bocd_range", "surprise_range",
             "scalar_schedule", "short_segment", "short_reward_range", "negative_mode_seed",
-            "missing_mode_kernel",
+            "missing_mode_kernel", "subnormal_delta",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
@@ -176,6 +177,27 @@ class TestPiecewiseCommand:
         result = run_cli("piecewise", "--config", str(bad), "--out", str(tmp_path / "x"))
         assert result.returncode == 1
         assert result.stderr.strip().splitlines() == [message]
+
+    def test_subnormal_delta_is_one_line_naming_delta(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"delta": 1e-320}))
+        result = run_cli("piecewise", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            "config error: delta must lie in (0, 1) with 1 / delta finite, got 1e-320"
+        ]
+
+    def test_metastability_warning_is_one_line_per_short_segment(self, tmp_path):
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"schedule": [[0, 20], [1, 20], [0, 200]]}))
+        result = run_cli("piecewise", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert [line.split(" dwells")[0] for line in lines] == [
+            "warning: segment 0 (mode 0)",
+            "warning: segment 1 (mode 1)",
+        ]
+        assert not any(".py" in line for line in lines)  # no source location
 
     def test_clip_max_with_overflowing_square_exits_1_before_any_trace(self, tmp_path):
         # the fused surprise can reach clip_max, whose square the detector needs finite
