@@ -1,5 +1,8 @@
 """CLI surface tests: subcommands, outputs, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import re
@@ -11,9 +14,20 @@ from pathlib import Path
 import pytest
 
 from pwmdp.harness import read_trace
-from pwmdp.harness.cli import build_parser
+from pwmdp.harness.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "pwmdp"]
+
+# sha256 of the files written at default sizes; a faster path must write the same bytes
+PHASE_MAP_SHA256 = "047c8d53822c880bd5757c74e537aa8166b86d4d74f80b7385a25cada6cc86ef"
+CONTEXT_MAP_SHA256 = "3f12921064ffbc3e86338913fb534a28efaba2bb271e8c56d8cbbc902133ecaf"
+
+
+def written_sha256(argv, out: Path, name: str) -> str:
+    """Run the CLI in process with ``--out out`` and hash the file it wrote."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out)]) == 0
+    return hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
 def run_cli(*args, cwd=None):
@@ -269,6 +283,10 @@ class TestThresholdSweepCommand:
         assert "matches analytic line: True" in result.stdout
 
 
+    def test_default_phase_map_is_pinned(self, tmp_path):
+        digest = written_sha256(["threshold-sweep"], tmp_path, "phase_map.json")
+        assert digest == PHASE_MAP_SHA256
+
     def test_bad_grid_size_exits_1(self, tmp_path):
         result = run_cli("threshold-sweep", "--out", str(tmp_path / "s"), "--n-gamma", "0")
         assert result.returncode == 1
@@ -305,6 +323,10 @@ class TestDemoCommand:
         payload = json.loads((out / "context_map.json").read_text())
         assert payload["mode_mean_distance"] >= 0.5
         assert len(payload["weights"]) == 2
+
+    def test_default_context_map_is_pinned(self, tmp_path):
+        digest = written_sha256(["rmdm-demo"], tmp_path, "context_map.json")
+        assert digest == CONTEXT_MAP_SHA256
 
     def test_negative_steps_exit_1(self, tmp_path):
         result = run_cli("rmdm-demo", "--out", str(tmp_path / "d"), "--steps", "-1")
