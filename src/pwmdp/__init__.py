@@ -34,7 +34,6 @@ from .bocd import (
     detection_delay,
     expected_run_length,
     joint_step,
-    likelihood_vector,
     log_likelihood_vector,
     posterior_ratio,
 )

@@ -44,7 +44,6 @@ __all__ = [
     "ClusterState",
     "DegenerateBeliefError",
     "log_likelihood_vector",
-    "likelihood_vector",
     "bocd_step",
     "expected_run_length",
     "belief_entropy",
@@ -214,11 +213,6 @@ def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndar
         return -xi_sq / two_var - log_norm
 
 
-def likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
-    """Gaussian density of ``xi`` at every run-length bin: exp of the log vector."""
-    return np.exp(log_likelihood_vector(xi, params))
-
-
 def _batch(belief, belief_type: type, params: BOCDParams | None) -> np.ndarray:
     """(B, h_max, ...) probabilities of a belief object (B = 1) or of an array batch.
 
@@ -315,16 +309,25 @@ def bocd_step(
     return RunLengthBelief(out[0]) if isinstance(belief, RunLengthBelief) else out
 
 
+def _mean_run_length(rho: np.ndarray) -> float:
+    """Mean sum_h h * rho(h) of a run-length vector."""
+    return float(np.dot(np.arange(rho.size), rho))
+
+
+def _entropy(rho: np.ndarray) -> float:
+    """Shannon entropy -sum rho log rho (nats) of a run-length vector, with 0 log 0 = 0."""
+    terms = np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
+    return float(-terms.sum())
+
+
 def expected_run_length(belief: RunLengthBelief) -> float:
     """Posterior mean run-length sum_h h * rho(h)."""
-    return float(np.dot(np.arange(belief.h_max), belief.probs))
+    return _mean_run_length(belief.probs)
 
 
 def belief_entropy(belief: RunLengthBelief) -> float:
     """Shannon entropy -sum rho log rho (nats), with 0 log 0 = 0."""
-    p = belief.probs
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(-terms.sum())
+    return _entropy(belief.probs)
 
 
 def bayes_update(
@@ -400,14 +403,24 @@ def cluster_assign(signal: np.ndarray, clusters: ClusterState) -> tuple[int, Clu
         raise ValueError(
             f"signal shape {signal.shape} does not match centroid dim {clusters.signal_dim}"
         )
-    dists = np.linalg.norm(clusters.centroids - signal, axis=1)
-    idx = int(np.argmin(dists))
     centroids = clusters.centroids.copy()
     counts = clusters.counts.copy()
+    idx = _assign(signal, centroids, counts)
+    return idx, ClusterState(centroids, counts)
+
+
+def _assign(signal: np.ndarray, centroids: np.ndarray, counts: np.ndarray) -> int:
+    """:func:`cluster_assign` on plain arrays: the winner's index; its row updates in place.
+
+    Raises ValueError where a non-finite signal leaves the winning centroid non-finite.
+    """
+    idx = int(np.argmin(np.linalg.norm(centroids - signal, axis=1)))
     n = counts[idx]
     centroids[idx] = centroids[idx] + (signal - centroids[idx]) / (n + 1)
     counts[idx] = n + 1
-    return idx, ClusterState(centroids, counts)
+    if not np.isfinite(centroids[idx]).all():
+        raise ValueError("centroids contain non-finite entries")
+    return idx
 
 
 def joint_step(

@@ -11,6 +11,7 @@ the loss behavior, not a performance model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,13 +93,73 @@ class EmbeddingBatch:
 
     def mode_means(self) -> np.ndarray:
         """Per-regime mean embeddings, ordered by ascending mode id."""
-        return np.stack([self.vectors[self.mode_ids == m].mean(axis=0) for m in self.modes()])
+        return _mode_means(self.vectors, _groups(self.mode_ids))
 
 
 class ContextLoss(NamedTuple):
     total: float
     consistency: float
     diversity: float
+
+
+# The losses are computed once, on a (K, n, d_e) stack of K embedding sets that
+# share their regime labels; the public functions below are the K = 1 case.
+
+def _groups(mode_ids: np.ndarray) -> list[np.ndarray]:
+    """Sample indices of the regimes, by ascending mode id."""
+    return [np.flatnonzero(mode_ids == m) for m in np.unique(mode_ids)]
+
+
+def _members(vectors: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The (..., n_m, d_e) embeddings of one regime, as a C-ordered copy.
+
+    numpy's sum order over the sample axis follows the memory layout, so a
+    fixed layout makes each set's statistics independent of the stack size.
+    """
+    return np.take(vectors, group, axis=-2)
+
+
+def _mode_means(vectors: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """(..., M, d_e) per-regime means of (..., n, d_e) embeddings."""
+    return np.stack([_members(vectors, g).mean(axis=-2) for g in groups], axis=-2)
+
+
+def _consistency(
+    vectors: np.ndarray, groups: list[np.ndarray], eps: float, per_dimension: bool
+) -> np.ndarray:
+    """(K,) consistency losses of a (K, n, d_e) stack: see :func:`consistency_loss`."""
+    terms = []
+    for g in groups:
+        var = _members(vectors, g).var(axis=1)  # population variance per dimension
+        terms.append(np.sqrt(var + eps).mean(axis=1) if per_dimension else np.sqrt(var.sum(axis=1) + eps))
+    return np.stack(terms, axis=1).mean(axis=1)
+
+
+def _diversity(mode_means: np.ndarray, r_rbf: float, eps: float) -> np.ndarray:
+    """(K,) diversity losses of a (K, M, d_e) stack of regime means: see :func:`diversity_loss`."""
+    diff = mode_means[:, :, None, :] - mode_means[:, None, :, :]
+    sq = np.einsum("bijk,bijk->bij", diff, diff)
+    kernel = np.exp(-r_rbf * sq) + eps * np.eye(mode_means.shape[1])
+    chol = np.linalg.cholesky(kernel)
+    return -(2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
+
+
+def _context_losses(
+    vectors: np.ndarray, groups: list[np.ndarray], config: "ContextLossConfig"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K,) totals, consistency and diversity losses of a (K, n, d_e) stack."""
+    cons = _consistency(vectors, groups, config.eps, config.per_dimension)
+    div = _diversity(_mode_means(vectors, groups), config.r_rbf, config.eps)
+    return config.w_cons * cons + config.w_div * div, cons, div
+
+
+def _checked_groups(batch: EmbeddingBatch) -> list[np.ndarray]:
+    """The batch's regime masks; every regime needs at least two samples."""
+    groups = _groups(batch.mode_ids)
+    for m, g in zip(batch.modes(), groups):
+        if g.size < 2:
+            raise ValueError(f"mode {m} has {g.size} sample(s); need >= 2")
+    return groups
 
 
 def consistency_loss(
@@ -114,17 +175,7 @@ def consistency_loss(
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    terms = []
-    for m in batch.modes():
-        group = batch.vectors[batch.mode_ids == m]
-        if group.shape[0] < 2:
-            raise ValueError(f"mode {m} has {group.shape[0]} sample(s); need >= 2")
-        var = group.var(axis=0)  # population variance per dimension
-        if per_dimension:
-            terms.append(float(np.mean(np.sqrt(var + eps))))
-        else:
-            terms.append(float(np.sqrt(var.sum() + eps)))
-    return float(np.mean(terms))
+    return float(_consistency(batch.vectors[None], _checked_groups(batch), eps, per_dimension)[0])
 
 
 def diversity_loss(mode_means: np.ndarray, r_rbf: float = 2.0, eps: float = 1e-6) -> float:
@@ -142,26 +193,23 @@ def diversity_loss(mode_means: np.ndarray, r_rbf: float = 2.0, eps: float = 1e-6
         raise ValueError("mode_means contain non-finite entries")
     if r_rbf <= 0.0 or eps <= 0.0:
         raise ValueError("r_rbf and eps must be > 0")
-    diff = mode_means[:, None, :] - mode_means[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    kernel = np.exp(-r_rbf * sq) + eps * np.eye(mode_means.shape[0])
-    chol = np.linalg.cholesky(kernel)
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    return -log_det
+    return float(_diversity(mode_means[None], r_rbf, eps)[0])
 
 
 def context_loss(batch: EmbeddingBatch, config: ContextLossConfig) -> ContextLoss:
     """Weighted combination of consistency and diversity over a batch."""
-    l_cons = consistency_loss(batch, eps=config.eps, per_dimension=config.per_dimension)
-    l_div = diversity_loss(batch.mode_means(), r_rbf=config.r_rbf, eps=config.eps)
-    total = config.w_cons * l_cons + config.w_div * l_div
-    return ContextLoss(total, l_cons, l_div)
+    losses = _context_losses(batch.vectors[None], _checked_groups(batch), config)
+    return ContextLoss(*(float(loss[0]) for loss in losses))
 
 
 def encode(weights: np.ndarray, states: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Linear embeddings of ``states``, each soft-normalized as raw / (||raw|| + eps)."""
-    raw = states @ weights.T
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    """Linear embeddings of ``states``, each soft-normalized as raw / (||raw|| + eps).
+
+    ``weights`` is one (d_e, d_s) map or a (K, d_e, d_s) stack of maps, which
+    gives a (K, n, d_e) stack of embedding sets.
+    """
+    raw = states @ np.swapaxes(weights, -1, -2)
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw / (norms + eps)
 
 
@@ -175,10 +223,12 @@ def fit_linear_context(
     """Fit a linear state->embedding map by minimizing the context loss.
 
     Plain gradient descent with central finite-difference gradients
-    (step ``FD_STEP``) on the weight matrix (d_e, state_dim). Returns the
-    weights with the lowest loss observed anywhere along the descent, so
-    the result is never worse than the initialization. Deterministic given
-    ``seed``. Raises if the loss goes non-finite.
+    (step ``FD_STEP``) on the weight matrix (d_e, state_dim). Each step
+    evaluates the loss of the current weights and of all 2 * d_e * d_s
+    perturbed copies as one (1 + 2 d_e d_s)-map stack. Returns the weights
+    with the lowest loss observed anywhere along the descent, so the result
+    is never worse than the initialization. Deterministic given ``seed``.
+    Raises if the loss goes non-finite.
     """
     states, mode_ids = data
     states = np.asarray(states, dtype=float)
@@ -193,31 +243,35 @@ def fit_linear_context(
         raise ValueError(f"every mode needs >= 2 samples; modes {small.tolist()} are short")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    groups = _groups(mode_ids)
 
-    def loss_of(w: np.ndarray) -> float:
-        batch = EmbeddingBatch(encode(w, states), mode_ids)
-        value = context_loss(batch, config).total
-        if not np.isfinite(value):
+    def losses_of(w: np.ndarray) -> np.ndarray:
+        values = _context_losses(encode(w, states), groups, config)[0]
+        if not np.isfinite(values).all():
             raise FloatingPointError(
                 f"context loss became non-finite during descent (weights max "
                 f"{np.abs(w).max():g})"
             )
-        return value
+        return values
 
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 1.0, size=(config.d_e, states.shape[1]))
-    best_w, best_loss = weights.copy(), loss_of(weights)
-    for _ in range(steps):
-        grad = np.empty_like(weights)
-        for i in range(weights.shape[0]):
-            for j in range(weights.shape[1]):
-                w_plus = weights.copy()
-                w_minus = weights.copy()
-                w_plus[i, j] += FD_STEP
-                w_minus[i, j] -= FD_STEP
-                grad[i, j] = (loss_of(w_plus) - loss_of(w_minus)) / (2.0 * FD_STEP)
-        weights = weights - lr * grad
-        value = loss_of(weights)
-        if value < best_loss:
-            best_w, best_loss = weights.copy(), value
+    n = weights.size
+    entry = np.arange(n)
+    best_w, best_loss = weights, math.inf
+    for step in range(steps + 1):
+        if step == steps:  # the last weights need their loss only
+            probes = weights[None]
+        else:
+            # probe 0 is the weights; probes 1 + k and 1 + n + k move entry k by +/- FD_STEP
+            probes = np.repeat(weights[None], 1 + 2 * n, axis=0)
+            flat = probes.reshape(1 + 2 * n, n)
+            flat[1 + entry, entry] += FD_STEP
+            flat[1 + n + entry, entry] -= FD_STEP
+        losses = losses_of(probes)
+        if losses[0] < best_loss:
+            best_w, best_loss = weights, losses[0]
+        if step < steps:
+            grad = ((losses[1 : 1 + n] - losses[1 + n :]) / (2.0 * FD_STEP)).reshape(weights.shape)
+            weights = weights - lr * grad
     return best_w

@@ -49,7 +49,7 @@ from ..context import (
     encode,
     fit_linear_context,
 )
-from ..mdp import ModeModel, OperatorParams, QFunction, check_simplex, make_random_mode, sup_dist
+from ..mdp import ModeModel, OperatorParams, QFunction, _draw_mode_tables, check_simplex, make_random_mode, sup_dist
 from ..operators import (
     CoupledOperatorParams,
     ModeBelief,
@@ -203,32 +203,45 @@ def suite_contraction_certificate(seed: int, mutation: str | None = None) -> Sui
 # --- suite 2: Blackwell identities plus the unnormalized-weights negative test ---
 
 def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteResult:
+    """Monotonicity and discounting of the mixture backup on random instances.
+
+    The instances' shapes and parameters are drawn as arrays, then each
+    (S, A, M) group's tables and beliefs in one block; each instance backs
+    up the stack [q1, q2 >= q1, q1 + c] with one real ``mixture_backup``.
+    """
     tol = 1e-12
     n_instances = 1000
     rng = np.random.default_rng((seed, 102))
     scale = 0.9 if mutation == "unnormalized_belief" else 1.0
+    shapes = np.column_stack([
+        rng.integers(2, 7, n_instances),  # n_states
+        rng.integers(1, 4, n_instances),  # n_actions
+        rng.integers(1, 5, n_instances),  # n_modes
+    ])
+    gammas = rng.uniform(0.0, 0.99, n_instances)
+    lambda_epis = rng.uniform(0.0, 0.1, n_instances)
+    kappas = rng.uniform(0.0, 0.5, n_instances)
+    shifts = rng.uniform(-5.0, 5.0, n_instances)
     max_violation = 0.0
-    for _ in range(n_instances):
-        n_states = int(rng.integers(2, 7))
-        n_actions = int(rng.integers(1, 4))
-        n_modes = int(rng.integers(1, 5))
-        gamma = float(rng.uniform(0.0, 0.99))
-        params = OperatorParams(
-            gamma=gamma,
-            lambda_epi=float(rng.uniform(0.0, 0.1)),
-            kappa=float(rng.uniform(0.0, 0.5)),
-        )
-        models = _random_models(rng, n_modes, n_states, n_actions)
-        weights = _random_belief(rng, n_modes).weights * scale
-        q1 = QFunction(rng.uniform(-5.0, 5.0, (n_states, n_actions)))
-        q2 = QFunction(q1.values + rng.uniform(0.0, 3.0, (n_states, n_actions)))
-        t1 = mixture_backup(models, weights, params, q1)
-        t2 = mixture_backup(models, weights, params, q2)
-        mono_violation = float(np.max(t1.values - t2.values))
-        c = float(rng.uniform(-5.0, 5.0))
-        tc = mixture_backup(models, weights, params, QFunction(q1.values + c))
-        disc_violation = float(np.max(np.abs(tc.values - (t1.values + gamma * c))))
-        max_violation = max(max_violation, mono_violation, disc_violation)
+    for n_states, n_actions, n_modes in np.unique(shapes, axis=0).tolist():
+        members = np.flatnonzero((shapes == (n_states, n_actions, n_modes)).all(axis=1))
+        k = members.size
+        rewards, kernels, penalties = _draw_mode_tables(rng, (k, n_modes), n_states, n_actions)
+        beliefs = rng.dirichlet(np.ones(n_modes), k)
+        beliefs /= beliefs.sum(axis=1, keepdims=True)
+        check_simplex(beliefs, "belief", batched=True)
+        q1 = rng.uniform(-5.0, 5.0, (k, n_states, n_actions))
+        q2 = q1 + rng.uniform(0.0, 3.0, (k, n_states, n_actions))
+        for i, case in enumerate(members):
+            gamma, c = gammas[case], shifts[case]
+            params = OperatorParams(gamma, lambda_epis[case], kappas[case])
+            models = [ModeModel(*tables) for tables in zip(rewards[i], kernels[i], penalties[i])]
+            t1, t2, tc = mixture_backup(
+                models, beliefs[i] * scale, params, np.stack([q1[i], q2[i], q1[i] + c])
+            )
+            mono_violation = float(np.max(t1 - t2))
+            disc_violation = float(np.max(np.abs(tc - (t1 + gamma * c))))
+            max_violation = max(max_violation, mono_violation, disc_violation)
     # negative test: scaling the weights to sum 0.9 must break discounting
     neg_rng = np.random.default_rng((seed, 1021))
     models = _random_models(neg_rng, 3, 4, 2)

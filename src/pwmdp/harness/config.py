@@ -60,6 +60,11 @@ class Field(NamedTuple):
     range: str = ""  # the range in words, for error messages and README
 
 
+# The largest transition kernel a config may ask for, in n_states * n_actions *
+# n_states doubles (256 MiB); a larger one is refused at load, before any
+# regime's kernel is allocated.
+MAX_KERNEL_ENTRIES = 2**25
+
 # Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
 _NOISE_WIDTH = (lambda v: v >= 0 and math.isfinite(2.0 * v), "must be >= 0 with 2 * sigma finite")
 # The fused surprise reaches the change detector, which squares it.
@@ -316,6 +321,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _resolve(values: dict) -> ExperimentConfig:
     n_states, n_actions = values["n_states"], values["n_actions"]
+    entries = n_states * n_actions * n_states
+    if min(n_states, n_actions) >= 1 and entries > MAX_KERNEL_ENTRIES:
+        raise ConfigError(
+            f"n_states = {n_states} and n_actions = {n_actions} need a kernel of {entries} "
+            f"doubles, beyond the budget of {MAX_KERNEL_ENTRIES}"
+        )
     with _naming("schedule: "):
         schedule = PiecewiseSchedule(tuple(
             (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]

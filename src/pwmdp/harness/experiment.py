@@ -10,7 +10,11 @@ chain runs alongside:
   3. the joint (run-length x regime-cluster) filter absorbs the surprise,
      with the surprise channels assigned to a cluster first; with
      ``joint`` null it has one cluster, and its run-length marginal is the
-     plain run-length posterior;
+     plain run-length posterior. The posterior, the centroids and their
+     counts stay plain arrays for the whole run, stepped by the same
+     private helpers that ``joint_step``, ``cluster_assign``,
+     ``expected_run_length`` and ``belief_entropy`` validate their inputs
+     for, so no belief object is built per iteration;
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
   5. one frozen-belief backup is applied, using the belief and penalty
      snapshots taken before the application. It is one batched backup call
@@ -51,15 +55,7 @@ from ..adaptive import (
     surprise,
     update_surprise_ema,
 )
-from ..bocd import (
-    ClusterState,
-    JointBelief,
-    RunLengthBelief,
-    belief_entropy,
-    cluster_assign,
-    expected_run_length,
-    joint_step,
-)
+from ..bocd import _assign, _entropy, _filter_step, _mean_run_length
 from ..operators import (
     ModeBelief,
     add_bounded_noise,
@@ -174,8 +170,12 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     h_max = config.bocd_params.h_max
     # Without a joint config the filter has one cluster, where stickiness has no effect.
     joint_settings = config.joint or JointSettings(n_clusters=1, stickiness=1.0)
-    joint = JointBelief.uniform(h_max, joint_settings.n_clusters)
-    clusters = ClusterState.empty(joint_settings.n_clusters, 3)
+    n_z = joint_settings.n_clusters
+    # the detector's state as plain arrays for the whole run: the joint posterior as
+    # a one-case (1, h_max, n_z) batch, and the k-means centroids of the 3 channels
+    joint = np.full((1, h_max, n_z), 1.0 / (h_max * n_z))
+    centroids = np.zeros((n_z, 3))
+    counts = np.zeros(n_z, dtype=int)
     adaptive_state = config.adaptive_template
 
     point_masses = [ModeBelief.point_mass(m, len(models)) for m in range(len(models))]
@@ -232,12 +232,11 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             xi, adaptive_state = update_surprise_ema(adaptive_state, xi)
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
-        signal = np.array([reward_z, q_std_ratio, kappa_div])
-        z_now, clusters = cluster_assign(signal, clusters)
-        joint = joint_step(joint, xi, z_now, config.bocd_params, joint_settings.stickiness)
-        marginal = RunLengthBelief(joint.run_length_marginal())
-        h_bar = expected_run_length(marginal)
-        entropy = belief_entropy(marginal)
+        z_now = _assign(np.array([reward_z, q_std_ratio, kappa_div]), centroids, counts)
+        joint = _filter_step(joint, np.array([xi]), z_now, joint_settings.stickiness, config.bocd_params)
+        rho = joint[0].sum(axis=1)  # the run-length marginal
+        h_bar = _mean_run_length(rho)
+        entropy = _entropy(rho)
         lam, adaptive_state = lambda_w(h_bar, h_max, adaptive_state)
         beta = beta_eff(adaptive_state, lam)
 

@@ -1,7 +1,9 @@
 """Grid sweeps: the contraction-threshold phase map and the detection-delay table.
 
 The threshold sweep iterates the value-coupled scalar operator across a
-(discount, coupling) grid and classifies each cell from its trajectory.
+(discount, coupling) grid and classifies each cell from its trajectory; the
+grid iterates as one array with a stop mask per cell, and
+:func:`classify_trajectory` is the same recursion for one parameter set.
 Because the operator is affine, the measured per-step geometric factor
 equals the analytic factor to round-off, so the classified boundary must
 match the line gamma + coupling = 1 cell-exactly.
@@ -102,7 +104,15 @@ class ThresholdSweepResult:
 
 
 def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> ThresholdSweepResult:
-    """Classify the scalar operator across a (discount, coupling) grid."""
+    """Classify the scalar operator across a (discount, coupling) grid.
+
+    The whole grid iterates as one array, each cell by
+    :func:`classify_trajectory`'s recursion with a unit reward gap, so the
+    cell's coupling is its sensitivity: a cell stops once its update is
+    exactly 0 or beyond 1e100, and keeps its last update and step count.
+    Each cell's factor is then taken as a Python float, exactly as the
+    scalar path takes it, so classes and factors equal that path's.
+    """
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     coupling_grid = np.asarray(coupling_grid, dtype=float)
     for name, grid in (("gamma", gamma_grid), ("coupling", coupling_grid)):
@@ -110,18 +120,34 @@ def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> Thresho
             raise ValueError(f"{name} grid must be a non-empty vector")
         if (grid < 0.0).any() or (grid > 1.5).any():
             raise ValueError(f"{name} grid values must lie within [0, 1.5]")
-    classes = np.empty((gamma_grid.size, coupling_grid.size), dtype=object)
-    factors = np.empty((gamma_grid.size, coupling_grid.size))
-    for i, g in enumerate(gamma_grid):
-        for j, c in enumerate(coupling_grid):
-            # unit reward gap, so the cell's coupling is the sensitivity itself
-            params = CoupledOperatorParams(
-                gamma=float(g), sensitivity=float(c), r_high=SWEEP_R_LOW + 1.0, r_low=SWEEP_R_LOW
-            )
-            cls, factor = classify_trajectory(params, n_iter)
-            classes[i, j] = cls
-            factors[i, j] = factor
-    return ThresholdSweepResult(gamma_grid, coupling_grid, classes, factors)
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    gap = (SWEEP_R_LOW + 1.0) - SWEEP_R_LOW
+    factor = gamma_grid[:, None] + coupling_grid[None, :] * gap
+    # from q = 0 the first step lands every cell on the nonzero low reward, so
+    # no cell needs classify_trajectory's other probe starts
+    q = np.full(factor.shape, SWEEP_R_LOW)
+    d0 = abs(SWEEP_R_LOW)
+    d = np.full(factor.shape, d0)
+    steps = np.zeros(factor.shape, dtype=int)
+    running = np.ones(factor.shape, dtype=bool)
+    for _ in range(n_iter):
+        q_next = factor * q + SWEEP_R_LOW
+        d = np.where(running, np.abs(q_next - q), d)
+        q = np.where(running, q_next, q)
+        steps += running
+        running &= (d != 0.0) & (d <= 1e100)
+        if not running.any():
+            break
+    measured = [
+        [0.0 if r == 0.0 else r ** (1.0 / n) for r, n in zip(ratios, counts)]
+        for ratios, counts in zip((d / d0).tolist(), steps.tolist())
+    ]
+    classes = np.array(
+        [[_CLASS_NAMES[classify_factor(f, tol=FACTOR_BAND)] for f in row] for row in measured],
+        dtype=object,
+    )
+    return ThresholdSweepResult(gamma_grid, coupling_grid, classes, np.array(measured))
 
 
 # (scenario, likelihood ratio L, prior ratio r0, confidence delta)

@@ -268,9 +268,19 @@ def make_random_mode(
     lo, hi = reward_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid reward range {reward_range}")
-    rng = np.random.default_rng(seed)
-    reward = rng.uniform(lo, hi, size=(n_states, n_actions))
-    kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-    kernel = kernel / kernel.sum(axis=2, keepdims=True)
-    gamma_epi = rng.uniform(0.0, PENALTY_MAX, size=(n_states, n_actions))
-    return ModeModel(reward=reward, kernel=kernel, gamma_epi=gamma_epi)
+    return ModeModel(*_draw_mode_tables(np.random.default_rng(seed), (), n_states, n_actions, reward_range))
+
+
+def _draw_mode_tables(
+    rng, lead: tuple, n_states: int, n_actions: int, reward_range=(-1.0, 1.0)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reward, kernel and penalty tables of random regimes, each with leading shape ``lead``.
+
+    With ``lead == ()`` these are the draws of :func:`make_random_mode`.
+    """
+    table = lead + (n_states, n_actions)
+    reward = rng.uniform(*reward_range, size=table)
+    kernel = rng.dirichlet(np.ones(n_states), size=table)
+    kernel = kernel / kernel.sum(axis=-1, keepdims=True)
+    gamma_epi = rng.uniform(0.0, PENALTY_MAX, size=table)
+    return reward, kernel, gamma_epi

@@ -18,9 +18,10 @@ from pwmdp import (
     detection_delay,
     expected_run_length,
     joint_step,
-    likelihood_vector,
+    log_likelihood_vector,
     posterior_ratio,
 )
+from pwmdp.bocd import _assign, _entropy, _mean_run_length
 
 PARAMS = BOCDParams()  # h_max=20, hazard=0.05, sigma0_sq=0.1, sigma_g=0.05
 
@@ -35,19 +36,19 @@ class TestLikelihood:
     def test_zero_surprise_base_variance(self):
         # direct density formula as the independent path
         expected = 1.0 / math.sqrt(2.0 * math.pi * 0.1)
-        assert likelihood_vector(0.0, PARAMS)[0] == pytest.approx(expected, abs=1e-15)
-        assert likelihood_vector(0.0, PARAMS)[0] == pytest.approx(1.2616, abs=1e-4)
+        assert np.exp(log_likelihood_vector(0.0, PARAMS))[0] == pytest.approx(expected, abs=1e-15)
+        assert np.exp(log_likelihood_vector(0.0, PARAMS))[0] == pytest.approx(1.2616, abs=1e-4)
 
     def test_decreasing_in_surprise_magnitude(self):
-        values = [likelihood_vector(x, PARAMS)[3] for x in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        values = [np.exp(log_likelihood_vector(x, PARAMS))[3] for x in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_large_surprise_favors_long_run_lengths(self):
-        lik = likelihood_vector(4.0, PARAMS)
+        lik = np.exp(log_likelihood_vector(4.0, PARAMS))
         assert all(a < b for a, b in zip(lik, lik[1:]))
 
     def test_vector_matches_scalar(self):
-        lik = likelihood_vector(1.3, PARAMS)
+        lik = np.exp(log_likelihood_vector(1.3, PARAMS))
         for h in range(PARAMS.h_max):
             assert lik[h] == pytest.approx(gaussian_density(1.3, h, PARAMS), rel=1e-14)
 
@@ -71,7 +72,7 @@ class TestBocdStep:
         belief = RunLengthBelief(rng.dirichlet(np.ones(20)))
         xi = 0.7
         out = bocd_step(belief, xi, PARAMS)
-        lik = likelihood_vector(xi, PARAMS)
+        lik = np.exp(log_likelihood_vector(xi, PARAMS))
         weighted = float(np.dot(belief.probs, lik))
         growth = belief.probs * lik * (1 - PARAMS.hazard)
         z = PARAMS.hazard * weighted + growth.sum()
@@ -151,6 +152,21 @@ class TestBeliefSummaries:
         for _ in range(100):
             belief = RunLengthBelief(rng.dirichlet(np.ones(20)))
             assert 0.0 <= belief_entropy(belief) <= math.log(20) + 1e-12
+
+
+    def test_summaries_equal_the_array_helpers_on_random_beliefs(self):
+        # run_piecewise calls the helpers on the marginal array; the API wraps them
+        rng = np.random.default_rng(7)
+        for alpha in (0.05, 1.0, 20.0):  # small alpha leaves bins at exactly 0
+            for probs in rng.dirichlet(np.full(20, alpha), 50):
+                belief = RunLengthBelief(probs)
+                assert expected_run_length(belief) == _mean_run_length(probs)
+                assert belief_entropy(belief) == _entropy(probs)
+                assert _mean_run_length(probs) == pytest.approx(
+                    sum(h * p for h, p in enumerate(probs)), rel=1e-12
+                )
+                oracle = -sum(p * math.log(p) for p in probs if p > 0.0)
+                assert _entropy(probs) == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
 
 class TestBayesUpdate:
@@ -259,6 +275,28 @@ class TestClusterAssign:
         assert abs(centroids[1][0] - 3.0) < 0.1
 
 
+    def test_array_assignment_equals_cluster_assign_on_a_random_stream(self):
+        rng = np.random.default_rng(11)
+        clusters = ClusterState.empty(3, 3)
+        centroids, counts = np.zeros((3, 3)), np.zeros(3, dtype=int)
+        for signal in rng.normal(0.0, 2.0, (200, 3)):
+            # independent oracle: nearest centroid by squared distance, lowest index on ties
+            gaps = [float(((c - signal) ** 2).sum()) for c in clusters.centroids]
+            idx, clusters = cluster_assign(signal, clusters)
+            assert idx == gaps.index(min(gaps))
+            assert _assign(signal, centroids, counts) == idx
+            assert (centroids == clusters.centroids).all()
+            assert (counts == clusters.counts).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_signal_is_rejected_by_both_paths(self, bad):
+        signal = np.array([0.5, bad, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            cluster_assign(signal, ClusterState.empty(2, 3))
+        with pytest.raises(ValueError, match="non-finite"):
+            _assign(signal, np.zeros((2, 3)), np.zeros(2, dtype=int))
+
+
 class TestJointStep:
     def test_single_cluster_reduces_to_bocd_bitwise(self):
         rng = np.random.default_rng(10)
@@ -273,7 +311,7 @@ class TestJointStep:
     @pytest.mark.parametrize("n_z", [2, 3, 4])
     def test_multi_cluster_matches_per_column_reference(self, n_z):
         def reference(probs, xi, z_now, stickiness):
-            lik = likelihood_vector(xi, PARAMS)
+            lik = np.exp(log_likelihood_vector(xi, PARAMS))
             u = np.empty_like(probs)
             cp_total = 0.0
             for z in range(n_z):

@@ -143,6 +143,7 @@ class TestPiecewiseCommand:
             {"modes": [{"seed": -1}]},
             {"modes": [{"reward": [[1.0]]}]},  # explicit-table mode without its kernel
             {"delta": 1e-320},  # 1 / delta overflows, so would the detection delay
+            {"n_states": 100000},  # a 224 GiB kernel: refused before it is allocated
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
@@ -153,7 +154,7 @@ class TestPiecewiseCommand:
             "null_str", "list_str",
             "adaptive_range", "operator_range", "bocd_range", "surprise_range",
             "scalar_schedule", "short_segment", "short_reward_range", "negative_mode_seed",
-            "missing_mode_kernel", "subnormal_delta",
+            "missing_mode_kernel", "subnormal_delta", "oversized_kernel",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):
@@ -199,6 +200,16 @@ class TestPiecewiseCommand:
         assert result.returncode == 1
         assert result.stderr.strip().splitlines() == [
             "config error: delta must lie in (0, 1) with 1 / delta finite, got 1e-320"
+        ]
+
+    def test_oversized_kernel_is_one_line_naming_the_sizes(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n_states": 2049, "n_actions": 8}))
+        result = run_cli("piecewise", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            "config error: n_states = 2049 and n_actions = 8 need a kernel of 33587208 "
+            "doubles, beyond the budget of 33554432"
         ]
 
     def test_metastability_warning_is_one_line_per_short_segment(self, tmp_path):

@@ -13,7 +13,7 @@ from pwmdp import (
     diversity_loss,
     fit_linear_context,
 )
-from pwmdp.context import encode
+from pwmdp.context import _context_losses, _groups, encode
 from pwmdp.harness.certify import separable_context_dataset
 
 CONFIG = ContextLossConfig()
@@ -178,6 +178,25 @@ class TestContextLoss:
         assert relabeled.total == pytest.approx(base.total, rel=1e-10)
 
 
+class TestBatchedLoss:
+    @pytest.mark.parametrize("per_dimension", [False, True])
+    @pytest.mark.parametrize("d_e, d_s", [(1, 2), (2, 2), (3, 4)])
+    def test_stack_equals_context_loss_map_by_map(self, per_dimension, d_e, d_s):
+        # the fitter scores a (K, d_e, d_s) stack of maps at once; each entry
+        # must be the loss of its map alone, bit for bit
+        rng = np.random.default_rng(d_e * 10 + d_s)
+        states = rng.normal(0.0, 1.0, (30, d_s))
+        ids = rng.integers(0, 3, 30)
+        ids[:6] = [0, 0, 1, 1, 2, 2]  # every regime has two samples
+        config = ContextLossConfig(d_e=d_e, per_dimension=per_dimension)
+        weights = rng.normal(0.0, 1.0, (7, d_e, d_s))
+        totals, cons, divs = _context_losses(encode(weights, states), _groups(ids), config)
+        for k, w in enumerate(weights):
+            single = context_loss(EmbeddingBatch(encode(w, states), ids), config)
+            assert (totals[k], cons[k], divs[k]) == single
+            assert (encode(weights, states)[k] == encode(w, states)).all()
+
+
 class TestFitLinearContext:
     def test_never_worse_than_initialization(self):
         states, ids = separable_context_dataset(0)
@@ -223,6 +242,31 @@ class TestFitLinearContext:
         a = fit_linear_context((states, ids), CONFIG, steps=20, lr=0.1, seed=9)
         b = fit_linear_context((states, ids), CONFIG, steps=20, lr=0.1, seed=9)
         assert (a == b).all()
+
+    @pytest.mark.parametrize("per_dimension", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_matches_descent_with_one_loss_call_per_map(self, seed, per_dimension):
+        # the fitter's batched steps against plain finite differences, one map at a time
+        states, ids = separable_context_dataset(seed)
+        config = ContextLossConfig(per_dimension=per_dimension)
+
+        def loss_of(w):
+            return context_loss(EmbeddingBatch(encode(w, states), ids), config).total
+
+        weights = np.random.default_rng(seed).normal(0.0, 1.0, (2, 2))
+        best_w, best_loss = weights, loss_of(weights)
+        for _ in range(15):
+            grad = np.empty_like(weights)
+            for i, j in np.ndindex(*weights.shape):
+                plus, minus = weights.copy(), weights.copy()
+                plus[i, j] += 1e-5
+                minus[i, j] -= 1e-5
+                grad[i, j] = (loss_of(plus) - loss_of(minus)) / 2e-5
+            weights = weights - 0.1 * grad
+            if loss_of(weights) < best_loss:
+                best_w, best_loss = weights, loss_of(weights)
+        fitted = fit_linear_context((states, ids), config, steps=15, lr=0.1, seed=seed)
+        assert (fitted == best_w).all()
 
     def test_validation(self):
         states = np.zeros((4, 2))

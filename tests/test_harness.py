@@ -30,7 +30,7 @@ from pwmdp.harness.io import (
     trace_to_csv_text,
     trace_to_json_text,
 )
-from pwmdp.harness.sweeps import classify_trajectory, empirical_detection_delay
+from pwmdp.harness.sweeps import SWEEP_R_LOW, classify_trajectory, empirical_detection_delay
 from pwmdp.operators import CoupledOperatorParams
 
 
@@ -437,6 +437,32 @@ class TestThresholdSweep:
         assert sweep.matches_analytic()
         assert sweep.classes[0, 0] == "stalled"  # 0.5 + 0.5 = 1 exactly
         assert sweep.classes[1, 1] == "stalled"  # 0.6 + 0.4 = 1 in floats
+
+    @pytest.mark.parametrize(
+        "gammas, couplings, n_iter",
+        [
+            (np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50), 200),
+            # cells exactly on gamma + coupling = 1 in floats
+            (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9), 200),
+            (np.array([0.5, 0.6, 0.7, 0.25]), np.array([0.5, 0.4, 0.3, 0.75]), 200),
+            # the 1.5 edge: fast divergence, and the 1e100 stop on some cells only
+            (np.array([0.0, 0.5, 1.0, 1.49, 1.5]), np.array([0.0, 0.01, 0.5, 1.5]), 200),
+            (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 1.5, 7), 3),
+            (np.array([0.3, 1.0]), np.array([0.7, 0.0]), 1),
+        ],
+        ids=["default_grid", "on_the_line", "on_the_line_pairs", "edge_1_5", "few_steps", "one_step"],
+    )
+    def test_array_sweep_equals_classify_trajectory_cell_by_cell(self, gammas, couplings, n_iter):
+        sweep = run_threshold_sweep(gammas, couplings, n_iter)
+        for i, g in enumerate(gammas):
+            for j, c in enumerate(couplings):
+                params = CoupledOperatorParams(float(g), float(c), SWEEP_R_LOW + 1.0, SWEEP_R_LOW)
+                cls, factor = classify_trajectory(params, n_iter)
+                assert (sweep.classes[i, j], sweep.measured_factors[i, j]) == (cls, factor)
+
+    def test_sweep_rejects_a_non_positive_iteration_count(self):
+        with pytest.raises(ValueError, match="n_iter"):
+            run_threshold_sweep(np.array([0.5]), np.array([0.1]), n_iter=0)
 
     def test_grid_domain_validated(self):
         with pytest.raises(ValueError, match="within"):
