@@ -11,7 +11,6 @@ the loss behavior, not a performance model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,7 +92,7 @@ class EmbeddingBatch:
 
     def mode_means(self) -> np.ndarray:
         """Per-regime mean embeddings, ordered by ascending mode id."""
-        return _mode_means(self.vectors, _groups(self.mode_ids))
+        return _mode_means(_regimes(self.vectors, self.mode_ids))
 
 
 class ContextLoss(NamedTuple):
@@ -105,33 +104,33 @@ class ContextLoss(NamedTuple):
 # The losses are computed once, on a (K, n, d_e) stack of K embedding sets that
 # share their regime labels; the public functions below are the K = 1 case.
 
-def _groups(mode_ids: np.ndarray) -> list[np.ndarray]:
-    """Sample indices of the regimes, by ascending mode id."""
-    return [np.flatnonzero(mode_ids == m) for m in np.unique(mode_ids)]
-
-
-def _members(vectors: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """The (..., n_m, d_e) embeddings of one regime, as a C-ordered copy.
+def _regimes(vectors: np.ndarray, mode_ids: np.ndarray) -> dict:
+    """{mode id: its (..., n_m, d_e) embeddings} by ascending id, as C-ordered copies.
 
     numpy's sum order over the sample axis follows the memory layout, so a
     fixed layout makes each set's statistics independent of the stack size.
     """
-    return np.take(vectors, group, axis=-2)
+    return {
+        m: np.take(vectors, np.flatnonzero(mode_ids == m), axis=-2) for m in np.unique(mode_ids)
+    }
 
 
-def _mode_means(vectors: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    """(..., M, d_e) per-regime means of (..., n, d_e) embeddings."""
-    return np.stack([_members(vectors, g).mean(axis=-2) for g in groups], axis=-2)
+def _mode_means(regimes: dict) -> np.ndarray:
+    """(..., M, d_e) per-regime mean embeddings."""
+    return np.stack([group.mean(axis=-2) for group in regimes.values()], axis=-2)
 
 
-def _consistency(
-    vectors: np.ndarray, groups: list[np.ndarray], eps: float, per_dimension: bool
-) -> np.ndarray:
-    """(K,) consistency losses of a (K, n, d_e) stack: see :func:`consistency_loss`."""
+def _consistency(regimes: dict, eps: float, per_dimension: bool) -> np.ndarray:
+    """(K,) consistency losses of (K, n_m, d_e) regimes: see :func:`consistency_loss`."""
     terms = []
-    for g in groups:
-        var = _members(vectors, g).var(axis=1)  # population variance per dimension
-        terms.append(np.sqrt(var + eps).mean(axis=1) if per_dimension else np.sqrt(var.sum(axis=1) + eps))
+    for m, group in regimes.items():
+        if group.shape[1] < 2:
+            raise ValueError(f"mode {m} has {group.shape[1]} sample(s); need >= 2")
+        var = group.var(axis=1)  # population variance per dimension
+        if per_dimension:
+            terms.append(np.sqrt(var + eps).mean(axis=1))
+        else:
+            terms.append(np.sqrt(var.sum(axis=1) + eps))
     return np.stack(terms, axis=1).mean(axis=1)
 
 
@@ -145,21 +144,13 @@ def _diversity(mode_means: np.ndarray, r_rbf: float, eps: float) -> np.ndarray:
 
 
 def _context_losses(
-    vectors: np.ndarray, groups: list[np.ndarray], config: "ContextLossConfig"
+    vectors: np.ndarray, mode_ids: np.ndarray, config: "ContextLossConfig"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K,) totals, consistency and diversity losses of a (K, n, d_e) stack."""
-    cons = _consistency(vectors, groups, config.eps, config.per_dimension)
-    div = _diversity(_mode_means(vectors, groups), config.r_rbf, config.eps)
+    regimes = _regimes(vectors, mode_ids)
+    cons = _consistency(regimes, config.eps, config.per_dimension)
+    div = _diversity(_mode_means(regimes), config.r_rbf, config.eps)
     return config.w_cons * cons + config.w_div * div, cons, div
-
-
-def _checked_groups(batch: EmbeddingBatch) -> list[np.ndarray]:
-    """The batch's regime masks; every regime needs at least two samples."""
-    groups = _groups(batch.mode_ids)
-    for m, g in zip(batch.modes(), groups):
-        if g.size < 2:
-            raise ValueError(f"mode {m} has {g.size} sample(s); need >= 2")
-    return groups
 
 
 def consistency_loss(
@@ -175,7 +166,7 @@ def consistency_loss(
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    return float(_consistency(batch.vectors[None], _checked_groups(batch), eps, per_dimension)[0])
+    return float(_consistency(_regimes(batch.vectors[None], batch.mode_ids), eps, per_dimension)[0])
 
 
 def diversity_loss(mode_means: np.ndarray, r_rbf: float = 2.0, eps: float = 1e-6) -> float:
@@ -198,7 +189,7 @@ def diversity_loss(mode_means: np.ndarray, r_rbf: float = 2.0, eps: float = 1e-6
 
 def context_loss(batch: EmbeddingBatch, config: ContextLossConfig) -> ContextLoss:
     """Weighted combination of consistency and diversity over a batch."""
-    losses = _context_losses(batch.vectors[None], _checked_groups(batch), config)
+    losses = _context_losses(batch.vectors[None], batch.mode_ids, config)
     return ContextLoss(*(float(loss[0]) for loss in losses))
 
 
@@ -243,10 +234,9 @@ def fit_linear_context(
         raise ValueError(f"every mode needs >= 2 samples; modes {small.tolist()} are short")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    groups = _groups(mode_ids)
 
     def losses_of(w: np.ndarray) -> np.ndarray:
-        values = _context_losses(encode(w, states), groups, config)[0]
+        values = _context_losses(encode(w, states), mode_ids, config)[0]
         if not np.isfinite(values).all():
             raise FloatingPointError(
                 f"context loss became non-finite during descent (weights max "
@@ -258,7 +248,7 @@ def fit_linear_context(
     weights = rng.normal(0.0, 1.0, size=(config.d_e, states.shape[1]))
     n = weights.size
     entry = np.arange(n)
-    best_w, best_loss = weights, math.inf
+    best_w, best_loss = weights, np.inf
     for step in range(steps + 1):
         if step == steps:  # the last weights need their loss only
             probes = weights[None]

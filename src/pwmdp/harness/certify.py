@@ -49,7 +49,15 @@ from ..context import (
     encode,
     fit_linear_context,
 )
-from ..mdp import ModeModel, OperatorParams, QFunction, _draw_mode_tables, check_simplex, make_random_mode, sup_dist
+from ..mdp import (
+    ModeModel,
+    OperatorParams,
+    QFunction,
+    _draw_mode_tables,
+    check_simplex,
+    make_random_mode,
+    sup_dist,
+)
 from ..operators import (
     CoupledOperatorParams,
     ModeBelief,

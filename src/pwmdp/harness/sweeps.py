@@ -122,8 +122,7 @@ def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> Thresho
             raise ValueError(f"{name} grid values must lie within [0, 1.5]")
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    gap = (SWEEP_R_LOW + 1.0) - SWEEP_R_LOW
-    factor = gamma_grid[:, None] + coupling_grid[None, :] * gap
+    factor = gamma_grid[:, None] + coupling_grid[None, :]  # times the unit reward gap
     # from q = 0 the first step lands every cell on the nonzero low reward, so
     # no cell needs classify_trajectory's other probe starts
     q = np.full(factor.shape, SWEEP_R_LOW)

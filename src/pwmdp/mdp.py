@@ -268,7 +268,8 @@ def make_random_mode(
     lo, hi = reward_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid reward range {reward_range}")
-    return ModeModel(*_draw_mode_tables(np.random.default_rng(seed), (), n_states, n_actions, reward_range))
+    rng = np.random.default_rng(seed)
+    return ModeModel(*_draw_mode_tables(rng, (), n_states, n_actions, reward_range))
 
 
 def _draw_mode_tables(

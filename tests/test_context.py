@@ -13,7 +13,7 @@ from pwmdp import (
     diversity_loss,
     fit_linear_context,
 )
-from pwmdp.context import _context_losses, _groups, encode
+from pwmdp.context import _context_losses, encode
 from pwmdp.harness.certify import separable_context_dataset
 
 CONFIG = ContextLossConfig()
@@ -190,7 +190,7 @@ class TestBatchedLoss:
         ids[:6] = [0, 0, 1, 1, 2, 2]  # every regime has two samples
         config = ContextLossConfig(d_e=d_e, per_dimension=per_dimension)
         weights = rng.normal(0.0, 1.0, (7, d_e, d_s))
-        totals, cons, divs = _context_losses(encode(weights, states), _groups(ids), config)
+        totals, cons, divs = _context_losses(encode(weights, states), ids, config)
         for k, w in enumerate(weights):
             single = context_loss(EmbeddingBatch(encode(w, states), ids), config)
             assert (totals[k], cons[k], divs[k]) == single
