@@ -144,7 +144,7 @@ def _diversity(mode_means: np.ndarray, r_rbf: float, eps: float) -> np.ndarray:
 
 
 def _context_losses(
-    vectors: np.ndarray, mode_ids: np.ndarray, config: "ContextLossConfig"
+    vectors: np.ndarray, mode_ids: np.ndarray, config: ContextLossConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K,) totals, consistency and diversity losses of a (K, n, d_e) stack."""
     regimes = _regimes(vectors, mode_ids)
