@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .. import operators
 from ..adaptive import AdaptiveState, SurpriseInputs, SurpriseWeights, beta_eff, surprise
 from ..bocd import (
     BOCDParams,
@@ -59,6 +60,7 @@ from ..mdp import (
     sup_dist,
 )
 from ..operators import (
+    _project,
     CoupledOperatorParams,
     ModeBelief,
     StatePartition,
@@ -72,7 +74,6 @@ from ..operators import (
     estimate_lipschitz,
     mixture_backup,
     mode_fixed_point,
-    project,
     projection_error,
     regime_perturbation,
     switch_error_bound,
@@ -436,10 +437,12 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
         e0 = np.abs(q - q_star).max()
         # one stream per config: every step's bounded noise, drawn as one block
         noise = add_bounded_noise(np.zeros((n_steps, n_states, n_actions)), sigma, (seed, 1070, i))
-        errs = np.empty(n_steps)
+        iterates = np.empty((n_steps, n_states, n_actions))
         for n in range(n_steps):
-            q = project(apply_mode_operator(model, params, q), partition) + noise[n]
-            errs[n] = np.abs(q - q_star).max()
+            # the suite owns q, so it steps the kernels behind apply_mode_operator and project
+            step = _project(operators._backup((model,), (1.0,), params, q), partition)
+            q = np.add(step, noise[n], out=iterates[n])
+        errs = np.abs(iterates - q_star).max(axis=(1, 2))
         envelope = gamma ** np.arange(1, n_steps + 1) * e0 + floor
         max_violation = max(max_violation, float((errs - envelope).max()), float(errs[-1] - 1.05 * floor))
     return SuiteResult("error_budget", n_configs * n_steps, max_violation, tol)
@@ -538,20 +541,21 @@ def lambda_w_gates_hold(config, rows) -> bool:
 
 
 def suite_piecewise_three_phase(seed: int, mutation: str | None = None) -> SuiteResult:
-    """Certify the canonical three-phase experiment.
+    """Certify the canonical three-phase experiment from one run.
 
     The scripted instance (modes, schedule, stream seed) is pinned, so the
-    certified trace is the canonical run's, reproduced bit-for-bit;
-    ``tests/test_certify.py`` applies the same lambda_w gates to stream
-    seeds 0-19. The surrounding fuzz suites take the caller's seed.
+    certified trace is the canonical run's. That the run reproduces
+    bit-for-bit is checked elsewhere: ``suite_reproducibility`` reruns a
+    short schedule, and ``tests/test_certify.py`` pins this trace's sha256
+    and applies the same lambda_w gates to stream seeds 0-19. This suite
+    checks the one run's envelopes and lambda_w gates. The surrounding fuzz
+    suites take the caller's seed.
     """
     tol = 1e-9
     config = config_from_dict(three_phase_config_dict(0))
     gamma = config.operator_params.gamma
     n_delta = config.detection_steps
     trace = run_piecewise(config)
-    trace_again = run_piecewise(config)
-    deterministic = trace_to_csv_text(trace) == trace_to_csv_text(trace_again)
 
     fixed_points = [mode_fixed_point(m, config.operator_params, tol=1e-12).q_star for m in config.models]
     rows = trace.rows
@@ -574,7 +578,7 @@ def suite_piecewise_three_phase(seed: int, mutation: str | None = None) -> Suite
             envelope = gamma ** (t - anchor) * e_anchor
             max_violation = max(max_violation, rows[t].err - envelope)
 
-    max_violation = _gated(max_violation, lambda_w_gates_hold(config, rows), deterministic)
+    max_violation = _gated(max_violation, lambda_w_gates_hold(config, rows))
     return SuiteResult("piecewise_three_phase", len(rows), max_violation, tol)
 
 

@@ -17,13 +17,16 @@ chain runs alongside:
      for, so no belief object is built per iteration;
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
   5. one frozen-belief backup is applied, using the belief and penalty
-     snapshots taken before the application. It is one batched backup call
-     per iteration over the iteration's regime estimate, on the stack of
-     the noisy-ensemble members and the iterate: the members' images (plus
-     bounded noise, added in place on the stacked block) feed the ensemble
-     spread of the next iteration, and the iterate's image serves both the
-     TD scale and this step, which aggregates it (if a partition is set)
-     and adds bounded noise drawn like the ensemble's;
+     snapshots taken before the application: one call of the kernel
+     ``operators._backup`` per iteration, with the point-mass weights of the
+     regime estimate, on the stack of the noisy-ensemble members and the
+     iterate. The members' images plus bounded noise feed the next ensemble
+     spread; the iterate's image serves the TD scale and this step, which
+     aggregates it (``_project``, if a partition is set) and adds bounded
+     noise (``_noise``). The config, models and partition are validated at
+     load and the loop owns its tables, so the kernels run unchecked; the
+     spread, the TD scale and the error read every entry, and one that is
+     not finite stops the run with a RuntimeError naming the iteration;
   6. the sup-norm error to the *true* active regime's fixed point is
      recorded.
 
@@ -36,17 +39,21 @@ are reporting conveniences, the certified quantities are the envelopes.
 Identical config and seed produce bit-identical traces: every random
 stream is derived from (seed, stream id, iteration). There are three per
 iteration: the rollout, the ensemble noise (one Generator draws the whole
-(n_ensemble, S, A) block) and the iterate's noise. The ensemble feeds only
-the surprise chain, never the iterate, so the ``err`` and ``phase``
-columns do not depend on how its noise is drawn.
+(n_ensemble, S, A) block) and the iterate's noise, each drawn by
+``add_bounded_noise``'s kernel on a sigma checked at load (at sigma 0 it
+draws nothing). The ensemble feeds only the surprise chain, never the
+iterate, so the ``err`` and ``phase`` columns do not depend on how its
+noise is drawn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .. import operators
 from ..adaptive import (
     SurpriseInputs,
     beta_eff,
@@ -56,15 +63,8 @@ from ..adaptive import (
     update_surprise_ema,
 )
 from ..bocd import _assign, _entropy, _filter_step, _mean_run_length
-from ..operators import (
-    ModeBelief,
-    add_bounded_noise,
-    apply_mixture_operator,
-    error_floor,
-    mode_fixed_point,
-    project,
-    projection_error,
-)
+from ..operators import _noise, _project, error_floor, mode_fixed_point, projection_error
+from ..operators import apply_mixture_operator  # noqa: F401  bench/test_bench.py traces this name
 from .config import ExperimentConfig, JointSettings
 
 __all__ = ["TraceRow", "ExperimentTrace", "run_piecewise", "TRACE_FIELDS"]
@@ -148,6 +148,34 @@ def _greedy_rollout(model, q: np.ndarray, length: int, rng) -> np.ndarray:
     return model.reward[path, greedy[path]]
 
 
+def _mean_var(x: np.ndarray) -> tuple[float, float]:
+    """``np.mean(x)`` and ``np.var(x)``, bit for bit, from one sum of the 1-D ``x``."""
+    n = x.size
+    mean = x.sum() / n
+    d = x - mean
+    return float(mean), float((d * d).sum() / n)
+
+
+def _spread(members: np.ndarray) -> float:
+    """Mean over (s, a) of the members' standard deviation, finite when they all are.
+
+    Past |Q| ~ 1e154 even round-off deviations overflow when squared; there
+    the members are scaled into [-1, 1] first.
+    """
+    spread = float(members.std(axis=0).mean())
+    if not math.isfinite(spread) and np.isfinite(members).all():
+        scale = float(np.abs(members).max())
+        spread = scale * float((members / scale).std(axis=0).mean())
+    return spread
+
+
+def _finite(value: float, name: str, t: int) -> float:
+    """``value``, or a RuntimeError naming iteration ``t`` if the tables overflowed into it."""
+    if not math.isfinite(value):
+        raise RuntimeError(f"{name} is {value} at iteration {t}: the Q tables overflowed")
+    return value
+
+
 def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     """Run the scripted experiment and return its trace."""
     models = config.models
@@ -178,7 +206,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     counts = np.zeros(n_z, dtype=int)
     adaptive_state = config.adaptive_template
 
-    point_masses = [ModeBelief.point_mass(m, len(models)) for m in range(len(models))]
+    point_masses = np.eye(len(models))  # row m: the point-mass weights on regime m
     # the ensemble members, then the iterate q, backed up together each iteration
     stack = np.zeros((config.n_ensemble + 1, config.n_states, config.n_actions))
     q = stack[-1]
@@ -193,13 +221,12 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     for t in range(schedule.total_iterations):
         true_mode = schedule.mode_at(t)
         # the detector's view of the schedule lags each switch by n_delta
-        est_belief = point_masses[schedule.mode_at(max(t - n_delta, 0))]
+        est_weights = point_masses[schedule.mode_at(max(t - n_delta, 0))]
 
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
         rewards = _greedy_rollout(models[true_mode], q, config.rollout_len, roll_rng)
-        batch_mean = float(rewards.mean())
-        batch_var = float(rewards.var())
+        batch_mean, batch_var = _mean_var(rewards)
         if reward_mean is None:
             reward_z = 0.0
         else:
@@ -207,10 +234,14 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         reward_mean = ema_update(reward_mean, batch_mean, config.stat_ema_rate)
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
-        stack = apply_mixture_operator(models, est_belief, params, stack)
-        # one stream draws the members' whole (n_ensemble, S, A) noise block
-        stack[:-1] = add_bounded_noise(stack[:-1], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t))
-        sigma_q = float(stack[:-1].std(axis=0).mean())
+        # an overflow in the tables is reported by _finite, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = operators._backup(models, est_weights, params, stack)
+            # one stream draws the members' whole (n_ensemble, S, A) noise block
+            stack[:-1] = _noise(stack[:-1], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t))
+            sigma_q = _finite(_spread(stack[:-1]), "sigma_q", t)
+            backed_up = stack[-1]
+            td_scale = _finite(float(np.abs(backed_up - q).max()), "td_scale", t)
         sigma_q_smooth = ema_update(sigma_q_smooth, sigma_q, _SIGMA_Q_SMOOTH)
         if sigma_q_baseline is None:
             q_std_ratio = 1.0
@@ -218,8 +249,6 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             q_std_ratio = sigma_q_smooth / (sigma_q_baseline + _TINY)
         sigma_q_baseline = ema_update(sigma_q_baseline, sigma_q_smooth, config.stat_ema_rate)
 
-        backed_up = stack[-1]
-        td_scale = float(np.abs(backed_up - q).max())
         kappa_t = params.kappa + td_scale
         kappa_div = 0.0 if kappa_ema is None else abs(kappa_t - kappa_ema)
         kappa_ema = ema_update(kappa_ema, kappa_t, config.stat_ema_rate)
@@ -242,11 +271,11 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
 
         # --- one frozen-belief backup ---
         in_detection = any(st <= t < st + n_delta for st in switch_times)
-        if not (config.detection_policy == "hold" and in_detection):
-            step = backed_up if partition is None else project(backed_up, partition)
-            q = add_bounded_noise(step, config.noise_sigma, (seed, _NOISE_STREAM, t))
-
-        err = float(np.abs(q - q_stars[true_mode].values).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (config.detection_policy == "hold" and in_detection):
+                step = backed_up if partition is None else _project(backed_up, partition)
+                q = _noise(step, config.noise_sigma, (seed, _NOISE_STREAM, t))
+            err = _finite(float(np.abs(q - q_stars[true_mode].values).max()), "err", t)
         stack[-1] = q  # the next iteration backs up this ensemble and iterate
         steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)
         if in_detection:

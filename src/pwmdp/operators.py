@@ -9,6 +9,13 @@ and the regime-switch perturbation bound.
 
 Everything operates on immutable inputs and returns fresh objects; the
 only randomness is owned by explicit seeds.
+
+Validation happens at the public entry points: ``apply_mode_operator``,
+``mixture_backup``/``apply_mixture_operator``, ``project`` and
+``add_bounded_noise`` check their tables (shape, finiteness), weights, partition
+and sigma, then call one private kernel each (``_backup``, ``_project``,
+``_noise``), where each formula is written once. Inner loops that own arrays
+they built from validated inputs call the kernels directly.
 """
 
 from __future__ import annotations
@@ -55,6 +62,9 @@ DIVERGENCE_CAP = 1e12
 # where another beats it by more than this multiple of the largest |Q|.
 _MAX_IMPROVEMENTS = 100
 _SWITCH_MARGIN = 64 * np.finfo(float).eps
+# Its value-iteration polish, needed only where round-off at a large |Q| leaves
+# the residual above tol, stops after this many backups.
+_MAX_POLISH_STEPS = 10**6
 
 # estimate_lipschitz samples table entries uniformly from this range.
 LIPSCHITZ_VALUE_RANGE = (-10.0, 10.0)
@@ -349,7 +359,8 @@ def mode_fixed_point(
     ``final_residual`` is ||T Q - Q|| from one backup, ``converged`` means it
     is below ``tol``, and ``iterations`` counts the improvement steps. Only
     if round-off at a large |Q| leaves that residual at or above ``tol`` does
-    value iteration take over, from a lower bound of the fixed point.
+    value iteration take over, from a lower bound of the fixed point, for at
+    most ``_MAX_POLISH_STEPS`` backups.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -367,16 +378,20 @@ def mode_fixed_point(
         if not switch.any():
             break
         policy = np.where(switch, best, policy)
-    q_star = QFunction(q)
-    residual = sup_dist(apply_mode_operator(model, params, q_star), q_star)
+    residual = float(np.abs(apply_mode_operator(model, params, q) - q).max())
     if residual >= tol:
         # Round-off at a large |Q| can leave the residual above tol. The
         # backup is monotone, so value iteration from a lower bound of the
-        # fixed point rises to a floating-point fixed point.
-        lower = QFunction(q - 2.0 * residual / (1.0 - gamma))
-        polished = solve_fixed_point(lambda x: apply_mode_operator(model, params, x), lower, tol)
-        q_star, residual = polished.q_star, polished.final_residual
-    return FixedPointResult(q_star, it, residual, residual < tol)
+        # fixed point rises to a floating-point fixed point; it cannot
+        # diverge, so no residual cap applies, only an iteration budget.
+        q = q - 2.0 * residual / (1.0 - gamma)
+        for _ in range(_MAX_POLISH_STEPS):
+            q_next = _backup((model,), (1.0,), params, q)
+            residual = float(np.abs(q_next - q).max())
+            q = q_next
+            if residual < tol or not math.isfinite(residual):
+                break
+    return FixedPointResult(QFunction(q), it, residual, residual < tol)
 
 
 def estimate_lipschitz(
@@ -464,9 +479,14 @@ def project(q: QFunction | np.ndarray, partition: StatePartition) -> QFunction |
         raise ValueError(
             f"partition over {partition.n_states} states but Q has {values.shape[-2]}"
         )
+    return _like(q, _project(values, partition))
+
+
+def _project(values: np.ndarray, partition: StatePartition) -> np.ndarray:
+    """Block means of a (..., S, A) array of tables, each state taking its block's mean."""
     order, starts, sizes, block_of = partition._block_index
     means = np.add.reduceat(values[..., order, :], starts, axis=-2) / sizes[:, None]
-    return _like(q, means[..., block_of, :])
+    return means[..., block_of, :]
 
 
 def projection_error(q_star: QFunction, partition: StatePartition) -> float:
@@ -486,12 +506,18 @@ def add_bounded_noise(q: QFunction | np.ndarray, sigma: float, rng_seed) -> QFun
         raise ValueError(f"sigma must be >= 0 with 2 * sigma finite, got {sigma}")
     if sigma == 0.0:
         return q
-    values = _tables(q)
+    return _like(q, _noise(_tables(q), sigma, rng_seed))
+
+
+def _noise(values: np.ndarray, sigma: float, rng_seed) -> np.ndarray:
+    """``values`` plus noise uniform in [-sigma, sigma), as a new array; at sigma 0, ``values``."""
+    if sigma == 0.0:
+        return values
     noise = np.random.default_rng(rng_seed).random(values.shape)
     noise *= 2.0 * sigma
     noise -= sigma
     noise += values
-    return _like(q, noise)
+    return noise
 
 
 def apply_mixture_via_shared(

@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pwmdp import OperatorParams, make_random_mode, operators
+from pwmdp.harness import certify
 from pwmdp.harness.certify import (
     MUTATIONS,
     SUITES,
@@ -19,6 +23,8 @@ from pwmdp.harness.certify import (
     report_to_json,
     run_certification,
     suite_contraction_certificate,
+    suite_error_budget,
+    suite_reproducibility,
     three_phase_config_dict,
 )
 from pwmdp.harness.config import config_from_dict
@@ -163,3 +169,41 @@ def test_lambda_w_gates_hold_on_every_stream_seed(stream_seed):
     # suite 9 gates one pinned stream; the relaxation must not depend on the draw
     config = config_from_dict(three_phase_config_dict(stream_seed))
     assert lambda_w_gates_hold(config, run_piecewise(config).rows)
+
+
+def test_reproducibility_suite_fails_when_a_rerun_changes_one_row(monkeypatch):
+    # suite 9 certifies one run, so suite 12's rerun is the determinism check
+    assert suite_reproducibility(0).passed
+    runs = []
+
+    def drifting_run(config):
+        trace = run_piecewise(config)
+        runs.append(trace)
+        if len(runs) == 2:
+            rows = list(trace.rows)
+            rows[7] = replace(rows[7], err=math.nextafter(rows[7].err, math.inf))
+            trace = replace(trace, rows=tuple(rows))
+        return trace
+
+    monkeypatch.setattr(certify, "run_piecewise", drifting_run)
+    suite = suite_reproducibility(0)
+    assert len(runs) == 2
+    assert suite.max_violation == math.inf and not suite.passed
+
+
+def test_inner_loops_call_the_backup_kernel_once_per_step(monkeypatch):
+    # run_piecewise and suite 7 reach operators._backup through the module,
+    # so an injected kernel sees every step
+    callers = Counter()
+    real_backup = operators._backup
+
+    def counting_backup(models, weights, params, q):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real_backup(models, weights, params, q)
+
+    monkeypatch.setattr(operators, "_backup", counting_backup)
+    config = config_from_dict(three_phase_config_dict(0))
+    assert len(run_piecewise(config)) == callers["run_piecewise"] == 600
+    suite = suite_error_budget(0)
+    assert suite.passed
+    assert callers["suite_error_budget"] == suite.tested_instances == 10_000

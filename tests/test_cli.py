@@ -274,6 +274,32 @@ class TestPiecewiseCommand:
         trace = read_trace(tmp_path / "x" / "trace.csv")
         assert all(math.isfinite(row.h_bar) and math.isfinite(row.entropy) for row in trace.rows)
 
+    @pytest.mark.parametrize(
+        "raw, name",
+        [({"noise_sigma": 8e307}, "err"), ({"ensemble_sigma": 8e307}, "sigma_q")],
+        ids=["noise_sigma", "ensemble_sigma"],
+    )
+    def test_overflow_mid_run_exits_4_with_a_runtime_error(self, raw, name, tmp_path, capsys):
+        # 2 * sigma is finite, so the config loads; the tables overflow while it runs
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 4
+        *warned, last = capsys.readouterr().err.strip().splitlines()
+        assert all(line.startswith("warning: ") for line in warned)  # no traceback
+        overflow = rf"runtime error: {name} is (inf|nan) at iteration \d+: the Q tables overflowed"
+        assert re.fullmatch(overflow, last)
+
+    @pytest.mark.parametrize("shift", [1e100, 1e200, -1e150, 1e306])
+    def test_huge_reward_shift_runs_to_a_finite_trace(self, shift, tmp_path, capsys):
+        # round-off at |Q| ~ shift / (1 - gamma) needs the uncapped fixed-point polish
+        cfg = tmp_path / "shift.json"
+        raw = {"modes": [{"seed": 1, "reward_shift": shift}], "schedule": [[0, 400]]}
+        cfg.write_text(json.dumps(raw))
+        assert main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        assert all(line.startswith("warning: ") for line in capsys.readouterr().err.splitlines())
+        trace = read_trace(tmp_path / "x" / "trace.csv")
+        assert len(trace) == 400 and all(math.isfinite(row.err) for row in trace.rows)
+
     def test_unwritable_output_exits_3(self, quick_config, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")

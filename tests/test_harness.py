@@ -23,7 +23,7 @@ from pwmdp.harness import (
     run_threshold_sweep,
 )
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
-from pwmdp.harness.experiment import _greedy_rollout
+from pwmdp.harness.experiment import _greedy_rollout, _mean_var
 from pwmdp.harness.io import (
     parse_trace_csv_text,
     parse_trace_json_text,
@@ -365,6 +365,18 @@ class TestGreedyRollout:
             got = _greedy_rollout(model, q, 64, np.random.default_rng((seed, 0, 3)))
             expected = self.reference_rollout(model, q, 64, np.random.default_rng((seed, 0, 3)))
             assert np.array_equal(got, expected)
+
+
+def test_rollout_mean_and_variance_equal_numpys_bit_for_bit():
+    # run_piecewise takes both rollout statistics from one sum
+    rng = np.random.default_rng(41)
+    for n in range(1, 65):
+        for magnitude in (1e-300, 1e-3, 1.0, 1e3, 1e150, 1e300):
+            x = rng.uniform(-1.0, 1.0, n) * magnitude + rng.uniform(-0.5, 0.5) * magnitude
+            with np.errstate(over="ignore"):  # squares past 1e154 overflow in both
+                mean, var = _mean_var(x)
+                assert mean == float(np.mean(x)) and var == float(np.var(x))
+            assert type(mean) is float and type(var) is float
 
 
 class TestTraceIO:
