@@ -77,13 +77,18 @@ class SurpriseInputs:
     kappa_div: float
 
     def __post_init__(self):
-        vals = (self.reward_z, self.q_std_ratio, self.kappa_div)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"surprise inputs must be finite, got {vals}")
-        if self.q_std_ratio < 0.0:
-            raise ValueError(f"q_std_ratio must be >= 0, got {self.q_std_ratio}")
-        if self.kappa_div < 0.0:
-            raise ValueError(f"kappa_div must be >= 0, got {self.kappa_div}")
+        _check_readings(self.reward_z, self.q_std_ratio, self.kappa_div)
+
+
+def _check_readings(reward_z: float, q_std_ratio: float, kappa_div: float) -> None:
+    """Raise ValueError unless the readings are finite and the last two are >= 0."""
+    vals = (reward_z, q_std_ratio, kappa_div)
+    if not all(np.isfinite(v) for v in vals):
+        raise ValueError(f"surprise inputs must be finite, got {vals}")
+    if q_std_ratio < 0.0:
+        raise ValueError(f"q_std_ratio must be >= 0, got {q_std_ratio}")
+    if kappa_div < 0.0:
+        raise ValueError(f"kappa_div must be >= 0, got {kappa_div}")
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,14 @@ class AdaptiveState:
 
 def surprise(inputs: SurpriseInputs, weights: SurpriseWeights) -> float:
     """Fused surprise, clipped to [0, clip_max]."""
-    raw = (
-        weights.w_r * abs(inputs.reward_z)
-        + weights.w_q * inputs.q_std_ratio
-        + weights.w_kappa * inputs.kappa_div
-    )
+    return _surprise(inputs.reward_z, inputs.q_std_ratio, inputs.kappa_div, weights)
+
+
+def _surprise(
+    reward_z: float, q_std_ratio: float, kappa_div: float, weights: SurpriseWeights
+) -> float:
+    """:func:`surprise` on readings that passed :func:`_check_readings`."""
+    raw = weights.w_r * abs(reward_z) + weights.w_q * q_std_ratio + weights.w_kappa * kappa_div
     return float(min(max(raw, 0.0), weights.clip_max))
 
 

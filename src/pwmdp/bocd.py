@@ -414,7 +414,17 @@ def _assign(signal: np.ndarray, centroids: np.ndarray, counts: np.ndarray) -> in
 
     Raises ValueError where a non-finite signal leaves the winning centroid non-finite.
     """
-    idx = int(np.argmin(np.linalg.norm(centroids - signal, axis=1)))
+    diff = centroids - signal
+    # Past ~1e154 the squares overflow: where a distance is not finite, its
+    # differences are scaled by their largest magnitude (if that is finite),
+    # and a distance beyond the largest double reads inf.
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(diff, axis=1)
+        for i in np.flatnonzero(~np.isfinite(dist)):
+            scale = np.abs(diff[i]).max()
+            if math.isfinite(scale):
+                dist[i] = scale * np.linalg.norm(diff[i] / scale)
+    idx = int(np.argmin(dist))
     n = counts[idx]
     centroids[idx] = centroids[idx] + (signal - centroids[idx]) / (n + 1)
     counts[idx] = n + 1

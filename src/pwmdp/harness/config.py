@@ -31,7 +31,7 @@ import numpy as np
 from ..adaptive import AdaptiveState, SurpriseWeights
 from ..bocd import BOCDParams, detection_delay
 from ..mdp import ModeModel, OperatorParams, PiecewiseSchedule, make_random_mode, validate_mode
-from ..operators import StatePartition
+from ..operators import _MAX_POLISH_STEPS, StatePartition
 
 __all__ = [
     "ConfigError",
@@ -62,11 +62,19 @@ class Field(NamedTuple):
 
 # The largest transition kernel a config may ask for, in n_states * n_actions *
 # n_states doubles (256 MiB); a larger one is refused at load, before any
-# regime's kernel is allocated.
+# regime's kernel is allocated. The detector's joint posterior, h_max *
+# n_clusters doubles, has the same budget.
 MAX_KERNEL_ENTRIES = 2**25
 
 # Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
 _NOISE_WIDTH = (lambda v: v >= 0 and math.isfinite(2.0 * v), "must be >= 0 with 2 * sigma finite")
+# Value iteration closes a residual gap by a factor gamma per backup, so where
+# 1 / (1 - gamma) passes mode_fixed_point's polish budget the polish cannot
+# settle; gamma outside [0, 1) is left to OperatorParams.
+_POLISH_HORIZON = (
+    lambda v: not 0.0 <= v < 1.0 or 1.0 / (1.0 - v) <= _MAX_POLISH_STEPS,
+    f"must satisfy 1 / (1 - gamma) <= {_MAX_POLISH_STEPS}",
+)
 # The fused surprise reaches the change detector, which squares it.
 _FINITE_SQUARE = (lambda v: math.isfinite(v * v), "must have a finite square")
 
@@ -78,7 +86,7 @@ FIELDS: dict[str, Field] = {
     "reward_range": Field(list, [-1.0, 1.0]),
     "modes": Field(list, [{"seed": 1}, {"seed": 2}]),
     "schedule": Field(list, [[0, 200], [1, 200]]),
-    "operator.gamma": Field(float, 0.99),
+    "operator.gamma": Field(float, 0.99, *_POLISH_HORIZON),
     "operator.lambda_epi": Field(float, 0.01),
     "operator.kappa": Field(float, 0.0),
     "bocd.h_max": Field(int, 20),
@@ -326,6 +334,13 @@ def _resolve(values: dict) -> ExperimentConfig:
         raise ConfigError(
             f"n_states = {n_states} and n_actions = {n_actions} need a kernel of {entries} "
             f"doubles, beyond the budget of {MAX_KERNEL_ENTRIES}"
+        )
+    h_max = values["bocd.h_max"]
+    n_clusters = 1 if values["joint"] is None else values["joint.n_clusters"]
+    if h_max * n_clusters > MAX_KERNEL_ENTRIES:
+        raise ConfigError(
+            f"bocd.h_max = {h_max} with {n_clusters} cluster(s) needs a joint posterior of "
+            f"{h_max * n_clusters} doubles, beyond the budget of {MAX_KERNEL_ENTRIES}"
         )
     with _naming("schedule: "):
         schedule = PiecewiseSchedule(tuple(

@@ -26,7 +26,9 @@ chain runs alongside:
      noise (``_noise``). The config, models and partition are validated at
      load and the loop owns its tables, so the kernels run unchecked; the
      spread, the TD scale and the error read every entry, and one that is
-     not finite stops the run with a RuntimeError naming the iteration;
+     not finite stops the run with a RuntimeError naming the iteration. The
+     surprise channels are checked once per step and fused by the kernel
+     that ``adaptive.surprise`` wraps;
   6. the sup-norm error to the *true* active regime's fixed point is
      recorded.
 
@@ -39,27 +41,40 @@ are reporting conveniences, the certified quantities are the envelopes.
 Identical config and seed produce bit-identical traces: every random
 stream is derived from (seed, stream id, iteration). There are three per
 iteration: the rollout, the ensemble noise (one Generator draws the whole
-(n_ensemble, S, A) block) and the iterate's noise, each drawn by
+(n_ensemble, S, A) block) and the iterate's noise, each noise drawn by
 ``add_bounded_noise``'s kernel on a sigma checked at load (at sigma 0 it
 draws nothing). The ensemble feeds only the surprise chain, never the
 iterate, so the ``err`` and ``phase`` columns do not depend on how its
 noise is drawn.
+
+The loop spends its time on the backup's one matrix product, not on
+per-step set-up, with every value the same bits as the plain formulas:
+  - what the schedule fixes (the true regime, the lagged estimate and the
+    detection windows) is read once per run;
+  - the rollout keeps the normalized greedy CDF rows of the true regime
+    across iterations, keyed by (state, action), and drops them when the
+    regime changes, so it holds at most S * A rows of S doubles;
+  - the ensemble noise is drawn into one (n_ensemble, S, A) array owned by
+    the run and added to the members in place; that array then serves the
+    spread as scratch, in place of numpy's temporaries.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .. import operators
 from ..adaptive import (
-    SurpriseInputs,
+    _check_readings,
+    _surprise,
     beta_eff,
     ema_update,
     lambda_w,
-    surprise,
     update_surprise_ema,
 )
 from ..bocd import _assign, _entropy, _filter_step, _mean_run_length
@@ -125,26 +140,32 @@ class ExperimentTrace:
         return len(self.rows)
 
 
-def _greedy_rollout(model, q: np.ndarray, length: int, rng) -> np.ndarray:
+def _greedy_rollout(model, q: np.ndarray, length: int, rng, cdf_rows: dict) -> np.ndarray:
     """One-step rewards along a greedy trajectory through the true regime.
 
     Starts from state 0 every iteration so batch-to-batch reward variation
     reflects the regime (and kernel sampling), not start-state dispersion.
     Each transition is an inverse-CDF draw (``rng.choice``'s arithmetic) on
-    one uniform of a single ``rng.random`` call; a state's normalized greedy
-    row CDF is built on its first visit, for every draw in one searchsorted.
+    one uniform of a single ``rng.random`` call: ``bisect_right`` on the
+    normalized CDF row of the (state, greedy action) pair makes the
+    comparisons of ``searchsorted(side="right")``. ``cdf_rows`` maps such
+    pairs of ``model`` to their rows, each built on first use and held as
+    an ``array("d")`` (8 bytes an entry); the caller keeps it across calls
+    and starts a new one when the regime changes.
     """
     greedy = q.argmax(axis=1)
-    draws = rng.random(length - 1)
-    successors = {}  # state -> its successor under each draw
+    actions = greedy.tolist()
+    state = 0
     path = [0]
-    for i in range(length - 1):
-        state = path[-1]
-        if state not in successors:
-            cdf = model.kernel[state, greedy[state]].cumsum()
+    for draw in rng.random(length - 1).tolist():
+        key = (state, actions[state])
+        row = cdf_rows.get(key)
+        if row is None:
+            cdf = model.kernel[key].cumsum()
             cdf /= cdf[-1]
-            successors[state] = cdf.searchsorted(draws, side="right").tolist()
-        path.append(successors[state][i])
+            row = cdf_rows[key] = array("d", cdf.tobytes())
+        state = bisect_right(row, draw)
+        path.append(state)
     return model.reward[path, greedy[path]]
 
 
@@ -156,16 +177,28 @@ def _mean_var(x: np.ndarray) -> tuple[float, float]:
     return float(mean), float((d * d).sum() / n)
 
 
-def _spread(members: np.ndarray) -> float:
+def _spread(members: np.ndarray, dev: np.ndarray, std: np.ndarray) -> float:
     """Mean over (s, a) of the members' standard deviation, finite when they all are.
 
-    Past |Q| ~ 1e154 even round-off deviations overflow when squared; there
-    the members are scaled into [-1, 1] first.
+    ``members.std(axis=0).mean()`` bit for bit, by numpy's own sequence of
+    operations on the caller's scratch arrays ``dev`` (the shape of
+    ``members``) and ``std`` (the shape of one member) in place of its
+    temporaries. Past |Q| ~ 1e154 even round-off deviations overflow when
+    squared; there the members are scaled into [-1, 1] first.
     """
-    spread = float(members.std(axis=0).mean())
+    n = members.shape[0]
+    mean = std[None]
+    np.add.reduce(members, axis=0, keepdims=True, out=mean)
+    mean /= n
+    np.subtract(members, mean, out=dev)
+    np.square(dev, out=dev)
+    np.add.reduce(dev, axis=0, out=std)
+    std /= n
+    np.sqrt(std, out=std)
+    spread = float(std.sum() / std.size)
     if not math.isfinite(spread) and np.isfinite(members).all():
         scale = float(np.abs(members).max())
-        spread = scale * float((members / scale).std(axis=0).mean())
+        spread = scale * _spread(members / scale, dev, std)
     return spread
 
 
@@ -193,7 +226,14 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     eps_proj = [0.0 if partition is None else projection_error(q, partition) for q in q_stars]
     floors = [error_floor(e, config.noise_sigma, params.gamma) for e in eps_proj]
 
+    # the schedule read once per run: the true regime, the detector's view of
+    # it (lagging each switch by n_delta) and the detection windows
+    n_iter = schedule.total_iterations
+    true_modes = [schedule.mode_at(t) for t in range(n_iter)]
+    est_modes = [true_modes[max(t - n_delta, 0)] for t in range(n_iter)]
     switch_times = schedule.switch_times()
+    in_detection = [any(st <= t < st + n_delta for st in switch_times) for t in range(n_iter)]
+    holds = config.detection_policy == "hold"
 
     h_max = config.bocd_params.h_max
     # Without a joint config the filter has one cluster, where stickiness has no effect.
@@ -206,10 +246,15 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     counts = np.zeros(n_z, dtype=int)
     adaptive_state = config.adaptive_template
 
-    point_masses = np.eye(len(models))  # row m: the point-mass weights on regime m
+    point_masses = np.eye(len(models)).tolist()  # row m: the point-mass weights on regime m
     # the ensemble members, then the iterate q, backed up together each iteration
     stack = np.zeros((config.n_ensemble + 1, config.n_states, config.n_actions))
     q = stack[-1]
+    # the members' noise is drawn into `draws`, which then serves _spread as
+    # scratch along with `std`
+    draws = np.empty(stack[:-1].shape)
+    std = np.empty(q.shape)
+    cdf_rows, cdf_mode = {}, None  # the rollout's CDF rows of regime cdf_mode
 
     # Channel statistics: None until their first observation seeds them
     # (ema_update), and each channel reads its neutral value off that None.
@@ -218,14 +263,14 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     kappa_ema = None
 
     rows = []
-    for t in range(schedule.total_iterations):
-        true_mode = schedule.mode_at(t)
-        # the detector's view of the schedule lags each switch by n_delta
-        est_weights = point_masses[schedule.mode_at(max(t - n_delta, 0))]
+    for t in range(n_iter):
+        true_mode = true_modes[t]
+        if true_mode != cdf_mode:
+            cdf_rows, cdf_mode = {}, true_mode
 
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
-        rewards = _greedy_rollout(models[true_mode], q, config.rollout_len, roll_rng)
+        rewards = _greedy_rollout(models[true_mode], q, config.rollout_len, roll_rng, cdf_rows)
         batch_mean, batch_var = _mean_var(rewards)
         if reward_mean is None:
             reward_z = 0.0
@@ -236,10 +281,11 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
 
         # an overflow in the tables is reported by _finite, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            stack = operators._backup(models, est_weights, params, stack)
+            stack = operators._backup(models, point_masses[est_modes[t]], params, stack)
+            members = stack[:-1]
             # one stream draws the members' whole (n_ensemble, S, A) noise block
-            stack[:-1] = _noise(stack[:-1], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t))
-            sigma_q = _finite(_spread(stack[:-1]), "sigma_q", t)
+            _noise(members, config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t), out=draws)
+            sigma_q = _finite(_spread(members, draws, std), "sigma_q", t)
             backed_up = stack[-1]
             td_scale = _finite(float(np.abs(backed_up - q).max()), "td_scale", t)
         sigma_q_smooth = ema_update(sigma_q_smooth, sigma_q, _SIGMA_Q_SMOOTH)
@@ -253,10 +299,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         kappa_div = 0.0 if kappa_ema is None else abs(kappa_t - kappa_ema)
         kappa_ema = ema_update(kappa_ema, kappa_t, config.stat_ema_rate)
 
-        xi = surprise(
-            SurpriseInputs(reward_z=reward_z, q_std_ratio=q_std_ratio, kappa_div=kappa_div),
-            config.surprise_weights,
-        )
+        _check_readings(reward_z, q_std_ratio, kappa_div)
+        xi = _surprise(reward_z, q_std_ratio, kappa_div, config.surprise_weights)
         if config.smooth_surprise:
             xi, adaptive_state = update_surprise_ema(adaptive_state, xi)
 
@@ -270,15 +314,14 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         beta = beta_eff(adaptive_state, lam)
 
         # --- one frozen-belief backup ---
-        in_detection = any(st <= t < st + n_delta for st in switch_times)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not (config.detection_policy == "hold" and in_detection):
+            if not (holds and in_detection[t]):
                 step = backed_up if partition is None else _project(backed_up, partition)
                 q = _noise(step, config.noise_sigma, (seed, _NOISE_STREAM, t))
             err = _finite(float(np.abs(q - q_stars[true_mode].values).max()), "err", t)
         stack[-1] = q  # the next iteration backs up this ensemble and iterate
         steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)
-        if in_detection:
+        if in_detection[t]:
             phase = "detection"
         elif err <= steady_threshold:
             phase = "steady"

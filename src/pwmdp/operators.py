@@ -226,7 +226,9 @@ def _backup(
             continue
         term = np.dot(v, model.kernel.reshape(-1, n_states).T).reshape(q.shape)
         term -= params.lambda_epi * model.gamma_epi
-        term -= params.kappa
+        # x - 0.0 == x for every double; x - (-0.0) turns -0.0 into 0.0
+        if params.kappa != 0.0 or math.copysign(1.0, params.kappa) < 0.0:
+            term -= params.kappa
         term *= params.gamma
         term += model.reward
         if w != 1.0:  # a single regime or a point mass needs no scaling
@@ -509,15 +511,23 @@ def add_bounded_noise(q: QFunction | np.ndarray, sigma: float, rng_seed) -> QFun
     return _like(q, _noise(_tables(q), sigma, rng_seed))
 
 
-def _noise(values: np.ndarray, sigma: float, rng_seed) -> np.ndarray:
-    """``values`` plus noise uniform in [-sigma, sigma), as a new array; at sigma 0, ``values``."""
+def _noise(values: np.ndarray, sigma: float, rng_seed, out: np.ndarray | None = None) -> np.ndarray:
+    """``values`` plus noise uniform in [-sigma, sigma), as a new array; at sigma 0, ``values``.
+
+    With ``out``, a C-contiguous float array of ``values``' shape, the noise is
+    drawn into ``out`` and added to ``values`` in place, which is returned; the
+    sums are the same bits, since IEEE addition commutes.
+    """
     if sigma == 0.0:
         return values
-    noise = np.random.default_rng(rng_seed).random(values.shape)
+    noise = np.random.default_rng(rng_seed).random(values.shape, out=out)
     noise *= 2.0 * sigma
     noise -= sigma
-    noise += values
-    return noise
+    if out is None:
+        noise += values
+        return noise
+    values += noise
+    return values
 
 
 def apply_mixture_via_shared(

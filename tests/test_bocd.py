@@ -1,6 +1,7 @@
 """Tests for the run-length change detector and joint regime belief."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,22 @@ class TestClusterAssign:
             assert _assign(signal, centroids, counts) == idx
             assert (centroids == clusters.centroids).all()
             assert (counts == clusters.counts).all()
+
+    @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1e300])
+    def test_huge_signals_pick_the_nearest_centroid_without_warnings(self, magnitude):
+        # every squared distance overflows, so the plain norms all read inf
+        centroids = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]) * magnitude
+        signal = np.array([1.1, 0.9, 1.2]) * magnitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, clusters = cluster_assign(signal, ClusterState(centroids, np.array([1, 1, 1])))
+            assert _assign(signal, centroids.copy(), np.array([1, 1, 1])) == idx == 1
+            assert cluster_assign(-signal, clusters)[0] == 0
+            # a tie between two far centroids still goes to the lower index
+            far = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) * magnitude
+            tie = ClusterState(far, np.ones(2, int))
+            assert cluster_assign(np.zeros(3), tie)[0] == 0
+        np.testing.assert_allclose(clusters.centroids[1], (centroids[1] + signal) / 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_signal_is_rejected_by_both_paths(self, bad):

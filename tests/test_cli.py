@@ -8,13 +8,16 @@ import math
 import re
 import subprocess
 import sys
+import time
 from argparse import _SubParsersAction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pwmdp.harness import read_trace
 from pwmdp.harness.cli import build_parser, main
+from pwmdp.harness.config import FIELDS
 
 CLI = [sys.executable, "-m", "pwmdp"]
 
@@ -300,12 +303,89 @@ class TestPiecewiseCommand:
         trace = read_trace(tmp_path / "x" / "trace.csv")
         assert len(trace) == 400 and all(math.isfinite(row.err) for row in trace.rows)
 
+    def test_huge_channel_signals_cluster_without_overflow_warnings(self, tmp_path, capsys):
+        # the channels reach ~1e200, whose squared distances to the centroids overflow
+        cfg = tmp_path / "shift.json"
+        raw = {
+            "modes": [{"seed": 1, "reward_shift": 1e200}, {"seed": 2, "reward_shift": 1e200}],
+            "schedule": [[0, 200], [1, 200]],
+            "joint": {"n_clusters": 3},
+        }
+        cfg.write_text(json.dumps(raw))
+        assert main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_gamma_beyond_the_polish_budget_exits_1_at_once(self, tmp_path, capsys):
+        # the polish used to run its whole budget of 10**6 backups, then exit 4
+        cfg = tmp_path / "gamma.json"
+        cfg.write_text(json.dumps({"operator": {"gamma": 0.999999999}}))
+        start = time.perf_counter()
+        assert main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: operator.gamma must satisfy 1 / (1 - gamma) <= 1000000, got 0.999999999"
+        ]
+
     def test_unwritable_output_exits_3(self, quick_config, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
         result = run_cli("piecewise", "--config", str(quick_config), "--out", str(blocker))
         assert result.returncode == 3
         assert "I/O error" in result.stderr
+
+
+# Boundary values per field kind for the config fuzzer; a field added to FIELDS
+# is fuzzed with the values of its kind.
+FUZZ_VALUES = {
+    float: (0, -0.0, 1e-320, 1e-300, 1 - 1e-9, 1e300, 1.7e308, -1.0, -1e300, True, "0.5"),
+    int: (0, -0.0, 1, 2, -1, 1e300, 1.7e308, True, "3"),
+    bool: (True, False, 0, "true"),
+    str: ("", "hold", "json", 0),
+    list: (None, [], [[0]], "0"),
+    dict: (None, {}, {"n_clusters": 2}, []),
+}
+FUZZ_SHIFTS = (1e20, 1e100, 1e200, -1e150)
+
+
+def fuzzed_config(rng) -> dict:
+    """A short two-regime config with huge reward shifts and 1-3 fields at boundary values."""
+    raw = {
+        "modes": [{"seed": m, "reward_shift": float(rng.choice(FUZZ_SHIFTS))} for m in (1, 2)],
+        "schedule": [[0, 4], [1, 4]],
+        "n_ensemble": 2,
+        "rollout_len": 3,
+    }
+    paths = sorted(FIELDS)
+    for i in rng.choice(len(paths), size=int(rng.integers(1, 4)), replace=False):
+        values = FUZZ_VALUES[FIELDS[paths[i]].kind]
+        section, _, key = paths[i].rpartition(".")
+        target = raw
+        if section:
+            if not isinstance(raw.get(section), dict):
+                raw[section] = {}
+            target = raw[section]
+        target[key] = values[int(rng.integers(len(values)))]
+    return raw
+
+
+def test_fuzzed_configs_run_or_exit_with_one_line(tmp_path):
+    # every config either runs or exits 1 (config) or 4 (numerics) with one stderr
+    # line, besides warnings, and never escapes as an exception
+    rng = np.random.default_rng(2026)
+    codes = set()
+    for i in range(300):
+        raw = fuzzed_config(rng)
+        cfg = tmp_path / "fuzz.json"
+        cfg.write_text(json.dumps(raw))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / f"out{i}")])
+        lines = stderr.getvalue().splitlines()
+        errors = [line for line in lines if not line.startswith("warning: ")]
+        assert code in (0, 1, 4), raw
+        assert len(errors) == (code != 0), (raw, lines)
+        codes.add(code)
+    assert {0, 1} <= codes
 
 
 class TestThresholdSweepCommand:

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: config, scripted runs, sweeps, trace I/O."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -23,7 +24,7 @@ from pwmdp.harness import (
     run_threshold_sweep,
 )
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
-from pwmdp.harness.experiment import _greedy_rollout, _mean_var
+from pwmdp.harness.experiment import _greedy_rollout, _mean_var, _spread
 from pwmdp.harness.io import (
     parse_trace_csv_text,
     parse_trace_json_text,
@@ -45,6 +46,25 @@ def small_config_dict(**overrides) -> dict:
     }
     raw.update(overrides)
     return raw
+
+
+# sha256 of a short S = 200, A = 8 trace with a pair partition and iterate
+# noise (the piecewise_large shape): pins the rollout's cached CDF rows, the
+# in-place ensemble draw and the spread on tables of that size
+S200_TRACE_SHA256 = "50eda7ff7ca6cac7b2b4ecca5dc31dd98883f7c2098747cdf03f6d541795bee4"
+
+
+def s200_config_dict() -> dict:
+    return {
+        "seed": 7,
+        "n_states": 200,
+        "n_actions": 8,
+        "modes": [{"seed": s} for s in (1, 2, 3, 4)],
+        "schedule": [[0, 30], [1, 30], [2, 30], [3, 30]],
+        "operator": {"gamma": 0.9, "lambda_epi": 0.01, "kappa": 0.0},
+        "partition": [[i, i + 1] for i in range(0, 200, 2)],
+        "noise_sigma": 0.01,
+    }
 
 
 class TestConfig:
@@ -180,14 +200,28 @@ class TestConfig:
             ({"reward_range": [1]}, "reward_range: "),
             ({"modes": [{"seed": 1}, {"seed": -1}]}, "modes[1]: "),
             ({"partition": [[0, 9]]}, "partition: "),
+            # the fixed-point polish would need ~1e9 backups at this gamma
+            ({"operator": {"gamma": 0.999999999}},
+             "operator.gamma must satisfy 1 / (1 - gamma) <= 1000000, got 0.999999999"),
+            # int(1.7e308) clusters made 1 / (h_max * n_clusters) overflow mid-run
+            ({"joint": {"n_clusters": 1.7e308}}, "bocd.h_max = 20 with 1699"),
+            ({"bocd": {"h_max": 2**25 + 1}}, "bocd.h_max = 33554433 with 1 cluster(s) needs"),
         ],
         ids=["adaptive", "operator", "bocd", "surprise", "scalar_schedule", "short_segment",
-             "short_reward_range", "negative_mode_seed", "partition"],
+             "short_reward_range", "negative_mode_seed", "partition", "polish_budget",
+             "posterior_clusters", "posterior_h_max"],
     )
     def test_range_error_names_its_config_field(self, raw, lead):
         with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
         assert str(info.value).startswith(lead)
+
+    def test_gamma_within_the_polish_budget_loads(self):
+        # 1 / (1 - gamma) = 1e5 backups, inside the polish budget of 1e6
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MetastabilityWarning)
+            config = config_from_dict({"operator": {"gamma": 0.99999}})
+        assert config.operator_params.gamma == 0.99999
 
 
 def readme_defaults_table() -> str:
@@ -342,6 +376,13 @@ class TestRunPiecewise:
         b = trace_to_csv_text(run_piecewise(config))
         assert a == b
 
+    def test_s200_trace_is_pinned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the dwells clear the metastability check
+            config = config_from_dict(s200_config_dict())
+        text = trace_to_csv_text(run_piecewise(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == S200_TRACE_SHA256
+
 
 class TestGreedyRollout:
     @staticmethod
@@ -362,9 +403,54 @@ class TestGreedyRollout:
         model = make_random_mode(9, n_states, n_actions)
         for seed in range(5):
             q = np.random.default_rng(seed).uniform(-1, 1, (n_states, n_actions))
-            got = _greedy_rollout(model, q, 64, np.random.default_rng((seed, 0, 3)))
+            got = _greedy_rollout(model, q, 64, np.random.default_rng((seed, 0, 3)), {})
             expected = self.reference_rollout(model, q, 64, np.random.default_rng((seed, 0, 3)))
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n_states, n_actions", [(6, 3), (200, 8)])
+    def test_one_cache_per_regime_matches_the_reference_loop(self, n_states, n_actions):
+        # as in run_piecewise: one cache kept while the regime stays, a new one after a
+        # switch, over tables whose greedy actions change from call to call
+        models = [make_random_mode(seed, n_states, n_actions) for seed in (9, 10)]
+        rng = np.random.default_rng(5)
+        q = rng.uniform(-1, 1, (n_states, n_actions))
+        cached = 0
+        for t, regime in enumerate([0] * 12 + [1] * 12):
+            if t in (0, 12):
+                cdf_rows = {}
+            q[rng.integers(n_states, size=n_states // 2)] += rng.uniform(-0.5, 0.5, n_actions)
+            model = models[regime]
+            got = _greedy_rollout(model, q, 32, np.random.default_rng((3, 0, t)), cdf_rows)
+            expected = self.reference_rollout(model, q, 32, np.random.default_rng((3, 0, t)))
+            assert np.array_equal(got, expected)
+            cached = max(cached, len(cdf_rows))
+        assert 0 < cached <= n_states * n_actions
+
+    def test_rollout_of_length_one_draws_nothing(self):
+        model = make_random_mode(9, 6, 3)
+        q = np.random.default_rng(0).uniform(-1, 1, (6, 3))
+        cdf_rows = {}
+        got = _greedy_rollout(model, q, 1, np.random.default_rng(1), cdf_rows)
+        assert np.array_equal(got, model.reward[[0], [int(q[0].argmax())]])
+        assert cdf_rows == {}
+
+
+def test_spread_equals_numpys_std_mean_bit_for_bit():
+    # run_piecewise's ensemble spread on scratch arrays, up to |Q| = 1e300
+    rng = np.random.default_rng(17)
+    for n_members, shape in [(2, (6, 3)), (3, (4, 2)), (10, (200, 8)), (7, (5, 9))]:
+        dev = np.full((n_members, *shape), np.nan)  # dirty scratch arrays
+        std = np.full(shape, np.nan)
+        for magnitude in (1e-300, 1e-3, 1.0, 1e3, 1e150, 1e160, 1e300):
+            members = rng.uniform(-1.0, 1.0, (n_members, *shape)) * magnitude
+            members += rng.uniform(-0.5, 0.5) * magnitude
+            with np.errstate(over="ignore"):  # deviations past ~1e154 overflow when squared
+                expected = float(members.std(axis=0).mean())
+                if not math.isfinite(expected):  # the scaled-into-[-1, 1] fallback
+                    scale = float(np.abs(members).max())
+                    expected = scale * float((members / scale).std(axis=0).mean())
+                got = _spread(members, dev, std)
+            assert math.isfinite(got) and got == expected
 
 
 def test_rollout_mean_and_variance_equal_numpys_bit_for_bit():

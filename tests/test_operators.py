@@ -28,7 +28,7 @@ from pwmdp import (
     solve_fixed_point,
     sup_dist,
 )
-from pwmdp.operators import LIPSCHITZ_VALUE_RANGE
+from pwmdp.operators import LIPSCHITZ_VALUE_RANGE, _backup, _noise
 
 
 def single_state_model(reward: float = 1.0) -> ModeModel:
@@ -36,6 +36,27 @@ def single_state_model(reward: float = 1.0) -> ModeModel:
 
 
 class TestModeOperator:
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, 0.25])
+    def test_kernel_equals_the_plain_subtraction_of_kappa(self, kappa):
+        # the kernel skips subtracting a kappa of 0.0 (x - 0.0 == x for every double),
+        # but not one of -0.0 (x - (-0.0) turns -0.0 into 0.0); the bits stay those
+        # of the plain formula, signs of zero included
+        model = make_random_mode(3, 5, 2)
+        model = ModeModel(np.where(model.reward > 0, -0.0, model.reward), model.kernel,
+                          np.zeros((5, 2)))
+        params = OperatorParams(gamma=0.5, kappa=kappa)
+        q = np.full((3, 5, 2), -0.0)
+        q[1] = np.random.default_rng(4).uniform(-1, 1, (5, 2))
+        v = q.max(axis=-1)
+        expected = np.dot(v, model.kernel.reshape(-1, 5).T).reshape(q.shape)
+        expected -= params.lambda_epi * model.gamma_epi
+        expected -= kappa
+        expected *= params.gamma
+        expected += model.reward
+        got = _backup((model,), (1.0,), params, q)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
     def test_one_step_backup(self):
         model = single_state_model(1.0)
         params = OperatorParams(gamma=0.5)
@@ -633,6 +654,22 @@ class TestNoisyOperator:
                 add_bounded_noise(QFunction(x), sigma, 1).values,
                 x + np.random.default_rng(1).uniform(-sigma, sigma, shape),
             )
+
+
+    @pytest.mark.parametrize(
+        "shape, sigma", [((10, 200, 8), 0.05), ((2, 6, 3), 8e307), ((6, 3), 0.3)]
+    )
+    def test_in_place_draw_equals_the_new_array(self, shape, sigma):
+        # run_piecewise draws the ensemble noise into one buffer and adds it in place
+        rng = np.random.default_rng(12)
+        buffer = np.full(shape, np.nan)  # its contents are never read
+        for seed in (0, (5, 1, 7), (5, 1, 8)):
+            values = rng.uniform(-5, 5, shape)
+            expected = _noise(values, sigma, seed)
+            target = values.copy()
+            assert _noise(target, sigma, seed, out=buffer) is target
+            assert np.array_equal(target, expected)
+        assert _noise(values, 0.0, 0, out=buffer) is values
 
 
 class TestSharedCritic:
