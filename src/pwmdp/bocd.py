@@ -420,10 +420,11 @@ def _assign(signal: np.ndarray, centroids: np.ndarray, counts: np.ndarray) -> in
     # and a distance beyond the largest double reads inf.
     with np.errstate(over="ignore"):
         dist = np.linalg.norm(diff, axis=1)
-        for i in np.flatnonzero(~np.isfinite(dist)):
-            scale = np.abs(diff[i]).max()
-            if math.isfinite(scale):
-                dist[i] = scale * np.linalg.norm(diff[i] / scale)
+        if not math.isfinite(dist.sum()):  # one sum, in place of a per-row test
+            for i in np.flatnonzero(~np.isfinite(dist)):
+                scale = np.abs(diff[i]).max()
+                if math.isfinite(scale):
+                    dist[i] = scale * np.linalg.norm(diff[i] / scale)
     idx = int(np.argmin(dist))
     n = counts[idx]
     centroids[idx] = centroids[idx] + (signal - centroids[idx]) / (n + 1)
