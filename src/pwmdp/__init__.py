@@ -12,14 +12,11 @@ bound numerically.
 
 from .adaptive import (
     AdaptiveState,
-    SurpriseInputs,
     SurpriseWeights,
     beta_eff,
     ema_update,
     lambda_w,
-    lcb_score,
     surprise,
-    update_surprise_ema,
 )
 from .bocd import (
     BOCDParams,

@@ -27,18 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 __all__ = [
     "SurpriseWeights",
-    "SurpriseInputs",
     "AdaptiveState",
     "surprise",
     "ema_update",
     "lambda_w",
     "beta_eff",
-    "lcb_score",
-    "update_surprise_ema",
 ]
 
 # Control-limit width: lambda_w counts only the part of a rise of the
@@ -64,34 +59,6 @@ class SurpriseWeights:
 
 
 @dataclass(frozen=True)
-class SurpriseInputs:
-    """One iteration's channel readings.
-
-    reward_z:     reward z-score (dimensionless, sign carries no meaning here)
-    q_std_ratio:  ensemble Q-std over its running baseline, >= 0
-    kappa_div:    absolute drift of the penalty trace from its EMA, >= 0
-    """
-
-    reward_z: float
-    q_std_ratio: float
-    kappa_div: float
-
-    def __post_init__(self):
-        _check_readings(self.reward_z, self.q_std_ratio, self.kappa_div)
-
-
-def _check_readings(reward_z: float, q_std_ratio: float, kappa_div: float) -> None:
-    """Raise ValueError unless the readings are finite and the last two are >= 0."""
-    vals = (reward_z, q_std_ratio, kappa_div)
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError(f"surprise inputs must be finite, got {vals}")
-    if q_std_ratio < 0.0:
-        raise ValueError(f"q_std_ratio must be >= 0, got {q_std_ratio}")
-    if kappa_div < 0.0:
-        raise ValueError(f"kappa_div must be >= 0, got {kappa_div}")
-
-
-@dataclass(frozen=True)
 class AdaptiveState:
     """Baselines and coefficients for the penalty chain.
 
@@ -100,7 +67,8 @@ class AdaptiveState:
     penalty. ema_sq_deviation, the EMA of (raw - baseline)**2, is None until
     the first observation that has a baseline, which seeds it. Both update
     *after* the penalty is extracted, so a fresh spike is measured against
-    the pre-spike baseline and spread.
+    the pre-spike baseline and spread. surprise_ema_rate is the retention
+    at which ``run_piecewise`` smooths the fused surprise, if asked to.
     """
 
     beta_base: float = -2.0
@@ -108,7 +76,6 @@ class AdaptiveState:
     baseline_ema_rate: float = 0.95
     surprise_ema_rate: float = 0.3
     ema_baseline: float | None = None
-    surprise_ema: float | None = None
     ema_sq_deviation: float | None = None
 
     def __post_init__(self):
@@ -124,15 +91,20 @@ class AdaptiveState:
             raise ValueError(f"ema_sq_deviation must lie in [0, 1], got {self.ema_sq_deviation}")
 
 
-def surprise(inputs: SurpriseInputs, weights: SurpriseWeights) -> float:
-    """Fused surprise, clipped to [0, clip_max]."""
-    return _surprise(inputs.reward_z, inputs.q_std_ratio, inputs.kappa_div, weights)
+def surprise(reward_z: float, q_std_ratio: float, kappa_div: float, weights: SurpriseWeights) -> float:
+    """Fused surprise of one iteration's channel readings, clipped to [0, clip_max].
 
-
-def _surprise(
-    reward_z: float, q_std_ratio: float, kappa_div: float, weights: SurpriseWeights
-) -> float:
-    """:func:`surprise` on readings that passed :func:`_check_readings`."""
+    reward_z:     reward z-score (dimensionless, sign carries no meaning here)
+    q_std_ratio:  ensemble Q-std over its running baseline, >= 0
+    kappa_div:    absolute drift of the penalty trace from its EMA, >= 0
+    """
+    vals = (reward_z, q_std_ratio, kappa_div)
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"surprise inputs must be finite, got {vals}")
+    if q_std_ratio < 0.0:
+        raise ValueError(f"q_std_ratio must be >= 0, got {q_std_ratio}")
+    if kappa_div < 0.0:
+        raise ValueError(f"kappa_div must be >= 0, got {kappa_div}")
     raw = weights.w_r * abs(reward_z) + weights.w_q * q_std_ratio + weights.w_kappa * kappa_div
     return float(min(max(raw, 0.0), weights.clip_max))
 
@@ -182,20 +154,3 @@ def beta_eff(state: AdaptiveState, lam: float) -> float:
     if lam < 0.0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     return state.beta_base - lam * state.c_penalty
-
-
-def lcb_score(q_mean: float, q_std: float, beta: float) -> float:
-    """Confidence-weighted action score q_mean + beta * q_std.
-
-    With beta < 0 this is a lower confidence bound; actions with equal
-    ensemble disagreement keep their q_mean ranking for every beta.
-    """
-    if q_std < 0.0:
-        raise ValueError(f"q_std must be >= 0, got {q_std}")
-    return q_mean + beta * q_std
-
-
-def update_surprise_ema(state: AdaptiveState, xi: float) -> tuple[float, AdaptiveState]:
-    """Post-fusion surprise smoothing; returns (smoothed value, updated state)."""
-    smoothed = ema_update(state.surprise_ema, xi, state.surprise_ema_rate)
-    return smoothed, replace(state, surprise_ema=smoothed)

@@ -87,9 +87,6 @@ class EmbeddingBatch:
         if m.shape != (v.shape[0],):
             raise ValueError(f"mode_ids shape {m.shape} does not match {v.shape[0]} samples")
 
-    def modes(self) -> np.ndarray:
-        return np.unique(self.mode_ids)
-
     def mode_means(self) -> np.ndarray:
         """Per-regime mean embeddings, ordered by ascending mode id."""
         return _mode_means(_regimes(self.vectors, self.mode_ids))

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .. import operators
-from ..adaptive import AdaptiveState, SurpriseInputs, SurpriseWeights, beta_eff, surprise
+from ..adaptive import AdaptiveState, SurpriseWeights, beta_eff, surprise
 from ..bocd import (
     BOCDParams,
     bayes_update,
@@ -405,10 +405,10 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
         z = float(rng.uniform(-100.0, 100.0))
         q = float(rng.uniform(0.0, 100.0))
         k = float(rng.uniform(0.0, 100.0))
-        value = surprise(SurpriseInputs(z, q, k), fused_weights)
+        value = surprise(z, q, k, fused_weights)
         max_violation = max(max_violation, value - weights.clip_max, -value)
         # monotone in each channel magnitude
-        bigger = surprise(SurpriseInputs(z * 2.0, q * 2.0, k * 2.0), fused_weights)
+        bigger = surprise(z * 2.0, q * 2.0, k * 2.0, fused_weights)
         max_violation = max(max_violation, value - bigger)
         tested += 2
     return SuiteResult("safety_monotonicity", tested, max_violation, tol)
@@ -515,16 +515,6 @@ def three_phase_config_dict(seed: int) -> dict:
     }
 
 
-def _segments(schedule) -> list:
-    """(start, end, mode) of each scheduled segment."""
-    segments = []
-    start = 0
-    for mode, dwell in schedule.segments:
-        segments.append((start, start + dwell, mode))
-        start += dwell
-    return segments
-
-
 def lambda_w_gates_hold(config, rows) -> bool:
     """Suite 9's lambda_w gates on one run's trace rows.
 
@@ -532,7 +522,7 @@ def lambda_w_gates_hold(config, rows) -> bool:
     delay, and < 0.01 on the last row of each segment (it relaxes again).
     """
     n_delta = config.detection_steps
-    segments = _segments(config.schedule)
+    segments = config.schedule.bounds
     rises = all(
         any(r.lambda_w > 0.0 for r in rows[start : min(start + n_delta + 1, end)])
         for start, end, _ in segments[1:]
@@ -560,7 +550,7 @@ def suite_piecewise_three_phase(seed: int, mutation: str | None = None) -> Suite
     fixed_points = [mode_fixed_point(m, config.operator_params, tol=1e-12).q_star for m in config.models]
     rows = trace.rows
     max_violation = 0.0
-    segments = _segments(config.schedule)
+    segments = config.schedule.bounds
     for k, (seg_start, seg_end, mode) in enumerate(segments):
         if k > 0:
             prev_mode = segments[k - 1][2]

@@ -62,8 +62,10 @@ class Field(NamedTuple):
 
 # The largest transition kernel a config may ask for, in n_states * n_actions *
 # n_states doubles (256 MiB); a larger one is refused at load, before any
-# regime's kernel is allocated. The detector's joint posterior, h_max *
-# n_clusters doubles, has the same budget.
+# regime's kernel is allocated. The detector's joint posterior (h_max *
+# n_clusters doubles), the ensemble with the iterate ((n_ensemble + 1) *
+# n_states * n_actions doubles) and one rollout's draws (rollout_len doubles)
+# have the same budget.
 MAX_KERNEL_ENTRIES = 2**25
 
 # Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
@@ -329,19 +331,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _resolve(values: dict) -> ExperimentConfig:
     n_states, n_actions = values["n_states"], values["n_actions"]
-    entries = n_states * n_actions * n_states
-    if min(n_states, n_actions) >= 1 and entries > MAX_KERNEL_ENTRIES:
-        raise ConfigError(
-            f"n_states = {n_states} and n_actions = {n_actions} need a kernel of {entries} "
-            f"doubles, beyond the budget of {MAX_KERNEL_ENTRIES}"
-        )
-    h_max = values["bocd.h_max"]
+    table = n_states * n_actions if min(n_states, n_actions) >= 1 else 0
+    h_max, n_ensemble = values["bocd.h_max"], values["n_ensemble"]
     n_clusters = 1 if values["joint"] is None else values["joint.n_clusters"]
-    if h_max * n_clusters > MAX_KERNEL_ENTRIES:
-        raise ConfigError(
-            f"bocd.h_max = {h_max} with {n_clusters} cluster(s) needs a joint posterior of "
-            f"{h_max * n_clusters} doubles, beyond the budget of {MAX_KERNEL_ENTRIES}"
-        )
+    # (doubles, what needs them) of each array whose size a config sets
+    for entries, need in (
+        (table * n_states, f"n_states = {n_states} and n_actions = {n_actions} need a kernel of"),
+        (h_max * n_clusters,
+         f"bocd.h_max = {h_max} with {n_clusters} cluster(s) needs a joint posterior of"),
+        ((n_ensemble + 1) * table,
+         f"n_ensemble = {n_ensemble} with {table} (state, action) pairs needs an ensemble of"),
+        (values["rollout_len"], f"rollout_len = {values['rollout_len']} needs a rollout of"),
+    ):
+        if entries > MAX_KERNEL_ENTRIES:
+            raise ConfigError(f"{need} {entries} doubles, beyond the budget of {MAX_KERNEL_ENTRIES}")
     with _naming("schedule: "):
         schedule = PiecewiseSchedule(tuple(
             (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]

@@ -6,7 +6,10 @@ chain runs alongside:
 
   1. the true regime follows the schedule;
   2. a fused surprise is computed from three tabular channels (rollout
-     reward z-score, noisy-ensemble Q-std ratio, penalty-trace drift);
+     reward z-score, noisy-ensemble Q-std ratio, penalty-trace drift):
+     ``adaptive.surprise`` checks and fuses them, and, if
+     ``smooth_surprise`` is set, ``ema_update`` smooths the result as it
+     smooths the channel statistics;
   3. the joint (run-length x regime-cluster) filter absorbs the surprise,
      with the surprise channels assigned to a cluster first; with
      ``joint`` null it has one cluster, and its run-length marginal is the
@@ -26,9 +29,7 @@ chain runs alongside:
      noise (``_noise``). The config, models and partition are validated at
      load and the loop owns its tables, so the kernels run unchecked; the
      spread, the TD scale and the error read every entry, and one that is
-     not finite stops the run with a RuntimeError naming the iteration. The
-     surprise channels are checked once per step and fused by the kernel
-     that ``adaptive.surprise`` wraps;
+     not finite stops the run with a RuntimeError naming the iteration;
   6. the sup-norm error to the *true* active regime's fixed point is
      recorded.
 
@@ -50,7 +51,7 @@ noise is drawn.
 The loop spends its time on the backup's one matrix product, not on
 per-step set-up, with every value the same bits as the plain formulas:
   - what the schedule fixes (the true regime, the lagged estimate and the
-    detection windows) is read once per run;
+    detection windows) is read once per run, from ``schedule.bounds``;
   - the rollout keeps the normalized greedy CDF rows of the true regime
     across iterations, keyed by (state, action), and drops them when the
     regime changes, so it holds at most S * A rows of S doubles;
@@ -69,14 +70,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .. import operators
-from ..adaptive import (
-    _check_readings,
-    _surprise,
-    beta_eff,
-    ema_update,
-    lambda_w,
-    update_surprise_ema,
-)
+from ..adaptive import beta_eff, ema_update, lambda_w, surprise
 from ..bocd import _assign, _entropy, _filter_step, _mean_run_length
 from ..operators import _noise, _project, error_floor, mode_fixed_point, projection_error
 from ..operators import apply_mixture_operator  # noqa: F401  bench/test_bench.py traces this name
@@ -227,12 +221,15 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     floors = [error_floor(e, config.noise_sigma, params.gamma) for e in eps_proj]
 
     # the schedule read once per run: the true regime, the detector's view of
-    # it (lagging each switch by n_delta) and the detection windows
+    # it (lagging each switch by n_delta) and the detection windows, each the
+    # first n_delta iterations of a segment after the first, up to its end
+    true_modes, in_detection = [], []
+    for k, (start, end, mode) in enumerate(schedule.bounds):
+        window = 0 if k == 0 else min(n_delta, end - start)
+        true_modes += [mode] * (end - start)
+        in_detection += [True] * window + [False] * (end - start - window)
     n_iter = schedule.total_iterations
-    true_modes = [schedule.mode_at(t) for t in range(n_iter)]
     est_modes = [true_modes[max(t - n_delta, 0)] for t in range(n_iter)]
-    switch_times = schedule.switch_times()
-    in_detection = [any(st <= t < st + n_delta for st in switch_times) for t in range(n_iter)]
     holds = config.detection_policy == "hold"
 
     h_max = config.bocd_params.h_max
@@ -260,7 +257,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     # (ema_update), and each channel reads its neutral value off that None.
     reward_mean = reward_var = None
     sigma_q_smooth = sigma_q_baseline = None
-    kappa_ema = None
+    kappa_ema = surprise_ema = None
 
     rows = []
     for t in range(n_iter):
@@ -299,10 +296,9 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         kappa_div = 0.0 if kappa_ema is None else abs(kappa_t - kappa_ema)
         kappa_ema = ema_update(kappa_ema, kappa_t, config.stat_ema_rate)
 
-        _check_readings(reward_z, q_std_ratio, kappa_div)
-        xi = _surprise(reward_z, q_std_ratio, kappa_div, config.surprise_weights)
+        xi = surprise(reward_z, q_std_ratio, kappa_div, config.surprise_weights)
         if config.smooth_surprise:
-            xi, adaptive_state = update_surprise_ema(adaptive_state, xi)
+            xi = surprise_ema = ema_update(surprise_ema, xi, adaptive_state.surprise_ema_rate)
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
         z_now = _assign(np.array([reward_z, q_std_ratio, kappa_div]), centroids, counts)

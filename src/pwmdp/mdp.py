@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -178,32 +180,19 @@ class PiecewiseSchedule:
             if d < 1:
                 raise ValueError(f"dwell must be >= 1, got {d}")
 
+    @cached_property
+    def bounds(self) -> tuple:
+        """(start, end, mode) of each segment: iterations start..end-1 run ``mode``."""
+        ends = accumulate(d for _, d in self.segments)
+        return tuple((end - d, end, m) for (m, d), end in zip(self.segments, ends))
+
     @property
     def total_iterations(self) -> int:
-        return sum(d for _, d in self.segments)
+        return self.bounds[-1][1]
 
     @property
     def max_mode_index(self) -> int:
         return max(m for m, _ in self.segments)
-
-    def mode_at(self, t: int) -> int:
-        """Active mode index at iteration ``t`` (0-based)."""
-        if t < 0:
-            raise ValueError(f"iteration must be >= 0, got {t}")
-        acc = 0
-        for m, d in self.segments:
-            acc += d
-            if t < acc:
-                return m
-        raise ValueError(f"iteration {t} beyond schedule end {acc}")
-
-    def switch_times(self) -> list[int]:
-        """Iterations at which a new segment begins (excluding t=0)."""
-        times, acc = [], 0
-        for _, d in self.segments[:-1]:
-            acc += d
-            times.append(acc)
-        return times
 
 
 def greedy_value(q: QFunction) -> np.ndarray:

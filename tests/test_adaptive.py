@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from pwmdp import adaptive
+from pwmdp.harness import config_from_dict, run_piecewise
 from pwmdp import (
     AdaptiveState,
     BOCDParams,
     RunLengthBelief,
-    SurpriseInputs,
     SurpriseWeights,
     beta_eff,
     bocd_step,
     ema_update,
     expected_run_length,
     lambda_w,
-    lcb_score,
     surprise,
-    update_surprise_ema,
 )
 
 WEIGHTS = SurpriseWeights()
@@ -25,23 +23,23 @@ WEIGHTS = SurpriseWeights()
 
 class TestSurprise:
     def test_zero_inputs(self):
-        assert surprise(SurpriseInputs(0.0, 0.0, 0.0), WEIGHTS) == 0.0
+        assert surprise(0.0, 0.0, 0.0, WEIGHTS) == 0.0
 
     def test_single_channel_arithmetic(self):
-        assert surprise(SurpriseInputs(4.0, 0.0, 0.0), WEIGHTS) == pytest.approx(2.0)
-        assert surprise(SurpriseInputs(-4.0, 0.0, 0.0), WEIGHTS) == pytest.approx(2.0)
+        assert surprise(4.0, 0.0, 0.0, WEIGHTS) == pytest.approx(2.0)
+        assert surprise(-4.0, 0.0, 0.0, WEIGHTS) == pytest.approx(2.0)
 
     def test_clipping(self):
-        assert surprise(SurpriseInputs(1e6, 1e6, 1e6), WEIGHTS) == WEIGHTS.clip_max
+        assert surprise(1e6, 1e6, 1e6, WEIGHTS) == WEIGHTS.clip_max
 
     def test_monotone_in_each_channel(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             z, q, k = rng.uniform(0, 5, 3)
-            base = surprise(SurpriseInputs(z, q, k), WEIGHTS)
-            assert surprise(SurpriseInputs(z * 1.5, q, k), WEIGHTS) >= base
-            assert surprise(SurpriseInputs(z, q * 1.5, k), WEIGHTS) >= base
-            assert surprise(SurpriseInputs(z, q, k * 1.5), WEIGHTS) >= base
+            base = surprise(z, q, k, WEIGHTS)
+            assert surprise(z * 1.5, q, k, WEIGHTS) >= base
+            assert surprise(z, q * 1.5, k, WEIGHTS) >= base
+            assert surprise(z, q, k * 1.5, WEIGHTS) >= base
 
     def test_default_weights(self):
         assert (WEIGHTS.w_r, WEIGHTS.w_q, WEIGHTS.w_kappa) == (0.5, 0.3, 0.2)
@@ -49,9 +47,9 @@ class TestSurprise:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            SurpriseInputs(float("nan"), 0.0, 0.0)
+            surprise(float("nan"), 0.0, 0.0, WEIGHTS)
         with pytest.raises(ValueError):
-            SurpriseInputs(0.0, -1.0, 0.0)
+            surprise(0.0, -1.0, 0.0, WEIGHTS)
 
 
 class TestEmaUpdate:
@@ -197,49 +195,28 @@ class TestBetaEff:
             beta_eff(AdaptiveState(), -0.1)
 
 
-class TestLcbScore:
-    def test_zero_std_ignores_beta(self):
-        assert lcb_score(3.0, 0.0, -99.0) == 3.0
-
-    def test_equal_std_preserves_ranking(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            means = rng.uniform(-5, 5, 6)
-            std = float(rng.uniform(0, 2))
-            beta = float(rng.uniform(-5, 0))
-            scores = [lcb_score(m, std, beta) for m in means]
-            assert int(np.argmax(scores)) == int(np.argmax(means))
-
-    def test_low_std_action_gains_rank_as_beta_drops(self):
-        rng = np.random.default_rng(5)
-        promoted = 0
-        for _ in range(200):
-            means = rng.uniform(0, 1, 4)
-            stds = rng.uniform(0, 1, 4)
-            order_mild = np.argsort([-lcb_score(m, s, -0.1) for m, s in zip(means, stds)])
-            order_harsh = np.argsort([-lcb_score(m, s, -5.0) for m, s in zip(means, stds)])
-            safest = int(np.argmin(stds))
-            rank_mild = int(np.where(order_mild == safest)[0][0])
-            rank_harsh = int(np.where(order_harsh == safest)[0][0])
-            assert rank_harsh <= rank_mild
-            promoted += rank_harsh < rank_mild
-        assert promoted > 0  # the sweep actually exercises rank changes
-
-    def test_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            lcb_score(0.0, -1.0, -2.0)
-
-
-class TestSurpriseEma:
-    def test_first_observation_seeds(self):
-        smoothed, state = update_surprise_ema(AdaptiveState(), 2.0)
-        assert smoothed == 2.0
-        assert state.surprise_ema == 2.0
-
-    def test_smoothing_convention(self):
-        state = AdaptiveState(surprise_ema=1.0, surprise_ema_rate=0.3)
-        smoothed, _ = update_surprise_ema(state, 2.0)
-        assert smoothed == pytest.approx(0.3 * 1.0 + 0.7 * 2.0)
+class TestLoopSmoothing:
+    def test_smoothed_xi_is_the_ema_of_the_raw_xi(self):
+        # the raw surprise never feeds the iterate, so the unsmoothed run
+        # records the very sequence that the smoothed run averages
+        rate = 0.6
+        xis = {}
+        for smooth in (False, True):
+            config = config_from_dict({
+                "n_states": 4,
+                "n_actions": 2,
+                "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 1.5}],
+                "schedule": [[0, 40], [1, 40]],
+                "operator": {"gamma": 0.8},
+                "adaptive": {"smooth_surprise": smooth, "surprise_ema_rate": rate},
+            })
+            xis[smooth] = [row.xi for row in run_piecewise(config).rows]
+        expected, prev = [], None
+        for xi in xis[False]:
+            prev = ema_update(prev, xi, rate)
+            expected.append(prev.hex())
+        assert [xi.hex() for xi in xis[True]] == expected
+        assert xis[True] != xis[False]
 
 
 class TestClosedLoop:

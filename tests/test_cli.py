@@ -147,6 +147,8 @@ class TestPiecewiseCommand:
             {"modes": [{"reward": [[1.0]]}]},  # explicit-table mode without its kernel
             {"delta": 1e-320},  # 1 / delta overflows, so would the detection delay
             {"n_states": 100000},  # a 224 GiB kernel: refused before it is allocated
+            {"n_ensemble": 1e300},  # so are an ensemble and a rollout past the same budget
+            {"rollout_len": 1e300},
         ],
         ids=[
             "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
@@ -158,6 +160,7 @@ class TestPiecewiseCommand:
             "adaptive_range", "operator_range", "bocd_range", "surprise_range",
             "scalar_schedule", "short_segment", "short_reward_range", "negative_mode_seed",
             "missing_mode_kernel", "subnormal_delta", "oversized_kernel",
+            "oversized_ensemble", "oversized_rollout",
         ],
     )
     def test_mistyped_config_value_exits_1_without_traceback(self, raw, tmp_path):

@@ -206,15 +206,22 @@ class TestConfig:
             # int(1.7e308) clusters made 1 / (h_max * n_clusters) overflow mid-run
             ({"joint": {"n_clusters": 1.7e308}}, "bocd.h_max = 20 with 1699"),
             ({"bocd": {"h_max": 2**25 + 1}}, "bocd.h_max = 33554433 with 1 cluster(s) needs"),
+            # (n_ensemble + 1) * 6 * 3 doubles is one past 2**25 at the smallest such n_ensemble
+            ({"n_ensemble": 1864135}, "n_ensemble = 1864135 with 18 (state, action) pairs needs"),
+            ({"rollout_len": 2**25 + 1}, "rollout_len = 33554433 needs a rollout of 33554433"),
         ],
         ids=["adaptive", "operator", "bocd", "surprise", "scalar_schedule", "short_segment",
              "short_reward_range", "negative_mode_seed", "partition", "polish_budget",
-             "posterior_clusters", "posterior_h_max"],
+             "posterior_clusters", "posterior_h_max", "ensemble_budget", "rollout_budget"],
     )
     def test_range_error_names_its_config_field(self, raw, lead):
         with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
         assert str(info.value).startswith(lead)
+
+    def test_ensemble_and_rollout_at_the_budget_load(self):
+        config = config_from_dict({"n_ensemble": 2**25 // 18 - 1, "rollout_len": 2**25})
+        assert ((config.n_ensemble + 1) * 18, config.rollout_len) == (33554430, 2**25)
 
     def test_gamma_within_the_polish_budget_loads(self):
         # 1 / (1 - gamma) = 1e5 backups, inside the polish budget of 1e6
@@ -222,6 +229,52 @@ class TestConfig:
             warnings.simplefilter("ignore", MetastabilityWarning)
             config = config_from_dict({"operator": {"gamma": 0.99999}})
         assert config.operator_params.gamma == 0.99999
+
+
+def old_mode_at(segments, t: int) -> int:
+    """The schedule lookup that ``PiecewiseSchedule.bounds`` replaced."""
+    acc = 0
+    for m, d in segments:
+        acc += d
+        if t < acc:
+            return m
+    raise ValueError(f"iteration {t} beyond schedule end {acc}")
+
+
+def old_switch_times(segments) -> list:
+    """Iterations at which a new segment begins (excluding t=0), as computed before ``bounds``."""
+    times, acc = [], 0
+    for _, d in segments[:-1]:
+        acc += d
+        times.append(acc)
+    return times
+
+
+def test_schedule_walk_matches_the_old_lookup_and_scan():
+    # the trace's true_mode and detection phase are the loop's per-iteration
+    # regime and detection-window lists; dwells run shorter than n_delta
+    rng = np.random.default_rng(11)
+    spilled = 0
+    for _ in range(25):
+        segments = [[int(rng.integers(2)), int(rng.integers(1, 8))] for _ in range(rng.integers(1, 5))]
+        delta = float(rng.choice([0.01, 0.05, 0.2]))  # n_delta 4, 3 and 2 at separability 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MetastabilityWarning)
+            config = config_from_dict(small_config_dict(schedule=segments, delta=delta))
+        n_delta, n_iter = config.detection_steps, sum(d for _, d in segments)
+        switch_times = old_switch_times(segments)
+        starts = [0, *switch_times]
+        assert config.schedule.total_iterations == n_iter
+        assert config.schedule.bounds == tuple(
+            (st, st + d, m) for st, (m, d) in zip(starts, segments)
+        )
+        rows = run_piecewise(config).rows
+        assert [r.true_mode for r in rows] == [old_mode_at(segments, t) for t in range(n_iter)]
+        assert [r.phase == "detection" for r in rows] == [
+            any(st <= t < st + n_delta for st in switch_times) for t in range(n_iter)
+        ]
+        spilled += any(d < n_delta for _, d in segments[1:])
+    assert spilled > 0
 
 
 def readme_defaults_table() -> str:

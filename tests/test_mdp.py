@@ -187,11 +187,10 @@ class TestOperatorParams:
 
 
 class TestPiecewiseSchedule:
-    def test_mode_at_and_totals(self):
+    def test_bounds_and_totals(self):
         sched = PiecewiseSchedule(((0, 3), (2, 2)))
         assert sched.total_iterations == 5
-        assert [sched.mode_at(t) for t in range(5)] == [0, 0, 0, 2, 2]
-        assert sched.switch_times() == [3]
+        assert sched.bounds == ((0, 3, 0), (3, 5, 2))
         assert sched.max_mode_index == 2
 
     def test_rejects_bad_dwell(self):
@@ -201,11 +200,6 @@ class TestPiecewiseSchedule:
     def test_rejects_negative_mode(self):
         with pytest.raises(ValueError, match="mode index"):
             PiecewiseSchedule(((-1, 5),))
-
-    def test_beyond_end_raises(self):
-        sched = PiecewiseSchedule(((0, 2),))
-        with pytest.raises(ValueError):
-            sched.mode_at(2)
 
 
 class TestCheckSimplex:
