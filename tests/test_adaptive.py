@@ -195,22 +195,39 @@ class TestBetaEff:
             beta_eff(AdaptiveState(), -0.1)
 
 
+def _loop_xis(smooth, rate):
+    # the surprise run_piecewise records on a small two-mode schedule
+    config = config_from_dict({
+        "n_states": 4,
+        "n_actions": 2,
+        "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 1.5}],
+        "schedule": [[0, 40], [1, 40]],
+        "operator": {"gamma": 0.8},
+        "adaptive": {"smooth_surprise": smooth, "surprise_ema_rate": rate},
+    })
+    return [row.xi for row in run_piecewise(config).rows]
+
+
+class TestSurpriseEma:
+    def test_first_observation_seeds(self):
+        assert ema_update(None, 2.0, AdaptiveState().surprise_ema_rate) == 2.0
+        # the loop's smoothed surprise starts at the first raw reading
+        assert _loop_xis(True, 0.3)[0] == _loop_xis(False, 0.3)[0]
+
+    def test_smoothing_convention(self):
+        state = AdaptiveState(surprise_ema_rate=0.3)
+        smoothed = ema_update(1.0, 2.0, state.surprise_ema_rate)
+        assert smoothed == pytest.approx(0.3 * 1.0 + 0.7 * 2.0)
+        raw, smoothed = _loop_xis(False, 0.3), _loop_xis(True, 0.3)
+        assert smoothed[1] == pytest.approx(0.3 * raw[0] + 0.7 * raw[1])
+
+
 class TestLoopSmoothing:
     def test_smoothed_xi_is_the_ema_of_the_raw_xi(self):
         # the raw surprise never feeds the iterate, so the unsmoothed run
         # records the very sequence that the smoothed run averages
         rate = 0.6
-        xis = {}
-        for smooth in (False, True):
-            config = config_from_dict({
-                "n_states": 4,
-                "n_actions": 2,
-                "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 1.5}],
-                "schedule": [[0, 40], [1, 40]],
-                "operator": {"gamma": 0.8},
-                "adaptive": {"smooth_surprise": smooth, "surprise_ema_rate": rate},
-            })
-            xis[smooth] = [row.xi for row in run_piecewise(config).rows]
+        xis = {smooth: _loop_xis(smooth, rate) for smooth in (False, True)}
         expected, prev = [], None
         for xi in xis[False]:
             prev = ema_update(prev, xi, rate)
