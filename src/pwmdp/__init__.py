@@ -20,16 +20,12 @@ from .adaptive import (
 )
 from .bocd import (
     BOCDParams,
-    ClusterState,
     DegenerateBeliefError,
     JointBelief,
     RunLengthBelief,
     bayes_update,
-    belief_entropy,
     bocd_step,
-    cluster_assign,
     detection_delay,
-    expected_run_length,
     joint_step,
     log_likelihood_vector,
     posterior_ratio,

@@ -17,15 +17,15 @@ EMA convention throughout: ``rate`` is the *retention* of the previous
 value (rate 0.95 retains heavily, rate 0.3 adapts fast). Reversing the
 convention changes the baseline dynamics, hence this note.
 
-``AdaptiveState`` is treated functionally: updates return a new state.
-Confine each experiment's state to one logical thread; the pure functions
-here are freely shareable.
+``AdaptiveState`` holds coefficients only: :func:`lambda_w` takes and
+returns its running baseline and spread as plain floats, which the caller
+owns like its other EMAs. Every function here is pure and freely shareable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "SurpriseWeights",
@@ -60,23 +60,17 @@ class SurpriseWeights:
 
 @dataclass(frozen=True)
 class AdaptiveState:
-    """Baselines and coefficients for the penalty chain.
+    """Coefficients of the penalty chain.
 
-    ema_baseline is None until the first observation: it is seeded with the
-    first raw value (see :func:`ema_update`) so startup produces no spurious
-    penalty. ema_sq_deviation, the EMA of (raw - baseline)**2, is None until
-    the first observation that has a baseline, which seeds it. Both update
-    *after* the penalty is extracted, so a fresh spike is measured against
-    the pre-spike baseline and spread. surprise_ema_rate is the retention
-    at which ``run_piecewise`` smooths the fused surprise, if asked to.
+    baseline_ema_rate is the retention of :func:`lambda_w`'s baseline and
+    spread; surprise_ema_rate is the retention at which ``run_piecewise``
+    smooths the fused surprise, if asked to.
     """
 
     beta_base: float = -2.0
     c_penalty: float = 0.5
     baseline_ema_rate: float = 0.95
     surprise_ema_rate: float = 0.3
-    ema_baseline: float | None = None
-    ema_sq_deviation: float | None = None
 
     def __post_init__(self):
         if self.c_penalty < 0.0:
@@ -85,10 +79,6 @@ class AdaptiveState:
             r = getattr(self, name)
             if not 0.0 < r < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {r}")
-        if self.ema_baseline is not None and not 0.0 <= self.ema_baseline <= 1.0:
-            raise ValueError(f"ema_baseline must lie in [0, 1], got {self.ema_baseline}")
-        if self.ema_sq_deviation is not None and not 0.0 <= self.ema_sq_deviation <= 1.0:
-            raise ValueError(f"ema_sq_deviation must lie in [0, 1], got {self.ema_sq_deviation}")
 
 
 def surprise(reward_z: float, q_std_ratio: float, kappa_div: float, weights: SurpriseWeights) -> float:
@@ -122,31 +112,38 @@ def ema_update(prev: float | None, x: float, rate: float) -> float:
     return rate * prev + (1.0 - rate) * x
 
 
-def lambda_w(h_bar: float, h_max: int, state: AdaptiveState) -> tuple[float, AdaptiveState]:
+def lambda_w(
+    h_bar: float, h_max: int, baseline: float | None, sq_deviation: float | None, rate: float
+) -> tuple[float, float, float | None]:
     """Penalty from the expected run-length, above a K-sigma control limit.
 
     raw = h_bar / (h_max - 1) and d = raw - baseline; the penalty is
-    max(0, d - K s), where s is the square root of the EMA of d**2 (zero
-    before that EMA is seeded), and zero before the first observation. The
-    baseline then absorbs raw, and the EMA d**2, both at
-    ``baseline_ema_rate``: steady jitter of size s reads zero, a rise well
-    above K s reads at once.
-    Returns (penalty, updated state).
+    max(0, d - K s), with s the square root of ``sq_deviation``, the EMA of
+    d**2 (zero while it is None). A ``baseline`` of None (no observation
+    yet) is seeded with raw (see :func:`ema_update`) and reads zero, so
+    startup gives no spurious penalty; the first observation that has a
+    baseline seeds ``sq_deviation``. Both absorb the reading at retention
+    ``rate`` *after* the penalty is taken, so a fresh spike is measured
+    against the pre-spike baseline and spread: steady jitter of size s reads
+    zero, a rise well above K s reads at once. Returns (penalty, baseline,
+    sq_deviation), the last two updated.
     """
     if h_max < 2:
         raise ValueError(f"h_max must be >= 2, got {h_max}")
     if not 0.0 <= h_bar <= h_max - 1:
         raise ValueError(f"h_bar {h_bar} outside [0, {h_max - 1}]")
+    if baseline is not None and not 0.0 <= baseline <= 1.0:
+        raise ValueError(f"baseline must lie in [0, 1], got {baseline}")
+    if sq_deviation is not None and not 0.0 <= sq_deviation <= 1.0:
+        raise ValueError(f"sq_deviation must lie in [0, 1], got {sq_deviation}")
     raw = h_bar / (h_max - 1)
-    rate = state.baseline_ema_rate
-    baseline = ema_update(state.ema_baseline, raw, rate)
-    if state.ema_baseline is None:
-        return 0.0, replace(state, ema_baseline=baseline)
-    deviation = raw - state.ema_baseline
-    spread = 0.0 if state.ema_sq_deviation is None else math.sqrt(state.ema_sq_deviation)
+    if baseline is None:
+        return 0.0, ema_update(None, raw, rate), sq_deviation
+    deviation = raw - baseline
+    spread = 0.0 if sq_deviation is None else math.sqrt(sq_deviation)
     lam = max(0.0, deviation - K * spread)
-    sq_deviation = ema_update(state.ema_sq_deviation, deviation * deviation, rate)
-    return lam, replace(state, ema_baseline=baseline, ema_sq_deviation=sq_deviation)
+    sq_deviation = ema_update(sq_deviation, deviation * deviation, rate)
+    return lam, ema_update(baseline, raw, rate), sq_deviation
 
 
 def beta_eff(state: AdaptiveState, lam: float) -> float:

@@ -19,8 +19,8 @@ of beliefs as an array with a leading case axis; a single belief is the
 one-case batch.
 
 Also provides the joint (run-length x regime-cluster) belief with its
-marginals, a streaming k-means cluster state for regime discovery, and the
-posterior-ratio detection-delay calculus.
+marginals, the streaming k-means step that assigns a signal to a regime
+cluster, and the posterior-ratio detection-delay calculus.
 
 Belief updates are pure: they return new belief objects (or arrays for
 array input). A detector's state must be owned by a single logical
@@ -41,16 +41,12 @@ __all__ = [
     "BOCDParams",
     "RunLengthBelief",
     "JointBelief",
-    "ClusterState",
     "DegenerateBeliefError",
     "log_likelihood_vector",
     "bocd_step",
-    "expected_run_length",
-    "belief_entropy",
     "bayes_update",
     "posterior_ratio",
     "detection_delay",
-    "cluster_assign",
     "joint_step",
 ]
 
@@ -160,40 +156,6 @@ class JointBelief:
     @classmethod
     def uniform(cls, h_max: int, n_clusters: int) -> "JointBelief":
         return cls(np.full((h_max, n_clusters), 1.0 / (h_max * n_clusters)))
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """Streaming k-means state: centroids and per-cluster counts."""
-
-    centroids: np.ndarray  # (n_clusters, signal_dim)
-    counts: np.ndarray     # (n_clusters,) int
-
-    def __post_init__(self):
-        c = _frozen_array(self.centroids)
-        n = _frozen_array(self.counts, dtype=int)
-        object.__setattr__(self, "centroids", c)
-        object.__setattr__(self, "counts", n)
-        if c.ndim != 2:
-            raise ValueError(f"centroids must be 2-d, got {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("centroids contain non-finite entries")
-        if n.shape != (c.shape[0],):
-            raise ValueError(f"counts shape {n.shape} does not match {c.shape[0]} clusters")
-        if (n < 0).any():
-            raise ValueError("counts must be >= 0")
-
-    @property
-    def n_clusters(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
-    def signal_dim(self) -> int:
-        return self.centroids.shape[1]
-
-    @classmethod
-    def empty(cls, n_clusters: int, signal_dim: int) -> "ClusterState":
-        return cls(np.zeros((n_clusters, signal_dim)), np.zeros(n_clusters, dtype=int))
 
 
 def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
@@ -320,16 +282,6 @@ def _entropy(rho: np.ndarray) -> float:
     return float(-terms.sum())
 
 
-def expected_run_length(belief: RunLengthBelief) -> float:
-    """Posterior mean run-length sum_h h * rho(h)."""
-    return _mean_run_length(belief.probs)
-
-
-def belief_entropy(belief: RunLengthBelief) -> float:
-    """Shannon entropy -sum rho log rho (nats), with 0 log 0 = 0."""
-    return _entropy(belief.probs)
-
-
 def bayes_update(
     belief: RunLengthBelief | np.ndarray, lik: np.ndarray
 ) -> RunLengthBelief | np.ndarray:
@@ -392,27 +344,13 @@ def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -
     return math.log(prior_ratio / delta) / (2.0 * math.log(likelihood_ratio))
 
 
-def cluster_assign(signal: np.ndarray, clusters: ClusterState) -> tuple[int, ClusterState]:
-    """Assign a signal to its nearest centroid and update that centroid.
-
-    Euclidean nearest, ties to the lowest index; the winning centroid moves
-    by an incremental mean (a zero-count centroid jumps to the signal).
-    """
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape != (clusters.signal_dim,):
-        raise ValueError(
-            f"signal shape {signal.shape} does not match centroid dim {clusters.signal_dim}"
-        )
-    centroids = clusters.centroids.copy()
-    counts = clusters.counts.copy()
-    idx = _assign(signal, centroids, counts)
-    return idx, ClusterState(centroids, counts)
-
-
 def _assign(signal: np.ndarray, centroids: np.ndarray, counts: np.ndarray) -> int:
-    """:func:`cluster_assign` on plain arrays: the winner's index; its row updates in place.
+    """Streaming k-means step: the index of ``signal``'s nearest centroid.
 
-    Raises ValueError where a non-finite signal leaves the winning centroid non-finite.
+    Euclidean nearest, ties to the lowest index; the winner's row of
+    ``centroids`` moves by an incremental mean over its ``counts`` entry (a
+    zero-count centroid jumps to the signal), both in place. Raises
+    ValueError where a non-finite signal leaves that centroid non-finite.
     """
     diff = centroids - signal
     # Past ~1e154 the squares overflow: where a distance is not finite, its

@@ -40,9 +40,7 @@ class ContextLossConfig:
     w_cons / w_div weight the consistency and diversity terms; r_rbf is the
     kernel bandwidth; eps doubles as the variance floor inside the
     consistency term and the diagonal jitter that keeps the kernel matrix
-    positive definite. per_dimension switches the consistency term to the
-    per-dimension-sqrt-then-mean convention (default sums per-dimension
-    variances before the square root).
+    positive definite.
     """
 
     w_cons: float = 50.0
@@ -50,7 +48,6 @@ class ContextLossConfig:
     r_rbf: float = 2.0
     eps: float = 1e-6
     d_e: int = 2
-    per_dimension: bool = False
 
     def __post_init__(self):
         if self.w_cons < 0.0 or self.w_div < 0.0:
@@ -117,17 +114,13 @@ def _mode_means(regimes: dict) -> np.ndarray:
     return np.stack([group.mean(axis=-2) for group in regimes.values()], axis=-2)
 
 
-def _consistency(regimes: dict, eps: float, per_dimension: bool) -> np.ndarray:
+def _consistency(regimes: dict, eps: float) -> np.ndarray:
     """(K,) consistency losses of (K, n_m, d_e) regimes: see :func:`consistency_loss`."""
     terms = []
     for m, group in regimes.items():
         if group.shape[1] < 2:
             raise ValueError(f"mode {m} has {group.shape[1]} sample(s); need >= 2")
-        var = group.var(axis=1)  # population variance per dimension
-        if per_dimension:
-            terms.append(np.sqrt(var + eps).mean(axis=1))
-        else:
-            terms.append(np.sqrt(var.sum(axis=1) + eps))
+        terms.append(np.sqrt(group.var(axis=1).sum(axis=1) + eps))  # population variances
     return np.stack(terms, axis=1).mean(axis=1)
 
 
@@ -145,25 +138,21 @@ def _context_losses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K,) totals, consistency and diversity losses of a (K, n, d_e) stack."""
     regimes = _regimes(vectors, mode_ids)
-    cons = _consistency(regimes, config.eps, config.per_dimension)
+    cons = _consistency(regimes, config.eps)
     div = _diversity(_mode_means(regimes), config.r_rbf, config.eps)
     return config.w_cons * cons + config.w_div * div, cons, div
 
 
-def consistency_loss(
-    batch: EmbeddingBatch, eps: float = 1e-6, per_dimension: bool = False
-) -> float:
+def consistency_loss(batch: EmbeddingBatch, eps: float = 1e-6) -> float:
     """Mean per-regime embedding spread.
 
-    Default convention: per-dimension variances are summed before the
-    square root, so identical embeddings in every group give exactly
-    sqrt(eps). With ``per_dimension=True`` each dimension gets its own
-    sqrt(var + eps) and the results are averaged. Every regime needs at
+    Per regime, sqrt(sum of the per-dimension variances + eps), so identical
+    embeddings in every group give exactly sqrt(eps). Every regime needs at
     least two samples.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    return float(_consistency(_regimes(batch.vectors[None], batch.mode_ids), eps, per_dimension)[0])
+    return float(_consistency(_regimes(batch.vectors[None], batch.mode_ids), eps)[0])
 
 
 def diversity_loss(mode_means: np.ndarray, r_rbf: float = 2.0, eps: float = 1e-6) -> float:
@@ -246,19 +235,21 @@ def fit_linear_context(
     n = weights.size
     entry = np.arange(n)
     best_w, best_loss = weights, np.inf
-    for step in range(steps + 1):
-        if step == steps:  # the last weights need their loss only
-            probes = weights[None]
-        else:
-            # probe 0 is the weights; probes 1 + k and 1 + n + k move entry k by +/- FD_STEP
-            probes = np.repeat(weights[None], 1 + 2 * n, axis=0)
-            flat = probes.reshape(1 + 2 * n, n)
-            flat[1 + entry, entry] += FD_STEP
-            flat[1 + n + entry, entry] -= FD_STEP
-        losses = losses_of(probes)
-        if losses[0] < best_loss:
-            best_w, best_loss = weights, losses[0]
-        if step < steps:
-            grad = ((losses[1 : 1 + n] - losses[1 + n :]) / (2.0 * FD_STEP)).reshape(weights.shape)
-            weights = weights - lr * grad
+    # an overflowing step makes the loss non-finite, which losses_of reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
+            if step == steps:  # the last weights need their loss only
+                probes = weights[None]
+            else:
+                # probe 0 is the weights; probes 1 + k and 1 + n + k move entry k by +/- FD_STEP
+                probes = np.repeat(weights[None], 1 + 2 * n, axis=0)
+                flat = probes.reshape(1 + 2 * n, n)
+                flat[1 + entry, entry] += FD_STEP
+                flat[1 + n + entry, entry] -= FD_STEP
+            losses = losses_of(probes)
+            if losses[0] < best_loss:
+                best_w, best_loss = weights, losses[0]
+            if step < steps:
+                grad = ((losses[1 : 1 + n] - losses[1 + n :]) / (2.0 * FD_STEP)).reshape(weights.shape)
+                weights = weights - lr * grad
     return best_w

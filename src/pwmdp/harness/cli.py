@@ -8,9 +8,9 @@ Subcommands:
   rmdm-demo        fit the linear context encoder on a synthetic labeled set
 
 Exit codes: 0 success, 1 configuration or argument error, 2 certification
-failure, 3 I/O error, 4 numerical failure at run time (a fixed point whose
-residual is not below its tolerance; the log-domain change detector has no
-such failure).
+failure, 3 I/O error, 4 numerical failure at run time (an unconverged fixed
+point, overflowing tables or a non-finite context loss; the log-domain
+change detector has no such failure).
 Every error prints one line to stderr, and so does every warning (such as
 a config's MetastabilityWarning), as ``warning: <message>``.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..context import ContextLossConfig, EmbeddingBatch, context_loss, encode, fit_linear_context
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
-from .config import load_config
+from .config import MAX_KERNEL_ENTRIES, load_config
 from .experiment import run_piecewise
 from .io import csv_text, emit_trace, write_text
 from .sweeps import run_delay_table, run_threshold_sweep
@@ -127,7 +128,22 @@ def _cmd_piecewise(args) -> int:
     return EXIT_OK
 
 
+def _seed(args) -> int:
+    """The ``--seed`` of certify and rmdm-demo: 0 when absent, else a non-negative integer."""
+    if args.seed is None:
+        return 0
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _cmd_threshold_sweep(args) -> int:
+    cells = args.n_gamma * args.n_coupling
+    if cells > MAX_KERNEL_ENTRIES:
+        raise ValueError(
+            f"--n-gamma {args.n_gamma} times --n-coupling {args.n_coupling} is a grid of "
+            f"{cells} cells, beyond the budget of {MAX_KERNEL_ENTRIES}"
+        )
     result = run_threshold_sweep(
         np.linspace(0.0, 0.98, args.n_gamma),
         np.linspace(0.0, 0.5, args.n_coupling),
@@ -163,8 +179,7 @@ def _cmd_delay_table(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    report = run_certification(seed=seed, mutation=args.inject_mutation)
+    report = run_certification(seed=_seed(args), mutation=args.inject_mutation)
     for suite in report.suites:
         status = "PASS" if suite.passed else "FAIL"
         print(
@@ -184,7 +199,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise ValueError(f"--lr must be finite and > 0, got {args.lr}")
     config = ContextLossConfig()
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=args.steps, lr=args.lr, seed=seed)
@@ -234,7 +251,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return EXIT_IO
-        except RuntimeError as exc:
+        except (RuntimeError, FloatingPointError) as exc:
             print(f"runtime error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
 

@@ -65,7 +65,7 @@ class Field(NamedTuple):
 # regime's kernel is allocated. The detector's joint posterior (h_max *
 # n_clusters doubles), the ensemble with the iterate ((n_ensemble + 1) *
 # n_states * n_actions doubles) and one rollout's draws (rollout_len doubles)
-# have the same budget.
+# have the same budget, as does each trace column (one double per iteration).
 MAX_KERNEL_ENTRIES = 2**25
 
 # Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
@@ -334,6 +334,10 @@ def _resolve(values: dict) -> ExperimentConfig:
     table = n_states * n_actions if min(n_states, n_actions) >= 1 else 0
     h_max, n_ensemble = values["bocd.h_max"], values["n_ensemble"]
     n_clusters = 1 if values["joint"] is None else values["joint.n_clusters"]
+    with _naming("schedule: "):
+        schedule = PiecewiseSchedule(tuple(
+            (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]
+        ))
     # (doubles, what needs them) of each array whose size a config sets
     for entries, need in (
         (table * n_states, f"n_states = {n_states} and n_actions = {n_actions} need a kernel of"),
@@ -342,13 +346,10 @@ def _resolve(values: dict) -> ExperimentConfig:
         ((n_ensemble + 1) * table,
          f"n_ensemble = {n_ensemble} with {table} (state, action) pairs needs an ensemble of"),
         (values["rollout_len"], f"rollout_len = {values['rollout_len']} needs a rollout of"),
+        (schedule.total_iterations, "schedule needs a trace column (one row per iteration) of"),
     ):
         if entries > MAX_KERNEL_ENTRIES:
             raise ConfigError(f"{need} {entries} doubles, beyond the budget of {MAX_KERNEL_ENTRIES}")
-    with _naming("schedule: "):
-        schedule = PiecewiseSchedule(tuple(
-            (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]
-        ))
     if not isinstance(values["modes"], list) or not values["modes"]:
         raise ConfigError("modes must be a non-empty list")
     with _naming("reward_range: "):

@@ -14,10 +14,10 @@ chain runs alongside:
      with the surprise channels assigned to a cluster first; with
      ``joint`` null it has one cluster, and its run-length marginal is the
      plain run-length posterior. The posterior, the centroids and their
-     counts stay plain arrays for the whole run, stepped by the same
-     private helpers that ``joint_step``, ``cluster_assign``,
-     ``expected_run_length`` and ``belief_entropy`` validate their inputs
-     for, so no belief object is built per iteration;
+     counts stay plain arrays for the whole run, stepped by ``bocd``'s
+     private helpers (``_assign``; ``_filter_step``, the kernel of
+     ``joint_step``; ``_mean_run_length`` and ``_entropy``), so no belief
+     object is built per iteration;
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
   5. one frozen-belief backup is applied, using the belief and penalty
      snapshots taken before the application: one call of the kernel
@@ -241,7 +241,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     joint = np.full((1, h_max, n_z), 1.0 / (h_max * n_z))
     centroids = np.zeros((n_z, 3))
     counts = np.zeros(n_z, dtype=int)
-    adaptive_state = config.adaptive_template
+    adaptive = config.adaptive_template
 
     point_masses = np.eye(len(models)).tolist()  # row m: the point-mass weights on regime m
     # the ensemble members, then the iterate q, backed up together each iteration
@@ -258,6 +258,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     reward_mean = reward_var = None
     sigma_q_smooth = sigma_q_baseline = None
     kappa_ema = surprise_ema = None
+    lam_base = lam_sq = None  # lambda_w's baseline and squared deviation
 
     rows = []
     for t in range(n_iter):
@@ -298,7 +299,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
 
         xi = surprise(reward_z, q_std_ratio, kappa_div, config.surprise_weights)
         if config.smooth_surprise:
-            xi = surprise_ema = ema_update(surprise_ema, xi, adaptive_state.surprise_ema_rate)
+            xi = surprise_ema = ema_update(surprise_ema, xi, adaptive.surprise_ema_rate)
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
         z_now = _assign(np.array([reward_z, q_std_ratio, kappa_div]), centroids, counts)
@@ -306,8 +307,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         rho = joint[0].sum(axis=1)  # the run-length marginal
         h_bar = _mean_run_length(rho)
         entropy = _entropy(rho)
-        lam, adaptive_state = lambda_w(h_bar, h_max, adaptive_state)
-        beta = beta_eff(adaptive_state, lam)
+        lam, lam_base, lam_sq = lambda_w(h_bar, h_max, lam_base, lam_sq, adaptive.baseline_ema_rate)
+        beta = beta_eff(adaptive, lam)
 
         # --- one frozen-belief backup ---
         with np.errstate(over="ignore", invalid="ignore"):

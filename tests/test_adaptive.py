@@ -13,12 +13,13 @@ from pwmdp import (
     beta_eff,
     bocd_step,
     ema_update,
-    expected_run_length,
     lambda_w,
     surprise,
 )
+from pwmdp.bocd import _mean_run_length
 
 WEIGHTS = SurpriseWeights()
+RATE = AdaptiveState().baseline_ema_rate  # 0.95
 
 
 class TestSurprise:
@@ -93,33 +94,29 @@ class TestEmaUpdate:
 
 class TestLambdaW:
     def test_stable_period_zero_penalty(self):
-        state = AdaptiveState(ema_baseline=0.4)
-        lam, _ = lambda_w(0.4 * 19, 20, state)
+        lam, _, _ = lambda_w(0.4 * 19, 20, 0.4, None, RATE)
         assert lam == 0.0
 
     def test_direct_subtraction(self):
-        state = AdaptiveState(ema_baseline=0.2)
-        lam, _ = lambda_w(0.5 * 19, 20, state)
+        lam, _, _ = lambda_w(0.5 * 19, 20, 0.2, None, RATE)
         assert lam == pytest.approx(0.3, abs=1e-12)
 
     def test_first_observation_seeds_baseline(self):
-        state = AdaptiveState()
-        lam, updated = lambda_w(12.0, 20, state)
+        lam, baseline, _ = lambda_w(12.0, 20, None, None, RATE)
         assert lam == 0.0
-        assert updated.ema_baseline == pytest.approx(12.0 / 19.0)
+        assert baseline == pytest.approx(12.0 / 19.0)
 
     def test_baseline_updates_after_extraction(self):
         # a fresh spike is measured against the pre-spike baseline
-        state = AdaptiveState(ema_baseline=0.2, baseline_ema_rate=0.95)
-        lam, updated = lambda_w(0.8 * 19, 20, state)
+        lam, baseline, _ = lambda_w(0.8 * 19, 20, 0.2, None, 0.95)
         assert lam == pytest.approx(0.6, abs=1e-12)
-        assert updated.ema_baseline == pytest.approx(0.95 * 0.2 + 0.05 * 0.8)
+        assert baseline == pytest.approx(0.95 * 0.2 + 0.05 * 0.8)
 
     def test_constant_stream_decays_to_zero(self):
-        state = AdaptiveState(ema_baseline=0.1)
+        baseline, sq_deviation = 0.1, None
         lams = []
         for _ in range(300):
-            lam, state = lambda_w(0.6 * 19, 20, state)
+            lam, baseline, sq_deviation = lambda_w(0.6 * 19, 20, baseline, sq_deviation, RATE)
             lams.append(lam)
         assert lams[0] == pytest.approx(0.5, abs=1e-12)
         assert all(a >= b for a, b in zip(lams, lams[1:]))
@@ -127,48 +124,51 @@ class TestLambdaW:
 
     def test_nonnegative_always(self):
         rng = np.random.default_rng(2)
-        state = AdaptiveState()
+        baseline = sq_deviation = None
         for _ in range(1000):
-            lam, state = lambda_w(float(rng.uniform(0, 19)), 20, state)
+            lam, baseline, sq_deviation = lambda_w(
+                float(rng.uniform(0, 19)), 20, baseline, sq_deviation, RATE
+            )
             assert lam >= 0.0
 
     def test_first_observation_gives_zero_and_leaves_the_spread_unseeded(self):
-        lam, updated = lambda_w(0.0, 20, AdaptiveState())
+        lam, baseline, sq_deviation = lambda_w(0.0, 20, None, None, RATE)
         assert lam == 0.0
-        assert updated.ema_sq_deviation is None
-        lam, updated = lambda_w(0.5 * 19, 20, updated)
+        assert sq_deviation is None
+        lam, baseline, sq_deviation = lambda_w(0.5 * 19, 20, baseline, sq_deviation, RATE)
         assert lam == pytest.approx(0.5, abs=1e-12)  # s is 0 until seeded
-        assert updated.ema_sq_deviation == pytest.approx(0.25, abs=1e-12)
+        assert sq_deviation == pytest.approx(0.25, abs=1e-12)
 
     def test_steady_jitter_reads_zero_once_the_spread_is_seeded(self):
         # raw alternates 0.02 above and below the baseline; the first rise
         # meets an unseeded spread, every later one stays inside K s
-        state = AdaptiveState(ema_baseline=0.5)
+        baseline, sq_deviation = 0.5, None
         lams = []
         for t in range(500):
-            lam, state = lambda_w((0.52 if t % 2 == 0 else 0.48) * 19, 20, state)
+            h_bar = (0.52 if t % 2 == 0 else 0.48) * 19
+            lam, baseline, sq_deviation = lambda_w(h_bar, 20, baseline, sq_deviation, RATE)
             lams.append(lam)
         assert lams[0] == pytest.approx(0.02, abs=1e-12)
         assert all(lam == 0.0 for lam in lams[1:])
 
     def test_step_rise_above_the_control_limit_reads_at_once(self):
-        state = AdaptiveState(ema_baseline=0.5, ema_sq_deviation=0.01**2)
-        lam, updated = lambda_w(0.8 * 19, 20, state)
+        lam, _, sq_deviation = lambda_w(0.8 * 19, 20, 0.5, 0.01**2, RATE)
         assert lam == pytest.approx(0.3 - adaptive.K * 0.01, abs=1e-12)
-        assert updated.ema_sq_deviation == pytest.approx(0.95 * 0.01**2 + 0.05 * 0.3**2)
+        assert sq_deviation == pytest.approx(0.95 * 0.01**2 + 0.05 * 0.3**2)
 
     def test_rise_within_the_control_limit_reads_zero(self):
-        state = AdaptiveState(ema_baseline=0.5, ema_sq_deviation=0.05**2)
-        lam, _ = lambda_w((0.5 + adaptive.K * 0.05) * 19, 20, state)
+        lam, _, _ = lambda_w((0.5 + adaptive.K * 0.05) * 19, 20, 0.5, 0.05**2, RATE)
         assert lam == 0.0
 
     def test_domain_checks(self):
+        with pytest.raises(ValueError, match="sq_deviation must lie in"):
+            lambda_w(1.0, 20, 0.5, -1.0, RATE)
+        with pytest.raises(ValueError, match="baseline must lie in"):
+            lambda_w(1.0, 20, 1.5, None, RATE)
         with pytest.raises(ValueError):
-            AdaptiveState(ema_sq_deviation=-1.0)
+            lambda_w(25.0, 20, None, None, RATE)
         with pytest.raises(ValueError):
-            lambda_w(25.0, 20, AdaptiveState())
-        with pytest.raises(ValueError):
-            lambda_w(1.0, 1, AdaptiveState())
+            lambda_w(1.0, 1, None, None, RATE)
 
 
 class TestBetaEff:
@@ -242,12 +242,15 @@ class TestClosedLoop:
         # delay, then back below 0.01 once surprise reverts to baseline
         params = BOCDParams()
         belief = RunLengthBelief.uniform(20)
-        state = AdaptiveState()
+        baseline = sq_deviation = None
         spike_at, detected_at, relaxed_at = 80, None, None
         for t in range(260):
             xi = 4.0 if t == spike_at else 0.3
             belief = bocd_step(belief, xi, params)
-            lam, state = lambda_w(expected_run_length(belief), params.h_max, state)
+            h_bar = _mean_run_length(belief.probs)
+            lam, baseline, sq_deviation = lambda_w(
+                h_bar, params.h_max, baseline, sq_deviation, RATE
+            )
             if detected_at is None and t >= spike_at and lam > 0.0:
                 detected_at = t
             if detected_at is not None and relaxed_at is None and t > detected_at and lam < 0.01:

@@ -8,16 +8,12 @@ import pytest
 
 from pwmdp import (
     BOCDParams,
-    ClusterState,
     DegenerateBeliefError,
     JointBelief,
     RunLengthBelief,
     bayes_update,
-    belief_entropy,
     bocd_step,
-    cluster_assign,
     detection_delay,
-    expected_run_length,
     joint_step,
     log_likelihood_vector,
     posterior_ratio,
@@ -130,39 +126,35 @@ class TestBocdStep:
 class TestBeliefSummaries:
     def test_expected_run_length_point_mass(self):
         for k in (0, 7, 19):
-            assert expected_run_length(RunLengthBelief.point_mass(k, 20)) == float(k)
+            assert _mean_run_length(RunLengthBelief.point_mass(k, 20).probs) == float(k)
 
     def test_expected_run_length_uniform(self):
-        assert expected_run_length(RunLengthBelief.uniform(20)) == pytest.approx(9.5)
+        assert _mean_run_length(RunLengthBelief.uniform(20).probs) == pytest.approx(9.5)
 
     def test_expected_run_length_matches_dot_oracle(self):
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(20))
-        belief = RunLengthBelief(probs)
         expected = sum(h * p for h, p in enumerate(probs))
-        assert expected_run_length(belief) == pytest.approx(expected, rel=1e-12)
+        assert _mean_run_length(probs) == pytest.approx(expected, rel=1e-12)
 
     def test_entropy_point_mass_zero(self):
-        assert belief_entropy(RunLengthBelief.point_mass(3, 20)) == 0.0
+        assert _entropy(RunLengthBelief.point_mass(3, 20).probs) == 0.0
 
     def test_entropy_uniform_is_log_n(self):
-        assert belief_entropy(RunLengthBelief.uniform(20)) == pytest.approx(math.log(20), rel=1e-12)
+        assert _entropy(RunLengthBelief.uniform(20).probs) == pytest.approx(math.log(20), rel=1e-12)
 
     def test_entropy_bounded(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            belief = RunLengthBelief(rng.dirichlet(np.ones(20)))
-            assert 0.0 <= belief_entropy(belief) <= math.log(20) + 1e-12
+            probs = rng.dirichlet(np.ones(20))
+            assert 0.0 <= _entropy(probs) <= math.log(20) + 1e-12
 
 
     def test_summaries_equal_the_array_helpers_on_random_beliefs(self):
-        # run_piecewise calls the helpers on the marginal array; the API wraps them
+        # run_piecewise calls the helpers on the marginal array of its posterior
         rng = np.random.default_rng(7)
         for alpha in (0.05, 1.0, 20.0):  # small alpha leaves bins at exactly 0
             for probs in rng.dirichlet(np.full(20, alpha), 50):
-                belief = RunLengthBelief(probs)
-                assert expected_run_length(belief) == _mean_run_length(probs)
-                assert belief_entropy(belief) == _entropy(probs)
                 assert _mean_run_length(probs) == pytest.approx(
                     sum(h * p for h, p in enumerate(probs)), rel=1e-12
                 )
@@ -242,24 +234,36 @@ class TestDetectionDelay:
             posterior_ratio(1, 0.9, 1.0)
 
 
+def cluster_assign(signal, centroids, counts):
+    """Reference k-means step on lists: the nearest centroid by squared distance
+    (lowest index on ties) moves by an incremental mean; returns new lists."""
+    gaps = [sum((c - x) ** 2 for c, x in zip(row, signal)) for row in centroids]
+    idx = gaps.index(min(gaps))
+    n = counts[idx]
+    centroids = [list(row) for row in centroids]
+    centroids[idx] = [c + (x - c) / (n + 1) for c, x in zip(centroids[idx], signal)]
+    counts = list(counts)
+    counts[idx] = n + 1
+    return idx, centroids, counts
+
+
 class TestClusterAssign:
     def test_exact_centroid_hit(self):
-        clusters = ClusterState(np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([3, 3]))
-        idx, updated = cluster_assign(np.array([5.0, 5.0]), clusters)
+        centroids, counts = np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([3, 3])
+        idx = _assign(np.array([5.0, 5.0]), centroids, counts)
         assert idx == 1
-        np.testing.assert_allclose(updated.centroids[1], [5.0, 5.0])
-        assert updated.counts.tolist() == [3, 4]
+        np.testing.assert_allclose(centroids[1], [5.0, 5.0])
+        assert counts.tolist() == [3, 4]
 
     def test_tie_goes_to_lowest_index(self):
-        clusters = ClusterState(np.array([[-1.0], [1.0]]), np.array([0, 0]))
-        idx, _ = cluster_assign(np.array([0.0]), clusters)
+        idx = _assign(np.array([0.0]), np.array([[-1.0], [1.0]]), np.array([0, 0]))
         assert idx == 0
 
     def test_zero_count_centroid_jumps_to_signal(self):
-        clusters = ClusterState.empty(2, 2)
-        idx, updated = cluster_assign(np.array([3.0, -1.0]), clusters)
+        centroids, counts = np.zeros((2, 2)), np.zeros(2, dtype=int)
+        idx = _assign(np.array([3.0, -1.0]), centroids, counts)
         assert idx == 0
-        np.testing.assert_allclose(updated.centroids[0], [3.0, -1.0])
+        np.testing.assert_allclose(centroids[0], [3.0, -1.0])
 
     def test_two_blob_stream_recovers_means(self):
         rng = np.random.default_rng(9)
@@ -268,50 +272,48 @@ class TestClusterAssign:
         stream = np.empty((400, 2))
         stream[0::2] = blob_a
         stream[1::2] = blob_b
-        clusters = ClusterState.empty(2, 2)
+        centroids, counts = np.zeros((2, 2)), np.zeros(2, dtype=int)
         for signal in stream:
-            _, clusters = cluster_assign(signal, clusters)
-        centroids = sorted(clusters.centroids.tolist())
+            _assign(signal, centroids, counts)
+        centroids = sorted(centroids.tolist())
         assert abs(centroids[0][0] - (-3.0)) < 0.1
         assert abs(centroids[1][0] - 3.0) < 0.1
 
 
     def test_array_assignment_equals_cluster_assign_on_a_random_stream(self):
         rng = np.random.default_rng(11)
-        clusters = ClusterState.empty(3, 3)
+        ref_centroids, ref_counts = [[0.0] * 3 for _ in range(3)], [0] * 3
         centroids, counts = np.zeros((3, 3)), np.zeros(3, dtype=int)
         for signal in rng.normal(0.0, 2.0, (200, 3)):
-            # independent oracle: nearest centroid by squared distance, lowest index on ties
-            gaps = [float(((c - signal) ** 2).sum()) for c in clusters.centroids]
-            idx, clusters = cluster_assign(signal, clusters)
-            assert idx == gaps.index(min(gaps))
+            idx, ref_centroids, ref_counts = cluster_assign(
+                signal.tolist(), ref_centroids, ref_counts
+            )
             assert _assign(signal, centroids, counts) == idx
-            assert (centroids == clusters.centroids).all()
-            assert (counts == clusters.counts).all()
+            assert (centroids == np.array(ref_centroids)).all()
+            assert (counts == np.array(ref_counts)).all()
 
     @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1e300])
     def test_huge_signals_pick_the_nearest_centroid_without_warnings(self, magnitude):
         # every squared distance overflows, so the plain norms all read inf
         centroids = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]) * magnitude
         signal = np.array([1.1, 0.9, 1.2]) * magnitude
+        updated, counts = centroids.copy(), np.array([1, 1, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            idx, clusters = cluster_assign(signal, ClusterState(centroids, np.array([1, 1, 1])))
-            assert _assign(signal, centroids.copy(), np.array([1, 1, 1])) == idx == 1
-            assert cluster_assign(-signal, clusters)[0] == 0
+            assert _assign(signal, updated, counts) == 1
+            assert _assign(-signal, updated.copy(), counts.copy()) == 0
             # a tie between two far centroids still goes to the lower index
             far = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) * magnitude
-            tie = ClusterState(far, np.ones(2, int))
-            assert cluster_assign(np.zeros(3), tie)[0] == 0
-        np.testing.assert_allclose(clusters.centroids[1], (centroids[1] + signal) / 2)
+            assert _assign(np.zeros(3), far, np.ones(2, int)) == 0
+        np.testing.assert_allclose(updated[1], (centroids[1] + signal) / 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_signal_is_rejected_by_both_paths(self, bad):
+        # both update rules: a zero-count centroid jumps, a counted one takes a mean
         signal = np.array([0.5, bad, 1.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            cluster_assign(signal, ClusterState.empty(2, 3))
-        with pytest.raises(ValueError, match="non-finite"):
-            _assign(signal, np.zeros((2, 3)), np.zeros(2, dtype=int))
+        for counts in (np.zeros(2, dtype=int), np.ones(2, dtype=int)):
+            with pytest.raises(ValueError, match="non-finite"):
+                _assign(signal, np.zeros((2, 3)), counts)
 
 
 class TestJointStep:

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from pwmdp.harness import read_trace
+from pwmdp.harness import cli
 from pwmdp.harness.cli import build_parser, main
-from pwmdp.harness.config import FIELDS
+from pwmdp.harness.config import FIELDS, MAX_KERNEL_ENTRIES
 
 CLI = [sys.executable, "-m", "pwmdp"]
 
@@ -329,6 +330,16 @@ class TestPiecewiseCommand:
             "config error: operator.gamma must satisfy 1 / (1 - gamma) <= 1000000, got 0.999999999"
         ]
 
+    def test_schedule_beyond_the_trace_budget_exits_1_at_load(self, tmp_path, capsys, monkeypatch):
+        # the dwell loads as an integer; listing its iterations used to overflow mid-run
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"schedule": [[0, 1e300]]}))
+        monkeypatch.setattr(cli, "run_piecewise", lambda config: pytest.fail("ran the schedule"))
+        assert main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: schedule needs a trace column")
+        assert line.endswith(f"doubles, beyond the budget of {MAX_KERNEL_ENTRIES}")
+
     def test_unwritable_output_exits_3(self, quick_config, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
@@ -413,6 +424,18 @@ class TestThresholdSweepCommand:
         assert "Traceback" not in result.stderr
 
 
+    def test_grid_beyond_the_budget_exits_1_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        # a 10**10-cell grid: numpy refused the 74.5 GiB request with a MemoryError
+        monkeypatch.setattr(cli, "run_threshold_sweep", lambda *a, **k: pytest.fail("swept"))
+        argv = ["threshold-sweep", "--n-gamma", "100000", "--n-coupling", "100000"]
+        assert main(argv + ["--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --n-gamma 100000 times --n-coupling 100000 is a grid of "
+            f"10000000000 cells, beyond the budget of {MAX_KERNEL_ENTRIES}"
+        ]
+        assert not (tmp_path / "s").exists()
+
+
 class TestDelayTableCommand:
     def test_json_rows(self, tmp_path):
         out = tmp_path / "delays"
@@ -452,6 +475,25 @@ class TestDemoCommand:
         result = run_cli("rmdm-demo", "--out", str(tmp_path / "d"), "--steps", "-1")
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
+
+
+    @pytest.mark.parametrize("lr", ["inf", "nan", "-1", "0"])
+    def test_lr_must_be_finite_and_positive(self, lr, tmp_path, capsys):
+        # inf and nan ended in a traceback; -1 climbed the loss and exited 0
+        assert main(["rmdm-demo", "--lr", lr, "--out", str(tmp_path / "d")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: --lr must be finite and > 0, got ")
+
+    def test_diverging_lr_exits_4_with_one_line(self, tmp_path, capsys):
+        assert main(["rmdm-demo", "--lr", "1e308", "--out", str(tmp_path / "d")]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("runtime error: context loss became non-finite during descent")
+
+
+@pytest.mark.parametrize("command", ["certify", "rmdm-demo"])
+def test_negative_seed_exits_1_naming_the_flag(command, tmp_path, capsys):
+    assert main([command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: --seed must be >= 0, got -1"]
 
 
 def test_usage_error_exits_1_and_help_exits_0():

@@ -74,21 +74,6 @@ class TestConsistencyLoss:
         expected = sum(terms) / 3
         assert consistency_loss(batch, eps=eps) == pytest.approx(expected, abs=1e-10)
 
-    def test_per_dimension_convention_flag(self):
-        rng = np.random.default_rng(2)
-        vectors = rng.uniform(-1, 1, (8, 2))
-        ids = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        batch = EmbeddingBatch(vectors, ids)
-        eps = 1e-6
-        terms = []
-        for m in (0, 1):
-            group = vectors[ids == m]
-            var = group.var(axis=0)
-            terms.append(np.mean(np.sqrt(var + eps)))
-        assert consistency_loss(batch, eps=eps, per_dimension=True) == pytest.approx(
-            float(np.mean(terms)), abs=1e-12
-        )
-
     def test_short_mode_rejected(self):
         batch = EmbeddingBatch(np.zeros((3, 2)), np.array([0, 0, 1]))
         with pytest.raises(ValueError, match="mode 1"):
@@ -179,16 +164,15 @@ class TestContextLoss:
 
 
 class TestBatchedLoss:
-    @pytest.mark.parametrize("per_dimension", [False, True])
     @pytest.mark.parametrize("d_e, d_s", [(1, 2), (2, 2), (3, 4)])
-    def test_stack_equals_context_loss_map_by_map(self, per_dimension, d_e, d_s):
+    def test_stack_equals_context_loss_map_by_map(self, d_e, d_s):
         # the fitter scores a (K, d_e, d_s) stack of maps at once; each entry
         # must be the loss of its map alone, bit for bit
         rng = np.random.default_rng(d_e * 10 + d_s)
         states = rng.normal(0.0, 1.0, (30, d_s))
         ids = rng.integers(0, 3, 30)
         ids[:6] = [0, 0, 1, 1, 2, 2]  # every regime has two samples
-        config = ContextLossConfig(d_e=d_e, per_dimension=per_dimension)
+        config = ContextLossConfig(d_e=d_e)
         weights = rng.normal(0.0, 1.0, (7, d_e, d_s))
         totals, cons, divs = _context_losses(encode(weights, states), ids, config)
         for k, w in enumerate(weights):
@@ -243,12 +227,11 @@ class TestFitLinearContext:
         b = fit_linear_context((states, ids), CONFIG, steps=20, lr=0.1, seed=9)
         assert (a == b).all()
 
-    @pytest.mark.parametrize("per_dimension", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_matches_descent_with_one_loss_call_per_map(self, seed, per_dimension):
+    def test_matches_descent_with_one_loss_call_per_map(self, seed):
         # the fitter's batched steps against plain finite differences, one map at a time
         states, ids = separable_context_dataset(seed)
-        config = ContextLossConfig(per_dimension=per_dimension)
+        config = ContextLossConfig()
 
         def loss_of(w):
             return context_loss(EmbeddingBatch(encode(w, states), ids), config).total

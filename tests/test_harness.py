@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pwmdp import apply_mode_operator, make_random_mode, mode_fixed_point, sup_dist
-from pwmdp.bocd import BOCDParams, RunLengthBelief, belief_entropy, bocd_step, expected_run_length
+from pwmdp.bocd import BOCDParams, RunLengthBelief, _entropy, _mean_run_length, bocd_step
 from pwmdp.harness import (
     ConfigError,
     ExperimentTrace,
@@ -418,8 +418,8 @@ class TestRunPiecewise:
         belief = RunLengthBelief.uniform(BOCDParams().h_max)
         for row in plain.rows:
             belief = bocd_step(belief, row.xi, BOCDParams())
-            assert expected_run_length(belief) == row.h_bar
-            assert belief_entropy(belief) == row.entropy
+            assert _mean_run_length(belief.probs) == row.h_bar
+            assert _entropy(belief.probs) == row.entropy
 
     def test_ensemble_and_noise_streams_independent_of_row_count(self):
         # non-zero backup noise changes err but not determinism
