@@ -52,7 +52,6 @@ from .mdp import (
 from .operators import (
     CoupledOperatorParams,
     FixedPointResult,
-    ModeBelief,
     RegimePerturbation,
     StatePartition,
     add_bounded_noise,

@@ -53,7 +53,6 @@ from ..context import (
 from ..mdp import (
     ModeModel,
     OperatorParams,
-    QFunction,
     _draw_mode_tables,
     check_simplex,
     make_random_mode,
@@ -62,7 +61,6 @@ from ..mdp import (
 from ..operators import (
     _project,
     CoupledOperatorParams,
-    ModeBelief,
     StatePartition,
     apply_coupled_operator,
     apply_mixture_operator,
@@ -132,9 +130,9 @@ def _random_models(rng, n_modes, n_states, n_actions):
     ]
 
 
-def _random_belief(rng, n_modes) -> ModeBelief:
+def _random_belief(rng, n_modes) -> np.ndarray:
     w = rng.dirichlet(np.ones(n_modes))
-    return ModeBelief(w / w.sum())
+    return w / w.sum()
 
 
 def _random_partition(rng, n_states) -> StatePartition:
@@ -255,11 +253,11 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
     neg_rng = np.random.default_rng((seed, 1021))
     models = _random_models(neg_rng, 3, 4, 2)
     params = OperatorParams(gamma=0.9)
-    weights = _random_belief(neg_rng, 3).weights * 0.9
-    q = QFunction(neg_rng.uniform(-5.0, 5.0, (4, 2)))
+    weights = _random_belief(neg_rng, 3) * 0.9
+    q = neg_rng.uniform(-5.0, 5.0, (4, 2))
     base = mixture_backup(models, weights, params, q)
-    shifted = mixture_backup(models, weights, params, QFunction(q.values + 1.0))
-    neg_deviation = float(np.max(np.abs(shifted.values - (base.values + 0.9))))
+    shifted = mixture_backup(models, weights, params, q + 1.0)
+    neg_deviation = float(np.max(np.abs(shifted - (base + 0.9))))
     max_violation = _gated(max_violation, neg_deviation > 1e-6)
     return SuiteResult("blackwell_identities", n_instances + 1, max_violation, tol)
 
@@ -431,8 +429,8 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
         sigma = float(rng.uniform(0.01, 0.3))
         fp = mode_fixed_point(model, params, tol=1e-12)
         assert fp.converged
-        floor = error_floor(projection_error(fp.q_star, partition), sigma, gamma)
-        q_star = fp.q_star.values
+        q_star = fp.q_star
+        floor = error_floor(projection_error(q_star, partition), sigma, gamma)
         q = rng.uniform(-8.0, 8.0, (n_states, n_actions))
         e0 = np.abs(q - q_star).max()
         # one stream per config: every step's bounded noise, drawn as one block
@@ -633,7 +631,7 @@ def suite_shared_critic_equivalence(seed: int, mutation: str | None = None) -> S
             lambda_epi=0.01,
             kappa=float(rng.uniform(0.0, 0.5)),
         )
-        q = QFunction(rng.uniform(-10.0, 10.0, (n_states, n_actions)))
+        q = rng.uniform(-10.0, 10.0, (n_states, n_actions))
         direct = apply_mixture_operator(models, belief, params, q)
         via_shared = apply_mixture_via_shared(models, belief, params, q)
         max_violation = max(max_violation, sup_dist(direct, via_shared))

@@ -128,31 +128,35 @@ def _cmd_piecewise(args) -> int:
     return EXIT_OK
 
 
+def _at_least(args, flag: str, low: int) -> int:
+    """The integer value of ``flag``, which must be >= ``low``."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def _seed(args) -> int:
     """The ``--seed`` of certify and rmdm-demo: 0 when absent, else a non-negative integer."""
-    if args.seed is None:
-        return 0
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    return args.seed
+    return 0 if args.seed is None else _at_least(args, "--seed", 0)
 
 
 def _cmd_threshold_sweep(args) -> int:
-    cells = args.n_gamma * args.n_coupling
+    sizes = [_at_least(args, flag, 1) for flag in ("--n-gamma", "--n-coupling", "--n-iter")]
+    n_gamma, n_coupling, n_iter = sizes
+    cells = n_gamma * n_coupling
     if cells > MAX_KERNEL_ENTRIES:
         raise ValueError(
-            f"--n-gamma {args.n_gamma} times --n-coupling {args.n_coupling} is a grid of "
+            f"--n-gamma {n_gamma} times --n-coupling {n_coupling} is a grid of "
             f"{cells} cells, beyond the budget of {MAX_KERNEL_ENTRIES}"
         )
     result = run_threshold_sweep(
-        np.linspace(0.0, 0.98, args.n_gamma),
-        np.linspace(0.0, 0.5, args.n_coupling),
-        n_iter=args.n_iter,
+        np.linspace(0.0, 0.98, n_gamma), np.linspace(0.0, 0.5, n_coupling), n_iter=n_iter
     )
     out = _out_dir(args)
     text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     path = write_text(out / "phase_map.json", text, "phase map")
-    print(f"phase map {args.n_gamma}x{args.n_coupling} -> {path}")
+    print(f"phase map {n_gamma}x{n_coupling} -> {path}")
     print(f"boundary matches analytic line: {result.matches_analytic()}")
     return EXIT_OK
 
@@ -202,9 +206,10 @@ def _cmd_demo(args) -> int:
     seed = _seed(args)
     if not (math.isfinite(args.lr) and args.lr > 0.0):
         raise ValueError(f"--lr must be finite and > 0, got {args.lr}")
+    steps = _at_least(args, "--steps", 0)
     config = ContextLossConfig()
     states, mode_ids = separable_context_dataset(seed)
-    weights = fit_linear_context((states, mode_ids), config, steps=args.steps, lr=args.lr, seed=seed)
+    weights = fit_linear_context((states, mode_ids), config, steps=steps, lr=args.lr, seed=seed)
     batch = EmbeddingBatch(encode(weights, states), mode_ids)
     loss = context_loss(batch, config)
     means = batch.mode_means()

@@ -117,7 +117,7 @@ FIELDS: dict[str, Field] = {
     "detection_policy": Field(
         str, "stale", lambda v: v in ("stale", "hold"), "must be 'stale' or 'hold'"
     ),
-    # null, or an object whose fields are the joint.* rows
+    # null loads as one cluster at stickiness 1; an object's fields are the joint.* rows
     "joint": Field(dict, None),
     "joint.n_clusters": Field(int, 4, lambda v: v >= 1, "must be >= 1"),
     "joint.stickiness": Field(float, 0.6, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
@@ -170,7 +170,7 @@ class ExperimentConfig:
     separability: float
     delta: float
     detection_policy: str
-    joint: JointSettings | None
+    joint: JointSettings
     out_dir: str
     format: str
 
@@ -286,6 +286,8 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
     if by_seed:
         seed = _int(spec["seed"], f"modes[{index}].seed")
+        if seed < 0:
+            raise ConfigError(f"modes[{index}].seed must be >= 0, got {seed}")
         model = make_random_mode(seed, n_states, n_actions, reward_range)
         shift = _float(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
         if shift != 0.0:
@@ -333,7 +335,8 @@ def _resolve(values: dict) -> ExperimentConfig:
     n_states, n_actions = values["n_states"], values["n_actions"]
     table = n_states * n_actions if min(n_states, n_actions) >= 1 else 0
     h_max, n_ensemble = values["bocd.h_max"], values["n_ensemble"]
-    n_clusters = 1 if values["joint"] is None else values["joint.n_clusters"]
+    joint = (JointSettings(n_clusters=1, stickiness=1.0) if values["joint"] is None
+             else JointSettings(**_section(values, "joint")))
     with _naming("schedule: "):
         schedule = PiecewiseSchedule(tuple(
             (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]
@@ -341,8 +344,8 @@ def _resolve(values: dict) -> ExperimentConfig:
     # (doubles, what needs them) of each array whose size a config sets
     for entries, need in (
         (table * n_states, f"n_states = {n_states} and n_actions = {n_actions} need a kernel of"),
-        (h_max * n_clusters,
-         f"bocd.h_max = {h_max} with {n_clusters} cluster(s) needs a joint posterior of"),
+        (h_max * joint.n_clusters,
+         f"bocd.h_max = {h_max} with {joint.n_clusters} cluster(s) needs a joint posterior of"),
         ((n_ensemble + 1) * table,
          f"n_ensemble = {n_ensemble} with {table} (state, action) pairs needs an ensemble of"),
         (values["rollout_len"], f"rollout_len = {values['rollout_len']} needs a rollout of"),
@@ -354,13 +357,15 @@ def _resolve(values: dict) -> ExperimentConfig:
         raise ConfigError("modes must be a non-empty list")
     with _naming("reward_range: "):
         low, high = values["reward_range"]
-    reward_range = (_float(low, "reward_range"), _float(high, "reward_range"))
+    low, high = _float(low, "reward_range"), _float(high, "reward_range")
+    if not (low <= high and math.isfinite(high - low)):
+        raise ConfigError(f"reward_range must have low <= high and a finite high - low, got {[low, high]}")
     operator_params = _build("operator", OperatorParams, _section(values, "operator"))
     gamma = operator_params.gamma
     models = []
     for i, spec in enumerate(values["modes"]):
         with _naming(f"modes[{i}]: "):
-            model = _build_mode(spec, i, n_states, n_actions, reward_range)
+            model = _build_mode(spec, i, n_states, n_actions, (low, high))
         # |Q*| <= this bound, in Python floats, where an overflow reads inf
         penalty = operator_params.lambda_epi * float(model.gamma_epi.max()) + operator_params.kappa
         if not math.isfinite((float(np.abs(model.reward).max()) + gamma * penalty) / (1.0 - gamma)):
@@ -394,7 +399,7 @@ def _resolve(values: dict) -> ExperimentConfig:
         adaptive_template=_build("adaptive", AdaptiveState, adaptive),
         smooth_surprise=smooth_surprise,
         partition=partition,
-        joint=None if values["joint"] is None else JointSettings(**_section(values, "joint")),
+        joint=joint,
         **{name: values[name] for name in _SCALAR_ATTRIBUTES},
     )
 

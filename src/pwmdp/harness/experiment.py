@@ -74,7 +74,7 @@ from ..adaptive import beta_eff, ema_update, lambda_w, surprise
 from ..bocd import _assign, _entropy, _filter_step, _mean_run_length
 from ..operators import _noise, _project, error_floor, mode_fixed_point, projection_error
 from ..operators import apply_mixture_operator  # noqa: F401  bench/test_bench.py traces this name
-from .config import ExperimentConfig, JointSettings
+from .config import ExperimentConfig
 
 __all__ = ["TraceRow", "ExperimentTrace", "run_piecewise", "TRACE_FIELDS"]
 
@@ -233,9 +233,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     holds = config.detection_policy == "hold"
 
     h_max = config.bocd_params.h_max
-    # Without a joint config the filter has one cluster, where stickiness has no effect.
-    joint_settings = config.joint or JointSettings(n_clusters=1, stickiness=1.0)
-    n_z = joint_settings.n_clusters
+    n_z = config.joint.n_clusters
     # the detector's state as plain arrays for the whole run: the joint posterior as
     # a one-case (1, h_max, n_z) batch, and the k-means centroids of the 3 channels
     joint = np.full((1, h_max, n_z), 1.0 / (h_max * n_z))
@@ -303,7 +301,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
         z_now = _assign(np.array([reward_z, q_std_ratio, kappa_div]), centroids, counts)
-        joint = _filter_step(joint, np.array([xi]), z_now, joint_settings.stickiness, config.bocd_params)
+        joint = _filter_step(joint, np.array([xi]), z_now, config.joint.stickiness, config.bocd_params)
         rho = joint[0].sum(axis=1)  # the run-length marginal
         h_bar = _mean_run_length(rho)
         entropy = _entropy(rho)
@@ -315,7 +313,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             if not (holds and in_detection[t]):
                 step = backed_up if partition is None else _project(backed_up, partition)
                 q = _noise(step, config.noise_sigma, (seed, _NOISE_STREAM, t))
-            err = _finite(float(np.abs(q - q_stars[true_mode].values).max()), "err", t)
+            err = _finite(float(np.abs(q - q_stars[true_mode]).max()), "err", t)
         stack[-1] = q  # the next iteration backs up this ensemble and iterate
         steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)
         if in_detection[t]:

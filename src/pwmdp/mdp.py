@@ -195,16 +195,16 @@ class PiecewiseSchedule:
         return max(m for m, _ in self.segments)
 
 
-def greedy_value(q: QFunction) -> np.ndarray:
-    """State values under the greedy policy: V(s) = max_a Q(s, a)."""
-    return q.values.max(axis=1)
+def greedy_value(q: np.ndarray) -> np.ndarray:
+    """State values under the greedy policy: V(s) = max_a Q(s, a), for (..., S, A) tables."""
+    return q.max(axis=-1)
 
 
-def sup_dist(q1: QFunction, q2: QFunction) -> float:
-    """Sup-norm distance max_{s,a} |Q1 - Q2|."""
+def sup_dist(q1: np.ndarray, q2: np.ndarray) -> float:
+    """Sup-norm distance max_{s,a} |Q1 - Q2| between two arrays of tables."""
     if q1.shape != q2.shape:
         raise ValueError(f"dimension mismatch: {q1.shape} vs {q2.shape}")
-    return float(np.max(np.abs(q1.values - q2.values)))
+    return float(np.max(np.abs(q1 - q2)))
 
 
 def validate_mode(model: ModeModel) -> list[str]:

@@ -7,8 +7,10 @@ added to Q tables, exact regime fixed points by policy iteration, fixed-point
 iteration with a-posteriori certificates, empirical Lipschitz estimation,
 and the regime-switch perturbation bound.
 
-Everything operates on immutable inputs and returns fresh objects; the
-only randomness is owned by explicit seeds.
+Every public operator takes a Q table as a ``QFunction`` or as a (..., S, A)
+array of tables and returns a new ``np.ndarray`` (``add_bounded_noise`` at
+sigma 0 returns the tables it was given); a regime belief is a weight vector.
+The only randomness is owned by explicit seeds.
 
 Validation happens at the public entry points: ``apply_mode_operator``,
 ``mixture_backup``/``apply_mixture_operator``, ``project`` and
@@ -28,10 +30,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .mdp import ModeModel, OperatorParams, QFunction, greedy_value, sup_dist
-from .mdp import _frozen_array, check_simplex
+from .mdp import check_simplex
 
 __all__ = [
-    "ModeBelief",
     "CoupledOperatorParams",
     "StatePartition",
     "FixedPointResult",
@@ -69,34 +70,10 @@ _MAX_POLISH_STEPS = 10**6
 # estimate_lipschitz samples table entries uniformly from this range.
 LIPSCHITZ_VALUE_RANGE = (-10.0, 10.0)
 
-QOperator = Callable[[QFunction], QFunction]
+QOperator = Callable[[np.ndarray], np.ndarray]
 # Maps a (B, S, A) array of tables to the (B, S, A) array of their images, or
 # to a (..., B, S, A) array of their images under several maps.
 BatchOperator = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class ModeBelief:
-    """Probability weights over regimes; validated to the simplex at construction."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen_array(self.weights)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError(f"belief must be a non-empty vector, got shape {w.shape}")
-        check_simplex(w, "belief")
-
-    @classmethod
-    def point_mass(cls, index: int, n_modes: int) -> "ModeBelief":
-        w = np.zeros(n_modes)
-        w[index] = 1.0
-        return cls(w)
-
-    @classmethod
-    def uniform(cls, n_modes: int) -> "ModeBelief":
-        return cls(np.full(n_modes, 1.0 / n_modes))
 
 
 @dataclass(frozen=True)
@@ -171,7 +148,7 @@ class StatePartition:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    q_star: QFunction
+    q_star: np.ndarray
     iterations: int
     final_residual: float
     converged: bool
@@ -193,11 +170,6 @@ def _tables(q: QFunction | np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("Q tables contain non-finite entries")
     return values
-
-
-def _like(q: QFunction | np.ndarray, values: np.ndarray) -> QFunction | np.ndarray:
-    """``values`` in the form ``q`` came in: a QFunction for a QFunction, else the array."""
-    return QFunction(values) if isinstance(q, QFunction) else values
 
 
 def _backup(
@@ -239,20 +211,24 @@ def _backup(
 
 def apply_mode_operator(
     model: ModeModel, params: OperatorParams, q: QFunction | np.ndarray
-) -> QFunction | np.ndarray:
+) -> np.ndarray:
     """Penalized Bellman backup under one regime.
 
     out(s,a) = R(s,a) + gamma * (sum_s' P(s'|s,a) V(s') - lambda_epi * G(s,a) - kappa)
     with V(s') = max_a' Q(s',a'). Penalties are frozen tables, so they cancel
     in differences and the map contracts at rate gamma. ``q`` is a QFunction
-    (the result is one too) or a (..., S, A) array of tables, each backed up.
+    or a (..., S, A) array of tables, each backed up.
     """
-    return _like(q, _backup((model,), (1.0,), params, _tables(q)))
+    return _backup((model,), (1.0,), params, _tables(q))
 
 
-def _belief_weights(belief: ModeBelief | np.ndarray) -> np.ndarray:
-    """Weights of a belief given as a ModeBelief or as a raw vector (validated)."""
-    return (belief if isinstance(belief, ModeBelief) else ModeBelief(belief)).weights
+def _belief_weights(belief: np.ndarray) -> np.ndarray:
+    """A regime belief: a non-empty weight vector on the simplex (validated)."""
+    weights = np.asarray(belief, dtype=float)
+    if weights.ndim != 1 or weights.size < 1:
+        raise ValueError(f"belief must be a non-empty vector, got shape {weights.shape}")
+    check_simplex(weights, "belief")
+    return weights
 
 
 def mixture_backup(
@@ -260,7 +236,7 @@ def mixture_backup(
     weights: np.ndarray,
     params: OperatorParams,
     q: QFunction | np.ndarray,
-) -> QFunction | np.ndarray:
+) -> np.ndarray:
     """Weighted sum of per-regime backups with the weights taken as-is.
 
     No simplex validation: callers that need the contraction guarantee must
@@ -274,15 +250,15 @@ def mixture_backup(
         raise ValueError(f"{len(models)} models but {weights.size} weights")
     if not models:
         raise ValueError("need at least one model")
-    return _like(q, _backup(models, weights, params, _tables(q)))
+    return _backup(models, weights, params, _tables(q))
 
 
 def apply_mixture_operator(
     models: Sequence[ModeModel],
-    belief: ModeBelief | np.ndarray,
+    belief: np.ndarray,
     params: OperatorParams,
     q: QFunction | np.ndarray,
-) -> QFunction | np.ndarray:
+) -> np.ndarray:
     """Belief-weighted mixture of per-regime backups (frozen belief).
 
     With a point-mass belief this reduces exactly to
@@ -291,8 +267,7 @@ def apply_mixture_operator(
     gamma-contractions contracts at the same rate: the certification suite
     checks the exact factor gamma * max_{s,a} sum_t |sum_m w_m P_m(t|s,a)|
     against gamma, and sampled pairs through the kernel against that
-    factor. ``q`` is a QFunction or a
-    (..., S, A) array of tables, as for :func:`apply_mode_operator`.
+    factor. ``q`` is taken as by :func:`apply_mode_operator`.
     """
     return mixture_backup(models, _belief_weights(belief), params, q)
 
@@ -321,7 +296,7 @@ def classify_factor(factor: float, tol: float = 0.0) -> str:
 
 def solve_fixed_point(
     operator: QOperator,
-    q0: QFunction,
+    q0: QFunction | np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 10**6,
 ) -> FixedPointResult:
@@ -330,11 +305,12 @@ def solve_fixed_point(
     For a certified gamma-contraction the a-posteriori bound gives
     dist(Q, Q*) <= tol * gamma / (1 - gamma) on return. Non-convergence
     within ``max_iter`` (or residual blow-up past ``DIVERGENCE_CAP``,
-    expected for expansive maps) is flagged rather than raised.
+    expected for expansive maps) is flagged rather than raised. ``operator``
+    maps an array to an array.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    q = q0
+    q = _tables(q0)
     residual = float("inf")
     for it in range(1, max_iter + 1):
         q_next = operator(q)
@@ -362,7 +338,9 @@ def mode_fixed_point(
     is below ``tol``, and ``iterations`` counts the improvement steps. Only
     if round-off at a large |Q| leaves that residual at or above ``tol`` does
     value iteration take over, from a lower bound of the fixed point, for at
-    most ``_MAX_POLISH_STEPS`` backups.
+    most ``_MAX_POLISH_STEPS`` backups. ``q_star`` is returned as computed:
+    where a backup overflows, the residual is non-finite and ``converged``
+    False (an overflowing solve fails the residual backup's finiteness check).
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -393,7 +371,7 @@ def mode_fixed_point(
             q = q_next
             if residual < tol or not math.isfinite(residual):
                 break
-    return FixedPointResult(QFunction(q), it, residual, residual < tol)
+    return FixedPointResult(q, it, residual, residual < tol)
 
 
 def estimate_lipschitz(
@@ -470,18 +448,17 @@ def regime_perturbation(
     return RegimePerturbation(delta_r, bound, actual_gap)
 
 
-def project(q: QFunction | np.ndarray, partition: StatePartition) -> QFunction | np.ndarray:
+def project(q: QFunction | np.ndarray, partition: StatePartition) -> np.ndarray:
     """Block-averaging state aggregation; idempotent, sup-norm non-expansive.
 
-    ``q`` is a QFunction (the result is one too) or a (..., S, A) array of
-    tables, each projected.
+    ``q`` is a QFunction or a (..., S, A) array of tables, each projected.
     """
     values = _tables(q)
     if partition.n_states != values.shape[-2]:
         raise ValueError(
             f"partition over {partition.n_states} states but Q has {values.shape[-2]}"
         )
-    return _like(q, _project(values, partition))
+    return _project(values, partition)
 
 
 def _project(values: np.ndarray, partition: StatePartition) -> np.ndarray:
@@ -491,24 +468,23 @@ def _project(values: np.ndarray, partition: StatePartition) -> np.ndarray:
     return means[..., block_of, :]
 
 
-def projection_error(q_star: QFunction, partition: StatePartition) -> float:
+def projection_error(q_star: QFunction | np.ndarray, partition: StatePartition) -> float:
     """Aggregation error at a fixed point: sup_dist(project(Q*), Q*)."""
-    return sup_dist(project(q_star, partition), q_star)
+    values = _tables(q_star)
+    return sup_dist(project(values, partition), values)
 
 
-def add_bounded_noise(q: QFunction | np.ndarray, sigma: float, rng_seed) -> QFunction | np.ndarray:
+def add_bounded_noise(q: QFunction | np.ndarray, sigma: float, rng_seed) -> np.ndarray:
     """``q`` plus entrywise uniform noise in [-sigma, sigma), deterministic per seed.
 
     Bounded (not Gaussian) noise matches the per-step hypothesis of the
-    stochastic tracking bound. ``q`` is a QFunction (the result is one too)
-    or a (..., S, A) array of tables; at sigma 0 it is returned itself. The
-    noise is uniform(-sigma, sigma)'s arithmetic, -sigma + 2 sigma u, in place.
+    stochastic tracking bound. ``q`` is a QFunction or a (..., S, A) array of
+    tables; at sigma 0 its tables are returned themselves. The noise is
+    uniform(-sigma, sigma)'s arithmetic, -sigma + 2 sigma u, in place.
     """
     if not (sigma >= 0.0 and math.isfinite(2.0 * sigma)):
         raise ValueError(f"sigma must be >= 0 with 2 * sigma finite, got {sigma}")
-    if sigma == 0.0:
-        return q
-    return _like(q, _noise(_tables(q), sigma, rng_seed))
+    return _noise(_tables(q), sigma, rng_seed)
 
 
 def _noise(values: np.ndarray, sigma: float, rng_seed, out: np.ndarray | None = None) -> np.ndarray:
@@ -532,27 +508,27 @@ def _noise(values: np.ndarray, sigma: float, rng_seed, out: np.ndarray | None = 
 
 def apply_mixture_via_shared(
     models: Sequence[ModeModel],
-    belief: ModeBelief | np.ndarray,
+    belief: np.ndarray,
     params: OperatorParams,
-    q: QFunction,
-) -> QFunction:
+    q: QFunction | np.ndarray,
+) -> np.ndarray:
     """Mixture backup routed through a shared (mode, state, action) table.
 
     Independent reference for :func:`apply_mixture_operator`: each regime's
     backup is computed on its own with a per-(s, a) kernel contraction,
     stored in a shared table, and contracted with the belief weights
-    afterwards. The two paths agree to floating-point round-off.
+    afterwards. The two paths agree to floating-point round-off. ``q`` is
+    one (S, A) table, as a QFunction or an array.
     """
     weights = _belief_weights(belief)
     if len(models) != weights.size:
         raise ValueError(f"{len(models)} models but {weights.size} belief weights")
-    v = greedy_value(q)
+    v = greedy_value(_tables(q))
     per_mode = [
         m.reward + params.gamma * (m.kernel @ v - params.lambda_epi * m.gamma_epi - params.kappa)
         for m in models
     ]
-    mixed = np.tensordot(weights, np.stack(per_mode), axes=1)
-    return QFunction(mixed)
+    return np.tensordot(weights, np.stack(per_mode), axes=1)
 
 
 def error_floor(eps_proj: float, sigma: float, gamma: float) -> float:

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, outputs, exit codes."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -340,6 +341,24 @@ class TestPiecewiseCommand:
         assert line.startswith("config error: schedule needs a trace column")
         assert line.endswith(f"doubles, beyond the budget of {MAX_KERNEL_ENTRIES}")
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"modes": [{"seed": -1}]}, "modes[0].seed must be >= 0, got -1"),
+            ({"reward_range": [1.0, -1.0]},
+             "reward_range must have low <= high and a finite high - low, got [1.0, -1.0]"),
+            ({"reward_range": [-1e308, 1e308]},
+             "reward_range must have low <= high and a finite high - low, got [-1e+308, 1e+308]"),
+        ],
+        ids=["negative_mode_seed", "reversed_reward_range", "overflowing_reward_range"],
+    )
+    def test_config_leaf_error_names_its_field(self, raw, message, tmp_path, capsys):
+        # numpy's own messages named neither modes[0].seed nor reward_range
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
     def test_unwritable_output_exits_3(self, quick_config, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
@@ -359,10 +378,23 @@ FUZZ_VALUES = {
     dict: (None, {}, {"n_clusters": 2}, []),
 }
 FUZZ_SHIFTS = (1e20, 1e100, 1e200, -1e150)
+# Leaves inside the structured fields: (field, its value where the base config
+# has none, index path of the leaf, kind); the kind picks the FUZZ_VALUES.
+STRUCTURED_LEAVES = (
+    [("schedule", None, (k, j), int) for k in range(2) for j in range(2)]
+    + [("modes", None, (i, key), kind) for i in range(2)
+       for key, kind in (("seed", int), ("reward_shift", float))]
+    + [("partition", [[0, 1, 2], [3, 4, 5]], (b, j), int) for b in range(2) for j in range(3)]
+    + [("reward_range", [-1.0, 1.0], (j,), float) for j in range(2)]
+)
 
 
 def fuzzed_config(rng) -> dict:
-    """A short two-regime config with huge reward shifts and 1-3 fields at boundary values."""
+    """A short two-regime config with huge reward shifts and 1-3 leaves at boundary values.
+
+    A leaf is a field of FIELDS or a leaf inside a structured field; the
+    structured leaves are set first, so a whole field drawn with them replaces them.
+    """
     raw = {
         "modes": [{"seed": m, "reward_shift": float(rng.choice(FUZZ_SHIFTS))} for m in (1, 2)],
         "schedule": [[0, 4], [1, 4]],
@@ -370,7 +402,16 @@ def fuzzed_config(rng) -> dict:
         "rollout_len": 3,
     }
     paths = sorted(FIELDS)
-    for i in rng.choice(len(paths), size=int(rng.integers(1, 4)), replace=False):
+    leaves = sorted(rng.choice(len(paths) + len(STRUCTURED_LEAVES), size=int(rng.integers(1, 4)),
+                               replace=False), reverse=True)
+    for i in leaves:
+        if i >= len(paths):
+            name, start, index, kind = STRUCTURED_LEAVES[i - len(paths)]
+            target = raw.setdefault(name, copy.deepcopy(start))
+            for key in index[:-1]:
+                target = target[key]
+            target[index[-1]] = FUZZ_VALUES[kind][int(rng.integers(len(FUZZ_VALUES[kind])))]
+            continue
         values = FUZZ_VALUES[FIELDS[paths[i]].kind]
         section, _, key = paths[i].rpartition(".")
         target = raw
@@ -434,6 +475,26 @@ class TestThresholdSweepCommand:
             f"10000000000 cells, beyond the budget of {MAX_KERNEL_ENTRIES}"
         ]
         assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # numpy's message was "Number of samples, -3, must be non-negative", and the
+        # grid budget read the two negative sizes as a 9-cell grid
+        (["threshold-sweep", "--n-gamma", "-3", "--n-coupling", "-3"], "--n-gamma must be >= 1, got -3"),
+        (["threshold-sweep", "--n-coupling", "0"], "--n-coupling must be >= 1, got 0"),
+        (["threshold-sweep", "--n-iter", "0"], "--n-iter must be >= 1, got 0"),
+        (["rmdm-demo", "--steps", "-1"], "--steps must be >= 0, got -1"),
+    ],
+    ids=["n_gamma", "n_coupling", "n_iter", "steps"],
+)
+def test_size_flag_exits_1_naming_itself_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_threshold_sweep", lambda *a, **k: pytest.fail("swept"))
+    monkeypatch.setattr(cli, "fit_linear_context", lambda *a, **k: pytest.fail("fitted"))
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists()
 
 
 class TestDelayTableCommand:

@@ -1,16 +1,20 @@
 """Every exported name resolves, the package re-exports only what its modules export,
-and every name the benchmark's span tracer reads resolves in pwmdp."""
+every name the benchmark's span tracer reads resolves in pwmdp, and the benchmark's
+reference floors run on the operators' return types."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwmdp
+from pwmdp.harness.config import config_from_dict
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(pwmdp.__path__, prefix="pwmdp.")
@@ -42,17 +46,18 @@ def test_package_imports_only_exported_names():
     assert not stale, f"pwmdp/__init__.py imports names outside their module's __all__: {stale}"
 
 
-def _bench_spans():
-    path = Path(__file__).parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _bench_module(name: str):
+    path = Path(__file__).parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_names_the_span_tracer_reads_resolve():
     # the traced bench looks these up on every run; a rename must fail here, not only there
-    spans = _bench_spans()
+    spans = _bench_module("spans")
     for module, name in spans.TRACED_CLASSES:
         assert isinstance(getattr(importlib.import_module(f"pwmdp.{module}"), name), type)
     for key in spans._HOOKS:
@@ -61,3 +66,22 @@ def test_names_the_span_tracer_reads_resolve():
         # the tracer wraps public functions only, under this span name
         assert isinstance(fn, types.FunctionType) and not name.startswith("_")
         assert spans._span_name(fn) == key
+
+
+def test_bench_reference_floors_run_on_a_partitioned_config():
+    # the bench checks every trace row against these floors, built from
+    # mode_fixed_point(...).q_star through projection_error
+    workloads = _bench_module("workloads")
+    config = config_from_dict({"partition": [[0, 1, 2], [3, 4, 5]], "noise_sigma": 0.01})
+    params, sigma = config.operator_params, config.noise_sigma
+    floors = workloads._envelope_floors(config)
+    assert len(floors) == len(config.models)
+    for model, floor in zip(config.models, floors):
+        # independent oracle: value iteration, then each block's largest deviation from its mean
+        q = np.zeros((6, 3))
+        for _ in range(5000):
+            v = q.max(axis=1)
+            q = model.reward + params.gamma * (model.kernel @ v - params.lambda_epi * model.gamma_epi)
+        eps_proj = max(np.abs(q[b] - q[b].mean(axis=0)).max() for b in ([0, 1, 2], [3, 4, 5]))
+        assert floor == pytest.approx((eps_proj + sigma) / (1.0 - params.gamma), rel=1e-6)
+        assert floor > sigma / (1.0 - params.gamma)

@@ -198,7 +198,7 @@ class TestConfig:
             ({"schedule": 5}, "schedule: "),
             ({"schedule": [[0]]}, "schedule: "),
             ({"reward_range": [1]}, "reward_range: "),
-            ({"modes": [{"seed": 1}, {"seed": -1}]}, "modes[1]: "),
+            ({"modes": [{"seed": 1}, {"seed": -1}]}, "modes[1].seed must be >= 0, got -1"),
             ({"partition": [[0, 9]]}, "partition: "),
             # the fixed-point polish would need ~1e9 backups at this gamma
             ({"operator": {"gamma": 0.999999999}},

@@ -41,80 +41,80 @@ class TestQFunction:
 
 class TestGreedyValue:
     def test_direct_max(self):
-        q = QFunction([[1.0, 2.0], [3.0, 0.0]])
+        q = np.array([[1.0, 2.0], [3.0, 0.0]])
         assert greedy_value(q).tolist() == [2.0, 3.0]
 
     def test_constant_table(self):
-        q = QFunction(np.full((4, 3), 2.5))
+        q = np.full((4, 3), 2.5)
         assert greedy_value(q).tolist() == [2.5] * 4
 
     def test_matches_elementwise_scan(self):
         rng = np.random.default_rng(7)
-        q = QFunction(rng.uniform(-10, 10, (5, 4)))
+        q = rng.uniform(-10, 10, (5, 4))
         # independent oracle: explicit elementwise scan
         expected = []
         for s in range(5):
-            best = q.values[s, 0]
+            best = q[s, 0]
             for a in range(1, 4):
-                if q.values[s, a] > best:
-                    best = q.values[s, a]
+                if q[s, a] > best:
+                    best = q[s, a]
             expected.append(best)
         assert greedy_value(q).tolist() == expected
 
     def test_one_lipschitz_in_sup_norm(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            q1 = QFunction(rng.uniform(-10, 10, (4, 3)))
-            q2 = QFunction(rng.uniform(-10, 10, (4, 3)))
+            q1 = rng.uniform(-10, 10, (4, 3))
+            q2 = rng.uniform(-10, 10, (4, 3))
             gap = np.abs(greedy_value(q1) - greedy_value(q2)).max()
             assert gap <= sup_dist(q1, q2) + 1e-15
 
     def test_monotone(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            q1 = QFunction(rng.uniform(-5, 5, (3, 4)))
-            q2 = QFunction(q1.values + rng.uniform(0, 2, (3, 4)))
+            q1 = rng.uniform(-5, 5, (3, 4))
+            q2 = q1 + rng.uniform(0, 2, (3, 4))
             assert (greedy_value(q1) <= greedy_value(q2)).all()
 
     def test_additive_constant(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            q = QFunction(rng.uniform(-5, 5, (3, 4)))
+            q = rng.uniform(-5, 5, (3, 4))
             c = float(rng.uniform(-7, 7))
-            shifted = greedy_value(QFunction(q.values + c))
+            shifted = greedy_value(q + c)
             np.testing.assert_allclose(shifted, greedy_value(q) + c, atol=1e-12)
 
 
 class TestSupDist:
     def test_identity(self):
-        q = QFunction([[1.0, -2.0]])
+        q = np.array([[1.0, -2.0]])
         assert sup_dist(q, q) == 0.0
 
     def test_uniform_shift(self):
-        q1 = QFunction([[1.0, 2.0], [3.0, 4.0]])
-        q2 = QFunction(q1.values - 3.5)
+        q1 = np.array([[1.0, 2.0], [3.0, 4.0]])
+        q2 = q1 - 3.5
         assert sup_dist(q1, q2) == 3.5
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(11)
-        q1 = QFunction(rng.uniform(-10, 10, (6, 3)))
-        q2 = QFunction(rng.uniform(-10, 10, (6, 3)))
+        q1 = rng.uniform(-10, 10, (6, 3))
+        q2 = rng.uniform(-10, 10, (6, 3))
         best = 0.0
         for s in range(6):
             for a in range(3):
-                best = max(best, abs(q1.values[s, a] - q2.values[s, a]))
+                best = max(best, abs(q1[s, a] - q2[s, a]))
         assert sup_dist(q1, q2) == best
 
     def test_symmetric_zero_iff_equal(self):
         rng = np.random.default_rng(12)
-        q1 = QFunction(rng.uniform(-1, 1, (3, 2)))
-        q2 = QFunction(rng.uniform(-1, 1, (3, 2)))
+        q1 = rng.uniform(-1, 1, (3, 2))
+        q2 = rng.uniform(-1, 1, (3, 2))
         assert sup_dist(q1, q2) == sup_dist(q2, q1)
         assert sup_dist(q1, q2) > 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            sup_dist(QFunction.zeros(2, 2), QFunction.zeros(3, 2))
+            sup_dist(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestValidateMode:

@@ -5,7 +5,6 @@ import pytest
 
 from pwmdp import (
     CoupledOperatorParams,
-    ModeBelief,
     ModeModel,
     OperatorParams,
     QFunction,
@@ -60,26 +59,26 @@ class TestModeOperator:
     def test_one_step_backup(self):
         model = single_state_model(1.0)
         params = OperatorParams(gamma=0.5)
-        out = apply_mode_operator(model, params, QFunction.zeros(1, 1))
-        assert out.values[0, 0] == 1.0
+        out = apply_mode_operator(model, params, np.zeros((1, 1)))
+        assert out[0, 0] == 1.0
 
     def test_uniform_shift_discounts(self):
         model = make_random_mode(5, 4, 3)
         params = OperatorParams(gamma=0.8, lambda_epi=0.02, kappa=0.3)
         rng = np.random.default_rng(0)
-        q = QFunction(rng.uniform(-5, 5, (4, 3)))
+        q = rng.uniform(-5, 5, (4, 3))
         c = 2.25
         base = apply_mode_operator(model, params, q)
-        shifted = apply_mode_operator(model, params, QFunction(q.values + c))
-        np.testing.assert_allclose(shifted.values, base.values + params.gamma * c, atol=1e-12)
+        shifted = apply_mode_operator(model, params, q + c)
+        np.testing.assert_allclose(shifted, base + params.gamma * c, atol=1e-12)
 
     def test_matches_naive_loop_oracle(self):
         model = make_random_mode(8, 4, 2)
         params = OperatorParams(gamma=0.9, lambda_epi=0.05, kappa=0.2)
-        q = QFunction.zeros(4, 2)
+        q = np.zeros((4, 2))
         out = apply_mode_operator(model, params, q)
         # independent oracle: naive triple loop over the backup definition
-        v = [max(q.values[s]) for s in range(4)]
+        v = [max(q[s]) for s in range(4)]
         for s in range(4):
             for a in range(2):
                 acc = 0.0
@@ -88,76 +87,84 @@ class TestModeOperator:
                 expected = model.reward[s, a] + params.gamma * (
                     acc - params.lambda_epi * model.gamma_epi[s, a] - params.kappa
                 )
-                assert abs(out.values[s, a] - expected) <= 1e-12
+                assert abs(out[s, a] - expected) <= 1e-12
 
     def test_dimension_mismatch(self):
         model = make_random_mode(0, 3, 2)
         with pytest.raises(ValueError, match="mismatch"):
-            apply_mode_operator(model, OperatorParams(gamma=0.9), QFunction.zeros(2, 2))
+            apply_mode_operator(model, OperatorParams(gamma=0.9), np.zeros((2, 2)))
 
 
 class TestModeBelief:
+    """A regime belief is a weight vector, checked where apply_mixture_operator takes it."""
+
+    @staticmethod
+    def mix(belief):
+        models = [make_random_mode(0, 2, 2), make_random_mode(1, 2, 2)]
+        return apply_mixture_operator(models, belief, OperatorParams(gamma=0.9), np.zeros((2, 2)))
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
-            ModeBelief(np.array([1.5, -0.5]))
+            self.mix(np.array([1.5, -0.5]))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum"):
-            ModeBelief(np.array([0.5, 0.4]))
+            self.mix(np.array([0.5, 0.4]))
 
-    def test_point_mass_and_uniform(self):
-        assert ModeBelief.point_mass(1, 3).weights.tolist() == [0.0, 1.0, 0.0]
-        assert ModeBelief.uniform(4).weights.tolist() == [0.25] * 4
+    @pytest.mark.parametrize("belief", [np.ones((1, 2)) / 2, np.array([]), np.float64(1.0)])
+    def test_rejects_a_non_vector(self, belief):
+        with pytest.raises(ValueError, match="belief must be a non-empty vector"):
+            self.mix(belief)
 
 
 class TestMixtureOperator:
     def test_point_mass_reduces_to_mode_operator(self):
         models = [make_random_mode(s, 3, 2) for s in range(3)]
         params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
-        q = QFunction(np.random.default_rng(1).uniform(-3, 3, (3, 2)))
-        mixed = apply_mixture_operator(models, ModeBelief.point_mass(1, 3), params, q)
+        q = np.random.default_rng(1).uniform(-3, 3, (3, 2))
+        mixed = apply_mixture_operator(models, np.array([0.0, 1.0, 0.0]), params, q)
         direct = apply_mode_operator(models[1], params, q)
-        np.testing.assert_allclose(mixed.values, direct.values, atol=1e-15)
+        np.testing.assert_allclose(mixed, direct, atol=1e-15)
 
     def test_mixture_of_identical_modes(self):
         model = make_random_mode(7, 3, 2)
         params = OperatorParams(gamma=0.9)
-        q = QFunction(np.random.default_rng(2).uniform(-3, 3, (3, 2)))
+        q = np.random.default_rng(2).uniform(-3, 3, (3, 2))
         mixed = apply_mixture_operator([model, model], np.array([0.3, 0.7]), params, q)
         direct = apply_mode_operator(model, params, q)
-        np.testing.assert_allclose(mixed.values, direct.values, atol=1e-12)
+        np.testing.assert_allclose(mixed, direct, atol=1e-12)
 
     def test_matches_hand_rolled_weighted_sum(self):
         models = [make_random_mode(s, 4, 2) for s in (10, 11, 12)]
         params = OperatorParams(gamma=0.85, lambda_epi=0.03, kappa=0.25)
-        q = QFunction(np.random.default_rng(3).uniform(-5, 5, (4, 2)))
-        belief = ModeBelief.uniform(3)
+        q = np.random.default_rng(3).uniform(-5, 5, (4, 2))
+        belief = np.full(3, 1.0 / 3)
         out = apply_mixture_operator(models, belief, params, q)
         # independent oracle: explicit weighted sum of separate backups
         expected = np.zeros((4, 2))
-        for w, m in zip(belief.weights, models):
-            expected = expected + w * apply_mode_operator(m, params, q).values
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        for w, m in zip(belief, models):
+            expected = expected + w * apply_mode_operator(m, params, q)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_length_mismatch(self):
         models = [make_random_mode(0, 2, 2)]
         with pytest.raises(ValueError, match="weights"):
-            apply_mixture_operator(models, np.array([0.5, 0.5]), OperatorParams(gamma=0.9), QFunction.zeros(2, 2))
+            apply_mixture_operator(models, np.array([0.5, 0.5]), OperatorParams(gamma=0.9), np.zeros((2, 2)))
 
     def test_invalid_belief_rejected(self):
         models = [make_random_mode(0, 2, 2), make_random_mode(1, 2, 2)]
         with pytest.raises(ValueError, match="sum"):
-            apply_mixture_operator(models, np.array([0.6, 0.6]), OperatorParams(gamma=0.9), QFunction.zeros(2, 2))
+            apply_mixture_operator(models, np.array([0.6, 0.6]), OperatorParams(gamma=0.9), np.zeros((2, 2)))
 
     def test_discounting_fails_with_unnormalized_weights(self):
         # A4 is load-bearing: scaled weights break the discounting identity
         models = [make_random_mode(s, 3, 2) for s in (20, 21)]
         params = OperatorParams(gamma=0.9)
-        weights = ModeBelief.uniform(2).weights * 0.9
-        q = QFunction(np.random.default_rng(4).uniform(-3, 3, (3, 2)))
+        weights = np.full(2, 0.5) * 0.9
+        q = np.random.default_rng(4).uniform(-3, 3, (3, 2))
         base = mixture_backup(models, weights, params, q)
-        shifted = mixture_backup(models, weights, params, QFunction(q.values + 1.0))
-        deviation = np.max(np.abs(shifted.values - (base.values + params.gamma * 1.0)))
+        shifted = mixture_backup(models, weights, params, q + 1.0)
+        deviation = np.max(np.abs(shifted - (base + params.gamma * 1.0)))
         assert deviation > 1e-6
 
 
@@ -217,12 +224,12 @@ class TestSolveFixedPoint:
         params = OperatorParams(gamma=0.5)
         result = mode_fixed_point(model, params, tol=1e-12)
         assert result.converged
-        assert result.q_star.values[0, 0] == pytest.approx(2.0, abs=1e-11)
+        assert result.q_star[0, 0] == pytest.approx(2.0, abs=1e-11)
 
     def test_expansive_map_flagged_unconverged(self):
         p = CoupledOperatorParams(gamma=0.99, sensitivity=0.001, r_high=50.0, r_low=0.0)
-        op = lambda q: QFunction([[apply_coupled_operator(p, float(q.values[0, 0]))]])
-        result = solve_fixed_point(op, QFunction([[1.0]]), tol=1e-10, max_iter=5000)
+        op = lambda q: apply_coupled_operator(p, q)
+        result = solve_fixed_point(op, np.array([[1.0]]), tol=1e-10, max_iter=5000)
         assert not result.converged
         assert result.final_residual > 1.0  # residual grows
 
@@ -237,21 +244,21 @@ class TestSolveFixedPoint:
             q = model.reward + params.gamma * (
                 model.kernel @ v - params.lambda_epi * model.gamma_epi - params.kappa
             )
-        assert sup_dist(result.q_star, QFunction(q)) <= 1e-8
+        assert sup_dist(result.q_star, q) <= 1e-8
 
     def test_posteriori_certificate(self):
         model = make_random_mode(14, 5, 2)
         params = OperatorParams(gamma=0.9)
         tol = 1e-10
         op = lambda q: apply_mode_operator(model, params, q)
-        result = solve_fixed_point(op, QFunction.zeros(5, 2), tol=tol)
-        tight = solve_fixed_point(op, QFunction.zeros(5, 2), tol=1e-14)
+        result = solve_fixed_point(op, np.zeros((5, 2)), tol=tol)
+        tight = solve_fixed_point(op, np.zeros((5, 2)), tol=1e-14)
         assert result.iterations > 100  # a real iteration, not a start at the answer
         assert sup_dist(result.q_star, tight.q_star) <= tol * params.gamma / (1 - params.gamma)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError, match="tol"):
-            solve_fixed_point(lambda q: q, QFunction.zeros(1, 1), tol=0.0)
+            solve_fixed_point(lambda q: q, np.zeros((1, 1)), tol=0.0)
 
 
 class TestModeFixedPoint:
@@ -273,7 +280,7 @@ class TestModeFixedPoint:
             assert 1 <= exact.iterations <= 10
             iterated = solve_fixed_point(
                 lambda q: apply_mode_operator(model, params, q),
-                QFunction.zeros(model.n_states, model.n_actions),
+                np.zeros((model.n_states, model.n_actions)),
                 tol=tol,
             )
             assert iterated.converged
@@ -291,7 +298,7 @@ class TestModeFixedPoint:
         result = mode_fixed_point(twin, OperatorParams(gamma=0.95, kappa=0.1), tol=1e-12)
         assert result.converged
         assert result.iterations == 1  # the first policy (action 0 everywhere) is kept
-        values = result.q_star.values
+        values = result.q_star
         assert (values == values[:, :1]).all()
 
     def test_iterations_count_improvement_steps(self):
@@ -301,7 +308,7 @@ class TestModeFixedPoint:
         model = ModeModel(reward, kernel, np.zeros((2, 2)))
         result = mode_fixed_point(model, OperatorParams(gamma=0.9), tol=1e-12)
         assert result.iterations == 2
-        assert result.q_star.values[0] == pytest.approx([17.2, 18.0], abs=1e-12)
+        assert result.q_star[0] == pytest.approx([17.2, 18.0], abs=1e-12)
 
     def test_large_values_still_reach_tol(self):
         # at |Q| ~ 1e6 the linear solve's round-off alone leaves a residual above 1e-10
@@ -311,9 +318,9 @@ class TestModeFixedPoint:
         result = mode_fixed_point(model, params, tol=1e-10)
         assert result.converged and result.final_residual < 1e-10
         iterated = solve_fixed_point(
-            lambda q: apply_mode_operator(model, params, q), QFunction.zeros(6, 3), tol=1e-10
+            lambda q: apply_mode_operator(model, params, q), np.zeros((6, 3)), tol=1e-10
         )
-        np.testing.assert_allclose(result.q_star.values, iterated.q_star.values, rtol=1e-13)
+        np.testing.assert_allclose(result.q_star, iterated.q_star, rtol=1e-13)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError, match="tol"):
@@ -324,7 +331,7 @@ class TestEstimateLipschitz:
     def test_mixture_operator_bounded_by_gamma(self):
         models = [make_random_mode(s, 5, 3) for s in range(4)]
         params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.2)
-        belief = ModeBelief.uniform(4)
+        belief = np.full(4, 0.25)
         op = lambda q: apply_mixture_operator(models, belief, params, q)
         est = estimate_lipschitz(op, (5, 3), n_pairs=500, seed=123)
         assert est <= 0.9 + 1e-10
@@ -348,7 +355,7 @@ class TestEstimateLipschitz:
 
 
 def per_pair_lipschitz(operator, dims, n_pairs, seed):
-    """The per-pair loop estimate_lipschitz batches: one operator call per QFunction."""
+    """The per-pair loop estimate_lipschitz batches: one operator call per table."""
     s, a = dims
     lo, hi = LIPSCHITZ_VALUE_RANGE
 
@@ -359,15 +366,15 @@ def per_pair_lipschitz(operator, dims, n_pairs, seed):
     best = 0.0
     for i in range(n_pairs):
         rng = np.random.default_rng((seed, i))
-        q1 = QFunction(rng.uniform(lo, hi, size=(s, a)))
-        q2 = QFunction(rng.uniform(lo, hi, size=(s, a)))
+        q1 = rng.uniform(lo, hi, size=(s, a))
+        q2 = rng.uniform(lo, hi, size=(s, a))
         best = max(best, ratio(q1, q2))
     base = np.random.default_rng((seed, n_pairs)).uniform(lo, hi, size=(s, a))
-    best = max(best, ratio(QFunction(base), QFunction(base + 1.0)))
+    best = max(best, ratio(base, base + 1.0))
     for j in range(min(3, s * a)):
         bumped = base.copy()
         bumped[j // a, j % a] += 1.0
-        best = max(best, ratio(QFunction(base), QFunction(bumped)))
+        best = max(best, ratio(base, bumped))
     return best
 
 
@@ -392,7 +399,7 @@ class TestBatchedBackup:
         for table, image in zip(stack, out):
             expected = np.zeros((6, 3))
             for w, m in zip(weights, models):
-                expected = expected + w * apply_mode_operator(m, params, QFunction(table)).values
+                expected = expected + w * apply_mode_operator(m, params, table)
             np.testing.assert_allclose(image, expected, rtol=0.0, atol=1e-13)
         # the kappa term scales by sum(w), so a uniform shift drifts by gamma*c*(sum(w) - 1)
         c = 1.75
@@ -403,7 +410,7 @@ class TestBatchedBackup:
     def test_mode_and_mixture_operators_batch(self):
         models, rng = random_mixture(51, 2, 5, 2)
         params = OperatorParams(gamma=0.8, lambda_epi=0.01, kappa=0.1)
-        belief = ModeBelief(np.array([0.3, 0.7]))
+        belief = np.array([0.3, 0.7])
         stack = rng.uniform(-5, 5, (4, 5, 2))
         for op in (
             lambda q: apply_mode_operator(models[0], params, q),
@@ -411,7 +418,7 @@ class TestBatchedBackup:
         ):
             batch = op(stack)
             for table, image in zip(stack, batch):
-                np.testing.assert_allclose(image, op(QFunction(table)).values, rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(image, op(table), rtol=0.0, atol=1e-13)
 
     def test_single_action_tables_back_up_like_the_state_value(self):
         # with A = 1, V is the only column: no column pass runs
@@ -426,8 +433,8 @@ class TestBatchedBackup:
                 for w, m in zip((0.4, 0.6), models)
             )
             np.testing.assert_allclose(image, expected, rtol=0.0, atol=1e-13)
-        single = apply_mode_operator(models[0], params, QFunction(stack[0]))
-        assert np.array_equal(single.values, apply_mode_operator(models[0], params, stack[:1])[0])
+        single = apply_mode_operator(models[0], params, stack[0])
+        assert np.array_equal(single, apply_mode_operator(models[0], params, stack[:1])[0])
 
     def test_batch_input_validated(self):
         model = make_random_mode(0, 3, 2)
@@ -441,19 +448,14 @@ class TestBatchedBackup:
         for seed in range(40):
             models, rng = random_mixture(seed, int(1 + seed % 5), int(2 + seed % 7), int(1 + seed % 4))
             dims = models[0].reward.shape
-            belief = ModeBelief(rng.dirichlet(np.ones(len(models))))
+            belief = rng.dirichlet(np.ones(len(models)))
             params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
             # the max comes from the shift pair for a backup, mostly from a random
             # pair for a random linear map, and from a bump pair for a centred map
             matrix = rng.uniform(-1.0, 1.0, (dims[0] * dims[1],) * 2)
             linear = lambda x: (x.reshape(*x.shape[:-2], -1) @ matrix.T).reshape(x.shape)
             centred = lambda x: np.sin(3.0 * (x - x.mean(axis=(-2, -1), keepdims=True)))
-            on_tables = lambda f: lambda q: QFunction(f(q.values)) if isinstance(q, QFunction) else f(q)
-            for op in (
-                lambda q: apply_mixture_operator(models, belief, params, q),
-                on_tables(linear),
-                on_tables(centred),
-            ):
+            for op in (lambda q: apply_mixture_operator(models, belief, params, q), linear, centred):
                 batched = estimate_lipschitz(op, dims, 4, seed)
                 assert abs(batched - per_pair_lipschitz(op, dims, 4, seed)) <= 1e-13
 
@@ -522,29 +524,29 @@ class TestRegimePerturbation:
 
 class TestProject:
     def test_singleton_blocks_identity(self):
-        q = QFunction(np.random.default_rng(0).uniform(-5, 5, (4, 3)))
+        q = np.random.default_rng(0).uniform(-5, 5, (4, 3))
         out = project(q, StatePartition.singletons(4))
-        assert (out.values == q.values).all()
+        assert (out == q).all()
 
     def test_full_aggregation_is_column_mean(self):
-        q = QFunction(np.arange(12, dtype=float).reshape(4, 3))
+        q = np.arange(12, dtype=float).reshape(4, 3)
         partition = StatePartition(4, ((0, 1, 2, 3),))
         out = project(q, partition)
-        np.testing.assert_allclose(out.values, np.tile(q.values.mean(axis=0), (4, 1)))
+        np.testing.assert_allclose(out, np.tile(q.mean(axis=0), (4, 1)))
 
     def test_idempotent(self):
-        q = QFunction(np.random.default_rng(1).uniform(-5, 5, (5, 2)))
+        q = np.random.default_rng(1).uniform(-5, 5, (5, 2))
         partition = StatePartition(5, ((0, 2), (1, 3, 4)))
         once = project(q, partition)
         twice = project(once, partition)
-        np.testing.assert_allclose(once.values, twice.values, atol=1e-15)
+        np.testing.assert_allclose(once, twice, atol=1e-15)
 
     def test_nonexpansive_over_random_pairs(self):
         rng = np.random.default_rng(2)
         partition = StatePartition(6, ((0, 1), (2, 3, 4), (5,)))
         for _ in range(200):
-            q1 = QFunction(rng.uniform(-10, 10, (6, 2)))
-            q2 = QFunction(rng.uniform(-10, 10, (6, 2)))
+            q1 = rng.uniform(-10, 10, (6, 2))
+            q2 = rng.uniform(-10, 10, (6, 2))
             assert sup_dist(project(q1, partition), project(q2, partition)) <= sup_dist(q1, q2) + 1e-15
 
     def test_batch_matches_per_table(self):
@@ -553,7 +555,7 @@ class TestProject:
         stack = rng.uniform(-10, 10, (5, 7, 3))
         out = project(stack, partition)
         for table, image in zip(stack, out):
-            assert (image == project(QFunction(table), partition).values).all()
+            assert (image == project(table, partition)).all()
 
     def test_partition_validation(self):
         with pytest.raises(ValueError, match="cover"):
@@ -577,7 +579,7 @@ class TestProject:
         partition = StatePartition(6, ((0, 3), (1, 2), (4, 5)))
         true_fp = mode_fixed_point(model, params, tol=1e-12)
         op = lambda q: project(apply_mode_operator(model, params, q), partition)
-        proj_fp = solve_fixed_point(op, QFunction.zeros(6, 2), tol=1e-12)
+        proj_fp = solve_fixed_point(op, np.zeros((6, 2)), tol=1e-12)
         assert proj_fp.converged
         eps = projection_error(true_fp.q_star, partition)
         gap = sup_dist(proj_fp.q_star, true_fp.q_star)
@@ -590,22 +592,22 @@ class TestNoisyOperator:
     def test_zero_sigma_exact(self):
         model = make_random_mode(4, 3, 2)
         params = OperatorParams(gamma=0.9)
-        q = QFunction(np.random.default_rng(5).uniform(-2, 2, (3, 2)))
+        q = np.random.default_rng(5).uniform(-2, 2, (3, 2))
         step = apply_mode_operator(model, params, q)
         out = add_bounded_noise(step, 0.0, 99)
-        assert (out.values == apply_mode_operator(model, params, q).values).all()
+        assert (out == apply_mode_operator(model, params, q)).all()
 
     def test_noise_bounded_by_sigma(self):
         model = make_random_mode(4, 3, 2)
         params = OperatorParams(gamma=0.9)
-        step = apply_mode_operator(model, params, QFunction.zeros(3, 2))
+        step = apply_mode_operator(model, params, np.zeros((3, 2)))
         for seed in range(50):
             out = add_bounded_noise(step, 0.25, seed)
             assert sup_dist(out, step) <= 0.25
 
     def test_rejects_a_width_whose_span_overflows(self):
         # uniform(-sigma, sigma) needs a finite 2 * sigma
-        q = QFunction.zeros(3, 2)
+        q = np.zeros((3, 2))
         assert sup_dist(add_bounded_noise(q, 8e307, 0), q) <= 8e307
         for sigma in (1e308, -0.1, float("nan")):
             with pytest.raises(ValueError, match="sigma must be >= 0"):
@@ -619,7 +621,7 @@ class TestNoisyOperator:
         fp = mode_fixed_point(model, params, tol=1e-12)
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            q = QFunction(rng.uniform(-8, 8, (5, 2)))
+            q = rng.uniform(-8, 8, (5, 2))
             e0 = sup_dist(q, fp.q_star)
             for n in range(1, 201):
                 q = add_bounded_noise(apply_mode_operator(model, params, q), sigma, (seed, n))
@@ -631,12 +633,12 @@ class TestNoisyOperator:
         out = add_bounded_noise(tables, 0.1, (7, 1))
         assert type(out) is np.ndarray and out.shape == tables.shape
         assert 0.0 < np.abs(out - tables).max() <= 0.1
-        # the same stream on a QFunction gives the same entries
-        assert (add_bounded_noise(QFunction(tables[0]), 0.1, 3).values
-                == add_bounded_noise(tables[0], 0.1, 3)).all()
+        # the same stream on a QFunction gives the same entries, as an array
+        noisy = add_bounded_noise(QFunction(tables[0]), 0.1, 3)
+        assert type(noisy) is np.ndarray and (noisy == add_bounded_noise(tables[0], 0.1, 3)).all()
         assert add_bounded_noise(tables, 0.0, 0) is tables
         q = QFunction(tables[0])
-        assert add_bounded_noise(q, 0.0, 0) is q
+        assert add_bounded_noise(q, 0.0, 0) is q.values
 
     @pytest.mark.parametrize(
         "shape, sigma",
@@ -651,7 +653,7 @@ class TestNoisyOperator:
             assert np.array_equal(add_bounded_noise(x, sigma, seed), expected)
         if len(shape) == 2:
             assert np.array_equal(
-                add_bounded_noise(QFunction(x), sigma, 1).values,
+                add_bounded_noise(QFunction(x), sigma, 1),
                 x + np.random.default_rng(1).uniform(-sigma, sigma, shape),
             )
 
@@ -676,11 +678,42 @@ class TestSharedCritic:
     def test_dual_path_mixture_equality(self):
         models = [make_random_mode(s, 4, 3) for s in (1, 2, 3)]
         params = OperatorParams(gamma=0.9, kappa=0.1)
-        belief = ModeBelief(np.array([0.2, 0.5, 0.3]))
-        q = QFunction(np.random.default_rng(2).uniform(-5, 5, (4, 3)))
+        belief = np.array([0.2, 0.5, 0.3])
+        q = np.random.default_rng(2).uniform(-5, 5, (4, 3))
         direct = apply_mixture_operator(models, belief, params, q)
         via = apply_mixture_via_shared(models, belief, params, q)
         assert sup_dist(direct, via) <= 1e-12
+
+
+class TestArraysOut:
+    def test_every_operator_returns_a_new_array_for_a_qfunction(self):
+        models = [make_random_mode(s, 4, 3) for s in (1, 2)]
+        params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
+        belief = np.array([0.4, 0.6])
+        q = QFunction(np.random.default_rng(9).uniform(-5, 5, (4, 3)))
+        partition = StatePartition(4, ((0, 1), (2, 3)))
+        outs = [
+            apply_mode_operator(models[0], params, q),
+            mixture_backup(models, belief, params, q),
+            apply_mixture_operator(models, belief, params, q),
+            apply_mixture_via_shared(models, belief, params, q),
+            project(q, partition),
+            add_bounded_noise(q, 0.1, 0),
+            solve_fixed_point(lambda t: apply_mode_operator(models[0], params, t), q).q_star,
+            mode_fixed_point(models[0], params).q_star,
+        ]
+        for out in outs:
+            assert type(out) is np.ndarray and out.shape == (4, 3)
+            assert not np.shares_memory(out, q.values)
+
+    def test_overflowing_backup_leaves_the_fixed_point_unconverged(self):
+        # Q* = -1.7e308 is finite, but its backup's P v - lambda G is not; the
+        # tables are returned as computed, not refused by a QFunction
+        model = ModeModel([[-0.82e308]], [[[1.0]]], [[0.5e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = mode_fixed_point(model, OperatorParams(gamma=0.4, lambda_epi=1.0))
+        assert type(result.q_star) is np.ndarray and not np.isfinite(result.q_star).all()
+        assert not result.converged and not np.isfinite(result.final_residual)
 
 
 class TestBounds:
