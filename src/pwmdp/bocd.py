@@ -14,17 +14,16 @@ The messages are formed in the log domain and shifted by each case's
 largest one before a single exponentiation, so the change-point mass is
 at least ``hazard`` times the largest message: no surprise can underflow
 the normalizer (one whose square overflows a double is rejected with a
-ValueError). The updates take one belief object or a batch
-of beliefs as an array with a leading case axis; a single belief is the
-one-case batch.
+ValueError). The updates take a batch of beliefs as an array with a
+leading case axis and return a new array; a single belief is the
+one-case batch, and its marginals are sums over an axis.
 
-Also provides the joint (run-length x regime-cluster) belief with its
-marginals, the streaming k-means step that assigns a signal to a regime
-cluster, and the posterior-ratio detection-delay calculus.
+Also provides the joint (run-length x regime-cluster) update, the
+streaming k-means step that assigns a signal to a regime cluster, and
+the posterior-ratio detection-delay calculus.
 
-Belief updates are pure: they return new belief objects (or arrays for
-array input). A detector's state must be owned by a single logical
-thread; independent detectors may run in parallel.
+Belief updates are pure. A detector's state must be owned by a single
+logical thread; independent detectors may run in parallel.
 """
 
 from __future__ import annotations
@@ -109,20 +108,6 @@ class RunLengthBelief:
             raise ValueError(f"run-length belief must be a vector of length >= 2, got {p.shape}")
         check_simplex(p, "run-length belief")
 
-    @property
-    def h_max(self) -> int:
-        return self.probs.size
-
-    @classmethod
-    def uniform(cls, h_max: int) -> "RunLengthBelief":
-        return cls(np.full(h_max, 1.0 / h_max))
-
-    @classmethod
-    def point_mass(cls, h: int, h_max: int) -> "RunLengthBelief":
-        p = np.zeros(h_max)
-        p[h] = 1.0
-        return cls(p)
-
 
 @dataclass(frozen=True)
 class JointBelief:
@@ -136,26 +121,6 @@ class JointBelief:
         if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] < 1:
             raise ValueError(f"joint belief must be (h_max >= 2, n_clusters >= 1), got {p.shape}")
         check_simplex(p, "joint belief")
-
-    @property
-    def h_max(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_clusters(self) -> int:
-        return self.probs.shape[1]
-
-    def run_length_marginal(self) -> np.ndarray:
-        """rho(h) = sum_z b(h, z)."""
-        return self.probs.sum(axis=1)
-
-    def cluster_marginal(self) -> np.ndarray:
-        """mu(z) = sum_h b(h, z)."""
-        return self.probs.sum(axis=0)
-
-    @classmethod
-    def uniform(cls, h_max: int, n_clusters: int) -> "JointBelief":
-        return cls(np.full((h_max, n_clusters), 1.0 / (h_max * n_clusters)))
 
 
 def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
@@ -175,21 +140,15 @@ def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndar
         return -xi_sq / two_var - log_norm
 
 
-def _batch(belief, belief_type: type, params: BOCDParams | None) -> np.ndarray:
-    """(B, h_max, ...) probabilities of a belief object (B = 1) or of an array batch.
+def _batch(beliefs, event_ndim: int, what: str, params: BOCDParams | None) -> np.ndarray:
+    """A (B, h_max, ...) array batch of beliefs, every case checked on the simplex.
 
-    A belief object was validated at construction; an array is checked once,
-    every case on the simplex over its trailing axes.
+    ``event_ndim`` is 1 for run-length beliefs, 2 for joint (run-length, cluster) ones.
     """
-    what = "run-length belief" if belief_type is RunLengthBelief else "joint belief"
-    if isinstance(belief, belief_type):
-        probs = belief.probs[None]
-    else:
-        probs = np.asarray(belief, dtype=float)
-        event_ndim = 1 if belief_type is RunLengthBelief else 2
-        if probs.ndim != event_ndim + 1 or len(probs) < 1:
-            raise ValueError(f"{what} batch must be (B >= 1, h_max, ...), got {probs.shape}")
-        check_simplex(probs, what, batched=True)
+    probs = np.asarray(beliefs, dtype=float)
+    if probs.ndim != event_ndim + 1 or len(probs) < 1:
+        raise ValueError(f"{what} batch must be (B >= 1, h_max, ...), got {probs.shape}")
+    check_simplex(probs, what, batched=True)
     if params is not None and probs.shape[1] != params.h_max:
         raise ValueError(f"{what} has h_max={probs.shape[1]} but params expect {params.h_max}")
     return probs
@@ -255,20 +214,17 @@ def _filter_step(
     return u / u.sum(axis=(1, 2), keepdims=True)
 
 
-def bocd_step(
-    belief: RunLengthBelief | np.ndarray, xi: float | np.ndarray, params: BOCDParams
-) -> RunLengthBelief | np.ndarray:
+def bocd_step(beliefs: np.ndarray, xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
     """One posterior update for surprise ``xi``.
 
     The filter recursion on the single run-length column, with the
-    change-point message collected into bin 0. Takes a belief, or a (B, h_max)
-    array of beliefs with ``xi`` a scalar or (B,) array, and returns the
-    updated belief in the same form.
+    change-point message collected into bin 0. Takes a (B, h_max) array of
+    beliefs with ``xi`` a scalar or (B,) array, and returns the updated
+    (B, h_max) array.
     """
-    probs = _batch(belief, RunLengthBelief, params)
+    probs = _batch(beliefs, 1, "run-length belief", params)
     xi = _per_case(xi, len(probs), "xi")
-    out = _filter_step(probs[:, :, None], xi, 0, 1.0, params)[:, :, 0]
-    return RunLengthBelief(out[0]) if isinstance(belief, RunLengthBelief) else out
+    return _filter_step(probs[:, :, None], xi, 0, 1.0, params)[:, :, 0]
 
 
 def _mean_run_length(rho: np.ndarray) -> float:
@@ -282,32 +238,29 @@ def _entropy(rho: np.ndarray) -> float:
     return float(-terms.sum())
 
 
-def bayes_update(
-    belief: RunLengthBelief | np.ndarray, lik: np.ndarray
-) -> RunLengthBelief | np.ndarray:
+def bayes_update(beliefs: np.ndarray, lik: np.ndarray) -> np.ndarray:
     """Plain Bayes rule rho'(h) = rho(h) L(h) / Z for a given likelihood vector.
 
-    Takes a belief with an (h,) likelihood, or a (B, h) array of beliefs with
-    a (B, h) array of likelihoods, and returns the posterior in the same
-    form. Raises :class:`DegenerateBeliefError` for a case whose evidence is
-    zero on the whole support of its belief: its posterior is undefined.
+    Takes a (B, h) array of beliefs with a (B, h) array of likelihoods, and
+    returns the (B, h) array of posteriors. Raises
+    :class:`DegenerateBeliefError` for a case whose evidence is zero on the
+    whole support of its belief: its posterior is undefined.
     """
-    probs = _batch(belief, RunLengthBelief, None)
+    probs = _batch(beliefs, 1, "run-length belief", None)
     lik = np.asarray(lik, dtype=float)
-    expected = belief.probs.shape if isinstance(belief, RunLengthBelief) else probs.shape
-    if lik.shape != expected:
-        raise ValueError(f"likelihood shape {lik.shape} does not match belief {expected}")
+    if lik.shape != probs.shape:
+        raise ValueError(f"likelihood shape {lik.shape} does not match belief {probs.shape}")
     if (lik < 0.0).any() or not np.isfinite(lik).all():
         raise ValueError("likelihood vector must be finite and non-negative")
     with np.errstate(divide="ignore"):
-        log_post = np.log(probs) + np.log(lik.reshape(probs.shape))
+        log_post = np.log(probs) + np.log(lik)
     top = log_post.max(axis=1, keepdims=True)
     if np.isneginf(top).any():
         row = int(np.isneginf(top).argmax())
         raise DegenerateBeliefError(f"Bayes update: zero evidence on the support of belief {row}")
     post = np.exp(log_post - top)
     post /= post.sum(axis=1, keepdims=True)
-    return RunLengthBelief(post[0]) if isinstance(belief, RunLengthBelief) else post
+    return post
 
 
 def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> float:
@@ -373,12 +326,12 @@ def _assign(signal: np.ndarray, centroids: np.ndarray, counts: np.ndarray) -> in
 
 
 def joint_step(
-    joint: JointBelief | np.ndarray,
+    beliefs: np.ndarray,
     xi: float | np.ndarray,
     z_now: int | np.ndarray,
     params: BOCDParams,
     stickiness: float | np.ndarray = 0.6,
-) -> JointBelief | np.ndarray:
+) -> np.ndarray:
     """One joint (run-length, cluster) posterior update.
 
     Each cluster column undergoes the same growth/truncation recursion as
@@ -386,12 +339,11 @@ def joint_step(
     run-length 0 with weight ``stickiness`` on the currently observed
     cluster ``z_now`` and the remainder spread uniformly over the other
     clusters. The marginal recursion (and, for a single cluster, the exact
-    arithmetic) matches :func:`bocd_step`. Takes a belief, or a
-    (B, h_max, n_clusters) array of beliefs with ``xi``, ``z_now`` and
-    ``stickiness`` each a scalar or a (B,) array, and returns the updated
-    belief in the same form.
+    arithmetic) matches :func:`bocd_step`. Takes a (B, h_max, n_clusters)
+    array of beliefs with ``xi``, ``z_now`` and ``stickiness`` each a scalar
+    or a (B,) array, and returns the updated (B, h_max, n_clusters) array.
     """
-    probs = _batch(joint, JointBelief, params)
+    probs = _batch(beliefs, 2, "joint belief", params)
     n, n_z = len(probs), probs.shape[2]
     z_now = _per_case(z_now, n, "z_now")
     stickiness = _per_case(stickiness, n, "stickiness")
@@ -403,5 +355,4 @@ def joint_step(
     bad = ~((0.0 < stickiness) & (stickiness <= 1.0))
     if bad.any():
         raise ValueError(f"stickiness must lie in (0, 1], got {stickiness[bad.argmax()]}")
-    out = _filter_step(probs, _per_case(xi, n, "xi"), z_now, stickiness, params)
-    return JointBelief(out[0]) if isinstance(joint, JointBelief) else out
+    return _filter_step(probs, _per_case(xi, n, "xi"), z_now, stickiness, params)

@@ -183,11 +183,20 @@ def encode(weights: np.ndarray, states: np.ndarray, eps: float = 1e-8) -> np.nda
     """Linear embeddings of ``states``, each soft-normalized as raw / (||raw|| + eps).
 
     ``weights`` is one (d_e, d_s) map or a (K, d_e, d_s) stack of maps, which
-    gives a (K, n, d_e) stack of embedding sets.
+    gives a (K, n, d_e) stack of embedding sets. Past |raw| ~ 1e154 the
+    squares overflow: a row whose norm is not finite is scaled by its
+    largest magnitude first (if that is finite), so it still has unit norm.
     """
     raw = states @ np.swapaxes(weights, -1, -2)
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    return raw / (norms + eps)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    out = raw / (norms + eps)
+    if not np.isfinite(norms.sum()):  # one sum, in place of a per-row test
+        rows = np.isinf(norms[..., 0]) & np.isfinite(raw).all(axis=-1)
+        scale = np.abs(raw[rows]).max(axis=-1, keepdims=True)
+        scaled = raw[rows] / scale
+        out[rows] = scaled / (np.linalg.norm(scaled, axis=-1, keepdims=True) + eps / scale)
+    return out
 
 
 def fit_linear_context(

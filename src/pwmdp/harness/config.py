@@ -368,10 +368,19 @@ def _resolve(values: dict) -> ExperimentConfig:
             model = _build_mode(spec, i, n_states, n_actions, (low, high))
         # |Q*| <= this bound, in Python floats, where an overflow reads inf
         penalty = operator_params.lambda_epi * float(model.gamma_epi.max()) + operator_params.kappa
-        if not math.isfinite((float(np.abs(model.reward).max()) + gamma * penalty) / (1.0 - gamma)):
+        r_abs = float(np.abs(model.reward).max())
+        if not math.isfinite((r_abs + gamma * penalty) / (1.0 - gamma)):
             raise ConfigError(
                 f"modes[{i}] must have a finite fixed point: its bound "
                 "(max|R| + gamma * (lambda_epi * max G + kappa)) / (1 - gamma) overflows"
+            )
+        # a rollout's reward sum and squared deviations from its mean stay below these
+        spread = float(model.reward.max()) - float(model.reward.min())
+        rollout_len = values["rollout_len"]
+        if not (math.isfinite(rollout_len * r_abs) and math.isfinite(rollout_len * spread * spread)):
+            raise ConfigError(
+                f"modes[{i}] must keep a rollout's reward statistics finite: "
+                "rollout_len * max|R| or rollout_len * (max R - min R)^2 overflows"
             )
         models.append(model)
     if schedule.max_mode_index >= len(models):

@@ -271,7 +271,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         if reward_mean is None:
             reward_z = 0.0
         else:
-            reward_z = (batch_mean - reward_mean) / (np.sqrt(reward_var) + _TINY)
+            # in Python floats, an overflowing weighted z saturates xi without numpy's warning
+            reward_z = (batch_mean - reward_mean) / (math.sqrt(reward_var) + _TINY)
         reward_mean = ema_update(reward_mean, batch_mean, config.stat_ema_rate)
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 

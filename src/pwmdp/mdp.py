@@ -2,7 +2,8 @@
 
 State and action spaces are index sets ``0..S-1`` and ``0..A-1``. A regime
 ("mode") is one stationary MDP slice: a reward table, a transition kernel,
-and a frozen per-(s, a) epistemic penalty. All types are immutable after
+and a frozen per-(s, a) epistemic penalty. Q tables travel as (..., S, A)
+arrays; ``QFunction`` only validates one. All types are immutable after
 construction; every operation here is a pure function.
 """
 
@@ -68,10 +69,11 @@ def check_simplex(probs: np.ndarray, what: str, batched: bool = False):
 
 @dataclass(frozen=True)
 class QFunction:
-    """Dense action-value table over (state, action).
+    """Dense action-value table over (state, action), validated once.
 
     Entries must be finite and the table non-empty; both are checked at
-    construction so downstream operators can skip per-call validation.
+    construction. The operators and ``sup_dist`` take the plain (..., S, A)
+    array, such as ``values``, not this object.
     """
 
     values: np.ndarray
@@ -85,22 +87,6 @@ class QFunction:
             raise ValueError(f"Q table needs S >= 1 and A >= 1, got shape {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise ValueError("Q table contains non-finite entries")
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    @classmethod
-    def zeros(cls, n_states: int, n_actions: int) -> "QFunction":
-        return cls(np.zeros((n_states, n_actions)))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ added to Q tables, exact regime fixed points by policy iteration, fixed-point
 iteration with a-posteriori certificates, empirical Lipschitz estimation,
 and the regime-switch perturbation bound.
 
-Every public operator takes a Q table as a ``QFunction`` or as a (..., S, A)
-array of tables and returns a new ``np.ndarray`` (``add_bounded_noise`` at
-sigma 0 returns the tables it was given); a regime belief is a weight vector.
+Every public operator takes a (..., S, A) array of Q tables and returns a
+new array (``add_bounded_noise`` at sigma 0 returns the tables it was
+given); a regime belief is a weight vector.
 The only randomness is owned by explicit seeds.
 
 Validation happens at the public entry points: ``apply_mode_operator``,
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mdp import ModeModel, OperatorParams, QFunction, greedy_value, sup_dist
+from .mdp import ModeModel, OperatorParams, greedy_value, sup_dist
 from .mdp import check_simplex
 
 __all__ = [
@@ -131,10 +131,6 @@ class StatePartition:
             missing = sorted(set(range(self.n_states)) - seen)
             raise ValueError(f"partition does not cover states {missing}")
 
-    @classmethod
-    def singletons(cls, n_states: int) -> "StatePartition":
-        return cls(n_states, tuple((s,) for s in range(n_states)))
-
     @cached_property
     def _block_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """States in block order, each block's first position and size, each state's block."""
@@ -160,10 +156,8 @@ class RegimePerturbation(NamedTuple):
     actual_gap: float   # sup-norm distance between the two fixed points
 
 
-def _tables(q: QFunction | np.ndarray) -> np.ndarray:
-    """Values of a QFunction, or of a (..., S, A) array batch of tables checked finite."""
-    if isinstance(q, QFunction):
-        return q.values
+def _tables(q: np.ndarray) -> np.ndarray:
+    """A (..., S, A) array batch of tables, checked finite."""
     values = np.asarray(q, dtype=float)
     if values.ndim < 2:
         raise ValueError(f"Q tables must be (..., S, A), got shape {values.shape}")
@@ -210,14 +204,14 @@ def _backup(
 
 
 def apply_mode_operator(
-    model: ModeModel, params: OperatorParams, q: QFunction | np.ndarray
+    model: ModeModel, params: OperatorParams, q: np.ndarray
 ) -> np.ndarray:
     """Penalized Bellman backup under one regime.
 
     out(s,a) = R(s,a) + gamma * (sum_s' P(s'|s,a) V(s') - lambda_epi * G(s,a) - kappa)
     with V(s') = max_a' Q(s',a'). Penalties are frozen tables, so they cancel
-    in differences and the map contracts at rate gamma. ``q`` is a QFunction
-    or a (..., S, A) array of tables, each backed up.
+    in differences and the map contracts at rate gamma. ``q`` is a
+    (..., S, A) array of tables, each backed up.
     """
     return _backup((model,), (1.0,), params, _tables(q))
 
@@ -235,15 +229,15 @@ def mixture_backup(
     models: Sequence[ModeModel],
     weights: np.ndarray,
     params: OperatorParams,
-    q: QFunction | np.ndarray,
+    q: np.ndarray,
 ) -> np.ndarray:
     """Weighted sum of per-regime backups with the weights taken as-is.
 
     No simplex validation: callers that need the contraction guarantee must
     pass a proper belief (see :func:`apply_mixture_operator`). Exposed so
     that the discounting identity's failure under unnormalized weights can
-    be demonstrated directly. ``q`` is a QFunction or a (..., S, A) array of
-    tables, as for :func:`apply_mode_operator`.
+    be demonstrated directly. ``q`` is a (..., S, A) array of tables, as for
+    :func:`apply_mode_operator`.
     """
     weights = np.asarray(weights, dtype=float)
     if len(models) != weights.size:
@@ -257,7 +251,7 @@ def apply_mixture_operator(
     models: Sequence[ModeModel],
     belief: np.ndarray,
     params: OperatorParams,
-    q: QFunction | np.ndarray,
+    q: np.ndarray,
 ) -> np.ndarray:
     """Belief-weighted mixture of per-regime backups (frozen belief).
 
@@ -296,7 +290,7 @@ def classify_factor(factor: float, tol: float = 0.0) -> str:
 
 def solve_fixed_point(
     operator: QOperator,
-    q0: QFunction | np.ndarray,
+    q0: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 10**6,
 ) -> FixedPointResult:
@@ -448,10 +442,10 @@ def regime_perturbation(
     return RegimePerturbation(delta_r, bound, actual_gap)
 
 
-def project(q: QFunction | np.ndarray, partition: StatePartition) -> np.ndarray:
+def project(q: np.ndarray, partition: StatePartition) -> np.ndarray:
     """Block-averaging state aggregation; idempotent, sup-norm non-expansive.
 
-    ``q`` is a QFunction or a (..., S, A) array of tables, each projected.
+    ``q`` is a (..., S, A) array of tables, each projected.
     """
     values = _tables(q)
     if partition.n_states != values.shape[-2]:
@@ -468,18 +462,17 @@ def _project(values: np.ndarray, partition: StatePartition) -> np.ndarray:
     return means[..., block_of, :]
 
 
-def projection_error(q_star: QFunction | np.ndarray, partition: StatePartition) -> float:
+def projection_error(q_star: np.ndarray, partition: StatePartition) -> float:
     """Aggregation error at a fixed point: sup_dist(project(Q*), Q*)."""
-    values = _tables(q_star)
-    return sup_dist(project(values, partition), values)
+    return sup_dist(project(q_star, partition), q_star)
 
 
-def add_bounded_noise(q: QFunction | np.ndarray, sigma: float, rng_seed) -> np.ndarray:
+def add_bounded_noise(q: np.ndarray, sigma: float, rng_seed) -> np.ndarray:
     """``q`` plus entrywise uniform noise in [-sigma, sigma), deterministic per seed.
 
     Bounded (not Gaussian) noise matches the per-step hypothesis of the
-    stochastic tracking bound. ``q`` is a QFunction or a (..., S, A) array of
-    tables; at sigma 0 its tables are returned themselves. The noise is
+    stochastic tracking bound. ``q`` is a (..., S, A) array of tables; at
+    sigma 0 it is returned itself. The noise is
     uniform(-sigma, sigma)'s arithmetic, -sigma + 2 sigma u, in place.
     """
     if not (sigma >= 0.0 and math.isfinite(2.0 * sigma)):
@@ -510,7 +503,7 @@ def apply_mixture_via_shared(
     models: Sequence[ModeModel],
     belief: np.ndarray,
     params: OperatorParams,
-    q: QFunction | np.ndarray,
+    q: np.ndarray,
 ) -> np.ndarray:
     """Mixture backup routed through a shared (mode, state, action) table.
 
@@ -518,7 +511,7 @@ def apply_mixture_via_shared(
     backup is computed on its own with a per-(s, a) kernel contraction,
     stored in a shared table, and contracted with the belief weights
     afterwards. The two paths agree to floating-point round-off. ``q`` is
-    one (S, A) table, as a QFunction or an array.
+    one (S, A) table.
     """
     weights = _belief_weights(belief)
     if len(models) != weights.size:

@@ -8,7 +8,6 @@ from pwmdp.harness import config_from_dict, run_piecewise
 from pwmdp import (
     AdaptiveState,
     BOCDParams,
-    RunLengthBelief,
     SurpriseWeights,
     beta_eff,
     bocd_step,
@@ -241,13 +240,13 @@ class TestClosedLoop:
         # detector + chain: one spike -> lambda_w > 0 within the detection
         # delay, then back below 0.01 once surprise reverts to baseline
         params = BOCDParams()
-        belief = RunLengthBelief.uniform(20)
+        belief = np.full((1, 20), 1.0 / 20)
         baseline = sq_deviation = None
         spike_at, detected_at, relaxed_at = 80, None, None
         for t in range(260):
             xi = 4.0 if t == spike_at else 0.3
             belief = bocd_step(belief, xi, params)
-            h_bar = _mean_run_length(belief.probs)
+            h_bar = _mean_run_length(belief[0])
             lam, baseline, sq_deviation = lambda_w(
                 h_bar, params.h_max, baseline, sq_deviation, RATE
             )

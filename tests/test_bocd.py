@@ -9,7 +9,6 @@ import pytest
 from pwmdp import (
     BOCDParams,
     DegenerateBeliefError,
-    JointBelief,
     RunLengthBelief,
     bayes_update,
     bocd_step,
@@ -21,6 +20,19 @@ from pwmdp import (
 from pwmdp.bocd import _assign, _entropy, _mean_run_length
 
 PARAMS = BOCDParams()  # h_max=20, hazard=0.05, sigma0_sq=0.1, sigma_g=0.05
+
+
+def uniform(h_max: int, n_z: int | None = None) -> np.ndarray:
+    """A one-case batch holding the uniform run-length (or joint) belief."""
+    shape = (1, h_max) if n_z is None else (1, h_max, n_z)
+    return np.full(shape, 1.0 / math.prod(shape))
+
+
+def point_mass(h: int, h_max: int) -> np.ndarray:
+    """A one-case batch holding all run-length mass at ``h``."""
+    probs = np.zeros((1, h_max))
+    probs[0, h] = 1.0
+    return probs
 
 
 def gaussian_density(xi: float, h: int, params: BOCDParams) -> float:
@@ -66,49 +78,49 @@ def dense_message_passing_oracle(probs: np.ndarray, xi: float, params: BOCDParam
 class TestBocdStep:
     def test_changepoint_mass_by_construction(self):
         rng = np.random.default_rng(0)
-        belief = RunLengthBelief(rng.dirichlet(np.ones(20)))
+        belief = rng.dirichlet(np.ones(20))[None]
         xi = 0.7
-        out = bocd_step(belief, xi, PARAMS)
+        out = bocd_step(belief, xi, PARAMS)[0]
         lik = np.exp(log_likelihood_vector(xi, PARAMS))
-        weighted = float(np.dot(belief.probs, lik))
-        growth = belief.probs * lik * (1 - PARAMS.hazard)
+        weighted = float(np.dot(belief[0], lik))
+        growth = belief[0] * lik * (1 - PARAMS.hazard)
         z = PARAMS.hazard * weighted + growth.sum()
-        assert out.probs[0] == pytest.approx(PARAMS.hazard * weighted / z, rel=1e-12)
+        assert out[0] == pytest.approx(PARAMS.hazard * weighted / z, rel=1e-12)
 
     def test_point_mass_flows_to_next_bin(self):
-        belief = RunLengthBelief.point_mass(0, 20)
+        belief = point_mass(0, 20)
         xi = 0.1
-        out = bocd_step(belief, xi, PARAMS)
+        out = bocd_step(belief, xi, PARAMS)[0]
         lik0 = gaussian_density(xi, 0, PARAMS)
         z = PARAMS.hazard * lik0 + (1 - PARAMS.hazard) * lik0
-        assert out.probs[1] == pytest.approx((1 - PARAMS.hazard) * lik0 / z, rel=1e-12)
-        assert out.probs[0] == pytest.approx(PARAMS.hazard * lik0 / z, rel=1e-12)
-        assert out.probs[2:].sum() == 0.0
+        assert out[1] == pytest.approx((1 - PARAMS.hazard) * lik0 / z, rel=1e-12)
+        assert out[0] == pytest.approx(PARAMS.hazard * lik0 / z, rel=1e-12)
+        assert out[2:].sum() == 0.0
 
     def test_matches_matrix_oracle_over_random_stream(self):
         rng = np.random.default_rng(42)
-        belief = RunLengthBelief.uniform(20)
+        belief = uniform(20)
         for _ in range(100):
             xi = float(rng.uniform(-4, 4))
-            expected = dense_message_passing_oracle(belief.probs, xi, PARAMS)
+            expected = dense_message_passing_oracle(belief[0], xi, PARAMS)
             belief = bocd_step(belief, xi, PARAMS)
-            np.testing.assert_allclose(belief.probs, expected, atol=1e-12)
+            np.testing.assert_allclose(belief[0], expected, atol=1e-12)
 
     def test_truncation_accumulates_in_last_bin(self):
-        belief = RunLengthBelief.point_mass(19, 20)
-        out = bocd_step(belief, 0.2, PARAMS)
+        belief = point_mass(19, 20)
+        out = bocd_step(belief, 0.2, PARAMS)[0]
         # all growth mass stays in the last bin
-        assert out.probs[19] == pytest.approx(1 - PARAMS.hazard, rel=1e-12)
-        assert out.probs[0] == pytest.approx(PARAMS.hazard, rel=1e-12)
+        assert out[19] == pytest.approx(1 - PARAMS.hazard, rel=1e-12)
+        assert out[0] == pytest.approx(PARAMS.hazard, rel=1e-12)
 
     @pytest.mark.parametrize("n_z", [None, 1, 3], ids=["bocd", "joint1", "joint3"])
     def test_extreme_surprise_reaches_exact_limit(self, n_z):
         # every message but the widest bin's underflows; the filter keeps the limit
         if n_z is None:
-            rho = bocd_step(RunLengthBelief.uniform(20), 1e8, PARAMS).probs
+            rho = bocd_step(uniform(20), 1e8, PARAMS)[0]
         else:
-            joint = joint_step(JointBelief.uniform(20, n_z), 1e8, 0, PARAMS, stickiness=0.6)
-            rho = joint.run_length_marginal()
+            joint = joint_step(uniform(20, n_z), 1e8, 0, PARAMS, stickiness=0.6)
+            rho = joint[0].sum(axis=1)
         assert rho[0] == pytest.approx(PARAMS.hazard, rel=1e-15)
         assert rho[19] == pytest.approx(1.0 - PARAMS.hazard, rel=1e-15)
         assert (rho[1:19] == 0.0).all()
@@ -116,20 +128,20 @@ class TestBocdStep:
     @pytest.mark.parametrize("xi", [math.inf, math.nan, 1e200])
     def test_surprise_without_finite_square_rejected(self, xi):
         with pytest.raises(ValueError, match="surprise must be finite"):
-            bocd_step(RunLengthBelief.uniform(20), xi, PARAMS)
+            bocd_step(uniform(20), xi, PARAMS)
 
     def test_mismatched_h_max(self):
         with pytest.raises(ValueError, match="h_max"):
-            bocd_step(RunLengthBelief.uniform(10), 0.0, PARAMS)
+            bocd_step(uniform(10), 0.0, PARAMS)
 
 
 class TestBeliefSummaries:
     def test_expected_run_length_point_mass(self):
         for k in (0, 7, 19):
-            assert _mean_run_length(RunLengthBelief.point_mass(k, 20).probs) == float(k)
+            assert _mean_run_length(point_mass(k, 20)[0]) == float(k)
 
     def test_expected_run_length_uniform(self):
-        assert _mean_run_length(RunLengthBelief.uniform(20).probs) == pytest.approx(9.5)
+        assert _mean_run_length(uniform(20)[0]) == pytest.approx(9.5)
 
     def test_expected_run_length_matches_dot_oracle(self):
         rng = np.random.default_rng(5)
@@ -138,10 +150,10 @@ class TestBeliefSummaries:
         assert _mean_run_length(probs) == pytest.approx(expected, rel=1e-12)
 
     def test_entropy_point_mass_zero(self):
-        assert _entropy(RunLengthBelief.point_mass(3, 20).probs) == 0.0
+        assert _entropy(point_mass(3, 20)[0]) == 0.0
 
     def test_entropy_uniform_is_log_n(self):
-        assert _entropy(RunLengthBelief.uniform(20).probs) == pytest.approx(math.log(20), rel=1e-12)
+        assert _entropy(uniform(20)[0]) == pytest.approx(math.log(20), rel=1e-12)
 
     def test_entropy_bounded(self):
         rng = np.random.default_rng(6)
@@ -165,31 +177,31 @@ class TestBeliefSummaries:
 class TestBayesUpdate:
     def test_constant_likelihood_no_change(self):
         rng = np.random.default_rng(7)
-        belief = RunLengthBelief(rng.dirichlet(np.ones(20)))
-        out = bayes_update(belief, np.full(20, 0.37))
-        np.testing.assert_allclose(out.probs, belief.probs, atol=1e-15)
+        belief = rng.dirichlet(np.ones(20))[None]
+        out = bayes_update(belief, np.full((1, 20), 0.37))
+        np.testing.assert_allclose(out, belief, atol=1e-15)
 
     def test_indicator_likelihood_point_mass(self):
-        belief = RunLengthBelief.uniform(20)
-        lik = np.zeros(20)
-        lik[13] = 1.0
+        belief = uniform(20)
+        lik = np.zeros((1, 20))
+        lik[0, 13] = 1.0
         out = bayes_update(belief, lik)
-        assert out.probs[13] == 1.0
+        assert out[0, 13] == 1.0
 
     def test_zero_normalizer_raises(self):
-        belief = RunLengthBelief.point_mass(0, 20)
-        lik = np.zeros(20)
-        lik[5] = 1.0  # no overlap with the point mass
+        belief = point_mass(0, 20)
+        lik = np.zeros((1, 20))
+        lik[0, 5] = 1.0  # no overlap with the point mass
         with pytest.raises(DegenerateBeliefError):
             bayes_update(belief, lik)
 
     def test_simplex_fuzz(self):
         rng = np.random.default_rng(8)
         for _ in range(10_000):
-            belief = RunLengthBelief(rng.dirichlet(np.ones(20)))
-            out = bayes_update(belief, rng.uniform(0, 1, 20))
-            assert (out.probs >= 0).all()
-            assert abs(out.probs.sum() - 1.0) <= 1e-12
+            belief = rng.dirichlet(np.ones(20))[None]
+            out = bayes_update(belief, rng.uniform(0, 1, 20)[None])
+            assert (out >= 0).all()
+            assert abs(out.sum() - 1.0) <= 1e-12
 
 
 class TestDetectionDelay:
@@ -320,12 +332,12 @@ class TestJointStep:
     def test_single_cluster_reduces_to_bocd_bitwise(self):
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(20))
-        belief = RunLengthBelief(probs)
-        joint = JointBelief(probs.reshape(20, 1))
+        belief = probs[None]
+        joint = probs.reshape(1, 20, 1)
         for xi in rng.uniform(-3, 3, 50):
             belief = bocd_step(belief, float(xi), PARAMS)
             joint = joint_step(joint, float(xi), 0, PARAMS, stickiness=0.6)
-            assert (joint.run_length_marginal() == belief.probs).all()
+            assert (joint[0].sum(axis=1) == belief[0]).all()
 
     @pytest.mark.parametrize("n_z", [2, 3, 4])
     def test_multi_cluster_matches_per_column_reference(self, n_z):
@@ -345,53 +357,47 @@ class TestJointStep:
             return u / u.sum()
 
         rng = np.random.default_rng(20 + n_z)
-        joint = JointBelief(rng.dirichlet(np.ones(20 * n_z)).reshape(20, n_z))
+        joint = rng.dirichlet(np.ones(20 * n_z)).reshape(1, 20, n_z)
         for _ in range(50):
             xi = float(rng.uniform(-3, 3))
             z_now = int(rng.integers(0, n_z))
             stickiness = float(rng.uniform(0.1, 1.0))
-            expected = reference(joint.probs, xi, z_now, stickiness)
+            expected = reference(joint[0], xi, z_now, stickiness)
             joint = joint_step(joint, xi, z_now, PARAMS, stickiness=stickiness)
-            np.testing.assert_allclose(joint.probs, expected, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(joint[0], expected, rtol=1e-13, atol=0.0)
 
     def test_marginals_sum_to_one_fuzz(self):
         rng = np.random.default_rng(11)
         for _ in range(10_000):
             n_z = int(rng.integers(1, 5))
-            joint = JointBelief(rng.dirichlet(np.ones(20 * n_z)).reshape(20, n_z))
+            joint = rng.dirichlet(np.ones(20 * n_z)).reshape(1, 20, n_z)
             out = joint_step(
                 joint,
                 float(rng.uniform(-5, 5)),
                 int(rng.integers(0, n_z)),
                 PARAMS,
                 stickiness=float(rng.uniform(0.1, 1.0)),
-            )
-            assert abs(out.probs.sum() - 1.0) <= 1e-12
-            assert (out.probs >= 0).all()
-            assert abs(out.run_length_marginal().sum() - 1.0) <= 1e-12
-            assert abs(out.cluster_marginal().sum() - 1.0) <= 1e-12
+            )[0]
+            assert abs(out.sum() - 1.0) <= 1e-12
+            assert (out >= 0).all()
+            assert abs(out.sum(axis=1).sum() - 1.0) <= 1e-12
+            assert abs(out.sum(axis=0).sum() - 1.0) <= 1e-12
 
     def test_full_stickiness_keeps_mass_in_observed_cluster(self):
         rng = np.random.default_rng(12)
-        joint = JointBelief(rng.dirichlet(np.ones(60)).reshape(20, 3))
-        out = joint_step(joint, 0.5, 1, PARAMS, stickiness=1.0)
-        assert out.probs[0, 0] == 0.0
-        assert out.probs[0, 2] == 0.0
-        assert out.probs[0, 1] > 0.0
-
-    def test_marginal_consistency_with_definition(self):
-        rng = np.random.default_rng(13)
-        joint = JointBelief(rng.dirichlet(np.ones(40)).reshape(20, 2))
-        np.testing.assert_allclose(joint.run_length_marginal(), joint.probs.sum(axis=1))
-        np.testing.assert_allclose(joint.cluster_marginal(), joint.probs.sum(axis=0))
+        joint = rng.dirichlet(np.ones(60)).reshape(1, 20, 3)
+        out = joint_step(joint, 0.5, 1, PARAMS, stickiness=1.0)[0]
+        assert out[0, 0] == 0.0
+        assert out[0, 2] == 0.0
+        assert out[0, 1] > 0.0
 
     def test_invalid_cluster_index(self):
-        joint = JointBelief.uniform(20, 2)
+        joint = uniform(20, 2)
         with pytest.raises(ValueError, match="cluster"):
             joint_step(joint, 0.0, 2, PARAMS)
 
     def test_stickiness_domain(self):
-        joint = JointBelief.uniform(20, 2)
+        joint = uniform(20, 2)
         with pytest.raises(ValueError, match="stickiness"):
             joint_step(joint, 0.0, 0, PARAMS, stickiness=0.0)
         with pytest.raises(ValueError, match="stickiness"):
@@ -399,7 +405,7 @@ class TestJointStep:
 
 
 class TestBatchedFilter:
-    """An array batch gives, case by case, what one call per belief gives."""
+    """An array batch gives, case by case, what one one-case call per belief gives."""
 
     def test_bocd_batch_matches_scalar_calls(self):
         rng = np.random.default_rng(30)
@@ -408,7 +414,7 @@ class TestBatchedFilter:
         out = bocd_step(probs, xi, PARAMS)
         assert out.shape == (64, 20)
         for i in range(64):
-            expected = bocd_step(RunLengthBelief(probs[i]), float(xi[i]), PARAMS).probs
+            expected = bocd_step(probs[i : i + 1], float(xi[i]), PARAMS)[0]
             np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n_z", [1, 2, 3, 4])
@@ -422,9 +428,9 @@ class TestBatchedFilter:
         assert out.shape == (64, 20, n_z)
         for i in range(64):
             expected = joint_step(
-                JointBelief(probs[i]), float(xi[i]), int(z_now[i]), PARAMS,
+                probs[i : i + 1], float(xi[i]), int(z_now[i]), PARAMS,
                 stickiness=float(stickiness[i]),
-            ).probs
+            )[0]
             np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
 
     def test_bayes_batch_matches_scalar_calls(self):
@@ -433,7 +439,7 @@ class TestBatchedFilter:
         lik = rng.uniform(0.0, 1.0, (64, 20))
         out = bayes_update(probs, lik)
         for i in range(64):
-            expected = bayes_update(RunLengthBelief(probs[i]), lik[i]).probs
+            expected = bayes_update(probs[i : i + 1], lik[i : i + 1])[0]
             np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
 
     def test_scalar_arguments_apply_to_every_case(self):

@@ -12,12 +12,15 @@ import sys
 import time
 from argparse import _SubParsersAction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from pwmdp import make_random_mode
 from pwmdp.harness import read_trace
 from pwmdp.harness import cli
+from pwmdp.harness.certify import MUTATIONS
 from pwmdp.harness.cli import build_parser, main
 from pwmdp.harness.config import FIELDS, MAX_KERNEL_ENTRIES
 
@@ -35,10 +38,26 @@ def written_sha256(argv, out: Path, name: str) -> str:
     return hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, cwd=cwd, timeout=600
-    )
+class CliResult(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args) -> CliResult:
+    """Run the CLI in process with redirected streams; argparse's SystemExit gives the code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, stdout.getvalue(), stderr.getvalue())
+
+
+def run_module(*args) -> subprocess.CompletedProcess:
+    """Run ``python -m pwmdp`` in a fresh process: for what only a fresh process shows."""
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=600)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +81,7 @@ def quick_config(tmp_path_factory):
 class TestPiecewiseCommand:
     def test_writes_trace_csv(self, quick_config, tmp_path):
         out = tmp_path / "run"
-        result = run_cli("piecewise", "--config", str(quick_config), "--out", str(out))
+        result = run_module("piecewise", "--config", str(quick_config), "--out", str(out))
         assert result.returncode == 0, result.stderr
         trace = read_trace(out / "trace.csv")
         assert len(trace) == 60
@@ -191,8 +210,23 @@ class TestPiecewiseCommand:
                 "config error: modes[0] must have a finite fixed point: its bound "
                 "(max|R| + gamma * (lambda_epi * max G + kappa)) / (1 - gamma) overflows",
             ),
+            *[
+                (raw, "config error: modes[0] must keep a rollout's reward statistics finite: "
+                 "rollout_len * max|R| or rollout_len * (max R - min R)^2 overflows")
+                for raw in (
+                    # these ran with numpy overflow warnings and an infinite reward variance
+                    {"reward_range": [0.0, 1e155]},
+                    {"reward_range": [-1e200, 1e200]},
+                    {"reward_range": [-1e300, 1.0]},
+                    # this one stopped mid-run on non-finite surprise inputs
+                    {"operator": {"gamma": 0.0}, "modes": [{"seed": 1, "reward_shift": 1e307}]},
+                )
+            ],
         ],
-        ids=["overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point"],
+        ids=[
+            "overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point",
+            "reward_spread_square", "reward_spread", "reward_range_low", "rollout_reward_sum",
+        ],
     )
     def test_mode_error_is_one_line_naming_the_field(self, raw, message, tmp_path):
         bad = tmp_path / "bad.json"
@@ -378,6 +412,11 @@ FUZZ_VALUES = {
     dict: (None, {}, {"n_clusters": 2}, []),
 }
 FUZZ_SHIFTS = (1e20, 1e100, 1e200, -1e150)
+# A regime given by its tables at the default 6 x 3 sizes; a leaf of one of
+# its tables makes mode 1 this regime first.
+TABLE_MODE = {
+    key: getattr(make_random_mode(2, 6, 3), key).tolist() for key in ("reward", "kernel", "gamma_epi")
+}
 # Leaves inside the structured fields: (field, its value where the base config
 # has none, index path of the leaf, kind); the kind picks the FUZZ_VALUES.
 STRUCTURED_LEAVES = (
@@ -386,7 +425,12 @@ STRUCTURED_LEAVES = (
        for key, kind in (("seed", int), ("reward_shift", float))]
     + [("partition", [[0, 1, 2], [3, 4, 5]], (b, j), int) for b in range(2) for j in range(3)]
     + [("reward_range", [-1.0, 1.0], (j,), float) for j in range(2)]
+    + [("modes", None, (1, key, *entry), float) for key, entry in (
+        ("reward", (0, 0)), ("reward", (5, 2)), ("kernel", (0, 0, 0)), ("kernel", (3, 1, 5)),
+        ("gamma_epi", (0, 0)), ("gamma_epi", (4, 1)))]
 )
+# The one warning a run may print: the config's MetastabilityWarning.
+METASTABILITY = re.compile(r"warning: segment \d+ \(mode \d+\) dwells \d+ < \d+ iterations ")
 
 
 def fuzzed_config(rng) -> dict:
@@ -408,6 +452,8 @@ def fuzzed_config(rng) -> dict:
         if i >= len(paths):
             name, start, index, kind = STRUCTURED_LEAVES[i - len(paths)]
             target = raw.setdefault(name, copy.deepcopy(start))
+            if name == "modes" and index[1] in TABLE_MODE and index[1] not in target[index[0]]:
+                target[index[0]] = copy.deepcopy(TABLE_MODE)
             for key in index[:-1]:
                 target = target[key]
             target[index[-1]] = FUZZ_VALUES[kind][int(rng.integers(len(FUZZ_VALUES[kind])))]
@@ -423,6 +469,16 @@ def fuzzed_config(rng) -> dict:
     return raw
 
 
+def check_outcome(result: CliResult, codes, context) -> None:
+    """Exit ``code`` in ``codes`` with one error line when it is not 0, and no warning
+    but the MetastabilityWarning; an escaped exception has already failed the test."""
+    lines = result.stderr.splitlines()
+    errors = [line for line in lines if not line.startswith("warning: ")]
+    assert result.returncode in codes, (context, lines)
+    assert len(errors) == (result.returncode != 0), (context, lines)
+    assert all(METASTABILITY.match(line) for line in lines if line not in errors), (context, lines)
+
+
 def test_fuzzed_configs_run_or_exit_with_one_line(tmp_path):
     # every config either runs or exits 1 (config) or 4 (numerics) with one stderr
     # line, besides warnings, and never escapes as an exception
@@ -432,21 +488,82 @@ def test_fuzzed_configs_run_or_exit_with_one_line(tmp_path):
         raw = fuzzed_config(rng)
         cfg = tmp_path / "fuzz.json"
         cfg.write_text(json.dumps(raw))
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / f"out{i}")])
-        lines = stderr.getvalue().splitlines()
-        errors = [line for line in lines if not line.startswith("warning: ")]
-        assert code in (0, 1, 4), raw
-        assert len(errors) == (code != 0), (raw, lines)
-        codes.add(code)
+        result = run_cli("piecewise", "--config", str(cfg), "--out", str(tmp_path / f"out{i}"))
+        check_outcome(result, (0, 1, 4), raw)
+        codes.add(result.returncode)
     assert {0, 1} <= codes
+
+
+# Per subcommand: how many fuzzed invocations, and the flags every one starts
+# from, which keep the sizes small; a fuzzed flag given after them wins.
+FLAG_FUZZ_RUNS = {
+    "piecewise": (60, []),
+    "threshold-sweep": (60, ["--n-gamma", "5", "--n-coupling", "5", "--n-iter", "20"]),
+    "delay-table": (20, []),
+    "certify": (3, []),  # about 1 s a run
+    "rmdm-demo": (80, ["--steps", "5"]),
+}
+# Values per flag; a size flag's stay small so that a run is quick, and a
+# flag with choices draws them and one value outside them.
+SIZE_FLAG_VALUES = ("-3", "0", "1", "2", "17", "x", "1.5")
+FLAG_VALUES = {
+    "--seed": ("0", "-1", "7", str(2**64), "x", "1e3"),
+    "--lr": ("0", "-1", "1e-320", "1e-3", "1e200", "1e308", "inf", "nan", "x"),
+}
+
+
+def fuzzed_argv(action, rng, paths: dict) -> list:
+    """One flag at a boundary value of its kind; ``paths`` holds the values of the path flags."""
+    flag = action.option_strings[-1]
+    if action.choices is not None:
+        values = (*action.choices, "bogus")
+    elif flag in ("--config", "--out"):
+        values = paths[flag]
+    else:
+        values = FLAG_VALUES.get(flag, SIZE_FLAG_VALUES)
+    return [flag, values[int(rng.integers(len(values)))]]
+
+
+def test_fuzzed_flags_run_or_exit_with_one_line(tmp_path, quick_config, monkeypatch):
+    # every subcommand, with 1-3 of its flags at boundary values, either runs or
+    # exits with one line: a usage error 1 with argparse's usage, a config
+    # error 1, a failed certification 2, an I/O error 3 or a numerical error 4
+    monkeypatch.chdir(tmp_path)  # an empty --out, or none, writes here
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{")
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, _SubParsersAction))
+    rng = np.random.default_rng(2027)
+    codes = set()
+    for command, (runs, base) in FLAG_FUZZ_RUNS.items():
+        actions = [a for a in subparsers.choices[command]._actions if "--help" not in a.option_strings]
+        for i in range(runs):
+            paths = {
+                "--config": (str(quick_config), str(malformed), str(tmp_path / "missing.json"),
+                             str(tmp_path)),
+                "--out": (str(tmp_path / f"{command}{i}"), str(blocker), ""),
+            }
+            argv = [command, *base, "--out", str(tmp_path / f"{command}{i}")]
+            for k in rng.choice(len(actions), size=min(len(actions), int(rng.integers(1, 4))),
+                                replace=False):
+                argv += fuzzed_argv(actions[k], rng, paths)
+            result = run_cli(*argv)
+            codes.add(result.returncode)
+            if re.search(r"^pwmdp [\w-]+: error: ", result.stderr, re.MULTILINE):
+                # argparse's usage error: its usage lines, then one error line
+                assert result.returncode == 1, (argv, result.stderr)
+                assert re.match(r"pwmdp [\w-]+: error: ", result.stderr.splitlines()[-1]), argv
+                continue
+            failed = command == "certify" and "--inject-mutation" in argv
+            check_outcome(result, (0, 1, 2, 3, 4) if failed else (0, 1, 3, 4), argv)
+    assert {0, 1, 3} <= codes
 
 
 class TestThresholdSweepCommand:
     def test_writes_phase_map(self, tmp_path):
         out = tmp_path / "sweep"
-        result = run_cli(
+        result = run_module(
             "threshold-sweep", "--out", str(out), "--n-gamma", "10", "--n-coupling", "10"
         )
         assert result.returncode == 0, result.stderr
@@ -500,7 +617,7 @@ def test_size_flag_exits_1_naming_itself_before_any_work(argv, message, tmp_path
 class TestDelayTableCommand:
     def test_json_rows(self, tmp_path):
         out = tmp_path / "delays"
-        result = run_cli("delay-table", "--out", str(out), "--format", "json")
+        result = run_module("delay-table", "--out", str(out), "--format", "json")
         assert result.returncode == 0, result.stderr
         rows = json.loads((out / "delay_table.json").read_text())
         assert [r["scenario"] for r in rows] == [
@@ -522,7 +639,7 @@ class TestDelayTableCommand:
 class TestDemoCommand:
     def test_writes_context_map(self, tmp_path):
         out = tmp_path / "demo"
-        result = run_cli("rmdm-demo", "--out", str(out), "--steps", "60")
+        result = run_module("rmdm-demo", "--out", str(out), "--steps", "60")
         assert result.returncode == 0, result.stderr
         payload = json.loads((out / "context_map.json").read_text())
         assert payload["mode_mean_distance"] >= 0.5
@@ -545,6 +662,14 @@ class TestDemoCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: --lr must be finite and > 0, got ")
 
+    def test_overflowing_embeddings_keep_their_norm(self, tmp_path, capsys):
+        # the first step reaches weights ~3e201: their embeddings' norms overflowed,
+        # numpy warned, and the fitter kept weights whose embeddings were all 0
+        assert main(["rmdm-demo", "--lr", "1e200", "--out", str(tmp_path / "d")]) == 0
+        assert not any(line.startswith("warning:") for line in capsys.readouterr().err.splitlines())
+        payload = json.loads((tmp_path / "d" / "context_map.json").read_text())
+        assert payload["mode_mean_distance"] > 1.0
+
     def test_diverging_lr_exits_4_with_one_line(self, tmp_path, capsys):
         assert main(["rmdm-demo", "--lr", "1e308", "--out", str(tmp_path / "d")]) == 4
         (line,) = capsys.readouterr().err.splitlines()
@@ -559,11 +684,11 @@ def test_negative_seed_exits_1_naming_the_flag(command, tmp_path, capsys):
 
 def test_usage_error_exits_1_and_help_exits_0():
     # exit 2 is reserved for a certification failure
-    result = run_cli("certify", "--format", "json")
+    result = run_module("certify", "--format", "json")
     assert result.returncode == 1
     assert "unrecognized arguments: --format json" in result.stderr
     assert "Traceback" not in result.stderr
-    assert run_cli("certify", "--help").returncode == 0
+    assert run_module("certify", "--help").returncode == 0
 
 
 def test_readme_synopsis_lists_every_flag():

@@ -43,6 +43,19 @@ class TestNormalizeEmbedding:
             norm = np.linalg.norm(v)
             assert np.linalg.norm(out) == pytest.approx(norm / (norm + eps), rel=1e-12)
 
+    @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1e300])
+    def test_huge_rows_keep_unit_norm(self, magnitude):
+        # the squares overflow, and raw / (inf + eps) used to collapse the row to 0
+        states = np.array([[1.0, -2.0], [3.0, 0.5], [0.3, 0.1]])
+        weights = np.array([[1.0, 0.0], [0.5, 2.0], [-1.0, 1.0]])
+        huge = np.stack([weights * magnitude, weights])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = encode(huge, states)
+        np.testing.assert_allclose(np.linalg.norm(out[0], axis=-1), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(out[0], encode(weights, states), rtol=1e-7)
+        # the other map and every ordinary row keep their bits
+        assert (out[1] == encode(weights, states)).all()
+
 
 class TestConsistencyLoss:
     def test_identical_embeddings_give_sqrt_eps(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pwmdp import apply_mode_operator, make_random_mode, mode_fixed_point, sup_dist
-from pwmdp.bocd import BOCDParams, RunLengthBelief, _entropy, _mean_run_length, bocd_step
+from pwmdp.bocd import BOCDParams, _entropy, _mean_run_length, bocd_step
 from pwmdp.harness import (
     ConfigError,
     ExperimentTrace,
@@ -415,11 +415,12 @@ class TestRunPiecewise:
         )
         assert trace_to_csv_text(plain) == trace_to_csv_text(one_cluster)
         # ... and its run-length marginal is the plain run-length posterior, bit for bit
-        belief = RunLengthBelief.uniform(BOCDParams().h_max)
+        h_max = BOCDParams().h_max
+        belief = np.full((1, h_max), 1.0 / h_max)
         for row in plain.rows:
             belief = bocd_step(belief, row.xi, BOCDParams())
-            assert _mean_run_length(belief.probs) == row.h_bar
-            assert _entropy(belief.probs) == row.entropy
+            assert _mean_run_length(belief[0]) == row.h_bar
+            assert _entropy(belief[0]) == row.entropy
 
     def test_ensemble_and_noise_streams_independent_of_row_count(self):
         # non-zero backup noise changes err but not determinism

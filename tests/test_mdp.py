@@ -33,11 +33,6 @@ class TestQFunction:
         with pytest.raises(ValueError):
             q.values[0, 0] = 5.0
 
-    def test_zeros(self):
-        q = QFunction.zeros(3, 2)
-        assert q.shape == (3, 2)
-        assert (q.values == 0).all()
-
 
 class TestGreedyValue:
     def test_direct_max(self):

@@ -7,7 +7,6 @@ from pwmdp import (
     CoupledOperatorParams,
     ModeModel,
     OperatorParams,
-    QFunction,
     StatePartition,
     add_bounded_noise,
     apply_coupled_operator,
@@ -525,7 +524,7 @@ class TestRegimePerturbation:
 class TestProject:
     def test_singleton_blocks_identity(self):
         q = np.random.default_rng(0).uniform(-5, 5, (4, 3))
-        out = project(q, StatePartition.singletons(4))
+        out = project(q, StatePartition(4, tuple((s,) for s in range(4))))
         assert (out == q).all()
 
     def test_full_aggregation_is_column_mean(self):
@@ -633,12 +632,7 @@ class TestNoisyOperator:
         out = add_bounded_noise(tables, 0.1, (7, 1))
         assert type(out) is np.ndarray and out.shape == tables.shape
         assert 0.0 < np.abs(out - tables).max() <= 0.1
-        # the same stream on a QFunction gives the same entries, as an array
-        noisy = add_bounded_noise(QFunction(tables[0]), 0.1, 3)
-        assert type(noisy) is np.ndarray and (noisy == add_bounded_noise(tables[0], 0.1, 3)).all()
         assert add_bounded_noise(tables, 0.0, 0) is tables
-        q = QFunction(tables[0])
-        assert add_bounded_noise(q, 0.0, 0) is q.values
 
     @pytest.mark.parametrize(
         "shape, sigma",
@@ -651,11 +645,6 @@ class TestNoisyOperator:
         for seed in (0, (3, 1, 4), (0, 1, 599, 9)):
             expected = x + np.random.default_rng(seed).uniform(-sigma, sigma, shape)
             assert np.array_equal(add_bounded_noise(x, sigma, seed), expected)
-        if len(shape) == 2:
-            assert np.array_equal(
-                add_bounded_noise(QFunction(x), sigma, 1),
-                x + np.random.default_rng(1).uniform(-sigma, sigma, shape),
-            )
 
 
     @pytest.mark.parametrize(
@@ -686,11 +675,11 @@ class TestSharedCritic:
 
 
 class TestArraysOut:
-    def test_every_operator_returns_a_new_array_for_a_qfunction(self):
+    def test_every_operator_returns_a_new_array(self):
         models = [make_random_mode(s, 4, 3) for s in (1, 2)]
         params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
         belief = np.array([0.4, 0.6])
-        q = QFunction(np.random.default_rng(9).uniform(-5, 5, (4, 3)))
+        q = np.random.default_rng(9).uniform(-5, 5, (4, 3))
         partition = StatePartition(4, ((0, 1), (2, 3)))
         outs = [
             apply_mode_operator(models[0], params, q),
@@ -704,11 +693,11 @@ class TestArraysOut:
         ]
         for out in outs:
             assert type(out) is np.ndarray and out.shape == (4, 3)
-            assert not np.shares_memory(out, q.values)
+            assert not np.shares_memory(out, q)
 
     def test_overflowing_backup_leaves_the_fixed_point_unconverged(self):
         # Q* = -1.7e308 is finite, but its backup's P v - lambda G is not; the
-        # tables are returned as computed, not refused by a QFunction
+        # tables are returned as computed, not refused
         model = ModeModel([[-0.82e308]], [[[1.0]]], [[0.5e308]])
         with np.errstate(over="ignore", invalid="ignore"):
             result = mode_fixed_point(model, OperatorParams(gamma=0.4, lambda_epi=1.0))
