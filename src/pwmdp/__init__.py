@@ -2,7 +2,7 @@
 
 Tabular toolkit for value iteration through regime switches: per-regime
 penalized Bellman backups and their frozen-belief mixtures, the
-value-coupled counterexample operator with its sharp contraction
+value-coupled backup whose belief tracks Q, with its sharp contraction
 threshold, a truncated run-length change detector with joint regime
 clustering, the surprise -> penalty -> LCB-coefficient adaptation chain,
 mode-embedding representation losses, and an experiment/certification
@@ -50,7 +50,6 @@ from .mdp import (
     validate_mode,
 )
 from .operators import (
-    CoupledOperatorParams,
     FixedPointResult,
     RegimePerturbation,
     StatePartition,
@@ -60,7 +59,6 @@ from .operators import (
     apply_mixture_via_shared,
     apply_mode_operator,
     classify_factor,
-    coupled_operator_factor,
     error_floor,
     estimate_lipschitz,
     mixture_backup,

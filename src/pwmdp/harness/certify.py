@@ -11,10 +11,11 @@ at the stated sizes.
   unnormalized_belief: mixture weights scaled to sum 0.9 -> the
       discounting identity drifts by gamma*|c|*0.1 and the Blackwell
       suite must fail.
-  unfrozen_belief: the backup's regime weights are allowed to track the
-      value estimate, collapsing to the value-coupled scalar operator
-      whose Lipschitz factor exceeds the discount -> the contraction
-      certificate must fail, in its exact factor and in its sample.
+  unfrozen_belief: the regime belief tracks the value estimate: each
+      instance's first regime is backed up by ``apply_coupled_operator``
+      (sensitivity 0.001, gap 50), whose factor gamma + 0.05 exceeds the
+      discount -> the contraction certificate must fail, in its exact
+      factor and in its sample through the real kernel.
   unclipped_surprise: the real surprise fusion runs with its clip
       ceiling lifted to infinity -> the boundedness check in the safety
       suite must fail.
@@ -40,7 +41,6 @@ from ..bocd import (
     bocd_step,
     detection_delay,
     joint_step,
-    posterior_ratio,
 )
 from ..context import (
     ContextLossConfig,
@@ -60,26 +60,26 @@ from ..mdp import (
 )
 from ..operators import (
     _project,
-    CoupledOperatorParams,
+    DIVERGENCE_CAP,
     StatePartition,
     apply_coupled_operator,
     apply_mixture_operator,
     apply_mixture_via_shared,
     add_bounded_noise,
     apply_mode_operator,
-    coupled_operator_factor,
     error_floor,
     estimate_lipschitz,
     mixture_backup,
     mode_fixed_point,
     projection_error,
     regime_perturbation,
+    solve_fixed_point,
     switch_error_bound,
 )
 from .config import config_from_dict
 from .experiment import run_piecewise
 from .io import trace_to_csv_text
-from .sweeps import classify_trajectory, run_delay_table, run_threshold_sweep
+from .sweeps import empirical_detection_delay, run_delay_table, run_threshold_sweep
 
 __all__ = [
     "SuiteResult",
@@ -91,6 +91,10 @@ __all__ = [
 ]
 
 MUTATIONS = ("unnormalized_belief", "unfrozen_belief", "unclipped_surprise")
+
+# (sensitivity, gap) of the breaking coupling: factor gamma + 0.05, used by
+# ``unfrozen_belief`` and by suite 3's breaking instance
+BREAKING_COUPLING = (0.001, 50.0)
 
 
 @dataclass(frozen=True)
@@ -157,17 +161,16 @@ def _contraction_factors(
     attains; one einsum gives it for every row of the (n, M) ``beliefs``.
     The sampled factors come from one set of ``estimate_lipschitz`` probes,
     backed up once per regime through the real kernel and mixed with each
-    row. Under ``unfrozen_belief`` the belief tracks Q, so both factors are
-    those of the value-coupled scalar map instead.
+    row. Under ``unfrozen_belief`` the belief tracks Q instead: the first
+    regime is backed up through the value-coupled operator, so both factors
+    are that operator's, gamma + sensitivity * gap, for every row.
     """
     n_beliefs = len(beliefs)
     if mutation == "unfrozen_belief":
-        # regime weights tracking Q collapse to the coupled scalar map (factor gamma + 0.05)
-        coupled = CoupledOperatorParams(params.gamma, sensitivity=0.001, r_high=51.0, r_low=1.0)
-        sampled = estimate_lipschitz(
-            lambda qs: apply_coupled_operator(coupled, qs), (1, 1), n_pairs=4, seed=probe_seed
-        )
-        return np.full(n_beliefs, coupled_operator_factor(coupled)), np.full(n_beliefs, sampled)
+        sensitivity, gap = BREAKING_COUPLING
+        coupled = lambda probes: apply_coupled_operator(models[0], params, sensitivity, gap, probes)
+        sampled = estimate_lipschitz(coupled, models[0].reward.shape, n_pairs=4, seed=probe_seed)
+        return np.full(n_beliefs, params.gamma + sensitivity * gap), np.full(n_beliefs, sampled)
     kernels = np.stack([m.kernel for m in models])
     mixed = np.einsum("bm,msat->bsat", beliefs, kernels)
     exact = params.gamma * np.abs(mixed, out=mixed).sum(axis=-1).max(axis=(-2, -1))
@@ -265,27 +268,44 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
 # --- suite 3: sharp contraction threshold of the value-coupled operator ---
 
 def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult:
+    """The value-coupled backup's factor gamma + sensitivity * gap, on tables.
+
+    Each instance backs up a table q1, its uniform shift and a random table
+    in one call: the shift moves the image by exactly the factor times its
+    distance, the random table by no more. Each shape group is drawn in one block.
+    """
     tol = 1e-12
     n_pairs = 500
     rng = np.random.default_rng((seed, 103))
+    shapes = np.column_stack([rng.integers(1, 7, n_pairs), rng.integers(1, 4, n_pairs)])
+    # (gamma, sensitivity, gap) per instance
+    draws = rng.uniform((0.0, 0.0, 0.0), (0.99, 0.1, 60.0), (n_pairs, 3)).tolist()
+    # well-separated shifts: the exactness claim is about the update ratio
+    shifts = rng.choice([-1.0, 1.0], n_pairs) * rng.uniform(0.5, 10.0, n_pairs)
     max_violation = 0.0
-    for _ in range(n_pairs):
-        params = CoupledOperatorParams(
-            gamma=float(rng.uniform(0.0, 1.2)),
-            sensitivity=float(rng.uniform(0.0, 0.1)),
-            r_high=float(rng.uniform(0.0, 60.0)),
-            r_low=0.0,
-        )
-        factor = coupled_operator_factor(params)
-        # well-separated pairs: the exactness claim is about the update ratio
-        q1 = float(rng.uniform(-10.0, 10.0))
-        q2 = q1 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.5, 10.0))
-        lhs = abs(apply_coupled_operator(params, q1) - apply_coupled_operator(params, q2))
-        max_violation = max(max_violation, abs(lhs / abs(q1 - q2) - factor))
-    # the documented breaking instance: tiny coupling, large reward gap
-    instance = CoupledOperatorParams(gamma=0.99, sensitivity=0.001, r_high=50.0, r_low=0.0)
-    factor_ok = abs(coupled_operator_factor(instance) - 1.04) <= 1e-12
-    diverges = classify_trajectory(instance)[0] == "diverged"
+    for n_states, n_actions in np.unique(shapes, axis=0).tolist():
+        members = np.flatnonzero((shapes == (n_states, n_actions)).all(axis=1))
+        rewards, kernels, penalties = _draw_mode_tables(rng, members.shape, n_states, n_actions)
+        # per instance: q1, its uniform shift, and a random table q2
+        tables = rng.uniform(-10.0, 10.0, (members.size, 3, n_states, n_actions))
+        tables[:, 1] = tables[:, 0] + shifts[members, None, None]
+        for i, case in enumerate(members):
+            gamma, sensitivity, gap = draws[case]
+            model = ModeModel(rewards[i], kernels[i], penalties[i])
+            params = OperatorParams(gamma, lambda_epi=0.01, kappa=0.1)
+            images = apply_coupled_operator(model, params, sensitivity, gap, tables[i])
+            image_dist = np.abs(images[1:] - images[0]).max(axis=(1, 2))
+            dist = np.abs(tables[i, 1:] - tables[i, 0]).max(axis=(1, 2))
+            # dist(T q, T q1) - factor * dist(q, q1), for the shift and for q2
+            shift_excess, pair_excess = (image_dist - (gamma + sensitivity * gap) * dist).tolist()
+            max_violation = max(max_violation, abs(shift_excess), pair_excess)
+    # the documented breaking instance: tiny coupling, large reward gap, factor 1.04
+    model = make_random_mode(int(rng.integers(0, 2**31)), 4, 2)
+    params = OperatorParams(gamma=0.99, lambda_epi=0.01, kappa=0.1)
+    breaking = lambda q: apply_coupled_operator(model, params, *BREAKING_COUPLING, q)
+    factor_ok = abs(estimate_lipschitz(breaking, (4, 2), n_pairs=4, seed=seed) - 1.04) <= 1e-12
+    run = solve_fixed_point(breaking, np.zeros((4, 2)))
+    diverges = not run.converged and run.final_residual > DIVERGENCE_CAP
     sweep = run_threshold_sweep(np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50))
     max_violation = _gated(max_violation, factor_ok, diverges, sweep.matches_analytic())
     return SuiteResult("sharp_threshold", n_pairs + 2501, max_violation, tol)
@@ -309,9 +329,7 @@ def suite_detection_delay_table(seed: int, mutation: str | None = None) -> Suite
     for lr in (1.2, 2.0, 5.0):
         for r0 in (1.0, 10.0):
             for delta in (0.05, 0.01):
-                target = 1.0 / delta
-                scan = next(n for n in range(0, 1001) if posterior_ratio(n, lr, r0) >= target)
-                if scan != math.ceil(detection_delay(lr, r0, delta)):
+                if empirical_detection_delay(lr, r0, delta) != math.ceil(detection_delay(lr, r0, delta)):
                     minimal_ok = False
                 tested += 1
     max_violation = _gated(max_violation, empirical_ok, minimal_ok)

@@ -68,6 +68,10 @@ class Field(NamedTuple):
 # have the same budget, as does each trace column (one double per iteration).
 MAX_KERNEL_ENTRIES = 2**25
 
+# run_piecewise divides its reward z-score and its Q-std ratio by a spread plus
+# this floor, so the reward spread over all regimes, divided by it, must be finite.
+SPREAD_FLOOR = 1e-8
+
 # Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
 _NOISE_WIDTH = (lambda v: v >= 0 and math.isfinite(2.0 * v), "must be >= 0 with 2 * sigma finite")
 # Value iteration closes a residual gap by a factor gamma per backup, so where
@@ -383,6 +387,13 @@ def _resolve(values: dict) -> ExperimentConfig:
                 "rollout_len * max|R| or rollout_len * (max R - min R)^2 overflows"
             )
         models.append(model)
+    # a rollout's mean and the running mean both lie within the rewards of all regimes
+    spread = max(float(m.reward.max()) for m in models) - min(float(m.reward.min()) for m in models)
+    if not math.isfinite(spread / SPREAD_FLOOR):
+        raise ConfigError(
+            "modes must keep the reward z-score finite: "
+            f"(max R - min R) over all modes / {SPREAD_FLOOR} overflows"
+        )
     if schedule.max_mode_index >= len(models):
         raise ConfigError(
             f"schedule references mode {schedule.max_mode_index} but only "

@@ -74,7 +74,7 @@ from ..adaptive import beta_eff, ema_update, lambda_w, surprise
 from ..bocd import _assign, _entropy, _filter_step, _mean_run_length
 from ..operators import _noise, _project, error_floor, mode_fixed_point, projection_error
 from ..operators import apply_mixture_operator  # noqa: F401  bench/test_bench.py traces this name
-from .config import ExperimentConfig
+from .config import SPREAD_FLOOR, ExperimentConfig
 
 __all__ = ["TraceRow", "ExperimentTrace", "run_piecewise", "TRACE_FIELDS"]
 
@@ -88,7 +88,6 @@ STEADY_ABS = 1e-9
 _ROLLOUT_STREAM = 0
 _ENSEMBLE_STREAM = 1
 _NOISE_STREAM = 2
-_TINY = 1e-8
 
 # The per-iteration ensemble-spread estimate is itself a noisy statistic
 # (std over n_ensemble tables); a short EMA steadies its ratio channel
@@ -272,7 +271,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
             reward_z = 0.0
         else:
             # in Python floats, an overflowing weighted z saturates xi without numpy's warning
-            reward_z = (batch_mean - reward_mean) / (math.sqrt(reward_var) + _TINY)
+            reward_z = (batch_mean - reward_mean) / (math.sqrt(reward_var) + SPREAD_FLOOR)
         reward_mean = ema_update(reward_mean, batch_mean, config.stat_ema_rate)
         reward_var = ema_update(reward_var, batch_var, config.stat_ema_rate)
 
@@ -289,7 +288,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         if sigma_q_baseline is None:
             q_std_ratio = 1.0
         else:
-            q_std_ratio = sigma_q_smooth / (sigma_q_baseline + _TINY)
+            q_std_ratio = sigma_q_smooth / (sigma_q_baseline + SPREAD_FLOOR)
         sigma_q_baseline = ema_update(sigma_q_baseline, sigma_q_smooth, config.stat_ema_rate)
 
         kappa_t = params.kappa + td_scale

@@ -1,16 +1,16 @@
 """Grid sweeps: the contraction-threshold phase map and the detection-delay table.
 
-The threshold sweep iterates the value-coupled scalar operator across a
-(discount, coupling) grid and classifies each cell from its trajectory; the
-grid iterates as one array with a stop mask per cell, and
-:func:`classify_trajectory` is the same recursion for one parameter set.
-Because the operator is affine, the measured per-step geometric factor
-equals the analytic factor to round-off, so the classified boundary must
-match the line gamma + coupling = 1 cell-exactly.
+The threshold sweep iterates the value-coupled backup's one-state case, the
+affine map q -> (gamma + coupling) * q + 1, across a (discount, coupling)
+grid and classifies each cell from its trajectory; the grid iterates as one
+array with a stop mask per cell, and :func:`classify_trajectory` is its
+scalar reference for one cell. Because the map is affine, the measured
+per-step geometric factor equals the analytic factor to round-off, so the
+classified boundary must match the line gamma + coupling = 1 cell-exactly.
 
 The delay table evaluates the analytic detection delay for the standard
-separability scenarios and tracks a synthetic evidence stream to obtain an
-empirical crossing step for each row.
+separability scenarios next to the first step at which the posterior odds
+reach 1/delta.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bocd import detection_delay
-from ..operators import CoupledOperatorParams, apply_coupled_operator, classify_factor
+from ..bocd import detection_delay, posterior_ratio
+from ..operators import classify_factor
 
 __all__ = [
     "ThresholdSweepResult",
@@ -41,32 +41,26 @@ SWEEP_R_LOW = 1.0
 _CLASS_NAMES = {"contraction": "converged", "nonexpansive": "stalled", "expansion": "diverged"}
 
 
-def classify_trajectory(params: CoupledOperatorParams, n_iter: int = 200) -> tuple[str, float]:
-    """Classify the scalar operator's iteration behavior from q0 = 0.
+def classify_trajectory(gamma: float, coupling: float, n_iter: int = 200) -> tuple[str, float]:
+    """Classify the map q -> (gamma + coupling) * q + SWEEP_R_LOW, iterated from q0 = 0.
 
     Returns (class, measured_factor) where class is one of converged /
     stalled / diverged and the factor is the per-step geometric mean of the
     update magnitudes. Iteration stops early on exact convergence or once
     updates exceed 1e100.
     """
+    for name, value in (("gamma", gamma), ("coupling", coupling)):
+        if not 0.0 <= value <= 1.5:
+            raise ValueError(f"{name} must lie within [0, 1.5], got {value}")
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    # probe several starts: a start that happens to sit exactly on the
-    # (possibly unstable) fixed point says nothing about the map
-    for q_prev in (0.0, 1.0, -1.0):
-        q = apply_coupled_operator(params, q_prev)
-        d0 = abs(q - q_prev)
-        if d0 > 0.0:
-            break
-    else:
-        return "stalled", 1.0  # every probe is fixed: the map is the identity
-    d = d0
-    steps = 0
-    for _ in range(n_iter):
-        q_next = apply_coupled_operator(params, q)
+    factor = gamma + coupling
+    # the first step from q0 = 0 lands on the nonzero low reward
+    q = d0 = SWEEP_R_LOW
+    for steps in range(1, n_iter + 1):
+        q_next = factor * q + SWEEP_R_LOW
         d = abs(q_next - q)
-        q_prev, q = q, q_next
-        steps += 1
+        q = q_next
         if d == 0.0:
             return "converged", 0.0
         if d > 1e100:
@@ -107,8 +101,7 @@ def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> Thresho
     """Classify the scalar operator across a (discount, coupling) grid.
 
     The whole grid iterates as one array, each cell by
-    :func:`classify_trajectory`'s recursion with a unit reward gap, so the
-    cell's coupling is its sensitivity: a cell stops once its update is
+    :func:`classify_trajectory`'s recursion: a cell stops once its update is
     exactly 0 or beyond 1e100, and keeps its last update and step count.
     Each cell's factor is then taken as a Python float, exactly as the
     scalar path takes it, so classes and factors equal that path's.
@@ -118,13 +111,12 @@ def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> Thresho
     for name, grid in (("gamma", gamma_grid), ("coupling", coupling_grid)):
         if grid.ndim != 1 or grid.size < 1:
             raise ValueError(f"{name} grid must be a non-empty vector")
-        if (grid < 0.0).any() or (grid > 1.5).any():
+        if not ((grid >= 0.0) & (grid <= 1.5)).all():
             raise ValueError(f"{name} grid values must lie within [0, 1.5]")
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    factor = gamma_grid[:, None] + coupling_grid[None, :]  # times the unit reward gap
-    # from q = 0 the first step lands every cell on the nonzero low reward, so
-    # no cell needs classify_trajectory's other probe starts
+    factor = gamma_grid[:, None] + coupling_grid[None, :]
+    # from q = 0 the first step lands every cell on the nonzero low reward
     q = np.full(factor.shape, SWEEP_R_LOW)
     d0 = abs(SWEEP_R_LOW)
     d = np.full(factor.shape, d0)
@@ -159,22 +151,16 @@ DELAY_SCENARIOS = (
 
 
 def empirical_detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -> int:
-    """Steps until a tracked posterior-odds stream crosses 1/delta.
+    """First step n at which the posterior odds ``posterior_ratio(n, L, r0)`` reach 1/delta.
 
-    Models L-separable evidence: each step multiplies the odds for the
-    correct run-length hypothesis by L and divides the stale one's by L,
-    so the tracked odds gain a factor L**2 per step.
+    The odds of L-separable evidence gain a factor L**2 per step; no crossing
+    within 10**4 steps raises RuntimeError.
     """
-    odds = 1.0 / prior_ratio
     target = 1.0 / delta
-    step_gain = likelihood_ratio * likelihood_ratio
-    n = 0
-    while odds < target:
-        odds *= step_gain
-        n += 1
-        if n > 10_000:
-            raise RuntimeError("posterior odds failed to cross the target in 10^4 steps")
-    return n
+    for n in range(10_001):
+        if posterior_ratio(n, likelihood_ratio, prior_ratio) >= target:
+            return n
+    raise RuntimeError("posterior odds failed to cross the target in 10^4 steps")
 
 
 def run_delay_table() -> list[dict]:

@@ -1,11 +1,13 @@
 """Operator zoo for piecewise-robust value iteration.
 
 Contains the per-regime penalized Bellman backup, its belief-weighted
-mixture, the scalar value-coupled counterexample operator with its sharp
-contraction threshold, block-averaging state aggregation, bounded noise
-added to Q tables, exact regime fixed points by policy iteration, fixed-point
-iteration with a-posteriori certificates, empirical Lipschitz estimation,
-and the regime-switch perturbation bound.
+mixture, the value-coupled backup whose belief tracks Q (the counterexample
+with the sharp contraction threshold gamma + sensitivity * gap),
+block-averaging state aggregation, bounded noise added to Q tables, exact
+regime fixed points by policy iteration, fixed-point iteration with
+a-posteriori certificates (which also flags the coupled backup's
+divergence), empirical Lipschitz estimation, and the regime-switch
+perturbation bound.
 
 Every public operator takes a (..., S, A) array of Q tables and returns a
 new array (``add_bounded_noise`` at sigma 0 returns the tables it was
@@ -13,11 +15,12 @@ given); a regime belief is a weight vector.
 The only randomness is owned by explicit seeds.
 
 Validation happens at the public entry points: ``apply_mode_operator``,
-``mixture_backup``/``apply_mixture_operator``, ``project`` and
-``add_bounded_noise`` check their tables (shape, finiteness), weights, partition
-and sigma, then call one private kernel each (``_backup``, ``_project``,
-``_noise``), where each formula is written once. Inner loops that own arrays
-they built from validated inputs call the kernels directly.
+``mixture_backup``/``apply_mixture_operator``, ``apply_coupled_operator``,
+``project`` and ``add_bounded_noise`` check their tables (shape,
+finiteness), weights, coupling, partition and sigma, then call one private
+kernel each (``_backup``, ``_project``, ``_noise``), where each formula is
+written once. Inner loops that own arrays they built from validated inputs
+call the kernels directly.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .mdp import ModeModel, OperatorParams, greedy_value, sup_dist
 from .mdp import check_simplex
 
 __all__ = [
-    "CoupledOperatorParams",
     "StatePartition",
     "FixedPointResult",
     "RegimePerturbation",
@@ -41,7 +43,6 @@ __all__ = [
     "mixture_backup",
     "apply_mixture_operator",
     "apply_coupled_operator",
-    "coupled_operator_factor",
     "classify_factor",
     "solve_fixed_point",
     "mode_fixed_point",
@@ -74,37 +75,6 @@ QOperator = Callable[[np.ndarray], np.ndarray]
 # Maps a (B, S, A) array of tables to the (B, S, A) array of their images, or
 # to a (..., B, S, A) array of their images under several maps.
 BatchOperator = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class CoupledOperatorParams:
-    """Scalar operator obtained when the regime belief is allowed to track Q.
-
-    With belief weight ``sensitivity * q`` on the high-reward regime, the
-    one-state backup collapses to the affine map
-    ``q -> (gamma + sensitivity * (r_high - r_low)) * q + r_low``, whose
-    Lipschitz factor exceeds the discount by ``sensitivity * reward_gap``.
-    ``reward_gap >= 0`` is required (the regime the threshold analysis covers).
-    """
-
-    gamma: float
-    sensitivity: float
-    r_high: float
-    r_low: float
-
-    def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.sensitivity < 0.0:
-            raise ValueError(f"sensitivity must be >= 0, got {self.sensitivity}")
-        if self.reward_gap < 0.0:
-            raise ValueError(
-                f"reward gap r_high - r_low must be >= 0, got {self.reward_gap}"
-            )
-
-    @property
-    def reward_gap(self) -> float:
-        return self.r_high - self.r_low
 
 
 @dataclass(frozen=True)
@@ -266,14 +236,27 @@ def apply_mixture_operator(
     return mixture_backup(models, _belief_weights(belief), params, q)
 
 
-def apply_coupled_operator(p: CoupledOperatorParams, q: float | np.ndarray) -> float | np.ndarray:
-    """One step of the value-coupled scalar operator (entrywise on an array)."""
-    return (p.gamma + p.sensitivity * p.reward_gap) * q + p.r_low
+def apply_coupled_operator(
+    model: ModeModel, params: OperatorParams, sensitivity: float, gap: float, q: np.ndarray
+) -> np.ndarray:
+    """Backup whose regime belief tracks Q: the paper's value-coupled counterexample.
 
-
-def coupled_operator_factor(p: CoupledOperatorParams) -> float:
-    """Exact Lipschitz factor gamma + sensitivity * reward_gap."""
-    return p.gamma + p.sensitivity * p.reward_gap
+    Mixes ``model``'s backup with that of its copy whose rewards sit ``gap``
+    higher, putting weight w(Q) = 0.5 + sensitivity * Q[0, 0] on the copy,
+    for each table of the (..., S, A) stack ``q``. The two backups differ by
+    ``gap`` alone, so the mixture is ``_backup`` of ``model`` plus w(Q) * gap.
+    w is not clipped; it is a probability where |Q[0, 0]| <= 0.5 / sensitivity,
+    and past that a clipped w would saturate and the map contract again. For
+    sensitivity, gap >= 0 the exact sup-norm Lipschitz factor is
+    gamma + sensitivity * gap, attained by a uniform shift of Q: the map
+    expands once that passes 1, however small the coupling. Callers compute
+    that factor inline from their own arguments.
+    """
+    if not (0.0 <= sensitivity < math.inf and 0.0 <= gap < math.inf):
+        raise ValueError(f"sensitivity and gap must be finite and >= 0, got {sensitivity} and {gap}")
+    values = _tables(q)
+    weight = 0.5 + sensitivity * values[..., :1, :1]
+    return _backup((model,), (1.0,), params, values) + weight * gap
 
 
 def classify_factor(factor: float, tol: float = 0.0) -> str:

@@ -5,6 +5,7 @@ asserts it passes at the stated tolerance, and prints one PASS/FAIL line.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -25,6 +26,9 @@ from pwmdp.harness.certify import (
 )
 
 SEED = 0
+
+# sha256 of `pwmdp certify --seed 0`'s certification.json
+CERTIFICATION_SHA256 = "68711b5688587b5d3174bfd50fcd822947e894d431befa15dc61561fb0ceae8e"
 
 
 def report(number: int, name: str, suite, elapsed: float | None = None, instances: int | None = None):
@@ -120,6 +124,7 @@ class TestCriterion12Reproducibility:
         assert result_a.returncode == 0, result_a.stdout + result_a.stderr
         assert result_b.returncode == 0
         identical = report_a.read_bytes() == report_b.read_bytes()
+        assert hashlib.sha256(report_a.read_bytes()).hexdigest() == CERTIFICATION_SHA256
 
         expected_failures = {
             "unnormalized_belief": "blackwell_identities",

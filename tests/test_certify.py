@@ -25,6 +25,7 @@ from pwmdp.harness.certify import (
     suite_contraction_certificate,
     suite_error_budget,
     suite_reproducibility,
+    suite_sharp_threshold,
     three_phase_config_dict,
 )
 from pwmdp.harness.config import config_from_dict
@@ -113,9 +114,8 @@ def test_a_failed_check_makes_the_violation_inf():
     assert not SuiteResult("alpha", 1, failed, TOL).passed
 
 
-def test_contraction_suite_fails_when_the_backup_kernel_expands(monkeypatch):
-    # the exact factor reads only the kernels, so only the sampled cross-check
-    # can see a backup that scales its P.V term by 1.001
+def expand_backup_kernel(monkeypatch):
+    """Replace ``operators._backup`` with one that scales its P.V term by 1.001."""
     real_backup = operators._backup
 
     def expanding_backup(models, weights, params, q):
@@ -123,18 +123,29 @@ def test_contraction_suite_fails_when_the_backup_kernel_expands(monkeypatch):
         extra = sum(w * np.einsum("...t,sat->...sa", v, m.kernel) for w, m in zip(weights, models))
         return real_backup(models, weights, params, q) + 0.001 * params.gamma * extra
 
-    assert suite_contraction_certificate(0).passed
     monkeypatch.setattr(operators, "_backup", expanding_backup)
+
+
+def test_contraction_suite_fails_when_the_backup_kernel_expands(monkeypatch):
+    # the exact factor reads only the kernels, so only the sampled cross-check
+    # can see a backup that scales its P.V term by 1.001
+    assert suite_contraction_certificate(0).passed
+    expand_backup_kernel(monkeypatch)
     suite = suite_contraction_certificate(0)
     assert suite.tested_instances == 7500
     assert suite.max_violation > suite.tolerance
 
 
+# three regimes, five beliefs over them, and gamma 0.9
+UNFROZEN_CASE = (
+    [make_random_mode(seed, 4, 2) for seed in (1, 2, 3)],
+    np.random.default_rng(3).dirichlet(np.ones(3), 5),
+    OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1),
+)
+
+
 def test_unfrozen_belief_exceeds_the_discount_in_both_factors():
-    rng = np.random.default_rng(3)
-    models = [make_random_mode(seed, 4, 2) for seed in (1, 2, 3)]
-    beliefs = rng.dirichlet(np.ones(3), 5)
-    params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
+    models, beliefs, params = UNFROZEN_CASE
     exact, sampled = _contraction_factors(models, beliefs, params, 17)
     assert np.all(np.abs(exact - 0.9) <= 1e-15) and np.all(sampled <= exact + 1e-14)
     exact, sampled = _contraction_factors(models, beliefs, params, 17, "unfrozen_belief")
@@ -142,6 +153,29 @@ def test_unfrozen_belief_exceeds_the_discount_in_both_factors():
     assert np.all(exact > 0.9 + 0.04) and np.all(sampled > 0.9 + 0.04)
     np.testing.assert_allclose(exact, 0.95, rtol=1e-15)
     np.testing.assert_allclose(sampled, 0.95, rtol=1e-12)
+
+
+def test_unfrozen_belief_samples_through_the_backup_kernel(monkeypatch):
+    # the mutation backs its tables up through operators._backup, so a kernel
+    # whose P.V term grows by 1.001 moves the sampled factor by 0.001 * gamma
+    _, sampled = _contraction_factors(*UNFROZEN_CASE, 17, "unfrozen_belief")
+    expand_backup_kernel(monkeypatch)
+    _, expanded = _contraction_factors(*UNFROZEN_CASE, 17, "unfrozen_belief")
+    np.testing.assert_allclose(expanded - sampled, 0.001 * 0.9, rtol=0, atol=1e-12)
+
+
+def test_dropping_the_coupling_fails_the_threshold_suite_and_the_unfrozen_sample(monkeypatch):
+    # with Q ignored the belief stays at 0.5 and the backup contracts at gamma again
+    real_coupled = certify.apply_coupled_operator
+    monkeypatch.setattr(
+        certify,
+        "apply_coupled_operator",
+        lambda model, params, sensitivity, gap, q: real_coupled(model, params, 0.0, gap, q),
+    )
+    suite = suite_sharp_threshold(0)
+    assert suite.tested_instances == 3001 and not suite.passed
+    _, sampled = _contraction_factors(*UNFROZEN_CASE, 17, "unfrozen_belief")
+    assert np.all(sampled <= 0.9 + 1e-12)
 
 
 def test_canonical_three_phase_trace_is_pinned():

@@ -222,10 +222,17 @@ class TestPiecewiseCommand:
                     {"operator": {"gamma": 0.0}, "modes": [{"seed": 1, "reward_shift": 1e307}]},
                 )
             ],
+            (
+                # this one stopped at the first switch on a non-finite reward z-score
+                {"modes": [{"seed": 1, "reward_shift": 1e300}, {"seed": 2, "reward_shift": -1e300}]},
+                "config error: modes must keep the reward z-score finite: "
+                "(max R - min R) over all modes / 1e-08 overflows",
+            ),
         ],
         ids=[
             "overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point",
             "reward_spread_square", "reward_spread", "reward_range_low", "rollout_reward_sum",
+            "cross_mode_reward_z_score",
         ],
     )
     def test_mode_error_is_one_line_naming_the_field(self, raw, message, tmp_path):

@@ -31,8 +31,7 @@ from pwmdp.harness.io import (
     trace_to_csv_text,
     trace_to_json_text,
 )
-from pwmdp.harness.sweeps import SWEEP_R_LOW, classify_trajectory, empirical_detection_delay
-from pwmdp.operators import CoupledOperatorParams
+from pwmdp.harness.sweeps import classify_trajectory, empirical_detection_delay
 
 
 def small_config_dict(**overrides) -> dict:
@@ -574,11 +573,11 @@ class TestTraceIO:
 
 class TestThresholdSweep:
     def test_reference_cells(self):
-        assert classify_trajectory(CoupledOperatorParams(0.5, 0.2, 2.0, 1.0))[0] == "converged"
-        assert classify_trajectory(CoupledOperatorParams(0.99, 0.05, 2.0, 1.0))[0] == "diverged"
+        assert classify_trajectory(0.5, 0.2)[0] == "converged"
+        assert classify_trajectory(0.99, 0.05)[0] == "diverged"
 
     def test_nonexpansive_cell_stalls(self):
-        assert classify_trajectory(CoupledOperatorParams(1.0, 0.0, 2.0, 1.0))[0] == "stalled"
+        assert classify_trajectory(1.0, 0.0)[0] == "stalled"
 
     def test_grid_boundary_matches_analytic_line(self):
         sweep = run_threshold_sweep(np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50))
@@ -608,8 +607,7 @@ class TestThresholdSweep:
         sweep = run_threshold_sweep(gammas, couplings, n_iter)
         for i, g in enumerate(gammas):
             for j, c in enumerate(couplings):
-                params = CoupledOperatorParams(float(g), float(c), SWEEP_R_LOW + 1.0, SWEEP_R_LOW)
-                cls, factor = classify_trajectory(params, n_iter)
+                cls, factor = classify_trajectory(float(g), float(c), n_iter)
                 assert (sweep.classes[i, j], sweep.measured_factors[i, j]) == (cls, factor)
 
     def test_sweep_rejects_a_non_positive_iteration_count(self):
@@ -619,6 +617,13 @@ class TestThresholdSweep:
     def test_grid_domain_validated(self):
         with pytest.raises(ValueError, match="within"):
             run_threshold_sweep(np.array([0.5, 1.6]), np.array([0.1]))
+        with pytest.raises(ValueError, match="within"):
+            run_threshold_sweep(np.array([np.nan, 0.5]), np.array([0.1]))
+
+    @pytest.mark.parametrize("gamma, coupling", [(-0.5, 0.1), (0.5, 1.6), (float("nan"), 0.1), (0.5, float("nan"))])
+    def test_reference_domain_matches_the_sweep(self, gamma, coupling):
+        with pytest.raises(ValueError, match="within"):
+            classify_trajectory(gamma, coupling)
 
     def test_json_payload_round_trips(self):
         sweep = run_threshold_sweep(np.linspace(0, 0.9, 4), np.linspace(0, 0.4, 4))

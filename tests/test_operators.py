@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pwmdp import (
-    CoupledOperatorParams,
     ModeModel,
     OperatorParams,
     StatePartition,
@@ -14,7 +13,6 @@ from pwmdp import (
     apply_mixture_via_shared,
     apply_mode_operator,
     classify_factor,
-    coupled_operator_factor,
     error_floor,
     estimate_lipschitz,
     make_random_mode,
@@ -167,54 +165,92 @@ class TestMixtureOperator:
         assert deviation > 1e-6
 
 
+BREAKING = dict(sensitivity=0.001, gap=50.0)  # with gamma 0.99: factor 1.04
+
+
 class TestCoupledOperator:
     def test_reference_breaking_instance_expands(self):
-        p = CoupledOperatorParams(gamma=0.99, sensitivity=0.001, r_high=50.0, r_low=0.0)
-        factor = coupled_operator_factor(p)
+        model = make_random_mode(5, 4, 2)
+        params = OperatorParams(gamma=0.99, lambda_epi=0.01, kappa=0.1)
+        op = lambda q: apply_coupled_operator(model, params, **BREAKING, q=q)
+        factor = estimate_lipschitz(op, (4, 2), n_pairs=50, seed=3)
         assert abs(factor - 1.04) <= 1e-12
         assert classify_factor(factor) == "expansion"
-        assert abs(apply_coupled_operator(p, 1.0) - apply_coupled_operator(p, 0.0)) == pytest.approx(1.04, abs=1e-12)
+        q = np.random.default_rng(1).uniform(-5, 5, (4, 2))
+        assert sup_dist(op(q + 1.0), op(q)) == pytest.approx(1.04, abs=1e-12)
 
     def test_zero_sensitivity_contracts(self):
-        p = CoupledOperatorParams(gamma=0.99, sensitivity=0.0, r_high=5.0, r_low=2.0)
-        assert coupled_operator_factor(p) == 0.99
-        assert classify_factor(coupled_operator_factor(p)) == "contraction"
-        assert apply_coupled_operator(p, 3.0) == 0.99 * 3.0 + 2.0
+        model = make_random_mode(6, 3, 2)
+        params = OperatorParams(gamma=0.99, lambda_epi=0.01, kappa=0.1)
+        op = lambda q: apply_coupled_operator(model, params, 0.0, 3.0, q)
+        factor = estimate_lipschitz(op, (3, 2), n_pairs=50, seed=4)
+        assert abs(factor - 0.99) <= 1e-12
+        assert classify_factor(factor) == "contraction"
+
+    def test_zero_sensitivity_is_the_mode_backup_plus_half_the_gap(self):
+        # Q is ignored: the belief sits at 0.5 on the copy whose rewards are gap higher
+        model = make_random_mode(7, 4, 3)
+        params = OperatorParams(gamma=0.9, lambda_epi=0.01, kappa=0.1)
+        q = np.random.default_rng(2).uniform(-10, 10, (5, 4, 3))
+        expected = apply_mode_operator(model, params, q) + 0.5 * 7.0
+        np.testing.assert_array_equal(apply_coupled_operator(model, params, 0.0, 7.0, q), expected)
+
+    def test_uniform_shift_attains_gamma_plus_coupling(self):
+        model = make_random_mode(8, 5, 2)
+        params = OperatorParams(gamma=0.8, lambda_epi=0.01, kappa=0.1)
+        q = np.random.default_rng(3).uniform(-10, 10, (5, 2))
+        for c in (-4.0, 0.5, 3.0):
+            step = apply_coupled_operator(model, params, 0.02, 20.0, q + c)
+            base = apply_coupled_operator(model, params, 0.02, 20.0, q)
+            np.testing.assert_allclose(step - base, (0.8 + 0.02 * 20.0) * c, rtol=0, atol=1e-12)
 
     def test_subcritical_iteration_converges_to_affine_fixed_point(self):
-        p = CoupledOperatorParams(gamma=0.9, sensitivity=0.01, r_high=6.0, r_low=1.0)
-        factor = coupled_operator_factor(p)
-        assert factor == pytest.approx(0.95, abs=1e-15)
-        # independent oracle: scalar fixed-point iteration
-        q = 100.0
-        for _ in range(2000):
-            q = apply_coupled_operator(p, q)
-        assert q == pytest.approx(p.r_low / (1.0 - 0.95), abs=1e-9)  # = 20
+        # one state: q -> r + gamma q + (0.5 + sensitivity q) gap, factor 0.9 + 0.01 * 5
+        model = single_state_model(1.0)
+        op = lambda q: apply_coupled_operator(model, OperatorParams(gamma=0.9), 0.01, 5.0, q)
+        assert (op(np.ones((1, 1))) - op(np.zeros((1, 1))))[0, 0] == pytest.approx(0.95, abs=1e-15)
+        result = solve_fixed_point(op, np.array([[100.0]]), tol=1e-12)
+        assert result.converged
+        # independent oracle: the affine map's closed-form fixed point
+        assert result.q_star[0, 0] == pytest.approx((1.0 + 0.5 * 5.0) / (1.0 - 0.95), abs=1e-9)  # = 70
 
     def test_classification_boundary_grid(self):
+        model = single_state_model(0.0)
         for gamma in np.linspace(0.0, 0.99, 12):
             for coupling in np.linspace(0.0, 0.5, 11):
-                p = CoupledOperatorParams(gamma=float(gamma), sensitivity=float(coupling), r_high=1.0, r_low=0.0)
-                f = coupled_operator_factor(p)
-                expected = "contraction" if f < 1 else ("expansion" if f > 1 else "nonexpansive")
-                assert classify_factor(f) == expected
+                params = OperatorParams(gamma=float(gamma))
+                op = lambda q: apply_coupled_operator(model, params, float(coupling), 1.0, q)
+                f = estimate_lipschitz(op, (1, 1), n_pairs=4, seed=0)
+                exact = gamma + coupling
+                expected = "contraction" if exact < 1 else ("expansion" if exact > 1 else "nonexpansive")
+                assert classify_factor(exact) == expected
+                assert abs(f - exact) <= 1e-12
+                if abs(exact - 1.0) > 1e-12:
+                    assert classify_factor(f) == expected
 
     def test_exactness_on_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
-            p = CoupledOperatorParams(
-                gamma=float(rng.uniform(0, 1.2)),
-                sensitivity=float(rng.uniform(0, 0.1)),
-                r_high=float(rng.uniform(0, 60)),
-                r_low=0.0,
+            n_states, n_actions = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            model = make_random_mode(int(rng.integers(0, 2**31)), n_states, n_actions)
+            params = OperatorParams(gamma=float(rng.uniform(0, 0.99)), lambda_epi=0.01, kappa=0.1)
+            sensitivity, gap = float(rng.uniform(0, 0.1)), float(rng.uniform(0, 60))
+            factor = params.gamma + sensitivity * gap
+            q1, q2 = rng.uniform(-10, 10, (2, n_states, n_actions))
+            shift = float(rng.uniform(0.5, 10.0))
+            t1, t_shift, t2 = apply_coupled_operator(
+                model, params, sensitivity, gap, np.stack([q1, q1 + shift, q2])
             )
-            q1, q2 = rng.uniform(-10, 10, 2)
-            lhs = abs(apply_coupled_operator(p, q1) - apply_coupled_operator(p, q2))
-            assert abs(lhs - coupled_operator_factor(p) * abs(q1 - q2)) <= 1e-12
+            assert abs(sup_dist(t_shift, t1) - factor * sup_dist(q1 + shift, q1)) <= 1e-12
+            assert sup_dist(t2, t1) <= factor * sup_dist(q2, q1) + 1e-12
 
     def test_negative_gap_rejected(self):
+        model, params, q = single_state_model(), OperatorParams(gamma=0.9), np.zeros((1, 1))
         with pytest.raises(ValueError, match="gap"):
-            CoupledOperatorParams(gamma=0.9, sensitivity=0.1, r_high=0.0, r_low=1.0)
+            apply_coupled_operator(model, params, 0.1, -1.0, q)
+        for sensitivity, gap in ((-0.1, 1.0), (np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf)):
+            with pytest.raises(ValueError, match="sensitivity and gap must be finite"):
+                apply_coupled_operator(model, params, sensitivity, gap, q)
 
 
 class TestSolveFixedPoint:
@@ -226,9 +262,10 @@ class TestSolveFixedPoint:
         assert result.q_star[0, 0] == pytest.approx(2.0, abs=1e-11)
 
     def test_expansive_map_flagged_unconverged(self):
-        p = CoupledOperatorParams(gamma=0.99, sensitivity=0.001, r_high=50.0, r_low=0.0)
-        op = lambda q: apply_coupled_operator(p, q)
-        result = solve_fixed_point(op, np.array([[1.0]]), tol=1e-10, max_iter=5000)
+        model = make_random_mode(5, 4, 2)
+        params = OperatorParams(gamma=0.99)
+        op = lambda q: apply_coupled_operator(model, params, **BREAKING, q=q)
+        result = solve_fixed_point(op, np.ones((4, 2)), tol=1e-10, max_iter=5000)
         assert not result.converged
         assert result.final_residual > 1.0  # residual grows
 
@@ -337,8 +374,9 @@ class TestEstimateLipschitz:
         assert est >= 0.9 - 1e-6  # the structured shift pair is tight
 
     def test_affine_scalar_estimates_exact_factor(self):
-        p = CoupledOperatorParams(gamma=0.99, sensitivity=0.001, r_high=50.0, r_low=0.0)
-        op = lambda qs: apply_coupled_operator(p, qs)
+        # the value-coupled backup's one-state case is an affine scalar map
+        model, params = single_state_model(0.0), OperatorParams(gamma=0.99)
+        op = lambda qs: apply_coupled_operator(model, params, **BREAKING, q=qs)
         est = estimate_lipschitz(op, (1, 1), n_pairs=50, seed=7)
         assert abs(est - 1.04) <= 1e-12
 
