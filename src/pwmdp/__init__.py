@@ -67,7 +67,6 @@ from .operators import (
     projection_error,
     regime_perturbation,
     solve_fixed_point,
-    switch_error_bound,
 )
 
 __version__ = "0.1.0"

@@ -84,8 +84,8 @@ class BOCDParams:
         widest = self.sigma0_sq + self.sigma_g * (self.h_max - 1)
         if not math.isfinite(2.0 * math.pi * widest):
             raise ValueError(
-                f"2 pi times the largest variance sigma0_sq + sigma_g * (h_max - 1) must be "
-                f"finite, got {widest}"
+                f"sigma_g must keep 2 pi times the largest variance sigma0_sq + sigma_g * "
+                f"(h_max - 1) finite, got a variance of {widest}"
             )
 
     @cached_property

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,7 +75,6 @@ from ..operators import (
     projection_error,
     regime_perturbation,
     solve_fixed_point,
-    switch_error_bound,
 )
 from .config import config_from_dict
 from .experiment import run_piecewise
@@ -125,6 +125,13 @@ class CertificationReport:
 def _gated(max_violation: float, *checks: bool) -> float:
     """``max_violation`` if every pass/fail check holds, else inf (the suite fails)."""
     return max_violation if all(checks) else math.inf
+
+
+def _envelope(e_anchor: float, increments: np.ndarray, gamma: float) -> np.ndarray:
+    """Bounds B_1..B_n of B_t = gamma * B_{t-1} + b_t from B_0 = e_anchor: the error
+    envelope of a gamma-contraction whose step t adds at most b_t."""
+    steps = accumulate(increments, lambda bound, b: gamma * bound + b, initial=e_anchor)
+    return np.fromiter(steps, float, len(increments) + 1)[1:]
 
 
 def _random_models(rng, n_modes, n_states, n_actions):
@@ -433,8 +440,11 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
 # --- suite 7: projected/noisy iteration obeys the combined error budget ---
 
 def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
+    """Projected, noisy iteration stays under B_n = gamma * B_{n-1} + eps_proj + sigma
+    from B_0 = e_0, and its last step within 1.05 times the floor. The tight
+    witness, unprojected from Q* with +sigma at every step, meets B_n with b = sigma."""
     tol = 1e-9
-    n_configs, n_steps = 20, 500
+    n_configs, n_steps, n_witness = 20, 500, 50
     rng = np.random.default_rng((seed, 107))
     max_violation = 0.0
     for i in range(n_configs):
@@ -448,7 +458,8 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
         fp = mode_fixed_point(model, params, tol=1e-12)
         assert fp.converged
         q_star = fp.q_star
-        floor = error_floor(projection_error(q_star, partition), sigma, gamma)
+        eps_proj = projection_error(q_star, partition)
+        floor = error_floor(eps_proj, sigma, gamma)
         q = rng.uniform(-8.0, 8.0, (n_states, n_actions))
         e0 = np.abs(q - q_star).max()
         # one stream per config: every step's bounded noise, drawn as one block
@@ -459,9 +470,15 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
             step = _project(operators._backup((model,), (1.0,), params, q), partition)
             q = np.add(step, noise[n], out=iterates[n])
         errs = np.abs(iterates - q_star).max(axis=(1, 2))
-        envelope = gamma ** np.arange(1, n_steps + 1) * e0 + floor
+        envelope = _envelope(e0, np.full(n_steps, eps_proj + sigma), gamma)
         max_violation = max(max_violation, float((errs - envelope).max()), float(errs[-1] - 1.05 * floor))
-    return SuiteResult("error_budget", n_configs * n_steps, max_violation, tol)
+        q = q_star
+        for n in range(n_witness):
+            q = np.add(operators._backup((model,), (1.0,), params, q), sigma, out=iterates[n])
+        witness = np.abs(iterates[:n_witness] - q_star).max(axis=(1, 2))
+        exact = _envelope(0.0, np.full(n_witness, sigma), gamma)
+        max_violation = max(max_violation, float(np.abs(witness - exact).max()))
+    return SuiteResult("error_budget", n_configs * (n_steps + n_witness), max_violation, tol)
 
 
 # --- suite 8: regime-switch perturbation bound and its tight witness ---
@@ -554,7 +571,9 @@ def suite_piecewise_three_phase(seed: int, mutation: str | None = None) -> Suite
     bit-for-bit is checked elsewhere: ``suite_reproducibility`` reruns a
     short schedule, and ``tests/test_certify.py`` pins this trace's sha256
     and applies the same lambda_w gates to stream seeds 0-19. This suite
-    checks the one run's envelopes and lambda_w gates. The surrounding fuzz
+    checks the one run's lambda_w gates and envelopes: each detection window
+    under the switch bound delta_r / (1 - gamma) of ``regime_perturbation``,
+    then B_t = gamma * B_{t-1} from the anchor row. The surrounding fuzz
     suites take the caller's seed.
     """
     tol = 1e-9
@@ -563,29 +582,21 @@ def suite_piecewise_three_phase(seed: int, mutation: str | None = None) -> Suite
     n_delta = config.detection_steps
     trace = run_piecewise(config)
 
-    fixed_points = [mode_fixed_point(m, config.operator_params, tol=1e-12).q_star for m in config.models]
-    rows = trace.rows
+    errs = np.array([row.err for row in trace.rows])
     max_violation = 0.0
     segments = config.schedule.bounds
     for k, (seg_start, seg_end, mode) in enumerate(segments):
+        anchor = seg_start
         if k > 0:
-            prev_mode = segments[k - 1][2]
-            t_k1_at_old = apply_mode_operator(config.models[mode], config.operator_params, fixed_points[prev_mode])
-            delta_r = sup_dist(t_k1_at_old, fixed_points[prev_mode])
-            e_switch = switch_error_bound(delta_r, 0.0, 0.0, gamma)
-            detect_end = min(seg_start + n_delta, seg_end)
-            for t in range(seg_start, detect_end):
-                max_violation = max(max_violation, rows[t].err - e_switch)
-            anchor = detect_end
-        else:
-            anchor = seg_start
-        e_anchor = rows[anchor].err
-        for t in range(anchor, seg_end):
-            envelope = gamma ** (t - anchor) * e_anchor
-            max_violation = max(max_violation, rows[t].err - envelope)
+            old = config.models[segments[k - 1][2]]
+            switch = regime_perturbation(old, config.models[mode], config.operator_params, tol=1e-12)
+            anchor = min(seg_start + n_delta, seg_end)
+            max_violation = max(max_violation, float(errs[seg_start:anchor].max()) - switch.bound)
+        envelope = _envelope(errs[anchor], np.zeros(seg_end - anchor - 1), gamma)
+        max_violation = max(max_violation, float((errs[anchor + 1 : seg_end] - envelope).max()))
 
-    max_violation = _gated(max_violation, lambda_w_gates_hold(config, rows))
-    return SuiteResult("piecewise_three_phase", len(rows), max_violation, tol)
+    max_violation = _gated(max_violation, lambda_w_gates_hold(config, trace.rows))
+    return SuiteResult("piecewise_three_phase", len(errs), max_violation, tol)
 
 
 # --- suite 10: embedding losses behave and the linear fitter separates modes ---

@@ -53,7 +53,6 @@ __all__ = [
     "add_bounded_noise",
     "apply_mixture_via_shared",
     "error_floor",
-    "switch_error_bound",
 ]
 
 # solve_fixed_point reports divergence once the residual passes this cap.
@@ -510,8 +509,3 @@ def apply_mixture_via_shared(
 def error_floor(eps_proj: float, sigma: float, gamma: float) -> float:
     """Irreducible steady-state error (eps_proj + sigma) / (1 - gamma)."""
     return (eps_proj + sigma) / (1.0 - gamma)
-
-
-def switch_error_bound(delta_r: float, eps_proj: float, sigma: float, gamma: float) -> float:
-    """Worst-case error immediately after a regime switch."""
-    return (delta_r + eps_proj + sigma) / (1.0 - gamma)

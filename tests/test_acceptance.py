@@ -28,7 +28,7 @@ from pwmdp.harness.certify import (
 SEED = 0
 
 # sha256 of `pwmdp certify --seed 0`'s certification.json
-CERTIFICATION_SHA256 = "68711b5688587b5d3174bfd50fcd822947e894d431befa15dc61561fb0ceae8e"
+CERTIFICATION_SHA256 = "1f79f773c15013929ba14a6dfd1dc1dc13b3e83a0418f75f4593bc7de3c0eaa0"
 
 
 def report(number: int, name: str, suite, elapsed: float | None = None, instances: int | None = None):
@@ -78,7 +78,7 @@ def test_criterion_06_safety_monotonicity():
 
 def test_criterion_07_error_budget():
     suite = suite_error_budget(SEED)
-    report(7, "combined error budget", suite, instances=10_000)
+    report(7, "combined error budget + tight witness", suite, instances=11_000)
 
 
 def test_criterion_08_regime_perturbation():

@@ -18,12 +18,14 @@ from pwmdp.harness.certify import (
     CertificationReport,
     SuiteResult,
     _contraction_factors,
+    _envelope,
     _gated,
     lambda_w_gates_hold,
     report_to_json,
     run_certification,
     suite_contraction_certificate,
     suite_error_budget,
+    suite_piecewise_three_phase,
     suite_reproducibility,
     suite_sharp_threshold,
     three_phase_config_dict,
@@ -31,6 +33,7 @@ from pwmdp.harness.certify import (
 from pwmdp.harness.config import config_from_dict
 from pwmdp.harness.experiment import run_piecewise
 from pwmdp.harness.io import trace_to_csv_text
+from pwmdp.operators import regime_perturbation
 
 # sha256 of the canonical three-phase trace (CSV), whose lambda_w gate reads single rows
 CANONICAL_THREE_PHASE_SHA256 = "dbfa622aba9918900754ce38caf9aa350f90267086e5a41b429e9b83ac1b3d7b"
@@ -114,6 +117,17 @@ def test_a_failed_check_makes_the_violation_inf():
     assert not SuiteResult("alpha", 1, failed, TOL).passed
 
 
+def test_envelope_is_the_recursion_in_closed_form():
+    gamma, e_anchor, b = 0.9, 3.0, 0.25
+    powers = gamma ** np.arange(1, 201)
+    np.testing.assert_allclose(_envelope(e_anchor, np.zeros(200), gamma), powers * e_anchor, rtol=1e-12)
+    np.testing.assert_allclose(
+        _envelope(e_anchor, np.full(200, b), gamma),
+        powers * e_anchor + b * (1.0 - powers) / (1.0 - gamma),
+        rtol=1e-12,
+    )
+
+
 def expand_backup_kernel(monkeypatch):
     """Replace ``operators._backup`` with one that scales its P.V term by 1.001."""
     real_backup = operators._backup
@@ -126,13 +140,19 @@ def expand_backup_kernel(monkeypatch):
     monkeypatch.setattr(operators, "_backup", expanding_backup)
 
 
-def test_contraction_suite_fails_when_the_backup_kernel_expands(monkeypatch):
-    # the exact factor reads only the kernels, so only the sampled cross-check
-    # can see a backup that scales its P.V term by 1.001
-    assert suite_contraction_certificate(0).passed
+@pytest.mark.parametrize(
+    "run_suite, instances",
+    [(suite_contraction_certificate, 7500), (suite_error_budget, 11_000)],
+    ids=["contraction_certificate", "error_budget"],
+)
+def test_contraction_suite_fails_when_the_backup_kernel_expands(monkeypatch, run_suite, instances):
+    # suite 1's exact factor reads only the kernels, so only its sampled
+    # cross-check can see a backup that scales its P.V term by 1.001; suite 7's
+    # random noise stays under the envelope, so only its tight witness can
+    assert run_suite(0).passed
     expand_backup_kernel(monkeypatch)
-    suite = suite_contraction_certificate(0)
-    assert suite.tested_instances == 7500
+    suite = run_suite(0)
+    assert suite.tested_instances == instances
     assert suite.max_violation > suite.tolerance
 
 
@@ -205,6 +225,24 @@ def test_lambda_w_gates_hold_on_every_stream_seed(stream_seed):
     assert lambda_w_gates_hold(config, run_piecewise(config).rows)
 
 
+@pytest.mark.parametrize("row", [399, 201], ids=["after_anchor", "detection_window"])
+def test_piecewise_suite_fails_when_one_row_leaves_its_envelope(monkeypatch, row):
+    # segment 1 holds rows 200-399; its detection window ends at the anchor row 203
+    config = config_from_dict(three_phase_config_dict(0))
+    assert config.schedule.bounds[1][:2] == (200, 400) and config.detection_steps == 3
+    trace = run_piecewise(config)
+    rows = list(trace.rows)
+    if row == 201:
+        bound = regime_perturbation(*config.models, config.operator_params, tol=1e-12).bound
+    else:
+        bound = config.operator_params.gamma ** (row - 203) * rows[203].err
+    rows[row] = replace(rows[row], err=bound + 1e-6)
+    monkeypatch.setattr(certify, "run_piecewise", lambda config: replace(trace, rows=tuple(rows)))
+    suite = suite_piecewise_three_phase(0)
+    assert not suite.passed
+    assert suite.max_violation == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_reproducibility_suite_fails_when_a_rerun_changes_one_row(monkeypatch):
     # suite 9 certifies one run, so suite 12's rerun is the determinism check
     assert suite_reproducibility(0).passed
@@ -240,4 +278,4 @@ def test_inner_loops_call_the_backup_kernel_once_per_step(monkeypatch):
     assert len(run_piecewise(config)) == callers["run_piecewise"] == 600
     suite = suite_error_budget(0)
     assert suite.passed
-    assert callers["suite_error_budget"] == suite.tested_instances == 10_000
+    assert callers["suite_error_budget"] == suite.tested_instances == 11_000

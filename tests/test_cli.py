@@ -228,11 +228,16 @@ class TestPiecewiseCommand:
                 "config error: modes must keep the reward z-score finite: "
                 "(max R - min R) over all modes / 1e-08 overflows",
             ),
+            (
+                {"bocd": {"sigma_g": 1e308}},
+                "config error: bocd.sigma_g must keep 2 pi times the largest variance "
+                "sigma0_sq + sigma_g * (h_max - 1) finite, got a variance of inf",
+            ),
         ],
         ids=[
             "overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point",
             "reward_spread_square", "reward_spread", "reward_range_low", "rollout_reward_sum",
-            "cross_mode_reward_z_score",
+            "cross_mode_reward_z_score", "overflowing_detector_variance",
         ],
     )
     def test_mode_error_is_one_line_naming_the_field(self, raw, message, tmp_path):
