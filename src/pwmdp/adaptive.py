@@ -14,8 +14,9 @@ c_penalty``, so surprise can only make action scoring more conservative,
 never less.
 
 EMA convention throughout: ``rate`` is the *retention* of the previous
-value (rate 0.95 retains heavily, rate 0.3 adapts fast). Reversing the
-convention changes the baseline dynamics, hence this note.
+value (rate 0.95 retains heavily, rate 0.3 adapts fast, rate 0 keeps the
+new value alone). Reversing the convention changes the baseline dynamics,
+hence this note.
 
 ``AdaptiveState`` holds coefficients only: :func:`lambda_w` takes and
 returns its running baseline and spread as plain floats, which the caller
@@ -63,8 +64,9 @@ class AdaptiveState:
     """Coefficients of the penalty chain.
 
     baseline_ema_rate is the retention of :func:`lambda_w`'s baseline and
-    spread; surprise_ema_rate is the retention at which ``run_piecewise``
-    smooths the fused surprise, if asked to.
+    spread, in (0, 1); surprise_ema_rate is the retention at which
+    ``run_piecewise`` smooths the fused surprise, in [0, 1), where 0 leaves
+    it unsmoothed.
     """
 
     beta_base: float = -2.0
@@ -75,10 +77,10 @@ class AdaptiveState:
     def __post_init__(self):
         if self.c_penalty < 0.0:
             raise ValueError(f"c_penalty must be >= 0, got {self.c_penalty}")
-        for name in ("baseline_ema_rate", "surprise_ema_rate"):
-            r = getattr(self, name)
-            if not 0.0 < r < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {r}")
+        if not 0.0 < self.baseline_ema_rate < 1.0:
+            raise ValueError(f"baseline_ema_rate must lie in (0, 1), got {self.baseline_ema_rate}")
+        if not 0.0 <= self.surprise_ema_rate < 1.0:
+            raise ValueError(f"surprise_ema_rate must lie in [0, 1), got {self.surprise_ema_rate}")
 
 
 def surprise(reward_z: float, q_std_ratio: float, kappa_div: float, weights: SurpriseWeights) -> float:
@@ -103,10 +105,10 @@ def ema_update(prev: float | None, x: float, rate: float) -> float:
     """rate * prev + (1 - rate) * x; rate is retention of the previous value.
 
     ``prev`` None means no observation yet: the first one seeds the average
-    with itself, as ``ema_update(x, x, rate)``.
+    with itself, as ``ema_update(x, x, rate)``. Rate 0 returns ``x``.
     """
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate must lie in (0, 1), got {rate}")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"rate must lie in [0, 1), got {rate}")
     if prev is None:
         prev = x
     return rate * prev + (1.0 - rate) * x

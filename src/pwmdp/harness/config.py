@@ -54,7 +54,7 @@ class MetastabilityWarning(UserWarning):
 
 
 class Field(NamedTuple):
-    kind: type  # int, float, bool or str; list or dict: a structured field that _resolve reads
+    kind: type  # int, float or str; list: a structured field that _resolve reads
     default: object
     ok: Callable[[object], bool] | None = None  # the range, unless the receiving object checks it
     range: str = ""  # the range in words, for error messages and README
@@ -95,19 +95,20 @@ FIELDS: dict[str, Field] = {
     "operator.gamma": Field(float, 0.99, *_POLISH_HORIZON),
     "operator.lambda_epi": Field(float, 0.01),
     "operator.kappa": Field(float, 0.0),
-    "bocd.h_max": Field(int, 20),
-    "bocd.hazard": Field(float, 0.05),
-    "bocd.sigma0_sq": Field(float, 0.1),
-    "bocd.sigma_g": Field(float, 0.05),
-    "surprise.w_r": Field(float, 0.5),
-    "surprise.w_q": Field(float, 0.3),
-    "surprise.w_kappa": Field(float, 0.2),
-    "surprise.clip_max": Field(float, 10.0, *_FINITE_SQUARE),
-    "adaptive.beta_base": Field(float, -2.0),
-    "adaptive.c_penalty": Field(float, 0.5),
-    "adaptive.baseline_ema_rate": Field(float, 0.95),
-    "adaptive.surprise_ema_rate": Field(float, 0.3),
-    "adaptive.smooth_surprise": Field(bool, True),
+    # the receiving classes hold these defaults, so the config and the API cannot disagree
+    "bocd.h_max": Field(int, BOCDParams.h_max),
+    "bocd.hazard": Field(float, BOCDParams.hazard),
+    "bocd.sigma0_sq": Field(float, BOCDParams.sigma0_sq),
+    "bocd.sigma_g": Field(float, BOCDParams.sigma_g),
+    "surprise.w_r": Field(float, SurpriseWeights.w_r),
+    "surprise.w_q": Field(float, SurpriseWeights.w_q),
+    "surprise.w_kappa": Field(float, SurpriseWeights.w_kappa),
+    "surprise.clip_max": Field(float, SurpriseWeights.clip_max, *_FINITE_SQUARE),
+    "adaptive.beta_base": Field(float, AdaptiveState.beta_base),
+    "adaptive.c_penalty": Field(float, AdaptiveState.c_penalty),
+    "adaptive.baseline_ema_rate": Field(float, AdaptiveState.baseline_ema_rate),
+    # 0 leaves the fused surprise unsmoothed
+    "adaptive.surprise_ema_rate": Field(float, AdaptiveState.surprise_ema_rate),
     "partition": Field(list, None),
     "noise_sigma": Field(float, 0.0, *_NOISE_WIDTH),
     "n_ensemble": Field(int, 10, lambda v: v >= 2, "must be >= 2"),
@@ -121,9 +122,8 @@ FIELDS: dict[str, Field] = {
     "detection_policy": Field(
         str, "stale", lambda v: v in ("stale", "hold"), "must be 'stale' or 'hold'"
     ),
-    # null loads as one cluster at stickiness 1; an object's fields are the joint.* rows
-    "joint": Field(dict, None),
-    "joint.n_clusters": Field(int, 4, lambda v: v >= 1, "must be >= 1"),
+    # one cluster is the plain run-length posterior, where stickiness has no effect
+    "joint.n_clusters": Field(int, 1, lambda v: v >= 1, "must be >= 1"),
     "joint.stickiness": Field(float, 0.6, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "out_dir": Field(str, "out"),
     "format": Field(str, "csv", lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
@@ -134,12 +134,10 @@ _SECTIONS = {path.split(".")[0] for path in FIELDS if "." in path}
 
 
 def _defaults() -> dict:
-    """The table's defaults, nested; a section with a row of its own (joint) takes that row's."""
+    """The table's defaults, nested by section."""
     config: dict = {}
     for path, field in FIELDS.items():
         section, _, key = path.rpartition(".")
-        if section in FIELDS:
-            continue
         (config.setdefault(section, {}) if section else config)[key] = copy.deepcopy(field.default)
     return config
 
@@ -164,7 +162,6 @@ class ExperimentConfig:
     bocd_params: BOCDParams
     surprise_weights: SurpriseWeights
     adaptive_template: AdaptiveState
-    smooth_surprise: bool
     partition: StatePartition | None
     noise_sigma: float
     n_ensemble: int
@@ -208,17 +205,13 @@ def _float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-def _exactly(kind: type, what: str):
-    def read(value, name: str):
-        if isinstance(value, kind):
-            return value
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-    return read
+def _str(value, name: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{name} must be a string, got {value!r}")
 
 
-_READERS = {int: _int, float: _float, bool: _exactly(bool, "true or false")}
-_READERS[str] = _exactly(str, "a string")
+_READERS = {int: _int, float: _float, str: _str}
 # Top-level scalar fields that ExperimentConfig holds under the same name.
 _SCALAR_ATTRIBUTES = [
     f.name for f in fields(ExperimentConfig) if f.name in FIELDS and FIELDS[f.name].kind in _READERS
@@ -238,12 +231,12 @@ def _leaves(raw, section: str = "") -> dict:
     unknown = []
     for key, value in _object(raw, where).items():
         path = f"{section}.{key}" if section else key
-        field = FIELDS.get(path)
-        if path in _SECTIONS and not (value is None and field is not None):
+        if path in _SECTIONS:
             out.update(_leaves(value, path))
+            continue
+        field = FIELDS.get(path)
         if field is None:
-            if path not in _SECTIONS:
-                unknown.append(key)
+            unknown.append(key)
             continue
         if field.kind in _READERS:
             value = _READERS[field.kind](value, path)
@@ -339,8 +332,7 @@ def _resolve(values: dict) -> ExperimentConfig:
     n_states, n_actions = values["n_states"], values["n_actions"]
     table = n_states * n_actions if min(n_states, n_actions) >= 1 else 0
     h_max, n_ensemble = values["bocd.h_max"], values["n_ensemble"]
-    joint = (JointSettings(n_clusters=1, stickiness=1.0) if values["joint"] is None
-             else JointSettings(**_section(values, "joint")))
+    joint = _build("joint", JointSettings, _section(values, "joint"))
     with _naming("schedule: "):
         schedule = PiecewiseSchedule(tuple(
             (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]
@@ -408,16 +400,13 @@ def _resolve(values: dict) -> ExperimentConfig:
             )
             partition = StatePartition(n_states, blocks)
 
-    adaptive = _section(values, "adaptive")
-    smooth_surprise = adaptive.pop("smooth_surprise")
     return ExperimentConfig(
         models=tuple(models),
         schedule=schedule,
         operator_params=operator_params,
         bocd_params=_build("bocd", BOCDParams, _section(values, "bocd")),
         surprise_weights=_build("surprise", SurpriseWeights, _section(values, "surprise")),
-        adaptive_template=_build("adaptive", AdaptiveState, adaptive),
-        smooth_surprise=smooth_surprise,
+        adaptive_template=_build("adaptive", AdaptiveState, _section(values, "adaptive")),
         partition=partition,
         joint=joint,
         **{name: values[name] for name in _SCALAR_ATTRIBUTES},

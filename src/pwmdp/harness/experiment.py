@@ -7,14 +7,14 @@ chain runs alongside:
   1. the true regime follows the schedule;
   2. a fused surprise is computed from three tabular channels (rollout
      reward z-score, noisy-ensemble Q-std ratio, penalty-trace drift):
-     ``adaptive.surprise`` checks and fuses them, and, if
-     ``smooth_surprise`` is set, ``ema_update`` smooths the result as it
-     smooths the channel statistics;
+     ``adaptive.surprise`` checks and fuses them, and ``ema_update``
+     smooths the result at ``adaptive.surprise_ema_rate`` (0 keeps it as
+     fused), as it smooths the channel statistics;
   3. the joint (run-length x regime-cluster) filter absorbs the surprise,
-     with the surprise channels assigned to a cluster first; with
-     ``joint`` null it has one cluster, and its run-length marginal is the
-     plain run-length posterior. The posterior, the centroids and their
-     counts stay plain arrays for the whole run, stepped by ``bocd``'s
+     with the surprise channels assigned to a cluster first; with one
+     cluster (``joint.n_clusters`` 1, the default) its run-length marginal
+     is the plain run-length posterior. The posterior, the centroids and
+     their counts stay plain arrays for the whole run, stepped by ``bocd``'s
      private helpers (``_assign``; ``_filter_step``, the kernel of
      ``joint_step``; ``_mean_run_length`` and ``_entropy``), so no belief
      object is built per iteration;
@@ -296,8 +296,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         kappa_ema = ema_update(kappa_ema, kappa_t, config.stat_ema_rate)
 
         xi = surprise(reward_z, q_std_ratio, kappa_div, config.surprise_weights)
-        if config.smooth_surprise:
-            xi = surprise_ema = ema_update(surprise_ema, xi, adaptive.surprise_ema_rate)
+        xi = surprise_ema = ema_update(surprise_ema, xi, adaptive.surprise_ema_rate)
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
         z_now = _assign(np.array([reward_z, q_std_ratio, kappa_div]), centroids, counts)

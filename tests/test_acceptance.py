@@ -24,6 +24,7 @@ from pwmdp.harness.certify import (
     suite_shared_critic_equivalence,
     suite_simplex_preservation,
 )
+from pwmdp.harness.cli import main
 
 SEED = 0
 
@@ -105,20 +106,24 @@ def test_criterion_11_shared_critic_equivalence():
 
 
 class TestCriterion12Reproducibility:
-    """certify is byte-reproducible and injected mutations force exit code 2."""
+    """certify is byte-reproducible and injected mutations force exit code 2.
+
+    Byte identity needs fresh interpreters, so the two clean runs are
+    subprocesses; a mutation's exit code and failing suite show in process.
+    """
 
     @staticmethod
-    def run_certify(tmp_path, name, *extra):
+    def run_certify(tmp_path, name):
         out = tmp_path / name
         result = subprocess.run(
-            [sys.executable, "-m", "pwmdp", "certify", "--seed", "0", "--out", str(out), *extra],
+            [sys.executable, "-m", "pwmdp", "certify", "--seed", "0", "--out", str(out)],
             capture_output=True,
             text=True,
             timeout=600,
         )
         return result, out / "certification.json"
 
-    def test_certify_byte_identical_and_mutations_exit_2(self, tmp_path):
+    def test_certify_byte_identical_and_mutations_exit_2(self, tmp_path, capsys):
         result_a, report_a = self.run_certify(tmp_path, "a")
         result_b, report_b = self.run_certify(tmp_path, "b")
         assert result_a.returncode == 0, result_a.stdout + result_a.stderr
@@ -133,12 +138,15 @@ class TestCriterion12Reproducibility:
         }
         mutation_codes = {}
         for mutation, suite_name in expected_failures.items():
-            result, path = self.run_certify(tmp_path, mutation, "--inject-mutation", mutation)
-            mutation_codes[mutation] = result.returncode
-            payload = json.loads(path.read_text())
+            out = tmp_path / mutation
+            mutation_codes[mutation] = main(
+                ["certify", "--seed", "0", "--out", str(out), "--inject-mutation", mutation]
+            )
+            payload = json.loads((out / "certification.json").read_text())
             assert payload["passed"] is False
             failed = [s["name"] for s in payload["suites"] if not s["passed"]]
             assert suite_name in failed, f"{mutation}: expected {suite_name} in {failed}"
+        capsys.readouterr()  # the mutated runs' PASS/FAIL lines
 
         passed = identical and all(code == 2 for code in mutation_codes.values())
         status = "PASS" if passed else "FAIL"

@@ -79,13 +79,17 @@ class TestEmaUpdate:
         with pytest.raises(ValueError):
             ema_update(0.0, 1.0, 1.0)
 
+    def test_rate_zero_keeps_the_new_value(self):
+        for prev, x in ((None, 2.5), (7.0, -0.125), (1e300, 3.0)):
+            assert ema_update(prev, x, 0.0).hex() == x.hex()
+
     def test_none_seeds_with_the_first_observation(self):
         rng = np.random.default_rng(3)
         for x, rate in zip(rng.uniform(-1e3, 1e3, 200), rng.uniform(0.01, 0.99, 200)):
             seeded = ema_update(None, float(x), float(rate))
             assert seeded.hex() == ema_update(float(x), float(x), float(rate)).hex()
 
-    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("rate", [float("inf"), 1.0, -0.5, float("nan")])
     def test_rate_checked_before_the_first_observation(self, rate):
         with pytest.raises(ValueError, match="rate must lie in"):
             ema_update(None, 1.0, rate)
@@ -194,45 +198,52 @@ class TestBetaEff:
             beta_eff(AdaptiveState(), -0.1)
 
 
-def _loop_xis(smooth, rate):
-    # the surprise run_piecewise records on a small two-mode schedule
+def _loop_xis(rate):
+    # the surprise run_piecewise records on a small two-mode schedule; rate 0 records it raw
     config = config_from_dict({
         "n_states": 4,
         "n_actions": 2,
         "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 1.5}],
         "schedule": [[0, 40], [1, 40]],
         "operator": {"gamma": 0.8},
-        "adaptive": {"smooth_surprise": smooth, "surprise_ema_rate": rate},
+        "adaptive": {"surprise_ema_rate": rate},
     })
     return [row.xi for row in run_piecewise(config).rows]
 
 
 class TestSurpriseEma:
+    def test_only_the_surprise_retention_may_be_zero(self):
+        assert AdaptiveState(surprise_ema_rate=0.0).surprise_ema_rate == 0.0
+        with pytest.raises(ValueError, match="baseline_ema_rate must lie in"):
+            AdaptiveState(baseline_ema_rate=0.0)
+        with pytest.raises(ValueError, match="surprise_ema_rate must lie in"):
+            AdaptiveState(surprise_ema_rate=1.0)
+
     def test_first_observation_seeds(self):
         assert ema_update(None, 2.0, AdaptiveState().surprise_ema_rate) == 2.0
         # the loop's smoothed surprise starts at the first raw reading
-        assert _loop_xis(True, 0.3)[0] == _loop_xis(False, 0.3)[0]
+        assert _loop_xis(0.3)[0] == _loop_xis(0.0)[0]
 
     def test_smoothing_convention(self):
         state = AdaptiveState(surprise_ema_rate=0.3)
         smoothed = ema_update(1.0, 2.0, state.surprise_ema_rate)
         assert smoothed == pytest.approx(0.3 * 1.0 + 0.7 * 2.0)
-        raw, smoothed = _loop_xis(False, 0.3), _loop_xis(True, 0.3)
+        raw, smoothed = _loop_xis(0.0), _loop_xis(0.3)
         assert smoothed[1] == pytest.approx(0.3 * raw[0] + 0.7 * raw[1])
 
 
 class TestLoopSmoothing:
     def test_smoothed_xi_is_the_ema_of_the_raw_xi(self):
-        # the raw surprise never feeds the iterate, so the unsmoothed run
+        # the raw surprise never feeds the iterate, so the run at rate 0
         # records the very sequence that the smoothed run averages
         rate = 0.6
-        xis = {smooth: _loop_xis(smooth, rate) for smooth in (False, True)}
+        raw, smoothed = _loop_xis(0.0), _loop_xis(rate)
         expected, prev = [], None
-        for xi in xis[False]:
+        for xi in raw:
             prev = ema_update(prev, xi, rate)
             expected.append(prev.hex())
-        assert [xi.hex() for xi in xis[True]] == expected
-        assert xis[True] != xis[False]
+        assert [xi.hex() for xi in smoothed] == expected
+        assert smoothed != raw
 
 
 class TestClosedLoop:

@@ -9,6 +9,7 @@ import pytest
 from pwmdp import (
     BOCDParams,
     DegenerateBeliefError,
+    JointBelief,
     RunLengthBelief,
     bayes_update,
     bocd_step,
@@ -498,6 +499,14 @@ class TestParamValidation:
             RunLengthBelief(np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             RunLengthBelief(np.array([1.1, -0.1]))
+        assert JointBelief(np.full((4, 2), 0.125)).probs.shape == (4, 2)
+        for shape in ((8,), (1, 8), (8, 0)):  # not (h_max >= 2, n_clusters >= 1)
+            with pytest.raises(ValueError, match="joint belief must be"):
+                JointBelief(np.full(shape, 1.0 / 8))
+        with pytest.raises(ValueError):
+            JointBelief(np.full((4, 2), 0.1))
+        with pytest.raises(ValueError):
+            JointBelief(np.array([[1.1, 0.0], [0.0, -0.1]]))
 
     def test_defaults_match_reference_settings(self):
         assert PARAMS.h_max == 20

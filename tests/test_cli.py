@@ -30,6 +30,21 @@ CLI = [sys.executable, "-m", "pwmdp"]
 PHASE_MAP_SHA256 = "047c8d53822c880bd5757c74e537aa8166b86d4d74f80b7385a25cada6cc86ef"
 CONTEXT_MAP_SHA256 = "3f12921064ffbc3e86338913fb534a28efaba2bb271e8c56d8cbbc902133ecaf"
 
+# A regime given by its tables at the default 6 x 3 sizes.
+TABLE_MODE = {
+    key: getattr(make_random_mode(2, 6, 3), key).tolist() for key in ("reward", "kernel", "gamma_epi")
+}
+
+
+def table_mode_with(key: str, entry: tuple, value: float) -> dict:
+    """TABLE_MODE with one entry of one of its tables replaced by ``value``."""
+    mode = copy.deepcopy(TABLE_MODE)
+    target = mode[key]
+    for index in entry[:-1]:
+        target = target[index]
+    target[entry[-1]] = value
+    return mode
+
 
 def written_sha256(argv, out: Path, name: str) -> str:
     """Run the CLI in process with ``--out out`` and hash the file it wrote."""
@@ -140,7 +155,8 @@ class TestPiecewiseCommand:
             {"joint": {"n_clusters": "x"}},
             {"modes": [{"seed": "x"}]},
             {"rollout_len": float("inf")},  # JSON Infinity: int() overflows
-            {"adaptive": {"smooth_surprise": "false"}},  # bool("false") is True
+            # a retired field: unknown under any value
+            {"adaptive": {"smooth_surprise": "false"}},
             {"adaptive": {"smooth_surprise": 0}},
             {"adaptive": {"smooth_surprise": None}},
             {"n_states": 6.9},  # int() would truncate to 6
@@ -233,11 +249,29 @@ class TestPiecewiseCommand:
                 "config error: bocd.sigma_g must keep 2 pi times the largest variance "
                 "sigma0_sq + sigma_g * (h_max - 1) finite, got a variance of inf",
             ),
+            # json.load reads NaN and Infinity in an explicit table
+            (
+                {"modes": [{"seed": 1}, table_mode_with("reward", (0, 0), math.nan)]},
+                "config error: modes[1] invalid: reward[0,0] is not finite",
+            ),
+            (
+                {"modes": [{"seed": 1}, table_mode_with("kernel", (3, 1, 5), math.inf)]},
+                "config error: modes[1] invalid: kernel[3,1,5] is not finite",
+            ),
+            (
+                {"modes": [{"seed": 1}, table_mode_with("gamma_epi", (4, 1), math.nan)]},
+                "config error: modes[1] invalid: gamma_epi[4,1] is not finite",
+            ),
+            (
+                {"n_states": 4, "modes": [{"seed": 1}, TABLE_MODE]},
+                "config error: modes[1] has shape (6, 3), config says (4, 3)",
+            ),
         ],
         ids=[
             "overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point",
             "reward_spread_square", "reward_spread", "reward_range_low", "rollout_reward_sum",
             "cross_mode_reward_z_score", "overflowing_detector_variance",
+            "nan_reward_table", "infinite_kernel_table", "nan_penalty_table", "table_shape",
         ],
     )
     def test_mode_error_is_one_line_naming_the_field(self, raw, message, tmp_path):
@@ -286,7 +320,7 @@ class TestPiecewiseCommand:
                 {
                     "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 500.0}],
                     "surprise": {"clip_max": 1e308, "w_r": 1e300},
-                    "adaptive": {"smooth_surprise": False},
+                    "adaptive": {"surprise_ema_rate": 0},
                 }
             )
         )
@@ -306,7 +340,7 @@ class TestPiecewiseCommand:
                 {
                     "modes": [{"seed": 1}, {"seed": 2, "reward_shift": 500.0}],
                     "surprise": {"clip_max": 1000.0, "w_r": 1.0},
-                    "adaptive": {"smooth_surprise": False},
+                    "adaptive": {"surprise_ema_rate": 0},
                 }
             )
         )
@@ -395,8 +429,18 @@ class TestPiecewiseCommand:
              "reward_range must have low <= high and a finite high - low, got [1.0, -1.0]"),
             ({"reward_range": [-1e308, 1e308]},
              "reward_range must have low <= high and a finite high - low, got [-1e+308, 1e+308]"),
+            # retired spellings: joint null was one cluster, smooth_surprise false a
+            # surprise_ema_rate of 0
+            ({"joint": None}, "joint must be an object, got NoneType"),
+            *[
+                ({"adaptive": {"smooth_surprise": value}},
+                 "unknown field(s) ['smooth_surprise'] under 'adaptive'")
+                for value in (False, "false", 0, None)
+            ],
         ],
-        ids=["negative_mode_seed", "reversed_reward_range", "overflowing_reward_range"],
+        ids=["negative_mode_seed", "reversed_reward_range", "overflowing_reward_range",
+             "null_joint", "smooth_surprise_false", "smooth_surprise_text", "smooth_surprise_int",
+             "smooth_surprise_null"],
     )
     def test_config_leaf_error_names_its_field(self, raw, message, tmp_path, capsys):
         # numpy's own messages named neither modes[0].seed nor reward_range
@@ -418,19 +462,13 @@ class TestPiecewiseCommand:
 FUZZ_VALUES = {
     float: (0, -0.0, 1e-320, 1e-300, 1 - 1e-9, 1e300, 1.7e308, -1.0, -1e300, True, "0.5"),
     int: (0, -0.0, 1, 2, -1, 1e300, 1.7e308, True, "3"),
-    bool: (True, False, 0, "true"),
     str: ("", "hold", "json", 0),
     list: (None, [], [[0]], "0"),
-    dict: (None, {}, {"n_clusters": 2}, []),
 }
 FUZZ_SHIFTS = (1e20, 1e100, 1e200, -1e150)
-# A regime given by its tables at the default 6 x 3 sizes; a leaf of one of
-# its tables makes mode 1 this regime first.
-TABLE_MODE = {
-    key: getattr(make_random_mode(2, 6, 3), key).tolist() for key in ("reward", "kernel", "gamma_epi")
-}
 # Leaves inside the structured fields: (field, its value where the base config
-# has none, index path of the leaf, kind); the kind picks the FUZZ_VALUES.
+# has none, index path of the leaf, kind); the kind picks the FUZZ_VALUES. A leaf
+# of one of TABLE_MODE's tables makes mode 1 that regime first.
 STRUCTURED_LEAVES = (
     [("schedule", None, (k, j), int) for k in range(2) for j in range(2)]
     + [("modes", None, (i, key), kind) for i in range(2)

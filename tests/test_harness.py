@@ -173,7 +173,7 @@ class TestConfig:
     def test_every_default_passes_its_own_field_checks(self):
         for path, field in FIELDS.items():
             # defaults are not read, so each scalar's must already have its kind
-            assert field.kind in (list, dict) or type(field.default) is field.kind, path
+            assert field.kind is list or type(field.default) is field.kind, path
             section, _, key = path.rpartition(".")
             raw = {section: {key: field.default}} if section else {key: field.default}
             config_from_dict(raw)
@@ -181,10 +181,8 @@ class TestConfig:
     def test_default_config_is_the_field_table_nested(self):
         for path, field in FIELDS.items():
             section, _, key = path.rpartition(".")
-            if section != "joint":  # null by default; its fields apply once it is an object
-                nested = DEFAULT_CONFIG[section] if section else DEFAULT_CONFIG
-                assert nested[key] == field.default
-        assert DEFAULT_CONFIG["joint"] is None
+            nested = DEFAULT_CONFIG[section] if section else DEFAULT_CONFIG
+            assert nested[key] == field.default
         config_from_dict(DEFAULT_CONFIG)  # no field outside the table
 
     @pytest.mark.parametrize(
@@ -280,8 +278,7 @@ def readme_defaults_table() -> str:
     """README's defaults table, rendered from the field table."""
     rows = ["| field | kind | default | range checked at load |", "|---|---|---|---|"]
     for path, field in FIELDS.items():
-        kind = "object" if field.kind is dict else field.kind.__name__
-        rows.append(f"| `{path}` | {kind} | `{json.dumps(field.default)}` | {field.range} |")
+        rows.append(f"| `{path}` | {field.kind.__name__} | `{json.dumps(field.default)}` | {field.range} |")
     return "\n".join(rows) + "\n"
 
 
@@ -406,13 +403,15 @@ class TestRunPiecewise:
         assert len(trace) == 80
         assert all(np.isfinite(r.h_bar) and np.isfinite(r.entropy) for r in trace.rows)
 
-    def test_null_joint_is_the_one_cluster_filter(self):
-        # joint: null runs the one-cluster joint filter, where stickiness has no effect
-        plain = run_piecewise(config_from_dict(small_config_dict()))
-        one_cluster = run_piecewise(
-            config_from_dict(small_config_dict(joint={"n_clusters": 1, "stickiness": 0.6}))
+    def test_default_joint_is_the_one_cluster_filter(self):
+        # the default detector has one cluster, where stickiness has no effect
+        default = config_from_dict(small_config_dict())
+        assert default.joint.n_clusters == 1
+        plain = run_piecewise(default)
+        sticky = run_piecewise(
+            config_from_dict(small_config_dict(joint={"n_clusters": 1, "stickiness": 1.0}))
         )
-        assert trace_to_csv_text(plain) == trace_to_csv_text(one_cluster)
+        assert trace_to_csv_text(plain) == trace_to_csv_text(sticky)
         # ... and its run-length marginal is the plain run-length posterior, bit for bit
         h_max = BOCDParams().h_max
         belief = np.full((1, h_max), 1.0 / h_max)
