@@ -32,11 +32,10 @@ from .bocd import (
 )
 from .context import (
     ContextLossConfig,
-    EmbeddingBatch,
-    consistency_loss,
     context_loss,
     diversity_loss,
     fit_linear_context,
+    mode_means,
 )
 from .mdp import (
     KERNEL_ROW_TOL,

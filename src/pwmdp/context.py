@@ -11,18 +11,16 @@ the loss behavior, not a performance model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import _frozen_array
-
 __all__ = [
-    "EmbeddingBatch",
     "ContextLossConfig",
     "ContextLoss",
-    "consistency_loss",
+    "mode_means",
     "diversity_loss",
     "context_loss",
     "encode",
@@ -50,43 +48,30 @@ class ContextLossConfig:
     d_e: int = 2
 
     def __post_init__(self):
-        if self.w_cons < 0.0 or self.w_div < 0.0:
-            raise ValueError("loss weights must be >= 0")
-        if self.r_rbf <= 0.0:
-            raise ValueError(f"r_rbf must be > 0, got {self.r_rbf}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.d_e < 1:
-            raise ValueError(f"d_e must be >= 1, got {self.d_e}")
+        for name in ("w_cons", "w_div", "r_rbf", "eps"):
+            value, weight = getattr(self, name), name.startswith("w_")
+            if not (math.isfinite(value) and (value >= 0.0 if weight else value > 0.0)):
+                raise ValueError(f"{name} must be finite and {'>= 0' if weight else '> 0'}, got {value}")
+        if not isinstance(self.d_e, (int, np.integer)) or isinstance(self.d_e, bool) or self.d_e < 1:
+            raise ValueError(f"d_e must be an integer >= 1, got {self.d_e!r}")
 
 
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """Embedding vectors with their regime labels.
-
-    Vectors are expected to come out of :func:`encode`, which soft-normalizes
-    them; only shape and finiteness are enforced here so partially trained
-    encoders (whose outputs sit inside the unit ball) can still be scored.
-    """
-
-    vectors: np.ndarray   # (n_samples, d_e)
-    mode_ids: np.ndarray  # (n_samples,) int
-
-    def __post_init__(self):
-        v = _frozen_array(self.vectors)
-        m = _frozen_array(self.mode_ids, dtype=int)
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "mode_ids", m)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError(f"vectors must be (n_samples, d_e), got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("vectors contain non-finite entries")
-        if m.shape != (v.shape[0],):
-            raise ValueError(f"mode_ids shape {m.shape} does not match {v.shape[0]} samples")
-
-    def mode_means(self) -> np.ndarray:
-        """Per-regime mean embeddings, ordered by ascending mode id."""
-        return _mode_means(_regimes(self.vectors, self.mode_ids))
+def _labeled(values, mode_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Finite float (n, d) ``values``, n >= 1, and their (n,) int labels, refusing any label not whole."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] < 1:
+        raise ValueError(f"labeled values must be (n, d) with n >= 1, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("labeled values contain non-finite entries")
+    ids = np.asarray(mode_ids)
+    if ids.shape != (values.shape[0],):
+        raise ValueError(f"mode_ids shape {ids.shape} does not match {values.shape[0]} rows")
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats cast to garbage, refused below
+        labels = ids.astype(int) if ids.dtype.kind in "iuf" else None
+    if labels is None or not (labels == ids).all():
+        bad = ids if labels is None else ids[labels != ids]
+        raise ValueError(f"mode_ids must be whole numbers, got {bad[0]}")
+    return values, labels
 
 
 class ContextLoss(NamedTuple):
@@ -96,7 +81,7 @@ class ContextLoss(NamedTuple):
 
 
 # The losses are computed once, on a (K, n, d_e) stack of K embedding sets that
-# share their regime labels; the public functions below are the K = 1 case.
+# share their regime labels: the fitter scores a stack of maps, context_loss one set.
 
 def _regimes(vectors: np.ndarray, mode_ids: np.ndarray) -> dict:
     """{mode id: its (..., n_m, d_e) embeddings} by ascending id, as C-ordered copies.
@@ -115,7 +100,7 @@ def _mode_means(regimes: dict) -> np.ndarray:
 
 
 def _consistency(regimes: dict, eps: float) -> np.ndarray:
-    """(K,) consistency losses of (K, n_m, d_e) regimes: see :func:`consistency_loss`."""
+    """(K,) consistency losses of (K, n_m, d_e) regimes: see :func:`context_loss`."""
     terms = []
     for m, group in regimes.items():
         if group.shape[1] < 2:
@@ -124,11 +109,11 @@ def _consistency(regimes: dict, eps: float) -> np.ndarray:
     return np.stack(terms, axis=1).mean(axis=1)
 
 
-def _diversity(mode_means: np.ndarray, r_rbf: float, eps: float) -> np.ndarray:
+def _diversity(means: np.ndarray, r_rbf: float, eps: float) -> np.ndarray:
     """(K,) diversity losses of a (K, M, d_e) stack of regime means: see :func:`diversity_loss`."""
-    diff = mode_means[:, :, None, :] - mode_means[:, None, :, :]
+    diff = means[:, :, None, :] - means[:, None, :, :]
     sq = np.einsum("bijk,bijk->bij", diff, diff)
-    kernel = np.exp(-r_rbf * sq) + eps * np.eye(mode_means.shape[1])
+    kernel = np.exp(-r_rbf * sq) + eps * np.eye(means.shape[1])
     chol = np.linalg.cholesky(kernel)
     return -(2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
 
@@ -143,39 +128,38 @@ def _context_losses(
     return config.w_cons * cons + config.w_div * div, cons, div
 
 
-def consistency_loss(batch: EmbeddingBatch, eps: float = 1e-6) -> float:
-    """Mean per-regime embedding spread.
-
-    Per regime, sqrt(sum of the per-dimension variances + eps), so identical
-    embeddings in every group give exactly sqrt(eps). Every regime needs at
-    least two samples.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return float(_consistency(_regimes(batch.vectors[None], batch.mode_ids), eps)[0])
+def mode_means(vectors: np.ndarray, mode_ids: np.ndarray) -> np.ndarray:
+    """(M, d_e) per-regime mean embeddings, ordered by ascending mode id."""
+    return _mode_means(_regimes(*_labeled(vectors, mode_ids)))
 
 
-def diversity_loss(mode_means: np.ndarray, r_rbf: float = 2.0, eps: float = 1e-6) -> float:
-    """Negative log-determinant of the RBF kernel over regime means.
+def diversity_loss(means: np.ndarray, config: ContextLossConfig) -> float:
+    """Negative log-determinant of the RBF kernel over (M, d_e) regime means.
 
     K_ij = exp(-r_rbf * ||m_i - m_j||^2) + eps * 1[i == j]; the jitter keeps
     K positive definite, so the determinant is positive and the loss finite.
     Computed through a Cholesky factorization (twice the log-diagonal sum).
     Smaller values mean better-separated means.
     """
-    mode_means = np.asarray(mode_means, dtype=float)
-    if mode_means.ndim != 2 or mode_means.shape[0] < 1:
-        raise ValueError(f"mode_means must be (M, d_e) with M >= 1, got {mode_means.shape}")
-    if not np.isfinite(mode_means).all():
-        raise ValueError("mode_means contain non-finite entries")
-    if r_rbf <= 0.0 or eps <= 0.0:
-        raise ValueError("r_rbf and eps must be > 0")
-    return float(_diversity(mode_means[None], r_rbf, eps)[0])
+    means = np.asarray(means, dtype=float)
+    if means.ndim != 2 or means.shape[0] < 1:
+        raise ValueError(f"means must be (M, d_e) with M >= 1, got {means.shape}")
+    if not np.isfinite(means).all():
+        raise ValueError("means contain non-finite entries")
+    return float(_diversity(means[None], config.r_rbf, config.eps)[0])
 
 
-def context_loss(batch: EmbeddingBatch, config: ContextLossConfig) -> ContextLoss:
-    """Weighted combination of consistency and diversity over a batch."""
-    losses = _context_losses(batch.vectors[None], batch.mode_ids, config)
+def context_loss(vectors: np.ndarray, mode_ids: np.ndarray, config: ContextLossConfig) -> ContextLoss:
+    """Weighted consistency and diversity of (n, d_e) embeddings labeled by regime.
+
+    Consistency is the mean per-regime spread sqrt(sum of the per-dimension
+    variances + eps), so identical embeddings in every group give exactly
+    sqrt(eps); every regime needs at least two samples. Diversity is
+    :func:`diversity_loss` of the regime means. The embeddings need only be
+    finite, so a partially trained encoder can be scored.
+    """
+    vectors, mode_ids = _labeled(vectors, mode_ids)
+    losses = _context_losses(vectors[None], mode_ids, config)
     return ContextLoss(*(float(loss[0]) for loss in losses))
 
 
@@ -216,11 +200,7 @@ def fit_linear_context(
     is never worse than the initialization. Deterministic given ``seed``.
     Raises if the loss goes non-finite.
     """
-    states, mode_ids = data
-    states = np.asarray(states, dtype=float)
-    mode_ids = np.asarray(mode_ids, dtype=int)
-    if states.ndim != 2 or states.shape[0] != mode_ids.shape[0]:
-        raise ValueError("data must be (states (n, d_s), mode_ids (n,)) with matching n")
+    states, mode_ids = _labeled(*data)
     labels, counts = np.unique(mode_ids, return_counts=True)
     if labels.size < 2:
         raise ValueError(f"need >= 2 modes, got {labels.size}")

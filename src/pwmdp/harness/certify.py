@@ -45,11 +45,11 @@ from ..bocd import (
 )
 from ..context import (
     ContextLossConfig,
-    EmbeddingBatch,
-    consistency_loss,
+    context_loss,
     diversity_loss,
     encode,
     fit_linear_context,
+    mode_means,
 )
 from ..mdp import (
     ModeModel,
@@ -620,23 +620,18 @@ def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
     max_violation = 0.0
     # diversity strictly decreases as two means separate
     seps = np.linspace(0.0, 3.0, 20)
-    losses = [
-        diversity_loss(np.array([[0.0, 0.0], [d, 0.0]]), config.r_rbf, config.eps)
-        for d in seps
-    ]
+    losses = [diversity_loss(np.array([[0.0, 0.0], [d, 0.0]]), config) for d in seps]
     for a, b in zip(losses, losses[1:]):
         max_violation = max(max_violation, b - a)  # must be strictly negative
     strictly_decreasing = all(b < a for a, b in zip(losses, losses[1:]))
     # identical embeddings per mode -> consistency is exactly sqrt(eps)
     vec = np.array([0.6, 0.8])
-    batch = EmbeddingBatch(np.stack([vec, vec, -vec, -vec]), np.array([0, 0, 1, 1]))
-    cons = consistency_loss(batch, eps=config.eps)
+    cons = context_loss(np.stack([vec, vec, -vec, -vec]), np.array([0, 0, 1, 1]), config).consistency
     max_violation = max(max_violation, abs(cons - math.sqrt(config.eps)))
     # the linear fitter separates a separable dataset on the unit sphere
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=150, lr=0.1, seed=seed)
-    fitted = EmbeddingBatch(encode(weights, states), mode_ids)
-    means = fitted.mode_means()
+    means = mode_means(encode(weights, states), mode_ids)
     distance = float(np.linalg.norm(means[0] - means[1]))
     max_violation = _gated(max_violation, strictly_decreasing, distance >= 0.5)
     return SuiteResult("context_losses", len(seps) + 2, max_violation, tol)

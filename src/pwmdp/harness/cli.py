@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..context import ContextLossConfig, EmbeddingBatch, context_loss, encode, fit_linear_context
+from ..context import ContextLossConfig, context_loss, encode, fit_linear_context, mode_means
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
 from .config import MAX_KERNEL_ENTRIES, load_config
 from .experiment import run_piecewise
@@ -210,9 +210,9 @@ def _cmd_demo(args) -> int:
     config = ContextLossConfig()
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=steps, lr=args.lr, seed=seed)
-    batch = EmbeddingBatch(encode(weights, states), mode_ids)
-    loss = context_loss(batch, config)
-    means = batch.mode_means()
+    vectors = encode(weights, states)
+    loss = context_loss(vectors, mode_ids, config)
+    means = mode_means(vectors, mode_ids)
     distance = float(np.linalg.norm(means[0] - means[1]))
     out = _out_dir(args)
     payload = {

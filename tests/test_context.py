@@ -7,11 +7,10 @@ import pytest
 
 from pwmdp import (
     ContextLossConfig,
-    EmbeddingBatch,
-    consistency_loss,
     context_loss,
     diversity_loss,
     fit_linear_context,
+    mode_means,
 )
 from pwmdp.context import _context_losses, encode
 from pwmdp.harness.certify import separable_context_dataset
@@ -60,22 +59,23 @@ class TestNormalizeEmbedding:
 class TestConsistencyLoss:
     def test_identical_embeddings_give_sqrt_eps(self):
         vec = np.array([0.3, -0.4])
-        batch = EmbeddingBatch(np.stack([vec, vec, vec, -vec, -vec]), np.array([0, 0, 0, 1, 1]))
-        assert consistency_loss(batch, eps=1e-6) == pytest.approx(math.sqrt(1e-6), abs=1e-12)
+        vectors, ids = np.stack([vec, vec, vec, -vec, -vec]), np.array([0, 0, 0, 1, 1])
+        cons = context_loss(vectors, ids, ContextLossConfig(eps=1e-6)).consistency
+        assert cons == pytest.approx(math.sqrt(1e-6), abs=1e-12)
 
     def test_spread_mode_increases_loss(self):
         tight = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         spread = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]])
         ids = np.array([0, 0, 1, 1])
-        assert consistency_loss(EmbeddingBatch(spread, ids)) > consistency_loss(
-            EmbeddingBatch(tight, ids)
+        assert (
+            context_loss(spread, ids, CONFIG).consistency
+            > context_loss(tight, ids, CONFIG).consistency
         )
 
     def test_matches_two_pass_variance_oracle(self):
         rng = np.random.default_rng(1)
         vectors = rng.uniform(-1, 1, (30, 3))
         ids = np.repeat([0, 1, 2], 10)
-        batch = EmbeddingBatch(vectors, ids)
         # independent oracle: two-pass variance, summed over dimensions
         eps = 1e-6
         terms = []
@@ -85,18 +85,18 @@ class TestConsistencyLoss:
             var = ((group - mean) ** 2).sum(axis=0) / len(group)
             terms.append(math.sqrt(var.sum() + eps))
         expected = sum(terms) / 3
-        assert consistency_loss(batch, eps=eps) == pytest.approx(expected, abs=1e-10)
+        cons = context_loss(vectors, ids, ContextLossConfig(eps=eps)).consistency
+        assert cons == pytest.approx(expected, abs=1e-10)
 
     def test_short_mode_rejected(self):
-        batch = EmbeddingBatch(np.zeros((3, 2)), np.array([0, 0, 1]))
         with pytest.raises(ValueError, match="mode 1"):
-            consistency_loss(batch)
+            context_loss(np.zeros((3, 2)), np.array([0, 0, 1]), CONFIG)
 
 
 class TestDiversityLoss:
     def test_single_mode_value(self):
         eps = 1e-6
-        assert diversity_loss(np.array([[0.3, 0.4]]), 2.0, eps) == pytest.approx(
+        assert diversity_loss(np.array([[0.3, 0.4]]), ContextLossConfig(eps=eps)) == pytest.approx(
             -math.log(1.0 + eps), abs=1e-12
         )
 
@@ -105,12 +105,13 @@ class TestDiversityLoss:
         means = np.array([[0.5, 0.5], [0.5, 0.5]])
         # independent oracle: 2x2 determinant in closed form
         det = (1.0 + eps) ** 2 - 1.0
-        assert diversity_loss(means, 2.0, eps) == pytest.approx(-math.log(det), rel=1e-9)
-        assert diversity_loss(means, 2.0, eps) > 10.0  # collapsed means are punished
+        config = ContextLossConfig(r_rbf=2.0, eps=eps)
+        assert diversity_loss(means, config) == pytest.approx(-math.log(det), rel=1e-9)
+        assert diversity_loss(means, config) > 10.0  # collapsed means are punished
 
     def test_strictly_decreasing_in_separation(self):
         losses = [
-            diversity_loss(np.array([[0.0, 0.0], [d, 0.0]]), 2.0, 1e-6)
+            diversity_loss(np.array([[0.0, 0.0], [d, 0.0]]), CONFIG)
             for d in np.linspace(0.0, 3.0, 20)
         ]
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -118,30 +119,31 @@ class TestDiversityLoss:
     def test_matches_slogdet_oracle(self):
         rng = np.random.default_rng(3)
         means = rng.uniform(-1, 1, (4, 2))
-        r, eps = 2.0, 1e-6
+        r, eps = 0.7, 1e-4  # off the defaults, so both are read from the config
         diff = means[:, None, :] - means[None, :, :]
         kernel = np.exp(-r * (diff**2).sum(-1)) + eps * np.eye(4)
         sign, logdet = np.linalg.slogdet(kernel)
         assert sign > 0
-        assert diversity_loss(means, r, eps) == pytest.approx(-logdet, rel=1e-10)
+        config = ContextLossConfig(r_rbf=r, eps=eps)
+        assert diversity_loss(means, config) == pytest.approx(-logdet, rel=1e-10)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            diversity_loss(np.array([[np.inf, 0.0]]), 2.0, 1e-6)
+            diversity_loss(np.array([[np.inf, 0.0]]), CONFIG)
 
 
 class TestContextLoss:
     def test_zero_weights_zero_total(self):
         config = ContextLossConfig(w_cons=0.0, w_div=0.0)
         rng = np.random.default_rng(4)
-        batch = EmbeddingBatch(rng.uniform(-1, 1, (8, 2)), np.array([0, 0, 0, 0, 1, 1, 1, 1]))
-        assert context_loss(batch, config).total == 0.0
+        vectors, ids = rng.uniform(-1, 1, (8, 2)), np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        assert context_loss(vectors, ids, config).total == 0.0
 
     def test_weight_linearity(self):
         rng = np.random.default_rng(5)
-        batch = EmbeddingBatch(rng.uniform(-1, 1, (8, 2)), np.array([0, 0, 0, 0, 1, 1, 1, 1]))
-        single = context_loss(batch, ContextLossConfig(w_cons=50.0, w_div=0.0))
-        double = context_loss(batch, ContextLossConfig(w_cons=100.0, w_div=0.0))
+        vectors, ids = rng.uniform(-1, 1, (8, 2)), np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        single = context_loss(vectors, ids, ContextLossConfig(w_cons=50.0, w_div=0.0))
+        double = context_loss(vectors, ids, ContextLossConfig(w_cons=100.0, w_div=0.0))
         assert double.total == pytest.approx(2 * single.total, rel=1e-12)
 
     def test_tight_separated_beats_loose_collapsed(self):
@@ -160,19 +162,19 @@ class TestContextLoss:
             ]
         )
         assert (
-            context_loss(EmbeddingBatch(tight, ids), CONFIG).total
-            < context_loss(EmbeddingBatch(loose, ids), CONFIG).total
+            context_loss(tight, ids, CONFIG).total
+            < context_loss(loose, ids, CONFIG).total
         )
 
     def test_invariant_under_sample_and_label_permutation(self):
         rng = np.random.default_rng(7)
         vectors = rng.uniform(-1, 1, (12, 2))
         ids = np.repeat([0, 1, 2], 4)
-        base = context_loss(EmbeddingBatch(vectors, ids), CONFIG)
+        base = context_loss(vectors, ids, CONFIG)
         perm = rng.permutation(12)
-        shuffled = context_loss(EmbeddingBatch(vectors[perm], ids[perm]), CONFIG)
+        shuffled = context_loss(vectors[perm], ids[perm], CONFIG)
         assert shuffled.total == pytest.approx(base.total, rel=1e-10)
-        relabeled = context_loss(EmbeddingBatch(vectors, 2 - ids), CONFIG)
+        relabeled = context_loss(vectors, 2 - ids, CONFIG)
         assert relabeled.total == pytest.approx(base.total, rel=1e-10)
 
 
@@ -189,7 +191,7 @@ class TestBatchedLoss:
         weights = rng.normal(0.0, 1.0, (7, d_e, d_s))
         totals, cons, divs = _context_losses(encode(weights, states), ids, config)
         for k, w in enumerate(weights):
-            single = context_loss(EmbeddingBatch(encode(w, states), ids), config)
+            single = context_loss(encode(w, states), ids, config)
             assert (totals[k], cons[k], divs[k]) == single
             assert (encode(weights, states)[k] == encode(w, states)).all()
 
@@ -203,7 +205,7 @@ class TestFitLinearContext:
         def loss_of(weights):
             embedded = states @ weights.T
             embedded = embedded / (np.linalg.norm(embedded, axis=1, keepdims=True) + 1e-8)
-            return context_loss(EmbeddingBatch(embedded, ids), CONFIG).total
+            return context_loss(embedded, ids, CONFIG).total
 
         fitted = fit_linear_context((states, ids), CONFIG, steps=40, lr=0.1, seed=0)
         assert loss_of(fitted) <= loss_of(init) + 1e-12
@@ -213,7 +215,7 @@ class TestFitLinearContext:
         weights = fit_linear_context((states, ids), CONFIG, steps=150, lr=0.1, seed=1)
         embedded = states @ weights.T
         embedded = embedded / (np.linalg.norm(embedded, axis=1, keepdims=True) + 1e-8)
-        means = EmbeddingBatch(embedded, ids).mode_means()
+        means = mode_means(embedded, ids)
         assert np.linalg.norm(means[0] - means[1]) >= 0.5
 
     def test_shuffled_labels_improve_less(self):
@@ -225,7 +227,7 @@ class TestFitLinearContext:
             def loss_of(weights):
                 embedded = states @ weights.T
                 embedded = embedded / (np.linalg.norm(embedded, axis=1, keepdims=True) + 1e-8)
-                return context_loss(EmbeddingBatch(embedded, labels), CONFIG).total
+                return context_loss(embedded, labels, CONFIG).total
 
             init_rng = np.random.default_rng(4)
             init = init_rng.normal(0.0, 1.0, (2, 2))
@@ -247,7 +249,7 @@ class TestFitLinearContext:
         config = ContextLossConfig()
 
         def loss_of(w):
-            return context_loss(EmbeddingBatch(encode(w, states), ids), config).total
+            return context_loss(encode(w, states), ids, config).total
 
         weights = np.random.default_rng(seed).normal(0.0, 1.0, (2, 2))
         best_w, best_loss = weights, loss_of(weights)
@@ -270,3 +272,80 @@ class TestFitLinearContext:
             fit_linear_context((states, np.zeros(4, dtype=int)), CONFIG)
         with pytest.raises(ValueError, match=">= 2 samples"):
             fit_linear_context((states, np.array([0, 0, 0, 1])), CONFIG)
+
+
+class TestLabeledInput:
+    LOSS_IDS = np.array([0, 0, 1, 1])
+
+    @staticmethod
+    def _calls(ids):
+        vectors = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
+        return {
+            "context_loss": lambda: context_loss(vectors, ids, CONFIG),
+            "mode_means": lambda: mode_means(vectors, ids),
+            "fit_linear_context": lambda: fit_linear_context((vectors, ids), CONFIG, steps=1),
+        }
+
+    @pytest.mark.parametrize("function", ["context_loss", "mode_means", "fit_linear_context"])
+    @pytest.mark.parametrize("label", [0.6, np.nan], ids=["fraction", "nan"])
+    def test_label_that_is_not_whole_is_refused(self, function, label):
+        # a fractional label used to be truncated, scoring [0, 0.6, 1.2, 1.9] as [0, 0, 1, 1]
+        ids = np.array([0.0, label, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"mode_ids must be whole numbers, got (0\.6|nan)"):
+            self._calls(ids)[function]()
+
+    @pytest.mark.parametrize("function", ["context_loss", "mode_means", "fit_linear_context"])
+    def test_whole_float_labels_score_as_integers(self, function):
+        as_floats = self._calls(self.LOSS_IDS.astype(float))[function]()
+        as_ints = self._calls(self.LOSS_IDS)[function]()
+        assert np.array_equal(as_floats, as_ints)
+
+    @pytest.mark.parametrize(
+        "vectors, ids, match",
+        [
+            (np.zeros((0, 2)), np.zeros(0, dtype=int), "n >= 1"),
+            (np.zeros(4), LOSS_IDS, r"\(n, d\)"),
+            (np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 1.0], [1.0, 1.0]]), LOSS_IDS, "non-finite"),
+            (np.zeros((4, 2)), np.array([0, 0, 1]), "does not match 4 rows"),
+            (np.zeros((4, 2)), np.array(["a", "a", "b", "b"]), "whole numbers, got a"),
+        ],
+        ids=["empty", "one_dimensional", "non_finite", "label_count", "text_labels"],
+    )
+    def test_labeled_arrays_are_checked(self, vectors, ids, match):
+        for call in (
+            lambda: context_loss(vectors, ids, CONFIG),
+            lambda: mode_means(vectors, ids),
+            lambda: fit_linear_context((vectors, ids), CONFIG),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+
+class TestContextLossConfig:
+    @pytest.mark.parametrize(
+        "field, value, bound",
+        [
+            ("w_cons", -1.0, ">= 0"),
+            ("w_div", -1.0, ">= 0"),
+            ("r_rbf", 0.0, "> 0"),
+            ("eps", 0.0, "> 0"),
+            ("w_cons", math.nan, ">= 0"),
+            ("r_rbf", math.nan, "> 0"),
+            ("eps", math.nan, "> 0"),
+            ("w_div", math.inf, ">= 0"),
+            ("eps", math.inf, "> 0"),
+            ("r_rbf", math.inf, "> 0"),
+        ],
+    )
+    def test_float_field_must_be_finite_and_in_range(self, field, value, bound):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and {bound}, got {value}$"):
+            ContextLossConfig(**{field: value})
+
+    @pytest.mark.parametrize("d_e", [0, 2.5, 2.0, True])
+    def test_d_e_must_be_a_positive_integer(self, d_e):
+        with pytest.raises(ValueError, match=f"^d_e must be an integer >= 1, got {d_e!r}$"):
+            ContextLossConfig(d_e=d_e)
+
+    def test_numpy_integer_d_e_is_accepted(self):
+        config = ContextLossConfig(d_e=np.int64(3))
+        assert fit_linear_context(separable_context_dataset(0), config, steps=1).shape == (3, 2)

@@ -29,10 +29,12 @@ def test_every_all_entry_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes {missing}"
 
 
-def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(pwmdp.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("package", ["pwmdp", "pwmdp.harness"])
+def test_package_imports_only_exported_names(package):
+    init = Path(importlib.import_module(package).__file__)
+    tree = ast.parse(init.read_text(encoding="utf-8"))
     imported = [
-        (f"pwmdp.{node.module}", alias.name)
+        (f"{package}.{node.module}", alias.name)
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
@@ -43,7 +45,7 @@ def test_package_imports_only_exported_names():
         for module, name in imported
         if name not in importlib.import_module(module).__all__
     ]
-    assert not stale, f"pwmdp/__init__.py imports names outside their module's __all__: {stale}"
+    assert not stale, f"{init} imports names outside their module's __all__: {stale}"
 
 
 def _bench_module(name: str):

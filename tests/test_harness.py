@@ -560,6 +560,26 @@ class TestTraceIO:
         with pytest.raises(OSError, match="cannot write"):
             emit_trace(trace, "csv", tmp_path / "missing_dir" / "trace.csv")
 
+    def test_csv_with_other_header_rejected(self):
+        with pytest.raises(ValueError, match=r"unexpected CSV header \['iter', 'mode'\]"):
+            parse_trace_csv_text("iter,mode\n0,0\n")
+
+    def test_json_that_is_not_an_array_rejected(self):
+        with pytest.raises(ValueError, match="must be an array of row objects"):
+            parse_trace_json_text('{"iter": 0}')
+
+    def test_emit_unknown_format_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "trace.xml"
+        with pytest.raises(ValueError, match="format must be 'csv' or 'json', got 'xml'"):
+            emit_trace(ExperimentTrace(()), "xml", path)
+        assert not path.exists()
+
+    def test_read_missing_file_raises_oserror_naming_path(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(OSError, match="cannot read trace from") as info:
+            read_trace(path)
+        assert str(path) in str(info.value)
+
     def test_rows_must_be_contiguous(self):
         rows = self.build_trace().rows
         with pytest.raises(ValueError, match="contiguous"):
@@ -646,3 +666,8 @@ class TestDelayTable:
     def test_empirical_tracker_direct(self):
         assert empirical_detection_delay(2.0, 1.0, 0.05) == 3
         assert empirical_detection_delay(5.0, 1.0, 0.05) == 1
+
+    def test_empirical_tracker_raises_when_odds_never_cross(self):
+        # odds gain (1 + 1e-12)**2 per step: nowhere near 1 / 0.05 within 10^4 steps
+        with pytest.raises(RuntimeError, match="failed to cross the target in 10\\^4 steps"):
+            empirical_detection_delay(1 + 1e-12, 1.0, 0.05)

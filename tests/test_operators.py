@@ -296,6 +296,12 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError, match="tol"):
             solve_fixed_point(lambda q: q, np.zeros((1, 1)), tol=0.0)
 
+    def test_max_iter_exhausted_returns_unconverged(self):
+        # q <- q / 2 + 1 from 0 visits 1, 1.5, 1.75, with residuals 1, 0.5, 0.25
+        result = solve_fixed_point(lambda q: 0.5 * q + 1, np.zeros((1, 1)), tol=1e-12, max_iter=3)
+        assert result.iterations == 3 and result.converged is False
+        assert result.q_star[0, 0] == 1.75 and result.final_residual == 0.25
+
 
 class TestModeFixedPoint:
     @staticmethod
