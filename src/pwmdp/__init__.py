@@ -10,62 +10,13 @@ harness that checks every contraction, threshold, delay, and perturbation
 bound numerically.
 """
 
-from .adaptive import (
-    AdaptiveState,
-    SurpriseWeights,
-    beta_eff,
-    ema_update,
-    lambda_w,
-    surprise,
-)
-from .bocd import (
-    BOCDParams,
-    DegenerateBeliefError,
-    JointBelief,
-    RunLengthBelief,
-    bayes_update,
-    bocd_step,
-    detection_delay,
-    joint_step,
-    log_likelihood_vector,
-    posterior_ratio,
-)
-from .context import (
-    ContextLossConfig,
-    context_loss,
-    diversity_loss,
-    fit_linear_context,
-    mode_means,
-)
-from .mdp import (
-    KERNEL_ROW_TOL,
-    ModeModel,
-    OperatorParams,
-    PiecewiseSchedule,
-    QFunction,
-    greedy_value,
-    make_random_mode,
-    sup_dist,
-    validate_mode,
-)
-from .operators import (
-    FixedPointResult,
-    RegimePerturbation,
-    StatePartition,
-    add_bounded_noise,
-    apply_coupled_operator,
-    apply_mixture_operator,
-    apply_mixture_via_shared,
-    apply_mode_operator,
-    classify_factor,
-    error_floor,
-    estimate_lipschitz,
-    mixture_backup,
-    mode_fixed_point,
-    project,
-    projection_error,
-    regime_perturbation,
-    solve_fixed_point,
-)
+from . import adaptive, bocd, context, mdp, operators
+from .adaptive import *
+from .bocd import *
+from .context import *
+from .mdp import *
+from .operators import *
+
+__all__ = adaptive.__all__ + bocd.__all__ + context.__all__ + mdp.__all__ + operators.__all__
 
 __version__ = "0.1.0"

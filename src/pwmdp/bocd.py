@@ -330,7 +330,7 @@ def joint_step(
     xi: float | np.ndarray,
     z_now: int | np.ndarray,
     params: BOCDParams,
-    stickiness: float | np.ndarray = 0.6,
+    stickiness: float | np.ndarray,
 ) -> np.ndarray:
     """One joint (run-length, cluster) posterior update.
 

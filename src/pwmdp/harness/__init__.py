@@ -1,55 +1,10 @@
 """Experiment harness: configs, scripted runs, sweeps, certification, I/O."""
 
-from .certify import (
-    MUTATIONS,
-    CertificationReport,
-    SuiteResult,
-    report_to_json,
-    run_certification,
-)
-from .config import (
-    DEFAULT_CONFIG,
-    ConfigError,
-    ExperimentConfig,
-    JointSettings,
-    MetastabilityWarning,
-    config_from_dict,
-    load_config,
-)
-from .experiment import TRACE_FIELDS, ExperimentTrace, TraceRow, run_piecewise
-from .io import emit_trace, read_trace
-from .sweeps import (
-    DELAY_SCENARIOS,
-    ThresholdSweepResult,
-    classify_trajectory,
-    empirical_detection_delay,
-    run_delay_table,
-    run_threshold_sweep,
-)
+from . import certify, config, experiment, io, sweeps
+from .certify import *
+from .config import *
+from .experiment import *
+from .io import *
+from .sweeps import *
 
-__all__ = [
-    "MUTATIONS",
-    "CertificationReport",
-    "SuiteResult",
-    "report_to_json",
-    "run_certification",
-    "DEFAULT_CONFIG",
-    "ConfigError",
-    "ExperimentConfig",
-    "JointSettings",
-    "MetastabilityWarning",
-    "config_from_dict",
-    "load_config",
-    "TRACE_FIELDS",
-    "ExperimentTrace",
-    "TraceRow",
-    "run_piecewise",
-    "emit_trace",
-    "read_trace",
-    "DELAY_SCENARIOS",
-    "ThresholdSweepResult",
-    "classify_trajectory",
-    "empirical_detection_delay",
-    "run_delay_table",
-    "run_threshold_sweep",
-]
+__all__ = certify.__all__ + config.__all__ + experiment.__all__ + io.__all__ + sweeps.__all__

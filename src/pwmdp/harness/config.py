@@ -306,7 +306,8 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
     )
     report = validate_mode(model)
     if report:
-        raise ConfigError(f"modes[{index}] invalid: " + "; ".join(report))
+        more = f"; ... {len(report)} violations in all" if len(report) > 3 else ""
+        raise ConfigError(f"modes[{index}] invalid: " + "; ".join(report[:3]) + more)
     if model.n_states != n_states or model.n_actions != n_actions:
         raise ConfigError(
             f"modes[{index}] has shape {model.reward.shape}, config says "

@@ -1,5 +1,7 @@
 """Tests for the surprise fusion and adaptive-conservatism chain."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,16 @@ class TestClosedLoop:
                 relaxed_at = t
         assert detected_at is not None and detected_at - spike_at <= 3
         assert relaxed_at is not None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AdaptiveState(c_penalty=-0.5), "c_penalty must be >= 0, got -0.5"),
+        (lambda: surprise(0.0, 0.0, -1.0, WEIGHTS), "kappa_div must be >= 0, got -1.0"),
+    ],
+    ids=["negative_c_penalty", "negative_kappa_div"],
+)
+def test_invalid_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Tests for the run-length change detector and joint regime belief."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -395,7 +396,7 @@ class TestJointStep:
     def test_invalid_cluster_index(self):
         joint = uniform(20, 2)
         with pytest.raises(ValueError, match="cluster"):
-            joint_step(joint, 0.0, 2, PARAMS)
+            joint_step(joint, 0.0, 2, PARAMS, stickiness=0.6)
 
     def test_stickiness_domain(self):
         joint = uniform(20, 2)
@@ -459,16 +460,16 @@ class TestBatchedFilter:
             if update == "bocd":
                 bocd_step(probs, 0.0, PARAMS)
             elif update == "joint":
-                joint_step(probs[:, :, None], 0.0, 0, PARAMS)
+                joint_step(probs[:, :, None], 0.0, 0, PARAMS, stickiness=0.6)
             else:
                 bayes_update(probs, np.ones((6, 20)))
 
     def test_per_case_arguments_must_match_the_batch(self):
         probs = np.full((4, 20, 2), 1.0 / 40)
         with pytest.raises(ValueError, match="xi"):
-            joint_step(probs, np.zeros(3), 0, PARAMS)
+            joint_step(probs, np.zeros(3), 0, PARAMS, stickiness=0.6)
         with pytest.raises(ValueError, match="cluster index 2"):
-            joint_step(probs, 0.0, np.array([0, 1, 2, 0]), PARAMS)
+            joint_step(probs, 0.0, np.array([0, 1, 2, 0]), PARAMS, stickiness=0.6)
         with pytest.raises(ValueError, match="stickiness"):
             joint_step(probs, 0.0, 0, PARAMS, stickiness=np.array([0.5, 0.0, 0.5, 0.5]))
         with pytest.raises(ValueError, match="h_max"):
@@ -558,3 +559,28 @@ class TestDegenerateVariance:
         probs = np.array([[0.1, 0.2, 0.3, 0.25, 0.15]])
         out = bocd_step(probs, [1.0], BOCDParams(h_max=5, sigma0_sq=1e-300, sigma_g=0.0))
         np.testing.assert_allclose(out, [[0.05, 0.095, 0.19, 0.285, 0.38]], rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bocd_step(np.empty((0, 20)), 0.0, PARAMS),
+         "run-length belief batch must be (B >= 1, h_max, ...), got (0, 20)"),
+        (lambda: bayes_update(uniform(20), np.ones((1, 10))),
+         "likelihood shape (1, 10) does not match belief (1, 20)"),
+        (lambda: bayes_update(uniform(20), -np.ones((1, 20))),
+         "likelihood vector must be finite and non-negative"),
+        (lambda: posterior_ratio(1, 2.0, 0.0), "prior ratio must be > 0, got 0.0"),
+        (lambda: posterior_ratio(-1, 2.0, 1.0), "n must be >= 0, got -1"),
+        (lambda: detection_delay(2.0, 1.0, 1.0), "delta must lie in (0, 1), got 1.0"),
+        (lambda: joint_step(uniform(20, 2), 0.0, 0.5, PARAMS, stickiness=0.6),
+         "cluster index must be an integer, got float64"),
+    ],
+    ids=[
+        "empty_batch", "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
+        "negative_n", "delta_of_one", "fractional_cluster_index",
+    ],
+)
+def test_invalid_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

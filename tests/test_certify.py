@@ -24,6 +24,7 @@ from pwmdp.harness.certify import (
     report_to_json,
     run_certification,
     suite_contraction_certificate,
+    suite_detection_delay_table,
     suite_error_budget,
     suite_piecewise_three_phase,
     suite_reproducibility,
@@ -260,6 +261,15 @@ def test_reproducibility_suite_fails_when_a_rerun_changes_one_row(monkeypatch):
     monkeypatch.setattr(certify, "run_piecewise", drifting_run)
     suite = suite_reproducibility(0)
     assert len(runs) == 2
+    assert suite.max_violation == math.inf and not suite.passed
+
+
+def test_delay_suite_fails_when_the_empirical_delay_is_one_step_late(monkeypatch):
+    # the minimality gate compares the tracked crossing with the ceiling of the calculus
+    assert suite_detection_delay_table(0).passed
+    on_time = certify.empirical_detection_delay
+    monkeypatch.setattr(certify, "empirical_detection_delay", lambda *args: on_time(*args) + 1)
+    suite = suite_detection_delay_table(0)
     assert suite.max_violation == math.inf and not suite.passed
 
 

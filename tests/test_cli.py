@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from argparse import _SubParsersAction
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ import pytest
 
 from pwmdp import make_random_mode
 from pwmdp.harness import read_trace
-from pwmdp.harness import cli
+from pwmdp.harness import cli, experiment
 from pwmdp.harness.certify import MUTATIONS
 from pwmdp.harness.cli import build_parser, main
 from pwmdp.harness.config import FIELDS, MAX_KERNEL_ENTRIES
@@ -266,12 +267,22 @@ class TestPiecewiseCommand:
                 {"n_states": 4, "modes": [{"seed": 1}, TABLE_MODE]},
                 "config error: modes[1] has shape (6, 3), config says (4, 3)",
             ),
+            # every entry of a 60 x 2 kernel negative: 7,200 entries and 120 rows violate
+            (
+                {"n_states": 60, "n_actions": 2, "modes": [
+                    {"reward": [[0.0, 0.0]] * 60, "kernel": [[[-1 / 60] * 60] * 2] * 60}, {"seed": 1},
+                ]},
+                "config error: modes[0] invalid: "
+                + "; ".join(f"kernel[0,0,{t}] = {-1 / 60} is negative" for t in range(3))
+                + "; ... 7320 violations in all",
+            ),
         ],
         ids=[
             "overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point",
             "reward_spread_square", "reward_spread", "reward_range_low", "rollout_reward_sum",
             "cross_mode_reward_z_score", "overflowing_detector_variance",
             "nan_reward_table", "infinite_kernel_table", "nan_penalty_table", "table_shape",
+            "broken_kernel_table",
         ],
     )
     def test_mode_error_is_one_line_naming_the_field(self, raw, message, tmp_path):
@@ -376,6 +387,20 @@ class TestPiecewiseCommand:
         assert all(line.startswith("warning: ") for line in warned)  # no traceback
         overflow = rf"runtime error: {name} is (inf|nan) at iteration \d+: the Q tables overflowed"
         assert re.fullmatch(overflow, last)
+
+    def test_unconverged_fixed_point_exits_4_naming_the_mode(self, quick_config, tmp_path, monkeypatch):
+        solve, solved = experiment.mode_fixed_point, []
+
+        def stalled_on_mode_1(model, params, tol):
+            solved.append(solve(model, params, tol))
+            if len(solved) == 2:
+                return replace(solved[-1], final_residual=0.5, converged=False)
+            return solved[-1]
+
+        monkeypatch.setattr(experiment, "mode_fixed_point", stalled_on_mode_1)
+        result = run_cli("piecewise", "--config", str(quick_config), "--out", str(tmp_path / "x"))
+        assert result.returncode == 4
+        assert result.stderr.splitlines() == ["runtime error: fixed point for mode 1 has residual 0.5"]
 
     @pytest.mark.parametrize("shift", [1e100, 1e200, -1e150, 1e306])
     def test_huge_reward_shift_runs_to_a_finite_trace(self, shift, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the context-embedding losses and the linear fitter."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,3 +350,17 @@ class TestContextLossConfig:
     def test_numpy_integer_d_e_is_accepted(self):
         config = ContextLossConfig(d_e=np.int64(3))
         assert fit_linear_context(separable_context_dataset(0), config, steps=1).shape == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: diversity_loss(np.zeros(3), CONFIG), "means must be (M, d_e) with M >= 1, got (3,)"),
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=-1),
+         "steps must be >= 0, got -1"),
+    ],
+    ids=["one_dimensional_means", "negative_steps"],
+)
+def test_invalid_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,8 +1,7 @@
-"""Every exported name resolves, the package re-exports only what its modules export,
+"""Every exported name resolves, each package exports exactly its modules' __all__,
 every name the benchmark's span tracer reads resolves in pwmdp, and the benchmark's
 reference floors run on the operators' return types."""
 
-import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -29,23 +28,36 @@ def test_every_all_entry_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes {missing}"
 
 
-@pytest.mark.parametrize("package", ["pwmdp", "pwmdp.harness"])
-def test_package_imports_only_exported_names(package):
-    init = Path(importlib.import_module(package).__file__)
-    tree = ast.parse(init.read_text(encoding="utf-8"))
-    imported = [
-        (f"{package}.{node.module}", alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
+# each package re-exports these modules, in this order
+PACKAGES = {
+    "pwmdp": ("adaptive", "bocd", "context", "mdp", "operators"),
+    "pwmdp.harness": ("certify", "config", "experiment", "io", "sweeps"),
+}
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_exports_exactly_its_modules_all(package):
+    pkg = importlib.import_module(package)
+    modules = [importlib.import_module(f"{package}.{name}") for name in PACKAGES[package]]
+    expected = [entry for module in modules for entry in module.__all__]
+    assert pkg.__all__ == expected
+    assert len(set(expected)) == len(expected), f"{package}.__all__ repeats a name"
+    moved = [
+        f"{module.__name__}.{entry}"
+        for module in modules
+        for entry in module.__all__
+        if getattr(pkg, entry) is not getattr(module, entry)
     ]
-    assert imported
-    stale = [
-        f"{module}.{name}"
-        for module, name in imported
-        if name not in importlib.import_module(module).__all__
+    assert not moved, f"{package} binds these names to other objects: {moved}"
+    submodules = {info.name for info in pkgutil.iter_modules(pkg.__path__)}
+    extra = [
+        name
+        for name, value in vars(pkg).items()
+        if not name.startswith("_")
+        and name not in expected
+        and not (name in submodules and value is sys.modules.get(f"{package}.{name}"))
     ]
-    assert not stale, f"{init} imports names outside their module's __all__: {stale}"
+    assert not extra, f"{package} binds public names outside its modules' __all__: {extra}"
 
 
 def _bench_module(name: str):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -619,8 +620,13 @@ class TestThresholdSweep:
             (np.array([0.0, 0.5, 1.0, 1.49, 1.5]), np.array([0.0, 0.01, 0.5, 1.5]), 200),
             (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 1.5, 7), 3),
             (np.array([0.3, 1.0]), np.array([0.7, 0.0]), 1),
+            # three cells pass 1e100 and one converges exactly, all before the last step
+            (np.array([1.5, 0.0]), np.array([1.5, 0.5]), 1000),
         ],
-        ids=["default_grid", "on_the_line", "on_the_line_pairs", "edge_1_5", "few_steps", "one_step"],
+        ids=[
+            "default_grid", "on_the_line", "on_the_line_pairs", "edge_1_5", "few_steps", "one_step",
+            "every_cell_stops_early",
+        ],
     )
     def test_array_sweep_equals_classify_trajectory_cell_by_cell(self, gammas, couplings, n_iter):
         sweep = run_threshold_sweep(gammas, couplings, n_iter)
@@ -671,3 +677,16 @@ class TestDelayTable:
         # odds gain (1 + 1e-12)**2 per step: nowhere near 1 / 0.05 within 10^4 steps
         with pytest.raises(RuntimeError, match="failed to cross the target in 10\\^4 steps"):
             empirical_detection_delay(1 + 1e-12, 1.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify_trajectory(0.5, 0.5, n_iter=0), "n_iter must be >= 1, got 0"),
+        (lambda: run_threshold_sweep([], [0.5]), "gamma grid must be a non-empty vector"),
+    ],
+    ids=["no_iterations", "empty_grid"],
+)
+def test_invalid_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,7 @@
 """Tests for tabular MDP primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,21 @@ class TestCheckSimplex:
         check_simplex(np.full((4, 2), 1.0 / 8), "table")
         with pytest.raises(ValueError, match="^table sums to"):
             check_simplex(np.full((4, 2), 0.25), "table")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModeModel(np.zeros(3), np.zeros((3, 1, 3)), np.zeros((3, 1))),
+         "reward must be 2-d (S, A), got (3,)"),
+        (lambda: ModeModel(np.zeros((2, 1)), np.zeros((2, 1, 3)), np.zeros((2, 1))),
+         "kernel shape (2, 1, 3) does not match reward shape (2, 1, 2)"),
+        (lambda: ModeModel(np.zeros((2, 1)), np.zeros((2, 1, 2)), np.zeros(2)),
+         "gamma_epi shape (2,) does not match reward shape (2, 1)"),
+        (lambda: make_random_mode(0, 2, 2, (1.0, -1.0)), "invalid reward range (1.0, -1.0)"),
+    ],
+    ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range"],
+)
+def test_invalid_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,7 @@
 """Tests for the operator zoo: backups, mixtures, thresholds, bounds."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -752,3 +754,33 @@ class TestArraysOut:
 class TestBounds:
     def test_error_floor(self):
         assert error_floor(0.1, 0.2, 0.9) == pytest.approx(3.0)
+
+
+MODEL = make_random_mode(0, 2, 2)  # 2 states, 2 actions
+PARAMS = OperatorParams(gamma=0.9)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StatePartition(2, ((0, 1), ())), "empty block in partition"),
+        (lambda: apply_mode_operator(MODEL, PARAMS, np.zeros(2)),
+         "Q tables must be (..., S, A), got shape (2,)"),
+        (lambda: mixture_backup((), np.zeros(0), PARAMS, np.zeros((2, 2))),
+         "need at least one model"),
+        (lambda: estimate_lipschitz(lambda q: q, (2, 2), 0, seed=0), "n_pairs must be >= 1, got 0"),
+        (lambda: regime_perturbation(MODEL, make_random_mode(0, 3, 2), PARAMS),
+         "regime models must share dimensions"),
+        (lambda: project(np.zeros((3, 2)), StatePartition(2, ((0,), (1,)))),
+         "partition over 2 states but Q has 3"),
+        (lambda: apply_mixture_via_shared((MODEL,) * 2, np.full(3, 1 / 3), PARAMS, np.zeros((2, 2))),
+         "2 models but 3 belief weights"),
+    ],
+    ids=[
+        "empty_block", "one_dimensional_q", "no_models", "no_pairs", "regime_dimensions",
+        "partition_size", "belief_size",
+    ],
+)
+def test_invalid_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
