@@ -3,8 +3,8 @@
 Tabular toolkit for value iteration through regime switches: per-regime
 penalized Bellman backups and their frozen-belief mixtures, the
 value-coupled backup whose belief tracks Q, with its sharp contraction
-threshold, a truncated run-length change detector with joint regime
-clustering, the surprise -> penalty -> LCB-coefficient adaptation chain,
+threshold, a truncated run-length change detector, the surprise ->
+penalty -> LCB-coefficient adaptation chain,
 mode-embedding representation losses, and an experiment/certification
 harness that checks every contraction, threshold, delay, and perturbation
 bound numerically.

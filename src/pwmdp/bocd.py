@@ -18,9 +18,8 @@ ValueError). The updates take a batch of beliefs as an array with a
 leading case axis and return a new array; a single belief is the
 one-case batch, and its marginals are sums over an axis.
 
-Also provides the joint (run-length x regime-cluster) update, the
-streaming k-means step that assigns a signal to a regime cluster, and
-the posterior-ratio detection-delay calculus.
+Also provides the joint (run-length x regime-cluster) update and the
+posterior-ratio detection-delay calculus.
 
 Belief updates are pure. A detector's state must be owned by a single
 logical thread; independent detectors may run in parallel.
@@ -295,34 +294,6 @@ def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.log(prior_ratio / delta) / (2.0 * math.log(likelihood_ratio))
-
-
-def _assign(signal: np.ndarray, centroids: np.ndarray, counts: np.ndarray) -> int:
-    """Streaming k-means step: the index of ``signal``'s nearest centroid.
-
-    Euclidean nearest, ties to the lowest index; the winner's row of
-    ``centroids`` moves by an incremental mean over its ``counts`` entry (a
-    zero-count centroid jumps to the signal), both in place. Raises
-    ValueError where a non-finite signal leaves that centroid non-finite.
-    """
-    diff = centroids - signal
-    # Past ~1e154 the squares overflow: where a distance is not finite, its
-    # differences are scaled by their largest magnitude (if that is finite),
-    # and a distance beyond the largest double reads inf.
-    with np.errstate(over="ignore"):
-        dist = np.linalg.norm(diff, axis=1)
-        if not math.isfinite(dist.sum()):  # one sum, in place of a per-row test
-            for i in np.flatnonzero(~np.isfinite(dist)):
-                scale = np.abs(diff[i]).max()
-                if math.isfinite(scale):
-                    dist[i] = scale * np.linalg.norm(diff[i] / scale)
-    idx = int(np.argmin(dist))
-    n = counts[idx]
-    centroids[idx] = centroids[idx] + (signal - centroids[idx]) / (n + 1)
-    counts[idx] = n + 1
-    if not np.isfinite(centroids[idx]).all():
-        raise ValueError("centroids contain non-finite entries")
-    return idx
 
 
 def joint_step(

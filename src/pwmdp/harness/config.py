@@ -36,7 +36,6 @@ from ..operators import _MAX_POLISH_STEPS, StatePartition
 __all__ = [
     "ConfigError",
     "MetastabilityWarning",
-    "JointSettings",
     "ExperimentConfig",
     "FIELDS",
     "DEFAULT_CONFIG",
@@ -62,8 +61,8 @@ class Field(NamedTuple):
 
 # The largest transition kernel a config may ask for, in n_states * n_actions *
 # n_states doubles (256 MiB); a larger one is refused at load, before any
-# regime's kernel is allocated. The detector's joint posterior (h_max *
-# n_clusters doubles), the ensemble with the iterate ((n_ensemble + 1) *
+# regime's kernel is allocated. The detector's run-length posterior (h_max
+# doubles), the ensemble with the iterate ((n_ensemble + 1) *
 # n_states * n_actions doubles) and one rollout's draws (rollout_len doubles)
 # have the same budget, as does each trace column (one double per iteration).
 MAX_KERNEL_ENTRIES = 2**25
@@ -122,9 +121,6 @@ FIELDS: dict[str, Field] = {
     "detection_policy": Field(
         str, "stale", lambda v: v in ("stale", "hold"), "must be 'stale' or 'hold'"
     ),
-    # one cluster is the plain run-length posterior, where stickiness has no effect
-    "joint.n_clusters": Field(int, 1, lambda v: v >= 1, "must be >= 1"),
-    "joint.stickiness": Field(float, 0.6, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "out_dir": Field(str, "out"),
     "format": Field(str, "csv", lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
 }
@@ -143,12 +139,6 @@ def _defaults() -> dict:
 
 
 DEFAULT_CONFIG: dict = _defaults()
-
-
-@dataclass(frozen=True)
-class JointSettings:
-    n_clusters: int
-    stickiness: float
 
 
 @dataclass(frozen=True)
@@ -171,7 +161,6 @@ class ExperimentConfig:
     separability: float
     delta: float
     detection_policy: str
-    joint: JointSettings
     out_dir: str
     format: str
 
@@ -333,7 +322,6 @@ def _resolve(values: dict) -> ExperimentConfig:
     n_states, n_actions = values["n_states"], values["n_actions"]
     table = n_states * n_actions if min(n_states, n_actions) >= 1 else 0
     h_max, n_ensemble = values["bocd.h_max"], values["n_ensemble"]
-    joint = _build("joint", JointSettings, _section(values, "joint"))
     with _naming("schedule: "):
         schedule = PiecewiseSchedule(tuple(
             (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]
@@ -341,8 +329,7 @@ def _resolve(values: dict) -> ExperimentConfig:
     # (doubles, what needs them) of each array whose size a config sets
     for entries, need in (
         (table * n_states, f"n_states = {n_states} and n_actions = {n_actions} need a kernel of"),
-        (h_max * joint.n_clusters,
-         f"bocd.h_max = {h_max} with {joint.n_clusters} cluster(s) needs a joint posterior of"),
+        (h_max, f"bocd.h_max = {h_max} needs a run-length posterior of"),
         ((n_ensemble + 1) * table,
          f"n_ensemble = {n_ensemble} with {table} (state, action) pairs needs an ensemble of"),
         (values["rollout_len"], f"rollout_len = {values['rollout_len']} needs a rollout of"),
@@ -409,7 +396,6 @@ def _resolve(values: dict) -> ExperimentConfig:
         surprise_weights=_build("surprise", SurpriseWeights, _section(values, "surprise")),
         adaptive_template=_build("adaptive", AdaptiveState, _section(values, "adaptive")),
         partition=partition,
-        joint=joint,
         **{name: values[name] for name in _SCALAR_ATTRIBUTES},
     )
 

@@ -10,14 +10,11 @@ chain runs alongside:
      ``adaptive.surprise`` checks and fuses them, and ``ema_update``
      smooths the result at ``adaptive.surprise_ema_rate`` (0 keeps it as
      fused), as it smooths the channel statistics;
-  3. the joint (run-length x regime-cluster) filter absorbs the surprise,
-     with the surprise channels assigned to a cluster first; with one
-     cluster (``joint.n_clusters`` 1, the default) its run-length marginal
-     is the plain run-length posterior. The posterior, the centroids and
-     their counts stay plain arrays for the whole run, stepped by ``bocd``'s
-     private helpers (``_assign``; ``_filter_step``, the kernel of
-     ``joint_step``; ``_mean_run_length`` and ``_entropy``), so no belief
-     object is built per iteration;
+  3. the run-length posterior absorbs the surprise. It stays one plain
+     (1, h_max, 1) array for the whole run, stepped by ``bocd``'s private
+     helpers (``_filter_step``, as ``bocd_step`` calls it;
+     ``_mean_run_length`` and ``_entropy``), so no belief object is built
+     per iteration;
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
   5. one frozen-belief backup is applied, using the belief and penalty
      snapshots taken before the application: one call of the kernel
@@ -71,7 +68,7 @@ import numpy as np
 
 from .. import operators
 from ..adaptive import beta_eff, ema_update, lambda_w, surprise
-from ..bocd import _assign, _entropy, _filter_step, _mean_run_length
+from ..bocd import _entropy, _filter_step, _mean_run_length
 from ..operators import _noise, _project, error_floor, mode_fixed_point, projection_error
 from ..operators import apply_mixture_operator  # noqa: F401  bench/test_bench.py traces this name
 from .config import SPREAD_FLOOR, ExperimentConfig
@@ -232,12 +229,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     holds = config.detection_policy == "hold"
 
     h_max = config.bocd_params.h_max
-    n_z = config.joint.n_clusters
-    # the detector's state as plain arrays for the whole run: the joint posterior as
-    # a one-case (1, h_max, n_z) batch, and the k-means centroids of the 3 channels
-    joint = np.full((1, h_max, n_z), 1.0 / (h_max * n_z))
-    centroids = np.zeros((n_z, 3))
-    counts = np.zeros(n_z, dtype=int)
+    # the run-length posterior as a one-case batch with one column, as bocd_step holds it
+    posterior = np.full((1, h_max, 1), 1.0 / h_max)
     adaptive = config.adaptive_template
 
     point_masses = np.eye(len(models)).tolist()  # row m: the point-mass weights on regime m
@@ -299,9 +292,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         xi = surprise_ema = ema_update(surprise_ema, xi, adaptive.surprise_ema_rate)
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
-        z_now = _assign(np.array([reward_z, q_std_ratio, kappa_div]), centroids, counts)
-        joint = _filter_step(joint, np.array([xi]), z_now, config.joint.stickiness, config.bocd_params)
-        rho = joint[0].sum(axis=1)  # the run-length marginal
+        posterior = _filter_step(posterior, np.array([xi]), 0, 1.0, config.bocd_params)
+        rho = posterior[0, :, 0]
         h_bar = _mean_run_length(rho)
         entropy = _entropy(rho)
         lam, lam_base, lam_sq = lambda_w(h_bar, h_max, lam_base, lam_sq, adaptive.baseline_ema_rate)

@@ -55,28 +55,41 @@ def trace_to_json_text(trace: ExperimentTrace) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# Trace column -> its type (int, float or str), which also parses it.
+# Trace column -> its type (int, float or str), which also parses its CSV text.
 _COLUMN_TYPES = get_type_hints(TraceRow)
+# Trace column type -> the JSON value types it takes (never a bool).
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
-def _row_from_mapping(mapping: dict) -> TraceRow:
-    return TraceRow(**{name: kind(mapping[name]) for name, kind in _COLUMN_TYPES.items()})
+def _row(index: int, fields, from_text: bool) -> TraceRow:
+    """Trace row ``index`` from {column: value}, CSV text if ``from_text``, else JSON values;
+    anything but one value of its column's type per column raises ValueError naming ``index``."""
+    try:
+        if not isinstance(fields, dict) or fields.keys() != _COLUMN_TYPES.keys() or None in fields.values():
+            raise ValueError(f"must hold one value per trace column, got {fields!r}")
+        values = {}
+        for name, kind in _COLUMN_TYPES.items():
+            value = fields[name]
+            if not (from_text or type(value) in _JSON_TYPES[kind]):
+                raise ValueError(f"{name} takes a value of type {kind.__name__}, got {value!r}")
+            values[name] = kind(value)
+        return TraceRow(**values)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"trace row {index}: {exc}") from None
 
 
 def parse_trace_csv_text(text: str) -> ExperimentTrace:
     reader = csv.DictReader(text.splitlines())
     if reader.fieldnames != list(TRACE_FIELDS):
-        raise ValueError(
-            f"unexpected CSV header {reader.fieldnames}, expected {list(TRACE_FIELDS)}"
-        )
-    return ExperimentTrace(tuple(_row_from_mapping(r) for r in reader))
+        raise ValueError(f"unexpected CSV header {reader.fieldnames}, expected {list(TRACE_FIELDS)}")
+    return ExperimentTrace(tuple(_row(i, r, True) for i, r in enumerate(reader)))
 
 
 def parse_trace_json_text(text: str) -> ExperimentTrace:
     payload = json.loads(text)
     if not isinstance(payload, list):
         raise ValueError("trace JSON must be an array of row objects")
-    return ExperimentTrace(tuple(_row_from_mapping(r) for r in payload))
+    return ExperimentTrace(tuple(_row(i, r, False) for i, r in enumerate(payload)))
 
 
 def emit_trace(trace: ExperimentTrace, fmt: str, path) -> Path:

@@ -2,7 +2,6 @@
 
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from pwmdp import (
     log_likelihood_vector,
     posterior_ratio,
 )
-from pwmdp.bocd import _assign, _entropy, _mean_run_length
+from pwmdp.bocd import _entropy, _mean_run_length
 
 PARAMS = BOCDParams()  # h_max=20, hazard=0.05, sigma0_sq=0.1, sigma_g=0.05
 
@@ -246,88 +245,6 @@ class TestDetectionDelay:
             detection_delay(2.0, 0.0, 0.05)
         with pytest.raises(ValueError):
             posterior_ratio(1, 0.9, 1.0)
-
-
-def cluster_assign(signal, centroids, counts):
-    """Reference k-means step on lists: the nearest centroid by squared distance
-    (lowest index on ties) moves by an incremental mean; returns new lists."""
-    gaps = [sum((c - x) ** 2 for c, x in zip(row, signal)) for row in centroids]
-    idx = gaps.index(min(gaps))
-    n = counts[idx]
-    centroids = [list(row) for row in centroids]
-    centroids[idx] = [c + (x - c) / (n + 1) for c, x in zip(centroids[idx], signal)]
-    counts = list(counts)
-    counts[idx] = n + 1
-    return idx, centroids, counts
-
-
-class TestClusterAssign:
-    def test_exact_centroid_hit(self):
-        centroids, counts = np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([3, 3])
-        idx = _assign(np.array([5.0, 5.0]), centroids, counts)
-        assert idx == 1
-        np.testing.assert_allclose(centroids[1], [5.0, 5.0])
-        assert counts.tolist() == [3, 4]
-
-    def test_tie_goes_to_lowest_index(self):
-        idx = _assign(np.array([0.0]), np.array([[-1.0], [1.0]]), np.array([0, 0]))
-        assert idx == 0
-
-    def test_zero_count_centroid_jumps_to_signal(self):
-        centroids, counts = np.zeros((2, 2)), np.zeros(2, dtype=int)
-        idx = _assign(np.array([3.0, -1.0]), centroids, counts)
-        assert idx == 0
-        np.testing.assert_allclose(centroids[0], [3.0, -1.0])
-
-    def test_two_blob_stream_recovers_means(self):
-        rng = np.random.default_rng(9)
-        blob_a = rng.normal([-3.0, 0.0], 0.2, (200, 2))
-        blob_b = rng.normal([3.0, 0.0], 0.2, (200, 2))
-        stream = np.empty((400, 2))
-        stream[0::2] = blob_a
-        stream[1::2] = blob_b
-        centroids, counts = np.zeros((2, 2)), np.zeros(2, dtype=int)
-        for signal in stream:
-            _assign(signal, centroids, counts)
-        centroids = sorted(centroids.tolist())
-        assert abs(centroids[0][0] - (-3.0)) < 0.1
-        assert abs(centroids[1][0] - 3.0) < 0.1
-
-
-    def test_array_assignment_equals_cluster_assign_on_a_random_stream(self):
-        rng = np.random.default_rng(11)
-        ref_centroids, ref_counts = [[0.0] * 3 for _ in range(3)], [0] * 3
-        centroids, counts = np.zeros((3, 3)), np.zeros(3, dtype=int)
-        for signal in rng.normal(0.0, 2.0, (200, 3)):
-            idx, ref_centroids, ref_counts = cluster_assign(
-                signal.tolist(), ref_centroids, ref_counts
-            )
-            assert _assign(signal, centroids, counts) == idx
-            assert (centroids == np.array(ref_centroids)).all()
-            assert (counts == np.array(ref_counts)).all()
-
-    @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1e300])
-    def test_huge_signals_pick_the_nearest_centroid_without_warnings(self, magnitude):
-        # every squared distance overflows, so the plain norms all read inf
-        centroids = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]) * magnitude
-        signal = np.array([1.1, 0.9, 1.2]) * magnitude
-        updated, counts = centroids.copy(), np.array([1, 1, 1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _assign(signal, updated, counts) == 1
-            assert _assign(-signal, updated.copy(), counts.copy()) == 0
-            # a tie between two far centroids still goes to the lower index
-            far = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) * magnitude
-            assert _assign(np.zeros(3), far, np.ones(2, int)) == 0
-        np.testing.assert_allclose(updated[1], (centroids[1] + signal) / 2)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_signal_is_rejected_by_both_paths(self, bad):
-        # both update rules: a zero-count centroid jumps, a counted one takes a mean
-        signal = np.array([0.5, bad, 1.0])
-        for counts in (np.zeros(2, dtype=int), np.ones(2, dtype=int)):
-            with pytest.raises(ValueError, match="non-finite"):
-                _assign(signal, np.zeros((2, 3)), counts)
 
 
 class TestJointStep:

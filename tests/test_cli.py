@@ -153,10 +153,11 @@ class TestPiecewiseCommand:
         [
             {"n_ensemble": None},
             {"noise_sigma": "abc"},
-            {"joint": {"n_clusters": "x"}},
             {"modes": [{"seed": "x"}]},
             {"rollout_len": float("inf")},  # JSON Infinity: int() overflows
-            # a retired field: unknown under any value
+            # retired fields: unknown under any value
+            {"joint": {"n_clusters": "x"}},
+            {"joint": {"n_clusters": 2.5}},
             {"adaptive": {"smooth_surprise": "false"}},
             {"adaptive": {"smooth_surprise": 0}},
             {"adaptive": {"smooth_surprise": None}},
@@ -164,7 +165,6 @@ class TestPiecewiseCommand:
             {"seed": True},  # int(True) would be seed 1
             {"bocd": {"h_max": 20.7}},
             {"schedule": [[0, 200.5], [1, 200]]},
-            {"joint": {"n_clusters": 2.5}},
             {"noise_sigma": True},  # float(True) would be 1.0
             {"bocd": {"hazard": "0.1"}},  # float("0.1") would parse the text
             {"operator": {"gamma": "0.5"}},
@@ -189,9 +189,10 @@ class TestPiecewiseCommand:
             {"rollout_len": 1e300},
         ],
         ids=[
-            "null_int", "text_float", "text_joint_int", "text_mode_seed", "infinite_int",
+            "null_int", "text_float", "text_mode_seed", "infinite_int",
+            "text_joint_int", "fractional_joint_int",
             "text_bool", "int_bool", "null_bool", "fractional_int", "bool_int",
-            "fractional_bocd_int", "fractional_dwell", "fractional_joint_int",
+            "fractional_bocd_int", "fractional_dwell",
             "bool_float", "text_bocd_float", "text_operator_float",
             "list_config", "overflowing_noise_sigma", "overflowing_ensemble_sigma",
             "null_str", "list_str",
@@ -414,12 +415,11 @@ class TestPiecewiseCommand:
         assert len(trace) == 400 and all(math.isfinite(row.err) for row in trace.rows)
 
     def test_huge_channel_signals_cluster_without_overflow_warnings(self, tmp_path, capsys):
-        # the channels reach ~1e200, whose squared distances to the centroids overflow
+        # the channels reach ~1e200, whose squares overflow a double
         cfg = tmp_path / "shift.json"
         raw = {
             "modes": [{"seed": 1, "reward_shift": 1e200}, {"seed": 2, "reward_shift": 1e200}],
             "schedule": [[0, 200], [1, 200]],
-            "joint": {"n_clusters": 3},
         }
         cfg.write_text(json.dumps(raw))
         assert main(["piecewise", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
@@ -454,9 +454,9 @@ class TestPiecewiseCommand:
              "reward_range must have low <= high and a finite high - low, got [1.0, -1.0]"),
             ({"reward_range": [-1e308, 1e308]},
              "reward_range must have low <= high and a finite high - low, got [-1e+308, 1e+308]"),
-            # retired spellings: joint null was one cluster, smooth_surprise false a
-            # surprise_ema_rate of 0
-            ({"joint": None}, "joint must be an object, got NoneType"),
+            # retired spellings: the joint section held the detector's regime clusters,
+            # smooth_surprise false was a surprise_ema_rate of 0
+            ({"joint": None}, "unknown field(s) ['joint'] under 'config'"),
             *[
                 ({"adaptive": {"smooth_surprise": value}},
                  "unknown field(s) ['smooth_surprise'] under 'adaptive'")

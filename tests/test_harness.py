@@ -136,11 +136,9 @@ class TestConfig:
         )
 
     def test_partition_and_joint_blocks(self):
-        raw = small_config_dict(partition=[[0, 1], [2, 3]], joint={"n_clusters": 3})
+        raw = small_config_dict(partition=[[0, 1], [2, 3]])
         config = config_from_dict(raw)
         assert config.partition is not None
-        assert config.joint.n_clusters == 3
-        assert config.joint.stickiness == 0.6
 
     def test_integer_fields_take_whole_floats_and_reject_the_rest(self):
         config = config_from_dict(small_config_dict(seed=3.0, rollout_len=8.0))
@@ -161,7 +159,6 @@ class TestConfig:
             ({"surprise": {"w_q": None}}, "surprise.w_q"),
             ({"reward_range": [-1.0, "1"]}, "reward_range"),
             ({"modes": [{"seed": 1, "reward_shift": False}]}, "modes\\[0\\].reward_shift"),
-            ({"joint": {"stickiness": "0.5"}}, "joint.stickiness"),
         ):
             with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
                 config_from_dict(small_config_dict(**bad))
@@ -201,16 +198,16 @@ class TestConfig:
             # the fixed-point polish would need ~1e9 backups at this gamma
             ({"operator": {"gamma": 0.999999999}},
              "operator.gamma must satisfy 1 / (1 - gamma) <= 1000000, got 0.999999999"),
-            # int(1.7e308) clusters made 1 / (h_max * n_clusters) overflow mid-run
-            ({"joint": {"n_clusters": 1.7e308}}, "bocd.h_max = 20 with 1699"),
-            ({"bocd": {"h_max": 2**25 + 1}}, "bocd.h_max = 33554433 with 1 cluster(s) needs"),
+            ({"bocd": {"h_max": 2**25 + 1}},
+             "bocd.h_max = 33554433 needs a run-length posterior of 33554433 doubles, "
+             "beyond the budget of 33554432"),
             # (n_ensemble + 1) * 6 * 3 doubles is one past 2**25 at the smallest such n_ensemble
             ({"n_ensemble": 1864135}, "n_ensemble = 1864135 with 18 (state, action) pairs needs"),
             ({"rollout_len": 2**25 + 1}, "rollout_len = 33554433 needs a rollout of 33554433"),
         ],
         ids=["adaptive", "operator", "bocd", "surprise", "scalar_schedule", "short_segment",
              "short_reward_range", "negative_mode_seed", "partition", "polish_budget",
-             "posterior_clusters", "posterior_h_max", "ensemble_budget", "rollout_budget"],
+             "posterior_h_max", "ensemble_budget", "rollout_budget"],
     )
     def test_range_error_names_its_config_field(self, raw, lead):
         with pytest.raises(ConfigError) as info:
@@ -397,23 +394,9 @@ class TestRunPiecewise:
         errs = [trace.rows[t].err for t in range(40, 40 + config.detection_steps)]
         assert max(errs) - min(errs) <= 1e-15
 
-    def test_joint_variant_runs_and_matches_row_schema(self):
-        raw = small_config_dict(joint={"n_clusters": 3, "stickiness": 0.7})
-        config = config_from_dict(raw)
-        trace = run_piecewise(config)
-        assert len(trace) == 80
-        assert all(np.isfinite(r.h_bar) and np.isfinite(r.entropy) for r in trace.rows)
-
     def test_default_joint_is_the_one_cluster_filter(self):
-        # the default detector has one cluster, where stickiness has no effect
-        default = config_from_dict(small_config_dict())
-        assert default.joint.n_clusters == 1
-        plain = run_piecewise(default)
-        sticky = run_piecewise(
-            config_from_dict(small_config_dict(joint={"n_clusters": 1, "stickiness": 1.0}))
-        )
-        assert trace_to_csv_text(plain) == trace_to_csv_text(sticky)
-        # ... and its run-length marginal is the plain run-length posterior, bit for bit
+        # the run's detector is the plain run-length posterior, bit for bit
+        plain = run_piecewise(config_from_dict(small_config_dict()))
         h_max = BOCDParams().h_max
         belief = np.full((1, h_max), 1.0 / h_max)
         for row in plain.rows:
@@ -518,6 +501,12 @@ def test_rollout_mean_and_variance_equal_numpys_bit_for_bit():
             assert type(mean) is float and type(var) is float
 
 
+# well-formed trace rows 0 and 1, as JSON values
+TRACE_ROW_0 = {"iter": 0, "true_mode": 0, "xi": 0.5, "h_bar": 1.0, "entropy": 1.0,
+               "lambda_w": 0.0, "beta_eff": 1.0, "err": 0.1, "phase": "steady"}
+TRACE_ROW_1 = {**TRACE_ROW_0, "iter": 1}
+
+
 class TestTraceIO:
     def build_trace(self) -> ExperimentTrace:
         with warnings.catch_warnings():
@@ -580,6 +569,45 @@ class TestTraceIO:
         with pytest.raises(OSError, match="cannot read trace from") as info:
             read_trace(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "suffix, row, message",
+        [
+            (".csv", "1,0,0.5", "trace row 1: must hold one value per trace column, got {"),
+            (".csv", "1,0,0.5,1.0,1.0,0.0,1.0,0.1,steady,9",
+             "trace row 1: must hold one value per trace column, got {"),
+            (".csv", "1,0,abc,1.0,1.0,0.0,1.0,0.1,steady",
+             "trace row 1: could not convert string to float: 'abc'"),
+            (".json", {k: v for k, v in TRACE_ROW_1.items() if k != "xi"},
+             "trace row 1: must hold one value per trace column, got {"),
+            (".json", {**TRACE_ROW_1, "xi": None},
+             "trace row 1: must hold one value per trace column, got {"),
+            (".json", [1, 0, 0.5], "trace row 1: must hold one value per trace column, got [1, 0, 0.5]"),
+            (".json", {**TRACE_ROW_1, "mode": 0},
+             "trace row 1: must hold one value per trace column, got {"),
+            # int() would read 1.5 as 1 and true as 1
+            (".json", {**TRACE_ROW_1, "iter": 1.5},
+             "trace row 1: iter takes a value of type int, got 1.5"),
+            (".json", {**TRACE_ROW_1, "iter": True},
+             "trace row 1: iter takes a value of type int, got True"),
+            (".json", {**TRACE_ROW_1, "xi": "0.5"},
+             "trace row 1: xi takes a value of type float, got '0.5'"),
+            (".json", {**TRACE_ROW_1, "phase": "warmup"},
+             "trace row 1: phase must be one of ('detection', 'contraction', 'steady'), got 'warmup'"),
+        ],
+        ids=["csv_short_row", "csv_long_row", "csv_text_float", "json_missing_column",
+             "json_null_value", "json_list_row", "json_extra_key", "json_fractional_int",
+             "json_bool_int", "json_text_float", "json_unknown_phase"],
+    )
+    def test_malformed_row_is_refused_naming_it(self, tmp_path, suffix, row, message):
+        path = tmp_path / f"trace{suffix}"
+        if suffix == ".csv":
+            first = ",".join(str(v) for v in TRACE_ROW_0.values())
+            path.write_text(f"{','.join(TRACE_ROW_0)}\n{first}\n{row}\n")
+        else:
+            path.write_text(json.dumps([TRACE_ROW_0, row]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            read_trace(path)
 
     def test_rows_must_be_contiguous(self):
         rows = self.build_trace().rows

@@ -1,6 +1,7 @@
 """Tests for the operator zoo: backups, mixtures, thresholds, bounds."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pwmdp import (
     make_random_mode,
     mixture_backup,
     mode_fixed_point,
+    operators,
     project,
     projection_error,
     regime_perturbation,
@@ -565,6 +567,17 @@ class TestRegimePerturbation:
             m2 = make_random_mode(int(rng.integers(0, 2**31)), 4, 2)
             result = regime_perturbation(m1, m2, params, tol=1e-11)
             assert result.actual_gap <= result.bound + 1e-8
+
+    def test_unconverged_fixed_point_is_refused(self, monkeypatch):
+        solve = operators.mode_fixed_point
+        monkeypatch.setattr(
+            operators,
+            "mode_fixed_point",
+            lambda model, params, tol: replace(solve(model, params, tol), converged=False),
+        )
+        model = make_random_mode(3, 4, 2)
+        with pytest.raises(RuntimeError, match="^fixed point of a regime model has residual above tol$"):
+            regime_perturbation(model, model, OperatorParams(gamma=0.9))
 
 
 class TestProject:
