@@ -16,10 +16,9 @@ at least ``hazard`` times the largest message: no surprise can underflow
 the normalizer (one whose square overflows a double is rejected with a
 ValueError). The updates take a batch of beliefs as an array with a
 leading case axis and return a new array; a single belief is the
-one-case batch, and its marginals are sums over an axis.
+one-case batch.
 
-Also provides the joint (run-length x regime-cluster) update and the
-posterior-ratio detection-delay calculus.
+Also provides the posterior-ratio detection-delay calculus.
 
 Belief updates are pure. A detector's state must be owned by a single
 logical thread; independent detectors may run in parallel.
@@ -45,7 +44,6 @@ __all__ = [
     "bayes_update",
     "posterior_ratio",
     "detection_delay",
-    "joint_step",
 ]
 
 # The most negative double, a floor on the per-case log-likelihood shift.
@@ -139,14 +137,11 @@ def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndar
         return -xi_sq / two_var - log_norm
 
 
-def _batch(beliefs, event_ndim: int, what: str, params: BOCDParams | None) -> np.ndarray:
-    """A (B, h_max, ...) array batch of beliefs, every case checked on the simplex.
-
-    ``event_ndim`` is 1 for run-length beliefs, 2 for joint (run-length, cluster) ones.
-    """
+def _batch(beliefs, what: str, params: BOCDParams | None) -> np.ndarray:
+    """A (B, h_max) array batch of beliefs, every case checked on the simplex."""
     probs = np.asarray(beliefs, dtype=float)
-    if probs.ndim != event_ndim + 1 or len(probs) < 1:
-        raise ValueError(f"{what} batch must be (B >= 1, h_max, ...), got {probs.shape}")
+    if probs.ndim != 2 or len(probs) < 1:
+        raise ValueError(f"{what} batch must be (B >= 1, h_max), got {probs.shape}")
     check_simplex(probs, what, batched=True)
     if params is not None and probs.shape[1] != params.h_max:
         raise ValueError(f"{what} has h_max={probs.shape[1]} but params expect {params.h_max}")
@@ -161,25 +156,17 @@ def _per_case(values, n_cases: int, what: str) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _filter_step(
-    probs: np.ndarray,
-    xi: np.ndarray,
-    z_now: int | np.ndarray,
-    stickiness: float | np.ndarray,
-    params: BOCDParams,
-) -> np.ndarray:
-    """One run-length update of a (B, h_max, n_clusters) batch of joint beliefs.
+def _filter_step(probs: np.ndarray, xi: np.ndarray, params: BOCDParams) -> np.ndarray:
+    """One run-length update of a (B, h_max) batch of beliefs.
 
     The log-likelihood is shifted by each case's largest first, so a huge
     but finite one cannot absorb log(b); the messages log(b) + log L(xi)
     are then shifted by each case's largest and exponentiated once. Growth
     moves them one bin up at rate (1 - hazard) and the top bin absorbs what
-    would overflow the truncation; the pooled change-point mass
-    hazard * sum(messages) is re-injected at run-length 0, ``stickiness``
-    of it on cluster ``z_now`` and the rest spread evenly
-    over the other clusters (all of it, for a single cluster). Each case is
+    would overflow the truncation; the change-point mass
+    hazard * sum(messages) is re-injected at run-length 0. Each case is
     then divided by its own sum, which is at least ``hazard``. ``xi`` has
-    shape (1,) or (B,); ``z_now`` and ``stickiness`` are scalars or (B,).
+    shape (1,) or (B,).
 
     Where ``xi`` is so far beyond every bin's support that all of a case's
     messages are -inf, the case takes their limit: the widest bins that
@@ -190,40 +177,32 @@ def _filter_step(
     log_lik = log_likelihood_vector(xi, params)
     # a case whose log-likelihood is -inf everywhere stays -inf, not nan
     log_lik -= np.maximum(log_lik.max(axis=1, keepdims=True), _LOWEST)
-    log_msg = log_prior + log_lik[:, :, None]
-    top = log_msg.max(axis=(1, 2), keepdims=True)
+    log_msg = log_prior + log_lik
+    top = log_msg.max(axis=1, keepdims=True)
     if top.min() == -np.inf:
-        lost = np.isneginf(top[:, 0, 0])
+        lost = np.isneginf(top[:, 0])
         two_var = params._likelihood_terms[0]
-        widest = np.where(probs[lost].any(axis=2), two_var, -np.inf).max(axis=1)[:, None, None]
-        log_msg[lost] = np.where(two_var[:, None] == widest, log_prior[lost], -np.inf)
-        top[lost] = log_msg[lost].max(axis=(1, 2), keepdims=True)
+        widest = np.where(probs[lost] > 0.0, two_var, -np.inf).max(axis=1)[:, None]
+        log_msg[lost] = np.where(two_var == widest, log_prior[lost], -np.inf)
+        top[lost] = log_msg[lost].max(axis=1, keepdims=True)
     msg = np.exp(log_msg - top)
     growth = msg * (1.0 - params.hazard)
     u = np.empty_like(msg)
     u[:, 1:] = growth[:, :-1]
     u[:, -1] += growth[:, -1]
-    cp_total = params.hazard * msg.sum(axis=(1, 2))
-    n_z = probs.shape[2]
-    if n_z == 1:
-        u[:, 0, 0] = cp_total
-    else:
-        u[:, 0, :] = (cp_total * (1.0 - stickiness) / (n_z - 1))[:, None]
-        u[np.arange(len(u)), 0, z_now] = cp_total * stickiness
-    return u / u.sum(axis=(1, 2), keepdims=True)
+    u[:, 0] = params.hazard * msg.sum(axis=1)
+    return u / u.sum(axis=1, keepdims=True)
 
 
 def bocd_step(beliefs: np.ndarray, xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
     """One posterior update for surprise ``xi``.
 
-    The filter recursion on the single run-length column, with the
-    change-point message collected into bin 0. Takes a (B, h_max) array of
-    beliefs with ``xi`` a scalar or (B,) array, and returns the updated
-    (B, h_max) array.
+    The filter recursion of ``_filter_step`` on a checked batch. Takes a
+    (B, h_max) array of beliefs with ``xi`` a scalar or (B,) array, and
+    returns the updated (B, h_max) array.
     """
-    probs = _batch(beliefs, 1, "run-length belief", params)
-    xi = _per_case(xi, len(probs), "xi")
-    return _filter_step(probs[:, :, None], xi, 0, 1.0, params)[:, :, 0]
+    probs = _batch(beliefs, "run-length belief", params)
+    return _filter_step(probs, _per_case(xi, len(probs), "xi"), params)
 
 
 def _mean_run_length(rho: np.ndarray) -> float:
@@ -245,7 +224,7 @@ def bayes_update(beliefs: np.ndarray, lik: np.ndarray) -> np.ndarray:
     :class:`DegenerateBeliefError` for a case whose evidence is zero on the
     whole support of its belief: its posterior is undefined.
     """
-    probs = _batch(beliefs, 1, "run-length belief", None)
+    probs = _batch(beliefs, "run-length belief", None)
     lik = np.asarray(lik, dtype=float)
     if lik.shape != probs.shape:
         raise ValueError(f"likelihood shape {lik.shape} does not match belief {probs.shape}")
@@ -295,35 +274,3 @@ def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.log(prior_ratio / delta) / (2.0 * math.log(likelihood_ratio))
 
-
-def joint_step(
-    beliefs: np.ndarray,
-    xi: float | np.ndarray,
-    z_now: int | np.ndarray,
-    params: BOCDParams,
-    stickiness: float | np.ndarray,
-) -> np.ndarray:
-    """One joint (run-length, cluster) posterior update.
-
-    Each cluster column undergoes the same growth/truncation recursion as
-    :func:`bocd_step`; the pooled change-point mass is re-injected at
-    run-length 0 with weight ``stickiness`` on the currently observed
-    cluster ``z_now`` and the remainder spread uniformly over the other
-    clusters. The marginal recursion (and, for a single cluster, the exact
-    arithmetic) matches :func:`bocd_step`. Takes a (B, h_max, n_clusters)
-    array of beliefs with ``xi``, ``z_now`` and ``stickiness`` each a scalar
-    or a (B,) array, and returns the updated (B, h_max, n_clusters) array.
-    """
-    probs = _batch(beliefs, 2, "joint belief", params)
-    n, n_z = len(probs), probs.shape[2]
-    z_now = _per_case(z_now, n, "z_now")
-    stickiness = _per_case(stickiness, n, "stickiness")
-    if z_now.dtype.kind not in "iu":
-        raise ValueError(f"cluster index must be an integer, got {z_now.dtype}")
-    bad = (z_now < 0) | (z_now >= n_z)
-    if bad.any():
-        raise ValueError(f"cluster index {z_now[bad.argmax()]} outside 0..{n_z - 1}")
-    bad = ~((0.0 < stickiness) & (stickiness <= 1.0))
-    if bad.any():
-        raise ValueError(f"stickiness must lie in (0, 1], got {stickiness[bad.argmax()]}")
-    return _filter_step(probs, _per_case(xi, n, "xi"), z_now, stickiness, params)

@@ -41,7 +41,6 @@ from ..bocd import (
     bayes_update,
     bocd_step,
     detection_delay,
-    joint_step,
 )
 from ..context import (
     ContextLossConfig,
@@ -343,7 +342,7 @@ def suite_detection_delay_table(seed: int, mutation: str | None = None) -> Suite
     return SuiteResult("detection_delay_table", tested, max_violation, tol)
 
 
-# --- suite 5: belief updates preserve the simplex ---
+# --- suite 5: belief updates preserve the simplex and match a dense reference ---
 
 # Cases are drawn and updated in blocks of at most this many, so the batch
 # arrays stay small next to the rest of the process.
@@ -357,44 +356,48 @@ def _blocks(n_cases: int):
 
 
 def _simplex_violation(probs: np.ndarray) -> float:
-    """Worst departure from the simplex over a batch whose axis 0 indexes cases."""
-    cases = probs.reshape(len(probs), -1)
-    return max(float(np.abs(cases.sum(axis=1) - 1.0).max()), max(0.0, -float(cases.min())))
+    """Worst departure from the simplex over a (B, h) batch."""
+    return max(float(np.abs(probs.sum(axis=1) - 1.0).max()), max(0.0, -float(probs.min())))
+
+
+def _dense_filter(probs: np.ndarray, xi: np.ndarray, params: BOCDParams) -> np.ndarray:
+    """Independent reference for ``bocd_step`` on a (B, h) batch: each case's
+    Adams-MacKay update as an explicit (h, h) transition matrix (hazard row 0,
+    growth below the diagonal, the absorbing top bin) times the Gaussian
+    density written out, applied to the prior and normalized."""
+    h = params.h_max
+    var = params.sigma0_sq + params.sigma_g * np.arange(h)
+    lik = np.exp(-xi[:, None] ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    matrix = np.zeros((len(probs), h, h))
+    matrix[:, 0, :] = params.hazard * lik
+    below = np.arange(1, h)
+    matrix[:, below, below - 1] = (1.0 - params.hazard) * lik[:, :-1]
+    matrix[:, -1, -1] += (1.0 - params.hazard) * lik[:, -1]
+    unnormalized = np.einsum("bij,bj->bi", matrix, probs)
+    return unnormalized / unnormalized.sum(axis=1, keepdims=True)
 
 
 def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteResult:
+    """Run-length and Bayes updates stay on the simplex; the dense-checked
+    run-length cases also match ``_dense_filter``."""
     tol = 1e-12
     n_total = 100_000
     rng = np.random.default_rng((seed, 105))
     params = BOCDParams()
     h = params.h_max
     n_bocd = int(n_total * 0.4)
-    n_joint = int(n_total * 0.3)
-    n_bayes = n_total - n_bocd - n_joint
+    n_dense = int(n_total * 0.3)
+    n_bayes = n_total - n_bocd - n_dense
     max_violation = 0.0
-    for n in _blocks(n_bocd):
-        probs = rng.dirichlet(np.ones(h), n)
-        out = bocd_step(probs, rng.uniform(-8.0, 8.0, n), params)
-        max_violation = max(max_violation, _simplex_violation(out))
-    for n in _blocks(n_joint):
-        n_z = rng.integers(1, 5, n)
-        for k in range(1, 5):
-            m = int((n_z == k).sum())
-            if m == 0:
-                continue
-            out = joint_step(
-                rng.dirichlet(np.ones(h * k), m).reshape(m, h, k),
-                rng.uniform(-8.0, 8.0, m),
-                rng.integers(0, k, m),
-                params,
-                rng.uniform(0.1, 1.0, m),
-            )
-            max_violation = max(
-                max_violation,
-                _simplex_violation(out),
-                _simplex_violation(out.sum(axis=2)),
-                _simplex_violation(out.sum(axis=1)),
-            )
+    for n_cases, dense in ((n_bocd, False), (n_dense, True)):
+        for n in _blocks(n_cases):
+            probs = rng.dirichlet(np.ones(h), n)
+            xi = rng.uniform(-8.0, 8.0, n)
+            out = bocd_step(probs, xi, params)
+            max_violation = max(max_violation, _simplex_violation(out))
+            if dense:
+                deviation = float(np.abs(out - _dense_filter(probs, xi, params)).max())
+                max_violation = max(max_violation, deviation)
     for n in _blocks(n_bayes):
         probs = rng.dirichlet(np.ones(h), n)
         out = bayes_update(probs, rng.uniform(0.0, 1.0, (n, h)))
@@ -434,6 +437,15 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
         bigger = surprise(z * 2.0, q * 2.0, k * 2.0, fused_weights)
         max_violation = max(max_violation, value - bigger)
         tested += 2
+    # below the clip, raising one channel alone strictly raises the fused surprise
+    readings = np.random.default_rng((seed, 1061)).uniform(0.0, 5.0, (100, 3))
+    rising = all(
+        surprise(*(reading + step), fused_weights) > surprise(*reading, fused_weights)
+        for reading in readings
+        for step in np.eye(3)
+    )
+    max_violation = _gated(max_violation, rising)
+    tested += readings.size
     return SuiteResult("safety_monotonicity", tested, max_violation, tol)
 
 

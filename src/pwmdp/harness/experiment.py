@@ -11,7 +11,7 @@ chain runs alongside:
      smooths the result at ``adaptive.surprise_ema_rate`` (0 keeps it as
      fused), as it smooths the channel statistics;
   3. the run-length posterior absorbs the surprise. It stays one plain
-     (1, h_max, 1) array for the whole run, stepped by ``bocd``'s private
+     (1, h_max) array for the whole run, stepped by ``bocd``'s private
      helpers (``_filter_step``, as ``bocd_step`` calls it;
      ``_mean_run_length`` and ``_entropy``), so no belief object is built
      per iteration;
@@ -229,8 +229,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     holds = config.detection_policy == "hold"
 
     h_max = config.bocd_params.h_max
-    # the run-length posterior as a one-case batch with one column, as bocd_step holds it
-    posterior = np.full((1, h_max, 1), 1.0 / h_max)
+    # the run-length posterior as a one-case batch, as bocd_step holds it
+    posterior = np.full((1, h_max), 1.0 / h_max)
     adaptive = config.adaptive_template
 
     point_masses = np.eye(len(models)).tolist()  # row m: the point-mass weights on regime m
@@ -292,8 +292,8 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         xi = surprise_ema = ema_update(surprise_ema, xi, adaptive.surprise_ema_rate)
 
         # --- belief update, then penalty chain (snapshots for this backup) ---
-        posterior = _filter_step(posterior, np.array([xi]), 0, 1.0, config.bocd_params)
-        rho = posterior[0, :, 0]
+        posterior = _filter_step(posterior, np.array([xi]), config.bocd_params)
+        rho = posterior[0]
         h_bar = _mean_run_length(rho)
         entropy = _entropy(rho)
         lam, lam_base, lam_sq = lambda_w(h_bar, h_max, lam_base, lam_sq, adaptive.baseline_ema_rate)

@@ -29,7 +29,7 @@ from pwmdp.harness.cli import main
 SEED = 0
 
 # sha256 of `pwmdp certify --seed 0`'s certification.json
-CERTIFICATION_SHA256 = "1f79f773c15013929ba14a6dfd1dc1dc13b3e83a0418f75f4593bc7de3c0eaa0"
+CERTIFICATION_SHA256 = "423d094287c73f3296e29c8e64e64ea2c3fc45be5bcde8307c8fdce3555f1d99"
 
 
 def report(number: int, name: str, suite, elapsed: float | None = None, instances: int | None = None):

@@ -1,4 +1,4 @@
-"""Tests for the run-length change detector and joint regime belief."""
+"""Tests for the run-length change detector."""
 
 import math
 import re
@@ -14,19 +14,17 @@ from pwmdp import (
     bayes_update,
     bocd_step,
     detection_delay,
-    joint_step,
     log_likelihood_vector,
     posterior_ratio,
 )
-from pwmdp.bocd import _entropy, _mean_run_length
+from pwmdp.bocd import _entropy, _filter_step, _mean_run_length
 
 PARAMS = BOCDParams()  # h_max=20, hazard=0.05, sigma0_sq=0.1, sigma_g=0.05
 
 
-def uniform(h_max: int, n_z: int | None = None) -> np.ndarray:
-    """A one-case batch holding the uniform run-length (or joint) belief."""
-    shape = (1, h_max) if n_z is None else (1, h_max, n_z)
-    return np.full(shape, 1.0 / math.prod(shape))
+def uniform(h_max: int) -> np.ndarray:
+    """A one-case batch holding the uniform run-length belief."""
+    return np.full((1, h_max), 1.0 / h_max)
 
 
 def point_mass(h: int, h_max: int) -> np.ndarray:
@@ -114,14 +112,11 @@ class TestBocdStep:
         assert out[19] == pytest.approx(1 - PARAMS.hazard, rel=1e-12)
         assert out[0] == pytest.approx(PARAMS.hazard, rel=1e-12)
 
-    @pytest.mark.parametrize("n_z", [None, 1, 3], ids=["bocd", "joint1", "joint3"])
-    def test_extreme_surprise_reaches_exact_limit(self, n_z):
-        # every message but the widest bin's underflows; the filter keeps the limit
-        if n_z is None:
-            rho = bocd_step(uniform(20), 1e8, PARAMS)[0]
-        else:
-            joint = joint_step(uniform(20, n_z), 1e8, 0, PARAMS, stickiness=0.6)
-            rho = joint[0].sum(axis=1)
+    @pytest.mark.parametrize("update", [bocd_step, _filter_step], ids=["bocd", "filter_step"])
+    def test_extreme_surprise_reaches_exact_limit(self, update):
+        # every message but the widest bin's underflows; the filter keeps the
+        # limit, on the checked entry and on the kernel run_piecewise steps
+        rho = update(uniform(20), np.array([1e8]), PARAMS)[0]
         assert rho[0] == pytest.approx(PARAMS.hazard, rel=1e-15)
         assert rho[19] == pytest.approx(1.0 - PARAMS.hazard, rel=1e-15)
         assert (rho[1:19] == 0.0).all()
@@ -247,82 +242,6 @@ class TestDetectionDelay:
             posterior_ratio(1, 0.9, 1.0)
 
 
-class TestJointStep:
-    def test_single_cluster_reduces_to_bocd_bitwise(self):
-        rng = np.random.default_rng(10)
-        probs = rng.dirichlet(np.ones(20))
-        belief = probs[None]
-        joint = probs.reshape(1, 20, 1)
-        for xi in rng.uniform(-3, 3, 50):
-            belief = bocd_step(belief, float(xi), PARAMS)
-            joint = joint_step(joint, float(xi), 0, PARAMS, stickiness=0.6)
-            assert (joint[0].sum(axis=1) == belief[0]).all()
-
-    @pytest.mark.parametrize("n_z", [2, 3, 4])
-    def test_multi_cluster_matches_per_column_reference(self, n_z):
-        def reference(probs, xi, z_now, stickiness):
-            lik = np.exp(log_likelihood_vector(xi, PARAMS))
-            u = np.empty_like(probs)
-            cp_total = 0.0
-            for z in range(n_z):
-                col = probs[:, z]
-                growth = col * lik * (1.0 - PARAMS.hazard)
-                cp_total += PARAMS.hazard * float(np.dot(col, lik))
-                u[0, z] = 0.0
-                u[1:, z] = growth[:-1]
-                u[-1, z] += growth[-1]
-            u[0, :] = cp_total * (1.0 - stickiness) / (n_z - 1)
-            u[0, z_now] = cp_total * stickiness
-            return u / u.sum()
-
-        rng = np.random.default_rng(20 + n_z)
-        joint = rng.dirichlet(np.ones(20 * n_z)).reshape(1, 20, n_z)
-        for _ in range(50):
-            xi = float(rng.uniform(-3, 3))
-            z_now = int(rng.integers(0, n_z))
-            stickiness = float(rng.uniform(0.1, 1.0))
-            expected = reference(joint[0], xi, z_now, stickiness)
-            joint = joint_step(joint, xi, z_now, PARAMS, stickiness=stickiness)
-            np.testing.assert_allclose(joint[0], expected, rtol=1e-13, atol=0.0)
-
-    def test_marginals_sum_to_one_fuzz(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10_000):
-            n_z = int(rng.integers(1, 5))
-            joint = rng.dirichlet(np.ones(20 * n_z)).reshape(1, 20, n_z)
-            out = joint_step(
-                joint,
-                float(rng.uniform(-5, 5)),
-                int(rng.integers(0, n_z)),
-                PARAMS,
-                stickiness=float(rng.uniform(0.1, 1.0)),
-            )[0]
-            assert abs(out.sum() - 1.0) <= 1e-12
-            assert (out >= 0).all()
-            assert abs(out.sum(axis=1).sum() - 1.0) <= 1e-12
-            assert abs(out.sum(axis=0).sum() - 1.0) <= 1e-12
-
-    def test_full_stickiness_keeps_mass_in_observed_cluster(self):
-        rng = np.random.default_rng(12)
-        joint = rng.dirichlet(np.ones(60)).reshape(1, 20, 3)
-        out = joint_step(joint, 0.5, 1, PARAMS, stickiness=1.0)[0]
-        assert out[0, 0] == 0.0
-        assert out[0, 2] == 0.0
-        assert out[0, 1] > 0.0
-
-    def test_invalid_cluster_index(self):
-        joint = uniform(20, 2)
-        with pytest.raises(ValueError, match="cluster"):
-            joint_step(joint, 0.0, 2, PARAMS, stickiness=0.6)
-
-    def test_stickiness_domain(self):
-        joint = uniform(20, 2)
-        with pytest.raises(ValueError, match="stickiness"):
-            joint_step(joint, 0.0, 0, PARAMS, stickiness=0.0)
-        with pytest.raises(ValueError, match="stickiness"):
-            joint_step(joint, 0.0, 0, PARAMS, stickiness=1.2)
-
-
 class TestBatchedFilter:
     """An array batch gives, case by case, what one one-case call per belief gives."""
 
@@ -336,22 +255,6 @@ class TestBatchedFilter:
             expected = bocd_step(probs[i : i + 1], float(xi[i]), PARAMS)[0]
             np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("n_z", [1, 2, 3, 4])
-    def test_joint_batch_matches_scalar_calls(self, n_z):
-        rng = np.random.default_rng(30 + n_z)
-        probs = rng.dirichlet(np.ones(20 * n_z), 64).reshape(64, 20, n_z)
-        xi = rng.uniform(-8.0, 8.0, 64)
-        z_now = rng.integers(0, n_z, 64)
-        stickiness = rng.uniform(0.1, 1.0, 64)
-        out = joint_step(probs, xi, z_now, PARAMS, stickiness=stickiness)
-        assert out.shape == (64, 20, n_z)
-        for i in range(64):
-            expected = joint_step(
-                probs[i : i + 1], float(xi[i]), int(z_now[i]), PARAMS,
-                stickiness=float(stickiness[i]),
-            )[0]
-            np.testing.assert_allclose(out[i], expected, rtol=1e-13, atol=0.0)
-
     def test_bayes_batch_matches_scalar_calls(self):
         rng = np.random.default_rng(35)
         probs = rng.dirichlet(np.ones(20), 64)
@@ -363,12 +266,12 @@ class TestBatchedFilter:
 
     def test_scalar_arguments_apply_to_every_case(self):
         rng = np.random.default_rng(36)
-        probs = rng.dirichlet(np.ones(60), 8).reshape(8, 20, 3)
-        out = joint_step(probs, 0.7, 2, PARAMS, stickiness=0.8)
-        each = joint_step(probs, np.full(8, 0.7), np.full(8, 2), PARAMS, stickiness=np.full(8, 0.8))
+        probs = rng.dirichlet(np.ones(20), 8)
+        out = bocd_step(probs, 0.7, PARAMS)
+        each = bocd_step(probs, np.full(8, 0.7), PARAMS)
         assert (out == each).all()
 
-    @pytest.mark.parametrize("update", ["bocd", "joint", "bayes"])
+    @pytest.mark.parametrize("update", ["bocd", "bayes"])
     def test_non_simplex_row_is_named(self, update):
         rng = np.random.default_rng(37)
         probs = rng.dirichlet(np.ones(20), 6)
@@ -376,19 +279,13 @@ class TestBatchedFilter:
         with pytest.raises(ValueError, match="row 3 sums to"):
             if update == "bocd":
                 bocd_step(probs, 0.0, PARAMS)
-            elif update == "joint":
-                joint_step(probs[:, :, None], 0.0, 0, PARAMS, stickiness=0.6)
             else:
                 bayes_update(probs, np.ones((6, 20)))
 
     def test_per_case_arguments_must_match_the_batch(self):
-        probs = np.full((4, 20, 2), 1.0 / 40)
+        probs = np.full((4, 20), 1.0 / 20)
         with pytest.raises(ValueError, match="xi"):
-            joint_step(probs, np.zeros(3), 0, PARAMS, stickiness=0.6)
-        with pytest.raises(ValueError, match="cluster index 2"):
-            joint_step(probs, 0.0, np.array([0, 1, 2, 0]), PARAMS, stickiness=0.6)
-        with pytest.raises(ValueError, match="stickiness"):
-            joint_step(probs, 0.0, 0, PARAMS, stickiness=np.array([0.5, 0.0, 0.5, 0.5]))
+            bocd_step(probs, np.zeros(3), PARAMS)
         with pytest.raises(ValueError, match="h_max"):
             bocd_step(np.full((4, 10), 0.1), 0.0, PARAMS)
 
@@ -459,17 +356,6 @@ class TestDegenerateVariance:
         near = bocd_step(probs, 1.0, BOCDParams(h_max=5, sigma0_sq=1e-300, sigma_g=1e-300))
         np.testing.assert_array_equal(out, near)
 
-    def test_joint_belief_takes_the_same_limit(self):
-        probs = np.zeros((1, 5, 3))
-        probs[0, 1] = [0.2, 0.3, 0.0]
-        probs[0, 3] = [0.0, 0.1, 0.4]
-        tiny = BOCDParams(h_max=5, sigma0_sq=1e-320, sigma_g=1e-320)
-        out = joint_step(probs, 1.0, 2, tiny, stickiness=0.6)
-        expected = np.zeros((1, 5, 3))
-        expected[0, 4] = [0.0, 0.2 * 0.95, 0.8 * 0.95]
-        expected[0, 0] = [0.05 * 0.2, 0.05 * 0.2, 0.05 * 0.6]
-        np.testing.assert_allclose(out, expected, rtol=1e-15, atol=0.0)
-
     def test_huge_finite_log_likelihood_keeps_the_prior(self):
         # one variance in every bin: a log density of about -5e299 is the same
         # in each bin and must not absorb log(b) before the shift
@@ -482,7 +368,7 @@ class TestDegenerateVariance:
     "call, message",
     [
         (lambda: bocd_step(np.empty((0, 20)), 0.0, PARAMS),
-         "run-length belief batch must be (B >= 1, h_max, ...), got (0, 20)"),
+         "run-length belief batch must be (B >= 1, h_max), got (0, 20)"),
         (lambda: bayes_update(uniform(20), np.ones((1, 10))),
          "likelihood shape (1, 10) does not match belief (1, 20)"),
         (lambda: bayes_update(uniform(20), -np.ones((1, 20))),
@@ -490,12 +376,10 @@ class TestDegenerateVariance:
         (lambda: posterior_ratio(1, 2.0, 0.0), "prior ratio must be > 0, got 0.0"),
         (lambda: posterior_ratio(-1, 2.0, 1.0), "n must be >= 0, got -1"),
         (lambda: detection_delay(2.0, 1.0, 1.0), "delta must lie in (0, 1), got 1.0"),
-        (lambda: joint_step(uniform(20, 2), 0.0, 0.5, PARAMS, stickiness=0.6),
-         "cluster index must be an integer, got float64"),
     ],
     ids=[
         "empty_batch", "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
-        "negative_n", "delta_of_one", "fractional_cluster_index",
+        "negative_n", "delta_of_one",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pwmdp import OperatorParams, make_random_mode, operators
+from pwmdp import OperatorParams, adaptive, bocd, context, make_random_mode, operators
 from pwmdp.harness import certify
 from pwmdp.harness.certify import (
     MUTATIONS,
@@ -23,12 +23,16 @@ from pwmdp.harness.certify import (
     lambda_w_gates_hold,
     report_to_json,
     run_certification,
+    suite_context_losses,
     suite_contraction_certificate,
     suite_detection_delay_table,
     suite_error_budget,
     suite_piecewise_three_phase,
     suite_reproducibility,
+    suite_safety_monotonicity,
     suite_sharp_threshold,
+    suite_shared_critic_equivalence,
+    suite_simplex_preservation,
     three_phase_config_dict,
 )
 from pwmdp.harness.config import config_from_dict
@@ -290,3 +294,72 @@ def test_inner_loops_call_the_backup_kernel_once_per_step(monkeypatch):
     suite = suite_error_budget(0)
     assert suite.passed
     assert callers["suite_error_budget"] == suite.tested_instances == 11_000
+
+
+# Kernel mutations and the suite each must fail: (defining module, kernel
+# name, mutate(real) -> stand-in, suite). The xfail rows are known blind spots.
+KERNEL_MUTATIONS = [
+    pytest.param(
+        bocd, "_filter_step",
+        lambda real: lambda probs, xi, params: real(probs, xi, replace(params, hazard=2.0 * params.hazard)),
+        suite_simplex_preservation, id="filter_step_doubled_hazard",
+    ),
+    pytest.param(
+        bocd, "log_likelihood_vector",
+        lambda real: lambda xi, params: real(xi, params) + params._likelihood_terms[1],
+        suite_simplex_preservation, id="likelihood_without_normalizer",
+    ),
+    pytest.param(
+        adaptive, "surprise",
+        lambda real: lambda reward_z, q_std_ratio, kappa_div, weights: real(reward_z, q_std_ratio, 0.0, weights),
+        suite_safety_monotonicity, id="surprise_without_kappa",
+    ),
+    pytest.param(
+        operators, "_project",
+        lambda real: lambda values, partition: 1.01 * real(values, partition),
+        suite_error_budget, id="expanding_projection",
+        marks=pytest.mark.xfail(
+            strict=True, reason="suite 7 reads eps_proj through the same _project, so the envelope widens with it"
+        ),
+    ),
+    pytest.param(
+        operators, "_backup",
+        lambda real: lambda models, weights, params, q: real(
+            models, weights, params, np.broadcast_to(q.min(axis=-1, keepdims=True), q.shape)
+        ),
+        suite_shared_critic_equivalence, id="backup_min_over_actions",
+    ),
+    pytest.param(
+        adaptive, "lambda_w",
+        lambda real: lambda *args: (0.0, *real(*args)[1:]),
+        suite_piecewise_three_phase, id="lambda_w_zero",
+    ),
+    pytest.param(
+        operators, "add_bounded_noise",
+        lambda real: lambda q, sigma, rng_seed: real(q, 2.0 * sigma, rng_seed),
+        suite_error_budget, id="noise_at_two_sigma",
+        marks=pytest.mark.xfail(strict=True, reason="suite 7 never checks that its noise lies in [-sigma, sigma]"),
+    ),
+    pytest.param(
+        context, "encode",
+        lambda real: lambda weights, states, eps=1e-8: states @ np.swapaxes(weights, -1, -2),
+        suite_context_losses, id="encode_without_normalization",
+        marks=pytest.mark.xfail(strict=True, reason="suite 10 never checks the norm of encode's rows"),
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, mutate, suite", KERNEL_MUTATIONS)
+def test_kernel_mutation_fails_its_suite(monkeypatch, module, name, mutate, suite):
+    # modules import kernels by name, so the stand-in replaces every binding:
+    # a patch on the defining module alone would leave the callers' copies real
+    real = getattr(module, name)
+    stand_in = mutate(real)
+    bindings = [
+        m for n, m in list(sys.modules.items())
+        if (n == "pwmdp" or n.startswith("pwmdp.")) and getattr(m, name, None) is real
+    ]
+    assert module in bindings
+    for namespace in bindings:
+        monkeypatch.setattr(namespace, name, stand_in)
+    assert not suite(0).passed

@@ -135,7 +135,7 @@ class TestConfig:
             math.log(1.0 / 0.05) / (2.0 * math.log(2.0))
         )
 
-    def test_partition_and_joint_blocks(self):
+    def test_partition_block_is_read(self):
         raw = small_config_dict(partition=[[0, 1], [2, 3]])
         config = config_from_dict(raw)
         assert config.partition is not None
@@ -394,7 +394,7 @@ class TestRunPiecewise:
         errs = [trace.rows[t].err for t in range(40, 40 + config.detection_steps)]
         assert max(errs) - min(errs) <= 1e-15
 
-    def test_default_joint_is_the_one_cluster_filter(self):
+    def test_h_bar_and_entropy_replay_through_bocd_step(self):
         # the run's detector is the plain run-length posterior, bit for bit
         plain = run_piecewise(config_from_dict(small_config_dict()))
         h_max = BOCDParams().h_max
