@@ -454,7 +454,10 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
 def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
     """Projected, noisy iteration stays under B_n = gamma * B_{n-1} + eps_proj + sigma
     from B_0 = e_0, and its last step within 1.05 times the floor. The tight
-    witness, unprojected from Q* with +sigma at every step, meets B_n with b = sigma."""
+    witness, unprojected from Q* with +sigma at every step, meets B_n with b = sigma.
+    The envelope's premises are checked too: every noise entry lies within sigma,
+    and on the run's iterates the projection commutes with a shift, Pi(q + 1) =
+    Pi(q) + 1, and is idempotent, Pi(Pi(q)) = Pi(q)."""
     tol = 1e-9
     n_configs, n_steps, n_witness = 20, 500, 50
     rng = np.random.default_rng((seed, 107))
@@ -485,6 +488,13 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
         errs = np.abs(iterates - q_star).max(axis=(1, 2))
         envelope = _envelope(e0, np.full(n_steps, eps_proj + sigma), gamma)
         max_violation = max(max_violation, float((errs - envelope).max()), float(errs[-1] - 1.05 * floor))
+        projected = _project(iterates, partition)
+        max_violation = max(
+            max_violation,
+            float(np.abs(noise).max()) - sigma,
+            float(np.abs(_project(iterates + 1.0, partition) - (projected + 1.0)).max()),
+            float(np.abs(_project(projected, partition) - projected).max()),
+        )
         q = q_star
         for n in range(n_witness):
             q = np.add(operators._backup((model,), (1.0,), params, q), sigma, out=iterates[n])
@@ -645,7 +655,12 @@ def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
     # the linear fitter separates a separable dataset on the unit sphere
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=150, lr=0.1, seed=seed)
-    means = mode_means(encode(weights, states), mode_ids)
+    vectors = encode(weights, states)
+    # each embedding row has norm |raw| / (|raw| + eps), at encode's default eps 1e-8
+    raw = np.linalg.norm(states @ weights.T, axis=1)
+    norm_error = np.abs(np.linalg.norm(vectors, axis=1) - raw / (raw + 1e-8)).max()
+    max_violation = max(max_violation, float(norm_error))
+    means = mode_means(vectors, mode_ids)
     distance = float(np.linalg.norm(means[0] - means[1]))
     max_violation = _gated(max_violation, strictly_decreasing, distance >= 0.5)
     return SuiteResult("context_losses", len(seps) + 2, max_violation, tol)

@@ -30,7 +30,7 @@ from ..context import ContextLossConfig, context_loss, encode, fit_linear_contex
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
 from .config import MAX_KERNEL_ENTRIES, load_config
 from .experiment import run_piecewise
-from .io import csv_text, emit_trace, write_text
+from .io import emit_trace, write_table, write_text
 from .sweeps import run_delay_table, run_threshold_sweep
 
 __all__ = ["main", "build_parser"]
@@ -121,7 +121,7 @@ def _cmd_piecewise(args) -> int:
     config = load_config(args.config, overrides)
     trace = run_piecewise(config)
     out = _out_dir(args, config.out_dir)
-    path = emit_trace(trace, config.format, out / f"trace.{config.format}")
+    path = emit_trace(trace, out / f"trace.{config.format}")
     final = trace.rows[-1]
     print(f"wrote {len(trace)} rows to {path}")
     print(f"final: err={final.err:.3e} lambda_w={final.lambda_w:.4f} beta_eff={final.beta_eff:.4f}")
@@ -163,15 +163,9 @@ def _cmd_threshold_sweep(args) -> int:
 
 def _cmd_delay_table(args) -> int:
     rows = run_delay_table()
-    out = _out_dir(args)
-    if args.format == "json":
-        path = out / "delay_table.json"
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        path = out / "delay_table.csv"
-        header = list(rows[0].keys())
-        text = csv_text(header, ([row[k] for k in header] for row in rows))
-    write_text(path, text, "delay table")
+    header = list(rows[0])
+    path = _out_dir(args) / f"delay_table.{args.format}"
+    write_table(path, header, ([row[k] for k in header] for row in rows), "delay table")
     for row in rows:
         print(
             f"{row['scenario']}: L={row['likelihood_ratio']} r0={row['prior_ratio']} "

@@ -51,10 +51,7 @@ per-step set-up, with every value the same bits as the plain formulas:
     detection windows) is read once per run, from ``schedule.bounds``;
   - the rollout keeps the normalized greedy CDF rows of the true regime
     across iterations, keyed by (state, action), and drops them when the
-    regime changes, so it holds at most S * A rows of S doubles;
-  - the ensemble noise is drawn into one (n_ensemble, S, A) array owned by
-    the run and added to the members in place; that array then serves the
-    spread as scratch, in place of numpy's temporaries.
+    regime changes, so it holds at most S * A rows of S doubles.
 """
 
 from __future__ import annotations
@@ -167,28 +164,17 @@ def _mean_var(x: np.ndarray) -> tuple[float, float]:
     return float(mean), float((d * d).sum() / n)
 
 
-def _spread(members: np.ndarray, dev: np.ndarray, std: np.ndarray) -> float:
+def _spread(members: np.ndarray) -> float:
     """Mean over (s, a) of the members' standard deviation, finite when they all are.
 
-    ``members.std(axis=0).mean()`` bit for bit, by numpy's own sequence of
-    operations on the caller's scratch arrays ``dev`` (the shape of
-    ``members``) and ``std`` (the shape of one member) in place of its
-    temporaries. Past |Q| ~ 1e154 even round-off deviations overflow when
-    squared; there the members are scaled into [-1, 1] first.
+    ``members.std(axis=0).mean()``, except past |Q| ~ 1e154, where even
+    round-off deviations overflow when squared: there the members are
+    scaled into [-1, 1] first.
     """
-    n = members.shape[0]
-    mean = std[None]
-    np.add.reduce(members, axis=0, keepdims=True, out=mean)
-    mean /= n
-    np.subtract(members, mean, out=dev)
-    np.square(dev, out=dev)
-    np.add.reduce(dev, axis=0, out=std)
-    std /= n
-    np.sqrt(std, out=std)
-    spread = float(std.sum() / std.size)
+    spread = float(members.std(axis=0).mean())
     if not math.isfinite(spread) and np.isfinite(members).all():
         scale = float(np.abs(members).max())
-        spread = scale * _spread(members / scale, dev, std)
+        spread = scale * _spread(members / scale)
     return spread
 
 
@@ -237,10 +223,6 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     # the ensemble members, then the iterate q, backed up together each iteration
     stack = np.zeros((config.n_ensemble + 1, config.n_states, config.n_actions))
     q = stack[-1]
-    # the members' noise is drawn into `draws`, which then serves _spread as
-    # scratch along with `std`
-    draws = np.empty(stack[:-1].shape)
-    std = np.empty(q.shape)
     cdf_rows, cdf_mode = {}, None  # the rollout's CDF rows of regime cdf_mode
 
     # Channel statistics: None until their first observation seeds them
@@ -271,10 +253,9 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         # an overflow in the tables is reported by _finite, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             stack = operators._backup(models, point_masses[est_modes[t]], params, stack)
-            members = stack[:-1]
             # one stream draws the members' whole (n_ensemble, S, A) noise block
-            _noise(members, config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t), out=draws)
-            sigma_q = _finite(_spread(members, draws, std), "sigma_q", t)
+            stack[:-1] = _noise(stack[:-1], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t))
+            sigma_q = _finite(_spread(stack[:-1]), "sigma_q", t)
             backed_up = stack[-1]
             td_scale = _finite(float(np.abs(backed_up - q).max()), "td_scale", t)
         sigma_q_smooth = ema_update(sigma_q_smooth, sigma_q, _SIGMA_Q_SMOOTH)

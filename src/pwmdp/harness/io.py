@@ -1,8 +1,9 @@
-"""Trace serialization: CSV and JSON, with exact round-trips.
+"""Table files and trace serialization, with exact trace round-trips.
 
-The CSV header is fixed to the trace field names; floats are written with
-``repr`` so parsing recovers them bit-exactly. The JSON form is an array
-of row objects. Both re-parse to traces equal to the original.
+:func:`write_table` writes every row table: a JSON array of {column: value}
+objects when the path ends in ``.json``, else CSV with floats written by
+``repr``, so parsing recovers them bit-exactly. :func:`read_trace` takes the
+format from the suffix too, so either trace file re-parses to an equal trace.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from .experiment import TRACE_FIELDS, ExperimentTrace, TraceRow
 __all__ = [
     "csv_text",
     "write_text",
+    "write_table",
     "emit_trace",
     "read_trace",
     "trace_to_csv_text",
-    "trace_to_json_text",
     "parse_trace_csv_text",
     "parse_trace_json_text",
 ]
@@ -44,15 +45,24 @@ def write_text(path, text: str, what: str) -> Path:
     return path
 
 
+def write_table(path, header, rows, what: str) -> Path:
+    """Write the ``rows`` (each a sequence of values in ``header`` order) to ``path``
+    through :func:`write_text`: as a JSON array of {column: value} objects if its
+    suffix is ``.json``, else as :func:`csv_text`."""
+    path = Path(path)
+    if path.suffix == ".json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    else:
+        text = csv_text(header, rows)
+    return write_text(path, text, what)
+
+
+def _trace_values(trace: ExperimentTrace):
+    return ([getattr(row, name) for name in TRACE_FIELDS] for row in trace.rows)
+
+
 def trace_to_csv_text(trace: ExperimentTrace) -> str:
-    return csv_text(TRACE_FIELDS, ([getattr(row, n) for n in TRACE_FIELDS] for row in trace.rows))
-
-
-def trace_to_json_text(trace: ExperimentTrace) -> str:
-    payload = [
-        {name: getattr(row, name) for name in TRACE_FIELDS} for row in trace.rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return csv_text(TRACE_FIELDS, _trace_values(trace))
 
 
 # Trace column -> its type (int, float or str), which also parses its CSV text.
@@ -92,18 +102,11 @@ def parse_trace_json_text(text: str) -> ExperimentTrace:
     return ExperimentTrace(tuple(_row(i, r, False) for i, r in enumerate(payload)))
 
 
-def emit_trace(trace: ExperimentTrace, fmt: str, path) -> Path:
-    """Write a trace to ``path`` in the given format; returns the path.
-
-    I/O failures raise OSError annotated with the offending path.
+def emit_trace(trace: ExperimentTrace, path) -> Path:
+    """Write a trace to ``path``, as JSON if its suffix is ``.json``, else as CSV;
+    returns the path. I/O failures raise OSError annotated with the offending path.
     """
-    if fmt == "csv":
-        text = trace_to_csv_text(trace)
-    elif fmt == "json":
-        text = trace_to_json_text(trace)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    return write_text(path, text, "trace")
+    return write_table(path, TRACE_FIELDS, _trace_values(trace), "trace")
 
 
 def read_trace(path) -> ExperimentTrace:

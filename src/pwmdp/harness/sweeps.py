@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bocd import detection_delay, posterior_ratio
-from ..operators import classify_factor
 
 __all__ = [
     "ThresholdSweepResult",
@@ -32,13 +31,20 @@ __all__ = [
     "empirical_detection_delay",
 ]
 
-# Measured factors within this band of 1 classify as nonexpansive ("stalled").
+# Factors within this band of 1 classify as stalled (nonexpansive).
 FACTOR_BAND = 1e-9
 
 # The threshold sweep's low reward (the high one sits a unit gap above it).
 SWEEP_R_LOW = 1.0
 
-_CLASS_NAMES = {"contraction": "converged", "nonexpansive": "stalled", "expansion": "diverged"}
+
+def _classify(factor: float) -> str:
+    """converged, stalled or diverged: ``factor`` below, within or above FACTOR_BAND of 1."""
+    if factor < 1.0 - FACTOR_BAND:
+        return "converged"
+    if factor > 1.0 + FACTOR_BAND:
+        return "diverged"
+    return "stalled"
 
 
 def classify_trajectory(gamma: float, coupling: float, n_iter: int = 200) -> tuple[str, float]:
@@ -66,7 +72,7 @@ def classify_trajectory(gamma: float, coupling: float, n_iter: int = 200) -> tup
         if d > 1e100:
             break
     measured = (d / d0) ** (1.0 / steps)
-    return _CLASS_NAMES[classify_factor(measured, tol=FACTOR_BAND)], measured
+    return _classify(measured), measured
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class ThresholdSweepResult:
         out = np.empty(self.classes.shape, dtype=object)
         for i, g in enumerate(self.gamma_grid):
             for j, c in enumerate(self.coupling_grid):
-                out[i, j] = _CLASS_NAMES[classify_factor(g + c, tol=FACTOR_BAND)]
+                out[i, j] = _classify(g + c)
         return out
 
     def matches_analytic(self) -> bool:
@@ -134,10 +140,7 @@ def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> Thresho
         [0.0 if r == 0.0 else r ** (1.0 / n) for r, n in zip(ratios, counts)]
         for ratios, counts in zip((d / d0).tolist(), steps.tolist())
     ]
-    classes = np.array(
-        [[_CLASS_NAMES[classify_factor(f, tol=FACTOR_BAND)] for f in row] for row in measured],
-        dtype=object,
-    )
+    classes = np.array([[_classify(f) for f in row] for row in measured], dtype=object)
     return ThresholdSweepResult(gamma_grid, coupling_grid, classes, np.array(measured))
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "mixture_backup",
     "apply_mixture_operator",
     "apply_coupled_operator",
-    "classify_factor",
     "solve_fixed_point",
     "mode_fixed_point",
     "estimate_lipschitz",
@@ -258,18 +257,6 @@ def apply_coupled_operator(
     return _backup((model,), (1.0,), params, values) + weight * gap
 
 
-def classify_factor(factor: float, tol: float = 0.0) -> str:
-    """Trichotomy for a Lipschitz factor: contraction / nonexpansive / expansion.
-
-    ``tol`` widens the nonexpansive band for measured factors.
-    """
-    if factor < 1.0 - tol:
-        return "contraction"
-    if factor > 1.0 + tol:
-        return "expansion"
-    return "nonexpansive"
-
-
 def solve_fixed_point(
     operator: QOperator,
     q0: np.ndarray,
@@ -462,23 +449,15 @@ def add_bounded_noise(q: np.ndarray, sigma: float, rng_seed) -> np.ndarray:
     return _noise(_tables(q), sigma, rng_seed)
 
 
-def _noise(values: np.ndarray, sigma: float, rng_seed, out: np.ndarray | None = None) -> np.ndarray:
-    """``values`` plus noise uniform in [-sigma, sigma), as a new array; at sigma 0, ``values``.
-
-    With ``out``, a C-contiguous float array of ``values``' shape, the noise is
-    drawn into ``out`` and added to ``values`` in place, which is returned; the
-    sums are the same bits, since IEEE addition commutes.
-    """
+def _noise(values: np.ndarray, sigma: float, rng_seed) -> np.ndarray:
+    """``values`` plus noise uniform in [-sigma, sigma), as a new array; at sigma 0, ``values``."""
     if sigma == 0.0:
         return values
-    noise = np.random.default_rng(rng_seed).random(values.shape, out=out)
+    noise = np.random.default_rng(rng_seed).random(values.shape)
     noise *= 2.0 * sigma
     noise -= sigma
-    if out is None:
-        noise += values
-        return noise
-    values += noise
-    return values
+    noise += values
+    return noise
 
 
 def apply_mixture_via_shared(

@@ -29,7 +29,7 @@ from pwmdp.harness.cli import main
 SEED = 0
 
 # sha256 of `pwmdp certify --seed 0`'s certification.json
-CERTIFICATION_SHA256 = "423d094287c73f3296e29c8e64e64ea2c3fc45be5bcde8307c8fdce3555f1d99"
+CERTIFICATION_SHA256 = "1815f352eb80891470c2c5f0e90e0f42c8636a5c21e4f31f61dd850b992c9ad7"
 
 
 def report(number: int, name: str, suite, elapsed: float | None = None, instances: int | None = None):

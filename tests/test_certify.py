@@ -297,7 +297,7 @@ def test_inner_loops_call_the_backup_kernel_once_per_step(monkeypatch):
 
 
 # Kernel mutations and the suite each must fail: (defining module, kernel
-# name, mutate(real) -> stand-in, suite). The xfail rows are known blind spots.
+# name, mutate(real) -> stand-in, suite).
 KERNEL_MUTATIONS = [
     pytest.param(
         bocd, "_filter_step",
@@ -318,9 +318,6 @@ KERNEL_MUTATIONS = [
         operators, "_project",
         lambda real: lambda values, partition: 1.01 * real(values, partition),
         suite_error_budget, id="expanding_projection",
-        marks=pytest.mark.xfail(
-            strict=True, reason="suite 7 reads eps_proj through the same _project, so the envelope widens with it"
-        ),
     ),
     pytest.param(
         operators, "_backup",
@@ -338,13 +335,24 @@ KERNEL_MUTATIONS = [
         operators, "add_bounded_noise",
         lambda real: lambda q, sigma, rng_seed: real(q, 2.0 * sigma, rng_seed),
         suite_error_budget, id="noise_at_two_sigma",
-        marks=pytest.mark.xfail(strict=True, reason="suite 7 never checks that its noise lies in [-sigma, sigma]"),
+    ),
+    pytest.param(
+        operators, "_noise",
+        lambda real: lambda values, sigma, rng_seed: real(values, 2.0 * sigma, rng_seed),
+        suite_error_budget, id="noise_kernel_at_two_sigma",
     ),
     pytest.param(
         context, "encode",
         lambda real: lambda weights, states, eps=1e-8: states @ np.swapaxes(weights, -1, -2),
         suite_context_losses, id="encode_without_normalization",
-        marks=pytest.mark.xfail(strict=True, reason="suite 10 never checks the norm of encode's rows"),
+    ),
+    pytest.param(
+        operators, "_backup",
+        lambda real: lambda models, weights, params, q: real(models, weights, replace(params, lambda_epi=0.0), q),
+        suite_shared_critic_equivalence, id="backup_without_penalty",
+    ),
+    pytest.param(
+        adaptive, "K", lambda real: 0.0, suite_piecewise_three_phase, id="lambda_w_without_control_limit",
     ),
 ]
 

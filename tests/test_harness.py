@@ -23,15 +23,11 @@ from pwmdp.harness import (
     run_delay_table,
     run_piecewise,
     run_threshold_sweep,
+    write_table,
 )
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
 from pwmdp.harness.experiment import _greedy_rollout, _mean_var, _spread
-from pwmdp.harness.io import (
-    parse_trace_csv_text,
-    parse_trace_json_text,
-    trace_to_csv_text,
-    trace_to_json_text,
-)
+from pwmdp.harness.io import csv_text, parse_trace_csv_text, parse_trace_json_text, trace_to_csv_text
 from pwmdp.harness.sweeps import classify_trajectory, empirical_detection_delay
 
 
@@ -472,11 +468,9 @@ class TestGreedyRollout:
 
 
 def test_spread_equals_numpys_std_mean_bit_for_bit():
-    # run_piecewise's ensemble spread on scratch arrays, up to |Q| = 1e300
+    # run_piecewise's ensemble spread, up to |Q| = 1e300
     rng = np.random.default_rng(17)
     for n_members, shape in [(2, (6, 3)), (3, (4, 2)), (10, (200, 8)), (7, (5, 9))]:
-        dev = np.full((n_members, *shape), np.nan)  # dirty scratch arrays
-        std = np.full(shape, np.nan)
         for magnitude in (1e-300, 1e-3, 1.0, 1e3, 1e150, 1e160, 1e300):
             members = rng.uniform(-1.0, 1.0, (n_members, *shape)) * magnitude
             members += rng.uniform(-0.5, 0.5) * magnitude
@@ -485,7 +479,7 @@ def test_spread_equals_numpys_std_mean_bit_for_bit():
                 if not math.isfinite(expected):  # the scaled-into-[-1, 1] fallback
                     scale = float(np.abs(members).max())
                     expected = scale * float((members / scale).std(axis=0).mean())
-                got = _spread(members, dev, std)
+                got = _spread(members)
             assert math.isfinite(got) and got == expected
 
 
@@ -528,27 +522,42 @@ class TestTraceIO:
         parsed = parse_trace_csv_text(trace_to_csv_text(trace))
         assert parsed.rows == trace.rows
 
-    def test_json_round_trip_exact(self):
+    def test_json_round_trip_exact(self, tmp_path):
         trace = self.build_trace()
-        parsed = parse_trace_json_text(trace_to_json_text(trace))
-        assert parsed.rows == trace.rows
+        path = emit_trace(trace, tmp_path / "trace.json")
+        assert parse_trace_json_text(path.read_text()).rows == trace.rows
 
-    def test_cross_format_round_trip(self):
+    def test_cross_format_round_trip(self, tmp_path):
         trace = self.build_trace()
-        via_csv = parse_trace_csv_text(trace_to_csv_text(trace))
-        via_json = parse_trace_json_text(trace_to_json_text(via_csv))
+        via_csv = read_trace(emit_trace(trace, tmp_path / "trace.csv"))
+        via_json = read_trace(emit_trace(via_csv, tmp_path / "trace.json"))
         assert via_json.rows == trace.rows
 
     def test_emit_and_read_files(self, tmp_path):
         trace = self.build_trace()
         for fmt in ("csv", "json"):
-            path = emit_trace(trace, fmt, tmp_path / f"trace.{fmt}")
+            path = emit_trace(trace, tmp_path / f"trace.{fmt}")
+            assert path == tmp_path / f"trace.{fmt}"
             assert read_trace(path).rows == trace.rows
+
+    def test_write_table_takes_the_format_from_the_suffix(self, tmp_path):
+        # JSON for .json and CSV for any other suffix, for the trace as for the delay table
+        trace = self.build_trace()
+        path = emit_trace(trace, tmp_path / "trace.txt")
+        assert path.read_text() == trace_to_csv_text(trace)
+        assert read_trace(path).rows == trace.rows
+        rows = run_delay_table()
+        header = list(rows[0])
+        values = [[row[k] for k in header] for row in rows]
+        path = write_table(tmp_path / "delay_table.json", header, values, "delay table")
+        assert path.read_text() == json.dumps(rows, indent=2) + "\n"
+        path = write_table(tmp_path / "delay_table.csv", header, values, "delay table")
+        assert path.read_text() == csv_text(header, values)
 
     def test_emit_write_failure_raises_oserror(self, tmp_path):
         trace = self.build_trace()
         with pytest.raises(OSError, match="cannot write"):
-            emit_trace(trace, "csv", tmp_path / "missing_dir" / "trace.csv")
+            emit_trace(trace, tmp_path / "missing_dir" / "trace.csv")
 
     def test_csv_with_other_header_rejected(self):
         with pytest.raises(ValueError, match=r"unexpected CSV header \['iter', 'mode'\]"):
@@ -557,12 +566,6 @@ class TestTraceIO:
     def test_json_that_is_not_an_array_rejected(self):
         with pytest.raises(ValueError, match="must be an array of row objects"):
             parse_trace_json_text('{"iter": 0}')
-
-    def test_emit_unknown_format_rejected_before_writing(self, tmp_path):
-        path = tmp_path / "trace.xml"
-        with pytest.raises(ValueError, match="format must be 'csv' or 'json', got 'xml'"):
-            emit_trace(ExperimentTrace(()), "xml", path)
-        assert not path.exists()
 
     def test_read_missing_file_raises_oserror_naming_path(self, tmp_path):
         path = tmp_path / "absent.csv"

@@ -15,7 +15,6 @@ from pwmdp import (
     apply_mixture_operator,
     apply_mixture_via_shared,
     apply_mode_operator,
-    classify_factor,
     error_floor,
     estimate_lipschitz,
     make_random_mode,
@@ -28,7 +27,7 @@ from pwmdp import (
     solve_fixed_point,
     sup_dist,
 )
-from pwmdp.operators import LIPSCHITZ_VALUE_RANGE, _backup, _noise
+from pwmdp.operators import LIPSCHITZ_VALUE_RANGE, _backup
 
 
 def single_state_model(reward: float = 1.0) -> ModeModel:
@@ -179,7 +178,7 @@ class TestCoupledOperator:
         op = lambda q: apply_coupled_operator(model, params, **BREAKING, q=q)
         factor = estimate_lipschitz(op, (4, 2), n_pairs=50, seed=3)
         assert abs(factor - 1.04) <= 1e-12
-        assert classify_factor(factor) == "expansion"
+        assert factor > 1.0
         q = np.random.default_rng(1).uniform(-5, 5, (4, 2))
         assert sup_dist(op(q + 1.0), op(q)) == pytest.approx(1.04, abs=1e-12)
 
@@ -189,7 +188,7 @@ class TestCoupledOperator:
         op = lambda q: apply_coupled_operator(model, params, 0.0, 3.0, q)
         factor = estimate_lipschitz(op, (3, 2), n_pairs=50, seed=4)
         assert abs(factor - 0.99) <= 1e-12
-        assert classify_factor(factor) == "contraction"
+        assert factor < 1.0
 
     def test_zero_sensitivity_is_the_mode_backup_plus_half_the_gap(self):
         # Q is ignored: the belief sits at 0.5 on the copy whose rewards are gap higher
@@ -226,11 +225,9 @@ class TestCoupledOperator:
                 op = lambda q: apply_coupled_operator(model, params, float(coupling), 1.0, q)
                 f = estimate_lipschitz(op, (1, 1), n_pairs=4, seed=0)
                 exact = gamma + coupling
-                expected = "contraction" if exact < 1 else ("expansion" if exact > 1 else "nonexpansive")
-                assert classify_factor(exact) == expected
                 assert abs(f - exact) <= 1e-12
-                if abs(exact - 1.0) > 1e-12:
-                    assert classify_factor(f) == expected
+                if abs(exact - 1.0) > 1e-12:  # the estimate falls on the same side of 1
+                    assert (f < 1.0) == (exact < 1.0)
 
     def test_exactness_on_random_pairs(self):
         rng = np.random.default_rng(8)
@@ -704,22 +701,6 @@ class TestNoisyOperator:
         for seed in (0, (3, 1, 4), (0, 1, 599, 9)):
             expected = x + np.random.default_rng(seed).uniform(-sigma, sigma, shape)
             assert np.array_equal(add_bounded_noise(x, sigma, seed), expected)
-
-
-    @pytest.mark.parametrize(
-        "shape, sigma", [((10, 200, 8), 0.05), ((2, 6, 3), 8e307), ((6, 3), 0.3)]
-    )
-    def test_in_place_draw_equals_the_new_array(self, shape, sigma):
-        # run_piecewise draws the ensemble noise into one buffer and adds it in place
-        rng = np.random.default_rng(12)
-        buffer = np.full(shape, np.nan)  # its contents are never read
-        for seed in (0, (5, 1, 7), (5, 1, 8)):
-            values = rng.uniform(-5, 5, shape)
-            expected = _noise(values, sigma, seed)
-            target = values.copy()
-            assert _noise(target, sigma, seed, out=buffer) is target
-            assert np.array_equal(target, expected)
-        assert _noise(values, 0.0, 0, out=buffer) is values
 
 
 class TestSharedCritic:
