@@ -30,6 +30,9 @@ __all__ = [
 # Central finite-difference step of the linear encoder's gradient.
 FD_STEP = 1e-5
 
+# encode soft-normalizes each embedding row as raw / (||raw|| + EMBEDDING_EPS).
+EMBEDDING_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class ContextLossConfig:
@@ -163,8 +166,8 @@ def context_loss(vectors: np.ndarray, mode_ids: np.ndarray, config: ContextLossC
     return ContextLoss(*(float(loss[0]) for loss in losses))
 
 
-def encode(weights: np.ndarray, states: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Linear embeddings of ``states``, each soft-normalized as raw / (||raw|| + eps).
+def encode(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Linear embeddings of ``states``, each soft-normalized as raw / (||raw|| + EMBEDDING_EPS).
 
     ``weights`` is one (d_e, d_s) map or a (K, d_e, d_s) stack of maps, which
     gives a (K, n, d_e) stack of embedding sets. Past |raw| ~ 1e154 the
@@ -174,12 +177,12 @@ def encode(weights: np.ndarray, states: np.ndarray, eps: float = 1e-8) -> np.nda
     raw = states @ np.swapaxes(weights, -1, -2)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    out = raw / (norms + eps)
+    out = raw / (norms + EMBEDDING_EPS)
     if not np.isfinite(norms.sum()):  # one sum, in place of a per-row test
         rows = np.isinf(norms[..., 0]) & np.isfinite(raw).all(axis=-1)
         scale = np.abs(raw[rows]).max(axis=-1, keepdims=True)
         scaled = raw[rows] / scale
-        out[rows] = scaled / (np.linalg.norm(scaled, axis=-1, keepdims=True) + eps / scale)
+        out[rows] = scaled / (np.linalg.norm(scaled, axis=-1, keepdims=True) + EMBEDDING_EPS / scale)
     return out
 
 

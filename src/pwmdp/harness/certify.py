@@ -43,6 +43,7 @@ from ..bocd import (
     detection_delay,
 )
 from ..context import (
+    EMBEDDING_EPS,
     ContextLossConfig,
     context_loss,
     diversity_loss,
@@ -140,9 +141,12 @@ def _random_models(rng, n_modes, n_states, n_actions):
     ]
 
 
-def _random_belief(rng, n_modes) -> np.ndarray:
-    w = rng.dirichlet(np.ones(n_modes))
-    return w / w.sum()
+def _random_beliefs(rng, n_modes, n) -> np.ndarray:
+    """(n, n_modes) flat-Dirichlet beliefs, renormalized and checked on the simplex."""
+    beliefs = rng.dirichlet(np.ones(n_modes), n)
+    beliefs /= beliefs.sum(axis=1, keepdims=True)
+    check_simplex(beliefs, "belief", batched=True)
+    return beliefs
 
 
 def _random_partition(rng, n_states) -> StatePartition:
@@ -204,9 +208,7 @@ def suite_contraction_certificate(seed: int, mutation: str | None = None) -> Sui
             n_actions = int(rng.integers(1, 5))
             n_modes = int(rng.integers(1, 6))
             models = _random_models(rng, n_modes, n_states, n_actions)
-            beliefs = rng.dirichlet(np.ones(n_modes), n_beliefs)
-            beliefs /= beliefs.sum(axis=1, keepdims=True)
-            check_simplex(beliefs, "belief", batched=True)
+            beliefs = _random_beliefs(rng, n_modes, n_beliefs)
             probe_seed = int(rng.integers(0, 2**31))
             exact, sampled = _contraction_factors(models, beliefs, params, probe_seed, mutation)
             max_violation = max(
@@ -243,9 +245,7 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
         members = np.flatnonzero((shapes == (n_states, n_actions, n_modes)).all(axis=1))
         k = members.size
         rewards, kernels, penalties = _draw_mode_tables(rng, (k, n_modes), n_states, n_actions)
-        beliefs = rng.dirichlet(np.ones(n_modes), k)
-        beliefs /= beliefs.sum(axis=1, keepdims=True)
-        check_simplex(beliefs, "belief", batched=True)
+        beliefs = _random_beliefs(rng, n_modes, k)
         q1 = rng.uniform(-5.0, 5.0, (k, n_states, n_actions))
         q2 = q1 + rng.uniform(0.0, 3.0, (k, n_states, n_actions))
         for i, case in enumerate(members):
@@ -262,7 +262,7 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
     neg_rng = np.random.default_rng((seed, 1021))
     models = _random_models(neg_rng, 3, 4, 2)
     params = OperatorParams(gamma=0.9)
-    weights = _random_belief(neg_rng, 3) * 0.9
+    weights = _random_beliefs(neg_rng, 3, 1)[0] * 0.9
     q = neg_rng.uniform(-5.0, 5.0, (4, 2))
     base = mixture_backup(models, weights, params, q)
     shifted = mixture_backup(models, weights, params, q + 1.0)
@@ -656,9 +656,9 @@ def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=150, lr=0.1, seed=seed)
     vectors = encode(weights, states)
-    # each embedding row has norm |raw| / (|raw| + eps), at encode's default eps 1e-8
+    # each embedding row has norm |raw| / (|raw| + EMBEDDING_EPS)
     raw = np.linalg.norm(states @ weights.T, axis=1)
-    norm_error = np.abs(np.linalg.norm(vectors, axis=1) - raw / (raw + 1e-8)).max()
+    norm_error = np.abs(np.linalg.norm(vectors, axis=1) - raw / (raw + EMBEDDING_EPS)).max()
     max_violation = max(max_violation, float(norm_error))
     means = mode_means(vectors, mode_ids)
     distance = float(np.linalg.norm(means[0] - means[1]))
@@ -678,7 +678,7 @@ def suite_shared_critic_equivalence(seed: int, mutation: str | None = None) -> S
         n_actions = int(rng.integers(1, 4))
         n_modes = int(rng.integers(1, 6))
         models = _random_models(rng, n_modes, n_states, n_actions)
-        belief = _random_belief(rng, n_modes)
+        belief = _random_beliefs(rng, n_modes, 1)[0]
         params = OperatorParams(
             gamma=float(rng.uniform(0.0, 0.99)),
             lambda_epi=0.01,

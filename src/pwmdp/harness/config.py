@@ -374,11 +374,9 @@ def _resolve(values: dict) -> ExperimentConfig:
             "modes must keep the reward z-score finite: "
             f"(max R - min R) over all modes / {SPREAD_FLOOR} overflows"
         )
-    if schedule.max_mode_index >= len(models):
-        raise ConfigError(
-            f"schedule references mode {schedule.max_mode_index} but only "
-            f"{len(models)} modes are defined"
-        )
+    max_mode = max(m for m, _ in schedule.segments)
+    if max_mode >= len(models):
+        raise ConfigError(f"schedule references mode {max_mode} but only {len(models)} modes are defined")
 
     partition = None
     if values["partition"] is not None:

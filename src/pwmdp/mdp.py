@@ -1,4 +1,4 @@
-"""Tabular MDP primitives: Q-tables, regime models, and value extraction.
+"""Tabular MDP primitives: Q-tables, regime models, and the sup-norm distance.
 
 State and action spaces are index sets ``0..S-1`` and ``0..A-1``. A regime
 ("mode") is one stationary MDP slice: a reward table, a transition kernel,
@@ -23,7 +23,6 @@ __all__ = [
     "PiecewiseSchedule",
     "KERNEL_ROW_TOL",
     "check_simplex",
-    "greedy_value",
     "sup_dist",
     "validate_mode",
     "make_random_mode",
@@ -139,6 +138,9 @@ class OperatorParams:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must satisfy 0 <= gamma < 1, got {self.gamma}")
+        for name in ("lambda_epi", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda_epi < 0.0:
             raise ValueError(f"lambda_epi must be >= 0, got {self.lambda_epi}")
         if self.kappa < 0.0:
@@ -175,15 +177,6 @@ class PiecewiseSchedule:
     @property
     def total_iterations(self) -> int:
         return self.bounds[-1][1]
-
-    @property
-    def max_mode_index(self) -> int:
-        return max(m for m, _ in self.segments)
-
-
-def greedy_value(q: np.ndarray) -> np.ndarray:
-    """State values under the greedy policy: V(s) = max_a Q(s, a), for (..., S, A) tables."""
-    return q.max(axis=-1)
 
 
 def sup_dist(q1: np.ndarray, q2: np.ndarray) -> float:

@@ -16,23 +16,25 @@ The only randomness is owned by explicit seeds.
 
 Validation happens at the public entry points: ``apply_mode_operator``,
 ``mixture_backup``/``apply_mixture_operator``, ``apply_coupled_operator``,
-``project`` and ``add_bounded_noise`` check their tables (shape,
-finiteness), weights, coupling, partition and sigma, then call one private
-kernel each (``_backup``, ``_project``, ``_noise``), where each formula is
-written once. Inner loops that own arrays they built from validated inputs
-call the kernels directly.
+``apply_mixture_via_shared``, ``project`` and ``add_bounded_noise`` check
+their tables (shape, finiteness), every regime's shape against the tables',
+weights, coupling, partition and sigma, then call one private kernel each
+(``_backup``, ``_project``, ``_noise``), where each formula is written once.
+The kernels run unchecked. Inner loops that own arrays they built from
+validated inputs call the kernels directly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mdp import ModeModel, OperatorParams, greedy_value, sup_dist
+from .mdp import ModeModel, OperatorParams, sup_dist
 from .mdp import check_simplex
 
 __all__ = [
@@ -75,6 +77,15 @@ QOperator = Callable[[np.ndarray], np.ndarray]
 BatchOperator = Callable[[np.ndarray], np.ndarray]
 
 
+def _state_index(s) -> int:
+    """A partition state as an int: a whole number, never a bool."""
+    if isinstance(s, numbers.Integral) and not isinstance(s, bool):
+        return int(s)
+    if isinstance(s, float) and s.is_integer():
+        return int(s)
+    raise ValueError(f"partition states must be whole numbers, got {s}")
+
+
 @dataclass(frozen=True)
 class StatePartition:
     """Disjoint state blocks covering 0..n_states-1 (aggregation structure)."""
@@ -83,7 +94,7 @@ class StatePartition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(s) for s in b) for b in self.blocks)
+        blocks = tuple(tuple(_state_index(s) for s in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         seen: set[int] = set()
         for b in blocks:
@@ -124,11 +135,14 @@ class RegimePerturbation(NamedTuple):
     actual_gap: float   # sup-norm distance between the two fixed points
 
 
-def _tables(q: np.ndarray) -> np.ndarray:
-    """A (..., S, A) array batch of tables, checked finite."""
+def _tables(q: np.ndarray, models: Sequence[ModeModel] = ()) -> np.ndarray:
+    """A (..., S, A) array batch of tables, checked finite and of each regime's (S, A) shape."""
     values = np.asarray(q, dtype=float)
     if values.ndim < 2:
         raise ValueError(f"Q tables must be (..., S, A), got shape {values.shape}")
+    for i, model in enumerate(models):
+        if model.reward.shape != values.shape[-2:]:
+            raise ValueError(f"dimension mismatch: regime {i} is {model.reward.shape}, Q is {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("Q tables contain non-finite entries")
     return values
@@ -149,8 +163,6 @@ def _backup(
     its kernel, and a regime at weight zero costs nothing.
     """
     n_states = q.shape[-2]
-    if q.shape[-2:] != models[0].reward.shape:
-        raise ValueError(f"dimension mismatch: model {models[0].reward.shape} vs Q {q.shape}")
     v = q[..., 0].copy()
     for a in range(1, q.shape[-1]):
         np.maximum(v, q[..., a], out=v)
@@ -181,7 +193,7 @@ def apply_mode_operator(
     in differences and the map contracts at rate gamma. ``q`` is a
     (..., S, A) array of tables, each backed up.
     """
-    return _backup((model,), (1.0,), params, _tables(q))
+    return _backup((model,), (1.0,), params, _tables(q, (model,)))
 
 
 def _belief_weights(belief: np.ndarray) -> np.ndarray:
@@ -212,7 +224,7 @@ def mixture_backup(
         raise ValueError(f"{len(models)} models but {weights.size} weights")
     if not models:
         raise ValueError("need at least one model")
-    return _backup(models, weights, params, _tables(q))
+    return _backup(models, weights, params, _tables(q, models))
 
 
 def apply_mixture_operator(
@@ -252,7 +264,7 @@ def apply_coupled_operator(
     """
     if not (0.0 <= sensitivity < math.inf and 0.0 <= gap < math.inf):
         raise ValueError(f"sensitivity and gap must be finite and >= 0, got {sensitivity} and {gap}")
-    values = _tables(q)
+    values = _tables(q, (model,))
     weight = 0.5 + sensitivity * values[..., :1, :1]
     return _backup((model,), (1.0,), params, values) + weight * gap
 
@@ -359,6 +371,8 @@ def estimate_lipschitz(
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     s, a = dims
+    if s < 1 or a < 1:
+        raise ValueError(f"dims must be >= 1 on each side, got {dims}")
     lo, hi = LIPSCHITZ_VALUE_RANGE
     tables = []
     for i in range(n_pairs):
@@ -477,7 +491,7 @@ def apply_mixture_via_shared(
     weights = _belief_weights(belief)
     if len(models) != weights.size:
         raise ValueError(f"{len(models)} models but {weights.size} belief weights")
-    v = greedy_value(_tables(q))
+    v = _tables(q, models).max(axis=-1)
     per_mode = [
         m.reward + params.gamma * (m.kernel @ v - params.lambda_epi * m.gamma_epi - params.kappa)
         for m in models

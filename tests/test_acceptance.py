@@ -109,44 +109,49 @@ class TestCriterion12Reproducibility:
     """certify is byte-reproducible and injected mutations force exit code 2.
 
     Byte identity needs fresh interpreters, so the two clean runs are
-    subprocesses; a mutation's exit code and failing suite show in process.
+    subprocesses, which work while the mutations run; a mutation's exit code
+    and failing suite show in process.
     """
 
     @staticmethod
-    def run_certify(tmp_path, name):
+    def start_certify(tmp_path, name):
         out = tmp_path / name
-        result = subprocess.run(
+        process = subprocess.Popen(
             [sys.executable, "-m", "pwmdp", "certify", "--seed", "0", "--out", str(out)],
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=600,
         )
-        return result, out / "certification.json"
+        return process, out / "certification.json"
 
     def test_certify_byte_identical_and_mutations_exit_2(self, tmp_path, capsys):
-        result_a, report_a = self.run_certify(tmp_path, "a")
-        result_b, report_b = self.run_certify(tmp_path, "b")
-        assert result_a.returncode == 0, result_a.stdout + result_a.stderr
-        assert result_b.returncode == 0
-        identical = report_a.read_bytes() == report_b.read_bytes()
-        assert hashlib.sha256(report_a.read_bytes()).hexdigest() == CERTIFICATION_SHA256
-
+        (process_a, report_a), (process_b, report_b) = runs = [
+            self.start_certify(tmp_path, name) for name in ("a", "b")
+        ]
         expected_failures = {
             "unnormalized_belief": "blackwell_identities",
             "unfrozen_belief": "contraction_certificate",
             "unclipped_surprise": "safety_monotonicity",
         }
         mutation_codes = {}
-        for mutation, suite_name in expected_failures.items():
-            out = tmp_path / mutation
-            mutation_codes[mutation] = main(
-                ["certify", "--seed", "0", "--out", str(out), "--inject-mutation", mutation]
-            )
-            payload = json.loads((out / "certification.json").read_text())
-            assert payload["passed"] is False
-            failed = [s["name"] for s in payload["suites"] if not s["passed"]]
-            assert suite_name in failed, f"{mutation}: expected {suite_name} in {failed}"
+        try:
+            for mutation, suite_name in expected_failures.items():
+                out = tmp_path / mutation
+                mutation_codes[mutation] = main(
+                    ["certify", "--seed", "0", "--out", str(out), "--inject-mutation", mutation]
+                )
+                payload = json.loads((out / "certification.json").read_text())
+                assert payload["passed"] is False
+                failed = [s["name"] for s in payload["suites"] if not s["passed"]]
+                assert suite_name in failed, f"{mutation}: expected {suite_name} in {failed}"
+        finally:
+            (stdout_a, stderr_a), _ = [process.communicate(timeout=600) for process, _ in runs]
         capsys.readouterr()  # the mutated runs' PASS/FAIL lines
+
+        assert process_a.returncode == 0, stdout_a + stderr_a
+        assert process_b.returncode == 0
+        identical = report_a.read_bytes() == report_b.read_bytes()
+        assert hashlib.sha256(report_a.read_bytes()).hexdigest() == CERTIFICATION_SHA256
 
         passed = identical and all(code == 2 for code in mutation_codes.values())
         status = "PASS" if passed else "FAIL"

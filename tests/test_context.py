@@ -13,35 +13,34 @@ from pwmdp import (
     fit_linear_context,
     mode_means,
 )
-from pwmdp.context import _context_losses, encode
+from pwmdp.context import EMBEDDING_EPS, _context_losses, encode
 from pwmdp.harness.certify import separable_context_dataset
 
 CONFIG = ContextLossConfig()
 
 
-def normalize_embedding(v: np.ndarray, eps: float) -> np.ndarray:
+def normalize_embedding(v: np.ndarray) -> np.ndarray:
     """The encoder's soft normalization of one vector (identity weights)."""
-    return encode(np.eye(v.size), v[None], eps)[0]
+    return encode(np.eye(v.size), v[None])[0]
 
 
 class TestNormalizeEmbedding:
     def test_unit_vector_nearly_unchanged(self):
         v = np.array([1.0, 0.0])
-        out = normalize_embedding(v, eps=1e-8)
+        out = normalize_embedding(v)
         assert np.abs(out - v).max() <= 1e-7
 
     def test_zero_vector_degenerate(self):
-        out = normalize_embedding(np.zeros(3), eps=1e-8)
+        out = normalize_embedding(np.zeros(3))
         assert (out == 0.0).all()
 
     def test_norm_formula_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             v = rng.uniform(-5, 5, 4)
-            eps = 1e-6
-            out = normalize_embedding(v, eps)
+            out = normalize_embedding(v)
             norm = np.linalg.norm(v)
-            assert np.linalg.norm(out) == pytest.approx(norm / (norm + eps), rel=1e-12)
+            assert np.linalg.norm(out) == pytest.approx(norm / (norm + EMBEDDING_EPS), rel=1e-12)
 
     @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1e300])
     def test_huge_rows_keep_unit_norm(self, magnitude):

@@ -200,10 +200,13 @@ class TestConfig:
             # (n_ensemble + 1) * 6 * 3 doubles is one past 2**25 at the smallest such n_ensemble
             ({"n_ensemble": 1864135}, "n_ensemble = 1864135 with 18 (state, action) pairs needs"),
             ({"rollout_len": 2**25 + 1}, "rollout_len = 33554433 needs a rollout of 33554433"),
+            # the largest mode index any segment names, not the last segment's
+            ({"schedule": [[0, 100], [2, 100], [1, 100]]},
+             "schedule references mode 2 but only 2 modes are defined"),
         ],
         ids=["adaptive", "operator", "bocd", "surprise", "scalar_schedule", "short_segment",
              "short_reward_range", "negative_mode_seed", "partition", "polish_budget",
-             "posterior_h_max", "ensemble_budget", "rollout_budget"],
+             "posterior_h_max", "ensemble_budget", "rollout_budget", "schedule_mode"],
     )
     def test_range_error_names_its_config_field(self, raw, lead):
         with pytest.raises(ConfigError) as info:

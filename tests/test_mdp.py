@@ -11,7 +11,7 @@ from pwmdp import (
     OperatorParams,
     PiecewiseSchedule,
     QFunction,
-    greedy_value,
+    apply_mode_operator,
     make_random_mode,
     sup_dist,
     validate_mode,
@@ -34,6 +34,18 @@ class TestQFunction:
         q = QFunction([[1.0, 2.0]])
         with pytest.raises(ValueError):
             q.values[0, 0] = 5.0
+
+
+def greedy_value(q: np.ndarray) -> np.ndarray:
+    """V(s) = max_a Q(s, a) as the backup kernel computes it, read off exactly.
+
+    One backup of a regime that stays in its state, with zero reward and
+    penalty, is gamma * V(s) in every action column; gamma 0.5 scales exactly.
+    """
+    n_states, n_actions = q.shape
+    stay = np.repeat(np.eye(n_states)[:, None, :], n_actions, axis=1)
+    model = ModeModel(np.zeros(q.shape), stay, np.zeros(q.shape))
+    return apply_mode_operator(model, OperatorParams(gamma=0.5), q)[:, 0] * 2.0
 
 
 class TestGreedyValue:
@@ -182,13 +194,19 @@ class TestOperatorParams:
         with pytest.raises(ValueError):
             OperatorParams(gamma=0.9, kappa=-0.5)
 
+    @pytest.mark.parametrize("name", ["lambda_epi", "kappa"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_penalties_finite(self, name, value):
+        # NaN < 0 is False, so only the finiteness check refuses NaN
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            OperatorParams(gamma=0.9, **{name: value})
+
 
 class TestPiecewiseSchedule:
     def test_bounds_and_totals(self):
         sched = PiecewiseSchedule(((0, 3), (2, 2)))
         assert sched.total_iterations == 5
         assert sched.bounds == ((0, 3, 0), (3, 5, 2))
-        assert sched.max_mode_index == 2
 
     def test_rejects_bad_dwell(self):
         with pytest.raises(ValueError, match="dwell"):

@@ -620,6 +620,16 @@ class TestProject:
         with pytest.raises(ValueError, match="outside"):
             StatePartition(3, ((0, 1, 2, 3),))
 
+    @pytest.mark.parametrize("state", [1.5, True, np.True_, np.nan, np.inf, "1"])
+    def test_states_must_be_whole_numbers(self, state):
+        with pytest.raises(ValueError, match=f"^partition states must be whole numbers, got {state}$"):
+            StatePartition(3, ((0, state), (2,)))
+
+    def test_whole_float_and_numpy_states_are_indices(self):
+        partition = StatePartition(3, ((0, 1.0), (np.int64(2),)))
+        assert partition.blocks == ((0, 1), (2,))
+        assert all(type(s) is int for b in partition.blocks for s in b)
+
     def test_projected_operator_still_contracts(self):
         model = make_random_mode(21, 6, 2)
         params = OperatorParams(gamma=0.9)
@@ -763,6 +773,8 @@ PARAMS = OperatorParams(gamma=0.9)
         (lambda: mixture_backup((), np.zeros(0), PARAMS, np.zeros((2, 2))),
          "need at least one model"),
         (lambda: estimate_lipschitz(lambda q: q, (2, 2), 0, seed=0), "n_pairs must be >= 1, got 0"),
+        (lambda: estimate_lipschitz(lambda q: q, (0, 3), 4, seed=0),
+         "dims must be >= 1 on each side, got (0, 3)"),
         (lambda: regime_perturbation(MODEL, make_random_mode(0, 3, 2), PARAMS),
          "regime models must share dimensions"),
         (lambda: project(np.zeros((3, 2)), StatePartition(2, ((0,), (1,)))),
@@ -771,10 +783,31 @@ PARAMS = OperatorParams(gamma=0.9)
          "2 models but 3 belief weights"),
     ],
     ids=[
-        "empty_block", "one_dimensional_q", "no_models", "no_pairs", "regime_dimensions",
+        "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "regime_dimensions",
         "partition_size", "belief_size",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Each entry that backs tables up checks every regime's (S, A) against the
+# tables' and names the first regime that differs; the kernel runs unchecked.
+REGIME_ENTRIES = {
+    "mode_operator": lambda models, q: apply_mode_operator(models[-1], PARAMS, q),
+    "coupled_operator": lambda models, q: apply_coupled_operator(models[-1], PARAMS, 0.1, 1.0, q),
+    "mixture_backup": lambda models, q: mixture_backup(models, np.full(2, 0.5), PARAMS, q),
+    "mixture_operator": lambda models, q: apply_mixture_operator(models, np.full(2, 0.5), PARAMS, q),
+    "mixture_via_shared": lambda models, q: apply_mixture_via_shared(models, np.full(2, 0.5), PARAMS, q),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3)])
+@pytest.mark.parametrize("entry", REGIME_ENTRIES)
+def test_every_entry_refuses_a_regime_of_another_shape(entry, shape):
+    models = (make_random_mode(0, 3, 2), make_random_mode(1, *shape))
+    index = 0 if entry in ("mode_operator", "coupled_operator") else 1  # single-regime entries
+    message = f"dimension mismatch: regime {index} is {shape}, Q is (3, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        REGIME_ENTRIES[entry](models, np.zeros((3, 2)))
