@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .mdp import _read_fields
+
 __all__ = [
     "SurpriseWeights",
     "AdaptiveState",
@@ -52,13 +54,10 @@ class SurpriseWeights:
     clip_max: float = 10.0
 
     def __post_init__(self):
+        _read_fields(self)
         for name in ("w_r", "w_q", "w_kappa"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if math.isnan(self.clip_max):  # +inf is legal: it lifts the clip
-            raise ValueError(f"clip_max must not be NaN, got {self.clip_max}")
         if self.clip_max <= 0.0:
             raise ValueError(f"clip_max must be > 0, got {self.clip_max}")
 
@@ -79,9 +78,7 @@ class AdaptiveState:
     surprise_ema_rate: float = 0.3
 
     def __post_init__(self):
-        for name in ("beta_base", "c_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _read_fields(self)
         if self.c_penalty < 0.0:
             raise ValueError(f"c_penalty must be >= 0, got {self.c_penalty}")
         if not 0.0 < self.baseline_ema_rate < 1.0:

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import _frozen_array, check_simplex
+from .mdp import _frozen_array, _read_fields, _real, _whole, check_simplex
 
 __all__ = [
     "BOCDParams",
@@ -70,6 +70,7 @@ class BOCDParams:
     sigma_g: float = 0.05
 
     def __post_init__(self):
+        _read_fields(self)
         if self.h_max < 2:
             raise ValueError(f"h_max must be >= 2, got {self.h_max}")
         if not 0.0 < self.hazard < 1.0:
@@ -248,6 +249,9 @@ def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> floa
     a factor L for the correct run-length hypothesis and costs the stale one
     a factor L. Odds beyond the largest double are inf.
     """
+    n = _whole(n, "n")
+    likelihood_ratio = _real(likelihood_ratio, "likelihood ratio")
+    prior_ratio = _real(prior_ratio, "prior ratio")
     if likelihood_ratio <= 1.0:
         raise ValueError(f"likelihood ratio must be > 1, got {likelihood_ratio}")
     if prior_ratio <= 0.0:
@@ -266,6 +270,9 @@ def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -
     Returns log(prior_ratio / delta) / (2 log likelihood_ratio); the minimal
     integer step count is its ceiling.
     """
+    likelihood_ratio = _real(likelihood_ratio, "likelihood ratio")
+    prior_ratio = _real(prior_ratio, "prior ratio")
+    delta = _real(delta, "delta")
     if likelihood_ratio <= 1.0:
         raise ValueError(f"likelihood ratio must be > 1, got {likelihood_ratio}")
     if prior_ratio <= 0.0:

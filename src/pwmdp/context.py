@@ -11,11 +11,12 @@ the loss behavior, not a performance model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .mdp import _read_fields
 
 __all__ = [
     "ContextLossConfig",
@@ -51,12 +52,13 @@ class ContextLossConfig:
     d_e: int = 2
 
     def __post_init__(self):
+        _read_fields(self)
         for name in ("w_cons", "w_div", "r_rbf", "eps"):
             value, weight = getattr(self, name), name.startswith("w_")
-            if not (math.isfinite(value) and (value >= 0.0 if weight else value > 0.0)):
-                raise ValueError(f"{name} must be finite and {'>= 0' if weight else '> 0'}, got {value}")
-        if not isinstance(self.d_e, (int, np.integer)) or isinstance(self.d_e, bool) or self.d_e < 1:
-            raise ValueError(f"d_e must be an integer >= 1, got {self.d_e!r}")
+            if not (value >= 0.0 if weight else value > 0.0):
+                raise ValueError(f"{name} must be {'>= 0' if weight else '> 0'}, got {value}")
+        if self.d_e < 1:
+            raise ValueError(f"d_e must be >= 1, got {self.d_e}")
 
 
 def _labeled(values, mode_ids) -> tuple[np.ndarray, np.ndarray]:

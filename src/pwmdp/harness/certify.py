@@ -424,8 +424,8 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
             prev = b
             tested += 1
     weights = SurpriseWeights()
-    # the mutation lifts the clip ceiling; the bound is still checked against weights.clip_max
-    fused_weights = replace(weights, clip_max=math.inf) if mutation == "unclipped_surprise" else weights
+    # the mutation lifts the clip to the largest double; the bound is still checked against weights.clip_max
+    fused_weights = replace(weights, clip_max=np.finfo(float).max) if mutation == "unclipped_surprise" else weights
     rng = np.random.default_rng((seed, 106))
     for _ in range(500):
         z = float(rng.uniform(-100.0, 100.0))

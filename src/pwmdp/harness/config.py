@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -31,6 +30,7 @@ import numpy as np
 from ..adaptive import AdaptiveState, SurpriseWeights
 from ..bocd import BOCDParams, detection_delay
 from ..mdp import ModeModel, OperatorParams, PiecewiseSchedule, make_random_mode, validate_mode
+from ..mdp import _real, _whole
 from ..operators import _MAX_POLISH_STEPS, StatePartition
 
 __all__ = [
@@ -178,29 +178,14 @@ class ExperimentConfig:
         return math.ceil(detection_delay(self.separability, 1.0, self.delta))
 
 
-def _int(value, name: str) -> int:
-    """An integer field: a whole number, never a bool, a fraction or text."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _float(value, name: str) -> float:
-    """A real-valued field: a finite number (ints included), never a bool or text."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
-
-
 def _str(value, name: str) -> str:
     if isinstance(value, str):
         return value
-    raise ConfigError(f"{name} must be a string, got {value!r}")
+    raise ValueError(f"{name} must be a string, got {value!r}")
 
 
-_READERS = {int: _int, float: _float, str: _str}
+# A reader's ValueError names the field first; _naming("") makes it a ConfigError.
+_READERS = {int: _whole, float: _real, str: _str}
 # Top-level scalar fields that ExperimentConfig holds under the same name.
 _SCALAR_ATTRIBUTES = [
     f.name for f in fields(ExperimentConfig) if f.name in FIELDS and FIELDS[f.name].kind in _READERS
@@ -228,7 +213,8 @@ def _leaves(raw, section: str = "") -> dict:
             unknown.append(key)
             continue
         if field.kind in _READERS:
-            value = _READERS[field.kind](value, path)
+            with _naming(""):
+                value = _READERS[field.kind](value, path)
             if field.ok is not None and not field.ok(value):
                 raise ConfigError(f"{path} {field.range}, got {value!r}")
         out[path] = value
@@ -271,11 +257,12 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
     if by_seed:
-        seed = _int(spec["seed"], f"modes[{index}].seed")
+        with _naming(""):
+            seed = _whole(spec["seed"], f"modes[{index}].seed")
+            shift = _real(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
         if seed < 0:
             raise ConfigError(f"modes[{index}].seed must be >= 0, got {seed}")
         model = make_random_mode(seed, n_states, n_actions, reward_range)
-        shift = _float(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
         if shift != 0.0:
             with np.errstate(over="ignore"):
                 reward = model.reward + shift
@@ -323,9 +310,7 @@ def _resolve(values: dict) -> ExperimentConfig:
     table = n_states * n_actions if min(n_states, n_actions) >= 1 else 0
     h_max, n_ensemble = values["bocd.h_max"], values["n_ensemble"]
     with _naming("schedule: "):
-        schedule = PiecewiseSchedule(tuple(
-            (_int(m, "schedule mode"), _int(d, "schedule dwell")) for m, d in values["schedule"]
-        ))
+        schedule = PiecewiseSchedule(values["schedule"])
     # (doubles, what needs them) of each array whose size a config sets
     for entries, need in (
         (table * n_states, f"n_states = {n_states} and n_actions = {n_actions} need a kernel of"),
@@ -341,7 +326,8 @@ def _resolve(values: dict) -> ExperimentConfig:
         raise ConfigError("modes must be a non-empty list")
     with _naming("reward_range: "):
         low, high = values["reward_range"]
-    low, high = _float(low, "reward_range"), _float(high, "reward_range")
+    with _naming(""):
+        low, high = _real(low, "reward_range"), _real(high, "reward_range")
     if not (low <= high and math.isfinite(high - low)):
         raise ConfigError(f"reward_range must have low <= high and a finite high - low, got {[low, high]}")
     operator_params = _build("operator", OperatorParams, _section(values, "operator"))
@@ -381,10 +367,7 @@ def _resolve(values: dict) -> ExperimentConfig:
     partition = None
     if values["partition"] is not None:
         with _naming("partition: "):
-            blocks = tuple(
-                tuple(_int(s, "partition state") for s in b) for b in values["partition"]
-            )
-            partition = StatePartition(n_states, blocks)
+            partition = StatePartition(n_states, values["partition"])
 
     return ExperimentConfig(
         models=tuple(models),

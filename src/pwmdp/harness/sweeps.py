@@ -3,8 +3,7 @@
 The threshold sweep iterates the value-coupled backup's one-state case, the
 affine map q -> (gamma + coupling) * q + 1, across a (discount, coupling)
 grid and classifies each cell from its trajectory; the grid iterates as one
-array with a stop mask per cell, and :func:`classify_trajectory` is its
-scalar reference for one cell. Because the map is affine, the measured
+array with a stop mask per cell. Because the map is affine, the measured
 per-step geometric factor equals the analytic factor to round-off, so the
 classified boundary must match the line gamma + coupling = 1 cell-exactly.
 
@@ -25,7 +24,6 @@ from ..bocd import detection_delay, posterior_ratio
 __all__ = [
     "ThresholdSweepResult",
     "run_threshold_sweep",
-    "classify_trajectory",
     "DELAY_SCENARIOS",
     "run_delay_table",
     "empirical_detection_delay",
@@ -45,34 +43,6 @@ def _classify(factor: float) -> str:
     if factor > 1.0 + FACTOR_BAND:
         return "diverged"
     return "stalled"
-
-
-def classify_trajectory(gamma: float, coupling: float, n_iter: int = 200) -> tuple[str, float]:
-    """Classify the map q -> (gamma + coupling) * q + SWEEP_R_LOW, iterated from q0 = 0.
-
-    Returns (class, measured_factor) where class is one of converged /
-    stalled / diverged and the factor is the per-step geometric mean of the
-    update magnitudes. Iteration stops early on exact convergence or once
-    updates exceed 1e100.
-    """
-    for name, value in (("gamma", gamma), ("coupling", coupling)):
-        if not 0.0 <= value <= 1.5:
-            raise ValueError(f"{name} must lie within [0, 1.5], got {value}")
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    factor = gamma + coupling
-    # the first step from q0 = 0 lands on the nonzero low reward
-    q = d0 = SWEEP_R_LOW
-    for steps in range(1, n_iter + 1):
-        q_next = factor * q + SWEEP_R_LOW
-        d = abs(q_next - q)
-        q = q_next
-        if d == 0.0:
-            return "converged", 0.0
-        if d > 1e100:
-            break
-    measured = (d / d0) ** (1.0 / steps)
-    return _classify(measured), measured
 
 
 @dataclass(frozen=True)
@@ -106,11 +76,11 @@ class ThresholdSweepResult:
 def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> ThresholdSweepResult:
     """Classify the scalar operator across a (discount, coupling) grid.
 
-    The whole grid iterates as one array, each cell by
-    :func:`classify_trajectory`'s recursion: a cell stops once its update is
-    exactly 0 or beyond 1e100, and keeps its last update and step count.
-    Each cell's factor is then taken as a Python float, exactly as the
-    scalar path takes it, so classes and factors equal that path's.
+    The whole grid iterates q -> (gamma + coupling) * q + SWEEP_R_LOW from
+    q0 = 0 as one array: a cell stops once its update is exactly 0 or beyond
+    1e100, and keeps its last update and step count. Each cell's factor, the
+    per-step geometric mean of its update magnitudes, is then taken as a
+    Python float, so classes and factors equal a scalar loop's over one cell.
     """
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     coupling_grid = np.asarray(coupling_grid, dtype=float)

@@ -10,7 +10,8 @@ construction; every operation here is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
 
@@ -45,6 +46,33 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _whole(value, name: str) -> int:
+    """An integer field: a whole number, never a bool, a fraction or text."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A real-valued field: a finite number (ints included), never a bool or text."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+# Readers by field annotation, which is text: every module postpones its annotations.
+_READERS = {"int": _whole, "float": _real}
+
+
+def _read_fields(obj) -> None:
+    """Store each int or float field of the frozen dataclass ``obj`` as its reader returns it."""
+    for f in fields(obj):
+        if f.type in _READERS:
+            object.__setattr__(obj, f.name, _READERS[f.type](getattr(obj, f.name), f.name))
 
 
 def check_simplex(probs: np.ndarray, what: str, batched: bool = False):
@@ -136,11 +164,9 @@ class OperatorParams:
     kappa: float = 0.0
 
     def __post_init__(self):
+        _read_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must satisfy 0 <= gamma < 1, got {self.gamma}")
-        for name in ("lambda_epi", "kappa"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda_epi < 0.0:
             raise ValueError(f"lambda_epi must be >= 0, got {self.lambda_epi}")
         if self.kappa < 0.0:
@@ -152,13 +178,14 @@ class PiecewiseSchedule:
     """Ordered regime schedule: (mode_index, dwell) segments.
 
     Mode indices are validated against a mode count only where one is known
-    (see the harness config); here we require dwell >= 1 and index >= 0.
+    (see the harness config); here both are whole, dwell >= 1 and index >= 0.
     """
 
     segments: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        segs = tuple((int(m), int(d)) for m, d in self.segments)
+        segs = tuple((_whole(m, f"segments[{i}] mode"), _whole(d, f"segments[{i}] dwell"))
+                     for i, (m, d) in enumerate(self.segments))
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("schedule needs at least one segment")

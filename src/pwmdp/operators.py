@@ -27,15 +27,13 @@ validated inputs call the kernels directly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mdp import ModeModel, OperatorParams, sup_dist
-from .mdp import check_simplex
+from .mdp import ModeModel, OperatorParams, _read_fields, _real, _whole, check_simplex, sup_dist
 
 __all__ = [
     "StatePartition",
@@ -77,15 +75,6 @@ QOperator = Callable[[np.ndarray], np.ndarray]
 BatchOperator = Callable[[np.ndarray], np.ndarray]
 
 
-def _state_index(s) -> int:
-    """A partition state as an int: a whole number, never a bool."""
-    if isinstance(s, numbers.Integral) and not isinstance(s, bool):
-        return int(s)
-    if isinstance(s, float) and s.is_integer():
-        return int(s)
-    raise ValueError(f"partition states must be whole numbers, got {s}")
-
-
 @dataclass(frozen=True)
 class StatePartition:
     """Disjoint state blocks covering 0..n_states-1 (aggregation structure)."""
@@ -94,7 +83,8 @@ class StatePartition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(_state_index(s) for s in b) for b in self.blocks)
+        _read_fields(self)
+        blocks = tuple(tuple(_whole(s, f"blocks[{i}] state") for s in b) for i, b in enumerate(self.blocks))
         object.__setattr__(self, "blocks", blocks)
         seen: set[int] = set()
         for b in blocks:
@@ -283,6 +273,7 @@ def solve_fixed_point(
     expected for expansive maps) is flagged rather than raised. ``operator``
     maps an array to an array.
     """
+    tol = _real(tol, "tol")
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     q = _tables(q0)
@@ -317,6 +308,7 @@ def mode_fixed_point(
     where a backup overflows, the residual is non-finite and ``converged``
     False (an overflowing solve fails the residual backup's finiteness check).
     """
+    tol = _real(tol, "tol")
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     gamma = params.gamma

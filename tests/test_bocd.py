@@ -376,10 +376,19 @@ class TestDegenerateVariance:
         (lambda: posterior_ratio(1, 2.0, 0.0), "prior ratio must be > 0, got 0.0"),
         (lambda: posterior_ratio(-1, 2.0, 1.0), "n must be >= 0, got -1"),
         (lambda: detection_delay(2.0, 1.0, 1.0), "delta must lie in (0, 1), got 1.0"),
+        # NaN passed every range test: the delay came out nan
+        (lambda: detection_delay(math.nan, 1.0, 0.05), "likelihood ratio must be a finite number, got nan"),
+        (lambda: detection_delay(2.0, math.nan, 0.05), "prior ratio must be a finite number, got nan"),
+        (lambda: detection_delay(2.0, 1.0, math.nan), "delta must be a finite number, got nan"),
+        (lambda: posterior_ratio(1, math.nan, 1.0), "likelihood ratio must be a finite number, got nan"),
+        # a fractional n gave odds of L**5, and True counted as one step
+        (lambda: posterior_ratio(2.5, 2.0, 1.0), "n must be an integer, got 2.5"),
+        (lambda: posterior_ratio(True, 2.0, 1.0), "n must be an integer, got True"),
     ],
     ids=[
         "empty_batch", "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
-        "negative_n", "delta_of_one",
+        "negative_n", "delta_of_one", "nan_likelihood_ratio", "nan_prior_ratio", "nan_delta",
+        "posterior_nan_likelihood_ratio", "fractional_n", "bool_n",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):

@@ -1,5 +1,6 @@
 """Tests for tabular MDP primitives."""
 
+import math
 import re
 
 import numpy as np
@@ -7,10 +8,15 @@ import pytest
 
 from pwmdp import (
     KERNEL_ROW_TOL,
+    AdaptiveState,
+    BOCDParams,
+    ContextLossConfig,
     ModeModel,
     OperatorParams,
     PiecewiseSchedule,
     QFunction,
+    StatePartition,
+    SurpriseWeights,
     apply_mode_operator,
     make_random_mode,
     sup_dist,
@@ -198,7 +204,7 @@ class TestOperatorParams:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_penalties_finite(self, name, value):
         # NaN < 0 is False, so only the finiteness check refuses NaN
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}$"):
             OperatorParams(gamma=0.9, **{name: value})
 
 
@@ -215,6 +221,79 @@ class TestPiecewiseSchedule:
     def test_rejects_negative_mode(self):
         with pytest.raises(ValueError, match="mode index"):
             PiecewiseSchedule(((-1, 5),))
+
+
+# Each parameter class, keyword arguments that build it, and its int and float fields.
+PARAMETER_CLASSES = [
+    (OperatorParams, {"gamma": 0.9}, (), ("gamma", "lambda_epi", "kappa")),
+    (BOCDParams, {}, ("h_max",), ("hazard", "sigma0_sq", "sigma_g")),
+    (SurpriseWeights, {}, (), ("w_r", "w_q", "w_kappa", "clip_max")),
+    (AdaptiveState, {}, (), ("beta_base", "c_penalty", "baseline_ema_rate", "surprise_ema_rate")),
+    (ContextLossConfig, {}, ("d_e",), ("w_cons", "w_div", "r_rbf", "eps")),
+    (StatePartition, {"n_states": 2, "blocks": ((0,), (1,))}, ("n_states",), ()),
+]
+
+
+def _field_slot(cls, kwargs, name, kind):
+    build = lambda value: cls(**{**kwargs, name: value})
+    return name, kind, getattr(cls(**kwargs), name), build, lambda o: getattr(o, name)
+
+
+# Every scalar slot of the parameter classes, by id: (the name its refusal
+# starts with, its kind, a valid value, the class built with a value there,
+# the slot as stored). Schedule entries and partition states are slots too.
+SCALAR_SLOTS = {
+    **{
+        f"{cls.__name__}.{name}": _field_slot(cls, kwargs, name, kind)
+        for cls, kwargs, ints, floats in PARAMETER_CLASSES
+        for kind, names in ((int, ints), (float, floats))
+        for name in names
+    },
+    "PiecewiseSchedule.mode": (
+        "segments[0] mode", int, 0, lambda v: PiecewiseSchedule(((v, 3),)), lambda o: o.segments[0][0]
+    ),
+    "PiecewiseSchedule.dwell": (
+        "segments[0] dwell", int, 3, lambda v: PiecewiseSchedule(((0, v),)), lambda o: o.segments[0][1]
+    ),
+    "StatePartition.state": (
+        "blocks[1] state", int, 1, lambda v: StatePartition(2, ((0,), (v,))), lambda o: o.blocks[1][0]
+    ),
+}
+
+
+def _refusals():
+    for slot, (name, kind, _, build, _) in SCALAR_SLOTS.items():
+        need = "an integer" if kind is int else "a finite number"
+        for value in (True, "1", math.nan, math.inf, -math.inf) + ((2.5,) if kind is int else ()):
+            yield pytest.param(
+                lambda b=build, v=value: b(v), f"{name} must be {need}, got {value!r}", id=f"{slot}={value!r}"
+            )
+    # a fractional schedule entry was truncated, a fractional h_max built a
+    # detector that refused every belief, and a NaN variance was blamed on sigma_g
+    yield pytest.param(lambda: PiecewiseSchedule(((0.5, 2.7),)), "segments[0] mode must be an integer, got 0.5",
+                       id="fractional_segment")
+    yield pytest.param(lambda: BOCDParams(h_max=2.5), "h_max must be an integer, got 2.5", id="fractional_h_max")
+    yield pytest.param(lambda: BOCDParams(sigma0_sq=math.nan), "sigma0_sq must be a finite number, got nan",
+                       id="nan_sigma0_sq")
+    yield pytest.param(lambda: BOCDParams(h_max=math.nan), "h_max must be an integer, got nan", id="nan_h_max")
+
+
+class TestScalarFields:
+    """One policy for every parameter class: int slots take whole numbers, float slots
+    finite numbers, bool and text are refused, and each refusal names its slot."""
+
+    @pytest.mark.parametrize("build, message", _refusals())
+    def test_refusal_names_the_slot(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("slot", SCALAR_SLOTS)
+    def test_whole_and_numpy_values_are_stored_as_the_kind(self, slot):
+        _, kind, valid, build, stored = SCALAR_SLOTS[slot]
+        equivalents = (float(valid), np.int64(valid)) if kind is int else (np.float64(valid),)
+        for value in equivalents:
+            read = stored(build(value))
+            assert type(read) is kind and read == valid
 
 
 class TestCheckSimplex:

@@ -622,7 +622,8 @@ class TestProject:
 
     @pytest.mark.parametrize("state", [1.5, True, np.True_, np.nan, np.inf, "1"])
     def test_states_must_be_whole_numbers(self, state):
-        with pytest.raises(ValueError, match=f"^partition states must be whole numbers, got {state}$"):
+        message = f"blocks[0] state must be an integer, got {state!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             StatePartition(3, ((0, state), (2,)))
 
     def test_whole_float_and_numpy_states_are_indices(self):
@@ -781,10 +782,15 @@ PARAMS = OperatorParams(gamma=0.9)
          "partition over 2 states but Q has 3"),
         (lambda: apply_mixture_via_shared((MODEL,) * 2, np.full(3, 1 / 3), PARAMS, np.zeros((2, 2))),
          "2 models but 3 belief weights"),
+        # a NaN tol passed tol <= 0: the solver ran every one of max_iter backups
+        (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), tol=np.nan),
+         "tol must be a finite number, got nan"),
+        # and the exact solver skipped its polish to return converged=False
+        (lambda: mode_fixed_point(MODEL, PARAMS, tol=np.nan), "tol must be a finite number, got nan"),
     ],
     ids=[
         "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "regime_dimensions",
-        "partition_size", "belief_size",
+        "partition_size", "belief_size", "nan_tol", "nan_exact_tol",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
