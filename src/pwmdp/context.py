@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import _read_fields
+from .mdp import _read_fields, _whole
 
 __all__ = [
     "ContextLossConfig",
@@ -212,6 +212,7 @@ def fit_linear_context(
     if (counts < 2).any():
         small = labels[counts < 2]
         raise ValueError(f"every mode needs >= 2 samples; modes {small.tolist()} are short")
+    steps = _whole(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
 

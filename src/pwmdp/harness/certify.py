@@ -185,8 +185,14 @@ def _contraction_factors(
     mixed = np.einsum("bm,msat->bsat", beliefs, kernels)
     exact = params.gamma * np.abs(mixed, out=mixed).sum(axis=-1).max(axis=(-2, -1))
 
+    regimes = operators._Regime(
+        np.stack([m.reward for m in models]), kernels, np.stack([m.gamma_epi for m in models])
+    )
+
     def per_belief(probes: np.ndarray) -> np.ndarray:
-        per_regime = np.stack([apply_mode_operator(m, params, probes) for m in models])
+        # the M regimes as instances, each backing up every probe
+        stacked = np.broadcast_to(probes, (len(models),) + probes.shape)
+        per_regime = operators._backup((regimes,), (1.0,), params, stacked)
         return np.tensordot(beliefs, per_regime, axes=1)
 
     sampled = estimate_lipschitz(per_belief, models[0].reward.shape, n_pairs=4, seed=probe_seed)
@@ -224,8 +230,10 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
     """Monotonicity and discounting of the mixture backup on random instances.
 
     The instances' shapes and parameters are drawn as arrays, then each
-    (S, A, M) group's tables and beliefs in one block; each instance backs
-    up the stack [q1, q2 >= q1, q1 + c] with one real ``mixture_backup``.
+    (S, A, M) group's tables and beliefs in one block. The suite owns those
+    arrays, so it steps the kernel behind ``mixture_backup`` directly: one
+    ``_backup`` call per group backs up every instance's stack
+    [q1, q2 >= q1, q1 + c] under its own regimes, belief and coefficients.
     """
     tol = 1e-12
     n_instances = 1000
@@ -248,16 +256,17 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
         beliefs = _random_beliefs(rng, n_modes, k)
         q1 = rng.uniform(-5.0, 5.0, (k, n_states, n_actions))
         q2 = q1 + rng.uniform(0.0, 3.0, (k, n_states, n_actions))
-        for i, case in enumerate(members):
-            gamma, c = gammas[case], shifts[case]
-            params = OperatorParams(gamma, lambda_epis[case], kappas[case])
-            models = [ModeModel(*tables) for tables in zip(rewards[i], kernels[i], penalties[i])]
-            t1, t2, tc = mixture_backup(
-                models, beliefs[i] * scale, params, np.stack([q1[i], q2[i], q1[i] + c])
-            )
-            mono_violation = float(np.max(t1 - t2))
-            disc_violation = float(np.max(np.abs(tc - (t1 + gamma * c))))
-            max_violation = max(max_violation, mono_violation, disc_violation)
+        gamma, c = gammas[members], shifts[members]
+        regimes = [
+            operators._Regime(rewards[:, m], kernels[:, m], penalties[:, m]) for m in range(n_modes)
+        ]
+        coefficients = operators._Coefficients(gamma, lambda_epis[members], kappas[members])
+        stack = np.stack([q1, q2, q1 + c[:, None, None]], axis=1)
+        images = operators._backup(regimes, (beliefs * scale).T, coefficients, stack)
+        t1, t2, tc = images[:, 0], images[:, 1], images[:, 2]
+        mono_violation = float(np.max(t1 - t2))
+        disc_violation = float(np.max(np.abs(tc - (t1 + (gamma * c)[:, None, None]))))
+        max_violation = max(max_violation, mono_violation, disc_violation)
     # negative test: scaling the weights to sum 0.9 must break discounting
     neg_rng = np.random.default_rng((seed, 1021))
     models = _random_models(neg_rng, 3, 4, 2)
@@ -276,35 +285,35 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
 def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult:
     """The value-coupled backup's factor gamma + sensitivity * gap, on tables.
 
-    Each instance backs up a table q1, its uniform shift and a random table
-    in one call: the shift moves the image by exactly the factor times its
-    distance, the random table by no more. Each shape group is drawn in one block.
+    Each instance backs up a table q1, its uniform shift and a random table:
+    the shift moves the image by exactly the factor times its distance, the
+    random table by no more. Each (S, A) group is drawn in one block and
+    backed up by one ``apply_coupled_operator`` call, with every instance's
+    regime, discount, sensitivity and gap as arrays over the group.
     """
     tol = 1e-12
     n_pairs = 500
     rng = np.random.default_rng((seed, 103))
     shapes = np.column_stack([rng.integers(1, 7, n_pairs), rng.integers(1, 4, n_pairs)])
     # (gamma, sensitivity, gap) per instance
-    draws = rng.uniform((0.0, 0.0, 0.0), (0.99, 0.1, 60.0), (n_pairs, 3)).tolist()
+    draws = rng.uniform((0.0, 0.0, 0.0), (0.99, 0.1, 60.0), (n_pairs, 3))
     # well-separated shifts: the exactness claim is about the update ratio
     shifts = rng.choice([-1.0, 1.0], n_pairs) * rng.uniform(0.5, 10.0, n_pairs)
     max_violation = 0.0
     for n_states, n_actions in np.unique(shapes, axis=0).tolist():
         members = np.flatnonzero((shapes == (n_states, n_actions)).all(axis=1))
-        rewards, kernels, penalties = _draw_mode_tables(rng, members.shape, n_states, n_actions)
+        regime = operators._Regime(*_draw_mode_tables(rng, members.shape, n_states, n_actions))
         # per instance: q1, its uniform shift, and a random table q2
         tables = rng.uniform(-10.0, 10.0, (members.size, 3, n_states, n_actions))
         tables[:, 1] = tables[:, 0] + shifts[members, None, None]
-        for i, case in enumerate(members):
-            gamma, sensitivity, gap = draws[case]
-            model = ModeModel(rewards[i], kernels[i], penalties[i])
-            params = OperatorParams(gamma, lambda_epi=0.01, kappa=0.1)
-            images = apply_coupled_operator(model, params, sensitivity, gap, tables[i])
-            image_dist = np.abs(images[1:] - images[0]).max(axis=(1, 2))
-            dist = np.abs(tables[i, 1:] - tables[i, 0]).max(axis=(1, 2))
-            # dist(T q, T q1) - factor * dist(q, q1), for the shift and for q2
-            shift_excess, pair_excess = (image_dist - (gamma + sensitivity * gap) * dist).tolist()
-            max_violation = max(max_violation, abs(shift_excess), pair_excess)
+        gamma, sensitivity, gap = draws[members].T
+        coefficients = operators._Coefficients(gamma, lambda_epi=0.01, kappa=0.1)
+        images = apply_coupled_operator(regime, coefficients, sensitivity, gap, tables)
+        image_dist = np.abs(images[:, 1:] - images[:, :1]).max(axis=(2, 3))
+        dist = np.abs(tables[:, 1:] - tables[:, :1]).max(axis=(2, 3))
+        # dist(T q, T q1) - factor * dist(q, q1), for the shift and for q2
+        excess = image_dist - (gamma + sensitivity * gap)[:, None] * dist
+        max_violation = max(max_violation, float(np.abs(excess[:, 0]).max()), float(excess[:, 1].max()))
     # the documented breaking instance: tiny coupling, large reward gap, factor 1.04
     model = make_random_mode(int(rng.integers(0, 2**31)), 4, 2)
     params = OperatorParams(gamma=0.99, lambda_epi=0.01, kappa=0.1)
@@ -451,56 +460,103 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
 
 # --- suite 7: projected/noisy iteration obeys the combined error budget ---
 
+def _action_pad(n_actions_table: int, n_actions: int) -> np.ndarray:
+    """Action indices that widen a table of ``n_actions_table`` actions to ``n_actions``
+    by repeating action 0."""
+    index = np.arange(n_actions)
+    return np.where(index < n_actions_table, index, 0)
+
+
 def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
     """Projected, noisy iteration stays under B_n = gamma * B_{n-1} + eps_proj + sigma
     from B_0 = e_0, and its last step within 1.05 times the floor. The tight
     witness, unprojected from Q* with +sigma at every step, meets B_n with b = sigma.
     The envelope's premises are checked too: every noise entry lies within sigma,
     and on the run's iterates the projection commutes with a shift, Pi(q + 1) =
-    Pi(q) + 1, and is idempotent, Pi(Pi(q)) = Pi(q)."""
+    Pi(q) + 1, and is idempotent, Pi(Pi(q)) = Pi(q).
+
+    All configs are drawn first; the iteration draws nothing from ``rng``. The
+    configs that share S then run in lockstep: each step is one ``_backup``,
+    one ``_project`` and one add for the whole group. Actions are padded to the
+    group's largest A by copying action 0 (reward, kernel rows, penalty, start,
+    noise and Q*), which changes neither V nor any sup-norm, and the group is
+    projected through one union partition over its k * S states, whose blocks
+    sum in the order each config's own partition does. The checks then read
+    each config's run on its own actions, as the config alone would give it.
+    """
     tol = 1e-9
     n_configs, n_steps, n_witness = 20, 500, 50
     rng = np.random.default_rng((seed, 107))
-    max_violation = 0.0
-    converged = True
+    groups: dict[int, list] = {}  # n_states -> [(stream index, gamma, model, partition, sigma, q0)]
     for i in range(n_configs):
         n_states = int(rng.integers(3, 8))
         n_actions = int(rng.integers(1, 4))
         gamma = float(rng.uniform(0.8, 0.95))
-        params = OperatorParams(gamma=gamma, lambda_epi=0.01, kappa=0.1)
         model = make_random_mode(int(rng.integers(0, 2**31)), n_states, n_actions)
         partition = _random_partition(rng, n_states)
         sigma = float(rng.uniform(0.01, 0.3))
-        fp = mode_fixed_point(model, params, tol=1e-12)
-        converged = converged and fp.converged
-        q_star = fp.q_star
-        eps_proj = projection_error(q_star, partition)
-        floor = error_floor(eps_proj, sigma, gamma)
-        q = rng.uniform(-8.0, 8.0, (n_states, n_actions))
-        e0 = np.abs(q - q_star).max()
-        # one stream per config: every step's bounded noise, drawn as one block
-        noise = add_bounded_noise(np.zeros((n_steps, n_states, n_actions)), sigma, (seed, 1070, i))
-        iterates = np.empty((n_steps, n_states, n_actions))
+        q0 = rng.uniform(-8.0, 8.0, (n_states, n_actions))
+        groups.setdefault(n_states, []).append((i, gamma, model, partition, sigma, q0))
+    max_violation = 0.0
+    converged = True
+    for n_states, group in groups.items():
+        streams, gammas, models, partitions, sigmas, starts = zip(*group)
+        fixed_points = [
+            mode_fixed_point(model, OperatorParams(gamma, lambda_epi=0.01, kappa=0.1), tol=1e-12)
+            for gamma, model in zip(gammas, models)
+        ]
+        converged = converged and all(fp.converged for fp in fixed_points)
+        q_stars = [fp.q_star for fp in fixed_points]
+        n_actions = max(model.n_actions for model in models)
+        pads = [_action_pad(model.n_actions, n_actions) for model in models]
+        regime = operators._Regime(
+            np.stack([m.reward[:, pad] for m, pad in zip(models, pads)]),
+            np.stack([m.kernel[:, pad] for m, pad in zip(models, pads)]),
+            np.stack([m.gamma_epi[:, pad] for m, pad in zip(models, pads)]),
+        )
+        coefficients = operators._Coefficients(np.array(gammas), lambda_epi=0.01, kappa=0.1)
+        # step n's noise waits in iterates[n] until the step is added to it
+        iterates = np.empty((n_steps, len(group), n_states, n_actions))
+        for j, (i, model, sigma, pad) in enumerate(zip(streams, models, sigmas, pads)):
+            # one stream per config: every step's bounded noise, drawn as one block
+            noise = add_bounded_noise(np.zeros((n_steps,) + model.reward.shape), sigma, (seed, 1070, i))
+            max_violation = max(max_violation, float(np.abs(noise).max()) - sigma)
+            iterates[:, j] = noise[..., pad]
+        union = StatePartition(len(group) * n_states, tuple(
+            tuple(j * n_states + s for s in block)
+            for j, partition in enumerate(partitions) for block in partition.blocks
+        ))
+        flat = (len(group) * n_states, n_actions)
+        q = np.stack([q0[:, pad] for q0, pad in zip(starts, pads)])
         for n in range(n_steps):
             # the suite owns q, so it steps the kernels behind apply_mode_operator and project
-            step = _project(operators._backup((model,), (1.0,), params, q), partition)
-            q = np.add(step, noise[n], out=iterates[n])
-        errs = np.abs(iterates - q_star).max(axis=(1, 2))
-        envelope = _envelope(e0, np.full(n_steps, eps_proj + sigma), gamma)
-        max_violation = max(max_violation, float((errs - envelope).max()), float(errs[-1] - 1.05 * floor))
-        projected = _project(iterates, partition)
-        max_violation = max(
-            max_violation,
-            float(np.abs(noise).max()) - sigma,
-            float(np.abs(_project(iterates + 1.0, partition) - (projected + 1.0)).max()),
-            float(np.abs(_project(projected, partition) - projected).max()),
-        )
-        q = q_star
+            step = _project(operators._backup((regime,), (1.0,), coefficients, q).reshape(flat), union)
+            q = np.add(step.reshape(q.shape), iterates[n], out=iterates[n])
+        # each config's run, on its own actions and partition
+        for j, (gamma, model, partition, sigma, q0, q_star) in enumerate(
+            zip(gammas, models, partitions, sigmas, starts, q_stars)
+        ):
+            run = iterates[:, j, :, : model.n_actions]
+            errs = np.abs(run - q_star).max(axis=(1, 2))
+            eps_proj = projection_error(q_star, partition)
+            envelope = _envelope(np.abs(q0 - q_star).max(), np.full(n_steps, eps_proj + sigma), gamma)
+            floor = error_floor(eps_proj, sigma, gamma)
+            projected = _project(run, partition)
+            max_violation = max(
+                max_violation,
+                float((errs - envelope).max()),
+                float(errs[-1] - 1.05 * floor),
+                float(np.abs(_project(run + 1.0, partition) - (projected + 1.0)).max()),
+                float(np.abs(_project(projected, partition) - projected).max()),
+            )
+        q = np.stack([q_star[:, pad] for q_star, pad in zip(q_stars, pads)])
+        step_sigmas = np.array(sigmas)[:, None, None]
         for n in range(n_witness):
-            q = np.add(operators._backup((model,), (1.0,), params, q), sigma, out=iterates[n])
-        witness = np.abs(iterates[:n_witness] - q_star).max(axis=(1, 2))
-        exact = _envelope(0.0, np.full(n_witness, sigma), gamma)
-        max_violation = max(max_violation, float(np.abs(witness - exact).max()))
+            q = np.add(operators._backup((regime,), (1.0,), coefficients, q), step_sigmas, out=iterates[n])
+        for j, (gamma, model, sigma, q_star) in enumerate(zip(gammas, models, sigmas, q_stars)):
+            witness = np.abs(iterates[:n_witness, j, :, : model.n_actions] - q_star).max(axis=(1, 2))
+            exact = _envelope(0.0, np.full(n_witness, sigma), gamma)
+            max_violation = max(max_violation, float(np.abs(witness - exact).max()))
     max_violation = _gated(max_violation, converged)
     return SuiteResult("error_budget", n_configs * (n_steps + n_witness), max_violation, tol)
 

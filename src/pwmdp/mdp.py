@@ -258,6 +258,7 @@ def make_random_mode(
     Kernel rows are simplex-uniform (flat Dirichlet) and renormalized
     exactly so row sums hold to machine precision.
     """
+    n_states, n_actions = _whole(n_states, "n_states"), _whole(n_actions, "n_actions")
     if n_states < 1 or n_actions < 1:
         raise ValueError("need n_states >= 1 and n_actions >= 1")
     lo, hi = reward_range

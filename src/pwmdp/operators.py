@@ -14,6 +14,17 @@ new array (``add_bounded_noise`` at sigma 0 returns the tables it was
 given); a regime belief is a weight vector.
 The only randomness is owned by explicit seeds.
 
+The backup kernel also takes regimes with leading instance axes L: a
+private ``_Regime`` of (*L, S, A) rewards and penalties and (*L, S, A, S)
+kernels, per-instance weights and coefficients (``_Coefficients``) that are
+scalars or arrays over L, and (*L, *T, S, A) tables, T tables per
+instance. One call then backs up every instance of one shape. Its product
+is ``np.matmul`` of each instance's (T, S) values with its own (S, S*A)
+kernel view, which runs the same BLAS product the instance would get
+alone, so each instance's images equal its own call bit for bit.
+``apply_coupled_operator`` accepts such regimes, with per-instance
+sensitivity and gap, for the certification suites' shape groups.
+
 Validation happens at the public entry points: ``apply_mode_operator``,
 ``mixture_backup``/``apply_mixture_operator``, ``apply_coupled_operator``,
 ``apply_mixture_via_shared``, ``project`` and ``add_bounded_noise`` check
@@ -125,13 +136,42 @@ class RegimePerturbation(NamedTuple):
     actual_gap: float   # sup-norm distance between the two fixed points
 
 
+class _Regime(NamedTuple):
+    """The three tables ``_backup`` reads, with leading instance axes L (unchecked)."""
+
+    reward: np.ndarray      # (*L, S, A)
+    kernel: np.ndarray      # (*L, S, A, S')
+    gamma_epi: np.ndarray   # (*L, S, A)
+
+
+@dataclass(frozen=True)
+class _Coefficients:
+    """Per-instance gamma, lambda_epi and kappa: each a scalar or an array over L (unchecked)."""
+
+    gamma: float | np.ndarray
+    lambda_epi: float | np.ndarray
+    kappa: float | np.ndarray
+
+
+def _per_instance(x, n_trailing: int):
+    """A scalar as it is; an ndarray over the instance axes with ``n_trailing`` unit axes appended."""
+    return x.reshape(x.shape + (1,) * n_trailing) if isinstance(x, np.ndarray) else x
+
+
+def _finite_nonnegative(x) -> bool:
+    """Whether a scalar, or every entry of an ndarray, lies in [0, inf)."""
+    if isinstance(x, np.ndarray):
+        return bool(((0.0 <= x) & (x < math.inf)).all())
+    return 0.0 <= x < math.inf
+
+
 def _tables(q: np.ndarray, models: Sequence[ModeModel] = ()) -> np.ndarray:
     """A (..., S, A) array batch of tables, checked finite and of each regime's (S, A) shape."""
     values = np.asarray(q, dtype=float)
     if values.ndim < 2:
         raise ValueError(f"Q tables must be (..., S, A), got shape {values.shape}")
     for i, model in enumerate(models):
-        if model.reward.shape != values.shape[-2:]:
+        if model.reward.shape[-2:] != values.shape[-2:]:
             raise ValueError(f"dimension mismatch: regime {i} is {model.reward.shape}, Q is {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("Q tables contain non-finite entries")
@@ -139,9 +179,9 @@ def _tables(q: np.ndarray, models: Sequence[ModeModel] = ()) -> np.ndarray:
 
 
 def _backup(
-    models: Sequence[ModeModel],
-    weights: Sequence[float],
-    params: OperatorParams,
+    models: Sequence[ModeModel | _Regime],
+    weights: Sequence[float | np.ndarray],
+    params: OperatorParams | _Coefficients,
     q: np.ndarray,
 ) -> np.ndarray:
     """Weighted sum of per-regime backups of a (..., S, A) array of tables.
@@ -150,24 +190,51 @@ def _backup(
     the weights taken as given, so the kappa term scales by sum(w). V is
     computed once, by exact maxima over the A action columns; each regime
     with nonzero weight costs one (..., S) @ (S, S*A) product on a view of
-    its kernel, and a regime at weight zero costs nothing.
+    its kernel, and a regime at scalar weight zero costs nothing.
+
+    Regimes whose tables carry leading instance axes L (all the same) back
+    up (*L, *T, S, A) tables, instance by instance; each weight and each of
+    gamma, lambda_epi and kappa is then a scalar or an array over L. Each
+    instance's T tables stay in one ``np.matmul`` product with its own
+    kernel view, the same gemm or gemv it gets alone, so the images equal
+    the instances' own calls bit for bit (an array weight is applied even
+    where it is 1 or 0, which changes at most the sign of a zero).
     """
     n_states = q.shape[-2]
+    lead = models[0].reward.shape[:-2]
+    n_trailing = q.ndim - len(lead)
     v = q[..., 0].copy()
     for a in range(1, q.shape[-1]):
         np.maximum(v, q[..., a], out=v)
+    gamma, lambda_epi, kappa = params.gamma, params.lambda_epi, params.kappa
+    if lead:
+        v = v.reshape(lead + (-1, n_states))
+        table = lead + (1,) * (n_trailing - 2) + q.shape[-2:]
+        gamma = _per_instance(gamma, n_trailing)
+        lambda_epi = _per_instance(lambda_epi, n_trailing)
+        kappa = _per_instance(kappa, n_trailing)
+    # x - 0.0 == x for every double; x - (-0.0) turns -0.0 into 0.0
+    subtract_kappa = isinstance(kappa, np.ndarray) or kappa != 0.0 or math.copysign(1.0, kappa) < 0.0
     out = None
     for w, model in zip(weights, models):
-        if w == 0.0:
+        scalar_weight = not isinstance(w, np.ndarray)
+        if scalar_weight and w == 0.0:
             continue
-        term = np.dot(v, model.kernel.reshape(-1, n_states).T).reshape(q.shape)
-        term -= params.lambda_epi * model.gamma_epi
-        # x - 0.0 == x for every double; x - (-0.0) turns -0.0 into 0.0
-        if params.kappa != 0.0 or math.copysign(1.0, params.kappa) < 0.0:
-            term -= params.kappa
-        term *= params.gamma
-        term += model.reward
-        if w != 1.0:  # a single regime or a point mass needs no scaling
+        if lead:
+            kernels = model.kernel.reshape(lead + (-1, n_states)).swapaxes(-1, -2)
+            term = np.matmul(v, kernels).reshape(q.shape)
+            reward, penalty = model.reward.reshape(table), model.gamma_epi.reshape(table)
+        else:
+            term = np.dot(v, model.kernel.reshape(-1, n_states).T).reshape(q.shape)
+            reward, penalty = model.reward, model.gamma_epi
+        term -= lambda_epi * penalty
+        if subtract_kappa:
+            term -= kappa
+        term *= gamma
+        term += reward
+        if not scalar_weight:
+            term *= _per_instance(w, n_trailing)
+        elif w != 1.0:  # a single regime or a point mass needs no scaling
             term *= w
         out = term if out is None else out + term
     return np.zeros(q.shape) if out is None else out
@@ -250,13 +317,16 @@ def apply_coupled_operator(
     sensitivity, gap >= 0 the exact sup-norm Lipschitz factor is
     gamma + sensitivity * gap, attained by a uniform shift of Q: the map
     expands once that passes 1, however small the coupling. Callers compute
-    that factor inline from their own arguments.
+    that factor inline from their own arguments. A ``_Regime`` with instance
+    axes L takes ``_Coefficients`` and (*L, *T, S, A) tables, with
+    sensitivity and gap scalars or arrays over L, checked entry by entry.
     """
-    if not (0.0 <= sensitivity < math.inf and 0.0 <= gap < math.inf):
+    if not (_finite_nonnegative(sensitivity) and _finite_nonnegative(gap)):
         raise ValueError(f"sensitivity and gap must be finite and >= 0, got {sensitivity} and {gap}")
     values = _tables(q, (model,))
-    weight = 0.5 + sensitivity * values[..., :1, :1]
-    return _backup((model,), (1.0,), params, values) + weight * gap
+    n_trailing = values.ndim - (model.reward.ndim - 2)
+    weight = 0.5 + _per_instance(sensitivity, n_trailing) * values[..., :1, :1]
+    return _backup((model,), (1.0,), params, values) + weight * _per_instance(gap, n_trailing)
 
 
 def solve_fixed_point(
@@ -276,6 +346,7 @@ def solve_fixed_point(
     tol = _real(tol, "tol")
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    max_iter = _whole(max_iter, "max_iter")
     q = _tables(q0)
     residual = float("inf")
     for it in range(1, max_iter + 1):
@@ -360,9 +431,10 @@ def estimate_lipschitz(
     may return their images as a (..., B, S, A) array, and the result is
     then the array (...) of one factor per map.
     """
+    n_pairs = _whole(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    s, a = dims
+    s, a = dims = tuple(_whole(d, f"dims[{i}]") for i, d in enumerate(dims))
     if s < 1 or a < 1:
         raise ValueError(f"dims must be >= 1 on each side, got {dims}")
     lo, hi = LIPSCHITZ_VALUE_RANGE

@@ -30,6 +30,12 @@ SEED = 0
 
 # sha256 of `pwmdp certify --seed 0`'s certification.json
 CERTIFICATION_SHA256 = "1815f352eb80891470c2c5f0e90e0f42c8636a5c21e4f31f61dd850b992c9ad7"
+# and of its three `--inject-mutation` reports
+MUTATION_SHA256 = {
+    "unnormalized_belief": "244cf94c9dbf9a8cf9cf7843e670f469c34a644dc2d2b2766a1df727b32b44f3",
+    "unfrozen_belief": "8c0ce4a3583fd5afbf87e4d8b969004f5a21c7270c7f7a0b10e4f6ee1755176c",
+    "unclipped_surprise": "040fd53d809c187e51cf5e0fabbe61fd7c7fe0029c89246a654ea1b70d04bf37",
+}
 
 
 def report(number: int, name: str, suite, elapsed: float | None = None, instances: int | None = None):
@@ -140,7 +146,9 @@ class TestCriterion12Reproducibility:
                 mutation_codes[mutation] = main(
                     ["certify", "--seed", "0", "--out", str(out), "--inject-mutation", mutation]
                 )
-                payload = json.loads((out / "certification.json").read_text())
+                written = (out / "certification.json").read_bytes()
+                assert hashlib.sha256(written).hexdigest() == MUTATION_SHA256[mutation], mutation
+                payload = json.loads(written)
                 assert payload["passed"] is False
                 failed = [s["name"] for s in payload["suites"] if not s["passed"]]
                 assert suite_name in failed, f"{mutation}: expected {suite_name} in {failed}"

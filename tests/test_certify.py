@@ -131,13 +131,16 @@ def test_envelope_is_the_recursion_in_closed_form():
 
 
 def expand_backup_kernel(monkeypatch):
-    """Replace ``operators._backup`` with one that scales its P.V term by 1.001."""
+    """Replace ``operators._backup`` with one that scales its P.V term by 1.001.
+
+    The stand-in backs up through copies of the regimes whose kernels are
+    scaled by 1.001, so it takes instance axes wherever the kernel does.
+    """
     real_backup = operators._backup
 
     def expanding_backup(models, weights, params, q):
-        v = q.max(axis=-1)
-        extra = sum(w * np.einsum("...t,sat->...sa", v, m.kernel) for w, m in zip(weights, models))
-        return real_backup(models, weights, params, q) + 0.001 * params.gamma * extra
+        scaled = [operators._Regime(m.reward, 1.001 * m.kernel, m.gamma_epi) for m in models]
+        return real_backup(scaled, weights, params, q)
 
     monkeypatch.setattr(operators, "_backup", expanding_backup)
 
@@ -280,20 +283,25 @@ def test_delay_suite_fails_when_the_empirical_delay_is_one_step_late(monkeypatch
 
 def test_inner_loops_call_the_backup_kernel_once_per_step(monkeypatch):
     # run_piecewise and suite 7 reach operators._backup through the module,
-    # so an injected kernel sees every step
-    callers = Counter()
+    # so an injected kernel sees every step; a call on regimes with instance
+    # axes L backs up prod(L) instance-steps at once
+    calls, instance_steps = Counter(), Counter()
     real_backup = operators._backup
 
     def counting_backup(models, weights, params, q):
-        callers[sys._getframe(1).f_code.co_name] += 1
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] += 1
+        instance_steps[caller] += math.prod(models[0].reward.shape[:-2])
         return real_backup(models, weights, params, q)
 
     monkeypatch.setattr(operators, "_backup", counting_backup)
     config = config_from_dict(three_phase_config_dict(0))
-    assert len(run_piecewise(config)) == callers["run_piecewise"] == 600
+    assert len(run_piecewise(config)) == calls["run_piecewise"] == instance_steps["run_piecewise"] == 600
     suite = suite_error_budget(0)
     assert suite.passed
-    assert callers["suite_error_budget"] == suite.tested_instances == 11_000
+    assert instance_steps["suite_error_budget"] == suite.tested_instances == 11_000
+    # the configs that share S (3 to 7) step in lockstep: one call per group step
+    assert calls["suite_error_budget"] <= 5 * (500 + 50)
 
 
 # Kernel mutations and the suite each must fail: (defining module, kernel

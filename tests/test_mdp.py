@@ -18,10 +18,15 @@ from pwmdp import (
     StatePartition,
     SurpriseWeights,
     apply_mode_operator,
+    estimate_lipschitz,
+    fit_linear_context,
     make_random_mode,
+    solve_fixed_point,
     sup_dist,
     validate_mode,
 )
+from pwmdp.harness.certify import separable_context_dataset
+from pwmdp.harness.sweeps import run_threshold_sweep
 from pwmdp.mdp import check_simplex
 
 
@@ -334,3 +339,31 @@ class TestCheckSimplex:
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Every public integer argument is read once at its entry by the one reader
+# of whole numbers: a bool or a fraction is refused, naming the argument.
+IDENTITY = lambda q: q
+CONTEXT_DATA = separable_context_dataset(0, n_per_mode=4)
+INTEGER_ARGUMENTS = {
+    "max_iter": lambda n: solve_fixed_point(lambda q: 0.5 * q, np.ones((1, 1)), max_iter=n),
+    "n_pairs": lambda n: estimate_lipschitz(IDENTITY, (3, 2), n, 0),
+    "dims[0]": lambda n: estimate_lipschitz(IDENTITY, (n, 2), 2, 0),
+    "dims[1]": lambda n: estimate_lipschitz(IDENTITY, (3, n), 2, 0),
+    "n_iter": lambda n: run_threshold_sweep([0.5], [0.1], n_iter=n),
+    "steps": lambda n: fit_linear_context(CONTEXT_DATA, ContextLossConfig(), steps=n),
+    "n_states": lambda n: make_random_mode(0, n, 2),
+    "n_actions": lambda n: make_random_mode(0, 2, n),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "fraction"])
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_bools_and_fractions_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {value!r}$"):
+        INTEGER_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_accept_a_whole_float(name):
+    INTEGER_ARGUMENTS[name](2.0)

@@ -27,6 +27,7 @@ from pwmdp import (
     solve_fixed_point,
     sup_dist,
 )
+from pwmdp.mdp import _draw_mode_tables
 from pwmdp.operators import LIPSCHITZ_VALUE_RANGE, _backup
 
 
@@ -252,6 +253,14 @@ class TestCoupledOperator:
         for sensitivity, gap in ((-0.1, 1.0), (np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf)):
             with pytest.raises(ValueError, match="sensitivity and gap must be finite"):
                 apply_coupled_operator(model, params, sensitivity, gap, q)
+        # per-instance arrays are checked entry by entry
+        regime = operators._Regime(np.ones((2, 1, 1)), np.ones((2, 1, 1, 1)), np.zeros((2, 1, 1)))
+        for sensitivity, gap in (
+            ([0.1, np.nan], [1.0, 1.0]), ([0.1, -0.1], [1.0, 1.0]),
+            ([0.1, 0.1], [np.nan, 1.0]), ([0.1, 0.1], [1.0, -1.0]),
+        ):
+            with pytest.raises(ValueError, match="sensitivity and gap must be finite"):
+                apply_coupled_operator(regime, params, np.array(sensitivity), np.array(gap), np.zeros((2, 3, 1, 1)))
 
 
 class TestSolveFixedPoint:
@@ -536,6 +545,83 @@ class TestBatchedBackup:
     def test_operator_must_keep_the_batch_shape(self):
         with pytest.raises(ValueError, match="shape"):
             estimate_lipschitz(lambda qs: qs[0], (2, 2), 3, seed=0)
+
+
+def random_instances(rng, n_modes):
+    """A shape group: k instances of (S, A) with n_modes regimes each, as plain
+    regimes per instance and as stacked regimes, with per-instance coefficients."""
+    n_states, n_actions, k = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 41))
+    rewards, kernels, penalties = _draw_mode_tables(rng, (k, n_modes), n_states, n_actions)
+    stacked = [operators._Regime(rewards[:, m], kernels[:, m], penalties[:, m]) for m in range(n_modes)]
+    plain = [[ModeModel(*tables) for tables in zip(rewards[i], kernels[i], penalties[i])] for i in range(k)]
+    coefficients = rng.uniform((0.0, 0.0, 0.0), (0.99, 0.1, 0.5), (k, 3))
+    return stacked, plain, coefficients
+
+
+class TestInstanceAxes:
+    """One kernel call on regimes with leading instance axes equals each instance's own call, bit for bit."""
+
+    def test_stacked_backup_equals_each_instance_alone(self):
+        rng = np.random.default_rng(60)
+        for _ in range(150):
+            n_modes, n_tables = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            stacked, plain, coefficients = random_instances(rng, n_modes)
+            k, (n_states, n_actions) = len(plain), plain[0][0].reward.shape
+            weights = rng.dirichlet(np.ones(n_modes), k)
+            # a single table per instance may come without a table axis
+            tables = () if n_tables == 1 and rng.integers(2) else (n_tables,)
+            q = rng.uniform(-10, 10, (k, *tables, n_states, n_actions))
+            out = operators._backup(stacked, weights.T, operators._Coefficients(*coefficients.T), q)
+            assert out.shape == q.shape
+            for i in range(k):
+                alone = operators._backup(plain[i], weights[i], OperatorParams(*coefficients[i]), q[i])
+                assert np.array_equal(out[i], alone)
+
+    def test_stacked_coupled_operator_equals_each_instance_alone(self):
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            (stacked,), plain, coefficients = random_instances(rng, 1)
+            k, (n_states, n_actions) = len(plain), plain[0][0].reward.shape
+            sensitivity, gap = rng.uniform((0.0, 0.0), (0.1, 60.0), (k, 2)).T
+            q = rng.uniform(-10, 10, (k, 3, n_states, n_actions))
+            params = operators._Coefficients(*coefficients.T)
+            out = apply_coupled_operator(stacked, params, sensitivity, gap, q)
+            for i in range(k):
+                alone = apply_coupled_operator(plain[i][0], OperatorParams(*coefficients[i]), sensitivity[i], gap[i], q[i])
+                assert np.array_equal(out[i], alone)
+
+    def test_actions_padded_with_copies_of_action_0_leave_the_real_images(self):
+        rng = np.random.default_rng(62)
+        for _ in range(150):
+            stacked, plain, coefficients = random_instances(rng, int(rng.integers(1, 5)))
+            k, (n_states, n_actions) = len(plain), plain[0][0].reward.shape
+            weights = rng.dirichlet(np.ones(len(stacked)), k).T
+            params = operators._Coefficients(*coefficients.T)
+            q = rng.uniform(-10, 10, (k, n_states, n_actions))
+            pad = np.concatenate([np.arange(n_actions), np.zeros(int(rng.integers(1, 4)), int)])
+            padded = [
+                operators._Regime(m.reward[..., pad], m.kernel[..., pad, :], m.gamma_epi[..., pad]) for m in stacked
+            ]
+            out = operators._backup(padded, weights, params, q[..., pad])
+            assert np.array_equal(out[..., :n_actions], operators._backup(stacked, weights, params, q))
+            assert np.array_equal(out[..., n_actions:], out[..., [0] * (len(pad) - n_actions)])
+
+    def test_projection_over_a_union_partition_equals_each_instance_alone(self):
+        rng = np.random.default_rng(63)
+        for _ in range(100):
+            n_states, n_actions, k = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 41))
+            partitions = []
+            for _ in range(k):
+                cuts = np.sort(rng.choice(np.arange(1, n_states), int(rng.integers(0, n_states)), replace=False))
+                blocks = np.split(rng.permutation(n_states), cuts)
+                partitions.append(StatePartition(n_states, tuple(tuple(b.tolist()) for b in blocks)))
+            union = StatePartition(k * n_states, tuple(
+                tuple(j * n_states + s for s in block) for j, p in enumerate(partitions) for block in p.blocks
+            ))
+            values = rng.uniform(-10, 10, (5, k, n_states, n_actions))
+            out = operators._project(values.reshape(5, k * n_states, n_actions), union).reshape(values.shape)
+            for j, partition in enumerate(partitions):
+                assert np.array_equal(out[:, j], operators._project(values[:, j], partition))
 
 
 class TestRegimePerturbation:
