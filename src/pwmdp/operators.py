@@ -14,14 +14,16 @@ new array (``add_bounded_noise`` at sigma 0 returns the tables it was
 given); a regime belief is a weight vector.
 The only randomness is owned by explicit seeds.
 
-The backup kernel also takes regimes with leading instance axes L: a
-private ``_Regime`` of (*L, S, A) rewards and penalties and (*L, S, A, S)
-kernels, per-instance weights and coefficients (``_Coefficients``) that are
-scalars or arrays over L, and (*L, *T, S, A) tables, T tables per
-instance. One call then backs up every instance of one shape. Its product
-is ``np.matmul`` of each instance's (T, S) values with its own (S, S*A)
-kernel view, which runs the same BLAS product the instance would get
-alone, so each instance's images equal its own call bit for bit.
+The backup kernel has one product for every regime. A private ``_Regime``
+carries leading instance axes L: (*L, S, A) rewards and penalties and
+(*L, S, A, S) kernels. With per-instance weights and coefficients
+(``_Coefficients``) that are scalars or arrays over L, the kernel backs up
+(*L, *T, S, A) tables, T tables per instance, so one call covers every
+instance of one shape. A ``ModeModel`` with ``OperatorParams`` is the case
+L = (). The product is ``np.matmul`` of each instance's (T, S) values with
+its own (S, S*A) kernel view, which runs the same BLAS product the instance
+would get alone, so each instance's images equal its own call bit for bit
+and do not depend on how the T axes are laid out.
 ``apply_coupled_operator`` accepts such regimes, with per-instance
 sensitivity and gap, for the certification suites' shape groups.
 
@@ -184,58 +186,39 @@ def _backup(
     params: OperatorParams | _Coefficients,
     q: np.ndarray,
 ) -> np.ndarray:
-    """Weighted sum of per-regime backups of a (..., S, A) array of tables.
+    """Weighted sum of per-regime backups of tables with leading instance axes L.
 
     Accumulates w_m * (R_m + gamma * (P_m V - lambda_epi * G_m - kappa)) with
-    the weights taken as given, so the kappa term scales by sum(w). V is
-    computed once, by exact maxima over the A action columns; each regime
-    with nonzero weight costs one (..., S) @ (S, S*A) product on a view of
-    its kernel, and a regime at scalar weight zero costs nothing.
-
-    Regimes whose tables carry leading instance axes L (all the same) back
-    up (*L, *T, S, A) tables, instance by instance; each weight and each of
-    gamma, lambda_epi and kappa is then a scalar or an array over L. Each
-    instance's T tables stay in one ``np.matmul`` product with its own
-    kernel view, the same gemm or gemv it gets alone, so the images equal
-    the instances' own calls bit for bit (an array weight is applied even
-    where it is 1 or 0, which changes at most the sign of a zero).
+    the weights taken as given, so the kappa term scales by sum(w). The
+    regimes' tables carry instance axes L (all the same; L = () for a
+    ``ModeModel``), the tables are (*L, *T, S, A), T tables per instance, and
+    each weight and each of gamma, lambda_epi and kappa is a scalar or an
+    array over L. V is computed once, by exact maxima over the A action
+    columns. Each regime with nonzero weight costs one ``np.matmul`` of each
+    instance's (T, S) values with its own (S, S*A) kernel view, the same gemm
+    or gemv the instance gets alone, so the images equal the instances' own
+    calls bit for bit, however the T axes are laid out. A regime at scalar
+    weight zero costs nothing.
     """
     n_states = q.shape[-2]
     lead = models[0].reward.shape[:-2]
     n_trailing = q.ndim - len(lead)
+    table = lead + (1,) * (n_trailing - 2) + q.shape[-2:]
     v = q[..., 0].copy()
     for a in range(1, q.shape[-1]):
         np.maximum(v, q[..., a], out=v)
-    gamma, lambda_epi, kappa = params.gamma, params.lambda_epi, params.kappa
-    if lead:
-        v = v.reshape(lead + (-1, n_states))
-        table = lead + (1,) * (n_trailing - 2) + q.shape[-2:]
-        gamma = _per_instance(gamma, n_trailing)
-        lambda_epi = _per_instance(lambda_epi, n_trailing)
-        kappa = _per_instance(kappa, n_trailing)
-    # x - 0.0 == x for every double; x - (-0.0) turns -0.0 into 0.0
-    subtract_kappa = isinstance(kappa, np.ndarray) or kappa != 0.0 or math.copysign(1.0, kappa) < 0.0
+    v = v.reshape(lead + (-1, n_states))
+    gamma, lambda_epi, kappa = (_per_instance(x, n_trailing) for x in (params.gamma, params.lambda_epi, params.kappa))
     out = None
     for w, model in zip(weights, models):
-        scalar_weight = not isinstance(w, np.ndarray)
-        if scalar_weight and w == 0.0:
+        if not isinstance(w, np.ndarray) and w == 0.0:
             continue
-        if lead:
-            kernels = model.kernel.reshape(lead + (-1, n_states)).swapaxes(-1, -2)
-            term = np.matmul(v, kernels).reshape(q.shape)
-            reward, penalty = model.reward.reshape(table), model.gamma_epi.reshape(table)
-        else:
-            term = np.dot(v, model.kernel.reshape(-1, n_states).T).reshape(q.shape)
-            reward, penalty = model.reward, model.gamma_epi
-        term -= lambda_epi * penalty
-        if subtract_kappa:
-            term -= kappa
+        term = np.matmul(v, model.kernel.reshape(lead + (-1, n_states)).swapaxes(-1, -2)).reshape(q.shape)
+        term -= lambda_epi * model.gamma_epi.reshape(table)
+        term -= kappa
         term *= gamma
-        term += reward
-        if not scalar_weight:
-            term *= _per_instance(w, n_trailing)
-        elif w != 1.0:  # a single regime or a point mass needs no scaling
-            term *= w
+        term += model.reward.reshape(table)
+        term *= _per_instance(w, n_trailing)
         out = term if out is None else out + term
     return np.zeros(q.shape) if out is None else out
 

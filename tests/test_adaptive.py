@@ -54,22 +54,6 @@ class TestSurprise:
             surprise(0.0, -1.0, 0.0, WEIGHTS)
 
 
-class TestCoefficientsFinite:
-    """The parameter objects refuse non-finite coefficients by name, apart from their ranges."""
-
-    @pytest.mark.parametrize("name", ["w_r", "w_q", "w_kappa"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_surprise_weights(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}$"):
-            SurpriseWeights(**{name: value})
-
-    @pytest.mark.parametrize("name", ["beta_base", "c_penalty"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_adaptive_state(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}$"):
-            AdaptiveState(**{name: value})
-
-
 class TestEmaUpdate:
     def test_fixed_point(self):
         assert ema_update(3.0, 3.0, 0.5) == 3.0

@@ -329,30 +329,17 @@ class TestContextLossConfig:
             ("w_div", -1.0, ">= 0"),
             ("r_rbf", 0.0, "> 0"),
             ("eps", 0.0, "> 0"),
-            ("w_cons", math.nan, ">= 0"),
-            ("r_rbf", math.nan, "> 0"),
-            ("eps", math.nan, "> 0"),
-            ("w_div", math.inf, ">= 0"),
-            ("eps", math.inf, "> 0"),
-            ("r_rbf", math.inf, "> 0"),
         ],
     )
     def test_float_field_must_be_finite_and_in_range(self, field, value, bound):
-        need = bound if math.isfinite(value) else "a finite number"
-        with pytest.raises(ValueError, match=f"^{field} must be {need}, got {value}$"):
+        # finiteness is checked per slot in tests/test_mdp.py::TestScalarFields
+        with pytest.raises(ValueError, match=f"^{field} must be {bound}, got {value}$"):
             ContextLossConfig(**{field: value})
 
-    @pytest.mark.parametrize(
-        "d_e, message",
-        [(0, "d_e must be >= 1, got 0"), (2.5, "d_e must be an integer, got 2.5"),
-         (2.0, None), (True, "d_e must be an integer, got True")],
-        ids=["0", "2.5", "2.0", "True"],
-    )
-    def test_d_e_must_be_a_positive_integer(self, d_e, message):
-        if message is None:  # a whole float is an integer
-            assert type(ContextLossConfig(d_e=d_e).d_e) is int
-            return
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    @pytest.mark.parametrize("d_e", [0], ids=["0"])
+    def test_d_e_must_be_a_positive_integer(self, d_e):
+        # bools, fractions and whole floats are checked per slot in tests/test_mdp.py::TestScalarFields
+        with pytest.raises(ValueError, match=f"^d_e must be >= 1, got {d_e}$"):
             ContextLossConfig(d_e=d_e)
 
     def test_numpy_integer_d_e_is_accepted(self):

@@ -205,13 +205,6 @@ class TestOperatorParams:
         with pytest.raises(ValueError):
             OperatorParams(gamma=0.9, kappa=-0.5)
 
-    @pytest.mark.parametrize("name", ["lambda_epi", "kappa"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_penalties_finite(self, name, value):
-        # NaN < 0 is False, so only the finiteness check refuses NaN
-        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}$"):
-            OperatorParams(gamma=0.9, **{name: value})
-
 
 class TestPiecewiseSchedule:
     def test_bounds_and_totals(self):
@@ -269,7 +262,7 @@ SCALAR_SLOTS = {
 def _refusals():
     for slot, (name, kind, _, build, _) in SCALAR_SLOTS.items():
         need = "an integer" if kind is int else "a finite number"
-        for value in (True, "1", math.nan, math.inf, -math.inf) + ((2.5,) if kind is int else ()):
+        for value in (True, np.True_, "1", math.nan, math.inf, -math.inf) + ((2.5,) if kind is int else ()):
             yield pytest.param(
                 lambda b=build, v=value: b(v), f"{name} must be {need}, got {value!r}", id=f"{slot}={value!r}"
             )
