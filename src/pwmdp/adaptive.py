@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mdp import _read_fields
+from .mdp import _read_fields, _whole
 
 __all__ = [
     "SurpriseWeights",
@@ -134,6 +134,7 @@ def lambda_w(
     zero, a rise well above K s reads at once. Returns (penalty, baseline,
     sq_deviation), the last two updated.
     """
+    h_max = _whole(h_max, "h_max")
     if h_max < 2:
         raise ValueError(f"h_max must be >= 2, got {h_max}")
     if not 0.0 <= h_bar <= h_max - 1:
@@ -154,6 +155,6 @@ def lambda_w(
 
 def beta_eff(state: AdaptiveState, lam: float) -> float:
     """Effective LCB coefficient beta_base - lam * c_penalty (never above base)."""
-    if lam < 0.0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     return state.beta_base - lam * state.c_penalty

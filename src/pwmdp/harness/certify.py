@@ -287,9 +287,9 @@ def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult
 
     Each instance backs up a table q1, its uniform shift and a random table:
     the shift moves the image by exactly the factor times its distance, the
-    random table by no more. Each (S, A) group is drawn in one block and
-    backed up by one ``apply_coupled_operator`` call, with every instance's
-    regime, discount, sensitivity and gap as arrays over the group.
+    random table by no more. The suite owns its arrays, so it calls the
+    kernel ``operators._coupled`` directly: once per (S, A) group, with each
+    instance's regime, gamma, sensitivity and gap, and per breaking-run step.
     """
     tol = 1e-12
     n_pairs = 500
@@ -308,7 +308,7 @@ def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult
         tables[:, 1] = tables[:, 0] + shifts[members, None, None]
         gamma, sensitivity, gap = draws[members].T
         coefficients = operators._Coefficients(gamma, lambda_epi=0.01, kappa=0.1)
-        images = apply_coupled_operator(regime, coefficients, sensitivity, gap, tables)
+        images = operators._coupled(regime, coefficients, sensitivity, gap, tables)
         image_dist = np.abs(images[:, 1:] - images[:, :1]).max(axis=(2, 3))
         dist = np.abs(tables[:, 1:] - tables[:, :1]).max(axis=(2, 3))
         # dist(T q, T q1) - factor * dist(q, q1), for the shift and for q2
@@ -317,7 +317,7 @@ def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult
     # the documented breaking instance: tiny coupling, large reward gap, factor 1.04
     model = make_random_mode(int(rng.integers(0, 2**31)), 4, 2)
     params = OperatorParams(gamma=0.99, lambda_epi=0.01, kappa=0.1)
-    breaking = lambda q: apply_coupled_operator(model, params, *BREAKING_COUPLING, q)
+    breaking = lambda q: operators._coupled(model, params, *BREAKING_COUPLING, q)
     factor_ok = abs(estimate_lipschitz(breaking, (4, 2), n_pairs=4, seed=seed) - 1.04) <= 1e-12
     run = solve_fixed_point(breaking, np.zeros((4, 2)))
     diverges = not run.converged and run.final_residual > DIVERGENCE_CAP

@@ -262,7 +262,7 @@ def make_random_mode(
     if n_states < 1 or n_actions < 1:
         raise ValueError("need n_states >= 1 and n_actions >= 1")
     lo, hi = reward_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+    if not (lo <= hi and math.isfinite(hi - lo)):  # a finite width implies finite ends
         raise ValueError(f"invalid reward range {reward_range}")
     rng = np.random.default_rng(seed)
     return ModeModel(*_draw_mode_tables(rng, (), n_states, n_actions, reward_range))

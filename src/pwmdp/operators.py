@@ -14,27 +14,25 @@ new array (``add_bounded_noise`` at sigma 0 returns the tables it was
 given); a regime belief is a weight vector.
 The only randomness is owned by explicit seeds.
 
-The backup kernel has one product for every regime. A private ``_Regime``
-carries leading instance axes L: (*L, S, A) rewards and penalties and
-(*L, S, A, S) kernels. With per-instance weights and coefficients
-(``_Coefficients``) that are scalars or arrays over L, the kernel backs up
-(*L, *T, S, A) tables, T tables per instance, so one call covers every
-instance of one shape. A ``ModeModel`` with ``OperatorParams`` is the case
-L = (). The product is ``np.matmul`` of each instance's (T, S) values with
-its own (S, S*A) kernel view, which runs the same BLAS product the instance
-would get alone, so each instance's images equal its own call bit for bit
-and do not depend on how the T axes are laid out.
-``apply_coupled_operator`` accepts such regimes, with per-instance
-sensitivity and gap, for the certification suites' shape groups.
-
 Validation happens at the public entry points: ``apply_mode_operator``,
 ``mixture_backup``/``apply_mixture_operator``, ``apply_coupled_operator``,
 ``apply_mixture_via_shared``, ``project`` and ``add_bounded_noise`` check
-their tables (shape, finiteness), every regime's shape against the tables',
-weights, coupling, partition and sigma, then call one private kernel each
-(``_backup``, ``_project``, ``_noise``), where each formula is written once.
-The kernels run unchecked. Inner loops that own arrays they built from
-validated inputs call the kernels directly.
+their tables (shape, finiteness), each plain regime's (S, A) against the
+tables', weights, coupling (two floats), partition and sigma, then call one
+private kernel each (``_backup``, ``_coupled``, ``_project``, ``_noise``),
+where each formula is written once.
+
+The instance axes belong to the kernels ``_backup`` and ``_coupled``, which
+run unchecked. A private ``_Regime`` carries leading instance axes L: (*L,
+S, A) rewards and penalties and (*L, S, A, S) kernels. With weights,
+coefficients (``_Coefficients``), sensitivity and gap that are scalars or
+arrays over L, they back up (*L, *T, S, A) tables, T per instance, in one
+call; a ``ModeModel`` with ``OperatorParams`` is the case L = (). The
+product is ``np.matmul`` of each instance's (T, S) values with its own
+(S, S*A) kernel view, the BLAS product the instance would get alone, so
+each instance's images equal its own call bit for bit, however the T axes
+are laid out. Loops that own arrays built from validated inputs call the
+kernels directly, as certification suites 1, 2, 3 and 7 do per shape group.
 """
 
 from __future__ import annotations
@@ -160,20 +158,13 @@ def _per_instance(x, n_trailing: int):
     return x.reshape(x.shape + (1,) * n_trailing) if isinstance(x, np.ndarray) else x
 
 
-def _finite_nonnegative(x) -> bool:
-    """Whether a scalar, or every entry of an ndarray, lies in [0, inf)."""
-    if isinstance(x, np.ndarray):
-        return bool(((0.0 <= x) & (x < math.inf)).all())
-    return 0.0 <= x < math.inf
-
-
 def _tables(q: np.ndarray, models: Sequence[ModeModel] = ()) -> np.ndarray:
     """A (..., S, A) array batch of tables, checked finite and of each regime's (S, A) shape."""
     values = np.asarray(q, dtype=float)
     if values.ndim < 2:
         raise ValueError(f"Q tables must be (..., S, A), got shape {values.shape}")
     for i, model in enumerate(models):
-        if model.reward.shape[-2:] != values.shape[-2:]:
+        if model.reward.shape != values.shape[-2:]:
             raise ValueError(f"dimension mismatch: regime {i} is {model.reward.shape}, Q is {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("Q tables contain non-finite entries")
@@ -253,13 +244,16 @@ def mixture_backup(
 ) -> np.ndarray:
     """Weighted sum of per-regime backups with the weights taken as-is.
 
-    No simplex validation: callers that need the contraction guarantee must
-    pass a proper belief (see :func:`apply_mixture_operator`). Exposed so
+    No simplex validation: ``weights`` is any finite vector, one entry per
+    regime, and callers that need the contraction guarantee must pass a
+    proper belief (see :func:`apply_mixture_operator`). Exposed so
     that the discounting identity's failure under unnormalized weights can
     be demonstrated directly. ``q`` is a (..., S, A) array of tables, as for
     :func:`apply_mode_operator`.
     """
     weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or not np.isfinite(weights).all():
+        raise ValueError(f"weights must be a finite vector, got {weights.tolist()}")
     if len(models) != weights.size:
         raise ValueError(f"{len(models)} models but {weights.size} weights")
     if not models:
@@ -300,13 +294,17 @@ def apply_coupled_operator(
     sensitivity, gap >= 0 the exact sup-norm Lipschitz factor is
     gamma + sensitivity * gap, attained by a uniform shift of Q: the map
     expands once that passes 1, however small the coupling. Callers compute
-    that factor inline from their own arguments. A ``_Regime`` with instance
-    axes L takes ``_Coefficients`` and (*L, *T, S, A) tables, with
-    sensitivity and gap scalars or arrays over L, checked entry by entry.
+    that factor inline from their own arguments. It takes one plain regime
+    and two finite numbers; the instance axes are ``_coupled``'s.
     """
-    if not (_finite_nonnegative(sensitivity) and _finite_nonnegative(gap)):
+    sensitivity, gap = _real(sensitivity, "sensitivity"), _real(gap, "gap")
+    if sensitivity < 0.0 or gap < 0.0:
         raise ValueError(f"sensitivity and gap must be finite and >= 0, got {sensitivity} and {gap}")
-    values = _tables(q, (model,))
+    return _coupled(model, params, sensitivity, gap, _tables(q, (model,)))
+
+
+def _coupled(model, params, sensitivity, gap, values: np.ndarray) -> np.ndarray:
+    """Unchecked ``apply_coupled_operator`` on ``_backup``'s inputs; sensitivity and gap scalars or over L."""
     n_trailing = values.ndim - (model.reward.ndim - 2)
     weight = 0.5 + _per_instance(sensitivity, n_trailing) * values[..., :1, :1]
     return _backup((model,), (1.0,), params, values) + weight * _per_instance(gap, n_trailing)
@@ -538,7 +536,10 @@ def apply_mixture_via_shared(
     weights = _belief_weights(belief)
     if len(models) != weights.size:
         raise ValueError(f"{len(models)} models but {weights.size} belief weights")
-    v = _tables(q, models).max(axis=-1)
+    values = _tables(q, models)
+    if values.ndim != 2:
+        raise ValueError(f"Q must be one (S, A) table, got shape {values.shape}")
+    v = values.max(axis=-1)
     per_mode = [
         m.reward + params.gamma * (m.kernel @ v - params.lambda_epi * m.gamma_epi - params.kappa)
         for m in models

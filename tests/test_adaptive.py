@@ -196,8 +196,10 @@ class TestBetaEff:
             assert beta_eff(state, float(rng.uniform(0, 5))) <= state.beta_base
 
     def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            beta_eff(AdaptiveState(), -0.1)
+        # NaN and inf returned NaN (inf at c_penalty 0), which is not "never above base"
+        for lam in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^lambda must be finite and >= 0, got {lam}$"):
+                beta_eff(AdaptiveState(c_penalty=0.0), lam)
 
 
 def _loop_xis(rate):

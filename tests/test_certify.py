@@ -201,12 +201,13 @@ def test_unfrozen_belief_samples_through_the_backup_kernel(monkeypatch):
 
 
 def test_dropping_the_coupling_fails_the_threshold_suite_and_the_unfrozen_sample(monkeypatch):
-    # with Q ignored the belief stays at 0.5 and the backup contracts at gamma again
-    real_coupled = certify.apply_coupled_operator
+    # with Q ignored the belief stays at 0.5 and the backup contracts at gamma again;
+    # suite 3 calls the kernel and the mutation the public entry, which reaches it too
+    real_coupled = operators._coupled
     monkeypatch.setattr(
-        certify,
-        "apply_coupled_operator",
-        lambda model, params, sensitivity, gap, q: real_coupled(model, params, 0.0, gap, q),
+        operators,
+        "_coupled",
+        lambda model, params, sensitivity, gap, values: real_coupled(model, params, 0.0, gap, values),
     )
     suite = suite_sharp_threshold(0)
     assert suite.tested_instances == 3001 and not suite.passed
@@ -361,6 +362,11 @@ KERNEL_MUTATIONS = [
     ),
     pytest.param(
         adaptive, "K", lambda real: 0.0, suite_piecewise_three_phase, id="lambda_w_without_control_limit",
+    ),
+    pytest.param(
+        operators, "_coupled",
+        lambda real: lambda model, params, sensitivity, gap, values: real(model, params, 0.0, gap, values),
+        suite_sharp_threshold, id="coupled_without_sensitivity",
     ),
 ]
 

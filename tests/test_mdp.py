@@ -20,6 +20,7 @@ from pwmdp import (
     apply_mode_operator,
     estimate_lipschitz,
     fit_linear_context,
+    lambda_w,
     make_random_mode,
     solve_fixed_point,
     sup_dist,
@@ -326,8 +327,11 @@ class TestCheckSimplex:
         (lambda: ModeModel(np.zeros((2, 1)), np.zeros((2, 1, 2)), np.zeros(2)),
          "gamma_epi shape (2,) does not match reward shape (2, 1)"),
         (lambda: make_random_mode(0, 2, 2, (1.0, -1.0)), "invalid reward range (1.0, -1.0)"),
+        # numpy's uniform raised OverflowError for a width past the largest double
+        (lambda: make_random_mode(0, 2, 2, (-1e308, 1e308)), "invalid reward range (-1e+308, 1e+308)"),
     ],
-    ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range"],
+    ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
+         "overflowing_reward_range"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -347,6 +351,7 @@ INTEGER_ARGUMENTS = {
     "steps": lambda n: fit_linear_context(CONTEXT_DATA, ContextLossConfig(), steps=n),
     "n_states": lambda n: make_random_mode(0, n, 2),
     "n_actions": lambda n: make_random_mode(0, 2, n),
+    "h_max": lambda n: lambda_w(0.5, n, None, None, 0.5),
 }
 
 

@@ -250,19 +250,20 @@ class TestCoupledOperator:
 
     def test_negative_gap_rejected(self):
         model, params, q = single_state_model(), OperatorParams(gamma=0.9), np.zeros((1, 1))
-        with pytest.raises(ValueError, match="gap"):
-            apply_coupled_operator(model, params, 0.1, -1.0, q)
-        for sensitivity, gap in ((-0.1, 1.0), (np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf)):
-            with pytest.raises(ValueError, match="sensitivity and gap must be finite"):
-                apply_coupled_operator(model, params, sensitivity, gap, q)
-        # per-instance arrays are checked entry by entry
-        regime = operators._Regime(np.ones((2, 1, 1)), np.ones((2, 1, 1, 1)), np.zeros((2, 1, 1)))
-        for sensitivity, gap in (
-            ([0.1, np.nan], [1.0, 1.0]), ([0.1, -0.1], [1.0, 1.0]),
-            ([0.1, 0.1], [np.nan, 1.0]), ([0.1, 0.1], [1.0, -1.0]),
+        for sensitivity, gap, message in (
+            (0.1, -1.0, "sensitivity and gap must be finite and >= 0, got 0.1 and -1.0"),
+            (-0.1, 1.0, "sensitivity and gap must be finite and >= 0, got -0.1 and 1.0"),
+            (np.inf, 1.0, "sensitivity must be a finite number, got inf"),
+            (np.nan, 1.0, "sensitivity must be a finite number, got nan"),
+            (0.1, np.inf, "gap must be a finite number, got inf"),
+            # per-instance arrays on a plain regime returned a (2, *q.shape) stack
+            (np.array([0.1, 0.2]), 1.0, "sensitivity must be a finite number, got array([0.1, 0.2])"),
+            (0.1, np.array([1.0, 1.0]), "gap must be a finite number, got array([1., 1.])"),
+            (True, 1.0, "sensitivity must be a finite number, got True"),
+            (0.1, "1", "gap must be a finite number, got '1'"),
         ):
-            with pytest.raises(ValueError, match="sensitivity and gap must be finite"):
-                apply_coupled_operator(regime, params, np.array(sensitivity), np.array(gap), np.zeros((2, 3, 1, 1)))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                apply_coupled_operator(model, params, sensitivity, gap, q)
 
 
 class TestSolveFixedPoint:
@@ -593,6 +594,7 @@ class TestInstanceAxes:
                 assert np.array_equal(out[i], alone)
 
     def test_stacked_coupled_operator_equals_each_instance_alone(self):
+        # each instance alone goes through the public entry, which calls the kernel on one plain regime
         rng = np.random.default_rng(61)
         for _ in range(100):
             (stacked,), plain, coefficients = random_instances(rng, 1)
@@ -600,7 +602,7 @@ class TestInstanceAxes:
             sensitivity, gap = rng.uniform((0.0, 0.0), (0.1, 60.0), (k, 2)).T
             q = rng.uniform(-10, 10, (k, 3, n_states, n_actions))
             params = operators._Coefficients(*coefficients.T)
-            out = apply_coupled_operator(stacked, params, sensitivity, gap, q)
+            out = operators._coupled(stacked, params, sensitivity, gap, q)
             for i in range(k):
                 alone = apply_coupled_operator(plain[i][0], OperatorParams(*coefficients[i]), sensitivity[i], gap[i], q[i])
                 assert np.array_equal(out[i], alone)
@@ -877,10 +879,20 @@ PARAMS = OperatorParams(gamma=0.9)
          "tol must be a finite number, got nan"),
         # and the exact solver skipped its polish to return converged=False
         (lambda: mode_fixed_point(MODEL, PARAMS, tol=np.nan), "tol must be a finite number, got nan"),
+        # a (2, 1) weight array reached the kernel's per-instance weight path and failed inside numpy
+        (lambda: mixture_backup((MODEL,) * 2, np.full((2, 1), 0.5), PARAMS, np.zeros((2, 2))),
+         "weights must be a finite vector, got [[0.5], [0.5]]"),
+        # a NaN weight returned NaN tables
+        (lambda: mixture_backup((MODEL,) * 2, np.array([0.5, np.nan]), PARAMS, np.zeros((2, 2))),
+         "weights must be a finite vector, got [0.5, nan]"),
+        # a stack of tables failed inside matmul with a gufunc-signature message
+        (lambda: apply_mixture_via_shared((MODEL,) * 2, np.full(2, 0.5), PARAMS, np.zeros((3, 2, 2))),
+         "Q must be one (S, A) table, got shape (3, 2, 2)"),
     ],
     ids=[
         "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "regime_dimensions",
-        "partition_size", "belief_size", "nan_tol", "nan_exact_tol",
+        "partition_size", "belief_size", "nan_tol", "nan_exact_tol", "column_weights", "nan_weight",
+        "stacked_shared_q",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
@@ -907,3 +919,14 @@ def test_every_entry_refuses_a_regime_of_another_shape(entry, shape):
     message = f"dimension mismatch: regime {index} is {shape}, Q is (3, 2)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         REGIME_ENTRIES[entry](models, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("entry", REGIME_ENTRIES)
+def test_every_entry_refuses_a_regime_with_instance_axes(entry):
+    # the instance axes are the private kernels' alone: a stacked regime passed
+    # the old check of the reward's last two axes and was backed up
+    models = (make_random_mode(0, 3, 2), operators._Regime(*_draw_mode_tables(np.random.default_rng(0), (2,), 3, 2)))
+    index = 0 if entry in ("mode_operator", "coupled_operator") else 1  # single-regime entries
+    message = f"dimension mismatch: regime {index} is (2, 3, 2), Q is (2, 3, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        REGIME_ENTRIES[entry](models, np.zeros((2, 3, 2)))
