@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import _read_fields, _whole
+from .mdp import _read_fields, _seed, _whole
 
 __all__ = [
     "ContextLossConfig",
@@ -225,7 +225,7 @@ def fit_linear_context(
             )
         return values
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     weights = rng.normal(0.0, 1.0, size=(config.d_e, states.shape[1]))
     n = weights.size
     entry = np.arange(n)

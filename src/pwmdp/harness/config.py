@@ -30,7 +30,7 @@ import numpy as np
 from ..adaptive import AdaptiveState, SurpriseWeights
 from ..bocd import BOCDParams, detection_delay
 from ..mdp import ModeModel, OperatorParams, PiecewiseSchedule, make_random_mode, validate_mode
-from ..mdp import _real, _whole
+from ..mdp import _freeze, _real, _seed, _whole
 from ..operators import _MAX_POLISH_STEPS, StatePartition
 
 __all__ = [
@@ -258,10 +258,8 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
     if by_seed:
         with _naming(""):
-            seed = _whole(spec["seed"], f"modes[{index}].seed")
+            seed = _seed(spec["seed"], f"modes[{index}].seed")
             shift = _real(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
-        if seed < 0:
-            raise ConfigError(f"modes[{index}].seed must be >= 0, got {seed}")
         model = make_random_mode(seed, n_states, n_actions, reward_range)
         if shift != 0.0:
             with np.errstate(over="ignore"):
@@ -270,16 +268,14 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
                 raise ConfigError(
                     f"modes[{index}].reward_shift must keep the shifted rewards finite, got {shift!r}"
                 )
-            model = ModeModel(reward, model.kernel, model.gamma_epi)
+            model = ModeModel(_freeze(reward), model.kernel, model.gamma_epi)
         return model
     missing = [key for key in ("reward", "kernel") if key not in spec]
     if missing:
         raise ConfigError(f"modes[{index}].{missing[0]}: missing")
-    model = ModeModel(
-        np.asarray(spec["reward"], dtype=float),
-        np.asarray(spec["kernel"], dtype=float),
-        np.asarray(spec.get("gamma_epi", np.zeros((n_states, n_actions))), dtype=float),
-    )
+    tables = (spec["reward"], spec["kernel"], spec.get("gamma_epi", np.zeros((n_states, n_actions))))
+    # np.array copies, so the model neither shares nor freezes the caller's tables
+    model = ModeModel(*(_freeze(np.array(table, dtype=float, order="C")) for table in tables))
     report = validate_mode(model)
     if report:
         more = f"; ... {len(report)} violations in all" if len(report) > 3 else ""

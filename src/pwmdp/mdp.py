@@ -4,7 +4,9 @@ State and action spaces are index sets ``0..S-1`` and ``0..A-1``. A regime
 ("mode") is one stationary MDP slice: a reward table, a transition kernel,
 and a frozen per-(s, a) epistemic penalty. Q tables travel as (..., S, A)
 arrays; ``QFunction`` only validates one. All types are immutable after
-construction; every operation here is a pure function.
+construction; every operation here is a pure function. A value type holds
+each table as frozen storage: a read-only, C-contiguous float64 ndarray that
+owns its data is kept and shared, anything else is copied once and frozen.
 """
 
 from __future__ import annotations
@@ -41,9 +43,15 @@ SIMPLEX_TOL = 1e-12
 PENALTY_MAX = 0.5
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    """Read-only copy of ``values``: the storage of every immutable value type."""
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    """``values`` itself if it is frozen storage (see the module docstring), else a frozen C copy."""
+    if (type(values) is np.ndarray and values.dtype == float and values.base is None
+            and values.flags.c_contiguous and not values.flags.writeable):
+        return values
+    return _freeze(np.array(values, dtype=float, order="C"))
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -55,6 +63,14 @@ def _whole(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(value, name: str = "seed") -> int:
+    """A generator seed: a whole number (see :func:`_whole`) that is >= 0."""
+    seed = _whole(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _real(value, name: str) -> float:
@@ -264,8 +280,9 @@ def make_random_mode(
     lo, hi = reward_range
     if not (lo <= hi and math.isfinite(hi - lo)):  # a finite width implies finite ends
         raise ValueError(f"invalid reward range {reward_range}")
-    rng = np.random.default_rng(seed)
-    return ModeModel(*_draw_mode_tables(rng, (), n_states, n_actions, reward_range))
+    rng = np.random.default_rng(_seed(seed))
+    # fresh draws, frozen where they lie, so ModeModel keeps them
+    return ModeModel(*map(_freeze, _draw_mode_tables(rng, (), n_states, n_actions, reward_range)))
 
 
 def _draw_mode_tables(
@@ -278,6 +295,6 @@ def _draw_mode_tables(
     table = lead + (n_states, n_actions)
     reward = rng.uniform(*reward_range, size=table)
     kernel = rng.dirichlet(np.ones(n_states), size=table)
-    kernel = kernel / kernel.sum(axis=-1, keepdims=True)
+    kernel /= kernel.sum(axis=-1, keepdims=True)
     gamma_epi = rng.uniform(0.0, PENALTY_MAX, size=table)
     return reward, kernel, gamma_epi

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mdp import ModeModel, OperatorParams, _read_fields, _real, _whole, check_simplex, sup_dist
+from .mdp import ModeModel, OperatorParams, _read_fields, _real, _seed, _whole, check_simplex, sup_dist
 
 __all__ = [
     "StatePartition",
@@ -412,7 +412,7 @@ def estimate_lipschitz(
     may return their images as a (..., B, S, A) array, and the result is
     then the array (...) of one factor per map.
     """
-    n_pairs = _whole(n_pairs, "n_pairs")
+    n_pairs, seed = _whole(n_pairs, "n_pairs"), _seed(seed)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     s, a = dims = tuple(_whole(d, f"dims[{i}]") for i, d in enumerate(dims))
@@ -503,6 +503,7 @@ def add_bounded_noise(q: np.ndarray, sigma: float, rng_seed) -> np.ndarray:
     sigma 0 it is returned itself. The noise is
     uniform(-sigma, sigma)'s arithmetic, -sigma + 2 sigma u, in place.
     """
+    sigma = _real(sigma, "sigma")
     if not (sigma >= 0.0 and math.isfinite(2.0 * sigma)):
         raise ValueError(f"sigma must be >= 0 with 2 * sigma finite, got {sigma}")
     return _noise(_tables(q), sigma, rng_seed)
@@ -548,5 +549,14 @@ def apply_mixture_via_shared(
 
 
 def error_floor(eps_proj: float, sigma: float, gamma: float) -> float:
-    """Irreducible steady-state error (eps_proj + sigma) / (1 - gamma)."""
+    """Irreducible steady-state error (eps_proj + sigma) / (1 - gamma).
+
+    ``eps_proj`` and ``sigma`` are finite and >= 0; ``gamma`` lies in [0, 1).
+    """
+    eps_proj, sigma, gamma = _real(eps_proj, "eps_proj"), _real(sigma, "sigma"), _real(gamma, "gamma")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must satisfy 0 <= gamma < 1, got {gamma}")
+    for name, value in (("eps_proj", eps_proj), ("sigma", sigma)):
+        if value < 0.0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     return (eps_proj + sigma) / (1.0 - gamma)

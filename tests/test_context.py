@@ -353,8 +353,11 @@ class TestContextLossConfig:
         (lambda: diversity_loss(np.zeros(3), CONFIG), "means must be (M, d_e) with M >= 1, got (3,)"),
         (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=-1),
          "steps must be >= 0, got -1"),
+        # numpy refused it as an "expected non-negative integer", naming no argument
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, seed=-1),
+         "seed must be >= 0, got -1"),
     ],
-    ids=["one_dimensional_means", "negative_steps"],
+    ids=["one_dimensional_means", "negative_steps", "negative_seed"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

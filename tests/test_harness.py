@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -104,6 +105,32 @@ class TestConfig:
         raw["schedule"] = [[0, 10], [1, 10]]
         config = config_from_dict(raw)
         assert config.models[0].reward[0, 0] == 1.0
+
+    def test_explicit_ndarray_tables_are_copied_not_frozen(self):
+        raw = small_config_dict(n_states=2, n_actions=1, schedule=[[0, 10], [1, 10]])
+        tables = {"reward": np.array([[1.0], [0.0]]), "kernel": np.full((2, 1, 2), 0.5),
+                  "gamma_epi": np.zeros((2, 1))}
+        tables["kernel"].flags.writeable = False  # frozen storage, which a model would keep
+        raw["modes"] = [tables, {"seed": 3}]
+        model = config_from_dict(raw).models[0]
+        for key, given in tables.items():
+            assert not np.shares_memory(getattr(model, key), given)
+            assert given.flags.writeable == (key != "kernel") and not getattr(model, key).flags.writeable
+
+    def test_seed_modes_are_held_once(self):
+        # each regime's tables go from the draw to the model without a copy,
+        # so loading peaks within 5% of what the loaded config holds
+        raw = s200_config_dict()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MetastabilityWarning)
+            config_from_dict(raw)
+            tracemalloc.start()
+            try:
+                config = config_from_dict(raw)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(config.models) == 4 and peak <= 1.05 * held
 
     def test_invalid_explicit_kernel_rejected(self):
         raw = small_config_dict()

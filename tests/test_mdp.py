@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from pwmdp import (
 )
 from pwmdp.harness.certify import separable_context_dataset
 from pwmdp.harness.sweeps import run_threshold_sweep
-from pwmdp.mdp import check_simplex
+from pwmdp.mdp import _frozen_array, check_simplex
 
 
 class TestQFunction:
@@ -191,6 +192,60 @@ class TestMakeRandomMode:
         assert model.reward.min() >= 2.0
         assert model.reward.max() <= 3.0
 
+    def test_tables_are_frozen_storage(self):
+        model = make_random_mode(3, 4, 2)
+        for table in (model.reward, model.kernel, model.gamma_epi):
+            assert not table.flags.writeable and table.flags.c_contiguous and table.base is None
+
+    def test_kernel_is_drawn_without_a_transient_copy(self):
+        # the draw is normalized in place and frozen where it lies, so the
+        # traced peak is the kernel plus the (S, A) tables, not two kernels
+        make_random_mode(0, 2, 2)
+        tracemalloc.start()
+        try:
+            model = make_random_mode(11, 300, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * model.kernel.nbytes
+
+
+# frozen storage, whose (2, 2, 2) slices are C-contiguous read-only views
+HALVES = _frozen_array(np.full((3, 2, 2), 0.5))
+
+
+class TestFrozenStorage:
+    """A value type keeps a frozen array as it is and copies anything else once."""
+
+    def test_writable_inputs_are_copied(self):
+        reward, kernel, gamma_epi = np.ones((2, 1)), np.full((2, 1, 2), 0.5), np.zeros((2, 1))
+        model = ModeModel(reward, kernel, gamma_epi)
+        reward[0, 0], kernel[0, 0, 0], gamma_epi[1, 0] = 7.0, 7.0, 7.0
+        assert model.reward.tolist() == [[1.0], [1.0]]
+        assert (model.kernel == 0.5).all() and (model.gamma_epi == 0.0).all()
+        for table in (model.reward, model.kernel, model.gamma_epi):
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [HALVES[1:], np.asfortranarray(HALVES[1:]), HALVES[1:].astype(np.float32)],
+        ids=["contiguous_view", "fortran_order", "float32"],
+    )
+    def test_read_only_arrays_that_are_not_frozen_storage_are_copied(self, kernel):
+        kernel.flags.writeable = False
+        model = ModeModel(np.zeros((2, 2)), kernel, np.zeros((2, 2)))
+        assert not np.shares_memory(model.kernel, kernel) and (model.kernel == 0.5).all()
+        # the copy is frozen storage, which the next value type built from it shares
+        assert model.kernel.dtype == float and model.kernel.base is None
+        assert model.kernel.flags.c_contiguous and not model.kernel.flags.writeable
+        assert ModeModel(model.reward, model.kernel, model.gamma_epi).kernel is model.kernel
+
+    def test_frozen_tables_are_shared(self):
+        model = make_random_mode(5, 3, 2)
+        shifted = ModeModel(model.reward + 1.0, model.kernel, model.gamma_epi)
+        assert shifted.kernel is model.kernel and shifted.gamma_epi is model.gamma_epi
+        assert not shifted.reward.flags.writeable
+
 
 class TestOperatorParams:
     def test_gamma_domain(self):
@@ -329,9 +384,11 @@ class TestCheckSimplex:
         (lambda: make_random_mode(0, 2, 2, (1.0, -1.0)), "invalid reward range (1.0, -1.0)"),
         # numpy's uniform raised OverflowError for a width past the largest double
         (lambda: make_random_mode(0, 2, 2, (-1e308, 1e308)), "invalid reward range (-1e+308, 1e+308)"),
+        # numpy refused it as an "expected non-negative integer", naming no argument
+        (lambda: make_random_mode(-1, 2, 2), "seed must be >= 0, got -1"),
     ],
     ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
-         "overflowing_reward_range"],
+         "overflowing_reward_range", "negative_seed"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -339,7 +396,8 @@ def test_invalid_input_is_refused_with_its_message(call, message):
 
 
 # Every public integer argument is read once at its entry by the one reader
-# of whole numbers: a bool or a fraction is refused, naming the argument.
+# of whole numbers: a bool or a fraction is refused, naming the argument
+# (the part of the key after its last dot).
 IDENTITY = lambda q: q
 CONTEXT_DATA = separable_context_dataset(0, n_per_mode=4)
 INTEGER_ARGUMENTS = {
@@ -352,13 +410,17 @@ INTEGER_ARGUMENTS = {
     "n_states": lambda n: make_random_mode(0, n, 2),
     "n_actions": lambda n: make_random_mode(0, 2, n),
     "h_max": lambda n: lambda_w(0.5, n, None, None, 0.5),
+    "make_random_mode.seed": lambda n: make_random_mode(n, 2, 2),
+    "estimate_lipschitz.seed": lambda n: estimate_lipschitz(IDENTITY, (3, 2), 2, n),
+    "fit_linear_context.seed": lambda n: fit_linear_context(CONTEXT_DATA, ContextLossConfig(), steps=1, seed=n),
 }
 
 
 @pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "fraction"])
 @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
 def test_integer_arguments_refuse_bools_and_fractions_by_name(name, value):
-    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {value!r}$"):
+    argument = re.escape(name.rpartition(".")[2])
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got {value!r}$"):
         INTEGER_ARGUMENTS[name](value)
 
 

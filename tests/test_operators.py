@@ -767,7 +767,7 @@ class TestNoisyOperator:
         # uniform(-sigma, sigma) needs a finite 2 * sigma
         q = np.zeros((3, 2))
         assert sup_dist(add_bounded_noise(q, 8e307, 0), q) <= 8e307
-        for sigma in (1e308, -0.1, float("nan")):
+        for sigma in (1e308, -0.1):  # a NaN is refused as no finite number (invalid-input table)
             with pytest.raises(ValueError, match="sigma must be >= 0"):
                 add_bounded_noise(q, sigma, 0)
 
@@ -888,11 +888,25 @@ PARAMS = OperatorParams(gamma=0.9)
         # a stack of tables failed inside matmul with a gufunc-signature message
         (lambda: apply_mixture_via_shared((MODEL,) * 2, np.full(2, 0.5), PARAMS, np.zeros((3, 2, 2))),
          "Q must be one (S, A) table, got shape (3, 2, 2)"),
+        # numpy refused it as an "expected non-negative integer", naming no argument
+        (lambda: estimate_lipschitz(lambda q: q, (2, 2), 2, seed=-1), "seed must be >= 0, got -1"),
+        # a bool added noise at sigma 1, and text failed the width check with a TypeError
+        (lambda: add_bounded_noise(np.zeros((2, 2)), True, 0), "sigma must be a finite number, got True"),
+        (lambda: add_bounded_noise(np.zeros((2, 2)), "a", 0), "sigma must be a finite number, got 'a'"),
+        (lambda: add_bounded_noise(np.zeros((2, 2)), np.nan, 0), "sigma must be a finite number, got nan"),
+        # the floor divided by zero at gamma 1, and was negative above it or for a negative input
+        (lambda: error_floor(0.1, 0.1, 1.0), "gamma must satisfy 0 <= gamma < 1, got 1.0"),
+        (lambda: error_floor(0.1, 0.1, 1.5), "gamma must satisfy 0 <= gamma < 1, got 1.5"),
+        (lambda: error_floor(-1.0, 0.1, 0.9), "eps_proj must be >= 0, got -1.0"),
+        (lambda: error_floor(0.1, -0.1, 0.9), "sigma must be >= 0, got -0.1"),
+        (lambda: error_floor("a", 0.1, 0.9), "eps_proj must be a finite number, got 'a'"),
     ],
     ids=[
         "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "regime_dimensions",
         "partition_size", "belief_size", "nan_tol", "nan_exact_tol", "column_weights", "nan_weight",
-        "stacked_shared_q",
+        "stacked_shared_q", "negative_lipschitz_seed", "bool_sigma", "text_sigma", "nan_sigma",
+        "floor_gamma_one", "floor_gamma_above_one", "negative_eps_proj", "negative_floor_sigma",
+        "text_eps_proj",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
