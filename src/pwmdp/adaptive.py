@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mdp import _read_fields, _whole
+from .bocd import _H_MAX
+from .mdp import _NON_NEGATIVE, _POSITIVE, _UNIT_OPEN, _is_real, _read_fields, _real, _whole, _within
 
 __all__ = [
     "SurpriseWeights",
@@ -43,6 +44,8 @@ __all__ = [
 # normalized run-length above K EMA deviations of its baseline.
 K = 2.0
 
+_RETENTION = (lambda v: 0 <= v < 1, "must lie in [0, 1)")  # 0 keeps the new value alone
+
 
 @dataclass(frozen=True)
 class SurpriseWeights:
@@ -53,13 +56,8 @@ class SurpriseWeights:
     w_kappa: float = 0.2
     clip_max: float = 10.0
 
-    def __post_init__(self):
-        _read_fields(self)
-        for name in ("w_r", "w_q", "w_kappa"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.clip_max <= 0.0:
-            raise ValueError(f"clip_max must be > 0, got {self.clip_max}")
+    _RULES = {"w_r": _NON_NEGATIVE, "w_q": _NON_NEGATIVE, "w_kappa": _NON_NEGATIVE, "clip_max": _POSITIVE}
+    __post_init__ = _read_fields
 
 
 @dataclass(frozen=True)
@@ -77,14 +75,8 @@ class AdaptiveState:
     baseline_ema_rate: float = 0.95
     surprise_ema_rate: float = 0.3
 
-    def __post_init__(self):
-        _read_fields(self)
-        if self.c_penalty < 0.0:
-            raise ValueError(f"c_penalty must be >= 0, got {self.c_penalty}")
-        if not 0.0 < self.baseline_ema_rate < 1.0:
-            raise ValueError(f"baseline_ema_rate must lie in (0, 1), got {self.baseline_ema_rate}")
-        if not 0.0 <= self.surprise_ema_rate < 1.0:
-            raise ValueError(f"surprise_ema_rate must lie in [0, 1), got {self.surprise_ema_rate}")
+    _RULES = {"c_penalty": _NON_NEGATIVE, "baseline_ema_rate": _UNIT_OPEN, "surprise_ema_rate": _RETENTION}
+    __post_init__ = _read_fields
 
 
 def surprise(reward_z: float, q_std_ratio: float, kappa_div: float, weights: SurpriseWeights) -> float:
@@ -94,13 +86,9 @@ def surprise(reward_z: float, q_std_ratio: float, kappa_div: float, weights: Sur
     q_std_ratio:  ensemble Q-std over its running baseline, >= 0
     kappa_div:    absolute drift of the penalty trace from its EMA, >= 0
     """
-    vals = (reward_z, q_std_ratio, kappa_div)
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"surprise inputs must be finite, got {vals}")
-    if q_std_ratio < 0.0:
-        raise ValueError(f"q_std_ratio must be >= 0, got {q_std_ratio}")
-    if kappa_div < 0.0:
-        raise ValueError(f"kappa_div must be >= 0, got {kappa_div}")
+    reward_z = _real(reward_z, "reward_z")
+    q_std_ratio = _real(q_std_ratio, "q_std_ratio", _NON_NEGATIVE)
+    kappa_div = _real(kappa_div, "kappa_div", _NON_NEGATIVE)
     raw = weights.w_r * abs(reward_z) + weights.w_q * q_std_ratio + weights.w_kappa * kappa_div
     return float(min(max(raw, 0.0), weights.clip_max))
 
@@ -111,8 +99,7 @@ def ema_update(prev: float | None, x: float, rate: float) -> float:
     ``prev`` None means no observation yet: the first one seeds the average
     with itself, as ``ema_update(x, x, rate)``. Rate 0 returns ``x``.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must lie in [0, 1), got {rate}")
+    _within(rate, "rate", _RETENTION)
     if prev is None:
         prev = x
     return rate * prev + (1.0 - rate) * x
@@ -134,9 +121,7 @@ def lambda_w(
     zero, a rise well above K s reads at once. Returns (penalty, baseline,
     sq_deviation), the last two updated.
     """
-    h_max = _whole(h_max, "h_max")
-    if h_max < 2:
-        raise ValueError(f"h_max must be >= 2, got {h_max}")
+    h_max = _whole(h_max, "h_max", _H_MAX)
     if not 0.0 <= h_bar <= h_max - 1:
         raise ValueError(f"h_bar {h_bar} outside [0, {h_max - 1}]")
     if baseline is not None and not 0.0 <= baseline <= 1.0:
@@ -154,7 +139,7 @@ def lambda_w(
 
 
 def beta_eff(state: AdaptiveState, lam: float) -> float:
-    """Effective LCB coefficient beta_base - lam * c_penalty (never above base)."""
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    """Effective LCB coefficient beta_base - lam * c_penalty (never above base); ``lam`` is a number."""
+    if not (_is_real(lam) and 0.0 <= lam < math.inf):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     return state.beta_base - lam * state.c_penalty

@@ -32,7 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import _frozen_array, _read_fields, _real, _whole, check_simplex
+from .mdp import _NON_NEGATIVE, _POSITIVE, _UNIT_OPEN, _at_least, _frozen_array, _read_fields, _real, _whole
+from .mdp import check_simplex
 
 __all__ = [
     "BOCDParams",
@@ -48,6 +49,11 @@ __all__ = [
 
 # The most negative double, a floor on the per-case log-likelihood shift.
 _LOWEST = np.finfo(float).min
+
+# A run-length posterior needs at least two bins; the detection calculus needs
+# evidence that separates (L > 1).
+_H_MAX = _at_least(2)
+_SEPARATING = (lambda v: v > 1, "must be > 1")
 
 
 class DegenerateBeliefError(RuntimeError):
@@ -69,16 +75,10 @@ class BOCDParams:
     sigma0_sq: float = 0.1
     sigma_g: float = 0.05
 
+    _RULES = {"h_max": _H_MAX, "hazard": _UNIT_OPEN, "sigma0_sq": _POSITIVE, "sigma_g": _NON_NEGATIVE}
+
     def __post_init__(self):
         _read_fields(self)
-        if self.h_max < 2:
-            raise ValueError(f"h_max must be >= 2, got {self.h_max}")
-        if not 0.0 < self.hazard < 1.0:
-            raise ValueError(f"hazard must lie in (0, 1), got {self.hazard}")
-        if self.sigma0_sq <= 0.0:
-            raise ValueError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
-        if self.sigma_g < 0.0:
-            raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
         widest = self.sigma0_sq + self.sigma_g * (self.h_max - 1)
         if not math.isfinite(2.0 * math.pi * widest):
             raise ValueError(
@@ -150,8 +150,10 @@ def _batch(beliefs, what: str, params: BOCDParams | None) -> np.ndarray:
 
 
 def _per_case(values, n_cases: int, what: str) -> np.ndarray:
-    """A scalar or a (B,) array of per-case values, as a (1,) or (B,) array."""
+    """A scalar or a (B,) array of per-case numbers, as a (1,) or (B,) array; never bools or text."""
     arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a number or an array of numbers, got {values!r}")
     if arr.ndim > 1 or (arr.ndim == 1 and arr.size != n_cases):
         raise ValueError(f"{what} must be a scalar or have shape ({n_cases},), got {arr.shape}")
     return arr.reshape(-1)
@@ -242,6 +244,11 @@ def bayes_update(beliefs: np.ndarray, lik: np.ndarray) -> np.ndarray:
     return post
 
 
+def _odds(likelihood_ratio, prior_ratio) -> tuple[float, float]:
+    """The detection calculus's likelihood ratio (> 1) and prior ratio (> 0), read."""
+    return _real(likelihood_ratio, "likelihood ratio", _SEPARATING), _real(prior_ratio, "prior ratio", _POSITIVE)
+
+
 def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> float:
     """Posterior odds for the new regime after n steps of L-separable evidence.
 
@@ -249,15 +256,8 @@ def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> floa
     a factor L for the correct run-length hypothesis and costs the stale one
     a factor L. Odds beyond the largest double are inf.
     """
-    n = _whole(n, "n")
-    likelihood_ratio = _real(likelihood_ratio, "likelihood ratio")
-    prior_ratio = _real(prior_ratio, "prior ratio")
-    if likelihood_ratio <= 1.0:
-        raise ValueError(f"likelihood ratio must be > 1, got {likelihood_ratio}")
-    if prior_ratio <= 0.0:
-        raise ValueError(f"prior ratio must be > 0, got {prior_ratio}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _whole(n, "n", _NON_NEGATIVE)
+    likelihood_ratio, prior_ratio = _odds(likelihood_ratio, prior_ratio)
     try:
         return likelihood_ratio ** (2 * n) / prior_ratio
     except OverflowError:
@@ -270,14 +270,7 @@ def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -
     Returns log(prior_ratio / delta) / (2 log likelihood_ratio); the minimal
     integer step count is its ceiling.
     """
-    likelihood_ratio = _real(likelihood_ratio, "likelihood ratio")
-    prior_ratio = _real(prior_ratio, "prior ratio")
-    delta = _real(delta, "delta")
-    if likelihood_ratio <= 1.0:
-        raise ValueError(f"likelihood ratio must be > 1, got {likelihood_ratio}")
-    if prior_ratio <= 0.0:
-        raise ValueError(f"prior ratio must be > 0, got {prior_ratio}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    likelihood_ratio, prior_ratio = _odds(likelihood_ratio, prior_ratio)
+    delta = _real(delta, "delta", _UNIT_OPEN)
     return math.log(prior_ratio / delta) / (2.0 * math.log(likelihood_ratio))
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import _read_fields, _seed, _whole
+from .mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _POSITIVE, _read_fields, _whole
 
 __all__ = [
     "ContextLossConfig",
@@ -51,14 +51,9 @@ class ContextLossConfig:
     eps: float = 1e-6
     d_e: int = 2
 
-    def __post_init__(self):
-        _read_fields(self)
-        for name in ("w_cons", "w_div", "r_rbf", "eps"):
-            value, weight = getattr(self, name), name.startswith("w_")
-            if not (value >= 0.0 if weight else value > 0.0):
-                raise ValueError(f"{name} must be {'>= 0' if weight else '> 0'}, got {value}")
-        if self.d_e < 1:
-            raise ValueError(f"d_e must be >= 1, got {self.d_e}")
+    _RULES = {"w_cons": _NON_NEGATIVE, "w_div": _NON_NEGATIVE, "r_rbf": _POSITIVE, "eps": _POSITIVE,
+              "d_e": _AT_LEAST_ONE}
+    __post_init__ = _read_fields
 
 
 def _labeled(values, mode_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -212,9 +207,7 @@ def fit_linear_context(
     if (counts < 2).any():
         small = labels[counts < 2]
         raise ValueError(f"every mode needs >= 2 samples; modes {small.tolist()} are short")
-    steps = _whole(steps, "steps")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = _whole(steps, "steps", _NON_NEGATIVE)
 
     def losses_of(w: np.ndarray) -> np.ndarray:
         values = _context_losses(encode(w, states), mode_ids, config)[0]
@@ -225,7 +218,7 @@ def fit_linear_context(
             )
         return values
 
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_whole(seed, "seed", _NON_NEGATIVE))
     weights = rng.normal(0.0, 1.0, size=(config.d_e, states.shape[1]))
     n = weights.size
     entry = np.arange(n)

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ..context import ContextLossConfig, context_loss, encode, fit_linear_context, mode_means
+from ..mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _whole
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
 from .config import MAX_KERNEL_ENTRIES, load_config
 from .experiment import run_piecewise
@@ -128,21 +129,14 @@ def _cmd_piecewise(args) -> int:
     return EXIT_OK
 
 
-def _at_least(args, flag: str, low: int) -> int:
-    """The integer value of ``flag``, which must be >= ``low``."""
+def _flag(args, flag: str, rule: tuple) -> int:
+    """The integer value of ``flag`` under ``rule``; an absent ``--seed`` (certify, rmdm-demo) reads 0."""
     value = getattr(args, flag[2:].replace("-", "_"))
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
-def _seed(args) -> int:
-    """The ``--seed`` of certify and rmdm-demo: 0 when absent, else a non-negative integer."""
-    return 0 if args.seed is None else _at_least(args, "--seed", 0)
+    return 0 if value is None else _whole(value, flag, rule)
 
 
 def _cmd_threshold_sweep(args) -> int:
-    sizes = [_at_least(args, flag, 1) for flag in ("--n-gamma", "--n-coupling", "--n-iter")]
+    sizes = [_flag(args, flag, _AT_LEAST_ONE) for flag in ("--n-gamma", "--n-coupling", "--n-iter")]
     n_gamma, n_coupling, n_iter = sizes
     cells = n_gamma * n_coupling
     if cells > MAX_KERNEL_ENTRIES:
@@ -177,7 +171,7 @@ def _cmd_delay_table(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    report = run_certification(seed=_seed(args), mutation=args.inject_mutation)
+    report = run_certification(seed=_flag(args, "--seed", _NON_NEGATIVE), mutation=args.inject_mutation)
     for suite in report.suites:
         status = "PASS" if suite.passed else "FAIL"
         print(
@@ -197,10 +191,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    seed = _seed(args)
+    seed = _flag(args, "--seed", _NON_NEGATIVE)
     if not (math.isfinite(args.lr) and args.lr > 0.0):
         raise ValueError(f"--lr must be finite and > 0, got {args.lr}")
-    steps = _at_least(args, "--steps", 0)
+    steps = _flag(args, "--steps", _NON_NEGATIVE)
     config = ContextLossConfig()
     states, mode_ids = separable_context_dataset(seed)
     weights = fit_linear_context((states, mode_ids), config, steps=steps, lr=args.lr, seed=seed)

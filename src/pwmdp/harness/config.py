@@ -2,7 +2,8 @@
 
 A config is a single JSON document. :data:`FIELDS` has one row per field:
 dotted path, kind, default and, unless the receiving object checks it,
-allowed range. Unknown fields and values of the wrong kind or out of
+allowed range, an ``(ok, text)`` rule that the field's reader applies as it
+reads the value. Unknown fields and values of the wrong kind or out of
 range raise :class:`ConfigError` (fail-fast); :data:`DEFAULT_CONFIG` and
 README's defaults table derive from the rows. Regimes are given either as
 generator seeds (``{"seed": 7}``, optionally with a uniform
@@ -28,10 +29,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..adaptive import AdaptiveState, SurpriseWeights
-from ..bocd import BOCDParams, detection_delay
+from ..bocd import _SEPARATING, BOCDParams, detection_delay
 from ..mdp import ModeModel, OperatorParams, PiecewiseSchedule, make_random_mode, validate_mode
-from ..mdp import _freeze, _real, _seed, _whole
-from ..operators import _MAX_POLISH_STEPS, StatePartition
+from ..mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _UNIT_OPEN, _at_least, _freeze, _real, _whole, _within
+from ..operators import _MAX_POLISH_STEPS, _NOISE_WIDTH, StatePartition
 
 __all__ = [
     "ConfigError",
@@ -55,8 +56,8 @@ class MetastabilityWarning(UserWarning):
 class Field(NamedTuple):
     kind: type  # int, float or str; list: a structured field that _resolve reads
     default: object
-    ok: Callable[[object], bool] | None = None  # the range, unless the receiving object checks it
-    range: str = ""  # the range in words, for error messages and README
+    ok: Callable[[object], bool] | None = None  # with range, the (ok, text) rule the reader applies
+    range: str = ""  # the range in words, for error messages and README; blank: the receiver checks it
 
 
 # The largest transition kernel a config may ask for, in n_states * n_actions *
@@ -71,8 +72,6 @@ MAX_KERNEL_ENTRIES = 2**25
 # this floor, so the reward spread over all regimes, divided by it, must be finite.
 SPREAD_FLOOR = 1e-8
 
-# Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
-_NOISE_WIDTH = (lambda v: v >= 0 and math.isfinite(2.0 * v), "must be >= 0 with 2 * sigma finite")
 # Value iteration closes a residual gap by a factor gamma per backup, so where
 # 1 / (1 - gamma) passes mode_fixed_point's polish budget the polish cannot
 # settle; gamma outside [0, 1) is left to OperatorParams.
@@ -85,7 +84,7 @@ _FINITE_SQUARE = (lambda v: math.isfinite(v * v), "must have a finite square")
 
 FIELDS: dict[str, Field] = {
     # RNG streams need non-negative entropy
-    "seed": Field(int, 0, lambda v: v >= 0, "must be >= 0"),
+    "seed": Field(int, 0, *_NON_NEGATIVE),
     "n_states": Field(int, 6),
     "n_actions": Field(int, 3),
     "reward_range": Field(list, [-1.0, 1.0]),
@@ -110,11 +109,11 @@ FIELDS: dict[str, Field] = {
     "adaptive.surprise_ema_rate": Field(float, AdaptiveState.surprise_ema_rate),
     "partition": Field(list, None),
     "noise_sigma": Field(float, 0.0, *_NOISE_WIDTH),
-    "n_ensemble": Field(int, 10, lambda v: v >= 2, "must be >= 2"),
+    "n_ensemble": Field(int, 10, *_at_least(2)),
     "ensemble_sigma": Field(float, 0.05, *_NOISE_WIDTH),
-    "rollout_len": Field(int, 32, lambda v: v >= 1, "must be >= 1"),
-    "stat_ema_rate": Field(float, 0.95, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    "separability": Field(float, 2.0, lambda v: v > 1, "must be > 1"),
+    "rollout_len": Field(int, 32, *_AT_LEAST_ONE),
+    "stat_ema_rate": Field(float, 0.95, *_UNIT_OPEN),
+    "separability": Field(float, 2.0, *_SEPARATING),
     # the detection delay reads log(1 / delta)
     "delta": Field(float, 0.05, lambda v: 0 < v < 1 and math.isfinite(1.0 / v),
                    "must lie in (0, 1) with 1 / delta finite"),
@@ -178,9 +177,9 @@ class ExperimentConfig:
         return math.ceil(detection_delay(self.separability, 1.0, self.delta))
 
 
-def _str(value, name: str) -> str:
+def _str(value, name: str, rule: tuple | None = None) -> str:
     if isinstance(value, str):
-        return value
+        return _within(value, name, rule)
     raise ValueError(f"{name} must be a string, got {value!r}")
 
 
@@ -199,7 +198,7 @@ def _object(raw, name: str) -> dict:
 
 
 def _leaves(raw, section: str = "") -> dict:
-    """``raw``'s fields as {dotted path: value}, each scalar read and range-checked."""
+    """``raw``'s fields as {dotted path: value}, each scalar read under its row's rule."""
     where = section or "config"
     out = {}
     unknown = []
@@ -214,9 +213,7 @@ def _leaves(raw, section: str = "") -> dict:
             continue
         if field.kind in _READERS:
             with _naming(""):
-                value = _READERS[field.kind](value, path)
-            if field.ok is not None and not field.ok(value):
-                raise ConfigError(f"{path} {field.range}, got {value!r}")
+                value = _READERS[field.kind](value, path, field[2:] if field.ok else None)
         out[path] = value
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} under '{where}'")
@@ -258,7 +255,7 @@ def _build_mode(spec, index: int, n_states: int, n_actions: int, reward_range) -
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in modes[{index}]")
     if by_seed:
         with _naming(""):
-            seed = _seed(spec["seed"], f"modes[{index}].seed")
+            seed = _whole(spec["seed"], f"modes[{index}].seed", _NON_NEGATIVE)
             shift = _real(spec.get("reward_shift", 0.0), f"modes[{index}].reward_shift")
         model = make_random_mode(seed, n_states, n_actions, reward_range)
         if shift != 0.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bocd import detection_delay, posterior_ratio
-from ..mdp import _whole
+from ..mdp import _AT_LEAST_ONE, _whole
 
 __all__ = [
     "ThresholdSweepResult",
@@ -90,9 +90,7 @@ def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> Thresho
             raise ValueError(f"{name} grid must be a non-empty vector")
         if not ((grid >= 0.0) & (grid <= 1.5)).all():
             raise ValueError(f"{name} grid values must lie within [0, 1.5]")
-    n_iter = _whole(n_iter, "n_iter")
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    n_iter = _whole(n_iter, "n_iter", _AT_LEAST_ONE)
     factor = gamma_grid[:, None] + coupling_grid[None, :]
     # from q = 0 the first step lands every cell on the nonzero low reward
     q = np.full(factor.shape, SWEEP_R_LOW)

@@ -7,6 +7,9 @@ arrays; ``QFunction`` only validates one. All types are immutable after
 construction; every operation here is a pure function. A value type holds
 each table as frozen storage: a read-only, C-contiguous float64 ndarray that
 owns its data is kept and shared, anything else is copied once and frozen.
+A scalar's range is a declared ``(ok, text)`` rule that the reader
+(``_whole`` or ``_real``) applies as it reads the value: a class declares its
+rules in ``_RULES``, a function passes each argument's, the config each row's.
 """
 
 from __future__ import annotations
@@ -56,27 +59,44 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _whole(value, name: str) -> int:
-    """An integer field: a whole number, never a bool, a fraction or text."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
+def _at_least(low) -> tuple:
+    """The range rule ``value >= low``."""
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+# Range rules shared across modules, as (ok, text): ok takes the value as read.
+_NON_NEGATIVE, _AT_LEAST_ONE = _at_least(0), _at_least(1)
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_UNIT_OPEN = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+_DISCOUNT = (lambda v: 0 <= v < 1, "must satisfy 0 <= gamma < 1")
+
+
+def _within(value, name: str, rule: tuple | None):
+    """``value`` if ``rule`` is None or holds for it: every reader's one range check."""
+    if rule is None or rule[0](value):
+        return value
+    raise ValueError(f"{name} {rule[1]}, got {value!r}")
+
+
+# The readers try an exact int or float first: the ABC checks cost about ten times as much.
+def _whole(value, name: str, rule: tuple | None = None) -> int:
+    """An integer field: a whole number, never a bool, a fraction or text, within ``rule``."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return _within(int(value), name, rule)
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        return _within(int(value), name, rule)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _seed(value, name: str = "seed") -> int:
-    """A generator seed: a whole number (see :func:`_whole`) that is >= 0."""
-    seed = _whole(value, name)
-    if seed < 0:
-        raise ValueError(f"{name} must be >= 0, got {seed}")
-    return seed
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number (ints included), never a bool or text."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _real(value, name: str) -> float:
-    """A real-valued field: a finite number (ints included), never a bool or text."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
+def _real(value, name: str, rule: tuple | None = None) -> float:
+    """A real-valued field: a finite number (see :func:`_is_real`), within ``rule``."""
+    if _is_real(value) and math.isfinite(value):
+        return _within(float(value), name, rule)
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -85,10 +105,12 @@ _READERS = {"int": _whole, "float": _real}
 
 
 def _read_fields(obj) -> None:
-    """Store each int or float field of the frozen dataclass ``obj`` as its reader returns it."""
+    """Store each int or float field of the frozen dataclass ``obj`` as its reader returns it.
+
+    The reader applies the field's rule in the class's ``_RULES``, so the first bad field is named."""
     for f in fields(obj):
         if f.type in _READERS:
-            object.__setattr__(obj, f.name, _READERS[f.type](getattr(obj, f.name), f.name))
+            object.__setattr__(obj, f.name, _READERS[f.type](getattr(obj, f.name), f.name, obj._RULES.get(f.name)))
 
 
 def check_simplex(probs: np.ndarray, what: str, batched: bool = False):
@@ -153,6 +175,8 @@ class ModeModel:
         if self.reward.ndim != 2:
             raise ValueError(f"reward must be 2-d (S, A), got {self.reward.shape}")
         s, a = self.reward.shape
+        if s < 1 or a < 1:
+            raise ValueError(f"reward needs S >= 1 and A >= 1, got shape {self.reward.shape}")
         if self.kernel.shape != (s, a, s):
             raise ValueError(
                 f"kernel shape {self.kernel.shape} does not match reward shape {(s, a, s)}"
@@ -179,14 +203,8 @@ class OperatorParams:
     lambda_epi: float = 0.0
     kappa: float = 0.0
 
-    def __post_init__(self):
-        _read_fields(self)
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must satisfy 0 <= gamma < 1, got {self.gamma}")
-        if self.lambda_epi < 0.0:
-            raise ValueError(f"lambda_epi must be >= 0, got {self.lambda_epi}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+    _RULES = {"gamma": _DISCOUNT, "lambda_epi": _NON_NEGATIVE, "kappa": _NON_NEGATIVE}
+    __post_init__ = _read_fields
 
 
 @dataclass(frozen=True)
@@ -280,7 +298,7 @@ def make_random_mode(
     lo, hi = reward_range
     if not (lo <= hi and math.isfinite(hi - lo)):  # a finite width implies finite ends
         raise ValueError(f"invalid reward range {reward_range}")
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_whole(seed, "seed", _NON_NEGATIVE))
     # fresh draws, frozen where they lie, so ModeModel keeps them
     return ModeModel(*map(_freeze, _draw_mode_tables(rng, (), n_states, n_actions, reward_range)))
 

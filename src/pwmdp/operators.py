@@ -44,7 +44,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mdp import ModeModel, OperatorParams, _read_fields, _real, _seed, _whole, check_simplex, sup_dist
+from .mdp import ModeModel, OperatorParams, check_simplex, sup_dist
+from .mdp import _AT_LEAST_ONE, _DISCOUNT, _NON_NEGATIVE, _POSITIVE, _read_fields, _real, _whole
 
 __all__ = [
     "StatePartition",
@@ -85,6 +86,9 @@ QOperator = Callable[[np.ndarray], np.ndarray]
 # to a (..., B, S, A) array of their images under several maps.
 BatchOperator = Callable[[np.ndarray], np.ndarray]
 
+# Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
+_NOISE_WIDTH = (lambda v: v >= 0 and math.isfinite(2.0 * v), "must be >= 0 with 2 * sigma finite")
+
 
 @dataclass(frozen=True)
 class StatePartition:
@@ -92,6 +96,8 @@ class StatePartition:
 
     n_states: int
     blocks: tuple
+
+    _RULES = {"n_states": _AT_LEAST_ONE}
 
     def __post_init__(self):
         _read_fields(self)
@@ -324,10 +330,7 @@ def solve_fixed_point(
     expected for expansive maps) is flagged rather than raised. ``operator``
     maps an array to an array.
     """
-    tol = _real(tol, "tol")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    max_iter = _whole(max_iter, "max_iter")
+    tol, max_iter = _real(tol, "tol", _POSITIVE), _whole(max_iter, "max_iter", _AT_LEAST_ONE)
     q = _tables(q0)
     residual = float("inf")
     for it in range(1, max_iter + 1):
@@ -360,9 +363,7 @@ def mode_fixed_point(
     where a backup overflows, the residual is non-finite and ``converged``
     False (an overflowing solve fails the residual backup's finiteness check).
     """
-    tol = _real(tol, "tol")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    tol = _real(tol, "tol", _POSITIVE)
     gamma = params.gamma
     reward = model.reward - gamma * (params.lambda_epi * model.gamma_epi + params.kappa)
     states = np.arange(model.n_states)
@@ -412,9 +413,7 @@ def estimate_lipschitz(
     may return their images as a (..., B, S, A) array, and the result is
     then the array (...) of one factor per map.
     """
-    n_pairs, seed = _whole(n_pairs, "n_pairs"), _seed(seed)
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    n_pairs, seed = _whole(n_pairs, "n_pairs", _AT_LEAST_ONE), _whole(seed, "seed", _NON_NEGATIVE)
     s, a = dims = tuple(_whole(d, f"dims[{i}]") for i, d in enumerate(dims))
     if s < 1 or a < 1:
         raise ValueError(f"dims must be >= 1 on each side, got {dims}")
@@ -503,9 +502,7 @@ def add_bounded_noise(q: np.ndarray, sigma: float, rng_seed) -> np.ndarray:
     sigma 0 it is returned itself. The noise is
     uniform(-sigma, sigma)'s arithmetic, -sigma + 2 sigma u, in place.
     """
-    sigma = _real(sigma, "sigma")
-    if not (sigma >= 0.0 and math.isfinite(2.0 * sigma)):
-        raise ValueError(f"sigma must be >= 0 with 2 * sigma finite, got {sigma}")
+    sigma = _real(sigma, "sigma", _NOISE_WIDTH)
     return _noise(_tables(q), sigma, rng_seed)
 
 
@@ -553,10 +550,6 @@ def error_floor(eps_proj: float, sigma: float, gamma: float) -> float:
 
     ``eps_proj`` and ``sigma`` are finite and >= 0; ``gamma`` lies in [0, 1).
     """
-    eps_proj, sigma, gamma = _real(eps_proj, "eps_proj"), _real(sigma, "sigma"), _real(gamma, "gamma")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must satisfy 0 <= gamma < 1, got {gamma}")
-    for name, value in (("eps_proj", eps_proj), ("sigma", sigma)):
-        if value < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    eps_proj, sigma = _real(eps_proj, "eps_proj", _NON_NEGATIVE), _real(sigma, "sigma", _NON_NEGATIVE)
+    gamma = _real(gamma, "gamma", _DISCOUNT)
     return (eps_proj + sigma) / (1.0 - gamma)

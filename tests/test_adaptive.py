@@ -1,5 +1,6 @@
 """Tests for the surprise fusion and adaptive-conservatism chain."""
 
+import math
 import re
 
 import numpy as np
@@ -278,8 +279,16 @@ class TestClosedLoop:
     [
         (lambda: AdaptiveState(c_penalty=-0.5), "c_penalty must be >= 0, got -0.5"),
         (lambda: surprise(0.0, 0.0, -1.0, WEIGHTS), "kappa_div must be >= 0, got -1.0"),
+        # a bool penalty returned beta_base - c_penalty, and text raised a TypeError
+        (lambda: beta_eff(AdaptiveState(), True), "lambda must be finite and >= 0, got True"),
+        (lambda: beta_eff(AdaptiveState(), "a"), "lambda must be finite and >= 0, got 'a'"),
+        # text raised a TypeError, a bool fused as 1.0, and a NaN named no reading
+        (lambda: surprise("a", 1.0, 1.0, WEIGHTS), "reward_z must be a finite number, got 'a'"),
+        (lambda: surprise(0.0, True, 0.0, WEIGHTS), "q_std_ratio must be a finite number, got True"),
+        (lambda: surprise(0.0, 0.0, math.nan, WEIGHTS), "kappa_div must be a finite number, got nan"),
     ],
-    ids=["negative_c_penalty", "negative_kappa_div"],
+    ids=["negative_c_penalty", "negative_kappa_div", "bool_lambda", "text_lambda", "text_reward_z",
+         "bool_q_std_ratio", "nan_kappa_div"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -384,11 +384,14 @@ class TestDegenerateVariance:
         # a fractional n gave odds of L**5, and True counted as one step
         (lambda: posterior_ratio(2.5, 2.0, 1.0), "n must be an integer, got 2.5"),
         (lambda: posterior_ratio(True, 2.0, 1.0), "n must be an integer, got True"),
+        # a bool surprise ran as 1.0, and text failed inside numpy's float conversion
+        (lambda: bocd_step(uniform(20), True, PARAMS), "xi must be a number or an array of numbers, got True"),
+        (lambda: bocd_step(uniform(20), "a", PARAMS), "xi must be a number or an array of numbers, got 'a'"),
     ],
     ids=[
         "empty_batch", "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
         "negative_n", "delta_of_one", "nan_likelihood_ratio", "nan_prior_ratio", "nan_delta",
-        "posterior_nan_likelihood_ratio", "fractional_n", "bool_n",
+        "posterior_nan_likelihood_ratio", "fractional_n", "bool_n", "bool_xi", "text_xi",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):

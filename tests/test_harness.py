@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwmdp import apply_mode_operator, make_random_mode, mode_fixed_point, sup_dist
-from pwmdp.bocd import BOCDParams, _entropy, _mean_run_length, bocd_step
+from pwmdp import add_bounded_noise, apply_mode_operator, estimate_lipschitz, make_random_mode, mode_fixed_point
+from pwmdp import sup_dist
+from pwmdp.bocd import BOCDParams, _entropy, _mean_run_length, bocd_step, detection_delay
 from pwmdp.harness import (
     ConfigError,
     ExperimentTrace,
@@ -239,6 +240,28 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
         assert str(info.value).startswith(lead)
+
+    @pytest.mark.parametrize(
+        "path, value, name, call, text",
+        [
+            ("noise_sigma", -1.0, "sigma", lambda v: add_bounded_noise(np.zeros((2, 2)), v, 0),
+             "must be >= 0 with 2 * sigma finite, got -1.0"),
+            ("ensemble_sigma", 1e308, "sigma", lambda v: add_bounded_noise(np.zeros((2, 2)), v, 0),
+             "must be >= 0 with 2 * sigma finite, got 1e+308"),
+            ("seed", -1, "seed", lambda v: make_random_mode(v, 2, 2), "must be >= 0, got -1"),
+            ("separability", 1.0, "likelihood ratio", lambda v: detection_delay(v, 1.0, 0.05),
+             "must be > 1, got 1.0"),
+            ("stat_ema_rate", 1.0, "hazard", lambda v: BOCDParams(hazard=v), "must lie in (0, 1), got 1.0"),
+            ("rollout_len", 0, "n_pairs", lambda v: estimate_lipschitz(lambda q: q, (2, 2), v, 0),
+             "must be >= 1, got 0"),
+        ],
+        ids=["noise_sigma", "ensemble_sigma", "seed", "separability", "stat_ema_rate", "rollout_len"],
+    )
+    def test_field_row_and_api_reader_word_one_rule_alike(self, path, value, name, call, text):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path} {text}')}$"):
+            config_from_dict({path: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {text}')}$"):
+            call(value)
 
     def test_ensemble_and_rollout_at_the_budget_load(self):
         config = config_from_dict({"n_ensemble": 2**25 // 18 - 1, "rollout_len": 2**25})

@@ -1,5 +1,6 @@
 """Tests for tabular MDP primitives."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from pwmdp import (
     sup_dist,
     validate_mode,
 )
+from pwmdp import adaptive, bocd, context, mdp, operators
 from pwmdp.harness.certify import separable_context_dataset
 from pwmdp.harness.sweeps import run_threshold_sweep
 from pwmdp.mdp import _frozen_array, check_simplex
@@ -332,6 +334,27 @@ def _refusals():
     yield pytest.param(lambda: BOCDParams(h_max=math.nan), "h_max must be an integer, got nan", id="nan_h_max")
 
 
+def _ruled_classes():
+    """Every class in the package that declares range rules for its fields."""
+    for module in (mdp, operators, bocd, adaptive, context):
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and "_RULES" in vars(obj):
+                yield obj
+
+
+@pytest.mark.parametrize("cls", list(_ruled_classes()), ids=lambda cls: cls.__name__)
+def test_rules_name_scalar_fields_of_their_class(cls):
+    # a misspelt key would drop its field's check without any error
+    scalar_fields = {f.name for f in dataclasses.fields(cls) if f.type in ("int", "float")}
+    assert cls._RULES and set(cls._RULES) <= scalar_fields
+    for ok, text in cls._RULES.values():
+        assert callable(ok) and text.startswith("must ")
+
+
+def test_every_parameter_class_declares_rules():
+    assert {cls for cls, *_ in PARAMETER_CLASSES} == set(_ruled_classes())
+
+
 class TestScalarFields:
     """One policy for every parameter class: int slots take whole numbers, float slots
     finite numbers, bool and text are refused, and each refusal names its slot."""
@@ -386,9 +409,14 @@ class TestCheckSimplex:
         (lambda: make_random_mode(0, 2, 2, (-1e308, 1e308)), "invalid reward range (-1e+308, 1e+308)"),
         # numpy refused it as an "expected non-negative integer", naming no argument
         (lambda: make_random_mode(-1, 2, 2), "seed must be >= 0, got -1"),
+        # a regime without actions or states built, and its backup failed inside numpy
+        (lambda: ModeModel(np.zeros((2, 0)), np.zeros((2, 0, 2)), np.zeros((2, 0))),
+         "reward needs S >= 1 and A >= 1, got shape (2, 0)"),
+        (lambda: ModeModel(np.zeros((0, 2)), np.zeros((0, 2, 0)), np.zeros((0, 2))),
+         "reward needs S >= 1 and A >= 1, got shape (0, 2)"),
     ],
     ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
-         "overflowing_reward_range", "negative_seed"],
+         "overflowing_reward_range", "negative_seed", "no_actions", "no_states"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

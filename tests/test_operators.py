@@ -900,13 +900,20 @@ PARAMS = OperatorParams(gamma=0.9)
         (lambda: error_floor(-1.0, 0.1, 0.9), "eps_proj must be >= 0, got -1.0"),
         (lambda: error_floor(0.1, -0.1, 0.9), "sigma must be >= 0, got -0.1"),
         (lambda: error_floor("a", 0.1, 0.9), "eps_proj must be a finite number, got 'a'"),
+        # an empty partition built, and project failed inside numpy's concatenate
+        (lambda: StatePartition(0, ()), "n_states must be >= 1, got 0"),
+        (lambda: StatePartition(-1, ()), "n_states must be >= 1, got -1"),
+        # no backup ran: max_iter -1 returned iterations=-1, and 0 an unconverged result
+        (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), max_iter=0), "max_iter must be >= 1, got 0"),
+        (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), max_iter=-1), "max_iter must be >= 1, got -1"),
     ],
     ids=[
         "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "regime_dimensions",
         "partition_size", "belief_size", "nan_tol", "nan_exact_tol", "column_weights", "nan_weight",
         "stacked_shared_q", "negative_lipschitz_seed", "bool_sigma", "text_sigma", "nan_sigma",
         "floor_gamma_one", "floor_gamma_above_one", "negative_eps_proj", "negative_floor_sigma",
-        "text_eps_proj",
+        "text_eps_proj", "empty_partition", "negative_partition_size", "zero_max_iter",
+        "negative_max_iter",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
