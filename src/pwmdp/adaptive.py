@@ -44,7 +44,9 @@ __all__ = [
 # normalized run-length above K EMA deviations of its baseline.
 K = 2.0
 
-_RETENTION = (lambda v: 0 <= v < 1, "must lie in [0, 1)")  # 0 keeps the new value alone
+# 0 keeps the new value alone; the rule itself refuses a bool or text, as ema_update applies it unread
+_RETENTION = (lambda v: _is_real(v) and 0 <= v < 1, "must lie in [0, 1)")
+_UNIT_CLOSED = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,8 @@ def ema_update(prev: float | None, x: float, rate: float) -> float:
     with itself, as ``ema_update(x, x, rate)``. Rate 0 returns ``x``.
     """
     _within(rate, "rate", _RETENTION)
-    if prev is None:
-        prev = x
+    x = _real(x, "x")
+    prev = x if prev is None else _real(prev, "prev")
     return rate * prev + (1.0 - rate) * x
 
 
@@ -122,12 +124,13 @@ def lambda_w(
     sq_deviation), the last two updated.
     """
     h_max = _whole(h_max, "h_max", _H_MAX)
+    h_bar = _real(h_bar, "h_bar")
     if not 0.0 <= h_bar <= h_max - 1:
         raise ValueError(f"h_bar {h_bar} outside [0, {h_max - 1}]")
-    if baseline is not None and not 0.0 <= baseline <= 1.0:
-        raise ValueError(f"baseline must lie in [0, 1], got {baseline}")
-    if sq_deviation is not None and not 0.0 <= sq_deviation <= 1.0:
-        raise ValueError(f"sq_deviation must lie in [0, 1], got {sq_deviation}")
+    if baseline is not None:
+        baseline = _real(baseline, "baseline", _UNIT_CLOSED)
+    if sq_deviation is not None:
+        sq_deviation = _real(sq_deviation, "sq_deviation", _UNIT_CLOSED)
     raw = h_bar / (h_max - 1)
     if baseline is None:
         return 0.0, ema_update(None, raw, rate), sq_deviation

@@ -10,13 +10,13 @@ message (mass re-injected at run-length zero at the hazard rate), then
 renormalizes. Truncation folds overflow mass into the last bin so the
 posterior remains an exact simplex.
 
-The messages are formed in the log domain and shifted by each case's
-largest one before a single exponentiation, so the change-point mass is
-at least ``hazard`` times the largest message: no surprise can underflow
-the normalizer (one whose square overflows a double is rejected with a
-ValueError). The updates take a batch of beliefs as an array with a
-leading case axis and return a new array; a single belief is the
-one-case batch.
+The filter forms each bin's log density and the messages itself, in the
+log domain, and shifts them by each case's largest before one
+exponentiation, so the change-point mass is at least ``hazard`` times the
+largest message: no surprise can underflow the normalizer (one whose
+square overflows a double is rejected with a ValueError). The updates
+take a batch of beliefs as an array with a leading case axis and return a
+new array; a single belief is the one-case batch.
 
 Also provides the posterior-ratio detection-delay calculus.
 
@@ -40,7 +40,6 @@ __all__ = [
     "RunLengthBelief",
     "JointBelief",
     "DegenerateBeliefError",
-    "log_likelihood_vector",
     "bocd_step",
     "bayes_update",
     "posterior_ratio",
@@ -121,23 +120,6 @@ class JointBelief:
         check_simplex(p, "joint belief")
 
 
-def log_likelihood_vector(xi: float | np.ndarray, params: BOCDParams) -> np.ndarray:
-    """Log Gaussian density of surprise ``xi`` at every run-length bin.
-
-    Variance sigma0_sq + sigma_g * h: long run-lengths tolerate larger
-    fluctuations. ``xi`` is a scalar or an array of surprises; the result
-    has shape ``xi.shape + (h_max,)``.
-    """
-    xi = np.asarray(xi, dtype=float)[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi_sq = xi * xi
-    if not np.isfinite(xi_sq).all():
-        raise ValueError("surprise must be finite, with a finite square")
-    two_var, log_norm = params._likelihood_terms
-    with np.errstate(over="ignore"):  # a variance too small for xi: log density -inf
-        return -xi_sq / two_var - log_norm
-
-
 def _batch(beliefs, what: str, params: BOCDParams | None) -> np.ndarray:
     """A (B, h_max) array batch of beliefs, every case checked on the simplex."""
     probs = np.asarray(beliefs, dtype=float)
@@ -150,41 +132,46 @@ def _batch(beliefs, what: str, params: BOCDParams | None) -> np.ndarray:
 
 
 def _per_case(values, n_cases: int, what: str) -> np.ndarray:
-    """A scalar or a (B,) array of per-case numbers, as a (1,) or (B,) array; never bools or text."""
+    """A scalar or a (B,) array of per-case numbers, as a (1,) or (B,) float array; never bools or text."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be a number or an array of numbers, got {values!r}")
     if arr.ndim > 1 or (arr.ndim == 1 and arr.size != n_cases):
         raise ValueError(f"{what} must be a scalar or have shape ({n_cases},), got {arr.shape}")
-    return arr.reshape(-1)
+    return arr.reshape(-1).astype(float, copy=False)
 
 
 def _filter_step(probs: np.ndarray, xi: np.ndarray, params: BOCDParams) -> np.ndarray:
     """One run-length update of a (B, h_max) batch of beliefs.
 
-    The log-likelihood is shifted by each case's largest first, so a huge
-    but finite one cannot absorb log(b); the messages log(b) + log L(xi)
-    are then shifted by each case's largest and exponentiated once. Growth
-    moves them one bin up at rate (1 - hazard) and the top bin absorbs what
-    would overflow the truncation; the change-point mass
-    hazard * sum(messages) is re-injected at run-length 0. Each case is
-    then divided by its own sum, which is at least ``hazard``. ``xi`` has
-    shape (1,) or (B,).
+    The log-likelihood at bin h is a zero-mean Gaussian's in ``xi`` of
+    variance sigma0_sq + sigma_g * h (long run-lengths tolerate larger
+    fluctuations), shifted by each case's largest so a huge but finite one
+    cannot absorb log(b); the messages log(b) + log L(xi) are then shifted
+    by each case's largest and exponentiated once. Growth moves them one
+    bin up at rate (1 - hazard) and the top bin absorbs what would overflow
+    the truncation; the change-point mass hazard * sum(messages) is
+    re-injected at run-length 0. Each case is then divided by its own sum,
+    which is at least ``hazard``. ``xi`` has shape (1,) or (B,).
 
     Where ``xi`` is so far beyond every bin's support that all of a case's
     messages are -inf, the case takes their limit: the widest bins that
     hold mass keep it in proportion, and every other bin gets none.
     """
-    with np.errstate(divide="ignore"):
+    two_var, log_norm = params._likelihood_terms
+    # log 0 is -inf, as is the log density under a variance too small for xi
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xi_sq = (xi * xi)[:, None]
+        if not np.isfinite(xi_sq).all():
+            raise ValueError("surprise must be finite, with a finite square")
         log_prior = np.log(probs)
-    log_lik = log_likelihood_vector(xi, params)
+        log_lik = -xi_sq / two_var - log_norm
     # a case whose log-likelihood is -inf everywhere stays -inf, not nan
     log_lik -= np.maximum(log_lik.max(axis=1, keepdims=True), _LOWEST)
     log_msg = log_prior + log_lik
     top = log_msg.max(axis=1, keepdims=True)
     if top.min() == -np.inf:
         lost = np.isneginf(top[:, 0])
-        two_var = params._likelihood_terms[0]
         widest = np.where(probs[lost] > 0.0, two_var, -np.inf).max(axis=1)[:, None]
         log_msg[lost] = np.where(two_var == widest, log_prior[lost], -np.inf)
         top[lost] = log_msg[lost].max(axis=1, keepdims=True)

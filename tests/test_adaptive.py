@@ -286,9 +286,20 @@ class TestClosedLoop:
         (lambda: surprise("a", 1.0, 1.0, WEIGHTS), "reward_z must be a finite number, got 'a'"),
         (lambda: surprise(0.0, True, 0.0, WEIGHTS), "q_std_ratio must be a finite number, got True"),
         (lambda: surprise(0.0, 0.0, math.nan, WEIGHTS), "kappa_div must be a finite number, got nan"),
+        # a False rate ran at rate 0, a bool reading averaged as 1.0, and
+        # text raised a TypeError
+        (lambda: ema_update(None, 1.0, False), "rate must lie in [0, 1), got False"),
+        (lambda: ema_update(None, 1.0, "a"), "rate must lie in [0, 1), got 'a'"),
+        (lambda: ema_update(True, 2.0, 0.5), "prev must be a finite number, got True"),
+        (lambda: ema_update(None, True, 0.5), "x must be a finite number, got True"),
+        (lambda: lambda_w(True, 20, None, None, 0.5), "h_bar must be a finite number, got True"),
+        (lambda: lambda_w("a", 20, None, None, 0.5), "h_bar must be a finite number, got 'a'"),
+        (lambda: lambda_w(1.0, 20, True, None, 0.5), "baseline must be a finite number, got True"),
+        (lambda: lambda_w(1.0, 20, 0.5, "a", 0.5), "sq_deviation must be a finite number, got 'a'"),
     ],
     ids=["negative_c_penalty", "negative_kappa_div", "bool_lambda", "text_lambda", "text_reward_z",
-         "bool_q_std_ratio", "nan_kappa_div"],
+         "bool_q_std_ratio", "nan_kappa_div", "bool_rate", "text_rate", "bool_prev", "bool_x", "bool_h_bar",
+         "text_h_bar", "bool_baseline", "text_sq_deviation"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

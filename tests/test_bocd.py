@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from pwmdp import (
     bayes_update,
     bocd_step,
     detection_delay,
-    log_likelihood_vector,
     posterior_ratio,
 )
 from pwmdp.bocd import _entropy, _filter_step, _mean_run_length
@@ -40,31 +40,45 @@ def gaussian_density(xi: float, h: int, params: BOCDParams) -> float:
     return math.exp(-xi * xi / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
+def density_vector(xi: float, params: BOCDParams) -> np.ndarray:
+    """``gaussian_density`` at every run-length bin."""
+    return np.array([gaussian_density(xi, h, params) for h in range(params.h_max)])
+
+
 class TestLikelihood:
+    # From the uniform belief each bin h < h_max - 2 grows into bin h + 1 in
+    # proportion to its likelihood alone, so the filter's output exposes the
+    # per-bin density it forms.
+
     def test_zero_surprise_base_variance(self):
-        # direct density formula as the independent path
-        expected = 1.0 / math.sqrt(2.0 * math.pi * 0.1)
-        assert np.exp(log_likelihood_vector(0.0, PARAMS))[0] == pytest.approx(expected, abs=1e-15)
-        assert np.exp(log_likelihood_vector(0.0, PARAMS))[0] == pytest.approx(1.2616, abs=1e-4)
+        # at xi = 0 bin h weighs 1 / sqrt(2 pi (sigma0_sq + sigma_g h)), with
+        # sigma0_sq = 0.1 and sigma_g = 0.05
+        out = bocd_step(uniform(20), 0.0, PARAMS)[0]
+        np.testing.assert_allclose(out[1:-1] / out[1], np.sqrt(0.1 / (0.1 + 0.05 * np.arange(18))), rtol=1e-14)
 
     def test_decreasing_in_surprise_magnitude(self):
-        values = [np.exp(log_likelihood_vector(x, PARAMS))[3] for x in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        values = [bocd_step(uniform(20), x, PARAMS)[0, 1] for x in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
+        # the density depends on xi through its square alone
+        for x in (0.5, 4.0):
+            assert bocd_step(uniform(20), -x, PARAMS).tobytes() == bocd_step(uniform(20), x, PARAMS).tobytes()
 
     def test_large_surprise_favors_long_run_lengths(self):
-        lik = np.exp(log_likelihood_vector(4.0, PARAMS))
-        assert all(a < b for a, b in zip(lik, lik[1:]))
+        out = bocd_step(uniform(20), 4.0, PARAMS)[0]
+        assert all(a < b for a, b in zip(out[1:], out[2:]))
 
     def test_vector_matches_scalar(self):
-        lik = np.exp(log_likelihood_vector(1.3, PARAMS))
-        for h in range(PARAMS.h_max):
-            assert lik[h] == pytest.approx(gaussian_density(1.3, h, PARAMS), rel=1e-14)
+        lik = density_vector(1.3, PARAMS)
+        out = bocd_step(uniform(20), 1.3, PARAMS)[0]
+        growth = (1.0 - PARAMS.hazard) * lik / lik.sum()
+        np.testing.assert_allclose(out[1:-1], growth[:-2], rtol=1e-14)
+        assert out[-1] == pytest.approx(growth[-2] + growth[-1], rel=1e-14)
 
 
 def dense_message_passing_oracle(probs: np.ndarray, xi: float, params: BOCDParams) -> np.ndarray:
     """Independent oracle: one update as an explicit dense transition matrix."""
     h = params.h_max
-    lik = np.array([gaussian_density(xi, i, params) for i in range(h)])
+    lik = density_vector(xi, params)
     matrix = np.zeros((h, h))
     matrix[0, :] = params.hazard * lik
     for i in range(1, h):
@@ -80,7 +94,7 @@ class TestBocdStep:
         belief = rng.dirichlet(np.ones(20))[None]
         xi = 0.7
         out = bocd_step(belief, xi, PARAMS)[0]
-        lik = np.exp(log_likelihood_vector(xi, PARAMS))
+        lik = density_vector(xi, PARAMS)
         weighted = float(np.dot(belief[0], lik))
         growth = belief[0] * lik * (1 - PARAMS.hazard)
         z = PARAMS.hazard * weighted + growth.sum()
@@ -125,6 +139,30 @@ class TestBocdStep:
     def test_surprise_without_finite_square_rejected(self, xi):
         with pytest.raises(ValueError, match="surprise must be finite"):
             bocd_step(uniform(20), xi, PARAMS)
+
+    def test_integer_surprise_is_squared_as_a_float(self):
+        # 2**40 squared overflows an int64; read as a float it is 2**80
+        integers, floats = np.array([3, 2**40]), np.array([3.0, 2.0**40])
+        assert bocd_step(uniform(20).repeat(2, 0), integers, PARAMS).tobytes() == (
+            bocd_step(uniform(20).repeat(2, 0), floats, PARAMS).tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "belief, xi, params, expected_top",
+        [
+            # log 0 in every bin but bin 3
+            (point_mass(3, 20), 0.3, PARAMS, 0.0),
+            # 1e300 / 2e-10 overflows: bin 0's log density is -inf, the others' finite
+            (uniform(20), 1e150, BOCDParams(sigma0_sq=1e-10), 1.0 - PARAMS.hazard),
+        ],
+        ids=["zero_mass_bins", "overflowing_density"],
+    )
+    def test_filter_emits_no_floating_point_warning(self, belief, xi, params, expected_top):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = bocd_step(belief, xi, params)[0]
+        assert rho[0] == pytest.approx(params.hazard, rel=1e-15)
+        assert rho[-1] == pytest.approx(expected_top, abs=1e-15)
 
     def test_mismatched_h_max(self):
         with pytest.raises(ValueError, match="h_max"):

@@ -305,6 +305,14 @@ def test_inner_loops_call_the_backup_kernel_once_per_step(monkeypatch):
     assert calls["suite_error_budget"] <= 5 * (500 + 50)
 
 
+def without_normalizer(params):
+    """A copy of ``params`` whose per-bin log-normalizer reads zero."""
+    bare = replace(params)
+    two_var, log_norm = params._likelihood_terms
+    bare.__dict__["_likelihood_terms"] = (two_var, np.zeros_like(log_norm))
+    return bare
+
+
 # Kernel mutations and the suite each must fail: (defining module, kernel
 # name, mutate(real) -> stand-in, suite).
 KERNEL_MUTATIONS = [
@@ -314,8 +322,8 @@ KERNEL_MUTATIONS = [
         suite_simplex_preservation, id="filter_step_doubled_hazard",
     ),
     pytest.param(
-        bocd, "log_likelihood_vector",
-        lambda real: lambda xi, params: real(xi, params) + params._likelihood_terms[1],
+        bocd, "_filter_step",
+        lambda real: lambda probs, xi, params: real(probs, xi, without_normalizer(params)),
         suite_simplex_preservation, id="likelihood_without_normalizer",
     ),
     pytest.param(
