@@ -241,23 +241,34 @@ def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> floa
 
     PR(n) = likelihood_ratio**(2n) / prior_ratio: each consistent step gains
     a factor L for the correct run-length hypothesis and costs the stale one
-    a factor L. Odds beyond the largest double are inf.
+    a factor L. Where the power overflows, the odds are (L**n / r0) * L**n,
+    whose factors are finite wherever the odds are; odds beyond the largest
+    double are inf.
     """
     n = _whole(n, "n", _NON_NEGATIVE)
     likelihood_ratio, prior_ratio = _odds(likelihood_ratio, prior_ratio)
     try:
         return likelihood_ratio ** (2 * n) / prior_ratio
     except OverflowError:
+        pass
+    try:
+        half = likelihood_ratio**n
+    except OverflowError:
         return math.inf
+    return half / prior_ratio * half
 
 
 def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -> float:
     """Steps needed for the posterior ratio to reach confidence 1/delta.
 
-    Returns log(prior_ratio / delta) / (2 log likelihood_ratio); the minimal
-    integer step count is its ceiling.
+    Returns log(prior_ratio / delta) / (2 log likelihood_ratio), or 0 where
+    the prior odds already reach 1/delta; the minimal integer step count is
+    its ceiling. Only where the quotient overflows is its log taken as
+    log prior_ratio - log delta: elsewhere the two can differ in the last bit.
     """
     likelihood_ratio, prior_ratio = _odds(likelihood_ratio, prior_ratio)
     delta = _real(delta, "delta", _UNIT_OPEN)
-    return math.log(prior_ratio / delta) / (2.0 * math.log(likelihood_ratio))
+    odds = prior_ratio / delta
+    log_odds = math.log(odds) if odds < math.inf else math.log(prior_ratio) - math.log(delta)
+    return max(0.0, log_odds / (2.0 * math.log(likelihood_ratio)))
 

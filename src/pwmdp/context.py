@@ -89,8 +89,9 @@ def _regimes(vectors: np.ndarray, mode_ids: np.ndarray) -> dict:
     numpy's sum order over the sample axis follows the memory layout, so a
     fixed layout makes each set's statistics independent of the stack size.
     """
+    # sorted(set(...)) is np.unique's ascending order, without the numpy.ma import it makes
     return {
-        m: np.take(vectors, np.flatnonzero(mode_ids == m), axis=-2) for m in np.unique(mode_ids)
+        m: np.take(vectors, np.flatnonzero(mode_ids == m), axis=-2) for m in sorted(set(mode_ids.tolist()))
     }
 
 

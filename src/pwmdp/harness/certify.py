@@ -249,7 +249,8 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
     kappas = rng.uniform(0.0, 0.5, n_instances)
     shifts = rng.uniform(-5.0, 5.0, n_instances)
     max_violation = 0.0
-    for n_states, n_actions, n_modes in np.unique(shapes, axis=0).tolist():
+    # sorted(set(...)) is np.unique's ascending order, without the numpy.ma import it makes
+    for n_states, n_actions, n_modes in sorted(set(map(tuple, shapes.tolist()))):
         members = np.flatnonzero((shapes == (n_states, n_actions, n_modes)).all(axis=1))
         k = members.size
         rewards, kernels, penalties = _draw_mode_tables(rng, (k, n_modes), n_states, n_actions)
@@ -300,7 +301,8 @@ def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult
     # well-separated shifts: the exactness claim is about the update ratio
     shifts = rng.choice([-1.0, 1.0], n_pairs) * rng.uniform(0.5, 10.0, n_pairs)
     max_violation = 0.0
-    for n_states, n_actions in np.unique(shapes, axis=0).tolist():
+    # sorted(set(...)) is np.unique's ascending order, without the numpy.ma import it makes
+    for n_states, n_actions in sorted(set(map(tuple, shapes.tolist()))):
         members = np.flatnonzero((shapes == (n_states, n_actions)).all(axis=1))
         regime = operators._Regime(*_draw_mode_tables(rng, members.shape, n_states, n_actions))
         # per instance: q1, its uniform shift, and a random table q2
@@ -369,6 +371,11 @@ def _simplex_violation(probs: np.ndarray) -> float:
     return max(float(np.abs(probs.sum(axis=1) - 1.0).max()), max(0.0, -float(probs.min())))
 
 
+# The dense reference builds its (cases, h, h) matrices for at most this many
+# cases at a time (205 KB at h = 20); each case's result does not depend on it.
+_DENSE_CHUNK = 64
+
+
 def _dense_filter(probs: np.ndarray, xi: np.ndarray, params: BOCDParams) -> np.ndarray:
     """Independent reference for ``bocd_step`` on a (B, h) batch: each case's
     Adams-MacKay update as an explicit (h, h) transition matrix (hazard row 0,
@@ -377,12 +384,16 @@ def _dense_filter(probs: np.ndarray, xi: np.ndarray, params: BOCDParams) -> np.n
     h = params.h_max
     var = params.sigma0_sq + params.sigma_g * np.arange(h)
     lik = np.exp(-xi[:, None] ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    matrix = np.zeros((len(probs), h, h))
-    matrix[:, 0, :] = params.hazard * lik
     below = np.arange(1, h)
-    matrix[:, below, below - 1] = (1.0 - params.hazard) * lik[:, :-1]
-    matrix[:, -1, -1] += (1.0 - params.hazard) * lik[:, -1]
-    unnormalized = np.einsum("bij,bj->bi", matrix, probs)
+    unnormalized = np.empty_like(probs)
+    for start in range(0, len(probs), _DENSE_CHUNK):
+        part = slice(start, start + _DENSE_CHUNK)
+        chunk = lik[part]
+        matrix = np.zeros((len(chunk), h, h))
+        matrix[:, 0, :] = params.hazard * chunk
+        matrix[:, below, below - 1] = (1.0 - params.hazard) * chunk[:, :-1]
+        matrix[:, -1, -1] += (1.0 - params.hazard) * chunk[:, -1]
+        unnormalized[part] = np.einsum("bij,bj->bi", matrix, probs[part])
     return unnormalized / unnormalized.sum(axis=1, keepdims=True)
 
 

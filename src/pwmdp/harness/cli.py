@@ -29,7 +29,7 @@ import numpy as np
 from ..context import ContextLossConfig, context_loss, encode, fit_linear_context, mode_means
 from ..mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _whole
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
-from .config import MAX_KERNEL_ENTRIES, load_config
+from .config import load_config
 from .experiment import run_piecewise
 from .io import emit_trace, write_table, write_text
 from .sweeps import run_delay_table, run_threshold_sweep
@@ -135,14 +135,20 @@ def _flag(args, flag: str, rule: tuple) -> int:
     return 0 if value is None else _whole(value, flag, rule)
 
 
+# The largest threshold-sweep grid, in cells. The sweep holds about 100 bytes
+# per cell, about 250 with its JSON text, so 2**20 cells keep it within the
+# 256 MiB that MAX_KERNEL_ENTRIES gives a config's kernel.
+MAX_SWEEP_CELLS = 2**20
+
+
 def _cmd_threshold_sweep(args) -> int:
     sizes = [_flag(args, flag, _AT_LEAST_ONE) for flag in ("--n-gamma", "--n-coupling", "--n-iter")]
     n_gamma, n_coupling, n_iter = sizes
     cells = n_gamma * n_coupling
-    if cells > MAX_KERNEL_ENTRIES:
+    if cells > MAX_SWEEP_CELLS:
         raise ValueError(
             f"--n-gamma {n_gamma} times --n-coupling {n_coupling} is a grid of "
-            f"{cells} cells, beyond the budget of {MAX_KERNEL_ENTRIES}"
+            f"{cells} cells, beyond the budget of {MAX_SWEEP_CELLS}"
         )
     result = run_threshold_sweep(
         np.linspace(0.0, 0.98, n_gamma), np.linspace(0.0, 0.5, n_coupling), n_iter=n_iter

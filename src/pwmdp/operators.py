@@ -367,10 +367,14 @@ def mode_fixed_point(
     gamma = params.gamma
     reward = model.reward - gamma * (params.lambda_epi * model.gamma_epi + params.kappa)
     states = np.arange(model.n_states)
-    eye = np.eye(model.n_states)
     policy = reward.argmax(axis=1)
     for it in range(1, _MAX_IMPROVEMENTS + 1):
-        v = np.linalg.solve(eye - gamma * model.kernel[states, policy], reward[states, policy])
+        # I - gamma P_pi in the one array solved: 0 - x is exactly -x and
+        # (0 - x) + 1 exactly 1 - x, so the bits are those of eye - gamma P_pi
+        system = gamma * model.kernel[states, policy]
+        np.subtract(0.0, system, out=system)
+        system[states, states] += 1.0
+        v = np.linalg.solve(system, reward[states, policy])
         q = reward + gamma * (model.kernel @ v)
         best = q.argmax(axis=1)
         margin = _SWITCH_MARGIN * np.abs(q).max()

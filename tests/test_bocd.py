@@ -18,6 +18,7 @@ from pwmdp import (
     posterior_ratio,
 )
 from pwmdp.bocd import _entropy, _filter_step, _mean_run_length
+from pwmdp.harness.sweeps import empirical_detection_delay
 
 PARAMS = BOCDParams()  # h_max=20, hazard=0.05, sigma0_sq=0.1, sigma_g=0.05
 
@@ -256,6 +257,24 @@ class TestDetectionDelay:
         # results up to the largest double keep their exact value
         assert posterior_ratio(511, 2.0, 1.0) == 2.0**1022
         assert posterior_ratio(511, 2.0, 0.5) == 2.0**1023
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            # the prior odds 100 pass 1/delta = 20 at n = 0; the delay read -1.16
+            (lambda: (detection_delay(2.0, 0.01, 0.05), empirical_detection_delay(2.0, 0.01, 0.05)), (0.0, 0)),
+            # r0 / delta overflowed, and the delay read inf; it is log(1e600) / (2 log 2)
+            (lambda: detection_delay(2.0, 1e300, 1e-300), pytest.approx(996.5784284662087, rel=1e-14)),
+            # 2.0**1024 overflowed before the division: the odds read inf and the scan stopped at 512
+            (
+                lambda: (posterior_ratio(512, 2.0, 1e300), empirical_detection_delay(2.0, 1e300, 1e-300)),
+                (pytest.approx(2.0**1023 / 1e300 * 2.0, rel=1e-12), 997),
+            ),
+        ],
+        ids=["prior_odds_past_the_target", "overflowing_quotient", "overflowing_power"],
+    )
+    def test_calculus_answers_every_accepted_input(self, call, expected):
+        assert call() == expected
 
     def test_delay_values_match_reference_table(self):
         assert detection_delay(2.0, 1.0, 0.05) == pytest.approx(2.2, abs=0.1)

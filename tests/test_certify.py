@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -303,6 +305,56 @@ def test_inner_loops_call_the_backup_kernel_once_per_step(monkeypatch):
     assert instance_steps["suite_error_budget"] == suite.tested_instances == 11_000
     # the configs that share S (3 to 7) step in lockstep: one call per group step
     assert calls["suite_error_budget"] <= 5 * (500 + 50)
+
+
+def test_dense_reference_does_not_depend_on_its_block_size(monkeypatch):
+    rng = np.random.default_rng(5)
+    params = bocd.BOCDParams()
+    probs = rng.dirichlet(np.ones(params.h_max), 256)
+    xi = rng.uniform(-8.0, 8.0, 256)
+    block = certify._dense_filter(probs, xi, params)
+    for size in (1, 37, 64):
+        parts = [certify._dense_filter(probs[i : i + size], xi[i : i + size], params) for i in range(0, 256, size)]
+        assert np.concatenate(parts).tobytes() == block.tobytes()
+    tracemalloc.start()
+    try:
+        certify._dense_filter(probs, xi, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below the 819,200 bytes of one (256, 20, 20) matrix
+    assert peak < 256 * params.h_max**2 * 8
+    # one matrix for the whole block, as the reference was first written
+    monkeypatch.setattr(certify, "_DENSE_CHUNK", 256)
+    assert certify._dense_filter(probs, xi, params).tobytes() == block.tobytes()
+
+
+# Suites 2, 3 and 10, the context losses and the demo, then whether numpy.ma
+# was imported: numpy's np.unique imports it on its first call.
+NO_MASKED_ARRAYS = """
+import sys
+from pwmdp.context import ContextLossConfig, context_loss, fit_linear_context, mode_means
+from pwmdp.harness import certify
+from pwmdp.harness.cli import main
+
+for suite in (certify.suite_blackwell_identities, certify.suite_sharp_threshold, certify.suite_context_losses):
+    assert suite(0).passed
+states, mode_ids = certify.separable_context_dataset(1)
+config = ContextLossConfig()
+context_loss(states, mode_ids, config)
+mode_means(states, mode_ids)
+fit_linear_context((states, mode_ids), config, steps=2, lr=0.1, seed=1)
+assert main(["rmdm-demo", "--steps", "2", "--out", sys.argv[1]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_call_path_imports_numpy_ma(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)], capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def without_normalizer(params):

@@ -22,7 +22,7 @@ from pwmdp import make_random_mode
 from pwmdp.harness import read_trace
 from pwmdp.harness import cli, experiment
 from pwmdp.harness.certify import MUTATIONS
-from pwmdp.harness.cli import build_parser, main
+from pwmdp.harness.cli import MAX_SWEEP_CELLS, build_parser, main
 from pwmdp.harness.config import FIELDS, MAX_KERNEL_ENTRIES
 
 CLI = [sys.executable, "-m", "pwmdp"]
@@ -664,9 +664,35 @@ class TestThresholdSweepCommand:
         assert main(argv + ["--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "config error: --n-gamma 100000 times --n-coupling 100000 is a grid of "
-            f"10000000000 cells, beyond the budget of {MAX_KERNEL_ENTRIES}"
+            f"10000000000 cells, beyond the budget of {MAX_SWEEP_CELLS}"
         ]
         assert not (tmp_path / "s").exists()
+
+    def test_grid_just_past_the_budget_is_refused_before_any_array(self, tmp_path, capsys, monkeypatch):
+        # 2**20 + 1024 cells: the old 2**25-cell budget let this grid run, and
+        # let 5792 x 5792 ask for about 8 GB with its JSON
+        monkeypatch.setattr(cli, "run_threshold_sweep", lambda *a, **k: pytest.fail("swept"))
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("allocated a grid axis"))
+        argv = ["threshold-sweep", "--n-gamma", "1025", "--n-coupling", "1024"]
+        assert main(argv + ["--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --n-gamma 1025 times --n-coupling 1024 is a grid of "
+            f"1049600 cells, beyond the budget of {MAX_SWEEP_CELLS}"
+        ]
+        assert not (tmp_path / "s").exists()
+
+    def test_grid_at_the_budget_reaches_the_sweep(self, tmp_path, monkeypatch):
+        grids = []
+        sweep = cli.run_threshold_sweep
+
+        def corner_sweep(gamma_grid, coupling_grid, n_iter):
+            grids.append((gamma_grid.size, coupling_grid.size))
+            return sweep(gamma_grid[:2], coupling_grid[:2], n_iter=n_iter)
+
+        monkeypatch.setattr(cli, "run_threshold_sweep", corner_sweep)
+        argv = ["threshold-sweep", "--n-gamma", "1024", "--n-coupling", "1024"]
+        assert main(argv + ["--out", str(tmp_path / "s")]) == 0
+        assert MAX_SWEEP_CELLS == 2**20 and grids == [(1024, 1024)]
 
 
 @pytest.mark.parametrize(

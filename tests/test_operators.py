@@ -365,6 +365,34 @@ class TestModeFixedPoint:
         assert result.iterations == 2
         assert result.q_star[0] == pytest.approx([17.2, 18.0], abs=1e-12)
 
+    def test_policy_system_is_bitwise_the_identity_form(self, monkeypatch):
+        # each solve's matrix row s must be, bit for bit, row s of
+        # np.eye(S) - gamma * K[:, a] for some action a, on kernels with exact zeros
+        systems = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            systems.append(a.copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        rng = np.random.default_rng(39)
+        for gamma in (0.0, 0.3, 0.9, 0.99):
+            base = make_random_mode(int(rng.integers(0, 2**31)), 5, 3)
+            kernel = base.kernel * (rng.uniform(size=base.kernel.shape) < 0.5)
+            kernel[:, :, 0] += 1e-3  # keep every row's mass positive
+            kernel[1, 2] = np.eye(5)[1]  # a self-loop and a point mass
+            kernel /= kernel.sum(axis=-1, keepdims=True)
+            model = ModeModel(base.reward, kernel, base.gamma_epi)
+            assert (model.kernel == 0.0).any()
+            systems.clear()
+            mode_fixed_point(model, OperatorParams(gamma=gamma, kappa=0.1), tol=1e-12)
+            assert systems
+            identity_form = np.eye(5)[:, None, :] - gamma * model.kernel  # (S, A, S)
+            for system in systems:
+                for s in range(5):
+                    assert any(system[s].tobytes() == row.tobytes() for row in identity_form[s])
+
     def test_large_values_still_reach_tol(self):
         # at |Q| ~ 1e6 the linear solve's round-off alone leaves a residual above 1e-10
         base = make_random_mode(1, 6, 3)
