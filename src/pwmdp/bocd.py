@@ -120,24 +120,24 @@ class JointBelief:
         check_simplex(p, "joint belief")
 
 
-def _batch(beliefs, what: str, params: BOCDParams | None) -> np.ndarray:
-    """A (B, h_max) array batch of beliefs, every case checked on the simplex."""
+def _batch(beliefs, params: BOCDParams | None) -> np.ndarray:
+    """A (B, h_max) array batch of run-length beliefs, every case checked on the simplex."""
     probs = np.asarray(beliefs, dtype=float)
     if probs.ndim != 2 or len(probs) < 1:
-        raise ValueError(f"{what} batch must be (B >= 1, h_max), got {probs.shape}")
-    check_simplex(probs, what, batched=True)
+        raise ValueError(f"run-length belief batch must be (B >= 1, h_max), got {probs.shape}")
+    check_simplex(probs, "run-length belief", batched=True)
     if params is not None and probs.shape[1] != params.h_max:
-        raise ValueError(f"{what} has h_max={probs.shape[1]} but params expect {params.h_max}")
+        raise ValueError(f"run-length belief has h_max={probs.shape[1]} but params expect {params.h_max}")
     return probs
 
 
-def _per_case(values, n_cases: int, what: str) -> np.ndarray:
-    """A scalar or a (B,) array of per-case numbers, as a (1,) or (B,) float array; never bools or text."""
-    arr = np.asarray(values)
+def _per_case(xi, n_cases: int) -> np.ndarray:
+    """``xi``, a scalar or a (B,) array of per-case surprises, as a (1,) or (B,) float array; never bools or text."""
+    arr = np.asarray(xi)
     if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be a number or an array of numbers, got {values!r}")
+        raise ValueError(f"xi must be a number or an array of numbers, got {xi!r}")
     if arr.ndim > 1 or (arr.ndim == 1 and arr.size != n_cases):
-        raise ValueError(f"{what} must be a scalar or have shape ({n_cases},), got {arr.shape}")
+        raise ValueError(f"xi must be a scalar or have shape ({n_cases},), got {arr.shape}")
     return arr.reshape(-1).astype(float, copy=False)
 
 
@@ -191,8 +191,8 @@ def bocd_step(beliefs: np.ndarray, xi: float | np.ndarray, params: BOCDParams) -
     (B, h_max) array of beliefs with ``xi`` a scalar or (B,) array, and
     returns the updated (B, h_max) array.
     """
-    probs = _batch(beliefs, "run-length belief", params)
-    return _filter_step(probs, _per_case(xi, len(probs), "xi"), params)
+    probs = _batch(beliefs, params)
+    return _filter_step(probs, _per_case(xi, len(probs)), params)
 
 
 def _mean_run_length(rho: np.ndarray) -> float:
@@ -214,7 +214,7 @@ def bayes_update(beliefs: np.ndarray, lik: np.ndarray) -> np.ndarray:
     :class:`DegenerateBeliefError` for a case whose evidence is zero on the
     whole support of its belief: its posterior is undefined.
     """
-    probs = _batch(beliefs, "run-length belief", None)
+    probs = _batch(beliefs, None)
     lik = np.asarray(lik, dtype=float)
     if lik.shape != probs.shape:
         raise ValueError(f"likelihood shape {lik.shape} does not match belief {probs.shape}")

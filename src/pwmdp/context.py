@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _POSITIVE, _read_fields, _whole
+from .mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _POSITIVE, _read_fields, _real, _whole
 
 __all__ = [
     "ContextLossConfig",
@@ -105,7 +105,7 @@ def _consistency(regimes: dict, eps: float) -> np.ndarray:
     terms = []
     for m, group in regimes.items():
         if group.shape[1] < 2:
-            raise ValueError(f"mode {m} has {group.shape[1]} sample(s); need >= 2")
+            raise ValueError(f"mode {m} has {group.shape[1]} sample(s); every mode needs >= 2 samples")
         terms.append(np.sqrt(group.var(axis=1).sum(axis=1) + eps))  # population variances
     return np.stack(terms, axis=1).mean(axis=1)
 
@@ -199,16 +199,14 @@ def fit_linear_context(
     perturbed copies as one (1 + 2 d_e d_s)-map stack. Returns the weights
     with the lowest loss observed anywhere along the descent, so the result
     is never worse than the initialization. Deterministic given ``seed``.
-    Raises if the loss goes non-finite.
+    Raises if the loss goes non-finite, and, at the first loss, before any
+    weight moves, if a mode has fewer than two samples.
     """
     states, mode_ids = _labeled(*data)
-    labels, counts = np.unique(mode_ids, return_counts=True)
-    if labels.size < 2:
-        raise ValueError(f"need >= 2 modes, got {labels.size}")
-    if (counts < 2).any():
-        small = labels[counts < 2]
-        raise ValueError(f"every mode needs >= 2 samples; modes {small.tolist()} are short")
-    steps = _whole(steps, "steps", _NON_NEGATIVE)
+    n_modes = len(set(mode_ids.tolist()))
+    if n_modes < 2:
+        raise ValueError(f"need >= 2 modes, got {n_modes}")
+    steps, lr = _whole(steps, "steps", _NON_NEGATIVE), _real(lr, "lr", _POSITIVE)
 
     def losses_of(w: np.ndarray) -> np.ndarray:
         values = _context_losses(encode(w, states), mode_ids, config)[0]
@@ -227,14 +225,11 @@ def fit_linear_context(
     # an overflowing step makes the loss non-finite, which losses_of reports
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
-            if step == steps:  # the last weights need their loss only
-                probes = weights[None]
-            else:
-                # probe 0 is the weights; probes 1 + k and 1 + n + k move entry k by +/- FD_STEP
-                probes = np.repeat(weights[None], 1 + 2 * n, axis=0)
-                flat = probes.reshape(1 + 2 * n, n)
-                flat[1 + entry, entry] += FD_STEP
-                flat[1 + n + entry, entry] -= FD_STEP
+            # probe 0 is the weights; probes 1 + k and 1 + n + k move entry k by +/- FD_STEP
+            probes = np.repeat(weights[None], 1 + 2 * n, axis=0)
+            flat = probes.reshape(1 + 2 * n, n)
+            flat[1 + entry, entry] += FD_STEP
+            flat[1 + n + entry, entry] -= FD_STEP
             losses = losses_of(probes)
             if losses[0] < best_loss:
                 best_w, best_loss = weights, losses[0]

@@ -56,8 +56,7 @@ class MetastabilityWarning(UserWarning):
 class Field(NamedTuple):
     kind: type  # int, float or str; list: a structured field that _resolve reads
     default: object
-    ok: Callable[[object], bool] | None = None  # with range, the (ok, text) rule the reader applies
-    range: str = ""  # the range in words, for error messages and README; blank: the receiver checks it
+    rule: tuple | None = None  # the (ok, text) rule the reader applies; None: the receiver checks it
 
 
 # The largest transition kernel a config may ask for, in n_states * n_actions *
@@ -84,13 +83,13 @@ _FINITE_SQUARE = (lambda v: math.isfinite(v * v), "must have a finite square")
 
 FIELDS: dict[str, Field] = {
     # RNG streams need non-negative entropy
-    "seed": Field(int, 0, *_NON_NEGATIVE),
+    "seed": Field(int, 0, _NON_NEGATIVE),
     "n_states": Field(int, 6),
     "n_actions": Field(int, 3),
     "reward_range": Field(list, [-1.0, 1.0]),
     "modes": Field(list, [{"seed": 1}, {"seed": 2}]),
     "schedule": Field(list, [[0, 200], [1, 200]]),
-    "operator.gamma": Field(float, 0.99, *_POLISH_HORIZON),
+    "operator.gamma": Field(float, 0.99, _POLISH_HORIZON),
     "operator.lambda_epi": Field(float, 0.01),
     "operator.kappa": Field(float, 0.0),
     # the receiving classes hold these defaults, so the config and the API cannot disagree
@@ -101,27 +100,25 @@ FIELDS: dict[str, Field] = {
     "surprise.w_r": Field(float, SurpriseWeights.w_r),
     "surprise.w_q": Field(float, SurpriseWeights.w_q),
     "surprise.w_kappa": Field(float, SurpriseWeights.w_kappa),
-    "surprise.clip_max": Field(float, SurpriseWeights.clip_max, *_FINITE_SQUARE),
+    "surprise.clip_max": Field(float, SurpriseWeights.clip_max, _FINITE_SQUARE),
     "adaptive.beta_base": Field(float, AdaptiveState.beta_base),
     "adaptive.c_penalty": Field(float, AdaptiveState.c_penalty),
     "adaptive.baseline_ema_rate": Field(float, AdaptiveState.baseline_ema_rate),
     # 0 leaves the fused surprise unsmoothed
     "adaptive.surprise_ema_rate": Field(float, AdaptiveState.surprise_ema_rate),
     "partition": Field(list, None),
-    "noise_sigma": Field(float, 0.0, *_NOISE_WIDTH),
-    "n_ensemble": Field(int, 10, *_at_least(2)),
-    "ensemble_sigma": Field(float, 0.05, *_NOISE_WIDTH),
-    "rollout_len": Field(int, 32, *_AT_LEAST_ONE),
-    "stat_ema_rate": Field(float, 0.95, *_UNIT_OPEN),
-    "separability": Field(float, 2.0, *_SEPARATING),
+    "noise_sigma": Field(float, 0.0, _NOISE_WIDTH),
+    "n_ensemble": Field(int, 10, _at_least(2)),
+    "ensemble_sigma": Field(float, 0.05, _NOISE_WIDTH),
+    "rollout_len": Field(int, 32, _AT_LEAST_ONE),
+    "stat_ema_rate": Field(float, 0.95, _UNIT_OPEN),
+    "separability": Field(float, 2.0, _SEPARATING),
     # the detection delay reads log(1 / delta)
-    "delta": Field(float, 0.05, lambda v: 0 < v < 1 and math.isfinite(1.0 / v),
-                   "must lie in (0, 1) with 1 / delta finite"),
-    "detection_policy": Field(
-        str, "stale", lambda v: v in ("stale", "hold"), "must be 'stale' or 'hold'"
-    ),
+    "delta": Field(float, 0.05, (lambda v: 0 < v < 1 and math.isfinite(1.0 / v),
+                                 "must lie in (0, 1) with 1 / delta finite")),
+    "detection_policy": Field(str, "stale", (lambda v: v in ("stale", "hold"), "must be 'stale' or 'hold'")),
     "out_dir": Field(str, "out"),
-    "format": Field(str, "csv", lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
+    "format": Field(str, "csv", (lambda v: v in ("csv", "json"), "must be 'csv' or 'json'")),
 }
 
 # The objects that group fields: the first part of every dotted path.
@@ -213,7 +210,7 @@ def _leaves(raw, section: str = "") -> dict:
             continue
         if field.kind in _READERS:
             with _naming(""):
-                value = _READERS[field.kind](value, path, field[2:] if field.ok else None)
+                value = _READERS[field.kind](value, path, field.rule)
         out[path] = value
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} under '{where}'")

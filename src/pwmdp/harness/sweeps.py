@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bocd import detection_delay, posterior_ratio
-from ..mdp import _AT_LEAST_ONE, _whole
+from ..bocd import _odds, detection_delay, posterior_ratio
+from ..mdp import _AT_LEAST_ONE, _UNIT_OPEN, _real, _whole
 
 __all__ = [
     "ThresholdSweepResult",
@@ -53,16 +53,10 @@ class ThresholdSweepResult:
     classes: np.ndarray           # (n_gamma, n_coupling) strings
     measured_factors: np.ndarray  # (n_gamma, n_coupling)
 
-    def analytic_classes(self) -> np.ndarray:
-        out = np.empty(self.classes.shape, dtype=object)
-        for i, g in enumerate(self.gamma_grid):
-            for j, c in enumerate(self.coupling_grid):
-                out[i, j] = _classify(g + c)
-        return out
-
     def matches_analytic(self) -> bool:
         """Cell-exact agreement of the classified map with the line gamma + coupling = 1."""
-        return bool((self.classes == self.analytic_classes()).all())
+        return all(self.classes[i, j] == _classify(g + c)
+                   for i, g in enumerate(self.gamma_grid) for j, c in enumerate(self.coupling_grid))
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,11 +121,19 @@ def empirical_detection_delay(likelihood_ratio: float, prior_ratio: float, delta
     """First step n at which the posterior odds ``posterior_ratio(n, L, r0)`` reach 1/delta.
 
     The odds of L-separable evidence gain a factor L**2 per step; no crossing
-    within 10**4 steps raises RuntimeError.
+    within 10**4 steps raises RuntimeError. Only where 1/delta overflows is the
+    crossing read in logs, 2n log L - log r0 >= -log delta: odds past the
+    largest double read inf, which any target would pass.
     """
+    likelihood_ratio, prior_ratio = _odds(likelihood_ratio, prior_ratio)
+    delta = _real(delta, "delta", _UNIT_OPEN)
     target = 1.0 / delta
     for n in range(10_001):
-        if posterior_ratio(n, likelihood_ratio, prior_ratio) >= target:
+        if target < math.inf:
+            crossed = posterior_ratio(n, likelihood_ratio, prior_ratio) >= target
+        else:
+            crossed = 2 * n * math.log(likelihood_ratio) - math.log(prior_ratio) >= -math.log(delta)
+        if crossed:
             return n
     raise RuntimeError("posterior odds failed to cross the target in 10^4 steps")
 

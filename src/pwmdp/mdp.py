@@ -34,13 +34,9 @@ __all__ = [
     "make_random_mode",
 ]
 
-# Transition kernel rows must be stochastic to this absolute tolerance;
-# contraction certificates rely on it holding at machine precision.
+# Kernel rows, regime beliefs and run-length posteriors must sum to 1 to this absolute
+# tolerance; contraction certificates rely on it holding at machine precision.
 KERNEL_ROW_TOL = 1e-12
-
-# Probability vectors (regime beliefs, run-length and joint posteriors) must
-# sum to 1 to this absolute tolerance.
-SIMPLEX_TOL = 1e-12
 
 # make_random_mode draws each epistemic penalty uniformly from [0, PENALTY_MAX).
 PENALTY_MAX = 0.5
@@ -121,9 +117,9 @@ def check_simplex(probs: np.ndarray, what: str, batched: bool = False):
     """
     cases = probs.reshape(len(probs) if batched else 1, -1)
     sums = cases.sum(axis=1)
-    if np.abs(sums - 1.0).max() <= SIMPLEX_TOL and cases.min() >= 0.0:
+    if np.abs(sums - 1.0).max() <= KERNEL_ROW_TOL and cases.min() >= 0.0:
         return
-    row = int((~(np.abs(sums - 1.0) <= SIMPLEX_TOL) | (cases < 0.0).any(axis=1)).argmax())
+    row = int((~(np.abs(sums - 1.0) <= KERNEL_ROW_TOL) | (cases < 0.0).any(axis=1)).argmax())
     name = f"{what} row {row}" if batched else what
     if not np.isfinite(cases[row]).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -295,12 +291,12 @@ def make_random_mode(
     n_states, n_actions = _whole(n_states, "n_states"), _whole(n_actions, "n_actions")
     if n_states < 1 or n_actions < 1:
         raise ValueError("need n_states >= 1 and n_actions >= 1")
-    lo, hi = reward_range
-    if not (lo <= hi and math.isfinite(hi - lo)):  # a finite width implies finite ends
+    lo, hi = (_real(end, "reward_range") for end in reward_range)
+    if not (lo <= hi and math.isfinite(hi - lo)):
         raise ValueError(f"invalid reward range {reward_range}")
     rng = np.random.default_rng(_whole(seed, "seed", _NON_NEGATIVE))
     # fresh draws, frozen where they lie, so ModeModel keeps them
-    return ModeModel(*map(_freeze, _draw_mode_tables(rng, (), n_states, n_actions, reward_range)))
+    return ModeModel(*map(_freeze, _draw_mode_tables(rng, (), n_states, n_actions, (lo, hi))))
 
 
 def _draw_mode_tables(

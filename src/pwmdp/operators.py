@@ -81,10 +81,9 @@ _MAX_POLISH_STEPS = 10**6
 # estimate_lipschitz samples table entries uniformly from this range.
 LIPSCHITZ_VALUE_RANGE = (-10.0, 10.0)
 
+# Maps an array of tables to the same-shape array of their images, or (see
+# estimate_lipschitz) a (B, S, A) array to its (..., B, S, A) images under several maps.
 QOperator = Callable[[np.ndarray], np.ndarray]
-# Maps a (B, S, A) array of tables to the (B, S, A) array of their images, or
-# to a (..., B, S, A) array of their images under several maps.
-BatchOperator = Callable[[np.ndarray], np.ndarray]
 
 # Noise of width sigma is drawn from uniform(-sigma, sigma), whose span must be finite.
 _NOISE_WIDTH = (lambda v: v >= 0 and math.isfinite(2.0 * v), "must be >= 0 with 2 * sigma finite")
@@ -399,7 +398,7 @@ def mode_fixed_point(
 
 
 def estimate_lipschitz(
-    operator: BatchOperator,
+    operator: QOperator,
     dims: tuple[int, int],
     n_pairs: int,
     seed: int,

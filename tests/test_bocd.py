@@ -270,8 +270,13 @@ class TestDetectionDelay:
                 lambda: (posterior_ratio(512, 2.0, 1e300), empirical_detection_delay(2.0, 1e300, 1e-300)),
                 (pytest.approx(2.0**1023 / 1e300 * 2.0, rel=1e-12), 997),
             ),
+            # 1 / delta overflowed to inf, and the scan stopped at 512, where the odds read inf
+            (
+                lambda: (empirical_detection_delay(2.0, 1.0, 1e-310), math.ceil(detection_delay(2.0, 1.0, 1e-310))),
+                (515, 515),
+            ),
         ],
-        ids=["prior_odds_past_the_target", "overflowing_quotient", "overflowing_power"],
+        ids=["prior_odds_past_the_target", "overflowing_quotient", "overflowing_power", "overflowing_target"],
     )
     def test_calculus_answers_every_accepted_input(self, call, expected):
         assert call() == expected
@@ -444,11 +449,21 @@ class TestDegenerateVariance:
         # a bool surprise ran as 1.0, and text failed inside numpy's float conversion
         (lambda: bocd_step(uniform(20), True, PARAMS), "xi must be a number or an array of numbers, got True"),
         (lambda: bocd_step(uniform(20), "a", PARAMS), "xi must be a number or an array of numbers, got 'a'"),
+        # the scan read delta unchecked: 0 divided by zero, -1, 2 and True gave 0,
+        # nan ran 10^4 steps into a RuntimeError and text failed in the division
+        (lambda: empirical_detection_delay(2.0, 1.0, 0), "delta must lie in (0, 1), got 0.0"),
+        (lambda: empirical_detection_delay(2.0, 1.0, -1), "delta must lie in (0, 1), got -1.0"),
+        (lambda: empirical_detection_delay(2.0, 1.0, 2), "delta must lie in (0, 1), got 2.0"),
+        (lambda: empirical_detection_delay(2.0, 1.0, True), "delta must be a finite number, got True"),
+        (lambda: empirical_detection_delay(2.0, 1.0, math.nan), "delta must be a finite number, got nan"),
+        (lambda: empirical_detection_delay(2.0, 1.0, "a"), "delta must be a finite number, got 'a'"),
     ],
     ids=[
         "empty_batch", "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
         "negative_n", "delta_of_one", "nan_likelihood_ratio", "nan_prior_ratio", "nan_delta",
         "posterior_nan_likelihood_ratio", "fractional_n", "bool_n", "bool_xi", "text_xi",
+        "scan_zero_delta", "scan_negative_delta", "scan_delta_above_one", "scan_bool_delta",
+        "scan_nan_delta", "scan_text_delta",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):

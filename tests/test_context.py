@@ -273,6 +273,16 @@ class TestFitLinearContext:
         with pytest.raises(ValueError, match=">= 2 samples"):
             fit_linear_context((states, np.array([0, 0, 0, 1])), CONFIG)
 
+    def test_no_steps_returns_the_seeded_weights(self):
+        fitted = fit_linear_context(separable_context_dataset(0), CONFIG, steps=0, seed=3)
+        assert (fitted == np.random.default_rng(3).normal(0.0, 1.0, (2, 2))).all()
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_one_sample_mode_is_refused_by_name(self, steps):
+        states = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5], [0.1, 0.9]])
+        with pytest.raises(ValueError, match="^mode 2 has 1 sample\\(s\\); every mode needs >= 2 samples$"):
+            fit_linear_context((states, np.array([0, 0, 1, 2, 1])), CONFIG, steps=steps)
+
 
 class TestLabeledInput:
     LOSS_IDS = np.array([0, 0, 1, 1])
@@ -356,8 +366,23 @@ class TestContextLossConfig:
         # numpy refused it as an "expected non-negative integer", naming no argument
         (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, seed=-1),
          "seed must be >= 0, got -1"),
+        # lr was never read: True ran as 1.0, -0.1 ascended, 0 never moved, an
+        # array scaled each column and text or None failed inside numpy
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, lr=True),
+         "lr must be a finite number, got True"),
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, lr=-0.1),
+         "lr must be > 0, got -0.1"),
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, lr=0),
+         "lr must be > 0, got 0.0"),
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, lr=np.array([0.1, 0.2])),
+         "lr must be a finite number, got array([0.1, 0.2])"),
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, lr="a"),
+         "lr must be a finite number, got 'a'"),
+        (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, lr=None),
+         "lr must be a finite number, got None"),
     ],
-    ids=["one_dimensional_means", "negative_steps", "negative_seed"],
+    ids=["one_dimensional_means", "negative_steps", "negative_seed", "bool_lr", "negative_lr", "zero_lr",
+         "array_lr", "text_lr", "none_lr"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: config, scripted runs, sweeps, trace I/O."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -325,7 +326,7 @@ def readme_defaults_table() -> str:
     """README's defaults table, rendered from the field table."""
     rows = ["| field | kind | default | range checked at load |", "|---|---|---|---|"]
     for path, field in FIELDS.items():
-        rows.append(f"| `{path}` | {field.kind.__name__} | `{json.dumps(field.default)}` | {field.range} |")
+        rows.append(f"| `{path}` | {field.kind.__name__} | `{json.dumps(field.default)}` | {field.rule[1] if field.rule else ''} |")
     return "\n".join(rows) + "\n"
 
 
@@ -708,6 +709,13 @@ class TestThresholdSweep:
     def test_grid_boundary_matches_analytic_line(self):
         sweep = run_threshold_sweep(np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50))
         assert sweep.matches_analytic()
+
+    def test_one_misclassified_cell_breaks_the_match(self):
+        sweep = run_threshold_sweep(np.linspace(0.0, 0.98, 5), np.linspace(0.0, 0.5, 5))
+        classes = sweep.classes.copy()
+        classes[4, 4] = "converged"  # 0.98 + 0.5 diverges
+        assert sweep.classes[4, 4] == "diverged"
+        assert not dataclasses.replace(sweep, classes=classes).matches_analytic()
 
     def test_boundary_exact_even_on_the_line(self):
         sweep = run_threshold_sweep(np.array([0.5, 0.6]), np.array([0.5, 0.4]))

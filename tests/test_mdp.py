@@ -407,6 +407,9 @@ class TestCheckSimplex:
         (lambda: make_random_mode(0, 2, 2, (1.0, -1.0)), "invalid reward range (1.0, -1.0)"),
         # numpy's uniform raised OverflowError for a width past the largest double
         (lambda: make_random_mode(0, 2, 2, (-1e308, 1e308)), "invalid reward range (-1e+308, 1e+308)"),
+        # text failed in numpy's subtraction, and bools drew rewards from [0, 1)
+        (lambda: make_random_mode(0, 2, 2, ("a", "b")), "reward_range must be a finite number, got 'a'"),
+        (lambda: make_random_mode(0, 2, 2, (False, True)), "reward_range must be a finite number, got False"),
         # numpy refused it as an "expected non-negative integer", naming no argument
         (lambda: make_random_mode(-1, 2, 2), "seed must be >= 0, got -1"),
         # a regime without actions or states built, and its backup failed inside numpy
@@ -416,7 +419,8 @@ class TestCheckSimplex:
          "reward needs S >= 1 and A >= 1, got shape (0, 2)"),
     ],
     ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
-         "overflowing_reward_range", "negative_seed", "no_actions", "no_states"],
+         "overflowing_reward_range", "text_reward_range", "bool_reward_range", "negative_seed",
+         "no_actions", "no_states"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
