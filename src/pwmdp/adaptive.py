@@ -124,9 +124,7 @@ def lambda_w(
     sq_deviation), the last two updated.
     """
     h_max = _whole(h_max, "h_max", _H_MAX)
-    h_bar = _real(h_bar, "h_bar")
-    if not 0.0 <= h_bar <= h_max - 1:
-        raise ValueError(f"h_bar {h_bar} outside [0, {h_max - 1}]")
+    h_bar = _real(h_bar, "h_bar", (lambda v: 0 <= v <= h_max - 1, f"must lie in [0, {h_max - 1}]"))
     if baseline is not None:
         baseline = _real(baseline, "baseline", _UNIT_CLOSED)
     if sq_deviation is not None:
@@ -143,6 +141,4 @@ def lambda_w(
 
 def beta_eff(state: AdaptiveState, lam: float) -> float:
     """Effective LCB coefficient beta_base - lam * c_penalty (never above base); ``lam`` is a number."""
-    if not (_is_real(lam) and 0.0 <= lam < math.inf):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
-    return state.beta_base - lam * state.c_penalty
+    return state.beta_base - _real(lam, "lambda", _NON_NEGATIVE) * state.c_penalty

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..context import ContextLossConfig, context_loss, encode, fit_linear_context, mode_means
-from ..mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _whole
+from ..mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _POSITIVE, _real, _whole
 from .certify import MUTATIONS, report_to_json, run_certification, separable_context_dataset
 from .config import load_config
 from .experiment import run_piecewise
@@ -198,12 +197,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_demo(args) -> int:
     seed = _flag(args, "--seed", _NON_NEGATIVE)
-    if not (math.isfinite(args.lr) and args.lr > 0.0):
-        raise ValueError(f"--lr must be finite and > 0, got {args.lr}")
+    lr = _real(args.lr, "--lr", _POSITIVE)
     steps = _flag(args, "--steps", _NON_NEGATIVE)
     config = ContextLossConfig()
     states, mode_ids = separable_context_dataset(seed)
-    weights = fit_linear_context((states, mode_ids), config, steps=steps, lr=args.lr, seed=seed)
+    weights = fit_linear_context((states, mode_ids), config, steps=steps, lr=lr, seed=seed)
     vectors = encode(weights, states)
     loss = context_loss(vectors, mode_ids, config)
     means = mode_means(vectors, mode_ids)

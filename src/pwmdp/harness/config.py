@@ -31,7 +31,7 @@ import numpy as np
 from ..adaptive import AdaptiveState, SurpriseWeights
 from ..bocd import _SEPARATING, BOCDParams, detection_delay
 from ..mdp import ModeModel, OperatorParams, PiecewiseSchedule, make_random_mode, validate_mode
-from ..mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _UNIT_OPEN, _at_least, _freeze, _real, _whole, _within
+from ..mdp import _AT_LEAST_ONE, _NON_NEGATIVE, _UNIT_OPEN, _at_least, _freeze, _real, _reward_range, _whole, _within
 from ..operators import _MAX_POLISH_STEPS, _NOISE_WIDTH, StatePartition
 
 __all__ = [
@@ -314,18 +314,14 @@ def _resolve(values: dict) -> ExperimentConfig:
             raise ConfigError(f"{need} {entries} doubles, beyond the budget of {MAX_KERNEL_ENTRIES}")
     if not isinstance(values["modes"], list) or not values["modes"]:
         raise ConfigError("modes must be a non-empty list")
-    with _naming("reward_range: "):
-        low, high = values["reward_range"]
     with _naming(""):
-        low, high = _real(low, "reward_range"), _real(high, "reward_range")
-    if not (low <= high and math.isfinite(high - low)):
-        raise ConfigError(f"reward_range must have low <= high and a finite high - low, got {[low, high]}")
+        reward_range = _reward_range(values["reward_range"])
     operator_params = _build("operator", OperatorParams, _section(values, "operator"))
     gamma = operator_params.gamma
     models = []
     for i, spec in enumerate(values["modes"]):
         with _naming(f"modes[{i}]: "):
-            model = _build_mode(spec, i, n_states, n_actions, (low, high))
+            model = _build_mode(spec, i, n_states, n_actions, reward_range)
         # |Q*| <= this bound, in Python floats, where an overflow reads inf
         penalty = operator_params.lambda_epi * float(model.gamma_epi.max()) + operator_params.kappa
         r_abs = float(np.abs(model.reward).max())

@@ -18,10 +18,10 @@ chain runs alongside:
   4. the penalty lambda_w and the LCB coefficient beta_eff are refreshed;
   5. one frozen-belief backup is applied, using the belief and penalty
      snapshots taken before the application: one call of the kernel
-     ``operators._backup`` per iteration, with the point-mass weights of the
-     regime estimate, on the stack of the noisy-ensemble members and the
-     iterate. The members' images plus bounded noise feed the next ensemble
-     spread; the iterate's image serves the TD scale and this step, which
+     ``operators._backup`` per iteration, on the estimated regime alone at
+     weight 1, on the stack of the noisy-ensemble members and the iterate.
+     The members' images plus bounded noise feed the next ensemble spread;
+     the iterate's image serves the TD scale and this step, which
      aggregates it (``_project``, if a partition is set) and adds bounded
      noise (``_noise``). The config, models and partition are validated at
      load and the loop owns its tables, so the kernels run unchecked; the
@@ -219,7 +219,6 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     posterior = np.full((1, h_max), 1.0 / h_max)
     adaptive = config.adaptive_template
 
-    point_masses = np.eye(len(models)).tolist()  # row m: the point-mass weights on regime m
     # the ensemble members, then the iterate q, backed up together each iteration
     stack = np.zeros((config.n_ensemble + 1, config.n_states, config.n_actions))
     q = stack[-1]
@@ -252,7 +251,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
 
         # an overflow in the tables is reported by _finite, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            stack = operators._backup(models, point_masses[est_modes[t]], params, stack)
+            stack = operators._backup((models[est_modes[t]],), (1.0,), params, stack)
             # one stream draws the members' whole (n_ensemble, S, A) noise block
             stack[:-1] = _noise(stack[:-1], config.ensemble_sigma, (seed, _ENSEMBLE_STREAM, t))
             sigma_q = _finite(_spread(stack[:-1]), "sigma_q", t)

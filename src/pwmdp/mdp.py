@@ -100,6 +100,19 @@ def _real(value, name: str, rule: tuple | None = None) -> float:
 _READERS = {"int": _whole, "float": _real}
 
 
+# A reward range is a pair (low, high) of finite numbers whose width is finite too.
+_PAIR = (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 or isinstance(v, np.ndarray) and v.shape == (2,),
+         "must be a pair (low, high)")
+_ORDERED = (lambda v: v[0] <= v[1] and math.isfinite(v[1] - v[0]),
+            "must have low <= high and a finite high - low")
+
+
+def _reward_range(value) -> list:
+    """``value`` read as [low, high]: a ``_PAIR`` of finite numbers within ``_ORDERED``."""
+    ends = [_real(end, "reward_range") for end in _within(value, "reward_range", _PAIR)]
+    return _within(ends, "reward_range", _ORDERED)
+
+
 def _read_fields(obj) -> None:
     """Store each int or float field of the frozen dataclass ``obj`` as its reader returns it.
 
@@ -214,16 +227,12 @@ class PiecewiseSchedule:
     segments: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        segs = tuple((_whole(m, f"segments[{i}] mode"), _whole(d, f"segments[{i}] dwell"))
+        segs = tuple((_whole(m, f"segments[{i}] mode", _NON_NEGATIVE),
+                      _whole(d, f"segments[{i}] dwell", _AT_LEAST_ONE))
                      for i, (m, d) in enumerate(self.segments))
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("schedule needs at least one segment")
-        for m, d in segs:
-            if m < 0:
-                raise ValueError(f"mode index must be >= 0, got {m}")
-            if d < 1:
-                raise ValueError(f"dwell must be >= 1, got {d}")
 
     @cached_property
     def bounds(self) -> tuple:
@@ -288,15 +297,12 @@ def make_random_mode(
     Kernel rows are simplex-uniform (flat Dirichlet) and renormalized
     exactly so row sums hold to machine precision.
     """
-    n_states, n_actions = _whole(n_states, "n_states"), _whole(n_actions, "n_actions")
-    if n_states < 1 or n_actions < 1:
-        raise ValueError("need n_states >= 1 and n_actions >= 1")
-    lo, hi = (_real(end, "reward_range") for end in reward_range)
-    if not (lo <= hi and math.isfinite(hi - lo)):
-        raise ValueError(f"invalid reward range {reward_range}")
+    n_states = _whole(n_states, "n_states", _AT_LEAST_ONE)
+    n_actions = _whole(n_actions, "n_actions", _AT_LEAST_ONE)
+    reward_range = _reward_range(reward_range)
     rng = np.random.default_rng(_whole(seed, "seed", _NON_NEGATIVE))
     # fresh draws, frozen where they lie, so ModeModel keeps them
-    return ModeModel(*map(_freeze, _draw_mode_tables(rng, (), n_states, n_actions, (lo, hi))))
+    return ModeModel(*map(_freeze, _draw_mode_tables(rng, (), n_states, n_actions, reward_range)))
 
 
 def _draw_mode_tables(

@@ -100,15 +100,14 @@ class StatePartition:
 
     def __post_init__(self):
         _read_fields(self)
-        blocks = tuple(tuple(_whole(s, f"blocks[{i}] state") for s in b) for i, b in enumerate(self.blocks))
+        state = (lambda v: 0 <= v < self.n_states, f"must lie in 0..{self.n_states - 1}")
+        blocks = tuple(tuple(_whole(s, f"blocks[{i}] state", state) for s in b) for i, b in enumerate(self.blocks))
         object.__setattr__(self, "blocks", blocks)
         seen: set[int] = set()
         for b in blocks:
             if not b:
                 raise ValueError("empty block in partition")
             for s in b:
-                if not 0 <= s < self.n_states:
-                    raise ValueError(f"state {s} outside 0..{self.n_states - 1}")
                 if s in seen:
                     raise ValueError(f"state {s} appears in more than one block")
                 seen.add(s)
@@ -302,9 +301,7 @@ def apply_coupled_operator(
     that factor inline from their own arguments. It takes one plain regime
     and two finite numbers; the instance axes are ``_coupled``'s.
     """
-    sensitivity, gap = _real(sensitivity, "sensitivity"), _real(gap, "gap")
-    if sensitivity < 0.0 or gap < 0.0:
-        raise ValueError(f"sensitivity and gap must be finite and >= 0, got {sensitivity} and {gap}")
+    sensitivity, gap = _real(sensitivity, "sensitivity", _NON_NEGATIVE), _real(gap, "gap", _NON_NEGATIVE)
     return _coupled(model, params, sensitivity, gap, _tables(q, (model,)))
 
 
@@ -417,9 +414,7 @@ def estimate_lipschitz(
     then the array (...) of one factor per map.
     """
     n_pairs, seed = _whole(n_pairs, "n_pairs", _AT_LEAST_ONE), _whole(seed, "seed", _NON_NEGATIVE)
-    s, a = dims = tuple(_whole(d, f"dims[{i}]") for i, d in enumerate(dims))
-    if s < 1 or a < 1:
-        raise ValueError(f"dims must be >= 1 on each side, got {dims}")
+    s, a = (_whole(d, f"dims[{i}]", _AT_LEAST_ONE) for i, d in enumerate(dims))
     lo, hi = LIPSCHITZ_VALUE_RANGE
     tables = []
     for i in range(n_pairs):

@@ -198,8 +198,12 @@ class TestBetaEff:
 
     def test_rejects_negative_lambda(self):
         # NaN and inf returned NaN (inf at c_penalty 0), which is not "never above base"
-        for lam in (-0.1, np.nan, np.inf):
-            with pytest.raises(ValueError, match=f"^lambda must be finite and >= 0, got {lam}$"):
+        for lam, message in (
+            (-0.1, "lambda must be >= 0, got -0.1"),
+            (np.nan, "lambda must be a finite number, got nan"),
+            (np.inf, "lambda must be a finite number, got inf"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 beta_eff(AdaptiveState(c_penalty=0.0), lam)
 
 
@@ -280,8 +284,8 @@ class TestClosedLoop:
         (lambda: AdaptiveState(c_penalty=-0.5), "c_penalty must be >= 0, got -0.5"),
         (lambda: surprise(0.0, 0.0, -1.0, WEIGHTS), "kappa_div must be >= 0, got -1.0"),
         # a bool penalty returned beta_base - c_penalty, and text raised a TypeError
-        (lambda: beta_eff(AdaptiveState(), True), "lambda must be finite and >= 0, got True"),
-        (lambda: beta_eff(AdaptiveState(), "a"), "lambda must be finite and >= 0, got 'a'"),
+        (lambda: beta_eff(AdaptiveState(), True), "lambda must be a finite number, got True"),
+        (lambda: beta_eff(AdaptiveState(), "a"), "lambda must be a finite number, got 'a'"),
         # text raised a TypeError, a bool fused as 1.0, and a NaN named no reading
         (lambda: surprise("a", 1.0, 1.0, WEIGHTS), "reward_z must be a finite number, got 'a'"),
         (lambda: surprise(0.0, True, 0.0, WEIGHTS), "q_std_ratio must be a finite number, got True"),
@@ -296,10 +300,12 @@ class TestClosedLoop:
         (lambda: lambda_w("a", 20, None, None, 0.5), "h_bar must be a finite number, got 'a'"),
         (lambda: lambda_w(1.0, 20, True, None, 0.5), "baseline must be a finite number, got True"),
         (lambda: lambda_w(1.0, 20, 0.5, "a", 0.5), "sq_deviation must be a finite number, got 'a'"),
+        (lambda: lambda_w(20.0, 20, None, None, 0.5), "h_bar must lie in [0, 19], got 20.0"),
+        (lambda: lambda_w(-0.5, 20, None, None, 0.5), "h_bar must lie in [0, 19], got -0.5"),
     ],
     ids=["negative_c_penalty", "negative_kappa_div", "bool_lambda", "text_lambda", "text_reward_z",
          "bool_q_std_ratio", "nan_kappa_div", "bool_rate", "text_rate", "bool_prev", "bool_x", "bool_h_bar",
-         "text_h_bar", "bool_baseline", "text_sq_deviation"],
+         "text_h_bar", "bool_baseline", "text_sq_deviation", "long_h_bar", "negative_h_bar"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -756,12 +756,20 @@ class TestDemoCommand:
         assert "Traceback" not in result.stderr
 
 
-    @pytest.mark.parametrize("lr", ["inf", "nan", "-1", "0"])
-    def test_lr_must_be_finite_and_positive(self, lr, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "lr, message",
+        [
+            ("inf", "--lr must be a finite number, got inf"),
+            ("nan", "--lr must be a finite number, got nan"),
+            ("-1", "--lr must be > 0, got -1.0"),
+            ("0", "--lr must be > 0, got 0.0"),
+        ],
+        ids=["inf", "nan", "-1", "0"],
+    )
+    def test_lr_must_be_finite_and_positive(self, lr, message, tmp_path, capsys):
         # inf and nan ended in a traceback; -1 climbed the loss and exited 0
         assert main(["rmdm-demo", "--lr", lr, "--out", str(tmp_path / "d")]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("config error: --lr must be finite and > 0, got ")
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
     def test_overflowing_embeddings_keep_their_norm(self, tmp_path, capsys):
         # the first step reaches weights ~3e201: their embeddings' norms overflowed,

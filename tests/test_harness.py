@@ -217,7 +217,8 @@ class TestConfig:
             ({"surprise": {"w_r": -1.0}}, "surprise.w_r must be >= 0"),
             ({"schedule": 5}, "schedule: "),
             ({"schedule": [[0]]}, "schedule: "),
-            ({"reward_range": [1]}, "reward_range: "),
+            ({"schedule": [[0, 3], [1, 0]]}, "schedule: segments[1] dwell must be >= 1, got 0"),
+            ({"reward_range": [1]}, "reward_range must be a pair (low, high), got [1]"),
             ({"modes": [{"seed": 1}, {"seed": -1}]}, "modes[1].seed must be >= 0, got -1"),
             ({"partition": [[0, 9]]}, "partition: "),
             # the fixed-point polish would need ~1e9 backups at this gamma
@@ -234,7 +235,7 @@ class TestConfig:
              "schedule references mode 2 but only 2 modes are defined"),
         ],
         ids=["adaptive", "operator", "bocd", "surprise", "scalar_schedule", "short_segment",
-             "short_reward_range", "negative_mode_seed", "partition", "polish_budget",
+             "zero_dwell", "short_reward_range", "negative_mode_seed", "partition", "polish_budget",
              "posterior_h_max", "ensemble_budget", "rollout_budget", "schedule_mode"],
     )
     def test_range_error_names_its_config_field(self, raw, lead):

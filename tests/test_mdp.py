@@ -275,7 +275,7 @@ class TestPiecewiseSchedule:
             PiecewiseSchedule(((0, 0),))
 
     def test_rejects_negative_mode(self):
-        with pytest.raises(ValueError, match="mode index"):
+        with pytest.raises(ValueError, match=r"^segments\[0\] mode must be >= 0, got -1$"):
             PiecewiseSchedule(((-1, 5),))
 
 
@@ -404,14 +404,24 @@ class TestCheckSimplex:
          "kernel shape (2, 1, 3) does not match reward shape (2, 1, 2)"),
         (lambda: ModeModel(np.zeros((2, 1)), np.zeros((2, 1, 2)), np.zeros(2)),
          "gamma_epi shape (2,) does not match reward shape (2, 1)"),
-        (lambda: make_random_mode(0, 2, 2, (1.0, -1.0)), "invalid reward range (1.0, -1.0)"),
+        (lambda: make_random_mode(0, 2, 2, (1.0, -1.0)),
+         "reward_range must have low <= high and a finite high - low, got [1.0, -1.0]"),
         # numpy's uniform raised OverflowError for a width past the largest double
-        (lambda: make_random_mode(0, 2, 2, (-1e308, 1e308)), "invalid reward range (-1e+308, 1e+308)"),
+        (lambda: make_random_mode(0, 2, 2, (-1e308, 1e308)),
+         "reward_range must have low <= high and a finite high - low, got [-1e+308, 1e+308]"),
+        # a number raised a TypeError, and one or three ends a bare unpacking ValueError
+        (lambda: make_random_mode(0, 2, 2, 1.0), "reward_range must be a pair (low, high), got 1.0"),
+        (lambda: make_random_mode(0, 2, 2, (1.0,)), "reward_range must be a pair (low, high), got (1.0,)"),
+        (lambda: make_random_mode(0, 2, 2, (0.0, 1.0, 2.0)),
+         "reward_range must be a pair (low, high), got (0.0, 1.0, 2.0)"),
         # text failed in numpy's subtraction, and bools drew rewards from [0, 1)
         (lambda: make_random_mode(0, 2, 2, ("a", "b")), "reward_range must be a finite number, got 'a'"),
         (lambda: make_random_mode(0, 2, 2, (False, True)), "reward_range must be a finite number, got False"),
         # numpy refused it as an "expected non-negative integer", naming no argument
         (lambda: make_random_mode(-1, 2, 2), "seed must be >= 0, got -1"),
+        (lambda: make_random_mode(0, 0, 2), "n_states must be >= 1, got 0"),
+        (lambda: make_random_mode(0, 2, 0), "n_actions must be >= 1, got 0"),
+        (lambda: PiecewiseSchedule(((0, 3), (1, 0))), "segments[1] dwell must be >= 1, got 0"),
         # a regime without actions or states built, and its backup failed inside numpy
         (lambda: ModeModel(np.zeros((2, 0)), np.zeros((2, 0, 2)), np.zeros((2, 0))),
          "reward needs S >= 1 and A >= 1, got shape (2, 0)"),
@@ -419,8 +429,9 @@ class TestCheckSimplex:
          "reward needs S >= 1 and A >= 1, got shape (0, 2)"),
     ],
     ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
-         "overflowing_reward_range", "text_reward_range", "bool_reward_range", "negative_seed",
-         "no_actions", "no_states"],
+         "overflowing_reward_range", "scalar_reward_range", "one_end_reward_range",
+         "three_end_reward_range", "text_reward_range", "bool_reward_range", "negative_seed",
+         "no_random_states", "no_random_actions", "zero_dwell", "no_actions", "no_states"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

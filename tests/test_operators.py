@@ -251,8 +251,8 @@ class TestCoupledOperator:
     def test_negative_gap_rejected(self):
         model, params, q = single_state_model(), OperatorParams(gamma=0.9), np.zeros((1, 1))
         for sensitivity, gap, message in (
-            (0.1, -1.0, "sensitivity and gap must be finite and >= 0, got 0.1 and -1.0"),
-            (-0.1, 1.0, "sensitivity and gap must be finite and >= 0, got -0.1 and 1.0"),
+            (0.1, -1.0, "gap must be >= 0, got -1.0"),
+            (-0.1, 1.0, "sensitivity must be >= 0, got -0.1"),
             (np.inf, 1.0, "sensitivity must be a finite number, got inf"),
             (np.nan, 1.0, "sensitivity must be a finite number, got nan"),
             (0.1, np.inf, "gap must be a finite number, got inf"),
@@ -748,7 +748,7 @@ class TestProject:
             StatePartition(3, ((0, 1),))
         with pytest.raises(ValueError, match="more than one"):
             StatePartition(3, ((0, 1), (1, 2)))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^blocks\[0\] state must lie in 0\.\.2, got 3$"):
             StatePartition(3, ((0, 1, 2, 3),))
 
     def test_projected_operator_still_contracts(self):
@@ -894,8 +894,8 @@ PARAMS = OperatorParams(gamma=0.9)
         (lambda: mixture_backup((), np.zeros(0), PARAMS, np.zeros((2, 2))),
          "need at least one model"),
         (lambda: estimate_lipschitz(lambda q: q, (2, 2), 0, seed=0), "n_pairs must be >= 1, got 0"),
-        (lambda: estimate_lipschitz(lambda q: q, (0, 3), 4, seed=0),
-         "dims must be >= 1 on each side, got (0, 3)"),
+        (lambda: estimate_lipschitz(lambda q: q, (0, 3), 4, seed=0), "dims[0] must be >= 1, got 0"),
+        (lambda: estimate_lipschitz(lambda q: q, (3, 0), 4, seed=0), "dims[1] must be >= 1, got 0"),
         (lambda: regime_perturbation(MODEL, make_random_mode(0, 3, 2), PARAMS),
          "regime models must share dimensions"),
         (lambda: project(np.zeros((3, 2)), StatePartition(2, ((0,), (1,)))),
@@ -936,7 +936,8 @@ PARAMS = OperatorParams(gamma=0.9)
         (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), max_iter=-1), "max_iter must be >= 1, got -1"),
     ],
     ids=[
-        "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "regime_dimensions",
+        "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "no_actions_dims",
+        "regime_dimensions",
         "partition_size", "belief_size", "nan_tol", "nan_exact_tol", "column_weights", "nan_weight",
         "stacked_shared_q", "negative_lipschitz_seed", "bool_sigma", "text_sigma", "nan_sigma",
         "floor_gamma_one", "floor_gamma_above_one", "negative_eps_proj", "negative_floor_sigma",
