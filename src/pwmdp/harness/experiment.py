@@ -156,14 +156,6 @@ def _greedy_rollout(model, q: np.ndarray, length: int, rng, cdf_rows: dict) -> n
     return model.reward[path, greedy[path]]
 
 
-def _mean_var(x: np.ndarray) -> tuple[float, float]:
-    """``np.mean(x)`` and ``np.var(x)``, bit for bit, from one sum of the 1-D ``x``."""
-    n = x.size
-    mean = x.sum() / n
-    d = x - mean
-    return float(mean), float((d * d).sum() / n)
-
-
 def _spread(members: np.ndarray) -> float:
     """Mean over (s, a) of the members' standard deviation, finite when they all are.
 
@@ -200,7 +192,9 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
     q_stars = [fp.q_star for fp in fixed_points]
     partition = config.partition
     eps_proj = [0.0 if partition is None else projection_error(q, partition) for q in q_stars]
-    floors = [error_floor(e, config.noise_sigma, params.gamma) for e in eps_proj]
+    # each regime's steady-label threshold, from its error floor
+    steady_thresholds = [max(error_floor(e, config.noise_sigma, params.gamma) * STEADY_MARGIN, STEADY_ABS)
+                         for e in eps_proj]
 
     # the schedule read once per run: the true regime, the detector's view of
     # it (lagging each switch by n_delta) and the detection windows, each the
@@ -240,7 +234,7 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
         # --- surprise channels (all measured before the backup) ---
         roll_rng = np.random.default_rng((seed, _ROLLOUT_STREAM, t))
         rewards = _greedy_rollout(models[true_mode], q, config.rollout_len, roll_rng, cdf_rows)
-        batch_mean, batch_var = _mean_var(rewards)
+        batch_mean, batch_var = float(rewards.mean()), float(rewards.var())
         if reward_mean is None:
             reward_z = 0.0
         else:
@@ -286,25 +280,12 @@ def run_piecewise(config: ExperimentConfig) -> ExperimentTrace:
                 q = _noise(step, config.noise_sigma, (seed, _NOISE_STREAM, t))
             err = _finite(float(np.abs(q - q_stars[true_mode]).max()), "err", t)
         stack[-1] = q  # the next iteration backs up this ensemble and iterate
-        steady_threshold = max(floors[true_mode] * STEADY_MARGIN, STEADY_ABS)
         if in_detection[t]:
             phase = "detection"
-        elif err <= steady_threshold:
+        elif err <= steady_thresholds[true_mode]:
             phase = "steady"
         else:
             phase = "contraction"
 
-        rows.append(
-            TraceRow(
-                iter=t,
-                true_mode=true_mode,
-                xi=float(xi),
-                h_bar=float(h_bar),
-                entropy=float(entropy),
-                lambda_w=float(lam),
-                beta_eff=float(beta),
-                err=float(err),
-                phase=phase,
-            )
-        )
+        rows.append(TraceRow(t, true_mode, xi, h_bar, entropy, lam, beta, err, phase))
     return ExperimentTrace(tuple(rows))

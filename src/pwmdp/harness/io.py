@@ -22,8 +22,6 @@ __all__ = [
     "emit_trace",
     "read_trace",
     "trace_to_csv_text",
-    "parse_trace_csv_text",
-    "parse_trace_json_text",
 ]
 
 
@@ -88,20 +86,6 @@ def _row(index: int, fields, from_text: bool) -> TraceRow:
         raise ValueError(f"trace row {index}: {exc}") from None
 
 
-def parse_trace_csv_text(text: str) -> ExperimentTrace:
-    reader = csv.DictReader(text.splitlines())
-    if reader.fieldnames != list(TRACE_FIELDS):
-        raise ValueError(f"unexpected CSV header {reader.fieldnames}, expected {list(TRACE_FIELDS)}")
-    return ExperimentTrace(tuple(_row(i, r, True) for i, r in enumerate(reader)))
-
-
-def parse_trace_json_text(text: str) -> ExperimentTrace:
-    payload = json.loads(text)
-    if not isinstance(payload, list):
-        raise ValueError("trace JSON must be an array of row objects")
-    return ExperimentTrace(tuple(_row(i, r, False) for i, r in enumerate(payload)))
-
-
 def emit_trace(trace: ExperimentTrace, path) -> Path:
     """Write a trace to ``path``, as JSON if its suffix is ``.json``, else as CSV;
     returns the path. I/O failures raise OSError annotated with the offending path.
@@ -110,12 +94,18 @@ def emit_trace(trace: ExperimentTrace, path) -> Path:
 
 
 def read_trace(path) -> ExperimentTrace:
-    """Read a trace back from a .csv or .json file."""
+    """The one trace reader: a trace from ``path``, as JSON if its suffix is ``.json``, else as CSV."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read trace from {path}: {exc}") from exc
     if path.suffix == ".json":
-        return parse_trace_json_text(text)
-    return parse_trace_csv_text(text)
+        rows = json.loads(text)
+        if not isinstance(rows, list):
+            raise ValueError("trace JSON must be an array of row objects")
+    else:
+        rows = csv.DictReader(text.splitlines())
+        if rows.fieldnames != list(TRACE_FIELDS):
+            raise ValueError(f"unexpected CSV header {rows.fieldnames}, expected {list(TRACE_FIELDS)}")
+    return ExperimentTrace(tuple(_row(i, r, path.suffix != ".json") for i, r in enumerate(rows)))

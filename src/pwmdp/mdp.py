@@ -100,16 +100,32 @@ def _real(value, name: str, rule: tuple | None = None) -> float:
 _READERS = {"int": _whole, "float": _real}
 
 
+def _is_pair(v) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == 2 or isinstance(v, np.ndarray) and v.shape == (2,)
+
+
+def _pair(value, name: str, ends: str):
+    """``value`` if it is a tuple or list of two or an array of shape (2,), else a
+    ValueError naming ``name`` and its ``ends``, as in "(low, high)": every pair's reader."""
+    return _within(value, name, (_is_pair, f"must be a pair {ends}"))
+
+
+def _items(value, name: str, what: str) -> tuple:
+    """The items of ``value``, or a ValueError naming ``name`` if it is no sequence of ``what``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {what}, got {value!r}") from None
+
+
 # A reward range is a pair (low, high) of finite numbers whose width is finite too.
-_PAIR = (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 or isinstance(v, np.ndarray) and v.shape == (2,),
-         "must be a pair (low, high)")
 _ORDERED = (lambda v: v[0] <= v[1] and math.isfinite(v[1] - v[0]),
             "must have low <= high and a finite high - low")
 
 
 def _reward_range(value) -> list:
-    """``value`` read as [low, high]: a ``_PAIR`` of finite numbers within ``_ORDERED``."""
-    ends = [_real(end, "reward_range") for end in _within(value, "reward_range", _PAIR)]
+    """``value`` read as [low, high]: a :func:`_pair` of finite numbers within ``_ORDERED``."""
+    ends = [_real(end, "reward_range") for end in _pair(value, "reward_range", "(low, high)")]
     return _within(ends, "reward_range", _ORDERED)
 
 
@@ -227,9 +243,11 @@ class PiecewiseSchedule:
     segments: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        pairs = (_pair(seg, f"segments[{i}]", "(mode, dwell)")
+                 for i, seg in enumerate(_items(self.segments, "segments", "(mode, dwell) pairs")))
         segs = tuple((_whole(m, f"segments[{i}] mode", _NON_NEGATIVE),
                       _whole(d, f"segments[{i}] dwell", _AT_LEAST_ONE))
-                     for i, (m, d) in enumerate(self.segments))
+                     for i, (m, d) in enumerate(pairs))
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("schedule needs at least one segment")

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .mdp import ModeModel, OperatorParams, check_simplex, sup_dist
-from .mdp import _AT_LEAST_ONE, _DISCOUNT, _NON_NEGATIVE, _POSITIVE, _read_fields, _real, _whole
+from .mdp import _AT_LEAST_ONE, _DISCOUNT, _NON_NEGATIVE, _POSITIVE, _items, _pair, _read_fields, _real, _whole
 
 __all__ = [
     "StatePartition",
@@ -101,7 +101,8 @@ class StatePartition:
     def __post_init__(self):
         _read_fields(self)
         state = (lambda v: 0 <= v < self.n_states, f"must lie in 0..{self.n_states - 1}")
-        blocks = tuple(tuple(_whole(s, f"blocks[{i}] state", state) for s in b) for i, b in enumerate(self.blocks))
+        blocks = tuple(tuple(_whole(s, f"blocks[{i}] state", state) for s in _items(b, f"blocks[{i}]", "states"))
+                       for i, b in enumerate(_items(self.blocks, "blocks", "blocks of states")))
         object.__setattr__(self, "blocks", blocks)
         seen: set[int] = set()
         for b in blocks:
@@ -414,7 +415,7 @@ def estimate_lipschitz(
     then the array (...) of one factor per map.
     """
     n_pairs, seed = _whole(n_pairs, "n_pairs", _AT_LEAST_ONE), _whole(seed, "seed", _NON_NEGATIVE)
-    s, a = (_whole(d, f"dims[{i}]", _AT_LEAST_ONE) for i, d in enumerate(dims))
+    s, a = (_whole(d, f"dims[{i}]", _AT_LEAST_ONE) for i, d in enumerate(_pair(dims, "dims", "(n_states, n_actions)")))
     lo, hi = LIPSCHITZ_VALUE_RANGE
     tables = []
     for i in range(n_pairs):

@@ -29,8 +29,8 @@ from pwmdp.harness import (
     write_table,
 )
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
-from pwmdp.harness.experiment import _greedy_rollout, _mean_var, _spread
-from pwmdp.harness.io import csv_text, parse_trace_csv_text, parse_trace_json_text, trace_to_csv_text
+from pwmdp.harness.experiment import _greedy_rollout, _spread
+from pwmdp.harness.io import csv_text, trace_to_csv_text
 from pwmdp.harness.sweeps import SWEEP_R_LOW, _classify, empirical_detection_delay
 
 
@@ -221,6 +221,8 @@ class TestConfig:
             ({"reward_range": [1]}, "reward_range must be a pair (low, high), got [1]"),
             ({"modes": [{"seed": 1}, {"seed": -1}]}, "modes[1].seed must be >= 0, got -1"),
             ({"partition": [[0, 9]]}, "partition: "),
+            # a state where a block belongs raised Python's own TypeError after the prefix
+            ({"partition": [0, 1]}, "partition: blocks[0] must be a sequence of states, got 0"),
             # the fixed-point polish would need ~1e9 backups at this gamma
             ({"operator": {"gamma": 0.999999999}},
              "operator.gamma must satisfy 1 / (1 - gamma) <= 1000000, got 0.999999999"),
@@ -235,8 +237,8 @@ class TestConfig:
              "schedule references mode 2 but only 2 modes are defined"),
         ],
         ids=["adaptive", "operator", "bocd", "surprise", "scalar_schedule", "short_segment",
-             "zero_dwell", "short_reward_range", "negative_mode_seed", "partition", "polish_budget",
-             "posterior_h_max", "ensemble_budget", "rollout_budget", "schedule_mode"],
+             "zero_dwell", "short_reward_range", "negative_mode_seed", "partition", "state_as_block",
+             "polish_budget", "posterior_h_max", "ensemble_budget", "rollout_budget", "schedule_mode"],
     )
     def test_range_error_names_its_config_field(self, raw, lead):
         with pytest.raises(ConfigError) as info:
@@ -538,18 +540,6 @@ def test_spread_equals_numpys_std_mean_bit_for_bit():
             assert math.isfinite(got) and got == expected
 
 
-def test_rollout_mean_and_variance_equal_numpys_bit_for_bit():
-    # run_piecewise takes both rollout statistics from one sum
-    rng = np.random.default_rng(41)
-    for n in range(1, 65):
-        for magnitude in (1e-300, 1e-3, 1.0, 1e3, 1e150, 1e300):
-            x = rng.uniform(-1.0, 1.0, n) * magnitude + rng.uniform(-0.5, 0.5) * magnitude
-            with np.errstate(over="ignore"):  # squares past 1e154 overflow in both
-                mean, var = _mean_var(x)
-                assert mean == float(np.mean(x)) and var == float(np.var(x))
-            assert type(mean) is float and type(var) is float
-
-
 # well-formed trace rows 0 and 1, as JSON values
 TRACE_ROW_0 = {"iter": 0, "true_mode": 0, "xi": 0.5, "h_bar": 1.0, "entropy": 1.0,
                "lambda_w": 0.0, "beta_eff": 1.0, "err": 0.1, "phase": "steady"}
@@ -572,15 +562,16 @@ class TestTraceIO:
         text = trace_to_csv_text(ExperimentTrace(rows))
         assert len(text.strip().split("\n")) == 4
 
-    def test_csv_round_trip_exact(self):
+    def test_csv_round_trip_exact(self, tmp_path):
         trace = self.build_trace()
-        parsed = parse_trace_csv_text(trace_to_csv_text(trace))
-        assert parsed.rows == trace.rows
+        path = tmp_path / "trace.csv"
+        path.write_text(trace_to_csv_text(trace))
+        assert read_trace(path).rows == trace.rows
 
     def test_json_round_trip_exact(self, tmp_path):
         trace = self.build_trace()
         path = emit_trace(trace, tmp_path / "trace.json")
-        assert parse_trace_json_text(path.read_text()).rows == trace.rows
+        assert read_trace(path).rows == trace.rows
 
     def test_cross_format_round_trip(self, tmp_path):
         trace = self.build_trace()
@@ -614,13 +605,17 @@ class TestTraceIO:
         with pytest.raises(OSError, match="cannot write"):
             emit_trace(trace, tmp_path / "missing_dir" / "trace.csv")
 
-    def test_csv_with_other_header_rejected(self):
+    def test_csv_with_other_header_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,mode\n0,0\n")
         with pytest.raises(ValueError, match=r"unexpected CSV header \['iter', 'mode'\]"):
-            parse_trace_csv_text("iter,mode\n0,0\n")
+            read_trace(path)
 
-    def test_json_that_is_not_an_array_rejected(self):
+    def test_json_that_is_not_an_array_rejected(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text('{"iter": 0}')
         with pytest.raises(ValueError, match="must be an array of row objects"):
-            parse_trace_json_text('{"iter": 0}')
+            read_trace(path)
 
     def test_read_missing_file_raises_oserror_naming_path(self, tmp_path):
         path = tmp_path / "absent.csv"

@@ -422,6 +422,10 @@ class TestCheckSimplex:
         (lambda: make_random_mode(0, 0, 2), "n_states must be >= 1, got 0"),
         (lambda: make_random_mode(0, 2, 0), "n_actions must be >= 1, got 0"),
         (lambda: PiecewiseSchedule(((0, 3), (1, 0))), "segments[1] dwell must be >= 1, got 0"),
+        # a short segment ended in a bare unpacking ValueError, and a number in a TypeError
+        (lambda: PiecewiseSchedule(((0,),)), "segments[0] must be a pair (mode, dwell), got (0,)"),
+        (lambda: PiecewiseSchedule((0, 1)), "segments[0] must be a pair (mode, dwell), got 0"),
+        (lambda: PiecewiseSchedule(5), "segments must be a sequence of (mode, dwell) pairs, got 5"),
         # a regime without actions or states built, and its backup failed inside numpy
         (lambda: ModeModel(np.zeros((2, 0)), np.zeros((2, 0, 2)), np.zeros((2, 0))),
          "reward needs S >= 1 and A >= 1, got shape (2, 0)"),
@@ -431,7 +435,8 @@ class TestCheckSimplex:
     ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
          "overflowing_reward_range", "scalar_reward_range", "one_end_reward_range",
          "three_end_reward_range", "text_reward_range", "bool_reward_range", "negative_seed",
-         "no_random_states", "no_random_actions", "zero_dwell", "no_actions", "no_states"],
+         "no_random_states", "no_random_actions", "zero_dwell", "short_segment", "scalar_segment",
+         "scalar_segments", "no_actions", "no_states"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -934,6 +934,13 @@ PARAMS = OperatorParams(gamma=0.9)
         # no backup ran: max_iter -1 returned iterations=-1, and 0 an unconverged result
         (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), max_iter=0), "max_iter must be >= 1, got 0"),
         (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), max_iter=-1), "max_iter must be >= 1, got -1"),
+        # one side ended in a bare unpacking ValueError, and a number in a TypeError
+        (lambda: estimate_lipschitz(lambda q: q, (2,), 2, seed=0),
+         "dims must be a pair (n_states, n_actions), got (2,)"),
+        (lambda: estimate_lipschitz(lambda q: q, 3, 2, seed=0), "dims must be a pair (n_states, n_actions), got 3"),
+        # a state where a block belongs, or a number for the blocks, raised a TypeError
+        (lambda: StatePartition(2, (0, 1)), "blocks[0] must be a sequence of states, got 0"),
+        (lambda: StatePartition(2, 5), "blocks must be a sequence of blocks of states, got 5"),
     ],
     ids=[
         "empty_block", "one_dimensional_q", "no_models", "no_pairs", "empty_dims", "no_actions_dims",
@@ -942,7 +949,7 @@ PARAMS = OperatorParams(gamma=0.9)
         "stacked_shared_q", "negative_lipschitz_seed", "bool_sigma", "text_sigma", "nan_sigma",
         "floor_gamma_one", "floor_gamma_above_one", "negative_eps_proj", "negative_floor_sigma",
         "text_eps_proj", "empty_partition", "negative_partition_size", "zero_max_iter",
-        "negative_max_iter",
+        "negative_max_iter", "one_sided_dims", "scalar_dims", "state_as_block", "scalar_blocks",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
