@@ -69,7 +69,8 @@ class AdaptiveState:
     baseline_ema_rate is the retention of :func:`lambda_w`'s baseline and
     spread, in (0, 1); surprise_ema_rate is the retention at which
     ``run_piecewise`` smooths the fused surprise, in [0, 1), where 0 leaves
-    it unsmoothed.
+    it unsmoothed. :func:`lambda_w` lies in [0, 1], so ``beta_base -
+    c_penalty``, the lowest ``beta_eff`` it can give, must be finite.
     """
 
     beta_base: float = -2.0
@@ -78,7 +79,12 @@ class AdaptiveState:
     surprise_ema_rate: float = 0.3
 
     _RULES = {"c_penalty": _NON_NEGATIVE, "baseline_ema_rate": _UNIT_OPEN, "surprise_ema_rate": _RETENTION}
-    __post_init__ = _read_fields
+
+    def __post_init__(self):
+        _read_fields(self)
+        lowest = self.beta_base - self.c_penalty
+        if not math.isfinite(lowest):
+            raise ValueError(f"c_penalty must keep beta_base - c_penalty finite, got {lowest}")
 
 
 def surprise(reward_z: float, q_std_ratio: float, kappa_div: float, weights: SurpriseWeights) -> float:

@@ -168,10 +168,24 @@ def encode(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Linear embeddings of ``states``, each soft-normalized as raw / (||raw|| + EMBEDDING_EPS).
 
     ``weights`` is one (d_e, d_s) map or a (K, d_e, d_s) stack of maps, which
-    gives a (K, n, d_e) stack of embedding sets. Past |raw| ~ 1e154 the
-    squares overflow: a row whose norm is not finite is scaled by its
+    gives a (K, n, d_e) stack of embedding sets. ``states`` must be a finite
+    (n, d_s) number array and ``weights`` a number array with that d_s; the
+    weights may be non-finite, which the losses report. Past |raw| ~ 1e154
+    the squares overflow: a row whose norm is not finite is scaled by its
     largest magnitude first (if that is finite), so it still has unit norm.
     """
+    states, weights = np.asarray(states), np.asarray(weights)
+    if states.dtype.kind not in "iuf" or states.ndim != 2:
+        raise ValueError(
+            f"states must be an (n, d_s) number array, got shape {states.shape} of dtype {states.dtype}"
+        )
+    if not np.isfinite(states).all():
+        raise ValueError("states contain non-finite entries")
+    if weights.dtype.kind not in "iuf" or weights.ndim not in (2, 3) or weights.shape[-1] != states.shape[1]:
+        raise ValueError(
+            f"weights must be a (d_e, d_s) or (K, d_e, d_s) number array with d_s = {states.shape[1]}, "
+            f"got shape {weights.shape} of dtype {weights.dtype}"
+        )
     raw = states @ np.swapaxes(weights, -1, -2)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(raw, axis=-1, keepdims=True)

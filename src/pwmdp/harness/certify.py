@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -341,16 +341,10 @@ def suite_detection_delay_table(seed: int, mutation: str | None = None) -> Suite
     rows = run_delay_table()
     max_violation = max(abs(row["n_delta"] - expected[row["scenario"]]) for row in rows)
     empirical_ok = all(abs(row["empirical_delay"] - row["n_ceil"]) <= 1 for row in rows)
-    minimal_ok = True
-    tested = len(rows)
-    for lr in (1.2, 2.0, 5.0):
-        for r0 in (1.0, 10.0):
-            for delta in (0.05, 0.01):
-                if empirical_detection_delay(lr, r0, delta) != math.ceil(detection_delay(lr, r0, delta)):
-                    minimal_ok = False
-                tested += 1
+    grid = list(product((1.2, 2.0, 5.0), (1.0, 10.0), (0.05, 0.01)))
+    minimal_ok = all(empirical_detection_delay(*row) == math.ceil(detection_delay(*row)) for row in grid)
     max_violation = _gated(max_violation, empirical_ok, minimal_ok)
-    return SuiteResult("detection_delay_table", tested, max_violation, tol)
+    return SuiteResult("detection_delay_table", len(rows) + len(grid), max_violation, tol)
 
 
 # --- suite 5: belief updates preserve the simplex and match a dense reference ---
@@ -429,34 +423,22 @@ def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteR
 
 def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteResult:
     tol = 0.0
-    lams = np.linspace(0.0, 5.0, 100)
-    cs = np.linspace(0.0, 5.0, 100)
-    max_violation = 0.0
-    tested = 0
-    for c in cs:
-        state = AdaptiveState(beta_base=-2.0, c_penalty=float(c))
-        prev = None
-        for lam in lams:
-            b = beta_eff(state, float(lam))
-            max_violation = max(max_violation, b - state.beta_base)
-            if prev is not None:
-                max_violation = max(max_violation, b - prev)
-            prev = b
-            tested += 1
+    beta_base = -2.0
+    lams = np.linspace(0.0, 5.0, 100).tolist()
+    states = [AdaptiveState(beta_base=beta_base, c_penalty=c) for c in np.linspace(0.0, 5.0, 100).tolist()]
+    # row c, column lam: beta_eff never rises above its base nor with lam
+    betas = np.array([[beta_eff(state, lam) for lam in lams] for state in states])
+    max_violation = max(0.0, float((betas - beta_base).max()), float(np.diff(betas, axis=1).max()))
     weights = SurpriseWeights()
     # the mutation lifts the clip to the largest double; the bound is still checked against weights.clip_max
     fused_weights = replace(weights, clip_max=np.finfo(float).max) if mutation == "unclipped_surprise" else weights
-    rng = np.random.default_rng((seed, 106))
-    for _ in range(500):
-        z = float(rng.uniform(-100.0, 100.0))
-        q = float(rng.uniform(0.0, 100.0))
-        k = float(rng.uniform(0.0, 100.0))
+    # (reward_z, q_std_ratio, kappa_div) readings, drawn row by row as one stream
+    draws = np.random.default_rng((seed, 106)).uniform((-100.0, 0.0, 0.0), 100.0, (500, 3))
+    for z, q, k in draws.tolist():
         value = surprise(z, q, k, fused_weights)
-        max_violation = max(max_violation, value - weights.clip_max, -value)
-        # monotone in each channel magnitude
+        # bounded by the clip, non-negative, and monotone in each channel magnitude
         bigger = surprise(z * 2.0, q * 2.0, k * 2.0, fused_weights)
-        max_violation = max(max_violation, value - bigger)
-        tested += 2
+        max_violation = max(max_violation, value - weights.clip_max, -value, value - bigger)
     # below the clip, raising one channel alone strictly raises the fused surprise
     readings = np.random.default_rng((seed, 1061)).uniform(0.0, 5.0, (100, 3))
     rising = all(
@@ -465,8 +447,7 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
         for step in np.eye(3)
     )
     max_violation = _gated(max_violation, rising)
-    tested += readings.size
-    return SuiteResult("safety_monotonicity", tested, max_violation, tol)
+    return SuiteResult("safety_monotonicity", betas.size + 2 * len(draws) + readings.size, max_violation, tol)
 
 
 # --- suite 7: projected/noisy iteration obeys the combined error budget ---
@@ -613,9 +594,7 @@ def _peaked_mode_dict(seed: int, n_states: int, n_actions: int, shift: float = 0
     reward = rng.uniform(-1.0, 1.0, (n_states, n_actions)) + shift
     targets = rng.integers(0, n_states, (n_states, n_actions))
     kernel = np.full((n_states, n_actions, n_states), (1.0 - peak) / (n_states - 1))
-    for s in range(n_states):
-        for a in range(n_actions):
-            kernel[s, a, targets[s, a]] = peak
+    np.put_along_axis(kernel, targets[..., None], peak, axis=2)
     kernel = kernel / kernel.sum(axis=2, keepdims=True)
     gamma_epi = rng.uniform(0.0, 0.5, (n_states, n_actions))
     return {
@@ -708,13 +687,11 @@ def separable_context_dataset(seed: int, n_per_mode: int = 40):
 def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
     config = ContextLossConfig()
     tol = 1e-12
-    max_violation = 0.0
     # diversity strictly decreases as two means separate
     seps = np.linspace(0.0, 3.0, 20)
-    losses = [diversity_loss(np.array([[0.0, 0.0], [d, 0.0]]), config) for d in seps]
-    for a, b in zip(losses, losses[1:]):
-        max_violation = max(max_violation, b - a)  # must be strictly negative
-    strictly_decreasing = all(b < a for a, b in zip(losses, losses[1:]))
+    steps = np.diff([diversity_loss(np.array([[0.0, 0.0], [d, 0.0]]), config) for d in seps])
+    max_violation = max(0.0, float(steps.max()))  # each step must be strictly negative
+    strictly_decreasing = bool((steps < 0.0).all())
     # identical embeddings per mode -> consistency is exactly sqrt(eps)
     vec = np.array([0.6, 0.8])
     cons = context_loss(np.stack([vec, vec, -vec, -vec]), np.array([0, 0, 1, 1]), config).consistency

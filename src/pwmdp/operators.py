@@ -190,11 +190,10 @@ def _backup(
     ``ModeModel``), the tables are (*L, *T, S, A), T tables per instance, and
     each weight and each of gamma, lambda_epi and kappa is a scalar or an
     array over L. V is computed once, by exact maxima over the A action
-    columns. Each regime with nonzero weight costs one ``np.matmul`` of each
-    instance's (T, S) values with its own (S, S*A) kernel view, the same gemm
-    or gemv the instance gets alone, so the images equal the instances' own
-    calls bit for bit, however the T axes are laid out. A regime at scalar
-    weight zero costs nothing.
+    columns. Each regime costs one ``np.matmul`` of each instance's (T, S)
+    values with its own (S, S*A) kernel view, the same gemm or gemv the
+    instance gets alone, so the images equal the instances' own calls bit for
+    bit, however the T axes are laid out.
     """
     n_states = q.shape[-2]
     lead = models[0].reward.shape[:-2]
@@ -207,8 +206,6 @@ def _backup(
     gamma, lambda_epi, kappa = (_per_instance(x, n_trailing) for x in (params.gamma, params.lambda_epi, params.kappa))
     out = None
     for w, model in zip(weights, models):
-        if not isinstance(w, np.ndarray) and w == 0.0:
-            continue
         term = np.matmul(v, model.kernel.reshape(lead + (-1, n_states)).swapaxes(-1, -2)).reshape(q.shape)
         term -= lambda_epi * model.gamma_epi.reshape(table)
         term -= kappa
@@ -216,7 +213,7 @@ def _backup(
         term += model.reward.reshape(table)
         term *= _per_instance(w, n_trailing)
         out = term if out is None else out + term
-    return np.zeros(q.shape) if out is None else out
+    return out
 
 
 def apply_mode_operator(

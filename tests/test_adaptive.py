@@ -282,6 +282,9 @@ class TestClosedLoop:
     "call, message",
     [
         (lambda: AdaptiveState(c_penalty=-0.5), "c_penalty must be >= 0, got -0.5"),
+        # lambda_w lies in [0, 1], and at 1 this pair wrote beta_eff = -inf into the trace
+        (lambda: AdaptiveState(beta_base=-1e308, c_penalty=1.7e308),
+         "c_penalty must keep beta_base - c_penalty finite, got -inf"),
         (lambda: surprise(0.0, 0.0, -1.0, WEIGHTS), "kappa_div must be >= 0, got -1.0"),
         # a bool penalty returned beta_base - c_penalty, and text raised a TypeError
         (lambda: beta_eff(AdaptiveState(), True), "lambda must be a finite number, got True"),
@@ -303,7 +306,7 @@ class TestClosedLoop:
         (lambda: lambda_w(20.0, 20, None, None, 0.5), "h_bar must lie in [0, 19], got 20.0"),
         (lambda: lambda_w(-0.5, 20, None, None, 0.5), "h_bar must lie in [0, 19], got -0.5"),
     ],
-    ids=["negative_c_penalty", "negative_kappa_div", "bool_lambda", "text_lambda", "text_reward_z",
+    ids=["negative_c_penalty", "overflowing_lowest_beta_eff", "negative_kappa_div", "bool_lambda", "text_lambda", "text_reward_z",
          "bool_q_std_ratio", "nan_kappa_div", "bool_rate", "text_rate", "bool_prev", "bool_x", "bool_h_bar",
          "text_h_bar", "bool_baseline", "text_sq_deviation", "long_h_bar", "negative_h_bar"],
 )

@@ -424,6 +424,16 @@ KERNEL_MUTATIONS = [
         adaptive, "K", lambda real: 0.0, suite_piecewise_three_phase, id="lambda_w_without_control_limit",
     ),
     pytest.param(
+        adaptive, "beta_eff",
+        lambda real: lambda state, lam: state.beta_base + lam * state.c_penalty,
+        suite_safety_monotonicity, id="beta_eff_rising_with_lambda",
+    ),
+    pytest.param(
+        context, "diversity_loss",
+        lambda real: lambda means, config: -real(means, config),
+        suite_context_losses, id="diversity_loss_negated",
+    ),
+    pytest.param(
         operators, "_coupled",
         lambda real: lambda model, params, sensitivity, gap, values: real(model, params, 0.0, gap, values),
         suite_sharp_threshold, id="coupled_without_sensitivity",

@@ -247,6 +247,10 @@ class TestPiecewiseCommand:
                 "(max R - min R) over all modes / 1e-08 overflows",
             ),
             (
+                {"adaptive": {"beta_base": -1e308, "c_penalty": 1.7e308}},
+                "config error: adaptive.c_penalty must keep beta_base - c_penalty finite, got -inf",
+            ),
+            (
                 {"bocd": {"sigma_g": 1e308}},
                 "config error: bocd.sigma_g must keep 2 pi times the largest variance "
                 "sigma0_sq + sigma_g * (h_max - 1) finite, got a variance of inf",
@@ -281,7 +285,7 @@ class TestPiecewiseCommand:
         ids=[
             "overflowing_reward_shift", "missing_mode_kernel", "non_finite_fixed_point",
             "reward_spread_square", "reward_spread", "reward_range_low", "rollout_reward_sum",
-            "cross_mode_reward_z_score", "overflowing_detector_variance",
+            "cross_mode_reward_z_score", "overflowing_lowest_beta_eff", "overflowing_detector_variance",
             "nan_reward_table", "infinite_kernel_table", "nan_penalty_table", "table_shape",
             "broken_kernel_table",
         ],

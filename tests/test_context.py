@@ -361,6 +361,15 @@ class TestContextLossConfig:
     "call, message",
     [
         (lambda: diversity_loss(np.zeros(3), CONFIG), "means must be (M, d_e) with M >= 1, got (3,)"),
+        # these ended in numpy's matmul signature error or an AxisError, and NaN states embedded as NaN
+        (lambda: encode(np.ones((2, 3)), np.ones((5, 4))),
+         "weights must be a (d_e, d_s) or (K, d_e, d_s) number array with d_s = 4, got shape (2, 3) of dtype float64"),
+        (lambda: encode("a", np.ones((5, 4))),
+         "weights must be a (d_e, d_s) or (K, d_e, d_s) number array with d_s = 4, got shape () of dtype <U1"),
+        (lambda: encode(np.ones((2, 4)), "a"), "states must be an (n, d_s) number array, got shape () of dtype <U1"),
+        (lambda: encode(np.ones((2, 3)), np.ones(3)),
+         "states must be an (n, d_s) number array, got shape (3,) of dtype float64"),
+        (lambda: encode(np.ones((2, 2)), np.array([[0.0, math.nan]])), "states contain non-finite entries"),
         (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=-1),
          "steps must be >= 0, got -1"),
         # numpy refused it as an "expected non-negative integer", naming no argument
@@ -381,7 +390,8 @@ class TestContextLossConfig:
         (lambda: fit_linear_context(separable_context_dataset(0), CONFIG, steps=1, lr=None),
          "lr must be a finite number, got None"),
     ],
-    ids=["one_dimensional_means", "negative_steps", "negative_seed", "bool_lr", "negative_lr", "zero_lr",
+    ids=["one_dimensional_means", "mismatched_encode_weights", "text_encode_weights", "text_states",
+         "one_dimensional_states", "nan_states", "negative_steps", "negative_seed", "bool_lr", "negative_lr", "zero_lr",
          "array_lr", "text_lr", "none_lr"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):

@@ -28,6 +28,7 @@ from pwmdp.harness import (
     run_threshold_sweep,
     write_table,
 )
+from pwmdp.harness.certify import three_phase_config_dict
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
 from pwmdp.harness.experiment import _greedy_rollout, _spread
 from pwmdp.harness.io import csv_text, trace_to_csv_text
@@ -788,8 +789,12 @@ class TestDelayTable:
     "call, message",
     [
         (lambda: run_threshold_sweep([], [0.5]), "gamma grid must be a non-empty vector"),
+        # this config loaded and wrote beta_eff = -inf into the trace once lambda_w reached 1
+        (lambda: config_from_dict(
+            {**three_phase_config_dict(0), "adaptive": {"beta_base": -1e308, "c_penalty": 1.7e308}}
+        ), "adaptive.c_penalty must keep beta_base - c_penalty finite, got -inf"),
     ],
-    ids=["empty_grid"],
+    ids=["empty_grid", "overflowing_lowest_beta_eff"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -39,7 +39,7 @@ class TestModeOperator:
     @pytest.mark.parametrize("weight", [1.0, 0.5])
     @pytest.mark.parametrize("kappa", [0.0, -0.0, 0.25])
     def test_kernel_equals_the_plain_subtraction_of_kappa(self, kappa, weight):
-        # the kernel subtracts every kappa and scales by every nonzero weight, so
+        # the kernel subtracts every kappa and scales by every weight, so
         # its bits are those of the written-out formula, signs of zero included
         # (x - (-0.0) turns -0.0 into 0.0; x - 0.0 and x * 1.0 keep x)
         model = make_random_mode(3, 5, 2)
@@ -58,6 +58,18 @@ class TestModeOperator:
         got = _backup((model,), (weight,), params, q)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_float_and_array_weights_take_one_path(self):
+        # a regime at weight zero is backed up like any other, so its infinite
+        # reward gives 0 * inf = NaN whether the weight is a float or a 0-d array
+        infinite = operators._Regime(np.full((1, 1), np.inf), np.ones((1, 1, 1)), np.zeros((1, 1)))
+        models = (infinite, single_state_model())
+        params, q = OperatorParams(gamma=0.5), np.zeros((1, 1))
+        with np.errstate(invalid="ignore"):
+            as_floats = _backup(models, (0.0, 1.0), params, q)
+            as_arrays = _backup(models, (np.array(0.0), np.array(1.0)), params, q)
+        assert np.isnan(as_arrays).all()
+        assert np.array_equal(as_floats, as_arrays, equal_nan=True)
 
     def test_one_step_backup(self):
         model = single_state_model(1.0)
