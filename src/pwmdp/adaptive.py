@@ -146,5 +146,9 @@ def lambda_w(
 
 
 def beta_eff(state: AdaptiveState, lam: float) -> float:
-    """Effective LCB coefficient beta_base - lam * c_penalty (never above base); ``lam`` is a number."""
-    return state.beta_base - _real(lam, "lambda", _NON_NEGATIVE) * state.c_penalty
+    """Effective LCB coefficient beta_base - lam * c_penalty (never above base, always finite); ``lam`` is a number."""
+    lam = _real(lam, "lambda", _NON_NEGATIVE)
+    beta = state.beta_base - lam * state.c_penalty
+    if not math.isfinite(beta):
+        raise ValueError(f"lambda must keep beta_base - lambda * c_penalty finite, got {lam!r}")
+    return beta

@@ -277,31 +277,18 @@ def validate_mode(model: ModeModel) -> list[str]:
     >= 0, every kernel row summing to 1 within ``KERNEL_ROW_TOL``, and a
     non-negative epistemic penalty.
     """
-    report: list[str] = []
-    if not np.isfinite(model.reward).all():
-        for s, a in zip(*np.nonzero(~np.isfinite(model.reward))):
-            report.append(f"reward[{s},{a}] is not finite")
-    if not np.isfinite(model.kernel).all():
-        for s, a, t in zip(*np.nonzero(~np.isfinite(model.kernel))):
-            report.append(f"kernel[{s},{a},{t}] is not finite")
-        return report  # row sums are meaningless with non-finite entries
-    neg = np.nonzero(model.kernel < 0.0)
-    for s, a, t in zip(*neg):
-        report.append(f"kernel[{s},{a},{t}] = {model.kernel[s, a, t]} is negative")
+    def listed(name: str, table: np.ndarray, bad: np.ndarray, says: str = "is not finite") -> list[str]:
+        return [f"{name}[{','.join(map(str, i))}] " + says.format(v=table[i]) for i in zip(*np.nonzero(bad))]
+
+    report = listed("reward", model.reward, ~np.isfinite(model.reward))
+    if not np.isfinite(model.kernel).all():  # row sums are meaningless with non-finite entries
+        return report + listed("kernel", model.kernel, ~np.isfinite(model.kernel))
+    report += listed("kernel", model.kernel, model.kernel < 0.0, "= {v} is negative")
     row_sums = model.kernel.sum(axis=2)
-    bad_rows = np.nonzero(np.abs(row_sums - 1.0) > KERNEL_ROW_TOL)
-    for s, a in zip(*bad_rows):
-        total = float(row_sums[s, a])
-        report.append(
-            f"kernel row ({s},{a}) sums to {total:.6g} (deficit {1.0 - total:.6g})"
-        )
-    neg_pen = np.nonzero(model.gamma_epi < 0.0)
-    for s, a in zip(*neg_pen):
-        report.append(f"gamma_epi[{s},{a}] = {model.gamma_epi[s, a]} is negative")
-    if not np.isfinite(model.gamma_epi).all():
-        for s, a in zip(*np.nonzero(~np.isfinite(model.gamma_epi))):
-            report.append(f"gamma_epi[{s},{a}] is not finite")
-    return report
+    for s, a in zip(*np.nonzero(np.abs(row_sums - 1.0) > KERNEL_ROW_TOL)):
+        report.append(f"kernel row ({s},{a}) sums to {row_sums[s, a]:.6g} (deficit {1.0 - row_sums[s, a]:.6g})")
+    report += listed("gamma_epi", model.gamma_epi, model.gamma_epi < 0.0, "= {v} is negative")
+    return report + listed("gamma_epi", model.gamma_epi, ~np.isfinite(model.gamma_epi))
 
 
 def make_random_mode(

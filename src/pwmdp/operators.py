@@ -66,7 +66,8 @@ __all__ = [
     "error_floor",
 ]
 
-# solve_fixed_point reports divergence once the residual passes this cap.
+# solve_fixed_point reports divergence once the residual passes this multiple
+# of its first residual, which no residual of a contraction exceeds.
 DIVERGENCE_CAP = 1e12
 
 # mode_fixed_point stops after this many improvement steps (exact policy
@@ -320,12 +321,14 @@ def solve_fixed_point(
 
     For a certified gamma-contraction the a-posteriori bound gives
     dist(Q, Q*) <= tol * gamma / (1 - gamma) on return. Non-convergence
-    within ``max_iter`` (or residual blow-up past ``DIVERGENCE_CAP``,
-    expected for expansive maps) is flagged rather than raised. ``operator``
-    maps an array to an array.
+    within ``max_iter`` (or a residual blow-up past ``DIVERGENCE_CAP`` times
+    the first residual, at any scale of Q, expected for expansive maps) is
+    flagged rather than raised. ``operator`` maps an array to an array.
     """
     tol, max_iter = _real(tol, "tol", _POSITIVE), _whole(max_iter, "max_iter", _AT_LEAST_ONE)
     q = _tables(q0)
+    if q.size == 0:
+        raise ValueError(f"q0 must have at least one entry, got shape {q.shape}")
     residual = float("inf")
     for it in range(1, max_iter + 1):
         q_next = operator(q)
@@ -333,7 +336,9 @@ def solve_fixed_point(
         q = q_next
         if residual < tol:
             return FixedPointResult(q, it, residual, True)
-        if not np.isfinite(residual) or residual > DIVERGENCE_CAP:
+        if it == 1:
+            cap = DIVERGENCE_CAP * residual
+        if not np.isfinite(residual) or residual > cap:
             return FixedPointResult(q, it, residual, False)
     return FixedPointResult(q, max_iter, residual, False)
 
@@ -351,11 +356,11 @@ def mode_fixed_point(
     policy is stable, Q = r + gamma P v is the fixed point up to round-off;
     ``final_residual`` is ||T Q - Q|| from one backup, ``converged`` means it
     is below ``tol``, and ``iterations`` counts the improvement steps. Only
-    if round-off at a large |Q| leaves that residual at or above ``tol`` does
-    value iteration take over, from a lower bound of the fixed point, for at
-    most ``_MAX_POLISH_STEPS`` backups. ``q_star`` is returned as computed:
-    where a backup overflows, the residual is non-finite and ``converged``
-    False (an overflowing solve fails the residual backup's finiteness check).
+    if round-off at a large |Q| leaves that residual finite but at or above
+    ``tol`` does :func:`solve_fixed_point` polish Q from a lower bound of the
+    fixed point, in at most ``_MAX_POLISH_STEPS`` backups. Where that backup
+    or bound overflows, policy iteration's Q returns with ``converged`` False
+    (an overflowing solve fails the residual backup's finiteness check).
     """
     tol = _real(tol, "tol", _POSITIVE)
     gamma = params.gamma
@@ -377,18 +382,12 @@ def mode_fixed_point(
             break
         policy = np.where(switch, best, policy)
     residual = float(np.abs(apply_mode_operator(model, params, q) - q).max())
-    if residual >= tol:
-        # Round-off at a large |Q| can leave the residual above tol. The
-        # backup is monotone, so value iteration from a lower bound of the
-        # fixed point rises to a floating-point fixed point; it cannot
-        # diverge, so no residual cap applies, only an iteration budget.
-        q = q - 2.0 * residual / (1.0 - gamma)
-        for _ in range(_MAX_POLISH_STEPS):
-            q_next = _backup((model,), (1.0,), params, q)
-            residual = float(np.abs(q_next - q).max())
-            q = q_next
-            if residual < tol or not math.isfinite(residual):
-                break
+    # Round-off at a large |Q| can leave the residual above tol. The backup is
+    # monotone, so value iteration from a lower bound of the fixed point rises
+    # to a floating-point fixed point; a non-finite residual or bound skips it.
+    if residual >= tol and np.isfinite(start := q - 2.0 * residual / (1.0 - gamma)).all():
+        polish = solve_fixed_point(lambda t: _backup((model,), (1.0,), params, t), start, tol, _MAX_POLISH_STEPS)
+        q, residual = polish.q_star, polish.final_residual
     return FixedPointResult(q, it, residual, residual < tol)
 
 

@@ -289,6 +289,9 @@ class TestClosedLoop:
         # a bool penalty returned beta_base - c_penalty, and text raised a TypeError
         (lambda: beta_eff(AdaptiveState(), True), "lambda must be a finite number, got True"),
         (lambda: beta_eff(AdaptiveState(), "a"), "lambda must be a finite number, got 'a'"),
+        # a finite lambda whose product with c_penalty overflows returned -inf
+        (lambda: beta_eff(AdaptiveState(c_penalty=10.0), 1e308),
+         "lambda must keep beta_base - lambda * c_penalty finite, got 1e+308"),
         # text raised a TypeError, a bool fused as 1.0, and a NaN named no reading
         (lambda: surprise("a", 1.0, 1.0, WEIGHTS), "reward_z must be a finite number, got 'a'"),
         (lambda: surprise(0.0, True, 0.0, WEIGHTS), "q_std_ratio must be a finite number, got True"),
@@ -306,7 +309,8 @@ class TestClosedLoop:
         (lambda: lambda_w(20.0, 20, None, None, 0.5), "h_bar must lie in [0, 19], got 20.0"),
         (lambda: lambda_w(-0.5, 20, None, None, 0.5), "h_bar must lie in [0, 19], got -0.5"),
     ],
-    ids=["negative_c_penalty", "overflowing_lowest_beta_eff", "negative_kappa_div", "bool_lambda", "text_lambda", "text_reward_z",
+    ids=["negative_c_penalty", "overflowing_lowest_beta_eff", "negative_kappa_div", "bool_lambda", "text_lambda",
+         "overflowing_lambda", "text_reward_z",
          "bool_q_std_ratio", "nan_kappa_div", "bool_rate", "text_rate", "bool_prev", "bool_x", "bool_h_bar",
          "text_h_bar", "bool_baseline", "text_sq_deviation", "long_h_bar", "negative_h_bar"],
 )

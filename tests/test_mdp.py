@@ -171,6 +171,21 @@ class TestValidateMode:
         report = validate_mode(ModeModel(model.reward, model.kernel, pen))
         assert any("gamma_epi[1,1]" in line for line in report)
 
+    def test_report_lists_every_violation_in_order(self):
+        # reward entries, then kernel entries, kernel rows and penalty entries, each in index order
+        reward = [[0.0, np.nan], [1.0, -np.inf]]
+        kernel = [[[0.5, 0.5], [1.2, -0.3]], [[0.5, 0.25], [0.0, 1.0]]]
+        pen = [[0.0, np.inf], [-0.25, 0.1]]
+        assert validate_mode(ModeModel(reward, kernel, pen)) == [
+            "reward[0,1] is not finite",
+            "reward[1,1] is not finite",
+            "kernel[0,1,1] = -0.3 is negative",
+            "kernel row (0,1) sums to 0.9 (deficit 0.1)",
+            "kernel row (1,0) sums to 0.75 (deficit 0.25)",
+            "gamma_epi[1,0] = -0.25 is negative",
+            "gamma_epi[0,1] is not finite",
+        ]
+
 
 class TestMakeRandomMode:
     def test_deterministic(self):

@@ -321,6 +321,15 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError, match="tol"):
             solve_fixed_point(lambda q: q, np.zeros((1, 1)), tol=0.0)
 
+    def test_contraction_past_the_cap_converges(self):
+        # divergence is judged against the first residual, 1e13, not at 1e12
+        result = solve_fixed_point(lambda q: 0.5 * q + 1e13, np.zeros((1, 1)))
+        assert result.converged and result.q_star[0, 0] == 2e13
+
+    def test_expansion_at_a_small_scale_is_flagged(self):
+        result = solve_fixed_point(lambda q: 2.0 * q + 1e-20, np.zeros((1, 1)), tol=1e-30, max_iter=1000)
+        assert not result.converged and result.iterations < 1000
+
     def test_max_iter_exhausted_returns_unconverged(self):
         # q <- q / 2 + 1 from 0 visits 1, 1.5, 1.75, with residuals 1, 0.5, 0.25
         result = solve_fixed_point(lambda q: 0.5 * q + 1, np.zeros((1, 1)), tol=1e-12, max_iter=3)
@@ -405,10 +414,11 @@ class TestModeFixedPoint:
                 for s in range(5):
                     assert any(system[s].tobytes() == row.tobytes() for row in identity_form[s])
 
-    def test_large_values_still_reach_tol(self):
-        # at |Q| ~ 1e6 the linear solve's round-off alone leaves a residual above 1e-10
+    @pytest.mark.parametrize("shift", [1e4, 1e14, 1e100], ids=["1e4", "1e14", "1e100"])
+    def test_large_values_still_reach_tol(self, shift):
+        # at |Q| ~ 1e6 and above the linear solve's round-off alone leaves a residual above 1e-10
         base = make_random_mode(1, 6, 3)
-        model = ModeModel(base.reward + 1e4, base.kernel, base.gamma_epi)
+        model = ModeModel(base.reward + shift, base.kernel, base.gamma_epi)
         params = OperatorParams(gamma=0.99, lambda_epi=0.01)
         result = mode_fixed_point(model, params, tol=1e-10)
         assert result.converged and result.final_residual < 1e-10
@@ -879,13 +889,23 @@ class TestArraysOut:
             assert not np.shares_memory(out, q)
 
     def test_overflowing_backup_leaves_the_fixed_point_unconverged(self):
-        # Q* = -1.7e308 is finite, but its backup's P v - lambda G is not; the
-        # tables are returned as computed, not refused
+        # Q* = -1.7e308 is finite, but its backup's P v - lambda G is not;
+        # policy iteration's tables are returned, not refused
         model = ModeModel([[-0.82e308]], [[[1.0]]], [[0.5e308]])
         with np.errstate(over="ignore", invalid="ignore"):
             result = mode_fixed_point(model, OperatorParams(gamma=0.4, lambda_epi=1.0))
-        assert type(result.q_star) is np.ndarray and not np.isfinite(result.q_star).all()
+        assert type(result.q_star) is np.ndarray and result.q_star.tolist() == [[-1.7e308]]
         assert not result.converged and not np.isfinite(result.final_residual)
+
+    def test_overflowing_polish_start_leaves_the_fixed_point_unconverged(self):
+        # the residual 2e292 is finite, but the polish's lower bound
+        # Q - 2 * residual / (1 - gamma) passes -1.8e308
+        gamma = 1.0 - 2.0**-50
+        model = ModeModel([[-1.7e308 * 2.0**-50 - gamma * 7e307]], [[[1.0]]], [[-7e307]])
+        with np.errstate(over="ignore"):
+            result = mode_fixed_point(model, OperatorParams(gamma=gamma, lambda_epi=1.0))
+        assert np.isfinite(result.q_star).all() and result.q_star[0, 0] < -1.6e308
+        assert not result.converged and 1e-10 <= result.final_residual < np.inf
 
 
 class TestBounds:
@@ -946,6 +966,13 @@ PARAMS = OperatorParams(gamma=0.9)
         # no backup ran: max_iter -1 returned iterations=-1, and 0 an unconverged result
         (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), max_iter=0), "max_iter must be >= 1, got 0"),
         (lambda: solve_fixed_point(lambda q: q, np.zeros((1, 1)), max_iter=-1), "max_iter must be >= 1, got -1"),
+        # a start with no entries ended in numpy's "zero-size array to reduction operation maximum"
+        (lambda: solve_fixed_point(lambda q: q, np.zeros((0, 3))),
+         "q0 must have at least one entry, got shape (0, 3)"),
+        (lambda: solve_fixed_point(lambda q: q, np.zeros((2, 0))),
+         "q0 must have at least one entry, got shape (2, 0)"),
+        (lambda: solve_fixed_point(lambda q: q, np.zeros((4, 0, 2))),
+         "q0 must have at least one entry, got shape (4, 0, 2)"),
         # one side ended in a bare unpacking ValueError, and a number in a TypeError
         (lambda: estimate_lipschitz(lambda q: q, (2,), 2, seed=0),
          "dims must be a pair (n_states, n_actions), got (2,)"),
@@ -961,7 +988,8 @@ PARAMS = OperatorParams(gamma=0.9)
         "stacked_shared_q", "negative_lipschitz_seed", "bool_sigma", "text_sigma", "nan_sigma",
         "floor_gamma_one", "floor_gamma_above_one", "negative_eps_proj", "negative_floor_sigma",
         "text_eps_proj", "empty_partition", "negative_partition_size", "zero_max_iter",
-        "negative_max_iter", "one_sided_dims", "scalar_dims", "state_as_block", "scalar_blocks",
+        "negative_max_iter", "no_states_start", "no_actions_start", "empty_stack_start", "one_sided_dims",
+        "scalar_dims", "state_as_block", "scalar_blocks",
     ],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
