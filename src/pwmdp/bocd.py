@@ -18,7 +18,7 @@ square overflows a double is rejected with a ValueError). The updates
 take a batch of beliefs as an array with a leading case axis and return a
 new array; a single belief is the one-case batch.
 
-Also provides the posterior-ratio detection-delay calculus.
+Also provides the detection-delay calculus of L-separable evidence.
 
 Belief updates are pure. A detector's state must be owned by a single
 logical thread; independent detectors may run in parallel.
@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import _NON_NEGATIVE, _POSITIVE, _UNIT_OPEN, _at_least, _frozen_array, _read_fields, _real, _whole
+from .mdp import _NON_NEGATIVE, _POSITIVE, _UNIT_OPEN, _at_least, _frozen_array, _read_fields, _real
 from .mdp import check_simplex
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "DegenerateBeliefError",
     "bocd_step",
     "bayes_update",
-    "posterior_ratio",
     "detection_delay",
 ]
 
@@ -236,30 +235,8 @@ def _odds(likelihood_ratio, prior_ratio) -> tuple[float, float]:
     return _real(likelihood_ratio, "likelihood ratio", _SEPARATING), _real(prior_ratio, "prior ratio", _POSITIVE)
 
 
-def posterior_ratio(n: int, likelihood_ratio: float, prior_ratio: float) -> float:
-    """Posterior odds for the new regime after n steps of L-separable evidence.
-
-    PR(n) = likelihood_ratio**(2n) / prior_ratio: each consistent step gains
-    a factor L for the correct run-length hypothesis and costs the stale one
-    a factor L. Where the power overflows, the odds are (L**n / r0) * L**n,
-    whose factors are finite wherever the odds are; odds beyond the largest
-    double are inf.
-    """
-    n = _whole(n, "n", _NON_NEGATIVE)
-    likelihood_ratio, prior_ratio = _odds(likelihood_ratio, prior_ratio)
-    try:
-        return likelihood_ratio ** (2 * n) / prior_ratio
-    except OverflowError:
-        pass
-    try:
-        half = likelihood_ratio**n
-    except OverflowError:
-        return math.inf
-    return half / prior_ratio * half
-
-
 def detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -> float:
-    """Steps needed for the posterior ratio to reach confidence 1/delta.
+    """Steps n for the posterior odds L**(2n) / prior_ratio of a change to reach 1/delta.
 
     Returns log(prior_ratio / delta) / (2 log likelihood_ratio), or 0 where
     the prior odds already reach 1/delta; the minimal integer step count is

@@ -52,9 +52,11 @@ from ..context import (
     mode_means,
 )
 from ..mdp import (
+    _NON_NEGATIVE,
     ModeModel,
     OperatorParams,
     _draw_mode_tables,
+    _whole,
     check_simplex,
     make_random_mode,
     sup_dist,
@@ -774,6 +776,7 @@ SUITES = (
 
 def run_certification(seed: int = 0, mutation: str | None = None) -> CertificationReport:
     """Run every suite with fixed seeds; deterministic given (seed, mutation)."""
+    seed = _whole(seed, "seed", _NON_NEGATIVE)
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
     return CertificationReport(seed, mutation, tuple(suite(seed, mutation) for suite in SUITES))

@@ -8,8 +8,8 @@ per-step geometric factor equals the analytic factor to round-off, so the
 classified boundary must match the line gamma + coupling = 1 cell-exactly.
 
 The delay table evaluates the analytic detection delay for the standard
-separability scenarios next to the first step at which the posterior odds
-reach 1/delta.
+separability scenarios next to the first step at which a two-hypothesis
+Bayes filter on L-consistent evidence reaches odds 1/delta.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bocd import _odds, detection_delay, posterior_ratio
+from ..bocd import _odds, bayes_update, detection_delay
 from ..mdp import _AT_LEAST_ONE, _UNIT_OPEN, _real, _whole
 
 __all__ = [
@@ -118,23 +118,22 @@ DELAY_SCENARIOS = (
 
 
 def empirical_detection_delay(likelihood_ratio: float, prior_ratio: float, delta: float) -> int:
-    """First step n at which the posterior odds ``posterior_ratio(n, L, r0)`` reach 1/delta.
+    """First step n at which the two-hypothesis filter's odds for the new regime reach 1/delta.
 
-    The odds of L-separable evidence gain a factor L**2 per step; no crossing
-    within 10**4 steps raises RuntimeError. Only where 1/delta overflows is the
-    crossing read in logs, 2n log L - log r0 >= -log delta: odds past the
-    largest double read inf, which any target would pass.
+    The belief over (stale, new) starts at odds 1/r0, and each step applies
+    ``bayes_update`` with the L-consistent likelihood row (1/L, L), so the
+    odds gain a factor L**2 per step. The crossing is read as
+    p_new * delta >= p_stale, which never forms 1/delta; no crossing within
+    10**4 steps raises RuntimeError.
     """
     likelihood_ratio, prior_ratio = _odds(likelihood_ratio, prior_ratio)
     delta = _real(delta, "delta", _UNIT_OPEN)
-    target = 1.0 / delta
+    belief = np.array([[prior_ratio, 1.0]]) / (1.0 + prior_ratio)
+    consistent = np.array([[1.0 / likelihood_ratio, likelihood_ratio]])
     for n in range(10_001):
-        if target < math.inf:
-            crossed = posterior_ratio(n, likelihood_ratio, prior_ratio) >= target
-        else:
-            crossed = 2 * n * math.log(likelihood_ratio) - math.log(prior_ratio) >= -math.log(delta)
-        if crossed:
+        if belief[0, 1] * delta >= belief[0, 0]:
             return n
+        belief = bayes_update(belief, consistent)
     raise RuntimeError("posterior odds failed to cross the target in 10^4 steps")
 
 

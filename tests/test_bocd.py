@@ -15,7 +15,6 @@ from pwmdp import (
     bayes_update,
     bocd_step,
     detection_delay,
-    posterior_ratio,
 )
 from pwmdp.bocd import _entropy, _filter_step, _mean_run_length
 from pwmdp.harness.sweeps import empirical_detection_delay
@@ -240,24 +239,6 @@ class TestBayesUpdate:
 
 
 class TestDetectionDelay:
-    def test_posterior_ratio_base_cases(self):
-        assert posterior_ratio(0, 2.0, 1.0) == 1.0
-        assert posterior_ratio(3, 2.0, 1.0) == 64.0
-
-    def test_posterior_ratio_monotone(self):
-        for lr in (1.1, 2.0, 5.0):
-            values = [posterior_ratio(n, lr, 1.0) for n in range(51)]
-            assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_posterior_ratio_beyond_the_largest_double_is_inf(self):
-        # 2**2200 overflows a double; odds past every finite target are inf
-        assert posterior_ratio(1100, 2.0, 1.0) == math.inf
-        assert posterior_ratio(10**6, 1.2, 10.0) == math.inf
-        assert posterior_ratio(512, 2.0, 1.0) == math.inf
-        # results up to the largest double keep their exact value
-        assert posterior_ratio(511, 2.0, 1.0) == 2.0**1022
-        assert posterior_ratio(511, 2.0, 0.5) == 2.0**1023
-
     @pytest.mark.parametrize(
         "call, expected",
         [
@@ -265,18 +246,23 @@ class TestDetectionDelay:
             (lambda: (detection_delay(2.0, 0.01, 0.05), empirical_detection_delay(2.0, 0.01, 0.05)), (0.0, 0)),
             # r0 / delta overflowed, and the delay read inf; it is log(1e600) / (2 log 2)
             (lambda: detection_delay(2.0, 1e300, 1e-300), pytest.approx(996.5784284662087, rel=1e-14)),
-            # 2.0**1024 overflowed before the division: the odds read inf and the scan stopped at 512
-            (
-                lambda: (posterior_ratio(512, 2.0, 1e300), empirical_detection_delay(2.0, 1e300, 1e-300)),
-                (pytest.approx(2.0**1023 / 1e300 * 2.0, rel=1e-12), 997),
-            ),
-            # 1 / delta overflowed to inf, and the scan stopped at 512, where the odds read inf
+            # the odds 2**1994 / 1e300 reach 1e300; the closed form's scan stopped at 512, where 2**1024 overflowed
+            (lambda: empirical_detection_delay(2.0, 1e300, 1e-300), 997),
+            # 1 / delta overflows to inf; the closed form's scan stopped at 512, where the odds read inf
             (
                 lambda: (empirical_detection_delay(2.0, 1.0, 1e-310), math.ceil(detection_delay(2.0, 1.0, 1e-310))),
                 (515, 515),
             ),
+            # the smallest positive double: 1 / delta overflows, and the odds 2**1074 reach it exactly
+            (
+                lambda: (empirical_detection_delay(2.0, 1.0, 5e-324), math.ceil(detection_delay(2.0, 1.0, 5e-324))),
+                (537, 537),
+            ),
         ],
-        ids=["prior_odds_past_the_target", "overflowing_quotient", "overflowing_power", "overflowing_target"],
+        ids=[
+            "prior_odds_past_the_target", "overflowing_quotient", "overflowing_power", "overflowing_target",
+            "smallest_delta",
+        ],
     )
     def test_calculus_answers_every_accepted_input(self, call, expected):
         assert call() == expected
@@ -291,17 +277,13 @@ class TestDetectionDelay:
         for lr in (1.2, 2.0, 5.0):
             for r0 in (1.0, 10.0):
                 for delta in (0.05, 0.01):
-                    target = 1.0 / delta
-                    scan = next(n for n in range(1001) if posterior_ratio(n, lr, r0) >= target)
-                    assert scan == math.ceil(detection_delay(lr, r0, delta))
+                    assert empirical_detection_delay(lr, r0, delta) == math.ceil(detection_delay(lr, r0, delta))
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             detection_delay(1.0, 1.0, 0.05)
         with pytest.raises(ValueError):
             detection_delay(2.0, 0.0, 0.05)
-        with pytest.raises(ValueError):
-            posterior_ratio(1, 0.9, 1.0)
 
 
 class TestBatchedFilter:
@@ -435,17 +417,13 @@ class TestDegenerateVariance:
          "likelihood shape (1, 10) does not match belief (1, 20)"),
         (lambda: bayes_update(uniform(20), -np.ones((1, 20))),
          "likelihood vector must be finite and non-negative"),
-        (lambda: posterior_ratio(1, 2.0, 0.0), "prior ratio must be > 0, got 0.0"),
-        (lambda: posterior_ratio(-1, 2.0, 1.0), "n must be >= 0, got -1"),
+        (lambda: empirical_detection_delay(2.0, 0.0, 0.05), "prior ratio must be > 0, got 0.0"),
         (lambda: detection_delay(2.0, 1.0, 1.0), "delta must lie in (0, 1), got 1.0"),
         # NaN passed every range test: the delay came out nan
         (lambda: detection_delay(math.nan, 1.0, 0.05), "likelihood ratio must be a finite number, got nan"),
         (lambda: detection_delay(2.0, math.nan, 0.05), "prior ratio must be a finite number, got nan"),
         (lambda: detection_delay(2.0, 1.0, math.nan), "delta must be a finite number, got nan"),
-        (lambda: posterior_ratio(1, math.nan, 1.0), "likelihood ratio must be a finite number, got nan"),
-        # a fractional n gave odds of L**5, and True counted as one step
-        (lambda: posterior_ratio(2.5, 2.0, 1.0), "n must be an integer, got 2.5"),
-        (lambda: posterior_ratio(True, 2.0, 1.0), "n must be an integer, got True"),
+        (lambda: empirical_detection_delay(math.nan, 1.0, 0.05), "likelihood ratio must be a finite number, got nan"),
         # a bool surprise ran as 1.0, and text failed inside numpy's float conversion
         (lambda: bocd_step(uniform(20), True, PARAMS), "xi must be a number or an array of numbers, got True"),
         (lambda: bocd_step(uniform(20), "a", PARAMS), "xi must be a number or an array of numbers, got 'a'"),
@@ -460,8 +438,8 @@ class TestDegenerateVariance:
     ],
     ids=[
         "empty_batch", "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
-        "negative_n", "delta_of_one", "nan_likelihood_ratio", "nan_prior_ratio", "nan_delta",
-        "posterior_nan_likelihood_ratio", "fractional_n", "bool_n", "bool_xi", "text_xi",
+        "delta_of_one", "nan_likelihood_ratio", "nan_prior_ratio", "nan_delta",
+        "posterior_nan_likelihood_ratio", "bool_xi", "text_xi",
         "scan_zero_delta", "scan_negative_delta", "scan_delta_above_one", "scan_bool_delta",
         "scan_nan_delta", "scan_text_delta",
     ],

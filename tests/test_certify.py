@@ -438,6 +438,11 @@ KERNEL_MUTATIONS = [
         lambda real: lambda model, params, sensitivity, gap, values: real(model, params, 0.0, gap, values),
         suite_sharp_threshold, id="coupled_without_sensitivity",
     ),
+    pytest.param(
+        bocd, "bayes_update",
+        lambda real: lambda beliefs, lik: real(beliefs, np.square(lik)),
+        suite_detection_delay_table, id="bayes_update_counting_evidence_twice",
+    ),
 ]
 
 

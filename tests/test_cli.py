@@ -30,6 +30,10 @@ CLI = [sys.executable, "-m", "pwmdp"]
 # sha256 of the files written at default sizes; a faster path must write the same bytes
 PHASE_MAP_SHA256 = "047c8d53822c880bd5757c74e537aa8166b86d4d74f80b7385a25cada6cc86ef"
 CONTEXT_MAP_SHA256 = "3f12921064ffbc3e86338913fb534a28efaba2bb271e8c56d8cbbc902133ecaf"
+DELAY_TABLE_SHA256 = {
+    "csv": "5dab05abb085812037438e7398546d01ff47b86dfc28ac85aee707ae59f5c7c9",
+    "json": "ce396e48168bbc6b9c88d88e54fafa546f895c8d9873a898eaf36c927967451b",
+}
 
 # A regime given by its tables at the default 6 x 3 sizes.
 TABLE_MODE = {
@@ -739,6 +743,11 @@ class TestDelayTableCommand:
         lines = (out / "delay_table.csv").read_text().strip().split("\n")
         assert len(lines) == 5
         assert lines[0].startswith("scenario,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_delay_table_is_pinned(self, tmp_path, fmt):
+        digest = written_sha256(["delay-table", "--format", fmt], tmp_path, f"delay_table.{fmt}")
+        assert digest == DELAY_TABLE_SHA256[fmt]
 
 
 class TestDemoCommand:

@@ -28,7 +28,7 @@ from pwmdp.harness import (
     run_threshold_sweep,
     write_table,
 )
-from pwmdp.harness.certify import three_phase_config_dict
+from pwmdp.harness.certify import run_certification, three_phase_config_dict
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
 from pwmdp.harness.experiment import _greedy_rollout, _spread
 from pwmdp.harness.io import csv_text, trace_to_csv_text
@@ -793,8 +793,11 @@ class TestDelayTable:
         (lambda: config_from_dict(
             {**three_phase_config_dict(0), "adaptive": {"beta_base": -1e308, "c_penalty": 1.7e308}}
         ), "adaptive.c_penalty must keep beta_base - c_penalty finite, got -inf"),
+        # numpy refused these seeds inside the first suite, with its own messages
+        (lambda: run_certification(-1), "seed must be >= 0, got -1"),
+        (lambda: run_certification(1.5), "seed must be an integer, got 1.5"),
     ],
-    ids=["empty_grid", "overflowing_lowest_beta_eff"],
+    ids=["empty_grid", "overflowing_lowest_beta_eff", "negative_certify_seed", "fractional_certify_seed"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
