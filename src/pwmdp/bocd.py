@@ -120,11 +120,12 @@ class JointBelief:
 
 
 def _batch(beliefs, params: BOCDParams | None) -> np.ndarray:
-    """A (B, h_max) array batch of run-length beliefs, every case checked on the simplex."""
+    """A (B, h) array batch of beliefs, each checked on the simplex; run-length beliefs of ``params.h_max`` if given."""
+    what, width = ("belief", "h") if params is None else ("run-length belief", "h_max")
     probs = np.asarray(beliefs, dtype=float)
     if probs.ndim != 2 or len(probs) < 1:
-        raise ValueError(f"run-length belief batch must be (B >= 1, h_max), got {probs.shape}")
-    check_simplex(probs, "run-length belief", batched=True)
+        raise ValueError(f"{what} batch must be (B >= 1, {width}), got {probs.shape}")
+    check_simplex(probs, what, batched=True)
     if params is not None and probs.shape[1] != params.h_max:
         raise ValueError(f"run-length belief has h_max={probs.shape[1]} but params expect {params.h_max}")
     return probs

@@ -6,19 +6,18 @@ suites double as the acceptance gate: the same functions run under pytest
 at the stated sizes.
 
 ``run_certification`` optionally injects one of three known bugs
-(``MUTATIONS``) to prove the gate actually bites:
+(``MUTATIONS``) to prove the gate actually bites. Each wraps one real
+function in every pwmdp namespace that binds it, for the run alone:
 
-  unnormalized_belief: mixture weights scaled to sum 0.9 -> the
-      discounting identity drifts by gamma*|c|*0.1 and the Blackwell
-      suite must fail.
-  unfrozen_belief: the regime belief tracks the value estimate: each
-      instance's first regime is backed up by ``apply_coupled_operator``
-      (sensitivity 0.001, gap 50), whose factor gamma + 0.05 exceeds the
-      discount -> the contraction certificate must fail, in its exact
-      factor and in its sample through the real kernel.
-  unclipped_surprise: the real surprise fusion runs with its clip
-      ceiling lifted to infinity -> the boundedness check in the safety
-      suite must fail.
+  unnormalized_belief: ``operators._backup`` scales every mixture weight by
+      0.9 -> the discounting identity drifts by gamma*|c|*0.1; the Blackwell
+      suite must fail, as do the other suites that back up through it.
+  unfrozen_belief: suite 1's ``_regime_images`` returns the first regime's
+      value-coupled backup (``operators._coupled``, factor gamma + 0.05) for
+      every regime, so the belief tracks Q -> the sampled factor exceeds the
+      exact frozen-belief factor and the contraction certificate must fail.
+  unclipped_surprise: ``adaptive.surprise`` runs with its clip ceiling
+      lifted to the largest double -> the safety suite's bound must fail.
 
 The contraction certificate rests on the exact frozen-belief factor;
 sampled Lipschitz pairs through the real backup kernel stay as a
@@ -29,18 +28,20 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
 
-from .. import operators
+from .. import adaptive, operators
 from ..adaptive import AdaptiveState, SurpriseWeights, beta_eff, surprise
 from ..bocd import (
     BOCDParams,
     bayes_update,
     bocd_step,
-    detection_delay,
 )
 from ..context import (
     EMBEDDING_EPS,
@@ -65,7 +66,6 @@ from ..operators import (
     _project,
     DIVERGENCE_CAP,
     StatePartition,
-    apply_coupled_operator,
     apply_mixture_operator,
     apply_mixture_via_shared,
     add_bounded_noise,
@@ -91,8 +91,6 @@ __all__ = [
     "run_certification",
     "report_to_json",
 ]
-
-MUTATIONS = ("unnormalized_belief", "unfrozen_belief", "unclipped_surprise")
 
 # (sensitivity, gap) of the breaking coupling: factor gamma + 0.05, used by
 # ``unfrozen_belief`` and by suite 3's breaking instance
@@ -163,45 +161,33 @@ def _random_partition(rng, n_states) -> StatePartition:
 
 # --- suite 1: frozen-belief mixture is a gamma-contraction (exact factor) ---
 
-def _contraction_factors(
-    models, beliefs: np.ndarray, params: OperatorParams, probe_seed: int, mutation: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _regime_images(regimes, params: OperatorParams, probes: np.ndarray) -> np.ndarray:
+    """The (M, B, S, A) backups of every probe under each of the M stacked ``regimes``."""
+    stacked = np.broadcast_to(probes, (len(regimes.reward),) + probes.shape)
+    return operators._backup((regimes,), (1.0,), params, stacked)
+
+
+def _contraction_factors(models, beliefs, params: OperatorParams, probe_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact and sampled sup-norm Lipschitz factors of the backup under each belief row.
 
     Under a frozen belief w the mixture backup is Lipschitz with factor
     gamma * max_{s,a} sum_t |sum_m w_m P_m(t|s,a)|, which a uniform shift
     attains; one einsum gives it for every row of the (n, M) ``beliefs``.
     The sampled factors come from one set of ``estimate_lipschitz`` probes,
-    backed up once per regime through the real kernel and mixed with each
-    row. Under ``unfrozen_belief`` the belief tracks Q instead: the first
-    regime is backed up through the value-coupled operator, so both factors
-    are that operator's, gamma + sensitivity * gap, for every row.
+    backed up once per regime by ``_regime_images`` and mixed with each row.
     """
-    n_beliefs = len(beliefs)
-    if mutation == "unfrozen_belief":
-        sensitivity, gap = BREAKING_COUPLING
-        coupled = lambda probes: apply_coupled_operator(models[0], params, sensitivity, gap, probes)
-        sampled = estimate_lipschitz(coupled, models[0].reward.shape, n_pairs=4, seed=probe_seed)
-        return np.full(n_beliefs, params.gamma + sensitivity * gap), np.full(n_beliefs, sampled)
     kernels = np.stack([m.kernel for m in models])
     mixed = np.einsum("bm,msat->bsat", beliefs, kernels)
     exact = params.gamma * np.abs(mixed, out=mixed).sum(axis=-1).max(axis=(-2, -1))
-
     regimes = operators._Regime(
         np.stack([m.reward for m in models]), kernels, np.stack([m.gamma_epi for m in models])
     )
-
-    def per_belief(probes: np.ndarray) -> np.ndarray:
-        # the M regimes as instances, each backing up every probe
-        stacked = np.broadcast_to(probes, (len(models),) + probes.shape)
-        per_regime = operators._backup((regimes,), (1.0,), params, stacked)
-        return np.tensordot(beliefs, per_regime, axes=1)
-
+    per_belief = lambda probes: np.tensordot(beliefs, _regime_images(regimes, params, probes), axes=1)
     sampled = estimate_lipschitz(per_belief, models[0].reward.shape, n_pairs=4, seed=probe_seed)
     return exact, sampled
 
 
-def suite_contraction_certificate(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_contraction_certificate(seed: int) -> SuiteResult:
     """Each (model set, belief) instance: exact factor <= gamma, sample <= exact factor."""
     gammas = (0.5, 0.9, 0.99)
     n_sets, n_beliefs = 50, 50
@@ -218,7 +204,7 @@ def suite_contraction_certificate(seed: int, mutation: str | None = None) -> Sui
             models = _random_models(rng, n_modes, n_states, n_actions)
             beliefs = _random_beliefs(rng, n_modes, n_beliefs)
             probe_seed = int(rng.integers(0, 2**31))
-            exact, sampled = _contraction_factors(models, beliefs, params, probe_seed, mutation)
+            exact, sampled = _contraction_factors(models, beliefs, params, probe_seed)
             max_violation = max(
                 max_violation, float(np.max(exact - gamma)), float(np.max(sampled - exact))
             )
@@ -228,7 +214,7 @@ def suite_contraction_certificate(seed: int, mutation: str | None = None) -> Sui
 
 # --- suite 2: Blackwell identities plus the unnormalized-weights negative test ---
 
-def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_blackwell_identities(seed: int) -> SuiteResult:
     """Monotonicity and discounting of the mixture backup on random instances.
 
     The instances' shapes and parameters are drawn as arrays, then each
@@ -240,7 +226,6 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
     tol = 1e-12
     n_instances = 1000
     rng = np.random.default_rng((seed, 102))
-    scale = 0.9 if mutation == "unnormalized_belief" else 1.0
     shapes = np.column_stack([
         rng.integers(2, 7, n_instances),  # n_states
         rng.integers(1, 4, n_instances),  # n_actions
@@ -265,7 +250,7 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
         ]
         coefficients = operators._Coefficients(gamma, lambda_epis[members], kappas[members])
         stack = np.stack([q1, q2, q1 + c[:, None, None]], axis=1)
-        images = operators._backup(regimes, (beliefs * scale).T, coefficients, stack)
+        images = operators._backup(regimes, beliefs.T, coefficients, stack)
         t1, t2, tc = images[:, 0], images[:, 1], images[:, 2]
         mono_violation = float(np.max(t1 - t2))
         disc_violation = float(np.max(np.abs(tc - (t1 + (gamma * c)[:, None, None]))))
@@ -285,7 +270,7 @@ def suite_blackwell_identities(seed: int, mutation: str | None = None) -> SuiteR
 
 # --- suite 3: sharp contraction threshold of the value-coupled operator ---
 
-def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_sharp_threshold(seed: int) -> SuiteResult:
     """The value-coupled backup's factor gamma + sensitivity * gap, on tables.
 
     Each instance backs up a table q1, its uniform shift and a random table:
@@ -330,9 +315,17 @@ def suite_sharp_threshold(seed: int, mutation: str | None = None) -> SuiteResult
     return SuiteResult("sharp_threshold", n_pairs + 2501, max_violation, tol)
 
 
-# --- suite 4: detection-delay table and minimality of the ceiling ---
+# --- suite 4: detection-delay table and minimality of the crossing ---
 
-def suite_detection_delay_table(seed: int, mutation: str | None = None) -> SuiteResult:
+def _exact_crossing(likelihood_ratio: float, prior_ratio: float, delta: float) -> int:
+    """n* = min{n : L**(2n) * delta >= r0}, in exact rational arithmetic on the doubles given."""
+    n, odds, gain, target = 0, Fraction(delta), Fraction(likelihood_ratio) ** 2, Fraction(prior_ratio)
+    while odds < target:
+        n, odds = n + 1, odds * gain
+    return n
+
+
+def suite_detection_delay_table(seed: int) -> SuiteResult:
     tol = 0.1
     expected = {
         "strong_separability": 0.9,
@@ -344,7 +337,7 @@ def suite_detection_delay_table(seed: int, mutation: str | None = None) -> Suite
     max_violation = max(abs(row["n_delta"] - expected[row["scenario"]]) for row in rows)
     empirical_ok = all(abs(row["empirical_delay"] - row["n_ceil"]) <= 1 for row in rows)
     grid = list(product((1.2, 2.0, 5.0), (1.0, 10.0), (0.05, 0.01)))
-    minimal_ok = all(empirical_detection_delay(*row) == math.ceil(detection_delay(*row)) for row in grid)
+    minimal_ok = all(empirical_detection_delay(*row) == _exact_crossing(*row) for row in grid)
     max_violation = _gated(max_violation, empirical_ok, minimal_ok)
     return SuiteResult("detection_delay_table", len(rows) + len(grid), max_violation, tol)
 
@@ -393,7 +386,7 @@ def _dense_filter(probs: np.ndarray, xi: np.ndarray, params: BOCDParams) -> np.n
     return unnormalized / unnormalized.sum(axis=1, keepdims=True)
 
 
-def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_simplex_preservation(seed: int) -> SuiteResult:
     """Run-length and Bayes updates stay on the simplex; the dense-checked
     run-length cases also match ``_dense_filter``."""
     tol = 1e-12
@@ -423,7 +416,7 @@ def suite_simplex_preservation(seed: int, mutation: str | None = None) -> SuiteR
 
 # --- suite 6: adaptive chain is safe by construction ---
 
-def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_safety_monotonicity(seed: int) -> SuiteResult:
     tol = 0.0
     beta_base = -2.0
     lams = np.linspace(0.0, 5.0, 100).tolist()
@@ -432,19 +425,17 @@ def suite_safety_monotonicity(seed: int, mutation: str | None = None) -> SuiteRe
     betas = np.array([[beta_eff(state, lam) for lam in lams] for state in states])
     max_violation = max(0.0, float((betas - beta_base).max()), float(np.diff(betas, axis=1).max()))
     weights = SurpriseWeights()
-    # the mutation lifts the clip to the largest double; the bound is still checked against weights.clip_max
-    fused_weights = replace(weights, clip_max=np.finfo(float).max) if mutation == "unclipped_surprise" else weights
     # (reward_z, q_std_ratio, kappa_div) readings, drawn row by row as one stream
     draws = np.random.default_rng((seed, 106)).uniform((-100.0, 0.0, 0.0), 100.0, (500, 3))
     for z, q, k in draws.tolist():
-        value = surprise(z, q, k, fused_weights)
+        value = surprise(z, q, k, weights)
         # bounded by the clip, non-negative, and monotone in each channel magnitude
-        bigger = surprise(z * 2.0, q * 2.0, k * 2.0, fused_weights)
+        bigger = surprise(z * 2.0, q * 2.0, k * 2.0, weights)
         max_violation = max(max_violation, value - weights.clip_max, -value, value - bigger)
     # below the clip, raising one channel alone strictly raises the fused surprise
     readings = np.random.default_rng((seed, 1061)).uniform(0.0, 5.0, (100, 3))
     rising = all(
-        surprise(*(reading + step), fused_weights) > surprise(*reading, fused_weights)
+        surprise(*(reading + step), weights) > surprise(*reading, weights)
         for reading in readings
         for step in np.eye(3)
     )
@@ -461,7 +452,7 @@ def _action_pad(n_actions_table: int, n_actions: int) -> np.ndarray:
     return np.where(index < n_actions_table, index, 0)
 
 
-def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_error_budget(seed: int) -> SuiteResult:
     """Projected, noisy iteration stays under B_n = gamma * B_{n-1} + eps_proj + sigma
     from B_0 = e_0, and its last step within 1.05 times the floor. The tight
     witness, unprojected from Q* with +sigma at every step, meets B_n with b = sigma.
@@ -557,7 +548,7 @@ def suite_error_budget(seed: int, mutation: str | None = None) -> SuiteResult:
 
 # --- suite 8: regime-switch perturbation bound and its tight witness ---
 
-def suite_regime_perturbation(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_regime_perturbation(seed: int) -> SuiteResult:
     tol = 1e-8
     n_pairs = 100
     rng = np.random.default_rng((seed, 108))
@@ -635,7 +626,7 @@ def lambda_w_gates_hold(config, rows) -> bool:
     return rises and all(rows[end - 1].lambda_w < 0.01 for _, end, _ in segments)
 
 
-def suite_piecewise_three_phase(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_piecewise_three_phase(seed: int) -> SuiteResult:
     """Certify the canonical three-phase experiment from one run.
 
     The scripted instance (modes, schedule, stream seed) is pinned, so the
@@ -686,7 +677,7 @@ def separable_context_dataset(seed: int, n_per_mode: int = 40):
     return states, mode_ids
 
 
-def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_context_losses(seed: int) -> SuiteResult:
     config = ContextLossConfig()
     tol = 1e-12
     # diversity strictly decreases as two means separate
@@ -714,7 +705,7 @@ def suite_context_losses(seed: int, mutation: str | None = None) -> SuiteResult:
 
 # --- suite 11: shared-table and per-mode mixture paths agree ---
 
-def suite_shared_critic_equivalence(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_shared_critic_equivalence(seed: int) -> SuiteResult:
     tol = 1e-12
     n_instances = 100
     rng = np.random.default_rng((seed, 111))
@@ -739,7 +730,7 @@ def suite_shared_critic_equivalence(seed: int, mutation: str | None = None) -> S
 
 # --- suite 12: certification inputs are reproducible bit-for-bit ---
 
-def suite_reproducibility(seed: int, mutation: str | None = None) -> SuiteResult:
+def suite_reproducibility(seed: int) -> SuiteResult:
     tol = 0.0
     raw = three_phase_config_dict(seed)
     raw["schedule"] = [[0, 30], [1, 30]]
@@ -774,12 +765,45 @@ SUITES = (
 )
 
 
+# Each known bug as (defining module, function, wrap(real) -> stand-in)
+_MUTANTS = {
+    "unnormalized_belief": (operators, "_backup", lambda real: lambda models, weights, params, q: real(
+        models, [0.9 * w for w in weights], params, q)),
+    "unfrozen_belief": (
+        sys.modules[__name__], "_regime_images", lambda real: lambda regimes, params, probes: np.broadcast_to(
+            operators._coupled(operators._Regime(*(t[0] for t in regimes)), params, *BREAKING_COUPLING, probes),
+            (len(regimes.reward),) + probes.shape)),
+    "unclipped_surprise": (adaptive, "surprise", lambda real: lambda reward_z, q_std_ratio, kappa_div, weights: real(
+        reward_z, q_std_ratio, kappa_div, replace(weights, clip_max=np.finfo(float).max))),
+}
+MUTATIONS = tuple(_MUTANTS)
+
+
+@contextmanager
+def _injected(module, name: str, wrap):
+    """Bind ``wrap(real)`` for ``module.name`` in every pwmdp namespace that binds it, process-wide
+    while the ``with`` block runs; ``finally`` gives every binding the real one back."""
+    real = getattr(module, name)
+    bindings = [
+        m for n, m in list(sys.modules.items()) if n.split(".")[0] == "pwmdp" and getattr(m, name, None) is real
+    ]
+    stand_in = wrap(real)
+    for namespace in bindings:
+        setattr(namespace, name, stand_in)
+    try:
+        yield
+    finally:
+        for namespace in bindings:
+            setattr(namespace, name, real)
+
+
 def run_certification(seed: int = 0, mutation: str | None = None) -> CertificationReport:
-    """Run every suite with fixed seeds; deterministic given (seed, mutation)."""
+    """Run every suite with fixed seeds, under ``mutation`` if one is named; deterministic given both."""
     seed = _whole(seed, "seed", _NON_NEGATIVE)
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
-    return CertificationReport(seed, mutation, tuple(suite(seed, mutation) for suite in SUITES))
+    with nullcontext() if mutation is None else _injected(*_MUTANTS[mutation]):
+        return CertificationReport(seed, mutation, tuple(suite(seed) for suite in SUITES))
 
 
 def report_to_json(report: CertificationReport) -> str:

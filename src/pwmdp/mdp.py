@@ -154,7 +154,7 @@ def check_simplex(probs: np.ndarray, what: str, batched: bool = False):
         raise ValueError(f"{name} contains non-finite entries")
     if (cases[row] < 0.0).any():
         raise ValueError(f"{name} must be non-negative")
-    raise ValueError(f"{name} sums to {sums[row]!r}, expected 1")
+    raise ValueError(f"{name} sums to {float(sums[row])!r}, expected 1")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+from pwmdp.harness import certify
 from pwmdp.harness.certify import (
     suite_blackwell_identities,
     suite_contraction_certificate,
@@ -32,10 +33,20 @@ SEED = 0
 CERTIFICATION_SHA256 = "1815f352eb80891470c2c5f0e90e0f42c8636a5c21e4f31f61dd850b992c9ad7"
 # and of its three `--inject-mutation` reports
 MUTATION_SHA256 = {
-    "unnormalized_belief": "244cf94c9dbf9a8cf9cf7843e670f469c34a644dc2d2b2766a1df727b32b44f3",
-    "unfrozen_belief": "8c0ce4a3583fd5afbf87e4d8b969004f5a21c7270c7f7a0b10e4f6ee1755176c",
+    "unnormalized_belief": "e60a5cf3c4f10d7ff97fd6dc7af68181e93beb3835bd0ef4b686ee0f8f771395",
+    "unfrozen_belief": "56ebc8919d4287fefa800fbf49b4e3b5f6ab9b1641eaf67fb3e64cc30c75d6f3",
     "unclipped_surprise": "040fd53d809c187e51cf5e0fabbe61fd7c7fe0029c89246a654ea1b70d04bf37",
 }
+
+
+def wrapped_bindings() -> dict:
+    """Every pwmdp module's binding of each function that a mutation wraps."""
+    return {
+        (module_name, name): getattr(module, name)
+        for _, name, _ in certify._MUTANTS.values()
+        for module_name, module in list(sys.modules.items())
+        if module_name.split(".")[0] == "pwmdp" and hasattr(module, name)
+    }
 
 
 def report(number: int, name: str, suite, elapsed: float | None = None, instances: int | None = None):
@@ -140,6 +151,7 @@ class TestCriterion12Reproducibility:
             "unclipped_surprise": "safety_monotonicity",
         }
         mutation_codes = {}
+        real_bindings = wrapped_bindings()
         try:
             for mutation, suite_name in expected_failures.items():
                 out = tmp_path / mutation
@@ -155,6 +167,8 @@ class TestCriterion12Reproducibility:
         finally:
             (stdout_a, stderr_a), _ = [process.communicate(timeout=600) for process, _ in runs]
         capsys.readouterr()  # the mutated runs' PASS/FAIL lines
+        # each mutated run gave every binding of its wrapped function back
+        assert wrapped_bindings() == real_bindings
 
         assert process_a.returncode == 0, stdout_a + stderr_a
         assert process_b.returncode == 0

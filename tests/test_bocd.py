@@ -413,6 +413,11 @@ class TestDegenerateVariance:
     [
         (lambda: bocd_step(np.empty((0, 20)), 0.0, PARAMS),
          "run-length belief batch must be (B >= 1, h_max), got (0, 20)"),
+        # bayes_update's beliefs are any (B, h) batch: it refused them as run-length beliefs of h_max
+        (lambda: bayes_update(np.empty((0, 2)), np.empty((0, 2))), "belief batch must be (B >= 1, h), got (0, 2)"),
+        # the sum printed as np.float64(1.000000000002)
+        (lambda: bayes_update(np.array([[0.25, 0.75 + 2e-12]]), np.ones((1, 2))),
+         "belief row 0 sums to 1.000000000002, expected 1"),
         (lambda: bayes_update(uniform(20), np.ones((1, 10))),
          "likelihood shape (1, 10) does not match belief (1, 20)"),
         (lambda: bayes_update(uniform(20), -np.ones((1, 20))),
@@ -437,7 +442,8 @@ class TestDegenerateVariance:
         (lambda: empirical_detection_delay(2.0, 1.0, "a"), "delta must be a finite number, got 'a'"),
     ],
     ids=[
-        "empty_batch", "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
+        "empty_batch", "empty_bayes_batch", "bayes_belief_off_the_simplex",
+        "likelihood_shape", "negative_likelihood", "zero_prior_ratio",
         "delta_of_one", "nan_likelihood_ratio", "nan_prior_ratio", "nan_delta",
         "posterior_nan_likelihood_ratio", "bool_xi", "text_xi",
         "scan_zero_delta", "scan_negative_delta", "scan_delta_above_one", "scan_bool_delta",

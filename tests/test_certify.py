@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pwmdp import OperatorParams, adaptive, bocd, context, make_random_mode, operators
-from pwmdp.harness import certify
+import pwmdp
+from pwmdp import OperatorParams, adaptive, bocd, context, detection_delay, make_random_mode, operators
+from pwmdp.harness import certify, experiment
 from pwmdp.harness.certify import (
     MUTATIONS,
     SUITES,
@@ -40,6 +41,7 @@ from pwmdp.harness.certify import (
 from pwmdp.harness.config import config_from_dict
 from pwmdp.harness.experiment import run_piecewise
 from pwmdp.harness.io import trace_to_csv_text
+from pwmdp.harness.sweeps import empirical_detection_delay
 from pwmdp.operators import regime_perturbation
 
 # sha256 of the canonical three-phase trace (CSV), whose lambda_w gate reads single rows
@@ -182,29 +184,38 @@ UNFROZEN_CASE = (
 )
 
 
-def test_unfrozen_belief_exceeds_the_discount_in_both_factors():
+def unfrozen_belief():
+    """``run_certification``'s injection of ``unfrozen_belief``, for one ``with`` block."""
+    return certify._injected(*certify._MUTANTS["unfrozen_belief"])
+
+
+def test_unfrozen_belief_lifts_the_sample_above_the_exact_factor():
     models, beliefs, params = UNFROZEN_CASE
     exact, sampled = _contraction_factors(models, beliefs, params, 17)
     assert np.all(np.abs(exact - 0.9) <= 1e-15) and np.all(sampled <= exact + 1e-14)
-    exact, sampled = _contraction_factors(models, beliefs, params, 17, "unfrozen_belief")
-    assert exact.shape == sampled.shape == (5,)
-    assert np.all(exact > 0.9 + 0.04) and np.all(sampled > 0.9 + 0.04)
-    np.testing.assert_allclose(exact, 0.95, rtol=1e-15)
+    with unfrozen_belief():
+        unfrozen_exact, sampled = _contraction_factors(models, beliefs, params, 17)
+    # the exact factor is the frozen-belief formula; the sample measures the coupled map
+    assert unfrozen_exact.tobytes() == exact.tobytes()
+    assert sampled.shape == (5,) and np.all(sampled > 0.9 + 0.04)
     np.testing.assert_allclose(sampled, 0.95, rtol=1e-12)
 
 
 def test_unfrozen_belief_samples_through_the_backup_kernel(monkeypatch):
-    # the mutation backs its tables up through operators._backup, so a kernel
-    # whose P.V term grows by 1.001 moves the sampled factor by 0.001 * gamma
-    _, sampled = _contraction_factors(*UNFROZEN_CASE, 17, "unfrozen_belief")
+    # the mutation backs its tables up through operators._coupled, which calls
+    # operators._backup, so a kernel whose P.V term grows by 1.001 moves the
+    # sampled factor by 0.001 * gamma
+    with unfrozen_belief():
+        _, sampled = _contraction_factors(*UNFROZEN_CASE, 17)
     expand_backup_kernel(monkeypatch)
-    _, expanded = _contraction_factors(*UNFROZEN_CASE, 17, "unfrozen_belief")
+    with unfrozen_belief():
+        _, expanded = _contraction_factors(*UNFROZEN_CASE, 17)
     np.testing.assert_allclose(expanded - sampled, 0.001 * 0.9, rtol=0, atol=1e-12)
 
 
 def test_dropping_the_coupling_fails_the_threshold_suite_and_the_unfrozen_sample(monkeypatch):
-    # with Q ignored the belief stays at 0.5 and the backup contracts at gamma again;
-    # suite 3 calls the kernel and the mutation the public entry, which reaches it too
+    # with Q ignored the belief stays at 0.5 and the backup contracts at gamma
+    # again; suite 3 and the mutation both call the kernel through the module
     real_coupled = operators._coupled
     monkeypatch.setattr(
         operators,
@@ -213,7 +224,8 @@ def test_dropping_the_coupling_fails_the_threshold_suite_and_the_unfrozen_sample
     )
     suite = suite_sharp_threshold(0)
     assert suite.tested_instances == 3001 and not suite.passed
-    _, sampled = _contraction_factors(*UNFROZEN_CASE, 17, "unfrozen_belief")
+    with unfrozen_belief():
+        _, sampled = _contraction_factors(*UNFROZEN_CASE, 17)
     assert np.all(sampled <= 0.9 + 1e-12)
 
 
@@ -275,8 +287,21 @@ def test_reproducibility_suite_fails_when_a_rerun_changes_one_row(monkeypatch):
     assert suite.max_violation == math.inf and not suite.passed
 
 
+@pytest.mark.parametrize(
+    "row, exact, filtered, ceiling",
+    [((2.0, 2.0, 0.125), 2, 3, 2), ((2.0, 1.0, 2.0**-30), 15, 16, 15), ((10.0, 1.0, 1e-6), 4, 4, 3)],
+    ids=["tie_at_two", "tie_at_fifteen", "double_below_the_power"],
+)
+def test_exact_crossing_at_ties(row, exact, filtered, ceiling):
+    # where L**(2n) * delta meets r0 exactly, the log-domain filter crosses a step late; the
+    # double 1e-6 lies below 10**-6, so there the closed form's ceiling is a step early
+    assert certify._exact_crossing(*row) == exact
+    assert empirical_detection_delay(*row) == filtered
+    assert math.ceil(detection_delay(*row)) == ceiling
+
+
 def test_delay_suite_fails_when_the_empirical_delay_is_one_step_late(monkeypatch):
-    # the minimality gate compares the tracked crossing with the ceiling of the calculus
+    # the minimality gate compares the tracked crossing with the exact crossing n*
     assert suite_detection_delay_table(0).passed
     on_time = certify.empirical_detection_delay
     monkeypatch.setattr(certify, "empirical_detection_delay", lambda *args: on_time(*args) + 1)
@@ -447,16 +472,24 @@ KERNEL_MUTATIONS = [
 
 
 @pytest.mark.parametrize("module, name, mutate, suite", KERNEL_MUTATIONS)
-def test_kernel_mutation_fails_its_suite(monkeypatch, module, name, mutate, suite):
-    # modules import kernels by name, so the stand-in replaces every binding:
-    # a patch on the defining module alone would leave the callers' copies real
-    real = getattr(module, name)
-    stand_in = mutate(real)
-    bindings = [
-        m for n, m in list(sys.modules.items())
-        if (n == "pwmdp" or n.startswith("pwmdp.")) and getattr(m, name, None) is real
-    ]
-    assert module in bindings
-    for namespace in bindings:
-        monkeypatch.setattr(namespace, name, stand_in)
-    assert not suite(0).passed
+def test_kernel_mutation_fails_its_suite(module, name, mutate, suite):
+    # injected as run_certification injects its mutations, in every namespace that binds the kernel
+    with certify._injected(module, name, mutate):
+        assert not suite(0).passed
+
+
+def test_an_injection_is_undone_when_the_call_raises():
+    namespaces = (pwmdp, adaptive, certify, experiment)
+    real = adaptive.surprise
+    assert all(namespace.surprise is real for namespace in namespaces)
+
+    def raising(real):
+        def stand_in(*args):
+            raise RuntimeError("injected")
+        return stand_in
+
+    with pytest.raises(RuntimeError, match="^injected$"):
+        with certify._injected(adaptive, "surprise", raising):
+            assert not any(namespace.surprise is real for namespace in namespaces)
+            suite_safety_monotonicity(0)
+    assert all(namespace.surprise is real for namespace in namespaces)

@@ -446,12 +446,14 @@ class TestCheckSimplex:
          "reward needs S >= 1 and A >= 1, got shape (2, 0)"),
         (lambda: ModeModel(np.zeros((0, 2)), np.zeros((0, 2, 0)), np.zeros((0, 2))),
          "reward needs S >= 1 and A >= 1, got shape (0, 2)"),
+        # the sum printed as np.float64(1.000000000002)
+        (lambda: check_simplex(np.array([0.25, 0.75 + 2e-12]), "belief"), "belief sums to 1.000000000002, expected 1"),
     ],
     ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
          "overflowing_reward_range", "scalar_reward_range", "one_end_reward_range",
          "three_end_reward_range", "text_reward_range", "bool_reward_range", "negative_seed",
          "no_random_states", "no_random_actions", "zero_dwell", "short_segment", "scalar_segment",
-         "scalar_segments", "no_actions", "no_states"],
+         "scalar_segments", "no_actions", "no_states", "sum_off_the_simplex"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
