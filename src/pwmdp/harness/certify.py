@@ -159,6 +159,12 @@ def _random_partition(rng, n_states) -> StatePartition:
     return StatePartition(n_states, tuple(blocks))
 
 
+def _shape_groups(shapes: np.ndarray):
+    """(shape, row indices) per distinct row of ``shapes``: np.unique's order, without its numpy.ma import."""
+    for shape in sorted(set(map(tuple, shapes.tolist()))):
+        yield shape, np.flatnonzero((shapes == shape).all(axis=1))
+
+
 # --- suite 1: frozen-belief mixture is a gamma-contraction (exact factor) ---
 
 def _regime_images(regimes, params: OperatorParams, probes: np.ndarray) -> np.ndarray:
@@ -236,9 +242,7 @@ def suite_blackwell_identities(seed: int) -> SuiteResult:
     kappas = rng.uniform(0.0, 0.5, n_instances)
     shifts = rng.uniform(-5.0, 5.0, n_instances)
     max_violation = 0.0
-    # sorted(set(...)) is np.unique's ascending order, without the numpy.ma import it makes
-    for n_states, n_actions, n_modes in sorted(set(map(tuple, shapes.tolist()))):
-        members = np.flatnonzero((shapes == (n_states, n_actions, n_modes)).all(axis=1))
+    for (n_states, n_actions, n_modes), members in _shape_groups(shapes):
         k = members.size
         rewards, kernels, penalties = _draw_mode_tables(rng, (k, n_modes), n_states, n_actions)
         beliefs = _random_beliefs(rng, n_modes, k)
@@ -288,9 +292,7 @@ def suite_sharp_threshold(seed: int) -> SuiteResult:
     # well-separated shifts: the exactness claim is about the update ratio
     shifts = rng.choice([-1.0, 1.0], n_pairs) * rng.uniform(0.5, 10.0, n_pairs)
     max_violation = 0.0
-    # sorted(set(...)) is np.unique's ascending order, without the numpy.ma import it makes
-    for n_states, n_actions in sorted(set(map(tuple, shapes.tolist()))):
-        members = np.flatnonzero((shapes == (n_states, n_actions)).all(axis=1))
+    for (n_states, n_actions), members in _shape_groups(shapes):
         regime = operators._Regime(*_draw_mode_tables(rng, members.shape, n_states, n_actions))
         # per instance: q1, its uniform shift, and a random table q2
         tables = rng.uniform(-10.0, 10.0, (members.size, 3, n_states, n_actions))

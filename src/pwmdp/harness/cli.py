@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p_sweep)
     p_sweep.add_argument("--n-gamma", type=int, default=50)
     p_sweep.add_argument("--n-coupling", type=int, default=50)
-    p_sweep.add_argument("--n-iter", type=int, default=200)
 
     p_delay = sub.add_parser("delay-table", help="detection-delay table")
     add_out(p_delay)
@@ -134,24 +133,22 @@ def _flag(args, flag: str, rule: tuple) -> int:
     return 0 if value is None else _whole(value, flag, rule)
 
 
-# The largest threshold-sweep grid, in cells. The sweep holds about 100 bytes
-# per cell, about 250 with its JSON text, so 2**20 cells keep it within the
-# 256 MiB that MAX_KERNEL_ENTRIES gives a config's kernel.
+# The largest threshold-sweep grid, in cells. Measured in the process with
+# resource.getrusage on a 1024 x 1024 grid, the sweep peaks at about 135
+# bytes a cell over the imports' 31 MiB, and the command, while it writes
+# the JSON text (45 bytes a cell), at about 310: 340 MiB at 2**20 cells.
 MAX_SWEEP_CELLS = 2**20
 
 
 def _cmd_threshold_sweep(args) -> int:
-    sizes = [_flag(args, flag, _AT_LEAST_ONE) for flag in ("--n-gamma", "--n-coupling", "--n-iter")]
-    n_gamma, n_coupling, n_iter = sizes
+    n_gamma, n_coupling = (_flag(args, flag, _AT_LEAST_ONE) for flag in ("--n-gamma", "--n-coupling"))
     cells = n_gamma * n_coupling
     if cells > MAX_SWEEP_CELLS:
         raise ValueError(
             f"--n-gamma {n_gamma} times --n-coupling {n_coupling} is a grid of "
             f"{cells} cells, beyond the budget of {MAX_SWEEP_CELLS}"
         )
-    result = run_threshold_sweep(
-        np.linspace(0.0, 0.98, n_gamma), np.linspace(0.0, 0.5, n_coupling), n_iter=n_iter
-    )
+    result = run_threshold_sweep(np.linspace(0.0, 0.98, n_gamma), np.linspace(0.0, 0.5, n_coupling))
     out = _out_dir(args)
     text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     path = write_text(out / "phase_map.json", text, "phase map")

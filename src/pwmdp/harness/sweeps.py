@@ -1,11 +1,12 @@
 """Grid sweeps: the contraction-threshold phase map and the detection-delay table.
 
-The threshold sweep iterates the value-coupled backup's one-state case, the
-affine map q -> (gamma + coupling) * q + 1, across a (discount, coupling)
-grid and classifies each cell from its trajectory; the grid iterates as one
-array with a stop mask per cell. Because the map is affine, the measured
-per-step geometric factor equals the analytic factor to round-off, so the
-classified boundary must match the line gamma + coupling = 1 cell-exactly.
+The threshold sweep measures the value-coupled backup's sup-norm Lipschitz
+factor across a (discount, coupling) grid and classifies each cell by it.
+Every cell is a one-state, one-action instance of ``operators._coupled``, and
+the whole grid is one stack of instances under one ``estimate_lipschitz``
+call. The one-state map is affine, so its uniform-shift pair measures the
+analytic factor gamma + coupling to round-off, and the classified boundary
+must match the line gamma + coupling = 1 cell-exactly.
 
 The delay table evaluates the analytic detection delay for the standard
 separability scenarios next to the first step at which a two-hypothesis
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import operators
 from ..bocd import _odds, bayes_update, detection_delay
-from ..mdp import _AT_LEAST_ONE, _UNIT_OPEN, _real, _whole
+from ..mdp import _UNIT_OPEN, _real
 
 __all__ = [
     "ThresholdSweepResult",
@@ -33,8 +35,8 @@ __all__ = [
 # Factors within this band of 1 classify as stalled (nonexpansive).
 FACTOR_BAND = 1e-9
 
-# The threshold sweep's low reward (the high one sits a unit gap above it).
-SWEEP_R_LOW = 1.0
+# Probe pairs per sweep: every pair of an affine one-state map gives the same ratio.
+_SWEEP_PAIRS = 1
 
 
 def _classify(factor: float) -> str:
@@ -68,14 +70,14 @@ class ThresholdSweepResult:
         }
 
 
-def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> ThresholdSweepResult:
-    """Classify the scalar operator across a (discount, coupling) grid.
+def run_threshold_sweep(gamma_grid, coupling_grid) -> ThresholdSweepResult:
+    """Classify the value-coupled backup across a (discount, coupling) grid by its measured factor.
 
-    The whole grid iterates q -> (gamma + coupling) * q + SWEEP_R_LOW from
-    q0 = 0 as one array: a cell stops once its update is exactly 0 or beyond
-    1e100, and keeps its last update and step count. Each cell's factor, the
-    per-step geometric mean of its update magnitudes, is then taken as a
-    Python float, so classes and factors equal a scalar loop's over one cell.
+    Cell (i, j) is a one-state, one-action regime (reward 0.5, a self-loop,
+    no penalty) with discount gamma_grid[i], sensitivity coupling_grid[j] and
+    reward gap 1. The grid is one (n_gamma, n_coupling) stack of such
+    instances, and one ``estimate_lipschitz`` call backs up its probes
+    through ``operators._coupled`` and measures every cell's factor.
     """
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     coupling_grid = np.asarray(coupling_grid, dtype=float)
@@ -84,28 +86,16 @@ def run_threshold_sweep(gamma_grid, coupling_grid, n_iter: int = 200) -> Thresho
             raise ValueError(f"{name} grid must be a non-empty vector")
         if not ((grid >= 0.0) & (grid <= 1.5)).all():
             raise ValueError(f"{name} grid values must lie within [0, 1.5]")
-    n_iter = _whole(n_iter, "n_iter", _AT_LEAST_ONE)
-    factor = gamma_grid[:, None] + coupling_grid[None, :]
-    # from q = 0 the first step lands every cell on the nonzero low reward
-    q = np.full(factor.shape, SWEEP_R_LOW)
-    d0 = abs(SWEEP_R_LOW)
-    d = np.full(factor.shape, d0)
-    steps = np.zeros(factor.shape, dtype=int)
-    running = np.ones(factor.shape, dtype=bool)
-    for _ in range(n_iter):
-        q_next = factor * q + SWEEP_R_LOW
-        d = np.where(running, np.abs(q_next - q), d)
-        q = np.where(running, q_next, q)
-        steps += running
-        running &= (d != 0.0) & (d <= 1e100)
-        if not running.any():
-            break
-    measured = [
-        [0.0 if r == 0.0 else r ** (1.0 / n) for r, n in zip(ratios, counts)]
-        for ratios, counts in zip((d / d0).tolist(), steps.tolist())
-    ]
-    classes = np.array([[_classify(f) for f in row] for row in measured], dtype=object)
-    return ThresholdSweepResult(gamma_grid, coupling_grid, classes, np.array(measured))
+    cells = (gamma_grid.size, coupling_grid.size)
+    # read-only views: every cell shares the reward 0.5, the self-loop and the zero penalty
+    regime = operators._Regime(*(np.broadcast_to(x, cells + (1,) * n) for x, n in ((0.5, 2), (1.0, 3), (0.0, 2))))
+    coefficients = operators._Coefficients(gamma_grid[:, None], lambda_epi=0.0, kappa=0.0)
+    coupled = lambda probes: operators._coupled(
+        regime, coefficients, coupling_grid[None, :], 1.0, np.broadcast_to(probes, cells + probes.shape)
+    )
+    measured = operators.estimate_lipschitz(coupled, (1, 1), n_pairs=_SWEEP_PAIRS, seed=0)
+    classes = np.array([[_classify(f) for f in row] for row in measured.tolist()], dtype=object)
+    return ThresholdSweepResult(gamma_grid, coupling_grid, classes, measured)
 
 
 # (scenario, likelihood ratio L, prior ratio r0, confidence delta)

@@ -81,7 +81,7 @@ def _whole(value, name: str, rule: tuple | None = None) -> int:
         return _within(int(value), name, rule)
     if isinstance(value, float) and value.is_integer():
         return _within(int(value), name, rule)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {_plain(value)!r}")
 
 
 def _is_real(value) -> bool:
@@ -89,11 +89,16 @@ def _is_real(value) -> bool:
     return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _plain(value):
+    """A numpy number as its Python number, so a refusal prints ``nan``, not ``np.float64(nan)``."""
+    return value.item() if isinstance(value, np.number) else value
+
+
 def _real(value, name: str, rule: tuple | None = None) -> float:
     """A real-valued field: a finite number (see :func:`_is_real`), within ``rule``."""
     if _is_real(value) and math.isfinite(value):
         return _within(float(value), name, rule)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+    raise ValueError(f"{name} must be a finite number, got {_plain(value)!r}")
 
 
 # Readers by field annotation, which is text: every module postpones its annotations.

@@ -28,7 +28,7 @@ from pwmdp.harness.config import FIELDS, MAX_KERNEL_ENTRIES
 CLI = [sys.executable, "-m", "pwmdp"]
 
 # sha256 of the files written at default sizes; a faster path must write the same bytes
-PHASE_MAP_SHA256 = "047c8d53822c880bd5757c74e537aa8166b86d4d74f80b7385a25cada6cc86ef"
+PHASE_MAP_SHA256 = "d8edf2a823c88a51e9b684a0625c7e2b27b220899205fad38849ae07b2ebceb7"
 CONTEXT_MAP_SHA256 = "3f12921064ffbc3e86338913fb534a28efaba2bb271e8c56d8cbbc902133ecaf"
 DELAY_TABLE_SHA256 = {
     "csv": "5dab05abb085812037438e7398546d01ff47b86dfc28ac85aee707ae59f5c7c9",
@@ -581,7 +581,7 @@ def test_fuzzed_configs_run_or_exit_with_one_line(tmp_path):
 # from, which keep the sizes small; a fuzzed flag given after them wins.
 FLAG_FUZZ_RUNS = {
     "piecewise": (60, []),
-    "threshold-sweep": (60, ["--n-gamma", "5", "--n-coupling", "5", "--n-iter", "20"]),
+    "threshold-sweep": (60, ["--n-gamma", "5", "--n-coupling", "5"]),
     "delay-table": (20, []),
     "certify": (3, []),  # about 1 s a run
     "rmdm-demo": (80, ["--steps", "5"]),
@@ -693,9 +693,9 @@ class TestThresholdSweepCommand:
         grids = []
         sweep = cli.run_threshold_sweep
 
-        def corner_sweep(gamma_grid, coupling_grid, n_iter):
+        def corner_sweep(gamma_grid, coupling_grid):
             grids.append((gamma_grid.size, coupling_grid.size))
-            return sweep(gamma_grid[:2], coupling_grid[:2], n_iter=n_iter)
+            return sweep(gamma_grid[:2], coupling_grid[:2])
 
         monkeypatch.setattr(cli, "run_threshold_sweep", corner_sweep)
         argv = ["threshold-sweep", "--n-gamma", "1024", "--n-coupling", "1024"]
@@ -710,10 +710,9 @@ class TestThresholdSweepCommand:
         # grid budget read the two negative sizes as a 9-cell grid
         (["threshold-sweep", "--n-gamma", "-3", "--n-coupling", "-3"], "--n-gamma must be >= 1, got -3"),
         (["threshold-sweep", "--n-coupling", "0"], "--n-coupling must be >= 1, got 0"),
-        (["threshold-sweep", "--n-iter", "0"], "--n-iter must be >= 1, got 0"),
         (["rmdm-demo", "--steps", "-1"], "--steps must be >= 0, got -1"),
     ],
-    ids=["n_gamma", "n_coupling", "n_iter", "steps"],
+    ids=["n_gamma", "n_coupling", "steps"],
 )
 def test_size_flag_exits_1_naming_itself_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_threshold_sweep", lambda *a, **k: pytest.fail("swept"))

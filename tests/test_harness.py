@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pwmdp import add_bounded_noise, apply_mode_operator, estimate_lipschitz, make_random_mode, mode_fixed_point
-from pwmdp import sup_dist
+from pwmdp import operators, sup_dist
 from pwmdp.bocd import BOCDParams, _entropy, _mean_run_length, bocd_step, detection_delay
 from pwmdp.harness import (
     ConfigError,
@@ -28,11 +28,11 @@ from pwmdp.harness import (
     run_threshold_sweep,
     write_table,
 )
-from pwmdp.harness.certify import run_certification, three_phase_config_dict
+from pwmdp.harness.certify import _injected, run_certification, three_phase_config_dict
 from pwmdp.harness.config import DEFAULT_CONFIG, FIELDS
 from pwmdp.harness.experiment import _greedy_rollout, _spread
 from pwmdp.harness.io import csv_text, trace_to_csv_text
-from pwmdp.harness.sweeps import SWEEP_R_LOW, _classify, empirical_detection_delay
+from pwmdp.harness.sweeps import empirical_detection_delay
 
 
 def small_config_dict(**overrides) -> dict:
@@ -673,35 +673,13 @@ class TestTraceIO:
             TraceRow(0, 0, 0.0, 0.0, 0.0, 0.0, -2.0, 0.0, "warmup")
 
 
-def classify_trajectory(gamma: float, coupling: float, n_iter: int = 200) -> tuple[str, float]:
-    """The threshold sweep's scalar reference for one cell: (class, measured factor).
-
-    Iterates q -> (gamma + coupling) * q + SWEEP_R_LOW from q0 = 0, stopping
-    early on exact convergence or once an update exceeds 1e100; the factor is
-    the per-step geometric mean of the update magnitudes.
-    """
-    factor = gamma + coupling
-    # the first step from q0 = 0 lands on the nonzero low reward
-    q = d0 = SWEEP_R_LOW
-    for steps in range(1, n_iter + 1):
-        q_next = factor * q + SWEEP_R_LOW
-        d = abs(q_next - q)
-        q = q_next
-        if d == 0.0:
-            return "converged", 0.0
-        if d > 1e100:
-            break
-    measured = (d / d0) ** (1.0 / steps)
-    return _classify(measured), measured
-
-
 class TestThresholdSweep:
     def test_reference_cells(self):
-        assert classify_trajectory(0.5, 0.2)[0] == "converged"
-        assert classify_trajectory(0.99, 0.05)[0] == "diverged"
+        assert run_threshold_sweep([0.5], [0.2]).classes[0, 0] == "converged"
+        assert run_threshold_sweep([0.99], [0.05]).classes[0, 0] == "diverged"
 
     def test_nonexpansive_cell_stalls(self):
-        assert classify_trajectory(1.0, 0.0)[0] == "stalled"
+        assert run_threshold_sweep([1.0], [0.0]).classes[0, 0] == "stalled"
 
     def test_grid_boundary_matches_analytic_line(self):
         sweep = run_threshold_sweep(np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50))
@@ -721,34 +699,35 @@ class TestThresholdSweep:
         assert sweep.classes[1, 1] == "stalled"  # 0.6 + 0.4 = 1 in floats
 
     @pytest.mark.parametrize(
-        "gammas, couplings, n_iter",
+        "gammas, couplings",
         [
-            (np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50), 200),
+            (np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50)),
             # cells exactly on gamma + coupling = 1 in floats
-            (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9), 200),
-            (np.array([0.5, 0.6, 0.7, 0.25]), np.array([0.5, 0.4, 0.3, 0.75]), 200),
-            # the 1.5 edge: fast divergence, and the 1e100 stop on some cells only
-            (np.array([0.0, 0.5, 1.0, 1.49, 1.5]), np.array([0.0, 0.01, 0.5, 1.5]), 200),
-            (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 1.5, 7), 3),
-            (np.array([0.3, 1.0]), np.array([0.7, 0.0]), 1),
-            # three cells pass 1e100 and one converges exactly, all before the last step
-            (np.array([1.5, 0.0]), np.array([1.5, 0.5]), 1000),
+            (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9)),
+            (np.array([0.5, 0.6, 0.7, 0.25]), np.array([0.5, 0.4, 0.3, 0.75])),
+            # the 1.5 edge of both grids
+            (np.array([0.0, 0.5, 1.0, 1.49, 1.5]), np.array([0.0, 0.01, 0.5, 1.5])),
+            (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 1.5, 7)),
+            (np.array([0.3, 1.0]), np.array([0.7, 0.0])),
+            # the largest factor, 3, and a cell with no coupling
+            (np.array([1.5, 0.0]), np.array([1.5, 0.5])),
         ],
-        ids=[
-            "default_grid", "on_the_line", "on_the_line_pairs", "edge_1_5", "few_steps", "one_step",
-            "every_cell_stops_early",
-        ],
+        ids=["default_grid", "on_the_line", "on_the_line_pairs", "edge_1_5", "coarse_to_1_5", "two_cells_on_the_line",
+             "largest_factor"],
     )
-    def test_array_sweep_equals_classify_trajectory_cell_by_cell(self, gammas, couplings, n_iter):
-        sweep = run_threshold_sweep(gammas, couplings, n_iter)
-        for i, g in enumerate(gammas):
-            for j, c in enumerate(couplings):
-                cls, factor = classify_trajectory(float(g), float(c), n_iter)
-                assert (sweep.classes[i, j], sweep.measured_factors[i, j]) == (cls, factor)
+    def test_factor_is_gamma_plus_coupling(self, gammas, couplings):
+        sweep = run_threshold_sweep(gammas, couplings)
+        assert np.abs(sweep.measured_factors - (gammas[:, None] + couplings[None, :])).max() <= 1e-12
+        assert sweep.matches_analytic()
 
-    def test_sweep_rejects_a_non_positive_iteration_count(self):
-        with pytest.raises(ValueError, match="n_iter"):
-            run_threshold_sweep(np.array([0.5]), np.array([0.1]), n_iter=0)
+    def test_sweep_without_the_kernels_sensitivity_misses_the_line(self):
+        # the sweep measures the real value-coupled backup: dropping its coupling moves the map
+        without_sensitivity = lambda real: lambda model, params, sensitivity, gap, values: real(
+            model, params, 0.0, gap, values
+        )
+        with _injected(operators, "_coupled", without_sensitivity):
+            sweep = run_threshold_sweep(np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.5, 50))
+        assert not sweep.matches_analytic()
 
     def test_grid_domain_validated(self):
         with pytest.raises(ValueError, match="within"):

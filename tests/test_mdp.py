@@ -30,7 +30,6 @@ from pwmdp import (
 )
 from pwmdp import adaptive, bocd, context, mdp, operators
 from pwmdp.harness.certify import separable_context_dataset
-from pwmdp.harness.sweeps import run_threshold_sweep
 from pwmdp.mdp import _frozen_array, check_simplex
 
 
@@ -448,12 +447,16 @@ class TestCheckSimplex:
          "reward needs S >= 1 and A >= 1, got shape (0, 2)"),
         # the sum printed as np.float64(1.000000000002)
         (lambda: check_simplex(np.array([0.25, 0.75 + 2e-12]), "belief"), "belief sums to 1.000000000002, expected 1"),
+        # numpy scalars printed as np.float64(nan) and np.float64(2.5)
+        (lambda: OperatorParams(gamma=np.float64("nan")), "gamma must be a finite number, got nan"),
+        (lambda: make_random_mode(0, np.float64(2.5), 2), "n_states must be an integer, got 2.5"),
     ],
     ids=["one_dimensional_reward", "kernel_shape", "gamma_epi_shape", "inverted_reward_range",
          "overflowing_reward_range", "scalar_reward_range", "one_end_reward_range",
          "three_end_reward_range", "text_reward_range", "bool_reward_range", "negative_seed",
          "no_random_states", "no_random_actions", "zero_dwell", "short_segment", "scalar_segment",
-         "scalar_segments", "no_actions", "no_states", "sum_off_the_simplex"],
+         "scalar_segments", "no_actions", "no_states", "sum_off_the_simplex", "numpy_nan_gamma",
+         "numpy_fractional_states"],
 )
 def test_invalid_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -470,7 +473,6 @@ INTEGER_ARGUMENTS = {
     "n_pairs": lambda n: estimate_lipschitz(IDENTITY, (3, 2), n, 0),
     "dims[0]": lambda n: estimate_lipschitz(IDENTITY, (n, 2), 2, 0),
     "dims[1]": lambda n: estimate_lipschitz(IDENTITY, (3, n), 2, 0),
-    "n_iter": lambda n: run_threshold_sweep([0.5], [0.1], n_iter=n),
     "steps": lambda n: fit_linear_context(CONTEXT_DATA, ContextLossConfig(), steps=n),
     "n_states": lambda n: make_random_mode(0, n, 2),
     "n_actions": lambda n: make_random_mode(0, 2, n),
